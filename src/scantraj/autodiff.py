@@ -8,6 +8,29 @@ node that never receives gradient reads as all zeros.
 Broadcasting is deliberately restricted: a binary op accepts two operands of
 identical shape, or one of them may be a scalar (shape ``()``). Anything
 fancier raises :class:`ShapeError` naming the op and both shapes.
+
+A few ops work on whole batches (one row per pedestrian, or one entry per
+pedestrian pair) so that a scene costs one record per layer, whatever its
+size. Their shape rules:
+
+* ``gather(a, index)``: ``a.values[index]`` for an integer array or a tuple
+  of integer arrays (numpy advanced indexing); repeated indices accumulate
+  their gradients.
+* ``masked_softmax(a, mask)``: softmax along the last axis over the entries
+  where ``mask`` (same shape) is True; each row normalizes on its own and a
+  row with no True entry is all zeros.
+* ``linear(x, weight, bias=None)``: ``x @ weight.T + bias`` for ``x`` of
+  shape ``(in,)`` or ``(N, in)``, ``weight`` ``(out, in)`` and ``bias``
+  ``(out,)``, broadcast over the rows.
+* ``matmul(a, b)``: ``(m, k) @ (k, n)``, ``(m, k) @ (k,)`` and
+  ``(k,) @ (k,)`` (a scalar), plus two batched forms with one leading
+  batch axis ``B`` on both operands: ``(B, m, k) @ (B, k) -> (B, m)``
+  (a matrix times a vector per row) and ``(B, m) @ (B, m, k) -> (B, k)``
+  (a vector times a matrix per row).
+* ``l2norm(a)``: Euclidean norm over the last axis, ``(..., k) -> (...)``;
+  the subgradient at a zero vector is 0.
+* ``stack(nodes, axis)``, ``concat(nodes, axis)`` and ``reduce_sum(a, axis)``
+  take a numpy axis.
 """
 
 from __future__ import annotations
@@ -21,10 +44,11 @@ from .errors import ShapeError
 
 __all__ = [
     "TensorNode", "Tape", "active_tape", "constant", "zeros",
-    "add", "sub", "mul", "div", "neg", "matmul", "dot", "concat", "stack",
-    "relu", "tanh", "sigmoid", "exp", "log", "softplus",
-    "softmax", "masked_softmax", "reduce_sum", "reduce_mean", "l2norm",
-    "apply", "ParamStore", "Adam", "RngHub", "numeric_gradient",
+    "add", "sub", "mul", "div", "neg", "matmul", "linear",
+    "concat", "stack", "gather", "relu", "tanh", "sigmoid", "exp", "log",
+    "softplus", "masked_softmax", "reduce_sum", "reduce_mean",
+    "l2norm", "mean_of", "apply", "ParamStore", "Adam", "RngHub",
+    "numeric_gradient",
 ]
 
 
@@ -266,32 +290,70 @@ def neg(a) -> TensorNode:
 
 
 def matmul(a, b) -> TensorNode:
+    """Matrix products; see the module docstring for the accepted shapes."""
     a, b = _lift(a), _lift(b)
     av, bv = a.values, b.values
     if av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
+        outv = av @ bv
+
         def backward(g):
             _add_grad(a, np.outer(g, bv))
             _add_grad(b, av.T @ g)
     elif av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:
+        outv = av @ bv
+
         def backward(g):
             _add_grad(a, g @ bv.T)
             _add_grad(b, av.T @ g)
+    elif av.ndim == 1 and av.shape == bv.shape:
+        outv = np.asarray(av @ bv)
+
+        def backward(g):
+            _add_grad(a, g * bv)
+            _add_grad(b, g * av)
+    elif (av.ndim == 3 and bv.ndim == 2 and av.shape[0] == bv.shape[0]
+          and av.shape[2] == bv.shape[1]):
+        outv = np.matmul(av, bv[:, :, None])[:, :, 0]
+
+        def backward(g):
+            _add_grad(a, g[:, :, None] * bv[:, None, :])
+            _add_grad(b, np.matmul(g[:, None, :], av)[:, 0, :])
+    elif (av.ndim == 2 and bv.ndim == 3 and av.shape[0] == bv.shape[0]
+          and av.shape[1] == bv.shape[1]):
+        outv = np.matmul(av[:, None, :], bv)[:, 0, :]
+
+        def backward(g):
+            _add_grad(a, np.matmul(bv, g[:, :, None])[:, :, 0])
+            _add_grad(b, av[:, :, None] * g[:, None, :])
     else:
         raise ShapeError(f"matmul: shapes {av.shape} and {bv.shape} do not conform")
-    return _record("matmul", av @ bv, (a, b), backward)
+    return _record("matmul", outv, (a, b), backward)
 
 
-def dot(a, b) -> TensorNode:
-    a, b = _lift(a), _lift(b)
-    av, bv = a.values, b.values
-    if av.ndim != 1 or av.shape != bv.shape:
-        raise ShapeError(f"dot: shapes {av.shape} and {bv.shape} must be equal 1-D")
+def linear(x, weight, bias=None) -> TensorNode:
+    """``x @ weight.T + bias`` for one input ``(in,)`` or a batch ``(N, in)``."""
+    x, weight = _lift(x), _lift(weight)
+    xv, wv = x.values, weight.values
+    if wv.ndim != 2 or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[1]:
+        raise ShapeError(f"linear: input {xv.shape} and weight {wv.shape} do not conform")
+    outv = xv @ wv.T
+    inputs = (x, weight)
+    if bias is not None:
+        bias = _lift(bias)
+        if bias.shape != (wv.shape[0],):
+            raise ShapeError(f"linear: bias {bias.shape} for weight {wv.shape}")
+        outv = outv + bias.values
+        inputs = (x, weight, bias)
+    x2 = xv.reshape(-1, wv.shape[1])
 
     def backward(g):
-        _add_grad(a, g * bv)
-        _add_grad(b, g * av)
+        g2 = g.reshape(-1, wv.shape[0])
+        _add_grad(x, (g2 @ wv).reshape(xv.shape))
+        _add_grad(weight, g2.T @ x2)
+        if bias is not None:
+            _add_grad(bias, g2.sum(axis=0))
 
-    return _record("dot", np.asarray(av @ bv), (a, b), backward)
+    return _record("linear", outv, inputs, backward)
 
 
 def concat(nodes: Sequence[TensorNode], axis: int = 0) -> TensorNode:
@@ -304,18 +366,18 @@ def concat(nodes: Sequence[TensorNode], axis: int = 0) -> TensorNode:
             raise ShapeError(
                 f"concat: rank mismatch {nodes[0].shape} vs {n.shape}")
     outv = np.concatenate([n.values for n in nodes], axis=axis)
-    sizes = [n.values.shape[axis] for n in nodes]
-    split_at = np.cumsum(sizes)[:-1]
+    bounds = np.cumsum([0] + [n.values.shape[axis] for n in nodes]).tolist()
+    lead = (slice(None),) * (axis % ndim)
 
     def backward(g):
-        for n, piece in zip(nodes, np.split(g, split_at, axis=axis)):
-            _add_grad(n, piece)
+        for n, start, stop in zip(nodes, bounds, bounds[1:]):
+            _add_grad(n, g[lead + (slice(start, stop),)])
 
     return _record("concat", outv, tuple(nodes), backward)
 
 
-def stack(nodes: Sequence[TensorNode]) -> TensorNode:
-    """Stack equal-shaped nodes along a new leading axis."""
+def stack(nodes: Sequence[TensorNode], axis: int = 0) -> TensorNode:
+    """Stack equal-shaped nodes along a new axis (leading by default)."""
     nodes = [_lift(n) for n in nodes]
     if not nodes:
         raise ShapeError("stack: needs at least one input")
@@ -323,11 +385,11 @@ def stack(nodes: Sequence[TensorNode]) -> TensorNode:
     for n in nodes:
         if n.shape != shp:
             raise ShapeError(f"stack: shape mismatch {shp} vs {n.shape}")
-    outv = np.stack([n.values for n in nodes])
+    outv = np.stack([n.values for n in nodes], axis=axis)
 
     def backward(g):
         for i, n in enumerate(nodes):
-            _add_grad(n, g[i])
+            _add_grad(n, np.take(g, i, axis=axis))
 
     return _record("stack", outv, tuple(nodes), backward)
 
@@ -342,6 +404,19 @@ def _getitem(a: TensorNode, key) -> TensorNode:
         _add_grad(a, delta)
 
     return _record("slice", outv, (a,), backward)
+
+
+def gather(a, index) -> TensorNode:
+    """``a.values[index]`` by integer-array indexing; repeats accumulate."""
+    a = _lift(a)
+    outv = np.array(a.values[index], dtype=np.float64)
+
+    def backward(g):
+        delta = np.zeros_like(a.values)
+        np.add.at(delta, index, g)
+        _add_grad(a, delta)
+
+    return _record("gather", outv, (a,), backward)
 
 
 def relu(a) -> TensorNode:
@@ -377,54 +452,44 @@ def softplus(a) -> TensorNode:
                   lambda g, x, y: g * _sigmoid_values(x))
 
 
-def softmax(a, axis: int = -1) -> TensorNode:
-    a = _lift(a)
-    xv = a.values
-    if xv.size == 0:
-        return _record("softmax", xv.copy(), (a,), lambda g: None)
-    m = xv.max(axis=axis, keepdims=True)
-    e = np.exp(xv - m)
-    outv = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = np.sum(g * outv, axis=axis, keepdims=True)
-        _add_grad(a, outv * (g - inner))
-
-    return _record("softmax", outv, (a,), backward)
-
-
 def masked_softmax(a, mask) -> TensorNode:
-    """Softmax over the entries of a 1-D node where ``mask`` is True.
+    """Softmax along the last axis over the entries where ``mask`` is True.
 
-    Masked-out entries get weight exactly 0.0 and receive no gradient; if
-    the mask is all False the result is all zeros.
+    Each row normalizes on its own. Masked-out entries get weight exactly
+    0.0 and receive no gradient; a row whose mask is all False is all zeros.
     """
     a = _lift(a)
     xv = a.values
     mask = np.asarray(mask, dtype=bool)
-    if xv.ndim != 1 or mask.shape != xv.shape:
+    if xv.ndim == 0 or mask.shape != xv.shape:
         raise ShapeError(
-            f"masked_softmax: values {xv.shape} and mask {mask.shape} must be equal 1-D")
-    outv = np.zeros_like(xv)
-    any_active = bool(mask.any())
-    if any_active:
-        sub_ = xv[mask]
-        e = np.exp(sub_ - sub_.max())
-        outv[mask] = e / e.sum()
+            f"masked_softmax: values {xv.shape} and mask {mask.shape} must be "
+            f"equal and at least 1-D")
+    top = np.max(np.where(mask, xv, -np.inf), axis=-1, keepdims=True,
+                 initial=-np.inf)
+    top = np.where(np.isfinite(top), top, 0.0)      # rows with nothing active
+    e = np.exp(np.where(mask, xv - top, -np.inf))
+    total = e.sum(axis=-1, keepdims=True)
+    outv = e / np.where(total > 0.0, total, 1.0)
 
     def backward(g):
-        if not any_active:
-            return
-        inner = np.sum(g * outv)  # masked entries hold weight 0
+        inner = np.sum(g * outv, axis=-1, keepdims=True)  # masked weights are 0
         _add_grad(a, np.where(mask, outv * (g - inner), 0.0))
 
     return _record("masked_softmax", outv, (a,), backward)
 
 
-def reduce_sum(a) -> TensorNode:
+def reduce_sum(a, axis: int | None = None) -> TensorNode:
+    """Sum of all entries, or along one axis."""
     a = _lift(a)
-    return _record("sum", np.asarray(a.values.sum()), (a,),
-                   lambda g: _add_grad(a, g))
+    if axis is None:
+        return _record("sum", np.asarray(a.values.sum()), (a,),
+                       lambda g: _add_grad(a, g))
+
+    def backward(g):
+        _add_grad(a, np.broadcast_to(np.expand_dims(g, axis), a.values.shape))
+
+    return _record("sum", a.values.sum(axis=axis), (a,), backward)
 
 
 def reduce_mean(a) -> TensorNode:
@@ -438,25 +503,43 @@ def reduce_mean(a) -> TensorNode:
 
 
 def l2norm(a) -> TensorNode:
-    """Euclidean norm of all entries, as a scalar node.
+    """Euclidean norm over the last axis, ``(..., k) -> (...)``.
 
-    At exactly zero the subgradient 0 is used.
+    Where a vector is exactly zero the subgradient 0 is used.
     """
     a = _lift(a)
-    y = float(np.sqrt(np.sum(a.values * a.values)))
+    xv = a.values
+    if xv.ndim == 0:
+        raise ShapeError("l2norm: needs at least one axis")
+    outv = np.sqrt(np.sum(xv * xv, axis=-1))
 
     def backward(g):
-        if y > 0.0:
-            _add_grad(a, g * (a.values / y))
+        moving = (outv > 0.0)[..., None]
+        unit = np.where(moving, xv / np.where(moving, outv[..., None], 1.0), 0.0)
+        _add_grad(a, g[..., None] * unit)
 
-    return _record("l2norm", np.asarray(y), (a,), backward)
+    return _record("l2norm", outv, (a,), backward)
+
+
+def mean_of(terms: Sequence[TensorNode]) -> TensorNode | None:
+    """Mean of a list of equal-shaped nodes, summed left to right.
+
+    Returns None for an empty list.
+    """
+    total = None
+    for term in terms:
+        total = term if total is None else add(total, term)
+    if total is None:
+        return None
+    return div(total, constant(float(len(terms))))
 
 
 _OPS: dict[str, Callable] = {
     "add": add, "sub": sub, "mul": mul, "div": div, "neg": neg,
-    "matmul": matmul, "dot": dot, "concat": concat, "stack": stack,
-    "slice": _getitem, "relu": relu, "tanh": tanh, "sigmoid": sigmoid,
-    "exp": exp, "log": log, "softplus": softplus, "softmax": softmax,
+    "matmul": matmul, "linear": linear,
+    "concat": concat, "stack": stack, "slice": _getitem, "gather": gather,
+    "relu": relu, "tanh": tanh, "sigmoid": sigmoid,
+    "exp": exp, "log": log, "softplus": softplus,
     "masked_softmax": masked_softmax, "sum": reduce_sum, "mean": reduce_mean,
     "l2norm": l2norm,
 }

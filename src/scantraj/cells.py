@@ -1,34 +1,41 @@
 """Shared step primitives: linear embed, LSTM cell, scene-wide spatial pass.
 
 Both the forecaster and the adversarial critic run the same kind of
-spatially attentive recurrence, so the per-step machinery lives here.
+spatially attentive recurrence, so the per-step machinery lives here. Every
+primitive takes the whole scene as one batch, one row per pedestrian, so a
+step costs the same number of tape records whatever the crowd size.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import spatial
-from .geometry import AgentKinematics, compute_encounter
+# compute_encounter is the scalar reference for geometry.bin_indices; it
+# stays importable here, where bench/tracer.py binds it.
+from .geometry import AgentKinematics, bin_indices, compute_encounter  # noqa: F401
 
 
 def linear(x: ad.TensorNode, weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
-    return ad.add(ad.matmul(weight, x), bias)
+    """``x @ weight.T + bias`` for one row ``(in,)`` or a batch ``(N, in)``."""
+    return ad.linear(x, weight, bias)
 
 
 def lstm_cell(x: ad.TensorNode, hidden: ad.TensorNode, cell: ad.TensorNode,
               w_ih: ad.TensorNode, w_hh: ad.TensorNode, bias: ad.TensorNode,
               hidden_dim: int):
-    """One LSTM update; gate order input, forget, candidate, output."""
+    """One LSTM update of every row; gate order input, forget, candidate,
+    output."""
     H = hidden_dim
-    gates = ad.add(ad.add(ad.matmul(w_ih, x), ad.matmul(w_hh, hidden)), bias)
-    i = ad.sigmoid(gates[0:H])
-    f = ad.sigmoid(gates[H:2 * H])
-    g = ad.tanh(gates[2 * H:3 * H])
-    o = ad.sigmoid(gates[3 * H:4 * H])
+    gates = ad.add(ad.linear(x, w_ih, bias), ad.linear(hidden, w_hh))
+    squashed = ad.sigmoid(gates)        # the candidate block is unused here
+    i = squashed[..., 0:H]
+    f = squashed[..., H:2 * H]
+    g = ad.tanh(gates[..., 2 * H:3 * H])
+    o = squashed[..., 3 * H:4 * H]
     new_cell = ad.add(ad.mul(f, cell), ad.mul(i, g))
     new_hidden = ad.mul(o, ad.tanh(new_cell))
     return new_hidden, new_cell
@@ -36,47 +43,51 @@ def lstm_cell(x: ad.TensorNode, hidden: ad.TensorNode, cell: ad.TensorNode,
 
 def noise_conditioned_hidden(hidden: ad.TensorNode, noise: np.ndarray,
                              weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
-    """Append a noise draw to a hidden state and project back to hidden size."""
-    return linear(ad.concat([hidden, ad.constant(noise)]), weight, bias)
+    """Append one noise draw to every hidden row and project back to hidden
+    size."""
+    rows = np.broadcast_to(noise, hidden.shape[:-1] + np.shape(noise))
+    return linear(ad.concat([hidden, ad.constant(rows)], axis=-1), weight, bias)
 
 
-def spatial_round(rel_fn: Callable[[int, int], ad.TensorNode],
+def pairwise_offsets(positions: ad.TensorNode) -> ad.TensorNode:
+    """(N, 2) positions -> (N, N, 2) node whose [a, b] entry points from a
+    to b."""
+    n = positions.shape[0]
+    rows = np.repeat(np.arange(n)[:, None], n, axis=1)
+    return ad.sub(ad.gather(positions, rows.T), ad.gather(positions, rows))
+
+
+def spatial_round(offsets: ad.TensorNode,
                   kinematics: Sequence[AgentKinematics],
-                  present: Sequence[bool],
-                  hiddens: Sequence[ad.TensorNode],
+                  present: np.ndarray,
+                  hiddens: ad.TensorNode,
                   grid: spatial.DomainGrid,
                   fuse_w: ad.TensorNode, fuse_b: ad.TensorNode,
-                  neighbor_order: Sequence[int],
                   literal_softmax: bool = False,
                   force_zero_context: bool = False):
     """One scene-wide spatial attention pass from a snapshot of hidden states.
 
-    ``rel_fn(a, b)`` must return the (2,) node pointing from pedestrian a to
+    ``offsets`` is the (N, N, 2) node pointing from pedestrian a to
     pedestrian b; passing live position nodes here is what lets predicted
-    geometry receive gradient. ``neighbor_order`` fixes the crowd iteration
-    (ascending pedestrian id) so that renumbering a scene permutes outputs
-    bit-identically. Absent pedestrians never appear as neighbours.
+    geometry receive gradient. ``kinematics`` gives the float positions
+    and headings that pick each pair's grid cell. Absent pedestrians never
+    act as neighbours; a pedestrian with no neighbour gets the zero context
+    exactly, because every weight in its row is 0. Callers keep the rows in
+    ascending pedestrian id order, so renumbering a scene permutes the outputs
+    bit-identically.
 
-    Returns (fused, joints): per-pedestrian fused states (hidden size) and
-    the pre-projection concatenations (double width).
+    Returns (fused, joints): (N, H) fused states and the (N, 2H)
+    pre-projection concatenations.
     """
-    n = len(hiddens)
-    hidden_dim = hiddens[0].shape[0] if n else 0
-    fused: list = [None] * n
-    joints: list = [None] * n
-    for a in range(n):
-        if force_zero_context:
-            ctx = ad.constant(np.zeros(hidden_dim))
-        else:
-            neighbors = [b for b in neighbor_order if b != a and present[b]]
-            scores = []
-            for b in neighbors:
-                geom = compute_encounter(kinematics[a], kinematics[b])
-                scores.append(spatial.raw_score(grid, geom,
-                                                distance=ad.l2norm(rel_fn(a, b))))
-            weights = spatial.normalize_scores(scores,
-                                               literal_softmax=literal_softmax)
-            ctx = spatial.context_vector(weights, [hiddens[b] for b in neighbors],
-                                         hidden_dim)
-        fused[a], joints[a] = spatial.fuse_hidden(hiddens[a], ctx, fuse_w, fuse_b)
-    return fused, joints
+    n = hiddens.shape[0]
+    neighbors = np.asarray(present, dtype=bool)[None, :] & ~np.eye(n, dtype=bool)
+    if force_zero_context:
+        ctx = ad.constant(np.zeros(hiddens.shape))
+    else:
+        distance = ad.l2norm(offsets)
+        scores = spatial.raw_score(grid, bin_indices(kinematics, grid.spec),
+                                   distance)
+        weights = spatial.normalize_scores(scores, neighbors,
+                                           literal_softmax=literal_softmax)
+        ctx = spatial.context_vector(weights, hiddens)
+    return spatial.fuse_hidden(hiddens, ctx, fuse_w, fuse_b)

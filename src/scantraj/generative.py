@@ -79,12 +79,6 @@ class PredictionSet:
         return np.array([r.displacements() for r in self.results])
 
 
-def init_decoder_hidden(encoder_final: ad.TensorNode, z: np.ndarray,
-                        weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
-    """Re-seed a decoder hidden state: concat the noise, project back to H."""
-    return cells.noise_conditioned_hidden(encoder_final, z, weight, bias)
-
-
 def sample_predictions(model: ScanModel, scene: SceneWindow, k: int,
                        rng: np.random.Generator) -> PredictionSet:
     """Draw k joint futures; one noise vector per sample, shared by every
@@ -127,108 +121,92 @@ def build_discriminator_params(cfg: ModelConfig, hub: ad.RngHub,
     return store
 
 
-def real_position_nodes(scene: SceneWindow) -> list:
-    """Ground-truth trajectory as constant nodes, [t][p] -> (2,)."""
-    return [[ad.constant(scene.positions[t, p]) for p in range(scene.n_peds)]
-            for t in range(scene.total_len)]
+def real_position_nodes(scene: SceneWindow) -> ad.TensorNode:
+    """Ground-truth trajectory as one constant (N, T, 2) node."""
+    return ad.constant(scene.positions.transpose(1, 0, 2))
 
 
 def fake_position_nodes(scene: SceneWindow, result: ForwardResult,
-                        detach: bool = False) -> list:
-    """Observed constants followed by the generated future, [t][p] -> (2,).
+                        detach: bool = False) -> ad.TensorNode:
+    """Observed constants followed by the generated future, as one
+    (N, obs_len + steps, 2) node.
 
     ``detach=True`` freezes the future to constants (for critic updates,
     which must not propagate into the generator)."""
-    rows = [[ad.constant(scene.positions[t, p]) for p in range(scene.n_peds)]
-            for t in range(scene.obs_len)]
-    steps = result.n_steps
-    for s in range(steps):
-        if detach:
-            rows.append([ad.constant(result.pos_nodes[p][s].values)
-                         for p in range(scene.n_peds)])
-        else:
-            rows.append([result.pos_nodes[p][s] for p in range(scene.n_peds)])
-    return rows
+    observed = ad.constant(scene.positions[:scene.obs_len].transpose(1, 0, 2))
+    future = ad.constant(result.pos.values) if detach else result.pos
+    return ad.concat([observed, future], axis=1)
 
 
 def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
-                         ped_ids, pos_nodes, mask) -> list:
-    """Run the critic over a full trajectory; one (1,) logit node per ped.
+                         ped_ids, positions, mask):
+    """Run the critic over a full trajectory; one logit per pedestrian, as
+    an (N, 1) node.
 
-    ``pos_nodes[t][p]`` is a (2,) position node (live nodes let generator
-    gradient flow through the critic); ``mask`` is (T, N) presence used to
-    gate neighbour participation, exactly as in the forecaster.
+    ``positions`` is the (N, T, 2) trajectory node (a live node lets
+    generator gradient flow through the critic); ``mask`` is (T, N)
+    presence used to gate neighbour participation, exactly as in the
+    forecaster.
     """
     n = len(ped_ids)
     if n == 0:
-        return []
-    T = len(pos_nodes)
+        return ad.constant(np.zeros((0, 1)))
+    T = positions.shape[1]
     if T < 2:
         raise ShapeError("discriminator needs at least two steps")
-    values = np.array([[node.values for node in row] for row in pos_nodes])
     order = _canonical_order(ped_ids)
+    track = ad.gather(positions, order)
+    values = track.values
+    presence = np.asarray(mask, dtype=bool)[:, order]
     grid = spatial.DomainGrid(params["disc.domain_grid"], cfg.bin_spec())
     H = cfg.hidden_dim
-    hidden = [ad.constant(np.zeros(H)) for _ in range(n)]
-    cell = [ad.constant(np.zeros(H)) for _ in range(n)]
-    kin = [AgentKinematics((float(values[0, p, 0]), float(values[0, p, 1])))
+    hidden = ad.constant(np.zeros((n, H)))
+    cell = ad.constant(np.zeros((n, H)))
+    kin = [AgentKinematics((float(values[p, 0, 0]), float(values[p, 0, 1])))
            for p in range(n)]
+    prev = None
     for t in range(T):
         if t > 0:
-            kin = [estimate_heading(values[t - 1, p], values[t, p], kin[p])
+            kin = [estimate_heading(values[p, t - 1], values[p, t], kin[p])
                    for p in range(n)]
-
-        def rel(a: int, b: int, _t=t) -> ad.TensorNode:
-            return ad.sub(pos_nodes[_t][b], pos_nodes[_t][a])
-
+        now = track[:, t]
         fused, _ = cells.spatial_round(
-            rel, kin, mask[t], hidden, grid,
-            params["disc.fuse.W"], params["disc.fuse.b"], order,
+            cells.pairwise_offsets(now), kin, presence[t], hidden, grid,
+            params["disc.fuse.W"], params["disc.fuse.b"],
             literal_softmax=cfg.literal_softmax)
-        for p in range(n):
-            if cfg.coordinate_mode == "absolute":
-                step_in = pos_nodes[t][p]
-            elif t > 0:
-                step_in = ad.sub(pos_nodes[t][p], pos_nodes[t - 1][p])
-            else:
-                step_in = ad.constant(np.zeros(2))
-            embedded = cells.linear(step_in, params["disc.embed.W"],
-                                    params["disc.embed.b"])
-            hidden[p], cell[p] = cells.lstm_cell(
-                embedded, fused[p], cell[p], params["disc.lstm.W_ih"],
-                params["disc.lstm.W_hh"], params["disc.lstm.b"], H)
-    return [cells.linear(hidden[p], params["disc.score.W"],
-                         params["disc.score.b"]) for p in range(n)]
+        if cfg.coordinate_mode == "absolute":
+            step_in = now
+        elif prev is not None:
+            step_in = ad.sub(now, prev)
+        else:
+            step_in = ad.constant(np.zeros((n, 2)))
+        embedded = cells.linear(step_in, params["disc.embed.W"],
+                                params["disc.embed.b"])
+        hidden, cell = cells.lstm_cell(
+            embedded, fused, cell, params["disc.lstm.W_ih"],
+            params["disc.lstm.W_hh"], params["disc.lstm.b"], H)
+        prev = now
+    logits = cells.linear(hidden, params["disc.score.W"], params["disc.score.b"])
+    return ad.gather(logits, np.argsort(order))
 
 
 def discriminate(cfg: ModelConfig, params: ad.ParamStore,
-                 ped_ids, pos_nodes, mask) -> list:
-    """Per-pedestrian real-probability nodes in (0, 1)."""
-    return [ad.sigmoid(logit)
-            for logit in discriminator_logits(cfg, params, ped_ids,
-                                              pos_nodes, mask)]
+                 ped_ids, positions, mask) -> ad.TensorNode:
+    """Per-pedestrian real probabilities in (0, 1), as an (N, 1) node."""
+    return ad.sigmoid(discriminator_logits(cfg, params, ped_ids, positions, mask))
 
 
-def _mean_node(terms):
-    total = None
-    for term in terms:
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        return None
-    return ad.div(total, ad.constant(float(len(terms))))
-
-
-def bce_real(logits) -> ad.TensorNode:
+def bce_real(logits: ad.TensorNode) -> ad.TensorNode:
     """Mean -log sigma(logit): the cost of calling these trajectories fake."""
-    return _mean_node([ad.reduce_sum(ad.softplus(ad.neg(l))) for l in logits])
+    return ad.reduce_mean(ad.softplus(ad.neg(logits)))
 
 
-def bce_fake(logits) -> ad.TensorNode:
+def bce_fake(logits: ad.TensorNode) -> ad.TensorNode:
     """Mean -log(1 - sigma(logit)): the cost of believing these fakes."""
-    return _mean_node([ad.reduce_sum(ad.softplus(l)) for l in logits])
+    return ad.reduce_mean(ad.softplus(logits))
 
 
-def adversarial_loss(fake_logits) -> ad.TensorNode:
+def adversarial_loss(fake_logits: ad.TensorNode) -> ad.TensorNode:
     """Non-saturating generator objective: mean -log sigma(fake logit)."""
     return bce_real(fake_logits)
 
@@ -273,19 +251,14 @@ def diversity_loss(samples: PredictionSet):
         return ad.constant(0.0)
     steps = samples.results[0].n_steps
     order = _canonical_order(samples.ped_ids)
-    total = None
-    for p in order:
-        for i in range(k):
-            for j in range(i + 1, k):
-                dist = None
-                for s in range(steps):
-                    gap = ad.l2norm(ad.sub(samples.results[i].pos_nodes[p][s],
-                                           samples.results[j].pos_nodes[p][s]))
-                    dist = gap if dist is None else ad.add(dist, gap)
-                d_ij = ad.div(dist, ad.constant(float(steps)))
-                term = ad.exp(ad.neg(d_ij))
-                total = term if total is None else ad.add(total, term)
-    return ad.div(total, ad.constant(float(n)))
+    first, second = np.triu_indices(k, 1)
+    futures = ad.stack([r.pos for r in samples.results])      # (k, N, steps, 2)
+    # (N, pairs, steps) gaps, pedestrians in id order, pairs as (i < j).
+    rows = order[:, None]
+    gaps = ad.l2norm(ad.sub(ad.gather(futures, (first[None, :], rows)),
+                            ad.gather(futures, (second[None, :], rows))))
+    d = ad.div(ad.reduce_sum(gaps, axis=-1), ad.constant(float(steps)))
+    return ad.div(ad.reduce_sum(ad.exp(ad.neg(d))), ad.constant(float(n)))
 
 
 def sample_spread(positions: np.ndarray) -> float:
@@ -345,23 +318,24 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
     with ad.Tape() as tape:
         real_terms, fake_terms = [], []
         for scene, noise in zip(usable, noises):
-            keep = _full_presence(scene)
-            if not keep.any():
+            keep = np.flatnonzero(_full_presence(scene))
+            if keep.size == 0:
                 continue
             bank = model.encode(scene)
             results = [model.decode(scene, bank, noise=z) for z in noise]
             real_logits = discriminator_logits(
                 cfg, disc_params, scene.ped_ids,
                 real_position_nodes(scene), scene.mask)
-            real_terms.extend(l for p, l in enumerate(real_logits) if keep[p])
+            real_terms.append(ad.gather(real_logits, keep))
             for result in results:
                 fake_logits = discriminator_logits(
                     cfg, disc_params, scene.ped_ids,
                     fake_position_nodes(scene, result, detach=True), scene.mask)
-                fake_terms.extend(l for p, l in enumerate(fake_logits) if keep[p])
+                fake_terms.append(ad.gather(fake_logits, keep))
         if not real_terms:
             raise ValueError("no fully present pedestrians in the batch")
-        disc_loss = ad.add(bce_real(real_terms), bce_fake(fake_terms))
+        disc_loss = ad.add(bce_real(ad.concat(real_terms)),
+                           bce_fake(ad.concat(fake_terms)))
         _check_finite("discriminator", disc_loss)
         disc_params.zero_grads()
         tape.backward(disc_loss)
@@ -374,7 +348,7 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
         variety_terms = []
         diversity_terms = []
         for scene, noise in zip(usable, noises):
-            keep = _full_presence(scene)
+            keep = np.flatnonzero(_full_presence(scene))
             bank = model.encode(scene)
             results = [model.decode(scene, bank, noise=z) for z in noise]
             sample_set = PredictionSet(list(scene.ped_ids), results, noise)
@@ -382,14 +356,14 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
                 fake_logits = discriminator_logits(
                     cfg, disc_params, scene.ped_ids,
                     fake_position_nodes(scene, result), scene.mask)
-                adv_terms.extend(l for p, l in enumerate(fake_logits) if keep[p])
+                adv_terms.append(ad.gather(fake_logits, keep))
             variety = variety_loss(scene, sample_set)
             if variety is not None:
                 variety_terms.append(variety)
             diversity_terms.append(diversity_loss(sample_set))
-        adv = adversarial_loss(adv_terms)
-        variety = _mean_node(variety_terms)
-        diversity = _mean_node(diversity_terms)
+        adv = adversarial_loss(ad.concat(adv_terms))
+        variety = ad.mean_of(variety_terms)
+        diversity = ad.mean_of(diversity_terms)
         _check_finite("adversarial", adv)
         if variety is not None:
             _check_finite("variety", variety)

@@ -11,14 +11,17 @@ Conventions (used everywhere in the package):
   measured in A's body frame; the relative heading is B's heading minus
   A's, both wrapped into [0, 360).
 
-All functions here are pure and operate on plain floats; nothing touches
-the autodiff tape.
+All functions here are pure and operate on plain floats or float arrays;
+nothing touches the autodiff tape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 STATIONARY_EPS = 1e-6  # m; displacements at or below this carry no heading
 
@@ -114,3 +117,39 @@ def bin_index(geom: EncounterGeometry, spec: BinSpec) -> tuple[int, int]:
     j = int(math.floor(geom.rel_heading_deg / spec.heading_step_deg)) + 1
     # Guard against bearing == 360 - ulp rounding up under division.
     return min(i, spec.n_bearing), min(j, spec.n_heading)
+
+
+def _normalize_deg_array(angle: np.ndarray) -> np.ndarray:
+    """``normalize_deg`` applied entrywise, with the same float operations."""
+    wrapped = np.fmod(angle, 360.0)
+    wrapped = np.where(wrapped < 0.0, wrapped + 360.0, wrapped)
+    return np.where(wrapped < 360.0, wrapped, 0.0)
+
+
+# A bearing this close to a bin edge is recomputed with ``math.atan2``:
+# ``numpy.arctan2`` may differ from it in the last place, which can only
+# matter right at an edge (the gap is ~1e-13 degrees).
+_EDGE_TOL_DEG = 1e-9
+
+
+def bin_indices(kinematics: Sequence[AgentKinematics],
+                spec: BinSpec) -> tuple[np.ndarray, np.ndarray]:
+    """1-based (bearing, heading) bins of every ordered pair, as two (N, N)
+    integer arrays: entry [a, b] equals
+    ``bin_index(compute_encounter(kinematics[a], kinematics[b]), spec)``.
+    """
+    pos = np.array([k.position for k in kinematics], dtype=np.float64).reshape(-1, 2)
+    heading = np.array([k.heading_deg for k in kinematics], dtype=np.float64)
+    dx = pos[None, :, 0] - pos[:, None, 0]
+    dy = pos[None, :, 1] - pos[:, None, 1]
+    coincident = (dx == 0.0) & (dy == 0.0)
+    bearing = _normalize_deg_array(np.degrees(np.arctan2(dy, dx)) - heading[:, None])
+    steps = bearing / spec.bearing_step_deg
+    near_edge = np.abs(steps - np.round(steps)) * spec.bearing_step_deg < _EDGE_TOL_DEG
+    for a, b in zip(*np.nonzero(near_edge & ~coincident)):
+        bearing[a, b] = compute_encounter(kinematics[a], kinematics[b]).bearing_deg
+    bearing[coincident] = 0.0
+    rel_heading = _normalize_deg_array(heading[None, :] - heading[:, None])
+    i = np.floor(bearing / spec.bearing_step_deg).astype(np.int64) + 1
+    j = np.floor(rel_heading / spec.heading_step_deg).astype(np.int64) + 1
+    return np.minimum(i, spec.n_bearing), np.minimum(j, spec.n_heading)

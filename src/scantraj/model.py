@@ -115,11 +115,12 @@ class ModelConfig:
 
 @dataclass
 class HiddenBank:
-    """Per-pedestrian recurrent state at the end of observation."""
+    """Recurrent state of every pedestrian at the end of observation, one
+    row per scene column."""
 
-    hidden: list                      # LSTM hidden nodes, one per pedestrian
-    cell: list                        # LSTM cell nodes
-    banks: list                       # AttentionBank per pedestrian
+    hidden: ad.TensorNode             # (N, H) LSTM hidden states
+    cell: ad.TensorNode               # (N, H) LSTM cell states
+    attention: AttentionBank          # (N, obs_len, K) fused-state history
     kinematics: list                  # AgentKinematics at the last observed step
     last_pos: np.ndarray              # (N, 2) final observed positions
     last_disp: np.ndarray             # (N, 2) final observed displacements
@@ -145,26 +146,22 @@ class JointPrediction:
 
 @dataclass
 class ForwardResult:
-    """Differentiable decode outputs: per-pedestrian node sequences."""
+    """Differentiable decode outputs, one row per scene column."""
 
     ped_ids: list[int]
-    disp_nodes: list                 # [ped][step] -> (2,) node
-    pos_nodes: list                  # [ped][step] -> (2,) node
+    disp: ad.TensorNode              # (N, steps, 2) predicted displacements
+    pos: ad.TensorNode               # (N, steps, 2) predicted positions
     loss_mask: np.ndarray            # (N, steps) bool: ground truth present
 
     @property
     def n_steps(self) -> int:
-        return len(self.disp_nodes[0]) if self.disp_nodes else self.loss_mask.shape[1]
+        return self.pos.shape[1]
 
     def displacements(self) -> np.ndarray:
-        if not self.disp_nodes:
-            return np.zeros((0, self.n_steps, 2))
-        return np.array([[node.values for node in row] for row in self.disp_nodes])
+        return self.disp.values.copy()
 
     def positions(self) -> np.ndarray:
-        if not self.pos_nodes:
-            return np.zeros((0, self.n_steps, 2))
-        return np.array([[node.values for node in row] for row in self.pos_nodes])
+        return self.pos.values.copy()
 
     def to_prediction(self) -> JointPrediction:
         pred = JointPrediction(list(self.ped_ids), self.displacements(),
@@ -220,9 +217,15 @@ def build_params(cfg: ModelConfig, hub: ad.RngHub,
     return store
 
 
-def _canonical_order(ped_ids: Sequence[int]) -> list[int]:
-    """Column indices sorted by pedestrian id: the one true iteration order."""
-    return [int(i) for i in np.argsort(np.asarray(ped_ids, dtype=np.int64))]
+def _canonical_order(ped_ids: Sequence[int]) -> np.ndarray:
+    """Column indices sorted by pedestrian id: the one true row order.
+
+    Every pass permutes its scene into this order once, works on whole-scene
+    batches, and permutes the outputs back. Reductions across pedestrians
+    then run in the same order however the scene's columns are numbered, so
+    renumbering permutes every result bit for bit.
+    """
+    return np.argsort(np.asarray(ped_ids, dtype=np.int64))
 
 
 class ScanModel:
@@ -248,10 +251,10 @@ class ScanModel:
                                self.params[f"{side}_lstm.b"],
                                self.cfg.hidden_dim)
 
-    def _spatial(self, rel_fn, kinematics, present, hiddens, order):
+    def _spatial(self, offsets, kinematics, present, hiddens):
         return cells.spatial_round(
-            rel_fn, kinematics, present, hiddens, self.grid,
-            self.params["fuse.W"], self.params["fuse.b"], order,
+            offsets, kinematics, present, hiddens, self.grid,
+            self.params["fuse.W"], self.params["fuse.b"],
             literal_softmax=self.cfg.literal_softmax,
             force_zero_context=self.cfg.force_zero_context)
 
@@ -268,14 +271,14 @@ class ScanModel:
         if scene.obs_len != cfg.obs_len:
             raise ShapeError(f"scene obs_len {scene.obs_len} != config {cfg.obs_len}")
         scene.validate()
-        X = scene.positions
-        n = scene.n_peds
         order = _canonical_order(scene.ped_ids)
+        X = scene.positions[:, order]
+        n = scene.n_peds
         H = cfg.hidden_dim
 
-        hidden = [ad.constant(np.zeros(H)) for _ in range(n)]
-        cell = [ad.constant(np.zeros(H)) for _ in range(n)]
-        banks = [AttentionBank() for _ in range(n)]
+        hidden = ad.constant(np.zeros((n, H)))
+        cell = ad.constant(np.zeros((n, H)))
+        keys = []
         kin = [AgentKinematics((float(X[0, p, 0]), float(X[0, p, 1])))
                for p in range(n)]
 
@@ -283,26 +286,25 @@ class ScanModel:
             if t > 0:
                 kin = [estimate_heading(X[t - 1, p], X[t, p], kin[p])
                        for p in range(n)]
+            offsets = ad.constant(X[t][None, :] - X[t][:, None])
+            fused, joints = self._spatial(offsets, kin,
+                                          self._present(scene, t)[order], hidden)
+            keys.append(fused if cfg.attention_key == "fused" else joints)
+            if cfg.coordinate_mode == "absolute":
+                step_in = X[t]
+            else:
+                step_in = X[t] - X[t - 1] if t > 0 else np.zeros((n, 2))
+            hidden, cell = self._lstm("enc", self._embed("enc", ad.constant(step_in)),
+                                      fused, cell)
 
-            def rel(a: int, b: int, _t=t) -> ad.TensorNode:
-                return ad.constant(X[_t, b] - X[_t, a])
-
-            fused, joints = self._spatial(rel, kin, self._present(scene, t),
-                                          hidden, order)
-            keys = fused if cfg.attention_key == "fused" else joints
-            for p in range(n):
-                banks[p].append(keys[p])
-                if cfg.coordinate_mode == "absolute":
-                    step_in = ad.constant(X[t, p])
-                else:
-                    disp = X[t, p] - X[t - 1, p] if t > 0 else np.zeros(2)
-                    step_in = ad.constant(disp)
-                hidden[p], cell[p] = self._lstm(
-                    "enc", self._embed("enc", step_in), fused[p], cell[p])
-
+        undo = np.argsort(order)
         last = cfg.obs_len - 1
-        return HiddenBank(hidden, cell, banks, kin,
-                          X[last].copy(), (X[last] - X[last - 1]).copy())
+        attention = AttentionBank(ad.gather(ad.stack(keys, axis=1), undo),
+                                  np.ones((n, cfg.obs_len), dtype=bool))
+        return HiddenBank(ad.gather(hidden, undo), ad.gather(cell, undo),
+                          attention, [kin[i] for i in undo],
+                          scene.positions[last].copy(),
+                          (scene.positions[last] - scene.positions[last - 1]).copy())
 
     def decode(self, scene: SceneWindow, bank: HiddenBank,
                noise: Optional[np.ndarray] = None) -> ForwardResult:
@@ -315,80 +317,70 @@ class ScanModel:
         (zeros when ``noise`` is None, keeping the pass deterministic).
         """
         cfg = self.cfg
-        n = scene.n_peds
         order = _canonical_order(scene.ped_ids)
         self.decode_calls += 1
 
+        hidden = ad.gather(bank.hidden, order)
         if cfg.generative:
             z = np.zeros(cfg.noise_dim) if noise is None else np.asarray(noise, float)
             if z.shape != (cfg.noise_dim,):
                 raise ShapeError(f"noise shape {z.shape} != ({cfg.noise_dim},)")
-            hidden = [cells.noise_conditioned_hidden(
-                h, z, self.params["noise_proj.W"], self.params["noise_proj.b"])
-                for h in bank.hidden]
+            hidden = cells.noise_conditioned_hidden(
+                hidden, z, self.params["noise_proj.W"], self.params["noise_proj.b"])
         elif noise is not None:
             raise ValueError("noise passed to a non-generative configuration")
-        else:
-            hidden = list(bank.hidden)
-        cell = list(bank.cell)
-        kin = list(bank.kinematics)
+        cell = ad.gather(bank.cell, order)
+        history = AttentionBank(ad.gather(bank.attention.keys, order),
+                                bank.attention.valid[order])
+        kin = [bank.kinematics[i] for i in order]
 
-        last_pos = bank.last_pos
-        cum = [None] * n                            # cumulative displacement nodes
-        pos_values = last_pos.copy()                # float positions, current step
-        prev_disp_node = [ad.constant(bank.last_disp[p]) for p in range(n)]
-        disp_nodes: list[list] = [[] for _ in range(n)]
-        pos_nodes: list[list] = [[] for _ in range(n)]
-
-        def rel(a: int, b: int) -> ad.TensorNode:
-            out = ad.constant(last_pos[b] - last_pos[a])
-            if cum[b] is not None:
-                out = ad.add(out, cum[b])
-            if cum[a] is not None:
-                out = ad.sub(out, cum[a])
-            return out
+        last_pos = bank.last_pos[order]
+        start_offsets = ad.constant(last_pos[None, :] - last_pos[:, None])
+        cum = None                                  # cumulative displacement node
+        pos_values = last_pos                       # float positions, current step
+        prev_disp = ad.constant(bank.last_disp[order])
+        disps, positions = [], []
 
         for s in range(cfg.pred_len):
-            present = self._present(scene, cfg.obs_len + s)
-            fused, joints = self._spatial(rel, kin, present, hidden, order)
-            queries = fused if cfg.attention_key == "fused" else joints
-            new_pos = pos_values.copy()
-            for p in range(n):
-                if cfg.variant == "scan" and not cfg.disable_temporal:
-                    state = attend(queries[p], bank.banks[p],
-                                   self.params["temporal.W"],
-                                   self.params["temporal.b"])
-                else:
-                    state = fused[p]
-                if cfg.coordinate_mode == "absolute":
-                    base = ad.constant(last_pos[p])
-                    step_in = base if cum[p] is None else ad.add(base, cum[p])
-                else:
-                    step_in = prev_disp_node[p]
-                hidden[p], cell[p] = self._lstm(
-                    "dec", self._embed("dec", step_in), state, cell[p])
-                disp = cells.linear(hidden[p], self.params["out.W"],
-                                    self.params["out.b"])
-                cum[p] = disp if cum[p] is None else ad.add(cum[p], disp)
-                pos = ad.add(ad.constant(last_pos[p]), cum[p])
-                prev_disp_node[p] = disp
-                disp_nodes[p].append(disp)
-                pos_nodes[p].append(pos)
-                new_pos[p] = pos.values
-            kin = [estimate_heading(pos_values[p], new_pos[p], kin[p])
-                   for p in range(n)]
-            pos_values = new_pos
+            present = self._present(scene, cfg.obs_len + s)[order]
+            offsets = (start_offsets if cum is None
+                       else ad.add(start_offsets, cells.pairwise_offsets(cum)))
+            fused, joints = self._spatial(offsets, kin, present, hidden)
+            if cfg.variant == "scan" and not cfg.disable_temporal:
+                queries = fused if cfg.attention_key == "fused" else joints
+                state = attend(queries, history, self.params["temporal.W"],
+                               self.params["temporal.b"])
+            else:
+                state = fused
+            if cfg.coordinate_mode == "absolute":
+                base = ad.constant(last_pos)
+                step_in = base if cum is None else ad.add(base, cum)
+            else:
+                step_in = prev_disp
+            hidden, cell = self._lstm("dec", self._embed("dec", step_in), state, cell)
+            disp = cells.linear(hidden, self.params["out.W"], self.params["out.b"])
+            cum = disp if cum is None else ad.add(cum, disp)
+            pos = ad.add(ad.constant(last_pos), cum)
+            prev_disp = disp
+            disps.append(disp)
+            positions.append(pos)
+            kin = [estimate_heading(pos_values[p], pos.values[p], kin[p])
+                   for p in range(len(order))]
+            pos_values = pos.values
 
+        undo = np.argsort(order)
         mask_rows = [self._present(scene, cfg.obs_len + s)
                      for s in range(cfg.pred_len)]
-        loss_mask = (np.array(mask_rows).T if n
-                     else np.zeros((0, cfg.pred_len), dtype=bool))
-        return ForwardResult(list(scene.ped_ids), disp_nodes, pos_nodes, loss_mask)
+        return ForwardResult(list(scene.ped_ids),
+                             ad.gather(ad.stack(disps, axis=1), undo),
+                             ad.gather(ad.stack(positions, axis=1), undo),
+                             np.array(mask_rows, dtype=bool).T)
 
     def forward(self, scene: SceneWindow,
                 noise: Optional[np.ndarray] = None) -> ForwardResult:
         if scene.n_peds == 0:
-            return ForwardResult([], [], [],
+            empty = ad.constant(np.zeros((0, self.cfg.pred_len, 2)))
+            return ForwardResult([], empty, empty,
                                  np.zeros((0, self.cfg.pred_len), dtype=bool))
         return self.decode(scene, self.encode(scene), noise=noise)
 
@@ -397,25 +389,20 @@ def trajectory_loss(result: ForwardResult, scene: SceneWindow):
     """Mean squared Euclidean position error over valid (pedestrian, step)
     pairs, as a scalar node; None when nothing is valid.
 
-    Accumulation runs in ascending pedestrian id so the value is invariant
-    to column order, bit for bit.
+    The valid pairs are gathered in ascending pedestrian id order, step
+    by step, so the value is invariant to column order, bit for bit.
     """
     steps = min(result.n_steps, scene.pred_len)
     order = _canonical_order(result.ped_ids)
-    total = None
-    count = 0
-    for p in order:
-        for s in range(steps):
-            if not (result.loss_mask[p, s] and scene.mask[scene.obs_len + s, p]):
-                continue
-            err = ad.sub(result.pos_nodes[p][s],
-                         ad.constant(scene.positions[scene.obs_len + s, p]))
-            term = ad.dot(err, err)
-            total = term if total is None else ad.add(total, term)
-            count += 1
-    if total is None:
+    valid = (result.loss_mask[order, :steps]
+             & scene.mask[scene.obs_len:scene.obs_len + steps, order].T)
+    rows, step = np.nonzero(valid)
+    if rows.size == 0:
         return None
-    return ad.div(total, ad.constant(float(count)))
+    cols = order[rows]
+    err = ad.sub(ad.gather(result.pos, (cols, step)),
+                 ad.constant(scene.positions[scene.obs_len + step, cols]))
+    return ad.div(ad.reduce_sum(ad.mul(err, err)), ad.constant(float(rows.size)))
 
 
 def predict(scene: SceneWindow, cfg: ModelConfig,

@@ -6,7 +6,9 @@ relative bearing and relative heading of a neighbour. A neighbour scores
 closer, outside it is exactly zero, so the gradient never touches grid
 entries for encounters that do not matter.
 
-Scores are normalized with a masked softmax so that beyond-domain
+Everything here works on a whole scene at once: entry [a, b] of an (N, N)
+array is how pedestrian a sees pedestrian b, and row a is a's crowd.
+Scores are normalized with a row-masked softmax so that beyond-domain
 neighbours keep weight exactly 0 (an unmasked softmax would hand them
 exp(0) = 1 and let them leak influence). The textbook unmasked form stays
 available behind ``literal_softmax`` for comparison runs.
@@ -15,14 +17,11 @@ available behind ``literal_softmax`` for comparison runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import BinSpec, EncounterGeometry, bin_index
-
-DEFAULT_RANGE_M = 4.0  # initial reach of every grid cell
+from .geometry import BinSpec
 
 
 @dataclass
@@ -31,13 +30,6 @@ class DomainGrid:
     node: ad.TensorNode
     spec: BinSpec
 
-    @classmethod
-    def create(cls, store: ad.ParamStore, spec: BinSpec = BinSpec(),
-               name: str = "domain_grid",
-               initial_range: float = DEFAULT_RANGE_M) -> "DomainGrid":
-        values = np.full((spec.n_bearing, spec.n_heading), float(initial_range))
-        return cls(store.register(name, values), spec)
-
     @property
     def values(self) -> np.ndarray:
         return self.node.values
@@ -45,73 +37,59 @@ class DomainGrid:
 
 @dataclass
 class SpatialWeights:
-    """Raw and normalized neighbour scores for one target at one step."""
-    raw: ad.TensorNode          # (k,)
-    normalized: ad.TensorNode   # (k,), zeros where inactive
-    active: np.ndarray          # (k,) bool
+    """Raw and normalized scores of every (target, neighbour) pair."""
+    raw: ad.TensorNode          # (N, N)
+    normalized: ad.TensorNode   # (N, N), zeros where inactive
+    active: np.ndarray          # (N, N) bool: entries the softmax covers
 
 
-def raw_score(grid: DomainGrid, geom: EncounterGeometry,
-              distance: ad.TensorNode | None = None) -> ad.TensorNode:
-    """relu(range[bin] - distance) for one neighbour, as a scalar node.
+def raw_score(grid: DomainGrid, bins: tuple[np.ndarray, np.ndarray],
+              distance: ad.TensorNode) -> ad.TensorNode:
+    """relu(range[bin] - distance) for every pair, shaped like ``distance``.
 
-    Bin selection always uses the float geometry (piecewise constant, so it
-    carries no gradient). The distance may be passed as a live node so that
-    predicted positions receive gradient through the score.
+    ``bins`` holds the 1-based (bearing, heading) bin of each pair, from
+    the float geometry (piecewise constant, so it carries no gradient). The
+    distance is a live node so that predicted positions receive gradient
+    through the score.
     """
-    i, j = bin_index(geom, grid.spec)
-    cell = grid.node[i - 1, j - 1]
-    d = distance if distance is not None else ad.constant(geom.distance)
-    return ad.relu(ad.sub(cell, d))
+    i, j = bins
+    cell = ad.gather(grid.node, (i - 1, j - 1))
+    return ad.relu(ad.sub(cell, distance))
 
 
-def normalize_scores(raw_scores: Sequence[ad.TensorNode],
+def normalize_scores(raw: ad.TensorNode, neighbors: np.ndarray,
                      literal_softmax: bool = False) -> SpatialWeights:
-    """Stack per-neighbour raw scores and normalize across the crowd.
+    """Normalize each target's scores across its crowd.
 
-    Masked mode (default): softmax over the strictly positive scores only;
-    if none are positive all weights are zero. Literal mode: plain softmax
-    over every neighbour regardless of score.
+    ``neighbors[a, b]`` says whether b may influence a at all (present and
+    not a itself). Masked mode (default): softmax over the neighbours with
+    a strictly positive score; a row with none is all zeros. Literal mode:
+    plain softmax over every neighbour regardless of score.
     """
-    if len(raw_scores) == 0:
-        empty = ad.constant(np.zeros(0))
-        return SpatialWeights(empty, empty, np.zeros(0, dtype=bool))
-    raw = ad.stack(list(raw_scores))
-    active = raw.values > 0.0
-    if literal_softmax:
-        normalized = ad.softmax(raw)
-    else:
-        normalized = ad.masked_softmax(raw, active)
-    return SpatialWeights(raw, normalized, active)
+    active = np.asarray(neighbors, dtype=bool)
+    if not literal_softmax:
+        active = active & (raw.values > 0.0)
+    return SpatialWeights(raw, ad.masked_softmax(raw, active), active)
 
 
 def context_vector(weights: SpatialWeights,
-                   neighbor_hiddens: Sequence[ad.TensorNode],
-                   hidden_dim: int) -> ad.TensorNode:
-    """Sum of neighbour hidden states weighted by normalized score.
+                   hiddens: ad.TensorNode) -> ad.TensorNode:
+    """Neighbour hidden states (N, H) weighted by normalized score.
 
-    Neighbours with weight exactly zero are skipped outright, which keeps
-    the no-influence guarantee bitwise (nothing of theirs is even added).
+    A neighbour with weight exactly zero adds ``0 * h``, an exact zero
+    because hidden states are always finite, so it has no influence, bit
+    for bit.
     """
-    take = (weights.normalized.values != 0.0)
-    ctx = None
-    for idx, h in enumerate(neighbor_hiddens):
-        if not take[idx]:
-            continue
-        term = ad.mul(weights.normalized[idx], h)
-        ctx = term if ctx is None else ad.add(ctx, term)
-    if ctx is None:
-        return ad.constant(np.zeros(hidden_dim))
-    return ctx
+    return ad.matmul(weights.normalized, hiddens)
 
 
 def fuse_hidden(hidden: ad.TensorNode, context: ad.TensorNode,
                 weight: ad.TensorNode, bias: ad.TensorNode):
-    """Blend own hidden state with the crowd context.
+    """Blend own hidden state with the crowd context, row by row.
 
     Returns (fused, joint): the tanh-projected fused state of hidden size,
     plus the raw concatenation for callers that want the wide vector.
     """
-    joint = ad.concat([hidden, context])
-    fused = ad.tanh(ad.add(ad.matmul(weight, joint), bias))
+    joint = ad.concat([hidden, context], axis=-1)
+    fused = ad.tanh(ad.linear(joint, weight, bias))
     return fused, joint

@@ -1,18 +1,21 @@
 """Temporal attention over the encoder's fused-state history.
 
-At each decoding step a pedestrian's fused state queries every fused state
-saved during observation (dot-product scores, softmax over the valid steps,
-weighted sum), and the blended context is projected back to hidden size:
+At each decoding step every pedestrian's fused state queries the fused
+states saved for that pedestrian during observation (dot-product scores,
+softmax over the valid steps, weighted sum), and the blended context is
+projected back to hidden size:
 
     out = tanh(W @ concat(context, query) + b)
 
-If every step is masked the context is zero and the projection still runs,
-so the decoder always receives a usable state.
+The whole scene attends at once: the bank is one (N, T_obs, K) node and the
+query one (N, K) node. If every step of a row is masked its context is zero
+and the projection still runs, so the decoder always receives a usable
+state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,43 +25,40 @@ from .errors import ShapeError
 
 @dataclass
 class AttentionBank:
-    """Per-pedestrian history of fused states from the observation window."""
-    keys: list[ad.TensorNode] = field(default_factory=list)
-    valid: list[bool] = field(default_factory=list)
+    """The scene's fused states from the observation window.
 
-    def append(self, key: ad.TensorNode, valid: bool = True) -> None:
-        if self.keys and key.shape != self.keys[0].shape:
+    ``keys`` is an (N, T, K) node, one row of T keys per pedestrian;
+    ``valid`` is (N, T) bool and masks steps out of the softmax.
+    """
+    keys: ad.TensorNode
+    valid: np.ndarray
+
+    def __post_init__(self):
+        self.valid = np.asarray(self.valid, dtype=bool)
+        if self.keys.values.ndim != 3 or self.valid.shape != self.keys.shape[:2]:
             raise ShapeError(
-                f"attention bank: key shape {key.shape} != {self.keys[0].shape}")
-        self.keys.append(key)
-        self.valid.append(bool(valid))
+                f"attention bank: keys {self.keys.shape} and valid "
+                f"{self.valid.shape} must be (N, T, K) and (N, T)")
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self.keys.shape[1]
 
 
 def attend(query: ad.TensorNode, bank: AttentionBank,
            weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
-    """Blend the bank by similarity to ``query`` and project to hidden size.
+    """Blend each row of the bank by similarity to its query row and
+    project to hidden size, (N, K) -> (N, H).
 
     ``weight`` has shape (H, 2K) where K is the key/query width.
     """
     if len(bank) == 0:
         raise ShapeError("attend: empty attention bank")
-    if query.shape != bank.keys[0].shape:
+    n, _, width = bank.keys.shape
+    if query.shape != (n, width):
         raise ShapeError(
-            f"attend: query shape {query.shape} != key shape {bank.keys[0].shape}")
-    scores = ad.stack([ad.dot(query, key) for key in bank.keys])
-    mask = np.asarray(bank.valid, dtype=bool)
-    weights = ad.masked_softmax(scores, mask)
-
-    context = None
-    for idx, key in enumerate(bank.keys):
-        if not mask[idx]:
-            continue
-        term = ad.mul(weights[idx], key)
-        context = term if context is None else ad.add(context, term)
-    if context is None:
-        context = ad.constant(np.zeros(query.shape))
-
-    return ad.tanh(ad.add(ad.matmul(weight, ad.concat([context, query])), bias))
+            f"attend: query shape {query.shape} does not match bank keys "
+            f"{bank.keys.shape}")
+    scores = ad.matmul(bank.keys, query)
+    weights = ad.masked_softmax(scores, bank.valid)
+    context = ad.matmul(weights, bank.keys)
+    return ad.tanh(ad.linear(ad.concat([context, query], axis=-1), weight, bias))

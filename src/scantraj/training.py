@@ -91,15 +91,6 @@ def _epoch_batches(windows: list, hub: ad.RngHub, batch_size: int):
         yield ordered[start:start + batch_size]
 
 
-def _mean_node(terms):
-    total = None
-    for term in terms:
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        return None
-    return ad.div(total, ad.constant(float(len(terms))))
-
-
 def _eval_rows(epoch, state, eval_windows, curve):
     report = evaluate(state.cfg, state.params, eval_windows, k=1)
     curve.append((epoch, "eval_ade", report.ade))
@@ -135,7 +126,7 @@ def train_deterministic(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
                     loss = trajectory_loss(model.forward(scene), scene)
                     if loss is not None:
                         losses.append(loss)
-                batch_loss = _mean_node(losses)
+                batch_loss = ad.mean_of(losses)
                 if batch_loss is None:
                     continue
                 if not np.isfinite(batch_loss.values):

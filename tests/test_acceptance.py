@@ -25,7 +25,7 @@ from scantraj import model as sm
 from scantraj import spatial as sp
 from scantraj import training as tr
 from scantraj.geometry import (AgentKinematics, BinSpec, EncounterGeometry,
-                               bin_index, compute_encounter)
+                               bin_index, bin_indices)
 from scantraj.model import trajectory_loss
 
 from oracles import oracle_spatial
@@ -104,6 +104,12 @@ class TestGradientIntegrity:
                                       for n in (3, 4, 4, 5, 5, 6))
         m42 = rng.normal(size=(4, 2))
         gate = np.array([True, False, True, True, False, True])
+        b2 = rng.normal(size=2)
+        w4, w42 = rng.normal(size=4), rng.normal(size=(4, 2))
+        rows = np.array([[True, False, True, True], [False] * 4,
+                         [True, True, False, True]])
+        picks = (np.array([0, 2, 0]), np.array([1, 3, 1]))   # one repeat
+        a342, m32 = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 2))
 
         cases = [
             ("add", lambda x, y: _weighted_sum(ad.add(x, y), w34), [a34, b34]),
@@ -113,7 +119,7 @@ class TestGradientIntegrity:
             ("neg", lambda x: _weighted_sum(ad.neg(x), w34), [a34]),
             ("matmul", lambda x, y: _weighted_sum(ad.matmul(x, y), w32),
              [a34, m42]),
-            ("dot", lambda x, y: ad.dot(x, y), [v5a, v5b]),
+            ("matmul vector-vector", lambda x, y: ad.matmul(x, y), [v5a, v5b]),
             ("concat", lambda x, y: _weighted_sum(ad.concat([x, y]), w7),
              [v3, v4a]),
             ("stack", lambda x, y: _weighted_sum(ad.stack([x, y]), w24),
@@ -125,12 +131,28 @@ class TestGradientIntegrity:
             ("exp", lambda x: _weighted_sum(ad.exp(x), w34), [a34]),
             ("log", lambda x: _weighted_sum(ad.log(x), w34), [pos34]),
             ("softplus", lambda x: _weighted_sum(ad.softplus(x), w34), [a34]),
-            ("softmax", lambda x: _weighted_sum(ad.softmax(x), w5), [v5a]),
+            ("masked_softmax all active",
+             lambda x: _weighted_sum(ad.masked_softmax(x, np.ones(5, bool)), w5),
+             [v5a]),
             ("masked_softmax",
              lambda x: _weighted_sum(ad.masked_softmax(x, gate), w6), [v6]),
             ("sum", lambda x: ad.reduce_sum(x), [a34]),
             ("mean", lambda x: ad.reduce_mean(x), [a34]),
             ("l2norm", lambda x: ad.l2norm(x), [off5]),
+            ("linear", lambda x, W, b: _weighted_sum(ad.linear(x, W, b), w32),
+             [a34, m42.T, b2]),
+            ("matmul batched matrix-vector",
+             lambda x, y: _weighted_sum(ad.matmul(x, y), w34), [a342, m32]),
+            ("matmul batched vector-matrix",
+             lambda x, y: _weighted_sum(ad.matmul(x, y), w32), [a34, a342]),
+            ("gather", lambda x: _weighted_sum(ad.gather(x, picks), w3), [a34]),
+            ("masked_softmax rows",
+             lambda x: _weighted_sum(ad.masked_softmax(x, rows), w34), [a34]),
+            ("l2norm rows", lambda x: _weighted_sum(ad.l2norm(x), w3), [a34]),
+            ("sum over an axis",
+             lambda x: _weighted_sum(ad.reduce_sum(x, axis=0), w4), [a34]),
+            ("stack on an axis",
+             lambda x, y: _weighted_sum(ad.stack([x, y], axis=1), w42), [v4a, v4b]),
         ]
         for name, fn, inputs in cases:
             worst = _check_gradients(fn, inputs, OP_TOL)
@@ -206,21 +228,23 @@ class TestSpatialOracleAgreement:
                                    heading_valid=True) for i in range(n)]
             others = [i for i in range(n) if i != target]
             grid = sp.DomainGrid(ad.constant(grid_vals), spec)
+            offsets = positions[None, :] - positions[:, None]
             with ad.Tape():
-                raws = [sp.raw_score(grid, compute_encounter(kin[target], kin[o]))
-                        for o in others]
-                weights = sp.normalize_scores(raws, literal_softmax=literal)
-                context = sp.context_vector(
-                    weights, [ad.constant(hiddens[o]) for o in others], hidden_dim)
+                raws = sp.raw_score(grid, bin_indices(kin, spec),
+                                    ad.l2norm(ad.constant(offsets)))
+                weights = sp.normalize_scores(raws, ~np.eye(n, dtype=bool),
+                                              literal_softmax=literal)
+                context = sp.context_vector(weights, ad.constant(hiddens))
 
             exp_raw, exp_w, exp_ctx = oracle_spatial(
                 grid_vals, b_step, h_step,
                 [tuple(p) for p in positions], list(headings),
                 [hiddens[i] for i in range(n)], target, literal)
 
-            assert np.max(np.abs(weights.raw.values - exp_raw)) <= ORACLE_TOL
-            assert np.max(np.abs(weights.normalized.values - exp_w)) <= ORACLE_TOL
-            assert np.max(np.abs(context.values - exp_ctx)) <= ORACLE_TOL
+            assert np.max(np.abs(weights.raw.values[target, others] - exp_raw)) <= ORACLE_TOL
+            assert np.max(np.abs(weights.normalized.values[target, others]
+                                 - exp_w)) <= ORACLE_TOL
+            assert np.max(np.abs(context.values[target] - exp_ctx)) <= ORACLE_TOL
         assert time.monotonic() - start < 10.0
 
 
@@ -410,9 +434,7 @@ class TestVarietyObjective:
             tape.backward(variety)
         best = self._best_index(sample_set, scene)
         for i in range(k):
-            peak = max(float(np.max(np.abs(node.grad)))
-                       for per_ped in sample_set.results[i].pos_nodes
-                       for node in per_ped)
+            peak = float(np.max(np.abs(sample_set.results[i].pos.grad)))
             if i == best:
                 assert peak > 0.0
             else:

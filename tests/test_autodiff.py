@@ -50,7 +50,7 @@ class TestForwardExamples:
         assert x.grad == 0.0
 
     def test_softmax_of_equal_scores_is_uniform(self):
-        out = ad.softmax(ad.constant([0.0, 0.0]))
+        out = ad.masked_softmax(ad.constant([0.0, 0.0]), np.ones(2, bool))
         np.testing.assert_array_equal(out.values, [0.5, 0.5])
 
     def test_concat_shapes(self):
@@ -156,7 +156,7 @@ class TestFiniteDifferenceOracle:
     def test_dot(self):
         rng = np.random.default_rng(46)
         a, b = rng.normal(size=(6,)), rng.normal(size=(6,))
-        check_grads(lambda n: ad.dot(n[0], n[1]), [a, b])
+        check_grads(lambda n: ad.matmul(n[0], n[1]), [a, b])
 
     def test_concat_and_slice(self):
         rng = np.random.default_rng(47)
@@ -199,7 +199,7 @@ class TestFiniteDifferenceOracle:
         x = rng.normal(size=(5,))
         w = rng.normal(size=(5,))
         check_grads(lambda n: ad.reduce_sum(
-            ad.mul(ad.softmax(n[0]), ad.constant(w))), [x])
+            ad.mul(ad.masked_softmax(n[0], np.ones(5, bool)), ad.constant(w))), [x])
 
     def test_masked_softmax(self):
         rng = np.random.default_rng(53)
@@ -231,7 +231,7 @@ class TestFiniteDifferenceOracle:
 
         def build(n):
             h = ad.tanh(ad.add(ad.matmul(n[0], n[1]), n[2]))
-            s = ad.softmax(h)
+            s = ad.masked_softmax(h, np.ones(4, bool))
             z = ad.concat([s, ad.sigmoid(h[1:3])])
             return ad.add(ad.l2norm(z), ad.reduce_mean(ad.exp(ad.mul(z, 0.3))))
 
@@ -243,7 +243,8 @@ class TestSoftmaxProperties:
         rng = np.random.default_rng(56)
         for _ in range(50):
             x = rng.normal(scale=5.0, size=rng.integers(1, 9))
-            assert abs(ad.softmax(ad.constant(x)).values.sum() - 1.0) < 1e-12
+            w = ad.masked_softmax(ad.constant(x), np.ones(x.shape, bool))
+            assert abs(w.values.sum() - 1.0) < 1e-12
 
     def test_masked_weights_sum_to_one_over_active(self):
         rng = np.random.default_rng(57)
@@ -269,6 +270,60 @@ class TestShapeErrors:
     def test_no_general_broadcast(self):
         with pytest.raises(ShapeError):
             ad.mul(ad.constant(np.ones((2, 3))), ad.constant(np.ones(3)))
+
+    def test_linear_mismatch(self):
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(ad.constant(np.ones((2, 3))), ad.constant(np.ones((4, 2))))
+
+    def test_batched_matmul_needs_one_batch_axis(self):
+        with pytest.raises(ShapeError, match="matmul"):
+            ad.matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 4))))
+
+    def test_masked_softmax_mask_shape(self):
+        with pytest.raises(ShapeError, match="masked_softmax"):
+            ad.masked_softmax(ad.constant(np.ones((2, 3))), np.ones(3, bool))
+
+
+class TestBatchedOps:
+    def test_masked_softmax_rows_normalize_independently(self):
+        x = ad.constant([[1.0, 2.0, 3.0], [5.0, 0.0, -1.0], [4.0, 4.0, 4.0]])
+        mask = np.array([[True, True, False], [False] * 3, [True, False, True]])
+        out = ad.masked_softmax(x, mask).values
+        e = np.e
+        np.testing.assert_allclose(out[0], [1 / (1 + e), e / (1 + e), 0.0],
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(out[1], [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out[2], [0.5, 0.0, 0.5])
+
+    def test_l2norm_reduces_each_row(self):
+        x = ad.constant([[3.0, 4.0], [-6.0, 8.0]])
+        with ad.Tape() as tape:
+            out = ad.l2norm(x)
+            tape.backward(ad.reduce_sum(out))
+        np.testing.assert_array_equal(out.values, [5.0, 10.0])
+        np.testing.assert_array_equal(x.grad, [[0.6, 0.8], [-0.6, 0.8]])
+
+    def test_gather_accumulates_repeated_indices(self):
+        x = ad.constant([1.0, 2.0, 3.0])
+        with ad.Tape() as tape:
+            tape.backward(ad.reduce_sum(ad.gather(x, np.array([[0, 2], [2, 2]]))))
+        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 3.0])
+
+    def test_batched_matmul_rows_match_one_row_at_a_time(self):
+        rng = np.random.default_rng(59)
+        A, v, u = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
+        right = ad.matmul(ad.constant(A), ad.constant(v)).values
+        left = ad.matmul(ad.constant(u), ad.constant(A)).values
+        for n in range(3):
+            np.testing.assert_allclose(right[n], A[n] @ v[n], rtol=1e-14)
+            np.testing.assert_allclose(left[n], u[n] @ A[n], rtol=1e-14)
+
+    def test_linear_rows_match_one_row_at_a_time(self):
+        rng = np.random.default_rng(58)
+        X, W, b = rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=2)
+        batch = ad.linear(ad.constant(X), ad.constant(W), ad.constant(b)).values
+        for row, x in zip(batch, X):
+            np.testing.assert_allclose(row, W @ x + b, rtol=1e-14)
 
 
 class TestTapeLifecycle:

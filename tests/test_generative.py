@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scantraj import autodiff as ad
+from scantraj import cells
 from scantraj import generative as gen
 from scantraj import model as sm
 from scantraj.data import SceneWindow
@@ -28,12 +29,9 @@ def result_from_positions(positions):
     """A ForwardResult made of constants, for hand-value loss tests."""
     positions = np.asarray(positions, dtype=np.float64)
     n, t = positions.shape[:2]
-    pos_nodes = [[ad.constant(positions[p, s]) for s in range(t)]
-                 for p in range(n)]
     disp = np.diff(np.concatenate([positions[:, :1], positions], axis=1), axis=1)
-    disp_nodes = [[ad.constant(disp[p, s]) for s in range(t)] for p in range(n)]
-    return sm.ForwardResult(list(range(1, n + 1)), disp_nodes, pos_nodes,
-                            np.ones((n, t), dtype=bool))
+    return sm.ForwardResult(list(range(1, n + 1)), ad.constant(disp),
+                            ad.constant(positions), np.ones((n, t), dtype=bool))
 
 
 def set_from_arrays(*sample_positions):
@@ -63,8 +61,8 @@ class TestNoise:
             h = ad.constant(np.arange(4.0))
             w = ad.constant(np.ones((4, 8)) * 0.1)
             b = ad.constant(np.zeros(4))
-            out1 = gen.init_decoder_hidden(h, np.zeros(4), w, b)
-            out2 = gen.init_decoder_hidden(h, np.zeros(4), w, b)
+            out1 = cells.noise_conditioned_hidden(h, np.zeros(4), w, b)
+            out2 = cells.noise_conditioned_hidden(h, np.zeros(4), w, b)
             assert out1.shape == (4,)
             assert np.array_equal(out1.values, out2.values)
 
@@ -73,8 +71,8 @@ class TestNoise:
             h = ad.constant(np.arange(4.0))
             w = ad.constant(np.ones((4, 8)) * 0.1)
             b = ad.constant(np.zeros(4))
-            out1 = gen.init_decoder_hidden(h, np.full(4, 2.0), w, b)
-            out2 = gen.init_decoder_hidden(h, np.full(4, -2.0), w, b)
+            out1 = cells.noise_conditioned_hidden(h, np.full(4, 2.0), w, b)
+            out2 = cells.noise_conditioned_hidden(h, np.full(4, -2.0), w, b)
             assert not np.array_equal(out1.values, out2.values)
 
 
@@ -137,8 +135,8 @@ class TestDiscriminator:
         with ad.Tape():
             probs = gen.discriminate(cfg, params, scene.ped_ids,
                                      gen.real_position_nodes(scene), scene.mask)
-            for prob in probs:
-                assert 0.0 < float(prob.values[0]) < 1.0
+            for prob in probs.values:
+                assert 0.0 < float(prob[0]) < 1.0
 
     def test_permutation_equivariant(self):
         cfg = gen_cfg()
@@ -150,13 +148,13 @@ class TestDiscriminator:
                                positions=scene.positions[:, perm].copy(),
                                mask=scene.mask[:, perm].copy(), obs_len=3)
         with ad.Tape():
-            base = [float(p.values[0]) for p in gen.discriminate(
+            base = [float(p[0]) for p in gen.discriminate(
                 cfg, params, scene.ped_ids,
-                gen.real_position_nodes(scene), scene.mask)]
+                gen.real_position_nodes(scene), scene.mask).values]
         with ad.Tape():
-            swapped = [float(p.values[0]) for p in gen.discriminate(
+            swapped = [float(p[0]) for p in gen.discriminate(
                 cfg, params, permuted.ped_ids,
-                gen.real_position_nodes(permuted), permuted.mask)]
+                gen.real_position_nodes(permuted), permuted.mask).values]
         assert swapped == [base[1], base[0]]
 
     def test_learns_to_separate_toy_data(self):
@@ -198,8 +196,8 @@ class TestDiscriminator:
                 with ad.Tape():
                     prob = gen.discriminate(
                         cfg, params, [1], gen.real_position_nodes(scene_fn()),
-                        np.ones((5, 1), dtype=bool))[0]
-                    total += float(prob.values[0])
+                        np.ones((5, 1), dtype=bool)).values[0]
+                    total += float(prob[0])
             return total / n
 
         assert mean_score(real_scene) > mean_score(fake_scene)
@@ -209,22 +207,22 @@ class TestDiscriminator:
         params = gen.build_discriminator_params(cfg, ad.RngHub(5))
         with ad.Tape():
             assert gen.discriminator_logits(cfg, params, [], [],
-                                            np.zeros((0, 0), bool)) == []
+                                            np.zeros((0, 0), bool)).shape == (0, 1)
 
 
 class TestBceHelpers:
     def test_zero_logit_costs_ln2(self):
         with ad.Tape():
             logit = ad.constant(np.zeros(1))
-            assert abs(float(gen.bce_real([logit]).values) - np.log(2)) < 1e-15
-            assert abs(float(gen.bce_fake([logit]).values) - np.log(2)) < 1e-15
+            assert abs(float(gen.bce_real(logit).values) - np.log(2)) < 1e-15
+            assert abs(float(gen.bce_fake(logit).values) - np.log(2)) < 1e-15
 
     def test_perfect_classification_approaches_zero(self):
         with ad.Tape():
             confident_real = ad.constant(np.full(1, 20.0))
             confident_fake = ad.constant(np.full(1, -20.0))
-            total = ad.add(gen.bce_real([confident_real]),
-                           gen.bce_fake([confident_fake]))
+            total = ad.add(gen.bce_real(confident_real),
+                           gen.bce_fake(confident_fake))
             value = float(total.values)
         assert 0.0 <= value < 1e-8
 
@@ -272,12 +270,11 @@ class TestVarietyLoss:
                 ades.append(float(np.linalg.norm(pos - truth, axis=-1).mean()))
             best = int(np.argmin(ades))
             for idx, result in enumerate(sample_set.results):
-                grads = [np.abs(node.grad).max()
-                         for row in result.pos_nodes for node in row]
+                grads = np.abs(result.pos.grad)
                 if idx == best:
-                    assert max(grads) > 0.0
+                    assert grads.max() > 0.0
                 else:
-                    assert max(grads) == 0.0
+                    assert grads.max() == 0.0
 
     def test_all_masked_returns_none(self):
         scene = make_scene(dyadic_walkers(5), obs_len=3)

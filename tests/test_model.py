@@ -64,10 +64,11 @@ class TestShapes:
         m = build(cfg)
         with ad.Tape():
             bank = m.encode(scene)
-        for h, c in zip(bank.hidden, bank.cell):
+        for h, c in zip(bank.hidden.values, bank.cell.values):
             assert h.shape == (32,)
             assert c.shape == (32,)
-        assert all(len(b) == 3 for b in bank.banks)
+        assert len(bank.attention) == 3
+        assert bank.attention.keys.shape[0] == 2
 
     @pytest.mark.parametrize("pred_len", [8, 20])
     def test_horizon_sweep(self, pred_len):
@@ -242,13 +243,13 @@ class TestEquivariance:
         m = build(micro_cfg())
         with ad.Tape():
             bank = m.encode(scene)
-            norms = [float(np.linalg.norm(k.values))
-                     for bank_p in bank.banks for k in bank_p.keys]
+            norms = [float(np.linalg.norm(k))
+                     for row in bank.attention.keys.values for k in row]
         m2 = build(micro_cfg())
         with ad.Tape():
             bank2 = m2.encode(swapped)
-            norms2 = [float(np.linalg.norm(k.values))
-                      for bank_p in bank2.banks for k in bank_p.keys]
+            norms2 = [float(np.linalg.norm(k))
+                      for row in bank2.attention.keys.values for k in row]
         # bank order: ped a's keys then ped b's in the first run; swapped in
         # the second. Compare after regrouping.
         third = len(norms) // 2
@@ -270,7 +271,7 @@ class TestEquivariance:
 
     def test_beyond_domain_neighbor_cannot_influence(self):
         # A neighbour outside every range cell gets raw score 0, normalized
-        # weight exactly 0, and is skipped outright — nudging it far away
+        # weight exactly 0, and adds an exact 0 * h — nudging it far away
         # must leave the target's forecast bit-identical.
         near = [( -1.0 + 0.25 * k, 0.0) for k in range(5)]
         far = [(50.0, 50.0 + 0.25 * k) for k in range(5)]
@@ -320,7 +321,7 @@ class TestTrajectoryLoss:
             # overwrite truth with the model's own output
             for p in range(2):
                 for s in range(2):
-                    scene.positions[3 + s, p] = result.pos_nodes[p][s].values
+                    scene.positions[3 + s, p] = result.pos.values[p, s]
             loss = sm.trajectory_loss(result, scene)
             assert float(loss.values) == 0.0
 
@@ -334,7 +335,7 @@ class TestTrajectoryLoss:
             expected = 0.0
             for p in range(2):
                 for s in range(2):
-                    err = result.pos_nodes[p][s].values - scene.positions[3 + s, p]
+                    err = result.pos.values[p, s] - scene.positions[3 + s, p]
                     expected += float(err @ err)
             expected /= 4.0
             assert abs(float(loss.values) - expected) < 1e-15

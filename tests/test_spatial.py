@@ -5,122 +5,142 @@ import pytest
 
 from scantraj import autodiff as ad
 from scantraj import spatial
-from scantraj.geometry import AgentKinematics, BinSpec, EncounterGeometry, compute_encounter
+from scantraj.geometry import (AgentKinematics, BinSpec, EncounterGeometry,
+                               bin_index, bin_indices, compute_encounter)
 
 from oracles import oracle_spatial
 
 
 def make_grid(value=4.0, spec=None):
     store = ad.ParamStore()
-    grid = spatial.DomainGrid.create(store, spec or BinSpec(), initial_range=value)
-    return grid, store
+    spec = spec or BinSpec()
+    node = store.register("domain_grid",
+                          np.full((spec.n_bearing, spec.n_heading), float(value)))
+    return spatial.DomainGrid(node, spec), store
+
+
+def pair_row(geoms, spec):
+    """One target's encounters as a (1, k) row: bins and a distance node."""
+    idx = np.array([bin_index(g, spec) for g in geoms]).reshape(1, -1, 2)
+    return (idx[..., 0], idx[..., 1]), ad.constant([[g.distance for g in geoms]])
+
+
+def score_row(grid, geoms, distance=None):
+    bins, dist = pair_row(geoms, grid.spec)
+    return spatial.raw_score(grid, bins, dist if distance is None else distance)
+
+
+def weights_row(values, literal_softmax=False):
+    """normalize_scores over one target whose neighbours score ``values``."""
+    raw = ad.constant(np.array(values, dtype=np.float64).reshape(1, -1))
+    return spatial.normalize_scores(raw, np.ones(raw.shape, dtype=bool),
+                                    literal_softmax=literal_softmax)
 
 
 class TestRawScore:
     def test_inside_domain_scores_positive(self):
         grid, _ = make_grid(4.0)
         g = EncounterGeometry(1.0, 5.0, 185.0)
-        assert spatial.raw_score(grid, g).item() == 3.0
+        assert score_row(grid, [g]).values[0, 0] == 3.0
 
     def test_beyond_domain_scores_exact_zero(self):
         grid, _ = make_grid(4.0)
-        assert spatial.raw_score(grid, EncounterGeometry(5.0, 0.0, 0.0)).item() == 0.0
+        assert score_row(grid, [EncounterGeometry(5.0, 0.0, 0.0)]).values[0, 0] == 0.0
 
     def test_boundary_distance_scores_zero(self):
         grid, _ = make_grid(4.0)
-        assert spatial.raw_score(grid, EncounterGeometry(4.0, 0.0, 0.0)).item() == 0.0
+        assert score_row(grid, [EncounterGeometry(4.0, 0.0, 0.0)]).values[0, 0] == 0.0
 
     def test_beyond_domain_leaves_grid_gradient_zero(self):
         grid, _ = make_grid(4.0)
         with ad.Tape() as tape:
-            tape.backward(spatial.raw_score(grid, EncounterGeometry(9.0, 0.0, 0.0)))
+            tape.backward(ad.reduce_sum(
+                score_row(grid, [EncounterGeometry(9.0, 0.0, 0.0)])))
         np.testing.assert_array_equal(grid.node.grad, np.zeros((12, 12)))
 
     def test_one_call_touches_exactly_one_grid_entry(self):
         grid, _ = make_grid(4.0)
         g = EncounterGeometry(1.0, 95.0, 275.0)  # bins (4, 10)
         with ad.Tape() as tape:
-            tape.backward(spatial.raw_score(grid, g))
+            tape.backward(ad.reduce_sum(score_row(grid, [g])))
         hits = np.argwhere(grid.node.grad != 0.0)
         assert hits.tolist() == [[3, 9]]
         assert grid.node.grad[3, 9] == 1.0
 
     def test_live_distance_node_gets_gradient(self):
         grid, _ = make_grid(4.0)
-        d = ad.constant(1.5)
+        d = ad.constant([[1.5]])
         with ad.Tape() as tape:
-            s = spatial.raw_score(grid, EncounterGeometry(1.5, 0.0, 0.0), distance=d)
-            tape.backward(s)
-        assert d.grad == -1.0
+            s = score_row(grid, [EncounterGeometry(1.5, 0.0, 0.0)], distance=d)
+            tape.backward(ad.reduce_sum(s))
+        assert d.grad[0, 0] == -1.0
 
 
 class TestNormalizeScores:
     def test_equal_scores_split_evenly(self):
-        w = spatial.normalize_scores([ad.constant(2.0), ad.constant(2.0)])
-        np.testing.assert_array_equal(w.normalized.values, [0.5, 0.5])
+        w = weights_row([2.0, 2.0])
+        np.testing.assert_array_equal(w.normalized.values[0], [0.5, 0.5])
 
     def test_zero_score_neighbour_gets_exact_zero(self):
-        w = spatial.normalize_scores([ad.constant(3.0), ad.constant(0.0)])
-        np.testing.assert_array_equal(w.normalized.values, [1.0, 0.0])
-        np.testing.assert_array_equal(w.active, [True, False])
+        w = weights_row([3.0, 0.0])
+        np.testing.assert_array_equal(w.normalized.values[0], [1.0, 0.0])
+        np.testing.assert_array_equal(w.active[0], [True, False])
 
     def test_frozen_two_neighbour_softmax(self):
-        w = spatial.normalize_scores([ad.constant(1.0), ad.constant(2.0)])
+        w = weights_row([1.0, 2.0])
         e = np.e
-        np.testing.assert_allclose(w.normalized.values,
+        np.testing.assert_allclose(w.normalized.values[0],
                                    [1 / (1 + e), e / (1 + e)], rtol=1e-15)
 
     def test_nobody_in_domain_means_all_zero(self):
-        w = spatial.normalize_scores([ad.constant(0.0), ad.constant(0.0)])
-        np.testing.assert_array_equal(w.normalized.values, [0.0, 0.0])
+        w = weights_row([0.0, 0.0])
+        np.testing.assert_array_equal(w.normalized.values[0], [0.0, 0.0])
 
     def test_no_neighbours_at_all(self):
-        w = spatial.normalize_scores([])
-        assert w.normalized.values.shape == (0,)
+        w = weights_row([])
+        assert w.normalized.values[0].shape == (0,)
 
     def test_literal_mode_reproduces_textbook_softmax(self):
         # The unmasked form hands exp(0) weight to a beyond-domain neighbour.
-        w = spatial.normalize_scores([ad.constant(1.0), ad.constant(0.0)],
-                                     literal_softmax=True)
+        w = weights_row([1.0, 0.0], literal_softmax=True)
         e = np.e
-        np.testing.assert_allclose(w.normalized.values,
+        np.testing.assert_allclose(w.normalized.values[0],
                                    [e / (1 + e), 1 / (1 + e)], rtol=1e-15)
 
     def test_weights_sum_to_one_when_anyone_active(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            scores = [ad.constant(v) for v in
-                      rng.uniform(0, 3, size=rng.integers(1, 6)) *
-                      (rng.random(1) < 2.0)]  # always nonnegative
-            w = spatial.normalize_scores(scores)
+            scores = (rng.uniform(0, 3, size=rng.integers(1, 6)) *
+                      (rng.random(1) < 2.0))  # always nonnegative
+            w = weights_row(scores)
             if w.active.any():
-                assert abs(w.normalized.values.sum() - 1.0) < 1e-12
+                assert abs(w.normalized.values[0].sum() - 1.0) < 1e-12
 
 
 class TestContextVector:
     def test_even_split_averages_hiddens(self):
-        w = spatial.normalize_scores([ad.constant(2.0), ad.constant(2.0)])
-        h1, h2 = ad.constant([1.0, 3.0]), ad.constant([5.0, 7.0])
-        ctx = spatial.context_vector(w, [h1, h2], 2)
-        np.testing.assert_array_equal(ctx.values, [3.0, 5.0])
+        w = weights_row([2.0, 2.0])
+        hiddens = ad.constant([[1.0, 3.0], [5.0, 7.0]])
+        ctx = spatial.context_vector(w, hiddens)
+        np.testing.assert_array_equal(ctx.values[0], [3.0, 5.0])
 
     def test_single_active_neighbour_passes_hidden_through(self):
-        w = spatial.normalize_scores([ad.constant(1.5), ad.constant(0.0)])
-        h1 = ad.constant([0.25, -1.75, 8.0])
-        ctx = spatial.context_vector(w, [h1, ad.constant([9.0, 9.0, 9.0])], 3)
-        np.testing.assert_array_equal(ctx.values, h1.values)
+        w = weights_row([1.5, 0.0])
+        h1 = [0.25, -1.75, 8.0]
+        ctx = spatial.context_vector(w, ad.constant([h1, [9.0, 9.0, 9.0]]))
+        np.testing.assert_array_equal(ctx.values[0], h1)
 
     def test_empty_crowd_gives_zero_context(self):
-        ctx = spatial.context_vector(spatial.normalize_scores([]), [], 4)
-        np.testing.assert_array_equal(ctx.values, np.zeros(4))
+        ctx = spatial.context_vector(weights_row([]), ad.constant(np.zeros((0, 4))))
+        np.testing.assert_array_equal(ctx.values[0], np.zeros(4))
 
     def test_inactive_neighbour_hidden_is_never_read(self):
         """Perturbing a beyond-domain neighbour leaves the context bit-identical."""
-        w = spatial.normalize_scores([ad.constant(2.0), ad.constant(0.0)])
-        h_active = ad.constant([0.1, 0.2])
+        w = weights_row([2.0, 0.0])
+        h_active = [0.1, 0.2]
 
-        ctx_a = spatial.context_vector(w, [h_active, ad.constant([1.0, 1.0])], 2)
-        ctx_b = spatial.context_vector(w, [h_active, ad.constant([-99.0, 42.0])], 2)
+        ctx_a = spatial.context_vector(w, ad.constant([h_active, [1.0, 1.0]]))
+        ctx_b = spatial.context_vector(w, ad.constant([h_active, [-99.0, 42.0]]))
         np.testing.assert_array_equal(ctx_a.values, ctx_b.values)
 
 
@@ -147,7 +167,7 @@ class TestFuseHidden:
         probe = rng.normal(size=H)
         with ad.Tape() as tape:
             fused, _ = spatial.fuse_hidden(h, c, W, ad.constant(np.zeros(H)))
-            tape.backward(ad.dot(fused, ad.constant(probe)))
+            tape.backward(ad.matmul(fused, ad.constant(probe)))
             got = W.grad.copy()
 
         def f():
@@ -155,7 +175,7 @@ class TestFuseHidden:
                 fused, _ = spatial.fuse_hidden(
                     ad.TensorNode(hv), ad.TensorNode(cv), ad.TensorNode(Wv),
                     ad.constant(np.zeros(H)))
-                return float(ad.dot(fused, ad.constant(probe)).values)
+                return float(ad.matmul(fused, ad.constant(probe)).values)
 
         want = ad.numeric_gradient(f, Wv)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
@@ -178,15 +198,15 @@ class TestStepLevelZeroInfluence:
         h_near = ad.constant(rng.normal(size=H))
 
         def fused_with(far_hidden):
-            scores = [spatial.raw_score(grid, compute_encounter(target, near)),
-                      spatial.raw_score(grid, compute_encounter(target, far))]
-            w = spatial.normalize_scores(scores)
-            ctx = spatial.context_vector(w, [h_near, far_hidden], H)
-            fused, _ = spatial.fuse_hidden(h_t, ctx, W, b)
+            scores = score_row(grid, [compute_encounter(target, near),
+                                      compute_encounter(target, far)])
+            w = spatial.normalize_scores(scores, np.ones((1, 2), dtype=bool))
+            ctx = spatial.context_vector(w, ad.constant([h_near.values, far_hidden]))
+            fused, _ = spatial.fuse_hidden(h_t, ctx[0], W, b)
             return fused.values
 
-        a = fused_with(ad.constant(rng.normal(size=H)))
-        bb = fused_with(ad.constant(rng.normal(size=H) * 1e6))
+        a = fused_with(rng.normal(size=H))
+        bb = fused_with(rng.normal(size=H) * 1e6)
         np.testing.assert_array_equal(a, bb)
 
 
@@ -208,14 +228,16 @@ class TestOracleEquivalence:
             target = int(rng.integers(0, n))
 
             kins = [AgentKinematics(p, h, True) for p, h in zip(positions, headings)]
-            scores = [spatial.raw_score(grid, compute_encounter(kins[target], kins[i]))
-                      for i in range(n) if i != target]
-            w = spatial.normalize_scores(scores)
-            ctx = spatial.context_vector(
-                w, [ad.constant(hiddens[i]) for i in range(n) if i != target], H)
+            offsets = np.asarray(positions)[None, :] - np.asarray(positions)[:, None]
+            scores = spatial.raw_score(grid, bin_indices(kins, spec),
+                                       ad.l2norm(ad.constant(offsets)))
+            w = spatial.normalize_scores(scores, ~np.eye(n, dtype=bool))
+            ctx = spatial.context_vector(w, ad.constant(hiddens))
 
+            others = [i for i in range(n) if i != target]
             raw_ref, w_ref, ctx_ref = oracle_spatial(
                 grid.values, 30.0, 30.0, positions, headings, hiddens, target)
-            np.testing.assert_allclose(w.raw.values, raw_ref, atol=1e-10)
-            np.testing.assert_allclose(w.normalized.values, w_ref, atol=1e-10)
-            np.testing.assert_allclose(ctx.values, ctx_ref, atol=1e-10)
+            np.testing.assert_allclose(w.raw.values[target, others], raw_ref, atol=1e-10)
+            np.testing.assert_allclose(w.normalized.values[target, others], w_ref,
+                                       atol=1e-10)
+            np.testing.assert_allclose(ctx.values[target], ctx_ref, atol=1e-10)

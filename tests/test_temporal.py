@@ -9,16 +9,16 @@ from scantraj.errors import ShapeError
 
 
 def make_bank(vectors, valid=None):
-    bank = temporal.AttentionBank()
-    for i, v in enumerate(vectors):
-        bank.append(ad.constant(v), True if valid is None else valid[i])
-    return bank
+    """A one-pedestrian bank: row 0 holds ``vectors`` as its T keys."""
+    keys = np.asarray(vectors, dtype=np.float64)[None]
+    valid = np.ones(keys.shape[:2], dtype=bool) if valid is None else [valid]
+    return temporal.AttentionBank(ad.constant(keys), valid)
 
 
 def attention_weights(query, bank):
     """Recompute the internal weights the way attend() defines them."""
-    scores = np.array([float(np.dot(query.values, k.values)) for k in bank.keys])
-    mask = np.asarray(bank.valid, dtype=bool)
+    scores = np.array([float(np.dot(query.values, k)) for k in bank.keys.values[0]])
+    mask = bank.valid[0]
     w = np.zeros_like(scores)
     if mask.any():
         e = np.exp(scores[mask] - scores[mask].max())
@@ -70,17 +70,17 @@ class TestAttend:
         rng = np.random.default_rng(44)
         K, H = 6, 4
         bank = make_bank(list(rng.normal(size=(8, K))))
-        out = temporal.attend(ad.constant(rng.normal(size=K)), bank,
+        out = temporal.attend(ad.constant(rng.normal(size=(1, K))), bank,
                               ad.constant(rng.normal(size=(H, 2 * K))),
                               ad.constant(np.zeros(H)))
-        assert out.shape == (H,)
+        assert out.shape == (1, H)
 
     def test_permuting_bank_leaves_output_unchanged(self):
         """Attention is a set operation over (key, validity) pairs."""
         rng = np.random.default_rng(45)
         K, H = 3, 3
         keys = list(rng.normal(size=(5, K)))
-        q = ad.constant(rng.normal(size=K))
+        q = ad.constant(rng.normal(size=(1, K)))
         W = ad.constant(rng.normal(size=(H, 2 * K)))
         b = ad.constant(np.zeros(H))
         out = temporal.attend(q, make_bank(keys), W, b)
@@ -91,23 +91,24 @@ class TestAttend:
     def test_all_masked_reduces_to_projected_query(self):
         rng = np.random.default_rng(46)
         K, H = 4, 4
-        q = ad.constant(rng.normal(size=K))
+        q = ad.constant(rng.normal(size=(1, K)))
         W = ad.constant(rng.normal(size=(H, 2 * K)))
         b = ad.constant(rng.normal(size=H))
         out = temporal.attend(q, make_bank(list(rng.normal(size=(3, K))),
                                            valid=[False, False, False]), W, b)
-        want = np.tanh(W.values @ np.concatenate([np.zeros(K), q.values]) + b.values)
-        np.testing.assert_allclose(out.values, want, rtol=1e-15)
+        want = np.tanh(W.values @ np.concatenate([np.zeros(K), q.values[0]]) + b.values)
+        np.testing.assert_allclose(out.values[0], want, rtol=1e-15)
 
     def test_empty_bank_is_rejected(self):
         with pytest.raises(ShapeError, match="empty"):
-            temporal.attend(ad.constant(np.zeros(2)), temporal.AttentionBank(),
+            temporal.attend(ad.constant(np.zeros((1, 2))),
+                            make_bank(np.zeros((0, 2))),
                             ad.constant(np.zeros((2, 4))), ad.constant(np.zeros(2)))
 
     def test_query_key_width_mismatch_rejected(self):
         bank = make_bank([np.zeros(3)])
         with pytest.raises(ShapeError, match="query"):
-            temporal.attend(ad.constant(np.zeros(4)), bank,
+            temporal.attend(ad.constant(np.zeros((1, 4))), bank,
                             ad.constant(np.zeros((2, 6))), ad.constant(np.zeros(2)))
 
     def test_gradients_flow_to_query_and_keys(self):
@@ -118,24 +119,18 @@ class TestAttend:
         Wv = rng.normal(size=(H, 2 * K))
         probe = rng.normal(size=H)
 
-        q = ad.constant(qv)
-        keys = [ad.constant(k) for k in keyv]
+        q = ad.constant(qv[None])
         with ad.Tape() as tape:
-            bank = temporal.AttentionBank()
-            for k in keys:
-                bank.append(k)
+            bank = make_bank(keyv)
             out = temporal.attend(q, bank, ad.constant(Wv), ad.constant(np.zeros(H)))
-            tape.backward(ad.dot(out, ad.constant(probe)))
-            got_q = q.grad.copy()
+            tape.backward(ad.matmul(out[0], ad.constant(probe)))
+            got_q = q.grad[0].copy()
 
         def f():
             with ad.Tape():
-                bank = temporal.AttentionBank()
-                for k in keyv:
-                    bank.append(ad.constant(k))
-                out = temporal.attend(ad.TensorNode(qv), bank,
+                out = temporal.attend(ad.TensorNode(qv[None]), make_bank(keyv),
                                       ad.constant(Wv), ad.constant(np.zeros(H)))
-                return float(ad.dot(out, ad.constant(probe)).values)
+                return float(ad.matmul(out[0], ad.constant(probe)).values)
 
         np.testing.assert_allclose(got_q, ad.numeric_gradient(f, qv),
                                    rtol=1e-4, atol=1e-8)

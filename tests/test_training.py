@@ -336,14 +336,14 @@ class TestGanLoop:
                 real = gn.discriminate(cfg, state.disc_params, scene.ped_ids,
                                        gn.real_position_nodes(scene),
                                        scene.mask)
-                verdicts.extend(float(p.values[0]) > 0.5 for p in real)
+                verdicts.extend(float(p[0]) > 0.5 for p in real.values)
                 for result in gn.sample_predictions(model, scene, 2,
                                                     rng).results:
                     fake = gn.discriminate(
                         cfg, state.disc_params, scene.ped_ids,
                         gn.fake_position_nodes(scene, result, detach=True),
                         scene.mask)
-                    verdicts.extend(float(p.values[0]) < 0.5 for p in fake)
+                    verdicts.extend(float(p[0]) < 0.5 for p in fake.values)
         accuracy = np.mean(verdicts)
         assert 0.0 < accuracy < 1.0
 
