@@ -9,33 +9,43 @@ Broadcasting is deliberately restricted: a binary op accepts two operands of
 identical shape, or one of them may be a scalar (shape ``()``). Anything
 fancier raises :class:`ShapeError` naming the op and both shapes.
 
-A few ops work on whole batches (one row per pedestrian, or one entry per
-pedestrian pair) so that a scene costs one record per layer, whatever its
-size. Their shape rules:
+A few ops work on whole batches (one row per pedestrian, one entry per
+pedestrian pair, or one slice per sampled future) so that a scene costs one
+record per layer, whatever its size or sample count. Their shape rules:
 
 * ``gather(a, index)``: ``a.values[index]`` for an integer array or a tuple
-  of integer arrays (numpy advanced indexing); repeated indices accumulate
-  their gradients.
+  of integer arrays and slices (numpy advanced indexing); repeated indices
+  accumulate their gradients.
 * ``masked_softmax(a, mask)``: softmax along the last axis over the entries
   where ``mask`` (same shape) is True; each row normalizes on its own and a
   row with no True entry is all zeros.
 * ``linear(x, weight, bias=None)``: ``x @ weight.T + bias`` for ``x`` of
-  shape ``(in,)`` or ``(N, in)``, ``weight`` ``(out, in)`` and ``bias``
-  ``(out,)``, broadcast over the rows.
+  shape ``(..., in)``, ``weight`` ``(out, in)`` and ``bias`` ``(out,)``,
+  broadcast over every leading axis: ``(..., in) -> (..., out)``.
 * ``matmul(a, b)``: ``(m, k) @ (k, n)``, ``(m, k) @ (k,)`` and
-  ``(k,) @ (k,)`` (a scalar), plus two batched forms with one leading
-  batch axis ``B`` on both operands: ``(B, m, k) @ (B, k) -> (B, m)``
-  (a matrix times a vector per row) and ``(B, m) @ (B, m, k) -> (B, k)``
-  (a vector times a matrix per row).
+  ``(k,) @ (k,)`` (a scalar), plus three batched forms whose leading batch
+  axes ``...`` (one or more) are equal on both operands:
+  ``(..., m, k) @ (..., k, n) -> (..., m, n)``,
+  ``(..., m, k) @ (..., k) -> (..., m)`` (a matrix times a vector per
+  slice) and ``(..., m) @ (..., m, k) -> (..., k)`` (a vector times a
+  matrix per slice). numpy runs a batched product one slice at a time, so
+  each slice equals the unbatched product of that slice bit for bit.
 * ``l2norm(a)``: Euclidean norm over the last axis, ``(..., k) -> (...)``;
   the subgradient at a zero vector is 0.
 * ``stack(nodes, axis)``, ``concat(nodes, axis)`` and ``reduce_sum(a, axis)``
   take a numpy axis.
+* ``unstack(a)``: the ``a.shape[0]`` leading slices as separate nodes, from
+  one record with several outputs; each slice gets its own gradient.
+
+A record refers to its tape weakly, so nothing points back from a node to
+the tape that holds it: a tape that nobody refers to any more is freed by
+reference counting as soon as its scope closes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +55,7 @@ from .errors import ShapeError
 __all__ = [
     "TensorNode", "Tape", "active_tape", "constant", "zeros",
     "add", "sub", "mul", "div", "neg", "matmul", "linear",
-    "concat", "stack", "gather", "relu", "tanh", "sigmoid", "exp", "log",
+    "concat", "stack", "unstack", "gather", "relu", "tanh", "sigmoid", "exp", "log",
     "softplus", "masked_softmax", "reduce_sum", "reduce_mean",
     "l2norm", "mean_of", "apply", "ParamStore", "Adam", "RngHub",
     "numeric_gradient",
@@ -53,14 +63,23 @@ __all__ = [
 
 
 class OpRecord:
-    """Back-reference from a node into the tape that produced it."""
+    """Back-reference from a node into the tape that produced it.
 
-    __slots__ = ("tape", "op", "index")
+    The tape is held weakly: a node may outlive its tape, whose records
+    would otherwise keep the node, and the node the tape, alive in a cycle.
+    """
+
+    __slots__ = ("_tape", "op", "index")
 
     def __init__(self, tape: "Tape", op: str, index: int):
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.op = op
         self.index = index
+
+    @property
+    def tape(self) -> "Tape | None":
+        """The producing tape, or None once it has been freed."""
+        return self._tape()
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"OpRecord({self.op!r}, index={self.index})"
@@ -136,7 +155,9 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[TensorNode, tuple[TensorNode, ...], Callable]] = []
+        # (output, inputs, backward); ``unstack`` records a tuple of outputs
+        # and a backward that takes one adjoint (or None) per output.
+        self._records: list[tuple] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -164,6 +185,12 @@ class Tape:
         _ADJOINT_STACK.append(adjoints)
         try:
             for out, _inputs, backward_fn in reversed(self._records):
+                if type(out) is tuple:
+                    grads = [adjoints.get(id(part)) for part in out]
+                    if any(entry is not None for entry in grads):
+                        backward_fn([None if entry is None else entry[1]
+                                     for entry in grads])
+                    continue
                 entry = adjoints.get(id(out))
                 if entry is None:
                     continue
@@ -171,7 +198,10 @@ class Tape:
         finally:
             _ADJOINT_STACK.pop()
         for node, buf in adjoints.values():
-            node.grad.__iadd__(buf)
+            if node._grad is None:
+                node._grad = buf        # the buffer is owned by this pass
+            else:
+                node._grad += buf
 
     def reset(self) -> None:
         """Drop all records and zero every gradient the tape has touched.
@@ -179,8 +209,7 @@ class Tape:
         Parameter values are left intact; only gradient buffers are cleared.
         """
         for out, inputs, _ in self._records:
-            out.zero_grad()
-            for node in inputs:
+            for node in (out if type(out) is tuple else (out,)) + inputs:
                 node.zero_grad()
         self._records.clear()
 
@@ -222,11 +251,13 @@ def _add_grad(node: TensorNode, delta) -> None:
         adjoints = _ADJOINT_STACK[-1]
         entry = adjoints.get(id(node))
         if entry is None:
-            buf = np.zeros_like(node.values)
+            # An owned copy, broadcast to the node's shape: it is summed
+            # into in place later and may become the node's ``.grad``.
+            buf = np.empty_like(node.values)
+            buf[...] = delta
             adjoints[id(node)] = (node, buf)
         else:
-            buf = entry[1]
-        buf += delta
+            entry[1].__iadd__(delta)
     else:
         node.grad.__iadd__(delta)
 
@@ -311,30 +342,36 @@ def matmul(a, b) -> TensorNode:
         def backward(g):
             _add_grad(a, g * bv)
             _add_grad(b, g * av)
-    elif (av.ndim == 3 and bv.ndim == 2 and av.shape[0] == bv.shape[0]
-          and av.shape[2] == bv.shape[1]):
-        outv = np.matmul(av, bv[:, :, None])[:, :, 0]
+    elif (av.ndim == bv.ndim >= 3 and av.shape[:-2] == bv.shape[:-2]
+          and av.shape[-1] == bv.shape[-2]):
+        outv = np.matmul(av, bv)
 
         def backward(g):
-            _add_grad(a, g[:, :, None] * bv[:, None, :])
-            _add_grad(b, np.matmul(g[:, None, :], av)[:, 0, :])
-    elif (av.ndim == 2 and bv.ndim == 3 and av.shape[0] == bv.shape[0]
-          and av.shape[1] == bv.shape[1]):
-        outv = np.matmul(av[:, None, :], bv)[:, 0, :]
+            _add_grad(a, np.matmul(g, np.swapaxes(bv, -1, -2)))
+            _add_grad(b, np.matmul(np.swapaxes(av, -1, -2), g))
+    elif (av.ndim == bv.ndim + 1 >= 3 and av.shape[:-2] == bv.shape[:-1]
+          and av.shape[-1] == bv.shape[-1]):
+        outv = np.matmul(av, bv[..., None])[..., 0]
 
         def backward(g):
-            _add_grad(a, np.matmul(bv, g[:, :, None])[:, :, 0])
-            _add_grad(b, av[:, :, None] * g[:, None, :])
+            _add_grad(a, g[..., :, None] * bv[..., None, :])
+            _add_grad(b, np.matmul(g[..., None, :], av)[..., 0, :])
+    elif (bv.ndim == av.ndim + 1 >= 3 and av.shape[:-1] == bv.shape[:-2]):
+        outv = np.matmul(av[..., None, :], bv)[..., 0, :]
+
+        def backward(g):
+            _add_grad(a, np.matmul(bv, g[..., :, None])[..., 0])
+            _add_grad(b, av[..., :, None] * g[..., None, :])
     else:
         raise ShapeError(f"matmul: shapes {av.shape} and {bv.shape} do not conform")
     return _record("matmul", outv, (a, b), backward)
 
 
 def linear(x, weight, bias=None) -> TensorNode:
-    """``x @ weight.T + bias`` for one input ``(in,)`` or a batch ``(N, in)``."""
+    """``x @ weight.T + bias`` for an input ``(..., in)``, row by row."""
     x, weight = _lift(x), _lift(weight)
     xv, wv = x.values, weight.values
-    if wv.ndim != 2 or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[1]:
+    if wv.ndim != 2 or xv.ndim == 0 or xv.shape[-1] != wv.shape[1]:
         raise ShapeError(f"linear: input {xv.shape} and weight {wv.shape} do not conform")
     outv = xv @ wv.T
     inputs = (x, weight)
@@ -392,6 +429,27 @@ def stack(nodes: Sequence[TensorNode], axis: int = 0) -> TensorNode:
             _add_grad(n, np.take(g, i, axis=axis))
 
     return _record("stack", outv, tuple(nodes), backward)
+
+
+def unstack(a) -> list[TensorNode]:
+    """The leading slices ``a[0], a[1], ...`` as separate nodes, recorded
+    once whatever their number; each slice gets its own gradient."""
+    a = _lift(a)
+    if a.values.ndim == 0:
+        raise ShapeError("unstack: needs at least one axis")
+    parts = tuple(TensorNode(v) for v in a.values)
+
+    def backward(grads):
+        delta = np.zeros_like(a.values)
+        for i, g in enumerate(grads):
+            if g is not None:
+                delta[i] = g
+        _add_grad(a, delta)
+
+    record = active_tape().add("unstack", parts, (a,), backward)
+    for part in parts:
+        part.op_record = record
+    return list(parts)
 
 
 def _getitem(a: TensorNode, key) -> TensorNode:

@@ -3,7 +3,10 @@
 Both the forecaster and the adversarial critic run the same kind of
 spatially attentive recurrence, so the per-step machinery lives here. Every
 primitive takes the whole scene as one batch, one row per pedestrian, so a
-step costs the same number of tape records whatever the crowd size.
+step costs the same number of tape records whatever the crowd size. A
+leading sample axis ``(S, N, ...)`` runs S futures of the same scene in the
+same records; each sample then equals a pass over that sample alone, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .geometry import AgentKinematics, bin_indices, compute_encounter  # noqa: F
 
 
 def linear(x: ad.TensorNode, weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
-    """``x @ weight.T + bias`` for one row ``(in,)`` or a batch ``(N, in)``."""
+    """``x @ weight.T + bias`` for every row of ``(..., in)``."""
     return ad.linear(x, weight, bias)
 
 
@@ -43,22 +46,32 @@ def lstm_cell(x: ad.TensorNode, hidden: ad.TensorNode, cell: ad.TensorNode,
 
 def noise_conditioned_hidden(hidden: ad.TensorNode, noise: np.ndarray,
                              weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
-    """Append one noise draw to every hidden row and project back to hidden
-    size."""
-    rows = np.broadcast_to(noise, hidden.shape[:-1] + np.shape(noise))
+    """Append a noise draw to every hidden row and project back to hidden
+    size.
+
+    ``noise`` is one draw ``(noise_dim,)`` shared by every row, or a block
+    ``(S, noise_dim)`` for ``hidden`` of shape ``(S, N, H)``: one draw per
+    sample, shared by that sample's rows.
+    """
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.ndim > 1:
+        noise = noise[:, None, :]
+    rows = np.broadcast_to(noise, hidden.shape[:-1] + noise.shape[-1:])
     return linear(ad.concat([hidden, ad.constant(rows)], axis=-1), weight, bias)
 
 
 def pairwise_offsets(positions: ad.TensorNode) -> ad.TensorNode:
-    """(N, 2) positions -> (N, N, 2) node whose [a, b] entry points from a
-    to b."""
-    n = positions.shape[0]
+    """(..., N, 2) positions -> (..., N, N, 2) node whose [..., a, b] entry
+    points from a to b."""
+    n = positions.shape[-2]
     rows = np.repeat(np.arange(n)[:, None], n, axis=1)
-    return ad.sub(ad.gather(positions, rows.T), ad.gather(positions, rows))
+    lead = (slice(None),) * (positions.values.ndim - 2)
+    return ad.sub(ad.gather(positions, lead + (rows.T,)),
+                  ad.gather(positions, lead + (rows,)))
 
 
 def spatial_round(offsets: ad.TensorNode,
-                  kinematics: Sequence[AgentKinematics],
+                  kinematics: Sequence[AgentKinematics] | np.ndarray,
                   present: np.ndarray,
                   hiddens: ad.TensorNode,
                   grid: spatial.DomainGrid,
@@ -70,17 +83,22 @@ def spatial_round(offsets: ad.TensorNode,
     ``offsets`` is the (N, N, 2) node pointing from pedestrian a to
     pedestrian b; passing live position nodes here is what lets predicted
     geometry receive gradient. ``kinematics`` gives the float positions
-    and headings that pick each pair's grid cell. Absent pedestrians never
+    and headings that pick each pair's grid cell. With a leading sample
+    axis (offsets (S, N, N, 2), kinematics (S, N), hiddens (S, N, H)) every
+    sample runs its own round in the same records; ``present`` (N,) is
+    shared by all of them. Absent pedestrians never
     act as neighbours; a pedestrian with no neighbour gets the zero context
     exactly, because every weight in its row is 0. Callers keep the rows in
     ascending pedestrian id order, so renumbering a scene permutes the outputs
     bit-identically.
 
-    Returns (fused, joints): (N, H) fused states and the (N, 2H)
+    Returns (fused, joints): (..., N, H) fused states and the (..., N, 2H)
     pre-projection concatenations.
     """
-    n = hiddens.shape[0]
-    neighbors = np.asarray(present, dtype=bool)[None, :] & ~np.eye(n, dtype=bool)
+    n = hiddens.shape[-2]
+    neighbors = np.broadcast_to(
+        np.asarray(present, dtype=bool)[None, :] & ~np.eye(n, dtype=bool),
+        hiddens.shape[:-1] + (n,))
     if force_zero_context:
         ctx = ad.constant(np.zeros(hiddens.shape))
     else:

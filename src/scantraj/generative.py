@@ -6,6 +6,10 @@ the decoder hidden state from a per-sample noise draw). The discriminator
 is an independent spatially attentive LSTM encoder — its own range grid,
 embedding, cell, and fusion — run over a *full* observed-plus-future
 trajectory, ending in one real/fake logit per pedestrian.
+
+The k samples of a scene travel together: they are decoded in one batched
+pass with a leading sample axis, and the critic scores any number of
+trajectories of one scene in one pass the same way.
 """
 
 from __future__ import annotations
@@ -20,26 +24,11 @@ from . import metrics
 from . import spatial
 from .data import SceneWindow
 from .errors import NumericError, ShapeError
-from .geometry import AgentKinematics, estimate_heading
+# estimate_heading runs inside advance_kinematics; it stays importable here,
+# where bench/tracer.py binds it.
+from .geometry import advance_kinematics, estimate_heading, kinematics_at  # noqa: F401
 from .model import (ForwardResult, ModelConfig, ScanModel, _canonical_order,
                     trajectory_loss, uniform_param, zeros_param)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Shape and family of the decoder-seeding noise (standard normal)."""
-
-    dim: int = 8
-    distribution: str = "normal"
-
-    def validate(self) -> None:
-        if self.dim < 1:
-            raise ValueError("noise dim must be >= 1")
-        if self.distribution != "normal":
-            raise ValueError("only standard normal noise is supported")
-
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.dim)
 
 
 @dataclass
@@ -84,17 +73,17 @@ def sample_predictions(model: ScanModel, scene: SceneWindow, k: int,
     """Draw k joint futures; one noise vector per sample, shared by every
     pedestrian in the scene so each sample is a coherent joint outcome.
 
-    The scene is encoded once; each sample is a separate decode pass.
+    The noise block is one ``(k, noise_dim)`` standard normal draw. The
+    scene is encoded once and all k samples are decoded in one batched
+    pass; each result is a live slice of it.
     """
     if not model.cfg.generative:
         raise ValueError("sampling requires a generative configuration")
     if k < 1:
         raise ValueError("k must be >= 1")
-    spec = NoiseSpec(model.cfg.noise_dim)
-    noises = np.stack([spec.draw(rng) for _ in range(k)])
-    bank = model.encode(scene)
-    results = [model.decode(scene, bank, noise=noises[i]) for i in range(k)]
-    return PredictionSet(list(scene.ped_ids), results, noises)
+    noises = rng.standard_normal((k, model.cfg.noise_dim))
+    batch = model.decode(scene, model.encode(scene), noise=noises)
+    return PredictionSet(list(scene.ped_ids), batch.samples(), noises)
 
 
 # -- discriminator ---------------------------------------------------------
@@ -133,43 +122,50 @@ def fake_position_nodes(scene: SceneWindow, result: ForwardResult,
 
     ``detach=True`` freezes the future to constants (for critic updates,
     which must not propagate into the generator)."""
-    observed = ad.constant(scene.positions[:scene.obs_len].transpose(1, 0, 2))
-    future = ad.constant(result.pos.values) if detach else result.pos
-    return ad.concat([observed, future], axis=1)
+    return _with_observed(scene, ad.constant(result.pos.values) if detach
+                          else result.pos)
+
+
+def _with_observed(scene: SceneWindow, future: ad.TensorNode) -> ad.TensorNode:
+    """(..., N, steps, 2) future -> (..., N, obs_len + steps, 2) trajectory,
+    the observed steps repeated for every leading sample."""
+    observed = scene.positions[:scene.obs_len].transpose(1, 0, 2)
+    observed = np.broadcast_to(observed, future.shape[:-3] + observed.shape)
+    return ad.concat([ad.constant(observed), future], axis=-2)
 
 
 def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
                          ped_ids, positions, mask):
-    """Run the critic over a full trajectory; one logit per pedestrian, as
-    an (N, 1) node.
+    """Run the critic over full trajectories; one logit per pedestrian.
 
-    ``positions`` is the (N, T, 2) trajectory node (a live node lets
-    generator gradient flow through the critic); ``mask`` is (T, N)
-    presence used to gate neighbour participation, exactly as in the
-    forecaster.
+    ``positions`` is the (N, T, 2) trajectory node, giving (N, 1) logits,
+    or an (S, N, T, 2) node holding S trajectories of the same scene,
+    scored in one pass into (S, N, 1) logits; slice s equals a pass over
+    ``positions[s]`` alone, bit for bit. A live node lets generator
+    gradient flow through the critic. ``mask`` is (T, N) presence used to
+    gate neighbour participation, exactly as in the forecaster.
     """
     n = len(ped_ids)
     if n == 0:
         return ad.constant(np.zeros((0, 1)))
-    T = positions.shape[1]
+    T = positions.shape[-2]
     if T < 2:
         raise ShapeError("discriminator needs at least two steps")
+    lead = positions.shape[:-3]
     order = _canonical_order(ped_ids)
-    track = ad.gather(positions, order)
+    track = ad.gather(positions, (slice(None),) * len(lead) + (order,))
     values = track.values
     presence = np.asarray(mask, dtype=bool)[:, order]
     grid = spatial.DomainGrid(params["disc.domain_grid"], cfg.bin_spec())
     H = cfg.hidden_dim
-    hidden = ad.constant(np.zeros((n, H)))
-    cell = ad.constant(np.zeros((n, H)))
-    kin = [AgentKinematics((float(values[p, 0, 0]), float(values[p, 0, 1])))
-           for p in range(n)]
+    hidden = ad.constant(np.zeros(lead + (n, H)))
+    cell = ad.constant(np.zeros(lead + (n, H)))
+    kin = kinematics_at(values[..., 0, :])
     prev = None
     for t in range(T):
         if t > 0:
-            kin = [estimate_heading(values[p, t - 1], values[p, t], kin[p])
-                   for p in range(n)]
-        now = track[:, t]
+            kin = advance_kinematics(values[..., t - 1, :], values[..., t, :], kin)
+        now = track[..., t, :]
         fused, _ = cells.spatial_round(
             cells.pairwise_offsets(now), kin, presence[t], hidden, grid,
             params["disc.fuse.W"], params["disc.fuse.b"],
@@ -179,7 +175,7 @@ def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
         elif prev is not None:
             step_in = ad.sub(now, prev)
         else:
-            step_in = ad.constant(np.zeros((n, 2)))
+            step_in = ad.constant(np.zeros(lead + (n, 2)))
         embedded = cells.linear(step_in, params["disc.embed.W"],
                                 params["disc.embed.b"])
         hidden, cell = cells.lstm_cell(
@@ -187,12 +183,12 @@ def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
             params["disc.lstm.W_hh"], params["disc.lstm.b"], H)
         prev = now
     logits = cells.linear(hidden, params["disc.score.W"], params["disc.score.b"])
-    return ad.gather(logits, np.argsort(order))
+    return ad.gather(logits, (slice(None),) * len(lead) + (np.argsort(order),))
 
 
 def discriminate(cfg: ModelConfig, params: ad.ParamStore,
                  ped_ids, positions, mask) -> ad.TensorNode:
-    """Per-pedestrian real probabilities in (0, 1), as an (N, 1) node."""
+    """Per-pedestrian real probabilities in (0, 1), shaped like the logits."""
     return ad.sigmoid(discriminator_logits(cfg, params, ped_ids, positions, mask))
 
 
@@ -291,18 +287,28 @@ def _full_presence(scene: SceneWindow) -> np.ndarray:
     return scene.mask.all(axis=0)
 
 
+def _kept(logits: ad.TensorNode, samples, keep: np.ndarray) -> ad.TensorNode:
+    """Rows ``keep`` of each listed sample of (S, N, 1) logits, sample by
+    sample, as one (len(samples) * len(keep), 1) node."""
+    return ad.gather(logits, (np.repeat(samples, keep.size),
+                              np.tile(keep, len(samples))))
+
+
 def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
                    scenes: list, gan_cfg: GanConfig,
                    gen_opt: ad.Adam, disc_opt: ad.Adam,
                    rng: np.random.Generator) -> dict:
     """One critic update then one generator update over a scene batch.
 
-    The critic sees every ground-truth trajectory against all k generated
-    futures per scene (generator outputs detached). The generator then
-    regenerates its k samples — same noise, parameters unchanged by the
-    critic step — and descends adversarial + variety + lambda * diversity.
-    Only pedestrians present through the whole window are scored by the
-    critic; the variety term keeps using the per-step mask.
+    Each scene is encoded once and its k samples are decoded once, as one
+    batch, on the generator's tape. The critic half runs on a tape of its
+    own: per scene, one (1 + k)-sample pass scores the ground truth and the
+    k futures' detached values, and the critic steps. The critic step never
+    touches generator parameters, so the same decode serves the generator
+    half, which scores the k live futures in one pass through the updated
+    critic and descends adversarial + variety + lambda * diversity. Only
+    pedestrians present through the whole window are scored by the critic;
+    the variety term keeps using the per-step mask.
 
     Returns the batch's mean loss terms as plain floats.
     """
@@ -311,56 +317,57 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
     usable = [s for s in scenes if s.n_peds > 0]
     if not usable:
         raise ValueError("gan_train_step needs at least one non-empty scene")
-    noises = [np.stack([rng.standard_normal(cfg.noise_dim)
-                        for _ in range(gan_cfg.k)]) for _ in usable]
-
-    # critic pass: real vs all-k detached fakes
+    k = gan_cfg.k
+    fakes_only = np.arange(1, k + 1)
     with ad.Tape() as tape:
-        real_terms, fake_terms = [], []
-        for scene, noise in zip(usable, noises):
+        sample_sets = [sample_predictions(model, scene, k, rng) for scene in usable]
+        scored = []                 # (scene, live (k, N, T, 2) fakes, keep)
+        for scene, samples in zip(usable, sample_sets):
             keep = np.flatnonzero(_full_presence(scene))
             if keep.size == 0:
                 continue
-            bank = model.encode(scene)
-            results = [model.decode(scene, bank, noise=z) for z in noise]
-            real_logits = discriminator_logits(
-                cfg, disc_params, scene.ped_ids,
-                real_position_nodes(scene), scene.mask)
-            real_terms.append(ad.gather(real_logits, keep))
-            for result in results:
-                fake_logits = discriminator_logits(
-                    cfg, disc_params, scene.ped_ids,
-                    fake_position_nodes(scene, result, detach=True), scene.mask)
-                fake_terms.append(ad.gather(fake_logits, keep))
-        if not real_terms:
+            fakes = _with_observed(
+                scene, ad.stack([r.pos for r in samples.results]))
+            if fakes.shape[-2] != scene.total_len:
+                raise ShapeError(
+                    f"gan_train_step: scene of {scene.total_len} steps, model "
+                    f"trajectories of {fakes.shape[-2]}")
+            scored.append((scene, fakes, keep))
+        if not scored:
             raise ValueError("no fully present pedestrians in the batch")
-        disc_loss = ad.add(bce_real(ad.concat(real_terms)),
-                           bce_fake(ad.concat(fake_terms)))
-        _check_finite("discriminator", disc_loss)
-        disc_params.zero_grads()
-        tape.backward(disc_loss)
-        disc_value = float(disc_loss.values)
-        disc_opt.step()
 
-    # generator pass: fresh graph, same noise, live fakes through the critic
-    with ad.Tape() as tape:
+        # critic half: real and all-k detached fakes in one pass per scene
+        with ad.Tape() as critic_tape:
+            real_terms, fake_terms = [], []
+            for scene, fakes, keep in scored:
+                real = scene.positions.transpose(1, 0, 2)
+                logits = discriminator_logits(
+                    cfg, disc_params, scene.ped_ids,
+                    ad.constant(np.concatenate([real[None], fakes.values])),
+                    scene.mask)
+                real_terms.append(_kept(logits, [0], keep))
+                fake_terms.append(_kept(logits, fakes_only, keep))
+            disc_loss = ad.add(bce_real(ad.concat(real_terms)),
+                               bce_fake(ad.concat(fake_terms)))
+            _check_finite("discriminator", disc_loss)
+            disc_params.zero_grads()
+            critic_tape.backward(disc_loss)
+            disc_value = float(disc_loss.values)
+            disc_opt.step()
+
+        # generator half: the same decode, live fakes through the new critic
         adv_terms = []
+        for scene, fakes, keep in scored:
+            logits = discriminator_logits(cfg, disc_params, scene.ped_ids,
+                                          fakes, scene.mask)
+            adv_terms.append(_kept(logits, fakes_only - 1, keep))
         variety_terms = []
         diversity_terms = []
-        for scene, noise in zip(usable, noises):
-            keep = np.flatnonzero(_full_presence(scene))
-            bank = model.encode(scene)
-            results = [model.decode(scene, bank, noise=z) for z in noise]
-            sample_set = PredictionSet(list(scene.ped_ids), results, noise)
-            for result in results:
-                fake_logits = discriminator_logits(
-                    cfg, disc_params, scene.ped_ids,
-                    fake_position_nodes(scene, result), scene.mask)
-                adv_terms.append(ad.gather(fake_logits, keep))
-            variety = variety_loss(scene, sample_set)
+        for scene, samples in zip(usable, sample_sets):
+            variety = variety_loss(scene, samples)
             if variety is not None:
                 variety_terms.append(variety)
-            diversity_terms.append(diversity_loss(sample_set))
+            diversity_terms.append(diversity_loss(samples))
         adv = adversarial_loss(ad.concat(adv_terms))
         variety = ad.mean_of(variety_terms)
         diversity = ad.mean_of(diversity_terms)

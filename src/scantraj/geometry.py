@@ -12,14 +12,15 @@ Conventions (used everywhere in the package):
   A's, both wrapped into [0, 360).
 
 All functions here are pure and operate on plain floats or float arrays;
-nothing touches the autodiff tape.
+nothing touches the autodiff tape. A crowd's kinematics travel as an object
+array of ``AgentKinematics`` with shape ``(..., N)``: one row of N agents,
+or one row per sampled future of the same scene.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -132,24 +133,54 @@ def _normalize_deg_array(angle: np.ndarray) -> np.ndarray:
 _EDGE_TOL_DEG = 1e-9
 
 
-def bin_indices(kinematics: Sequence[AgentKinematics],
-                spec: BinSpec) -> tuple[np.ndarray, np.ndarray]:
-    """1-based (bearing, heading) bins of every ordered pair, as two (N, N)
-    integer arrays: entry [a, b] equals
-    ``bin_index(compute_encounter(kinematics[a], kinematics[b]), spec)``.
+def kinematics_at(points: np.ndarray) -> np.ndarray:
+    """Heading-less kinematics at every point of a ``(..., N, 2)`` array, as
+    an object array of shape ``(..., N)``."""
+    points = np.asarray(points, dtype=np.float64)
+    out = np.empty(points.shape[:-1], dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = AgentKinematics((float(points[idx][0]), float(points[idx][1])))
+    return out
+
+
+def advance_kinematics(prev_pos: np.ndarray, cur_pos: np.ndarray,
+                       kinematics: np.ndarray) -> np.ndarray:
+    """``estimate_heading`` for every agent of a ``(..., N)`` object array,
+    from ``(..., N, 2)`` previous and current positions."""
+    out = np.empty(np.shape(kinematics), dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = estimate_heading(prev_pos[idx], cur_pos[idx], kinematics[idx])
+    return out
+
+
+def bin_indices(kinematics, spec: BinSpec) -> tuple[np.ndarray, np.ndarray]:
+    """1-based (bearing, heading) bins of every ordered pair of a crowd.
+
+    ``kinematics`` is a sequence of N agents or an object array of shape
+    ``(..., N)``; the bins are two ``(..., N, N)`` integer arrays whose entry
+    [..., a, b] equals
+    ``bin_index(compute_encounter(kinematics[..., a], kinematics[..., b]), spec)``.
     """
-    pos = np.array([k.position for k in kinematics], dtype=np.float64).reshape(-1, 2)
-    heading = np.array([k.heading_deg for k in kinematics], dtype=np.float64)
-    dx = pos[None, :, 0] - pos[:, None, 0]
-    dy = pos[None, :, 1] - pos[:, None, 1]
+    kin = np.empty(np.shape(kinematics), dtype=object)
+    kin[...] = kinematics
+    agents = kin.ravel()
+    pos = np.array([k.position for k in agents],
+                   dtype=np.float64).reshape(kin.shape + (2,))
+    heading = np.array([k.heading_deg for k in agents],
+                       dtype=np.float64).reshape(kin.shape)
+    dx = pos[..., None, :, 0] - pos[..., :, None, 0]
+    dy = pos[..., None, :, 1] - pos[..., :, None, 1]
     coincident = (dx == 0.0) & (dy == 0.0)
-    bearing = _normalize_deg_array(np.degrees(np.arctan2(dy, dx)) - heading[:, None])
+    bearing = _normalize_deg_array(np.degrees(np.arctan2(dy, dx))
+                                   - heading[..., :, None])
     steps = bearing / spec.bearing_step_deg
     near_edge = np.abs(steps - np.round(steps)) * spec.bearing_step_deg < _EDGE_TOL_DEG
-    for a, b in zip(*np.nonzero(near_edge & ~coincident)):
-        bearing[a, b] = compute_encounter(kinematics[a], kinematics[b]).bearing_deg
+    for idx in zip(*np.nonzero(near_edge & ~coincident)):
+        row = idx[:-2]
+        bearing[idx] = compute_encounter(kin[row + idx[-2:-1]],
+                                         kin[row + idx[-1:]]).bearing_deg
     bearing[coincident] = 0.0
-    rel_heading = _normalize_deg_array(heading[None, :] - heading[:, None])
+    rel_heading = _normalize_deg_array(heading[..., None, :] - heading[..., :, None])
     i = np.floor(bearing / spec.bearing_step_deg).astype(np.int64) + 1
     j = np.floor(rel_heading / spec.heading_step_deg).astype(np.int64) + 1
     return np.minimum(i, spec.n_bearing), np.minimum(j, spec.n_heading)

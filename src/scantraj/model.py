@@ -25,7 +25,10 @@ from . import cells
 from . import spatial
 from .data import SceneWindow
 from .errors import ShapeError
-from .geometry import AgentKinematics, BinSpec, estimate_heading
+# estimate_heading runs inside advance_kinematics; it stays importable here,
+# where bench/tracer.py binds it.
+from .geometry import (BinSpec, advance_kinematics, estimate_heading,  # noqa: F401
+                       kinematics_at)
 from .temporal import AttentionBank, attend
 
 VARIANTS = ("vanilla", "scan")
@@ -121,7 +124,7 @@ class HiddenBank:
     hidden: ad.TensorNode             # (N, H) LSTM hidden states
     cell: ad.TensorNode               # (N, H) LSTM cell states
     attention: AttentionBank          # (N, obs_len, K) fused-state history
-    kinematics: list                  # AgentKinematics at the last observed step
+    kinematics: np.ndarray            # (N,) AgentKinematics at the last observed step
     last_pos: np.ndarray              # (N, 2) final observed positions
     last_disp: np.ndarray             # (N, 2) final observed displacements
 
@@ -146,7 +149,11 @@ class JointPrediction:
 
 @dataclass
 class ForwardResult:
-    """Differentiable decode outputs, one row per scene column."""
+    """Differentiable decode outputs, one row per scene column.
+
+    A batched decode of S samples gives ``disp`` and ``pos`` a leading
+    sample axis, (S, N, steps, 2); ``samples`` splits it.
+    """
 
     ped_ids: list[int]
     disp: ad.TensorNode              # (N, steps, 2) predicted displacements
@@ -155,7 +162,13 @@ class ForwardResult:
 
     @property
     def n_steps(self) -> int:
-        return self.pos.shape[1]
+        return self.pos.shape[-2]
+
+    def samples(self) -> list["ForwardResult"]:
+        """One result per sample of a batched decode; each is a live slice
+        with its own gradient, and the split costs two records in all."""
+        return [ForwardResult(list(self.ped_ids), disp, pos, self.loss_mask)
+                for disp, pos in zip(ad.unstack(self.disp), ad.unstack(self.pos))]
 
     def displacements(self) -> np.ndarray:
         return self.disp.values.copy()
@@ -236,7 +249,6 @@ class ScanModel:
         self.cfg = cfg
         self.params = params
         self.grid = spatial.DomainGrid(params["domain_grid"], cfg.bin_spec())
-        self.decode_calls = 0           # forward-pass counter (one per decode)
 
     # -- helpers ----------------------------------------------------------
 
@@ -279,13 +291,11 @@ class ScanModel:
         hidden = ad.constant(np.zeros((n, H)))
         cell = ad.constant(np.zeros((n, H)))
         keys = []
-        kin = [AgentKinematics((float(X[0, p, 0]), float(X[0, p, 1])))
-               for p in range(n)]
+        kin = kinematics_at(X[0])
 
         for t in range(cfg.obs_len):
             if t > 0:
-                kin = [estimate_heading(X[t - 1, p], X[t, p], kin[p])
-                       for p in range(n)]
+                kin = advance_kinematics(X[t - 1], X[t], kin)
             offsets = ad.constant(X[t][None, :] - X[t][:, None])
             fused, joints = self._spatial(offsets, kin,
                                           self._present(scene, t)[order], hidden)
@@ -302,7 +312,7 @@ class ScanModel:
         attention = AttentionBank(ad.gather(ad.stack(keys, axis=1), undo),
                                   np.ones((n, cfg.obs_len), dtype=bool))
         return HiddenBank(ad.gather(hidden, undo), ad.gather(cell, undo),
-                          attention, [kin[i] for i in undo],
+                          attention, kin[undo],
                           scene.positions[last].copy(),
                           (scene.positions[last] - scene.positions[last - 1]).copy())
 
@@ -315,30 +325,46 @@ class ScanModel:
         from the predicted spacing. With ``generative`` configs the decoder
         hidden state is re-seeded from the encoder final plus a noise draw
         (zeros when ``noise`` is None, keeping the pass deterministic).
+
+        A ``(S, noise_dim)`` noise block decodes S samples in one pass: every
+        node gains a leading sample axis, each sample reads the same encoder
+        bank, and ``disp``/``pos`` come out as (S, N, steps, 2). A step then
+        costs one record per layer for all S samples, and sample s equals a
+        decode with noise ``noise[s]`` alone, bit for bit.
         """
         cfg = self.cfg
         order = _canonical_order(scene.ped_ids)
-        self.decode_calls += 1
+        lead: tuple = ()
+        if noise is not None:
+            if not cfg.generative:
+                raise ValueError("noise passed to a non-generative configuration")
+            noise = np.asarray(noise, dtype=np.float64)
+            if noise.ndim not in (1, 2) or noise.shape[-1] != cfg.noise_dim:
+                raise ShapeError(f"noise shape {noise.shape} is neither "
+                                 f"({cfg.noise_dim},) nor (S, {cfg.noise_dim})")
+            lead = noise.shape[:-1]
 
-        hidden = ad.gather(bank.hidden, order)
+        def tiled(values: np.ndarray) -> np.ndarray:
+            return np.array(np.broadcast_to(values, lead + values.shape))
+
+        # Canonical rows, once per sample.
+        rows = tiled(order)
+        hidden = ad.gather(bank.hidden, rows)
         if cfg.generative:
-            z = np.zeros(cfg.noise_dim) if noise is None else np.asarray(noise, float)
-            if z.shape != (cfg.noise_dim,):
-                raise ShapeError(f"noise shape {z.shape} != ({cfg.noise_dim},)")
             hidden = cells.noise_conditioned_hidden(
-                hidden, z, self.params["noise_proj.W"], self.params["noise_proj.b"])
-        elif noise is not None:
-            raise ValueError("noise passed to a non-generative configuration")
-        cell = ad.gather(bank.cell, order)
-        history = AttentionBank(ad.gather(bank.attention.keys, order),
-                                bank.attention.valid[order])
-        kin = [bank.kinematics[i] for i in order]
+                hidden, np.zeros(cfg.noise_dim) if noise is None else noise,
+                self.params["noise_proj.W"], self.params["noise_proj.b"])
+        cell = ad.gather(bank.cell, rows)
+        history = AttentionBank(ad.gather(bank.attention.keys, rows),
+                                bank.attention.valid[rows])
+        kin = bank.kinematics[rows]
 
-        last_pos = bank.last_pos[order]
-        start_offsets = ad.constant(last_pos[None, :] - last_pos[:, None])
+        last_pos = tiled(bank.last_pos[order])
+        start_offsets = ad.constant(last_pos[..., None, :, :]
+                                    - last_pos[..., :, None, :])
         cum = None                                  # cumulative displacement node
         pos_values = last_pos                       # float positions, current step
-        prev_disp = ad.constant(bank.last_disp[order])
+        prev_disp = ad.constant(tiled(bank.last_disp[order]))
         disps, positions = [], []
 
         for s in range(cfg.pred_len):
@@ -364,16 +390,15 @@ class ScanModel:
             prev_disp = disp
             disps.append(disp)
             positions.append(pos)
-            kin = [estimate_heading(pos_values[p], pos.values[p], kin[p])
-                   for p in range(len(order))]
+            kin = advance_kinematics(pos_values, pos.values, kin)
             pos_values = pos.values
 
-        undo = np.argsort(order)
+        undo = (slice(None),) * len(lead) + (np.argsort(order),)
         mask_rows = [self._present(scene, cfg.obs_len + s)
                      for s in range(cfg.pred_len)]
         return ForwardResult(list(scene.ped_ids),
-                             ad.gather(ad.stack(disps, axis=1), undo),
-                             ad.gather(ad.stack(positions, axis=1), undo),
+                             ad.gather(ad.stack(disps, axis=-2), undo),
+                             ad.gather(ad.stack(positions, axis=-2), undo),
                              np.array(mask_rows, dtype=bool).T)
 
     def forward(self, scene: SceneWindow,

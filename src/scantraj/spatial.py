@@ -7,7 +7,8 @@ closer, outside it is exactly zero, so the gradient never touches grid
 entries for encounters that do not matter.
 
 Everything here works on a whole scene at once: entry [a, b] of an (N, N)
-array is how pedestrian a sees pedestrian b, and row a is a's crowd.
+array is how pedestrian a sees pedestrian b, and row a is a's crowd. A
+leading sample axis, (S, N, N), scores S futures of one scene together.
 Scores are normalized with a row-masked softmax so that beyond-domain
 neighbours keep weight exactly 0 (an unmasked softmax would hand them
 exp(0) = 1 and let them leak influence). The textbook unmasked form stays
@@ -38,9 +39,9 @@ class DomainGrid:
 @dataclass
 class SpatialWeights:
     """Raw and normalized scores of every (target, neighbour) pair."""
-    raw: ad.TensorNode          # (N, N)
-    normalized: ad.TensorNode   # (N, N), zeros where inactive
-    active: np.ndarray          # (N, N) bool: entries the softmax covers
+    raw: ad.TensorNode          # (..., N, N)
+    normalized: ad.TensorNode   # (..., N, N), zeros where inactive
+    active: np.ndarray          # (..., N, N) bool: entries the softmax covers
 
 
 def raw_score(grid: DomainGrid, bins: tuple[np.ndarray, np.ndarray],
@@ -74,7 +75,7 @@ def normalize_scores(raw: ad.TensorNode, neighbors: np.ndarray,
 
 def context_vector(weights: SpatialWeights,
                    hiddens: ad.TensorNode) -> ad.TensorNode:
-    """Neighbour hidden states (N, H) weighted by normalized score.
+    """Neighbour hidden states (..., N, H) weighted by normalized score.
 
     A neighbour with weight exactly zero adds ``0 * h``, an exact zero
     because hidden states are always finite, so it has no influence, bit

@@ -8,7 +8,9 @@ projected back to hidden size:
     out = tanh(W @ concat(context, query) + b)
 
 The whole scene attends at once: the bank is one (N, T_obs, K) node and the
-query one (N, K) node. If every step of a row is masked its context is zero
+query one (N, K) node. Sampled futures add a leading axis to both,
+(S, N, T_obs, K) and (S, N, K), each sample reading its copy of the same
+encoder history. If every step of a row is masked its context is zero
 and the projection still runs, so the decoder always receives a usable
 state.
 """
@@ -28,33 +30,33 @@ class AttentionBank:
     """The scene's fused states from the observation window.
 
     ``keys`` is an (N, T, K) node, one row of T keys per pedestrian;
-    ``valid`` is (N, T) bool and masks steps out of the softmax.
+    ``valid`` is (N, T) bool and masks steps out of the softmax. Both may
+    carry leading sample axes, (..., N, T, K) and (..., N, T).
     """
     keys: ad.TensorNode
     valid: np.ndarray
 
     def __post_init__(self):
         self.valid = np.asarray(self.valid, dtype=bool)
-        if self.keys.values.ndim != 3 or self.valid.shape != self.keys.shape[:2]:
+        if self.keys.values.ndim < 3 or self.valid.shape != self.keys.shape[:-1]:
             raise ShapeError(
                 f"attention bank: keys {self.keys.shape} and valid "
-                f"{self.valid.shape} must be (N, T, K) and (N, T)")
+                f"{self.valid.shape} must be (..., N, T, K) and (..., N, T)")
 
     def __len__(self) -> int:
-        return self.keys.shape[1]
+        return self.keys.shape[-2]
 
 
 def attend(query: ad.TensorNode, bank: AttentionBank,
            weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
     """Blend each row of the bank by similarity to its query row and
-    project to hidden size, (N, K) -> (N, H).
+    project to hidden size, (..., N, K) -> (..., N, H).
 
     ``weight`` has shape (H, 2K) where K is the key/query width.
     """
     if len(bank) == 0:
         raise ShapeError("attend: empty attention bank")
-    n, _, width = bank.keys.shape
-    if query.shape != (n, width):
+    if query.shape != bank.keys.shape[:-2] + bank.keys.shape[-1:]:
         raise ShapeError(
             f"attend: query shape {query.shape} does not match bank keys "
             f"{bank.keys.shape}")

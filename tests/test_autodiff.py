@@ -153,6 +153,25 @@ class TestFiniteDifferenceOracle:
         check_grads(lambda n: ad.reduce_sum(
             ad.mul(ad.matmul(n[0], n[1]), ad.constant(w))), [A, B])
 
+    @pytest.mark.parametrize("lead", [(2,), (2, 3)])
+    def test_batched_matmul_forms(self, lead):
+        rng = np.random.default_rng(49)
+        A = rng.normal(size=lead + (3, 4))
+        B = rng.normal(size=lead + (4, 2))
+        v = rng.normal(size=lead + (4,))
+        u = rng.normal(size=lead + (3,))
+        for args in ([A, B], [A, v], [u, A]):
+            w = rng.normal(size=ad.matmul(*map(ad.constant, args)).shape)
+            check_grads(lambda n, w=w: ad.reduce_sum(
+                ad.mul(ad.matmul(n[0], n[1]), ad.constant(w))), args)
+
+    def test_linear_over_leading_axes(self):
+        rng = np.random.default_rng(50)
+        X, W, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4)), rng.normal(size=5)
+        w = rng.normal(size=(2, 3, 5))
+        check_grads(lambda n: ad.reduce_sum(
+            ad.mul(ad.linear(n[0], n[1], n[2]), ad.constant(w))), [X, W, b])
+
     def test_dot(self):
         rng = np.random.default_rng(46)
         a, b = rng.normal(size=(6,)), rng.normal(size=(6,))
@@ -171,6 +190,15 @@ class TestFiniteDifferenceOracle:
         w = rng.normal(size=(2, 3))
         check_grads(lambda n: ad.reduce_sum(
             ad.mul(ad.stack([n[0], n[1]]), ad.constant(w))), [a, b])
+
+    def test_unstack(self):
+        rng = np.random.default_rng(51)
+        a = rng.normal(size=(3, 2, 2))
+        w = rng.normal(size=(2, 2))
+        # The middle slice is unused and must pass back exact zeros.
+        check_grads(lambda n: ad.add(
+            ad.reduce_sum(ad.mul(ad.unstack(n[0])[0], ad.constant(w))),
+            ad.reduce_sum(ad.tanh(ad.unstack(n[0])[2]))), [a])
 
     def test_matrix_entry_slice(self):
         rng = np.random.default_rng(49)
@@ -318,6 +346,40 @@ class TestBatchedOps:
             np.testing.assert_allclose(right[n], A[n] @ v[n], rtol=1e-14)
             np.testing.assert_allclose(left[n], u[n] @ A[n], rtol=1e-14)
 
+    def test_batched_slices_equal_unbatched_products_bitwise(self):
+        # A leading sample axis must not change any slice: sampled futures
+        # rely on it to equal one-sample passes bit for bit.
+        rng = np.random.default_rng(60)
+        X, W, b = rng.normal(size=(5, 3, 7)), rng.normal(size=(6, 7)), rng.normal(size=6)
+        A, H = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3, 6))
+        K, q = rng.normal(size=(5, 3, 4, 7)), rng.normal(size=(5, 3, 7))
+        batch = [ad.linear(ad.constant(X), ad.constant(W), ad.constant(b)),
+                 ad.matmul(ad.constant(A), ad.constant(H)),
+                 ad.matmul(ad.constant(K), ad.constant(q)),
+                 ad.matmul(ad.constant(K[..., 0]), ad.constant(K))]
+        for s in range(5):
+            one = [ad.linear(ad.constant(X[s]), ad.constant(W), ad.constant(b)),
+                   ad.matmul(ad.constant(A[s]), ad.constant(H[s])),
+                   ad.matmul(ad.constant(K[s]), ad.constant(q[s])),
+                   ad.matmul(ad.constant(K[s, ..., 0]), ad.constant(K[s]))]
+            for whole, part in zip(batch, one):
+                np.testing.assert_array_equal(whole.values[s], part.values)
+
+    def test_unstack_is_one_record_and_parts_keep_their_own_grads(self):
+        x = ad.constant(np.arange(12.0).reshape(3, 4))
+        with ad.Tape() as tape:
+            parts = ad.unstack(x)
+            assert len(tape) == 1 and len(parts) == 3
+            loss = ad.reduce_sum(ad.mul(parts[2], parts[2]))
+            tape.backward(loss)
+        np.testing.assert_array_equal(parts[1].values, [4.0, 5.0, 6.0, 7.0])
+        np.testing.assert_array_equal(parts[0].grad, np.zeros(4))
+        np.testing.assert_array_equal(parts[2].grad, 2.0 * x.values[2])
+        np.testing.assert_array_equal(x.grad[2], 2.0 * x.values[2])
+        np.testing.assert_array_equal(x.grad[:2], np.zeros((2, 4)))
+        with pytest.raises(ShapeError, match="unstack"):
+            ad.unstack(ad.constant(1.0))
+
     def test_linear_rows_match_one_row_at_a_time(self):
         rng = np.random.default_rng(58)
         X, W, b = rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=2)
@@ -352,6 +414,48 @@ class TestTapeLifecycle:
         with ad.Tape() as other:
             with pytest.raises(ValueError, match="tape"):
                 other.backward(y)
+
+    @pytest.mark.parametrize("keep_first_tape", [True, False])
+    def test_loss_not_recorded_on_this_tape(self, keep_first_tape):
+        with ad.Tape() as first:
+            y = ad.mul(ad.constant(3.0), ad.constant(2.0))
+        if not keep_first_tape:
+            del first
+        with ad.Tape() as other:
+            ad.mul(y, y)
+            with pytest.raises(ValueError, match="not recorded on this tape"):
+                other.backward(y)
+
+    def test_closed_tape_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            x = ad.constant(np.arange(1.0, 4.0))
+            with ad.Tape() as tape:
+                out = ad.reduce_sum(ad.mul(ad.tanh(x), x))
+                tape.backward(out)
+            ref = weakref.ref(tape)
+            del tape
+            assert ref() is None
+            assert out.op_record.tape is None   # the node outlives its tape
+            assert np.all(x.grad != 0.0)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_first_adjoint_becomes_the_grad_buffer(self):
+        # The adjoint a pass allocates is handed over as .grad, with values
+        # equal to a zero buffer plus the adjoint.
+        x = ad.constant(np.array([1.0, -2.0, 0.5]))
+        with ad.Tape() as tape:
+            y = ad.reduce_sum(ad.mul(x, x))
+            tape.backward(y)
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0, 1.0])
+        with ad.Tape() as tape:
+            tape.backward(ad.reduce_sum(ad.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, [4.0, -8.0, 2.0])
 
 
 class TestParamStore:

@@ -8,7 +8,7 @@ from scantraj import cells
 from scantraj import generative as gen
 from scantraj import model as sm
 from scantraj.data import SceneWindow
-from scantraj.errors import NumericError
+from scantraj.errors import NumericError, ShapeError
 
 from test_model import dyadic_walkers, make_scene, micro_cfg
 
@@ -43,18 +43,31 @@ def set_from_arrays(*sample_positions):
 
 class TestNoise:
     def test_spec_validation(self):
-        gen.NoiseSpec(8).validate()
+        gen_cfg(noise_dim=8).validate()
         with pytest.raises(ValueError):
-            gen.NoiseSpec(0).validate()
-        with pytest.raises(ValueError):
-            gen.NoiseSpec(4, distribution="uniform").validate()
+            gen_cfg(noise_dim=0).validate()
 
     def test_draw_shape_and_determinism(self):
-        spec = gen.NoiseSpec(5)
-        a = spec.draw(np.random.default_rng(3))
-        b = spec.draw(np.random.default_rng(3))
-        assert a.shape == (5,)
-        assert np.array_equal(a, b)
+        scene = make_scene(dyadic_walkers(5), obs_len=3)
+        m = build_generative(noise_dim=5)
+        draws = []
+        for _ in range(2):
+            with ad.Tape():
+                draws.append(gen.sample_predictions(
+                    m, scene, 1, np.random.default_rng(3)).noises)
+        assert draws[0].shape == (1, 5)
+        assert np.array_equal(draws[0], draws[1])
+
+    @pytest.mark.parametrize("make_rng", [
+        np.random.default_rng,
+        lambda seed: np.random.Generator(np.random.Philox(seed))])
+    def test_block_draw_equals_stacked_row_draws(self, make_rng):
+        # One (k, noise_dim) call draws exactly what k row calls drew, so
+        # the noise streams of training and evaluation keep their values.
+        block = make_rng(11).standard_normal((6, 4))
+        rng = make_rng(11)
+        rows = np.stack([rng.standard_normal(4) for _ in range(6)])
+        assert np.array_equal(block, rows)
 
     def test_zero_noise_hidden_is_deterministic(self):
         with ad.Tape():
@@ -118,6 +131,30 @@ class TestSampling:
                                                 np.random.default_rng(1))
         pos = sample_set.positions_array()
         assert not np.array_equal(pos[0], pos[1])
+
+    def test_batched_gradient_equals_the_sum_of_one_sample_gradients(self):
+        # Backward through every batched op: one pass over k samples must
+        # give the gradient of k separate decodes, up to summation order.
+        scene = make_scene(dyadic_walkers(5), obs_len=3)
+        noise = np.random.default_rng(5).standard_normal((3, 4))
+
+        def grads(batched):
+            m = build_generative()
+            with ad.Tape() as tape:
+                bank = m.encode(scene)
+                if batched:
+                    results = m.decode(scene, bank, noise=noise).samples()
+                else:
+                    results = [m.decode(scene, bank, noise=z) for z in noise]
+                loss = ad.mean_of([sm.trajectory_loss(r, scene) for r in results])
+                tape.backward(loss)
+            return {name: node.grad.copy() for name, node in m.params.items()}
+
+        batched, separate = grads(True), grads(False)
+        for name in batched:
+            np.testing.assert_allclose(batched[name], separate[name],
+                                       rtol=1e-12, atol=1e-15, err_msg=name)
+        assert any(np.abs(g).max() > 0.0 for g in batched.values())
 
     def test_requires_generative_config(self):
         scene = make_scene(dyadic_walkers(5), obs_len=3)
@@ -393,17 +430,89 @@ class TestGanTrainStep:
         assert abs(report["total"] - expected) < 1e-12
         assert report["diversity"] > 0.0   # still reported, just not weighted
 
-    def test_doubling_k_doubles_decode_passes(self):
-        counts = []
+    def test_doubling_k_doubles_decode_passes(self, monkeypatch):
+        decoded = []
+        original = sm.ScanModel.decode
+
+        def counting_decode(self, scene, bank, noise=None):
+            decoded[-1] += 1 if noise is None or np.ndim(noise) == 1 else len(noise)
+            return original(self, scene, bank, noise=noise)
+
+        monkeypatch.setattr(sm.ScanModel, "decode", counting_decode)
         for k in (2, 4):
+            decoded.append(0)
             m, disc = self.setup_pair()
             gen.gan_train_step(m, disc, self.make_batch()[:1],
                                gen.GanConfig(k=k),
                                ad.Adam(m.params, lr=0.001),
                                ad.Adam(disc, lr=0.001),
                                np.random.default_rng(3))
-            counts.append(m.decode_calls)
-        assert counts[1] == 2 * counts[0]
+        assert decoded[1] == 2 * decoded[0]
+
+    def test_one_encode_and_one_decode_per_scene(self, monkeypatch):
+        calls = {"encode": 0, "decode": 0}
+        for name in calls:
+            original = getattr(sm.ScanModel, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(sm.ScanModel, name, counted)
+        m, disc = self.setup_pair()
+        gen.gan_train_step(m, disc, self.make_batch(), gen.GanConfig(k=3),
+                           ad.Adam(m.params, lr=0.001), ad.Adam(disc, lr=0.001),
+                           np.random.default_rng(3))
+        assert calls == {"encode": 2, "decode": 2}
+
+    def test_report_equals_one_pass_per_sample_and_trajectory(self):
+        # With a frozen critic, the batched step must report exactly what
+        # separate decodes and separate critic passes give.
+        m, disc = self.setup_pair()
+        batch = self.make_batch()
+        k = 3
+        rng = np.random.default_rng(3)
+        noises = [np.stack([rng.standard_normal(m.cfg.noise_dim) for _ in range(k)])
+                  for _ in batch]
+        with ad.Tape():
+            real, fake, variety, diversity = [], [], [], []
+            for scene, noise in zip(batch, noises):
+                keep = np.flatnonzero(scene.mask.all(axis=0))
+                bank = m.encode(scene)
+                results = [m.decode(scene, bank, noise=z) for z in noise]
+                real.append(ad.gather(gen.discriminator_logits(
+                    m.cfg, disc, scene.ped_ids, gen.real_position_nodes(scene),
+                    scene.mask), keep))
+                fake.extend(ad.gather(gen.discriminator_logits(
+                    m.cfg, disc, scene.ped_ids,
+                    gen.fake_position_nodes(scene, r), scene.mask), keep)
+                    for r in results)
+                samples = gen.PredictionSet(scene.ped_ids, results, noise)
+                variety.append(gen.variety_loss(scene, samples))
+                diversity.append(gen.diversity_loss(samples))
+            want = {
+                "disc": float(ad.add(gen.bce_real(ad.concat(real)),
+                                     gen.bce_fake(ad.concat(fake))).values),
+                "adversarial": float(gen.adversarial_loss(ad.concat(fake)).values),
+                "variety": float(ad.mean_of(variety).values),
+                "diversity": float(ad.mean_of(diversity).values)}
+        report = gen.gan_train_step(
+            m, disc, batch, gen.GanConfig(k=k, diversity_weight=0.5),
+            ad.Adam(m.params, lr=0.001), ad.Adam(disc, lr=0.0),
+            np.random.default_rng(3))
+        for term, value in want.items():
+            assert report[term] == value, term
+
+    def test_scene_longer_than_the_model_horizon_rejected(self):
+        # Real and generated trajectories share one critic pass, so they
+        # must have the same length.
+        m, disc = self.setup_pair()
+        long_scene = make_scene(dyadic_walkers(6), obs_len=3)
+        with pytest.raises(ShapeError, match="steps"):
+            gen.gan_train_step(m, disc, [long_scene], gen.GanConfig(k=2),
+                               ad.Adam(m.params, lr=0.001),
+                               ad.Adam(disc, lr=0.001),
+                               np.random.default_rng(3))
 
     def test_nan_guard_names_the_term(self):
         m, disc = self.setup_pair()

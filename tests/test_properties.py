@@ -5,6 +5,11 @@ pin for a few cases: vectorised bins agree with the scalar geometry pair by
 pair, renumbering a scene permutes the forecast bit for bit, a neighbour
 beyond every range cannot change anyone else's forecast, and the tape
 grows with the number of steps, not with the crowd.
+
+The sample-batched passes have their own: a k-sample decode equals k
+one-sample decodes bit for bit, one sample's noise reaches no other sample,
+the batched decode and critic are renumbering-equivariant bit for bit, and
+the tape does not grow with k.
 """
 
 import math
@@ -14,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scantraj import autodiff as ad
+from scantraj import generative as gn
 from scantraj import model as sm
 from scantraj.data import SceneWindow
 from scantraj.geometry import (AgentKinematics, BinSpec, bin_index,
@@ -75,6 +81,23 @@ def test_vectorised_bins_equal_the_scalar_geometry(crowd, spec):
         for b, other in enumerate(crowd):
             want = bin_index(compute_encounter(observer, other), spec)
             assert (bearing[a, b], rel_heading[a, b]) == want, (a, b)
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), samples=st.integers(1, 4), spec=spec, data=st.data())
+def test_sample_batched_bins_equal_the_scalar_geometry(n, samples, spec, data):
+    agent = st.tuples(coordinate, coordinate, heading).map(
+        lambda a: AgentKinematics((a[0], a[1]), a[2], True))
+    crowd = np.empty((samples, n), dtype=object)
+    crowd[...] = data.draw(st.lists(st.lists(agent, min_size=n, max_size=n),
+                                    min_size=samples, max_size=samples))
+    bearing, rel_heading = bin_indices(crowd, spec)
+    assert bearing.shape == (samples, n, n)
+    for s in range(samples):
+        for a in range(n):
+            for b in range(n):
+                want = bin_index(compute_encounter(crowd[s, a], crowd[s, b]), spec)
+                assert (bearing[s, a, b], rel_heading[s, a, b]) == want, (s, a, b)
 
 
 def walkers(rng, n, steps, spread=1.5, step_sd=0.2):
@@ -141,5 +164,116 @@ def test_forward_tape_size_does_not_grow_with_the_crowd():
                            cfg.obs_len)
         with ad.Tape() as tape:
             model.forward(scene)
+        records.append(len(tape))
+    assert records[0] == records[1]
+
+
+def generative_model(data, seed):
+    """A micro generative forecaster with drawn variant, attention key and
+    coordinate mode, and a range grid with a different range in every cell,
+    so that each pair's bins matter."""
+    cfg = micro_cfg(
+        generative=True, noise_dim=3, obs_len=3, pred_len=3,
+        variant=data.draw(st.sampled_from(["scan", "vanilla"])),
+        attention_key=data.draw(st.sampled_from(["fused", "joint"])),
+        coordinate_mode=data.draw(st.sampled_from(["displacement", "absolute"])))
+    params = sm.build_params(cfg, ad.RngHub(seed % 7))
+    grid = params["domain_grid"].values
+    grid[...] = np.random.default_rng(seed).uniform(0.5, 4.0, size=grid.shape)
+    return sm.ScanModel(cfg, params)
+
+
+def sampled_scene(data, seed, n, ped_ids=None):
+    """Random walkers; each one may be absent from some predicted steps."""
+    scene = make_scene(walkers(np.random.default_rng(seed), n, 6), 3,
+                       ped_ids=ped_ids)
+    scene.mask[3:] = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n), min_size=3, max_size=3)))
+    return scene
+
+
+def decode(model, scene, noise):
+    with ad.Tape():
+        return model.decode(scene, model.encode(scene), noise=noise)
+
+
+@PROPERTY
+@given(n=st.integers(2, 8), k=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_batched_decode_equals_one_sample_decodes_bitwise(n, k, seed, data):
+    model = generative_model(data, seed)
+    scene = sampled_scene(data, seed, n)
+    noise = np.random.default_rng(seed).standard_normal((k, 3))
+    batch = decode(model, scene, noise)
+    assert batch.pos.shape == (k, n, 3, 2)
+    for s in range(k):
+        one = decode(model, scene, noise[s])
+        assert np.array_equal(batch.pos.values[s], one.pos.values), s
+        assert np.array_equal(batch.disp.values[s], one.disp.values), s
+
+
+@PROPERTY
+@given(n=st.integers(2, 8), k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_changing_one_noise_leaves_the_other_samples_bitwise(n, k, seed, data):
+    model = generative_model(data, seed)
+    scene = sampled_scene(data, seed, n)
+    noise = np.random.default_rng(seed).standard_normal((k, 3))
+    j = data.draw(st.integers(0, k - 1))
+    moved = noise.copy()
+    moved[j] += np.random.default_rng(seed + 1).normal(0.0, 2.0, size=3)
+    before = decode(model, scene, noise).pos.values
+    after = decode(model, scene, moved).pos.values
+    others = [s for s in range(k) if s != j]
+    assert np.array_equal(before[others], after[others])
+    assert not np.array_equal(before[j], after[j])
+
+
+@PROPERTY
+@given(n=st.integers(2, 8), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_batched_decode_and_critic_are_renumbering_equivariant(n, k, seed, data):
+    perm = data.draw(st.permutations(range(n)))
+    ids = data.draw(st.lists(st.integers(0, 999), min_size=n, max_size=n,
+                             unique=True))
+    model = generative_model(data, seed)
+    scene = sampled_scene(data, seed, n, ped_ids=ids)
+    permuted = SceneWindow(ped_ids=[scene.ped_ids[i] for i in perm],
+                           positions=scene.positions[:, perm].copy(),
+                           mask=scene.mask[:, perm].copy(), obs_len=3)
+    noise = np.random.default_rng(seed).standard_normal((k, 3))
+    batch = decode(model, scene, noise)
+    batch_p = decode(model, permuted, noise)
+    assert np.array_equal(batch_p.pos.values, batch.pos.values[:, perm])
+
+    critic = gn.build_discriminator_params(model.cfg, ad.RngHub(seed % 5))
+    grid = critic["disc.domain_grid"].values
+    grid[...] = np.random.default_rng(seed + 2).uniform(0.5, 4.0, size=grid.shape)
+    tracks = np.concatenate([scene.positions.transpose(1, 0, 2)[None],
+                             gn.fake_position_nodes(scene, batch).values])
+    with ad.Tape():
+        logits = gn.discriminator_logits(model.cfg, critic, scene.ped_ids,
+                                         ad.constant(tracks), scene.mask)
+        logits_p = gn.discriminator_logits(
+            model.cfg, critic, permuted.ped_ids,
+            ad.constant(tracks[:, perm]), permuted.mask)
+        alone = [gn.discriminator_logits(model.cfg, critic, scene.ped_ids,
+                                         ad.constant(track), scene.mask)
+                 for track in tracks]
+    assert logits.shape == (k + 1, n, 1)
+    assert np.array_equal(logits_p.values, logits.values[:, perm])
+    for s, one in enumerate(alone):
+        assert np.array_equal(logits.values[s], one.values), s
+
+
+@PROPERTY
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sampling_tape_size_does_not_grow_with_k(n, seed, data):
+    model = generative_model(data, seed)
+    scene = sampled_scene(data, seed, n)
+    records = []
+    for k in (2, 8):
+        with ad.Tape() as tape:
+            gn.sample_predictions(model, scene, k, np.random.default_rng(seed))
         records.append(len(tape))
     assert records[0] == records[1]
