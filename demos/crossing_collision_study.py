@@ -30,7 +30,7 @@ def pooled_ncr(model, scenes):
     for scene in scenes:
         observed = scene.positions[:scene.obs_len].transpose(1, 0, 2)
         truth = scene.positions[scene.obs_len:].transpose(1, 0, 2)
-        with ad.Tape():
+        with ad.no_grad():
             predicted = model.forward(scene).positions()
         baseline = mx.linear_extrapolation(observed, scene.pred_len)
         model_fr.extend(mx.frame_collision_fractions(predicted))

@@ -35,7 +35,7 @@ def spread_after(lam, epochs, k):
     hub = ad.RngHub(777)
     spreads = []
     for i, scene in enumerate(sd.synth_scenarios("crossing", 20, seed=555)):
-        with ad.Tape():
+        with ad.no_grad():
             sample_set = gn.sample_predictions(model, scene, k,
                                                hub.derive("demo", i))
         spreads.append(gn.sample_spread(sample_set.positions_array()))

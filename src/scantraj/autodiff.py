@@ -40,10 +40,22 @@ record per layer, whatever its size or sample count. Their shape rules:
 A record refers to its tape weakly, so nothing points back from a node to
 the tape that holds it: a tape that nobody refers to any more is freed by
 reference counting as soon as its scope closes.
+
+Tape scopes: ops record only inside ``with Tape() as tape:``, which is how
+training builds the graph that ``tape.backward`` replays. Forward-only work
+(evaluation, prediction, plots) runs inside ``with no_grad():``, a tape that
+keeps nothing: every op returns the same values bit for bit, its outputs
+carry ``op_record = None`` and ``backward`` on it raises. Outside any scope
+ops compute without recording, so nothing grows without bound. The stack of
+open tapes and the adjoints of the running backward pass are
+``contextvars.ContextVar`` stacks: each thread (and each asyncio context)
+has its own, so a tape belongs to the context that opened it and threads
+never record onto one another's tapes.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import weakref
 from typing import Callable, Sequence
@@ -53,11 +65,11 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
-    "TensorNode", "Tape", "active_tape", "constant", "zeros",
+    "TensorNode", "Tape", "no_grad", "active_tape", "constant", "zeros",
     "add", "sub", "mul", "div", "neg", "matmul", "linear",
     "concat", "stack", "unstack", "gather", "relu", "tanh", "sigmoid", "exp", "log",
     "softplus", "masked_softmax", "reduce_sum", "reduce_mean",
-    "l2norm", "mean_of", "apply", "ParamStore", "Adam", "RngHub",
+    "l2norm", "mean_of", "ParamStore", "Adam", "RngHub",
     "numeric_gradient",
 ]
 
@@ -150,8 +162,8 @@ class TensorNode:
 class Tape:
     """Linear record of operations for one thread of execution.
 
-    Can be used as a context manager to scope work to a fresh tape; a
-    module-level default tape is active otherwise.
+    Used as a context manager: ops record onto the innermost tape the
+    current context has open. Outside every scope nothing records.
     """
 
     def __init__(self):
@@ -182,7 +194,7 @@ class Tape:
             raise ValueError(f"backward on non-finite loss ({float(loss.values)})")
         adjoints: dict[int, tuple[TensorNode, np.ndarray]] = {
             id(loss): (loss, np.ones_like(loss.values))}
-        _ADJOINT_STACK.append(adjoints)
+        token = _ADJOINT_STACK.set(_ADJOINT_STACK.get() + (adjoints,))
         try:
             for out, _inputs, backward_fn in reversed(self._records):
                 if type(out) is tuple:
@@ -196,7 +208,7 @@ class Tape:
                     continue
                 backward_fn(entry[1])
         finally:
-            _ADJOINT_STACK.pop()
+            _ADJOINT_STACK.reset(token)
         for node, buf in adjoints.values():
             if node._grad is None:
                 node._grad = buf        # the buffer is owned by this pass
@@ -214,18 +226,42 @@ class Tape:
         self._records.clear()
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
         return self
 
     def __exit__(self, *exc) -> None:
-        _TAPE_STACK.pop()
+        stack = _TAPE_STACK.get()
+        if stack[-1] is not self:
+            raise RuntimeError("tape scope closed out of order, or in a "
+                               "context other than the one that opened it")
+        _TAPE_STACK.set(stack[:-1])
 
 
-_TAPE_STACK: list[Tape] = [Tape()]
+class _RecordFreeTape(Tape):
+    """A tape that keeps nothing: ops under it compute their values only."""
+
+    def add(self, op, out, inputs, backward) -> None:
+        return None
+
+    def backward(self, loss: TensorNode) -> None:
+        raise ValueError("backward on a record-free scope (no_grad): it "
+                         "recorded nothing to replay; record under ad.Tape()")
+
+
+def no_grad() -> Tape:
+    """A scope whose ops return the same values as under a recording tape
+    but record nothing; its nodes carry ``op_record = None``."""
+    return _RecordFreeTape()
+
+
+# Open tapes of the current context, innermost last. The bottom entry is a
+# record-free tape, so ops outside every scope record nothing.
+_TAPE_STACK: contextvars.ContextVar[tuple[Tape, ...]] = contextvars.ContextVar(
+    "_TAPE_STACK", default=(_RecordFreeTape(),))
 
 
 def active_tape() -> Tape:
-    return _TAPE_STACK[-1]
+    return _TAPE_STACK.get()[-1]
 
 
 def constant(values) -> TensorNode:
@@ -243,12 +279,15 @@ def _lift(x) -> TensorNode:
     return TensorNode(x)
 
 
-_ADJOINT_STACK: list[dict] = []
+# Adjoint maps of the backward passes running in the current context.
+_ADJOINT_STACK: contextvars.ContextVar[tuple[dict, ...]] = contextvars.ContextVar(
+    "_ADJOINT_STACK", default=())
 
 
 def _add_grad(node: TensorNode, delta) -> None:
-    if _ADJOINT_STACK:
-        adjoints = _ADJOINT_STACK[-1]
+    stack = _ADJOINT_STACK.get()
+    if stack:
+        adjoints = stack[-1]
         entry = adjoints.get(id(node))
         if entry is None:
             # An owned copy, broadcast to the node's shape: it is summed
@@ -260,6 +299,20 @@ def _add_grad(node: TensorNode, delta) -> None:
             entry[1].__iadd__(delta)
     else:
         node.grad.__iadd__(delta)
+
+
+def _adjoint(node: TensorNode) -> np.ndarray:
+    """The buffer this backward pass accumulates ``node``'s adjoint in,
+    zeroed on first touch, for backward closures that add into part of it
+    in place; outside a pass, the node's ``.grad``."""
+    stack = _ADJOINT_STACK.get()
+    if not stack:
+        return node.grad
+    adjoints = stack[-1]
+    entry = adjoints.get(id(node))
+    if entry is None:
+        entry = adjoints[id(node)] = (node, np.zeros_like(node.values))
+    return entry[1]
 
 
 def _record(op: str, out_values, inputs: tuple, backward: Callable) -> TensorNode:
@@ -440,11 +493,10 @@ def unstack(a) -> list[TensorNode]:
     parts = tuple(TensorNode(v) for v in a.values)
 
     def backward(grads):
-        delta = np.zeros_like(a.values)
+        buf = _adjoint(a)
         for i, g in enumerate(grads):
             if g is not None:
-                delta[i] = g
-        _add_grad(a, delta)
+                buf[i] += g
 
     record = active_tape().add("unstack", parts, (a,), backward)
     for part in parts:
@@ -457,9 +509,7 @@ def _getitem(a: TensorNode, key) -> TensorNode:
     outv = np.array(a.values[key], dtype=np.float64)
 
     def backward(g):
-        delta = np.zeros_like(a.values)
-        delta[key] += g
-        _add_grad(a, delta)
+        _adjoint(a)[key] += g
 
     return _record("slice", outv, (a,), backward)
 
@@ -590,26 +640,6 @@ def mean_of(terms: Sequence[TensorNode]) -> TensorNode | None:
     if total is None:
         return None
     return div(total, constant(float(len(terms))))
-
-
-_OPS: dict[str, Callable] = {
-    "add": add, "sub": sub, "mul": mul, "div": div, "neg": neg,
-    "matmul": matmul, "linear": linear,
-    "concat": concat, "stack": stack, "slice": _getitem, "gather": gather,
-    "relu": relu, "tanh": tanh, "sigmoid": sigmoid,
-    "exp": exp, "log": log, "softplus": softplus,
-    "masked_softmax": masked_softmax, "sum": reduce_sum, "mean": reduce_mean,
-    "l2norm": l2norm,
-}
-
-
-def apply(op_kind: str, *inputs, **kwargs) -> TensorNode:
-    """Generic dispatch into the op set; handy for enumerating ops in tests."""
-    try:
-        fn = _OPS[op_kind]
-    except KeyError:
-        raise KeyError(f"unknown op kind {op_kind!r}") from None
-    return fn(*inputs, **kwargs)
 
 
 class ParamStore:

@@ -11,15 +11,13 @@ for bit.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from . import autodiff as ad
 from . import spatial
 # compute_encounter is the scalar reference for geometry.bin_indices; it
 # stays importable here, where bench/tracer.py binds it.
-from .geometry import AgentKinematics, bin_indices, compute_encounter  # noqa: F401
+from .geometry import CrowdKinematics, bin_indices, compute_encounter  # noqa: F401
 
 
 def linear(x: ad.TensorNode, weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
@@ -71,7 +69,7 @@ def pairwise_offsets(positions: ad.TensorNode) -> ad.TensorNode:
 
 
 def spatial_round(offsets: ad.TensorNode,
-                  kinematics: Sequence[AgentKinematics] | np.ndarray,
+                  kinematics: CrowdKinematics,
                   present: np.ndarray,
                   hiddens: ad.TensorNode,
                   grid: spatial.DomainGrid,
@@ -83,8 +81,9 @@ def spatial_round(offsets: ad.TensorNode,
     ``offsets`` is the (N, N, 2) node pointing from pedestrian a to
     pedestrian b; passing live position nodes here is what lets predicted
     geometry receive gradient. ``kinematics`` gives the float positions
-    and headings that pick each pair's grid cell. With a leading sample
-    axis (offsets (S, N, N, 2), kinematics (S, N), hiddens (S, N, H)) every
+    (N, 2) and headings (N,) that pick each pair's grid cell. With a leading
+    sample axis (offsets (S, N, N, 2), kinematics positions (S, N, 2) and
+    headings (S, N), hiddens (S, N, H)) every
     sample runs its own round in the same records; ``present`` (N,) is
     shared by all of them. Absent pedestrians never
     act as neighbours; a pedestrian with no neighbour gets the zero context

@@ -24,8 +24,8 @@ from . import metrics
 from . import spatial
 from .data import SceneWindow
 from .errors import NumericError, ShapeError
-# estimate_heading runs inside advance_kinematics; it stays importable here,
-# where bench/tracer.py binds it.
+# estimate_heading is the scalar reference for advance_kinematics; it stays
+# importable here, where bench/tracer.py binds it.
 from .geometry import advance_kinematics, estimate_heading, kinematics_at  # noqa: F401
 from .model import (ForwardResult, ModelConfig, ScanModel, _canonical_order,
                     trajectory_loss, uniform_param, zeros_param)
@@ -63,9 +63,6 @@ class PredictionSet:
     def positions_array(self) -> np.ndarray:
         """(k, N, pred_len, 2) float view of the sampled futures."""
         return np.array([r.positions() for r in self.results])
-
-    def displacements_array(self) -> np.ndarray:
-        return np.array([r.displacements() for r in self.results])
 
 
 def sample_predictions(model: ScanModel, scene: SceneWindow, k: int,

@@ -12,9 +12,12 @@ Conventions (used everywhere in the package):
   A's, both wrapped into [0, 360).
 
 All functions here are pure and operate on plain floats or float arrays;
-nothing touches the autodiff tape. A crowd's kinematics travel as an object
-array of ``AgentKinematics`` with shape ``(..., N)``: one row of N agents,
-or one row per sampled future of the same scene.
+nothing touches the autodiff tape. A crowd's kinematics travel as one
+``CrowdKinematics`` of arrays: positions ``(..., N, 2)``, headings and
+heading validity ``(..., N)``, for one row of N agents or one row per
+sampled future of the same scene. ``AgentKinematics`` with
+``estimate_heading`` and ``compute_encounter`` is the scalar reference the
+array functions equal bit for bit.
 """
 
 from __future__ import annotations
@@ -133,41 +136,62 @@ def _normalize_deg_array(angle: np.ndarray) -> np.ndarray:
 _EDGE_TOL_DEG = 1e-9
 
 
-def kinematics_at(points: np.ndarray) -> np.ndarray:
-    """Heading-less kinematics at every point of a ``(..., N, 2)`` array, as
-    an object array of shape ``(..., N)``."""
-    points = np.asarray(points, dtype=np.float64)
-    out = np.empty(points.shape[:-1], dtype=object)
-    for idx in np.ndindex(out.shape):
-        out[idx] = AgentKinematics((float(points[idx][0]), float(points[idx][1])))
-    return out
+@dataclass(frozen=True)
+class CrowdKinematics:
+    """Positions ``(..., N, 2)`` plus estimated headings ``(..., N)`` (in
+    degrees, with their validity flags) of every agent of a crowd.
+
+    Indexing selects agents (or samples) on every array at once:
+    ``kin[rows]`` for an integer array ``rows`` of shape ``(..., N)``.
+    """
+    position: np.ndarray
+    heading_deg: np.ndarray
+    heading_valid: np.ndarray
+
+    def __getitem__(self, index) -> "CrowdKinematics":
+        return CrowdKinematics(self.position[index], self.heading_deg[index],
+                               self.heading_valid[index])
+
+
+def kinematics_at(points: np.ndarray) -> CrowdKinematics:
+    """Heading-less kinematics (0 degrees, invalid) at every point of a
+    ``(..., N, 2)`` array."""
+    points = np.array(points, dtype=np.float64)
+    return CrowdKinematics(points, np.zeros(points.shape[:-1]),
+                           np.zeros(points.shape[:-1], dtype=bool))
 
 
 def advance_kinematics(prev_pos: np.ndarray, cur_pos: np.ndarray,
-                       kinematics: np.ndarray) -> np.ndarray:
-    """``estimate_heading`` for every agent of a ``(..., N)`` object array,
-    from ``(..., N, 2)`` previous and current positions."""
-    out = np.empty(np.shape(kinematics), dtype=object)
-    for idx in np.ndindex(out.shape):
-        out[idx] = estimate_heading(prev_pos[idx], cur_pos[idx], kinematics[idx])
-    return out
+                       kinematics: CrowdKinematics) -> CrowdKinematics:
+    """``estimate_heading`` for every agent at once, from ``(..., N, 2)``
+    previous and current positions, carrying ``kinematics`` as the fallback.
+
+    The stationary test and the angle use ``math.hypot`` and ``math.atan2``
+    per agent (``numpy.arctan2`` may differ from ``math.atan2`` in the last
+    place), so every agent equals its scalar ``estimate_heading`` bit for bit.
+    """
+    prev = np.asarray(prev_pos, dtype=np.float64)
+    cur = np.array(cur_pos, dtype=np.float64)
+    dx = (cur[..., 0] - prev[..., 0]).ravel().tolist()
+    dy = (cur[..., 1] - prev[..., 1]).ravel().tolist()
+    shape = cur.shape[:-1]
+    moving = np.array(list(map(math.hypot, dx, dy))).reshape(shape) > STATIONARY_EPS
+    angle = _normalize_deg_array(np.degrees(
+        np.array(list(map(math.atan2, dy, dx))).reshape(shape)))
+    return CrowdKinematics(cur, np.where(moving, angle, kinematics.heading_deg),
+                           moving | kinematics.heading_valid)
 
 
-def bin_indices(kinematics, spec: BinSpec) -> tuple[np.ndarray, np.ndarray]:
+def bin_indices(kinematics: CrowdKinematics,
+                spec: BinSpec) -> tuple[np.ndarray, np.ndarray]:
     """1-based (bearing, heading) bins of every ordered pair of a crowd.
 
-    ``kinematics`` is a sequence of N agents or an object array of shape
-    ``(..., N)``; the bins are two ``(..., N, N)`` integer arrays whose entry
-    [..., a, b] equals
-    ``bin_index(compute_encounter(kinematics[..., a], kinematics[..., b]), spec)``.
+    The bins are two ``(..., N, N)`` integer arrays whose entry [..., a, b]
+    equals ``bin_index(compute_encounter(A, B), spec)`` for the
+    ``AgentKinematics`` A and B of agents a and b.
     """
-    kin = np.empty(np.shape(kinematics), dtype=object)
-    kin[...] = kinematics
-    agents = kin.ravel()
-    pos = np.array([k.position for k in agents],
-                   dtype=np.float64).reshape(kin.shape + (2,))
-    heading = np.array([k.heading_deg for k in agents],
-                       dtype=np.float64).reshape(kin.shape)
+    pos = kinematics.position
+    heading = kinematics.heading_deg
     dx = pos[..., None, :, 0] - pos[..., :, None, 0]
     dy = pos[..., None, :, 1] - pos[..., :, None, 1]
     coincident = (dx == 0.0) & (dy == 0.0)
@@ -175,10 +199,15 @@ def bin_indices(kinematics, spec: BinSpec) -> tuple[np.ndarray, np.ndarray]:
                                    - heading[..., :, None])
     steps = bearing / spec.bearing_step_deg
     near_edge = np.abs(steps - np.round(steps)) * spec.bearing_step_deg < _EDGE_TOL_DEG
+
+    def agent(idx) -> AgentKinematics:
+        return AgentKinematics((float(pos[idx][0]), float(pos[idx][1])),
+                               float(heading[idx]))
+
     for idx in zip(*np.nonzero(near_edge & ~coincident)):
         row = idx[:-2]
-        bearing[idx] = compute_encounter(kin[row + idx[-2:-1]],
-                                         kin[row + idx[-1:]]).bearing_deg
+        bearing[idx] = compute_encounter(agent(row + idx[-2:-1]),
+                                         agent(row + idx[-1:])).bearing_deg
     bearing[coincident] = 0.0
     rel_heading = _normalize_deg_array(heading[..., None, :] - heading[..., :, None])
     i = np.floor(bearing / spec.bearing_step_deg).astype(np.int64) + 1

@@ -25,10 +25,10 @@ from . import cells
 from . import spatial
 from .data import SceneWindow
 from .errors import ShapeError
-# estimate_heading runs inside advance_kinematics; it stays importable here,
-# where bench/tracer.py binds it.
-from .geometry import (BinSpec, advance_kinematics, estimate_heading,  # noqa: F401
-                       kinematics_at)
+# estimate_heading is the scalar reference for advance_kinematics; it stays
+# importable here, where bench/tracer.py binds it.
+from .geometry import (BinSpec, CrowdKinematics, advance_kinematics,  # noqa: F401
+                       estimate_heading, kinematics_at)
 from .temporal import AttentionBank, attend
 
 VARIANTS = ("vanilla", "scan")
@@ -124,7 +124,7 @@ class HiddenBank:
     hidden: ad.TensorNode             # (N, H) LSTM hidden states
     cell: ad.TensorNode               # (N, H) LSTM cell states
     attention: AttentionBank          # (N, obs_len, K) fused-state history
-    kinematics: np.ndarray            # (N,) AgentKinematics at the last observed step
+    kinematics: CrowdKinematics       # (N,) agents at the last observed step
     last_pos: np.ndarray              # (N, 2) final observed positions
     last_disp: np.ndarray             # (N, 2) final observed displacements
 
@@ -434,6 +434,6 @@ def predict(scene: SceneWindow, cfg: ModelConfig,
             params: ad.ParamStore) -> JointPrediction:
     """One deterministic joint forecast (zero noise for generative configs)."""
     model = ScanModel(cfg, params)
-    with ad.Tape():
+    with ad.no_grad():
         result = model.forward(scene)
     return result.to_prediction()

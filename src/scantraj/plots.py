@@ -400,9 +400,9 @@ def diversity_grid(path_base, scene, panels) -> list[str]:
 
 def _scene_samples(model: ScanModel, scene, k: int, rng) -> np.ndarray:
     if model.cfg.generative:
-        with ad.Tape():
+        with ad.no_grad():
             return gn.sample_predictions(model, scene, k, rng).positions_array()
-    with ad.Tape():
+    with ad.no_grad():
         result = model.forward(scene)
     return result.positions()[None]
 

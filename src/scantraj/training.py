@@ -200,7 +200,8 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
     columns use the first sample, best-of-k the whole set. All error
     fields are unweighted means of per-scene values; the near-collision
     rate pools frames across scenes. Evaluating twice with one seed gives
-    identical reports.
+    identical reports. Every pass runs under ``ad.no_grad()``: the values
+    equal a recorded pass bit for bit, and nothing is recorded.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -225,13 +226,13 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
             continue
         if cfg.generative and k > 1:
             rng = hub.derive(EVAL_NOISE_STREAM, index)
-            with ad.Tape():
+            with ad.no_grad():
                 sample_set = gn.sample_predictions(model, scene, k, rng)
                 positions = sample_set.positions_array()[:, :, :usable]
             first = positions[0]
             bok_ade, bok_fde = metrics.best_of_k(positions, truth, mask)
         else:
-            with ad.Tape():
+            with ad.no_grad():
                 result = model.forward(scene)
             first = result.positions()[:, :usable]
             bok_ade = bok_fde = None
@@ -255,15 +256,6 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
         near_collision_pct=ncr, n_scenes=len(ades), n_peds=n_peds)
     report.validate()
     return report
-
-
-def evaluate_checkpoint(path, windows: list, k: Optional[int] = None,
-                        seed: int = 0) -> metrics.MetricReport:
-    """Load a checkpoint and score it; generative defaults to best-of-20."""
-    state = load_checkpoint(path)
-    if k is None:
-        k = 20 if state.cfg.generative else 1
-    return evaluate(state.cfg, state.params, windows, k=k, seed=seed)
 
 
 def sweep_horizons(cfg: ModelConfig, params: ad.ParamStore, records: list,

@@ -24,7 +24,7 @@ from scantraj import metrics as mx
 from scantraj import model as sm
 from scantraj import spatial as sp
 from scantraj import training as tr
-from scantraj.geometry import (AgentKinematics, BinSpec, EncounterGeometry,
+from scantraj.geometry import (BinSpec, CrowdKinematics, EncounterGeometry,
                                bin_index, bin_indices)
 from scantraj.model import trajectory_loss
 
@@ -223,9 +223,7 @@ class TestSpatialOracleAgreement:
             literal = trial % 3 == 0
             target = int(rng.integers(n))
 
-            kin = [AgentKinematics(position=positions[i],
-                                   heading_deg=float(headings[i]),
-                                   heading_valid=True) for i in range(n)]
+            kin = CrowdKinematics(positions, headings, np.ones(n, dtype=bool))
             others = [i for i in range(n) if i != target]
             grid = sp.DomainGrid(ad.constant(grid_vals), spec)
             offsets = positions[None, :] - positions[:, None]

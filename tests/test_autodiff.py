@@ -5,6 +5,9 @@ Every differentiable op is checked against central finite differences
 so the oracle is independent of the backward implementations.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,11 @@ from scantraj.errors import ShapeError
 
 H = 1e-5
 OP_TOL = 1e-4
+
+# Elementwise ops by name, for the loops that check each in turn.
+OPS = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "div": ad.div,
+       "neg": ad.neg, "relu": ad.relu, "tanh": ad.tanh, "sigmoid": ad.sigmoid,
+       "exp": ad.exp, "log": ad.log, "softplus": ad.softplus}
 
 
 def rel_err(a, b, floor=1e-6):
@@ -128,7 +136,7 @@ class TestFiniteDifferenceOracle:
             b = rng.normal(size=(4,)) + 3.0  # keep divisors away from zero
             w = rng.normal(size=(4,))
             check_grads(lambda n, op=op, w=w: ad.reduce_sum(
-                ad.mul(ad.apply(op, n[0], n[1]), ad.constant(w))), [a, b])
+                ad.mul(OPS[op](n[0], n[1]), ad.constant(w))), [a, b])
 
     def test_scalar_broadcast_ops(self):
         rng = np.random.default_rng(43)
@@ -220,7 +228,7 @@ class TestFiniteDifferenceOracle:
             x = x[np.abs(x) > 0.05] if op == "relu" else x  # stay off the kink
             w = np.random.default_rng(51).normal(size=x.shape)
             check_grads(lambda n, op=op, w=w: ad.reduce_sum(
-                ad.mul(ad.apply(op, n[0]), ad.constant(w))), [x])
+                ad.mul(OPS[op](n[0]), ad.constant(w))), [x])
 
     def test_softmax(self):
         rng = np.random.default_rng(52)
@@ -456,6 +464,106 @@ class TestTapeLifecycle:
         with ad.Tape() as tape:
             tape.backward(ad.reduce_sum(ad.mul(x, x)))
         np.testing.assert_array_equal(x.grad, [4.0, -8.0, 2.0])
+
+
+def every_op(x, w):
+    """A scalar that runs every op kind once, unstack included."""
+    rows = ad.unstack(ad.tanh(ad.linear(x, w, ad.constant([0.5, -1.0]))))
+    mixed = ad.concat([ad.mul(rows[0], rows[1]), ad.sub(rows[2], rows[1])])
+    picked = ad.gather(ad.stack(rows), (np.array([0, 2, 2]), np.array([1, 0, 0])))
+    soft = ad.masked_softmax(ad.div(mixed, ad.constant(2.0)),
+                             np.array([True, False, True, True]))
+    terms = [ad.reduce_sum(ad.mul(soft, ad.exp(ad.neg(mixed)))),
+             ad.reduce_mean(ad.softplus(picked)),
+             ad.l2norm(ad.sigmoid(ad.relu(mixed))),
+             ad.log(ad.add(ad.reduce_sum(ad.matmul(w, x[0])), ad.constant(10.0))),
+             ad.reduce_sum(ad.reduce_sum(ad.stack(rows), axis=0))]
+    return ad.mean_of(terms)
+
+
+class TestTapeScopes:
+    def _inputs(self, seed=3):
+        rng = np.random.default_rng(seed)
+        return (ad.constant(rng.normal(size=(3, 4))),
+                ad.constant(rng.normal(size=(2, 4))))
+
+    def test_record_free_pass_equals_recorded_pass_bitwise(self):
+        x, w = self._inputs()
+        with ad.Tape() as tape:
+            recorded = every_op(x, w)
+        assert len(tape) > 0
+        with ad.no_grad() as scope:
+            free = every_op(x, w)
+        assert len(scope) == 0
+        assert free.op_record is None
+        assert free.values.tobytes() == recorded.values.tobytes()
+
+    def test_record_free_unstack_parts_carry_no_record(self):
+        with ad.no_grad() as scope:
+            parts = ad.unstack(ad.tanh(ad.constant(np.ones((3, 2)))))
+        assert [p.op_record for p in parts] == [None, None, None]
+        assert len(scope) == 0
+
+    def test_backward_on_the_record_free_scope_raises(self):
+        with ad.no_grad() as scope:
+            loss = ad.reduce_sum(ad.mul(ad.constant([1.0, 2.0]), 3.0))
+            with pytest.raises(ValueError, match="record-free"):
+                scope.backward(loss)
+
+    def test_ops_outside_any_scope_record_nothing(self):
+        before = len(ad.active_tape())
+        y = ad.reduce_sum(ad.tanh(ad.constant([0.5, -1.5])))
+        parts = ad.unstack(ad.constant(np.eye(2)))
+        assert y.op_record is None and parts[0].op_record is None
+        assert len(ad.active_tape()) == before == 0
+
+    def test_recording_resumes_inside_a_nested_tape(self):
+        with ad.no_grad():
+            with ad.Tape() as tape:
+                y = ad.mul(ad.constant(2.0), ad.constant(3.0))
+            z = ad.mul(y, y)
+        assert len(tape) == 1 and y.op_record.tape is tape
+        assert z.op_record is None
+
+    def test_threads_record_only_onto_their_own_tapes(self):
+        def run(seed, out):
+            x, w = self._inputs(seed)
+            with ad.Tape() as tape:
+                losses = [every_op(x, w) for _ in range(20)]
+                tape.backward(ad.mean_of(losses))
+            out[seed] = (len(tape), x.grad.copy(), w.grad.copy())
+
+        seeds = range(4)                    # more threads than cores
+        alone: dict = {}
+        for seed in seeds:
+            run(seed, alone)
+        together: dict = {}
+        errors: list = []
+
+        def worker(seed):
+            try:
+                run(seed, together)
+            except Exception as exc:        # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for seed in seeds:
+            n, gx, gw = together[seed]
+            assert n == alone[seed][0]
+            assert gx.tobytes() == alone[seed][1].tobytes()
+            assert gw.tobytes() == alone[seed][2].tobytes()
 
 
 class TestParamStore:

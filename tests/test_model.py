@@ -42,6 +42,19 @@ def dyadic_walkers(n_steps, speeds=((0.25, 0.0), (-0.25, 0.125))):
     return np.array(paths)
 
 
+def recorded_ops(monkeypatch) -> list:
+    """From now on, the op name of every record any recording tape makes."""
+    ops: list = []
+    add = ad.Tape.add
+
+    def counting_add(tape, op, *rest):
+        ops.append(op)
+        return add(tape, op, *rest)
+
+    monkeypatch.setattr(ad.Tape, "add", counting_add)
+    return ops
+
+
 def forward_positions(cfg, scene, seed=7, noise=None):
     m = build(cfg, seed)
     with ad.Tape():
@@ -112,6 +125,21 @@ class TestShapes:
         pred = sm.predict(scene, cfg, sm.build_params(cfg, ad.RngHub(7)))
         assert pred.ped_ids == []
         assert pred.positions.shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("generative", [False, True])
+    def test_predict_records_nothing_and_equals_a_recorded_forward(
+            self, monkeypatch, generative):
+        cfg = micro_cfg(generative=generative, noise_dim=3)
+        scene = make_scene(dyadic_walkers(5), obs_len=3)
+        params = sm.build_params(cfg, ad.RngHub(7))
+        ops = recorded_ops(monkeypatch)
+        pred = sm.predict(scene, cfg, params)
+        assert ops == []
+        with ad.Tape():
+            result = sm.ScanModel(cfg, params).forward(scene)
+        assert ops                          # the reference pass did record
+        assert pred.positions.tobytes() == result.positions().tobytes()
+        assert pred.displacements.tobytes() == result.displacements().tobytes()
 
 
 class TestConfig:

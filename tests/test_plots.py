@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from test_model import dyadic_walkers, make_scene, micro_cfg
+from test_model import dyadic_walkers, make_scene, micro_cfg, recorded_ops
 from test_training import micro_windows, tcfg
 
 from scantraj import data as sd
@@ -191,6 +191,12 @@ class TestEmitPlots:
         a = (tmp_path / "a" / "trajectories_000.csv").read_text()
         b = (tmp_path / "b" / "trajectories_000.csv").read_text()
         assert a == b
+
+    def test_emission_records_nothing(self, tmp_path, monkeypatch):
+        ckpt = self._checkpoint(tmp_path, generative=True)
+        ops = recorded_ops(monkeypatch)
+        plots.emit_plots(ckpt, micro_windows(1), tmp_path / "figs", k=3)
+        assert ops == []
 
     def test_write_failure_reports_path(self, tmp_path):
         ckpt = self._checkpoint(tmp_path)

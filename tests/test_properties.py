@@ -1,8 +1,8 @@
 """Property-based checks of the scene-batched forward pass.
 
 Hypothesis draws the crowds; every property is one the hand-picked tests
-pin for a few cases: vectorised bins agree with the scalar geometry pair by
-pair, renumbering a scene permutes the forecast bit for bit, a neighbour
+pin for a few cases: vectorised headings and bins agree with the scalar
+geometry agent by agent and pair by pair, renumbering a scene permutes the forecast bit for bit, a neighbour
 beyond every range cannot change anyone else's forecast, and the tape
 grows with the number of steps, not with the crowd.
 
@@ -22,8 +22,10 @@ from scantraj import autodiff as ad
 from scantraj import generative as gn
 from scantraj import model as sm
 from scantraj.data import SceneWindow
-from scantraj.geometry import (AgentKinematics, BinSpec, bin_index,
-                               bin_indices, compute_encounter, normalize_deg)
+from scantraj.geometry import (AgentKinematics, BinSpec, CrowdKinematics,
+                               advance_kinematics, bin_index, bin_indices,
+                               compute_encounter, estimate_heading,
+                               normalize_deg)
 
 from test_model import build, make_scene, micro_cfg
 
@@ -73,10 +75,20 @@ def files(draw):
             for t in ts]
 
 
+def arrays_of(agents) -> CrowdKinematics:
+    """The kinematics arrays of a list (or an object array) of agents."""
+    agents = np.asarray(agents, dtype=object)
+    flat = agents.ravel()
+    return CrowdKinematics(
+        np.array([k.position for k in flat]).reshape(agents.shape + (2,)),
+        np.array([k.heading_deg for k in flat]).reshape(agents.shape),
+        np.array([k.heading_valid for k in flat]).reshape(agents.shape))
+
+
 @settings(PROPERTY, max_examples=300)
 @given(crowd=st.one_of(crowds(), files()), spec=spec)
 def test_vectorised_bins_equal_the_scalar_geometry(crowd, spec):
-    bearing, rel_heading = bin_indices(crowd, spec)
+    bearing, rel_heading = bin_indices(arrays_of(crowd), spec)
     for a, observer in enumerate(crowd):
         for b, other in enumerate(crowd):
             want = bin_index(compute_encounter(observer, other), spec)
@@ -91,13 +103,51 @@ def test_sample_batched_bins_equal_the_scalar_geometry(n, samples, spec, data):
     crowd = np.empty((samples, n), dtype=object)
     crowd[...] = data.draw(st.lists(st.lists(agent, min_size=n, max_size=n),
                                     min_size=samples, max_size=samples))
-    bearing, rel_heading = bin_indices(crowd, spec)
+    bearing, rel_heading = bin_indices(arrays_of(crowd), spec)
     assert bearing.shape == (samples, n, n)
     for s in range(samples):
         for a in range(n):
             for b in range(n):
                 want = bin_index(compute_encounter(crowd[s, a], crowd[s, b]), spec)
                 assert (bearing[s, a, b], rel_heading[s, a, b]) == want, (s, a, b)
+
+
+# One agent's step: generic, along an axis, at a multiple of 15 degrees,
+# around the stationary threshold, or none at all (coincident points).
+step_length = st.floats(1e-3, 5.0)
+move = st.one_of(
+    st.tuples(coordinate, coordinate),
+    st.tuples(step_length, st.integers(0, 23)).map(
+        lambda a: (a[0] * math.cos(math.radians(15.0 * a[1])),
+                   a[0] * math.sin(math.radians(15.0 * a[1])))),
+    st.tuples(coordinate, st.just(0.0)),
+    st.tuples(st.just(0.0), coordinate),
+    st.tuples(st.floats(-1.2e-6, 1.2e-6), st.floats(-1.2e-6, 1.2e-6)),
+    st.just((0.0, 0.0)))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(samples=st.integers(1, 3), n=st.integers(1, 6), data=st.data())
+def test_vectorised_headings_equal_estimate_heading(samples, n, data):
+    agents = data.draw(st.lists(
+        st.tuples(coordinate, coordinate, move, heading, st.booleans()),
+        min_size=samples * n, max_size=samples * n))
+    if n > 1 and data.draw(st.booleans()):  # two agents on one spot
+        agents[1] = agents[0]
+    prev = np.array([(x, y) for x, y, *_ in agents]).reshape(samples, n, 2)
+    cur = np.array([(x + dx, y + dy) for x, y, (dx, dy), *_ in agents]
+                   ).reshape(samples, n, 2)
+    fallback = CrowdKinematics(
+        prev, np.array([a[3] for a in agents]).reshape(samples, n),
+        np.array([a[4] for a in agents]).reshape(samples, n))
+    got = advance_kinematics(prev, cur, fallback)
+    for idx in np.ndindex(samples, n):
+        want = estimate_heading(prev[idx], cur[idx], AgentKinematics(
+            tuple(prev[idx]), float(fallback.heading_deg[idx]),
+            bool(fallback.heading_valid[idx])))
+        assert tuple(got.position[idx]) == want.position, idx
+        assert float(got.heading_deg[idx]).hex() == want.heading_deg.hex(), idx
+        assert bool(got.heading_valid[idx]) == want.heading_valid, idx
 
 
 def walkers(rng, n, steps, spread=1.5, step_sd=0.2):

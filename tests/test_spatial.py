@@ -5,8 +5,9 @@ import pytest
 
 from scantraj import autodiff as ad
 from scantraj import spatial
-from scantraj.geometry import (AgentKinematics, BinSpec, EncounterGeometry,
-                               bin_index, bin_indices, compute_encounter)
+from scantraj.geometry import (AgentKinematics, BinSpec, CrowdKinematics,
+                               EncounterGeometry, bin_index, bin_indices,
+                               compute_encounter)
 
 from oracles import oracle_spatial
 
@@ -227,7 +228,8 @@ class TestOracleEquivalence:
             hiddens = [rng.normal(size=H) for _ in range(n)]
             target = int(rng.integers(0, n))
 
-            kins = [AgentKinematics(p, h, True) for p, h in zip(positions, headings)]
+            kins = CrowdKinematics(np.array(positions), np.array(headings),
+                                   np.ones(n, dtype=bool))
             offsets = np.asarray(positions)[None, :] - np.asarray(positions)[:, None]
             scores = spatial.raw_score(grid, bin_indices(kins, spec),
                                        ad.l2norm(ad.constant(offsets)))

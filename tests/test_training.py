@@ -1,11 +1,12 @@
 """Training loops, evaluation driver, and checkpoint round-trip tests."""
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
-from test_model import dyadic_walkers, make_scene, micro_cfg
+from test_model import dyadic_walkers, make_scene, micro_cfg, recorded_ops
 
 from scantraj import autodiff as ad
 from scantraj import data as sd
@@ -177,6 +178,20 @@ class TestEvaluate:
         assert reports[10].best_of_k_ade <= reports[5].best_of_k_ade
         for r in reports.values():
             assert r.best_of_k_ade <= r.ade + 1e-12
+
+    @pytest.mark.parametrize("generative, k", [(False, 1), (True, 4)])
+    def test_records_nothing_and_equals_a_recorded_run(self, monkeypatch,
+                                                       generative, k):
+        cfg, params, windows = self._fixture(generative)
+        ops = recorded_ops(monkeypatch)
+        free = tr.evaluate(cfg, params, windows, k=k, seed=2)
+        assert ops == []
+        monkeypatch.setattr(ad, "no_grad", ad.Tape)
+        recorded = tr.evaluate(cfg, params, windows, k=k, seed=2)
+        assert ops                          # the reference run did record
+        for field in dataclasses.fields(free):
+            assert repr(getattr(free, field.name)) == \
+                repr(getattr(recorded, field.name)), field.name
 
     def test_no_scorable_scenes_raises(self):
         cfg, params, _ = self._fixture()
