@@ -18,7 +18,9 @@ record per layer, whatever its size or sample count. Their shape rules:
   accumulate their gradients.
 * ``masked_softmax(a, mask)``: softmax along the last axis over the entries
   where ``mask`` (same shape) is True; each row normalizes on its own and a
-  row with no True entry is all zeros.
+  row with no True entry is all zeros. A row's total is summed from its
+  first entry to its last, so masked entries appended to a row change
+  nothing, bit for bit.
 * ``linear(x, weight, bias=None)``: ``x @ weight.T + bias`` for ``x`` of
   shape ``(..., in)``, ``weight`` ``(out, in)`` and ``bias`` ``(out,)``,
   broadcast over every leading axis: ``(..., in) -> (..., out)``.
@@ -30,12 +32,22 @@ record per layer, whatever its size or sample count. Their shape rules:
   slice) and ``(..., m) @ (..., m, k) -> (..., k)`` (a vector times a
   matrix per slice). numpy runs a batched product one slice at a time, so
   each slice equals the unbatched product of that slice bit for bit.
+* ``block_matmul(a, b, blocks)``: many small products in one record.
+  ``blocks`` lists groups ``(m, p, q)`` that take consecutive rows: m
+  blocks of p rows of ``a`` and q rows of ``b`` each, and a block's output
+  rows are ``a[..., rows, :q] @ b[..., rows_b, :]``, one (p, q) @ (q, n)
+  product per block, equal to the unbatched product bit for bit. ``a`` is
+  ``(..., R, J)`` with J >= q (columns past q are ignored) and ``b``
+  ``(..., R_b, n)``; the groups cover all R rows of ``a`` and all R_b rows
+  of ``b``.
 * ``l2norm(a)``: Euclidean norm over the last axis, ``(..., k) -> (...)``;
   the subgradient at a zero vector is 0.
 * ``stack(nodes, axis)``, ``concat(nodes, axis)`` and ``reduce_sum(a, axis)``
   take a numpy axis.
 * ``unstack(a)``: the ``a.shape[0]`` leading slices as separate nodes, from
   one record with several outputs; each slice gets its own gradient.
+  ``split(a, sizes, axis)`` does the same for consecutive runs of ``sizes``
+  entries along ``axis``, keeping the axis.
 
 A record refers to its tape weakly, so nothing points back from a node to
 the tape that holds it: a tape that nobody refers to any more is freed by
@@ -66,9 +78,9 @@ from .errors import ShapeError
 
 __all__ = [
     "TensorNode", "Tape", "no_grad", "active_tape", "constant", "zeros",
-    "add", "sub", "mul", "div", "neg", "matmul", "linear",
-    "concat", "stack", "unstack", "gather", "relu", "tanh", "sigmoid", "exp", "log",
-    "softplus", "masked_softmax", "reduce_sum", "reduce_mean",
+    "add", "sub", "mul", "div", "neg", "matmul", "block_matmul", "linear",
+    "concat", "stack", "unstack", "split", "gather", "relu", "tanh",
+    "sigmoid", "exp", "log", "softplus", "masked_softmax", "reduce_sum", "reduce_mean",
     "l2norm", "mean_of", "ParamStore", "Adam", "RngHub",
     "numeric_gradient",
 ]
@@ -420,13 +432,66 @@ def matmul(a, b) -> TensorNode:
     return _record("matmul", outv, (a, b), backward)
 
 
+def block_matmul(a, b, blocks) -> TensorNode:
+    """Many small row-block products in one record; see the module
+    docstring."""
+    a, b = _lift(a), _lift(b)
+    av, bv = a.values, b.values
+    lead = av.shape[:-2]
+    if av.ndim < 2 or bv.ndim != av.ndim or bv.shape[:-2] != lead:
+        raise ShapeError(f"block_matmul: shapes {av.shape} and {bv.shape} do not conform")
+    pieces, row_a, row_b = [], 0, 0
+    for m, p, q in blocks:
+        if q > av.shape[-1]:
+            raise ShapeError(f"block_matmul: blocks of {q} columns in {av.shape}")
+        pieces.append((m, p, q, slice(row_a, row_a + m * p), slice(row_b, row_b + m * q)))
+        row_a, row_b = row_a + m * p, row_b + m * q
+    if (row_a, row_b) != (av.shape[-2], bv.shape[-2]):
+        raise ShapeError(f"block_matmul: blocks {list(blocks)} do not cover "
+                         f"{av.shape} and {bv.shape}")
+
+    n = bv.shape[-1]
+
+    def blocks_of(x, rows, m, size, cols=slice(None)):
+        # Contiguous, so that numpy takes the same BLAS route for a block
+        # however many blocks share its group.
+        part = x[..., rows, cols]
+        return np.ascontiguousarray(part).reshape(lead + (m, size, part.shape[-1]))
+
+    groups = [np.matmul(blocks_of(av, rows_a, m, p, slice(0, q)),
+                        blocks_of(bv, rows_b, m, q)).reshape(lead + (m * p, n))
+              for m, p, q, rows_a, rows_b in pieces]
+    outv = (groups[0] if len(groups) == 1
+            else np.concatenate(groups + [np.zeros(lead + (0, n))], axis=-2))
+
+    def backward(g):
+        ga, gb = _adjoint(a), _adjoint(b)
+        for m, p, q, rows_a, rows_b in pieces:
+            g_block = blocks_of(g, rows_a, m, p)
+            ga[..., rows_a, :q] += np.matmul(
+                g_block, np.swapaxes(blocks_of(bv, rows_b, m, q), -1, -2)
+            ).reshape(lead + (m * p, q))
+            gb[..., rows_b, :] += np.matmul(
+                np.swapaxes(blocks_of(av, rows_a, m, p, slice(0, q)), -1, -2), g_block
+            ).reshape(lead + (m * q, n))
+
+    return _record("block_matmul", outv, (a, b), backward)
+
+
 def linear(x, weight, bias=None) -> TensorNode:
     """``x @ weight.T + bias`` for an input ``(..., in)``, row by row."""
     x, weight = _lift(x), _lift(weight)
     xv, wv = x.values, weight.values
     if wv.ndim != 2 or xv.ndim == 0 or xv.shape[-1] != wv.shape[1]:
         raise ShapeError(f"linear: input {xv.shape} and weight {wv.shape} do not conform")
-    outv = xv @ wv.T
+    if xv.ndim >= 2 and xv.shape[-2] == 1:
+        # numpy hands a one-row product to gemv, which rounds differently
+        # from the gemm that multiplies a row inside a larger batch; a lone
+        # row therefore runs as the first row of a two-row product.
+        pair = np.concatenate([xv, np.zeros_like(xv)], axis=-2)
+        outv = (pair @ wv.T)[..., :1, :]
+    else:
+        outv = xv @ wv.T
     inputs = (x, weight)
     if bias is not None:
         bias = _lift(bias)
@@ -484,24 +549,43 @@ def stack(nodes: Sequence[TensorNode], axis: int = 0) -> TensorNode:
     return _record("stack", outv, tuple(nodes), backward)
 
 
+def _parts(op: str, a: TensorNode, keys: list) -> list[TensorNode]:
+    """``a.values[key]`` for every key as separate nodes, from one record
+    with several outputs; each part gets its own gradient."""
+    parts = tuple(TensorNode(a.values[key]) for key in keys)
+
+    def backward(grads):
+        buf = _adjoint(a)
+        for key, g in zip(keys, grads):
+            if g is not None:
+                buf[key] += g
+
+    record = active_tape().add(op, parts, (a,), backward)
+    for part in parts:
+        part.op_record = record
+    return list(parts)
+
+
 def unstack(a) -> list[TensorNode]:
     """The leading slices ``a[0], a[1], ...`` as separate nodes, recorded
     once whatever their number; each slice gets its own gradient."""
     a = _lift(a)
     if a.values.ndim == 0:
         raise ShapeError("unstack: needs at least one axis")
-    parts = tuple(TensorNode(v) for v in a.values)
+    return _parts("unstack", a, list(range(a.shape[0])))
 
-    def backward(grads):
-        buf = _adjoint(a)
-        for i, g in enumerate(grads):
-            if g is not None:
-                buf[i] += g
 
-    record = active_tape().add("unstack", parts, (a,), backward)
-    for part in parts:
-        part.op_record = record
-    return list(parts)
+def split(a, sizes: Sequence[int], axis: int = 0) -> list[TensorNode]:
+    """Consecutive runs of ``sizes`` entries along ``axis`` as separate
+    nodes, recorded once; each part keeps the axis and its own gradient."""
+    a = _lift(a)
+    if a.values.ndim == 0 or sum(sizes) != a.shape[axis]:
+        raise ShapeError(f"split: sizes {list(sizes)} do not add up to axis "
+                         f"{axis} of {a.shape}")
+    bounds = np.cumsum([0, *sizes]).tolist()
+    lead = (slice(None),) * (axis % a.values.ndim)
+    return _parts("split", a, [lead + (slice(start, stop),)
+                               for start, stop in zip(bounds, bounds[1:])])
 
 
 def _getitem(a: TensorNode, key) -> TensorNode:
@@ -577,7 +661,10 @@ def masked_softmax(a, mask) -> TensorNode:
                  initial=-np.inf)
     top = np.where(np.isfinite(top), top, 0.0)      # rows with nothing active
     e = np.exp(np.where(mask, xv - top, -np.inf))
-    total = e.sum(axis=-1, keepdims=True)
+    # Left to right, so that masked (zero) entries appended to a row leave
+    # its total unchanged; numpy's own sum regroups rows of 8 or more.
+    total = (np.cumsum(e, axis=-1)[..., -1:] if e.shape[-1]
+             else np.zeros(e.shape[:-1] + (1,)))
     outv = e / np.where(total > 0.0, total, 1.0)
 
     def backward(g):

@@ -9,7 +9,10 @@ trajectory, ending in one real/fake logit per pedestrian.
 
 The k samples of a scene travel together: they are decoded in one batched
 pass with a leading sample axis, and the critic scores any number of
-trajectories of one scene in one pass the same way.
+trajectories of one scene in one pass the same way. A training step goes
+one step further and runs all the scenes of its batch side by side
+(``cells.SceneLayout``): one encode, one k-sample decode and two critic
+passes per step, whatever the number of scenes.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .errors import NumericError, ShapeError
 # estimate_heading is the scalar reference for advance_kinematics; it stays
 # importable here, where bench/tracer.py binds it.
 from .geometry import advance_kinematics, estimate_heading, kinematics_at  # noqa: F401
-from .model import (ForwardResult, ModelConfig, ScanModel, _canonical_order,
-                    trajectory_loss, uniform_param, zeros_param)
+from .model import (ForwardResult, ModelConfig, ScanModel, trajectory_loss,
+                    uniform_param, zeros_param)
 
 
 @dataclass
@@ -50,11 +53,20 @@ class GanConfig:
 
 @dataclass
 class PredictionSet:
-    """k sampled futures for one scene, with their seeding noise."""
+    """k sampled futures for one scene, with their seeding noise.
+
+    ``futures`` is the (k, N, steps, 2) node the results are slices of;
+    when it is not given, it is stacked from the results.
+    """
 
     ped_ids: list[int]
     results: list                    # k ForwardResult objects
     noises: np.ndarray               # (k, noise_dim)
+    futures: ad.TensorNode | None = None
+
+    def __post_init__(self):
+        if self.futures is None:
+            self.futures = ad.stack([r.pos for r in self.results])
 
     @property
     def k(self) -> int:
@@ -62,7 +74,7 @@ class PredictionSet:
 
     def positions_array(self) -> np.ndarray:
         """(k, N, pred_len, 2) float view of the sampled futures."""
-        return np.array([r.positions() for r in self.results])
+        return self.futures.values.copy()
 
 
 def sample_predictions(model: ScanModel, scene: SceneWindow, k: int,
@@ -80,7 +92,7 @@ def sample_predictions(model: ScanModel, scene: SceneWindow, k: int,
         raise ValueError("k must be >= 1")
     noises = rng.standard_normal((k, model.cfg.noise_dim))
     batch = model.decode(scene, model.encode(scene), noise=noises)
-    return PredictionSet(list(scene.ped_ids), batch.samples(), noises)
+    return PredictionSet(list(scene.ped_ids), batch.samples(), noises, batch.pos)
 
 
 # -- discriminator ---------------------------------------------------------
@@ -119,14 +131,16 @@ def fake_position_nodes(scene: SceneWindow, result: ForwardResult,
 
     ``detach=True`` freezes the future to constants (for critic updates,
     which must not propagate into the generator)."""
-    return _with_observed(scene, ad.constant(result.pos.values) if detach
+    return _with_observed([scene], ad.constant(result.pos.values) if detach
                           else result.pos)
 
 
-def _with_observed(scene: SceneWindow, future: ad.TensorNode) -> ad.TensorNode:
-    """(..., N, steps, 2) future -> (..., N, obs_len + steps, 2) trajectory,
-    the observed steps repeated for every leading sample."""
-    observed = scene.positions[:scene.obs_len].transpose(1, 0, 2)
+def _with_observed(scenes: list, future: ad.TensorNode) -> ad.TensorNode:
+    """(..., N, steps, 2) future of the scenes' columns side by side ->
+    (..., N, obs_len + steps, 2) trajectory, the observed steps repeated for
+    every leading sample."""
+    observed = np.concatenate([scene.positions[:scene.obs_len].transpose(1, 0, 2)
+                               for scene in scenes])
     observed = np.broadcast_to(observed, future.shape[:-3] + observed.shape)
     return ad.concat([ad.constant(observed), future], axis=-2)
 
@@ -135,24 +149,28 @@ def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
                          ped_ids, positions, mask):
     """Run the critic over full trajectories; one logit per pedestrian.
 
-    ``positions`` is the (N, T, 2) trajectory node, giving (N, 1) logits,
-    or an (S, N, T, 2) node holding S trajectories of the same scene,
-    scored in one pass into (S, N, 1) logits; slice s equals a pass over
-    ``positions[s]`` alone, bit for bit. A live node lets generator
-    gradient flow through the critic. ``mask`` is (T, N) presence used to
-    gate neighbour participation, exactly as in the forecaster.
+    ``ped_ids`` are one scene's ids, or a ``cells.SceneLayout`` of several
+    scenes whose columns sit side by side (their pedestrians then see only
+    their own scene). ``positions`` is the (N, T, 2) trajectory node, giving
+    (N, 1) logits, or an (S, N, T, 2) node holding S trajectories of the
+    same scenes, scored in one pass into (S, N, 1) logits; slice s, and each
+    scene of a layout, equals a pass over it alone, bit for bit. A live node
+    lets generator gradient flow through the critic. ``mask`` is (T, N)
+    presence used to gate neighbour participation, exactly as in the
+    forecaster.
     """
-    n = len(ped_ids)
+    layout = (ped_ids if isinstance(ped_ids, cells.SceneLayout)
+              else cells.SceneLayout([ped_ids]))
+    n = layout.n_rows
     if n == 0:
         return ad.constant(np.zeros((0, 1)))
     T = positions.shape[-2]
     if T < 2:
         raise ShapeError("discriminator needs at least two steps")
     lead = positions.shape[:-3]
-    order = _canonical_order(ped_ids)
-    track = ad.gather(positions, (slice(None),) * len(lead) + (order,))
+    track = ad.gather(positions, (slice(None),) * len(lead) + (layout.order,))
     values = track.values
-    presence = np.asarray(mask, dtype=bool)[:, order]
+    presence = np.asarray(mask, dtype=bool)[:, layout.order]
     grid = spatial.DomainGrid(params["disc.domain_grid"], cfg.bin_spec())
     H = cfg.hidden_dim
     hidden = ad.constant(np.zeros(lead + (n, H)))
@@ -164,8 +182,8 @@ def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
             kin = advance_kinematics(values[..., t - 1, :], values[..., t, :], kin)
         now = track[..., t, :]
         fused, _ = cells.spatial_round(
-            cells.pairwise_offsets(now), kin, presence[t], hidden, grid,
-            params["disc.fuse.W"], params["disc.fuse.b"],
+            cells.pairwise_offsets(now, layout.neighbors), kin, presence[t], hidden,
+            layout, grid, params["disc.fuse.W"], params["disc.fuse.b"],
             literal_softmax=cfg.literal_softmax)
         if cfg.coordinate_mode == "absolute":
             step_in = now
@@ -180,7 +198,7 @@ def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
             params["disc.lstm.W_hh"], params["disc.lstm.b"], H)
         prev = now
     logits = cells.linear(hidden, params["disc.score.W"], params["disc.score.b"])
-    return ad.gather(logits, (slice(None),) * len(lead) + (np.argsort(order),))
+    return ad.gather(logits, (slice(None),) * len(lead) + (layout.undo,))
 
 
 def discriminate(cfg: ModelConfig, params: ad.ParamStore,
@@ -242,12 +260,11 @@ def diversity_loss(samples: PredictionSet):
     n = len(samples.ped_ids)
     if n == 0:
         return ad.constant(0.0)
-    steps = samples.results[0].n_steps
-    order = _canonical_order(samples.ped_ids)
+    futures = samples.futures                                  # (k, N, steps, 2)
+    steps = futures.shape[-2]
     first, second = np.triu_indices(k, 1)
-    futures = ad.stack([r.pos for r in samples.results])      # (k, N, steps, 2)
     # (N, pairs, steps) gaps, pedestrians in id order, pairs as (i < j).
-    rows = order[:, None]
+    rows = cells.canonical_order(samples.ped_ids)[:, None]
     gaps = ad.l2norm(ad.sub(ad.gather(futures, (first[None, :], rows)),
                             ad.gather(futures, (second[None, :], rows))))
     d = ad.div(ad.reduce_sum(gaps, axis=-1), ad.constant(float(steps)))
@@ -284,11 +301,13 @@ def _full_presence(scene: SceneWindow) -> np.ndarray:
     return scene.mask.all(axis=0)
 
 
-def _kept(logits: ad.TensorNode, samples, keep: np.ndarray) -> ad.TensorNode:
-    """Rows ``keep`` of each listed sample of (S, N, 1) logits, sample by
-    sample, as one (len(samples) * len(keep), 1) node."""
-    return ad.gather(logits, (np.repeat(samples, keep.size),
-                              np.tile(keep, len(samples))))
+def _kept(logits: ad.TensorNode, samples, cols: list) -> ad.TensorNode:
+    """Batch columns ``cols[b]`` of each listed sample of (S, N, 1) logits,
+    scene by scene, then sample by sample, as one
+    (len(samples) * total kept, 1) node."""
+    return ad.gather(logits, (
+        np.concatenate([np.repeat(samples, c.size) for c in cols]),
+        np.concatenate([np.tile(c, len(samples)) for c in cols])))
 
 
 def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
@@ -297,15 +316,21 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
                    rng: np.random.Generator) -> dict:
     """One critic update then one generator update over a scene batch.
 
-    Each scene is encoded once and its k samples are decoded once, as one
-    batch, on the generator's tape. The critic half runs on a tape of its
-    own: per scene, one (1 + k)-sample pass scores the ground truth and the
-    k futures' detached values, and the critic steps. The critic step never
-    touches generator parameters, so the same decode serves the generator
-    half, which scores the k live futures in one pass through the updated
-    critic and descends adversarial + variety + lambda * diversity. Only
-    pedestrians present through the whole window are scored by the critic;
-    the variety term keeps using the per-step mask.
+    The batch's scenes run side by side (``cells.SceneLayout``): one encode
+    and one decode of all k samples of every scene, on the generator's
+    tape. Each scene draws its own (k, noise_dim) noise block from ``rng``,
+    in batch order, shared by its pedestrians. The critic half runs on a
+    tape of its own: one (1 + k)-sample pass scores the ground truth and the
+    k futures' detached values of every scene, and the critic steps. The
+    critic step never touches generator parameters, so the same decode
+    serves the generator half, which scores the k live futures in one pass
+    through the updated critic and descends adversarial + variety + lambda *
+    diversity. Only pedestrians present through the whole window are scored
+    by the critic, scene by scene, then sample by sample; the variety and
+    diversity terms are each scene's own, through per-scene views of the
+    decode, and the variety term keeps using the per-step mask. Every scene
+    must span the model's obs_len + pred_len steps, because real and
+    generated trajectories share the critic passes.
 
     Returns the batch's mean loss terms as plain floats.
     """
@@ -314,38 +339,34 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
     usable = [s for s in scenes if s.n_peds > 0]
     if not usable:
         raise ValueError("gan_train_step needs at least one non-empty scene")
+    horizon = cfg.obs_len + cfg.pred_len
+    for scene in usable:
+        if scene.total_len != horizon:
+            raise ShapeError(f"gan_train_step: scene of {scene.total_len} steps, "
+                             f"model trajectories of {horizon}")
     k = gan_cfg.k
     fakes_only = np.arange(1, k + 1)
+    noises = [rng.standard_normal((k, cfg.noise_dim)) for _ in usable]
+    starts = np.cumsum([0] + [scene.n_peds for scene in usable])
+    cols = [start + np.flatnonzero(_full_presence(scene))
+            for start, scene in zip(starts, usable)]
+    if not any(c.size for c in cols):
+        raise ValueError("no fully present pedestrians in the batch")
+    mask = np.concatenate([scene.mask for scene in usable], axis=1)
     with ad.Tape() as tape:
-        sample_sets = [sample_predictions(model, scene, k, rng) for scene in usable]
-        scored = []                 # (scene, live (k, N, T, 2) fakes, keep)
-        for scene, samples in zip(usable, sample_sets):
-            keep = np.flatnonzero(_full_presence(scene))
-            if keep.size == 0:
-                continue
-            fakes = _with_observed(
-                scene, ad.stack([r.pos for r in samples.results]))
-            if fakes.shape[-2] != scene.total_len:
-                raise ShapeError(
-                    f"gan_train_step: scene of {scene.total_len} steps, model "
-                    f"trajectories of {fakes.shape[-2]}")
-            scored.append((scene, fakes, keep))
-        if not scored:
-            raise ValueError("no fully present pedestrians in the batch")
+        bank = model.encode(usable)
+        batch = model.decode(usable, bank, noise=np.stack(noises, axis=1))
+        fakes = _with_observed(usable, batch.pos)       # live (k, N, T, 2)
 
-        # critic half: real and all-k detached fakes in one pass per scene
+        # critic half: real and all-k detached fakes in one pass
         with ad.Tape() as critic_tape:
-            real_terms, fake_terms = [], []
-            for scene, fakes, keep in scored:
-                real = scene.positions.transpose(1, 0, 2)
-                logits = discriminator_logits(
-                    cfg, disc_params, scene.ped_ids,
-                    ad.constant(np.concatenate([real[None], fakes.values])),
-                    scene.mask)
-                real_terms.append(_kept(logits, [0], keep))
-                fake_terms.append(_kept(logits, fakes_only, keep))
-            disc_loss = ad.add(bce_real(ad.concat(real_terms)),
-                               bce_fake(ad.concat(fake_terms)))
+            real = np.concatenate([scene.positions.transpose(1, 0, 2)
+                                   for scene in usable])
+            logits = discriminator_logits(
+                cfg, disc_params, bank.layout,
+                ad.constant(np.concatenate([real[None], fakes.values])), mask)
+            disc_loss = ad.add(bce_real(_kept(logits, [0], cols)),
+                               bce_fake(_kept(logits, fakes_only, cols)))
             _check_finite("discriminator", disc_loss)
             disc_params.zero_grads()
             critic_tape.backward(disc_loss)
@@ -353,19 +374,17 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
             disc_opt.step()
 
         # generator half: the same decode, live fakes through the new critic
-        adv_terms = []
-        for scene, fakes, keep in scored:
-            logits = discriminator_logits(cfg, disc_params, scene.ped_ids,
-                                          fakes, scene.mask)
-            adv_terms.append(_kept(logits, fakes_only - 1, keep))
+        logits = discriminator_logits(cfg, disc_params, bank.layout, fakes, mask)
+        adv = adversarial_loss(_kept(logits, fakes_only - 1, cols))
         variety_terms = []
         diversity_terms = []
-        for scene, samples in zip(usable, sample_sets):
+        for scene, view, noise in zip(usable, batch.per_scene(usable), noises):
+            samples = PredictionSet(list(scene.ped_ids), view.samples(), noise,
+                                    view.pos)
             variety = variety_loss(scene, samples)
             if variety is not None:
                 variety_terms.append(variety)
             diversity_terms.append(diversity_loss(samples))
-        adv = adversarial_loss(ad.concat(adv_terms))
         variety = ad.mean_of(variety_terms)
         diversity = ad.mean_of(diversity_terms)
         _check_finite("adversarial", adv)

@@ -182,18 +182,26 @@ def advance_kinematics(prev_pos: np.ndarray, cur_pos: np.ndarray,
                            moving | kinematics.heading_valid)
 
 
-def bin_indices(kinematics: CrowdKinematics,
-                spec: BinSpec) -> tuple[np.ndarray, np.ndarray]:
-    """1-based (bearing, heading) bins of every ordered pair of a crowd.
+def bin_indices(kinematics: CrowdKinematics, spec: BinSpec,
+                neighbors: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """1-based (bearing, heading) bins of every agent towards its neighbours.
 
-    The bins are two ``(..., N, N)`` integer arrays whose entry [..., a, b]
-    equals ``bin_index(compute_encounter(A, B), spec)`` for the
-    ``AgentKinematics`` A and B of agents a and b.
+    ``neighbors`` is an (N, J) integer table: entry [a, j] names the agent
+    that agent a sees in its column j. The bins are two ``(..., N, J)``
+    integer arrays whose entry [..., a, j] equals
+    ``bin_index(compute_encounter(A, B), spec)`` for the
+    ``AgentKinematics`` A of agent a and B of agent ``neighbors[a, j]``.
+    Without a table every agent sees every agent: the (N, N) table whose
+    row a is 0, 1, ..., N - 1.
     """
     pos = kinematics.position
     heading = kinematics.heading_deg
-    dx = pos[..., None, :, 0] - pos[..., :, None, 0]
-    dy = pos[..., None, :, 1] - pos[..., :, None, 1]
+    if neighbors is None:
+        n = heading.shape[-1]
+        neighbors = np.broadcast_to(np.arange(n), (n, n))
+    others = pos[..., neighbors, :]
+    dx = others[..., 0] - pos[..., :, None, 0]
+    dy = others[..., 1] - pos[..., :, None, 1]
     coincident = (dx == 0.0) & (dy == 0.0)
     bearing = _normalize_deg_array(np.degrees(np.arctan2(dy, dx))
                                    - heading[..., :, None])
@@ -205,11 +213,11 @@ def bin_indices(kinematics: CrowdKinematics,
                                float(heading[idx]))
 
     for idx in zip(*np.nonzero(near_edge & ~coincident)):
-        row = idx[:-2]
-        bearing[idx] = compute_encounter(agent(row + idx[-2:-1]),
-                                         agent(row + idx[-1:])).bearing_deg
+        lead, a, j = idx[:-2], idx[-2], idx[-1]
+        bearing[idx] = compute_encounter(agent(lead + (a,)),
+                                         agent(lead + (neighbors[a, j],))).bearing_deg
     bearing[coincident] = 0.0
-    rel_heading = _normalize_deg_array(heading[..., None, :] - heading[..., :, None])
+    rel_heading = _normalize_deg_array(heading[..., neighbors] - heading[..., :, None])
     i = np.floor(bearing / spec.bearing_step_deg).astype(np.int64) + 1
     j = np.floor(rel_heading / spec.heading_step_deg).astype(np.int64) + 1
     return np.minimum(i, spec.n_bearing), np.minimum(j, spec.n_heading)

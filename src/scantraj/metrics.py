@@ -92,6 +92,20 @@ def fde(pred, truth, mask=None) -> float:
     one (reported via a warning); pedestrians with no valid steps are
     skipped. No pedestrian measurable at all raises EmptyMetricError.
     """
+    value, fallbacks = _fde(pred, truth, mask)
+    if fallbacks:
+        warnings.warn(f"fde: {fallbacks} pedestrian(s) lacked a valid final "
+                      "step; used their last valid step instead")
+    return value
+
+
+def _fde(pred, truth, mask) -> tuple[float, int]:
+    """``fde`` without the warning: (value, number of fallbacks).
+
+    Callers for whom the fallback is routine use this instead of silencing
+    the warning, because ``warnings.catch_warnings`` swaps the filters of
+    the whole process and so is not safe while other threads run.
+    """
     pred, truth, mask = _prepare(pred, truth, mask)
     n, t = mask.shape
     finals = []
@@ -106,10 +120,7 @@ def fde(pred, truth, mask=None) -> float:
         finals.append(float(np.linalg.norm(pred[p, last] - truth[p, last])))
     if not finals:
         raise EmptyMetricError("fde: no pedestrian has a valid step")
-    if fallbacks:
-        warnings.warn(f"fde: {fallbacks} pedestrian(s) lacked a valid final "
-                      "step; used their last valid step instead")
-    return float(np.mean(finals))
+    return float(np.mean(finals)), fallbacks
 
 
 def best_of_k(samples, truth, mask=None) -> tuple[float, float]:
@@ -117,17 +128,15 @@ def best_of_k(samples, truth, mask=None) -> tuple[float, float]:
 
     ``samples`` is (k, N, T, 2) for one scene. Selection is keyed on ADE
     alone; the chosen sample's FDE is reported even when another sample's
-    final error is smaller. Ties go to the lowest sample index.
+    final error is smaller. Ties go to the lowest sample index. The FDE
+    fallback is routine here and raises no warning.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 4 or samples.shape[0] < 1:
         raise ValueError(f"samples must be (k, N, T, 2), got {samples.shape}")
     ades = [ade(samples[i], truth, mask) for i in range(samples.shape[0])]
     best = int(np.argmin(ades))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        best_fde = fde(samples[best], truth, mask)
-    return ades[best], best_fde
+    return ades[best], _fde(samples[best], truth, mask)[0]
 
 
 def frame_collision_fractions(positions, mask=None,

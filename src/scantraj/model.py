@@ -10,13 +10,14 @@ encoder's fused-state history before each update.
 
 Everything here runs on the fp64 tape in :mod:`scantraj.autodiff`, so the
 whole forward pass is differentiable end to end, including the distances
-that feed the range grid.
+that feed the range grid. A pass takes one scene or a list of scenes: a
+list runs as one batch whose scenes never see one another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -119,7 +120,7 @@ class ModelConfig:
 @dataclass
 class HiddenBank:
     """Recurrent state of every pedestrian at the end of observation, one
-    row per scene column."""
+    row per batch column (the encoded scenes' columns side by side)."""
 
     hidden: ad.TensorNode             # (N, H) LSTM hidden states
     cell: ad.TensorNode               # (N, H) LSTM cell states
@@ -127,6 +128,7 @@ class HiddenBank:
     kinematics: CrowdKinematics       # (N,) agents at the last observed step
     last_pos: np.ndarray              # (N, 2) final observed positions
     last_disp: np.ndarray             # (N, 2) final observed displacements
+    layout: cells.SceneLayout         # where each scene's pedestrians sit
 
 
 @dataclass
@@ -152,7 +154,9 @@ class ForwardResult:
     """Differentiable decode outputs, one row per scene column.
 
     A batched decode of S samples gives ``disp`` and ``pos`` a leading
-    sample axis, (S, N, steps, 2); ``samples`` splits it.
+    sample axis, (S, N, steps, 2); ``samples`` splits it. A pass over
+    several scenes has their columns side by side; ``per_scene`` splits
+    them.
     """
 
     ped_ids: list[int]
@@ -169,6 +173,19 @@ class ForwardResult:
         with its own gradient, and the split costs two records in all."""
         return [ForwardResult(list(self.ped_ids), disp, pos, self.loss_mask)
                 for disp, pos in zip(ad.unstack(self.disp), ad.unstack(self.pos))]
+
+    def per_scene(self, scenes) -> list["ForwardResult"]:
+        """One result per scene of a batched pass, in batch order; each is
+        a live view with its own gradient, and the split costs two records
+        in all."""
+        sizes = [scene.n_peds for scene in _scene_list(scenes)]
+        axis = self.pos.values.ndim - 3
+        bounds = np.cumsum([0, *sizes]).tolist()
+        return [ForwardResult(self.ped_ids[start:stop], disp, pos,
+                              self.loss_mask[start:stop])
+                for start, stop, disp, pos in zip(
+                    bounds, bounds[1:], ad.split(self.disp, sizes, axis),
+                    ad.split(self.pos, sizes, axis))]
 
     def displacements(self) -> np.ndarray:
         return self.disp.values.copy()
@@ -230,15 +247,9 @@ def build_params(cfg: ModelConfig, hub: ad.RngHub,
     return store
 
 
-def _canonical_order(ped_ids: Sequence[int]) -> np.ndarray:
-    """Column indices sorted by pedestrian id: the one true row order.
-
-    Every pass permutes its scene into this order once, works on whole-scene
-    batches, and permutes the outputs back. Reductions across pedestrians
-    then run in the same order however the scene's columns are numbered, so
-    renumbering permutes every result bit for bit.
-    """
-    return np.argsort(np.asarray(ped_ids, dtype=np.int64))
+def _scene_list(scenes) -> list[SceneWindow]:
+    """A lone scene as a batch of one."""
+    return [scenes] if isinstance(scenes, SceneWindow) else list(scenes)
 
 
 class ScanModel:
@@ -263,29 +274,45 @@ class ScanModel:
                                self.params[f"{side}_lstm.b"],
                                self.cfg.hidden_dim)
 
-    def _spatial(self, offsets, kinematics, present, hiddens):
+    def _spatial(self, offsets, kinematics, present, hiddens, layout):
         return cells.spatial_round(
-            offsets, kinematics, present, hiddens, self.grid,
+            offsets, kinematics, present, hiddens, layout, self.grid,
             self.params["fuse.W"], self.params["fuse.b"],
             literal_softmax=self.cfg.literal_softmax,
             force_zero_context=self.cfg.force_zero_context)
 
-    def _present(self, scene: SceneWindow, t: int) -> np.ndarray:
-        if t < scene.total_len:
-            return scene.mask[t]
-        return np.ones(scene.n_peds, dtype=bool)
+    @staticmethod
+    def _present(scenes: list, t: int) -> np.ndarray:
+        """(N,) presence of every batch column at step t; a scene is
+        everyone-present past its own end."""
+        return np.concatenate([scene.mask[t] if t < scene.total_len
+                               else np.ones(scene.n_peds, dtype=bool)
+                               for scene in scenes])
 
     # -- phases -----------------------------------------------------------
 
-    def encode(self, scene: SceneWindow) -> HiddenBank:
-        """Run the spatially attentive encoder over the observed steps."""
+    def encode(self, scenes) -> HiddenBank:
+        """Run the spatially attentive encoder over the observed steps.
+
+        ``scenes`` is one SceneWindow or a list of them. A list runs as one
+        batch: its pedestrians are the rows of every node, laid out by a
+        ``cells.SceneLayout``, and pairs never cross scenes, so each
+        scene's rows equal an encode of that scene alone.
+        """
         cfg = self.cfg
-        if scene.obs_len != cfg.obs_len:
-            raise ShapeError(f"scene obs_len {scene.obs_len} != config {cfg.obs_len}")
-        scene.validate()
-        order = _canonical_order(scene.ped_ids)
-        X = scene.positions[:, order]
-        n = scene.n_peds
+        scenes = _scene_list(scenes)
+        if not scenes:
+            raise ValueError("encode needs at least one scene")
+        for scene in scenes:
+            if scene.obs_len != cfg.obs_len:
+                raise ShapeError(f"scene obs_len {scene.obs_len} != config {cfg.obs_len}")
+            scene.validate()
+        layout = cells.SceneLayout([scene.ped_ids for scene in scenes])
+        order = layout.order
+        observed = np.concatenate([scene.positions[:cfg.obs_len] for scene in scenes],
+                                  axis=1)
+        X = observed[:, order]
+        n = layout.n_rows
         H = cfg.hidden_dim
 
         hidden = ad.constant(np.zeros((n, H)))
@@ -296,9 +323,9 @@ class ScanModel:
         for t in range(cfg.obs_len):
             if t > 0:
                 kin = advance_kinematics(X[t - 1], X[t], kin)
-            offsets = ad.constant(X[t][None, :] - X[t][:, None])
-            fused, joints = self._spatial(offsets, kin,
-                                          self._present(scene, t)[order], hidden)
+            offsets = ad.constant(X[t][layout.neighbors] - X[t][:, None])
+            fused, joints = self._spatial(offsets, kin, self._present(scenes, t)[order],
+                                          hidden, layout)
             keys.append(fused if cfg.attention_key == "fused" else joints)
             if cfg.coordinate_mode == "absolute":
                 step_in = X[t]
@@ -307,19 +334,19 @@ class ScanModel:
             hidden, cell = self._lstm("enc", self._embed("enc", ad.constant(step_in)),
                                       fused, cell)
 
-        undo = np.argsort(order)
+        undo = layout.undo
         last = cfg.obs_len - 1
         attention = AttentionBank(ad.gather(ad.stack(keys, axis=1), undo),
                                   np.ones((n, cfg.obs_len), dtype=bool))
         return HiddenBank(ad.gather(hidden, undo), ad.gather(cell, undo),
-                          attention, kin[undo],
-                          scene.positions[last].copy(),
-                          (scene.positions[last] - scene.positions[last - 1]).copy())
+                          attention, kin[undo], observed[last].copy(),
+                          observed[last] - observed[last - 1], layout)
 
-    def decode(self, scene: SceneWindow, bank: HiddenBank,
+    def decode(self, scenes, bank: HiddenBank,
                noise: Optional[np.ndarray] = None) -> ForwardResult:
         """Roll the decoder forward ``pred_len`` steps past the observation.
 
+        ``scenes`` are the scenes ``bank`` encoded, one or a list.
         Geometry is recomputed every step from the decoder's own predicted
         positions, carried as live nodes so the range grid sees gradient
         from the predicted spacing. With ``generative`` configs the decoder
@@ -330,19 +357,29 @@ class ScanModel:
         node gains a leading sample axis, each sample reads the same encoder
         bank, and ``disp``/``pos`` come out as (S, N, steps, 2). A step then
         costs one record per layer for all S samples, and sample s equals a
-        decode with noise ``noise[s]`` alone, bit for bit.
+        decode with noise ``noise[s]`` alone, bit for bit. A
+        ``(S, B, noise_dim)`` block gives scene b of a B-scene batch its own
+        draw ``noise[s, b]``, shared by that scene's pedestrians.
         """
         cfg = self.cfg
-        order = _canonical_order(scene.ped_ids)
+        scenes = _scene_list(scenes)
+        layout = bank.layout
+        if tuple(scene.n_peds for scene in scenes) != layout.sizes:
+            raise ShapeError("decode: the scenes are not the ones the bank encoded")
+        order = layout.order
         lead: tuple = ()
         if noise is not None:
             if not cfg.generative:
                 raise ValueError("noise passed to a non-generative configuration")
             noise = np.asarray(noise, dtype=np.float64)
-            if noise.ndim not in (1, 2) or noise.shape[-1] != cfg.noise_dim:
-                raise ShapeError(f"noise shape {noise.shape} is neither "
-                                 f"({cfg.noise_dim},) nor (S, {cfg.noise_dim})")
-            lead = noise.shape[:-1]
+            if (noise.ndim not in (1, 2, 3) or noise.shape[-1] != cfg.noise_dim
+                    or noise.shape[1:-1] not in ((), (len(scenes),))):
+                raise ShapeError(f"noise shape {noise.shape} is not ({cfg.noise_dim},), "
+                                 f"(S, {cfg.noise_dim}) or "
+                                 f"(S, {len(scenes)}, {cfg.noise_dim})")
+            lead = noise.shape[:-1][:1]
+            if noise.ndim == 3:
+                noise = noise[:, layout.scene_of_row]      # one draw per row
 
         def tiled(values: np.ndarray) -> np.ndarray:
             return np.array(np.broadcast_to(values, lead + values.shape))
@@ -360,18 +397,18 @@ class ScanModel:
         kin = bank.kinematics[rows]
 
         last_pos = tiled(bank.last_pos[order])
-        start_offsets = ad.constant(last_pos[..., None, :, :]
+        start_offsets = ad.constant(last_pos[..., layout.neighbors, :]
                                     - last_pos[..., :, None, :])
         cum = None                                  # cumulative displacement node
         pos_values = last_pos                       # float positions, current step
         prev_disp = ad.constant(tiled(bank.last_disp[order]))
+        present = [self._present(scenes, cfg.obs_len + s) for s in range(cfg.pred_len)]
         disps, positions = [], []
 
         for s in range(cfg.pred_len):
-            present = self._present(scene, cfg.obs_len + s)[order]
-            offsets = (start_offsets if cum is None
-                       else ad.add(start_offsets, cells.pairwise_offsets(cum)))
-            fused, joints = self._spatial(offsets, kin, present, hidden)
+            offsets = (start_offsets if cum is None else ad.add(
+                start_offsets, cells.pairwise_offsets(cum, layout.neighbors)))
+            fused, joints = self._spatial(offsets, kin, present[s][order], hidden, layout)
             if cfg.variant == "scan" and not cfg.disable_temporal:
                 queries = fused if cfg.attention_key == "fused" else joints
                 state = attend(queries, history, self.params["temporal.W"],
@@ -393,21 +430,20 @@ class ScanModel:
             kin = advance_kinematics(pos_values, pos.values, kin)
             pos_values = pos.values
 
-        undo = (slice(None),) * len(lead) + (np.argsort(order),)
-        mask_rows = [self._present(scene, cfg.obs_len + s)
-                     for s in range(cfg.pred_len)]
-        return ForwardResult(list(scene.ped_ids),
+        undo = (slice(None),) * len(lead) + (layout.undo,)
+        return ForwardResult([pid for scene in scenes for pid in scene.ped_ids],
                              ad.gather(ad.stack(disps, axis=-2), undo),
                              ad.gather(ad.stack(positions, axis=-2), undo),
-                             np.array(mask_rows, dtype=bool).T)
+                             np.array(present, dtype=bool).T)
 
-    def forward(self, scene: SceneWindow,
-                noise: Optional[np.ndarray] = None) -> ForwardResult:
-        if scene.n_peds == 0:
+    def forward(self, scenes, noise: Optional[np.ndarray] = None) -> ForwardResult:
+        """Encode and decode one scene, or a list of scenes as one batch."""
+        scenes = _scene_list(scenes)
+        if sum(scene.n_peds for scene in scenes) == 0:
             empty = ad.constant(np.zeros((0, self.cfg.pred_len, 2)))
             return ForwardResult([], empty, empty,
                                  np.zeros((0, self.cfg.pred_len), dtype=bool))
-        return self.decode(scene, self.encode(scene), noise=noise)
+        return self.decode(scenes, self.encode(scenes), noise=noise)
 
 
 def trajectory_loss(result: ForwardResult, scene: SceneWindow):
@@ -418,7 +454,7 @@ def trajectory_loss(result: ForwardResult, scene: SceneWindow):
     by step, so the value is invariant to column order, bit for bit.
     """
     steps = min(result.n_steps, scene.pred_len)
-    order = _canonical_order(result.ped_ids)
+    order = cells.canonical_order(result.ped_ids)
     valid = (result.loss_mask[order, :steps]
              & scene.mask[scene.obs_len:scene.obs_len + steps, order].T)
     rows, step = np.nonzero(valid)

@@ -6,9 +6,11 @@ relative bearing and relative heading of a neighbour. A neighbour scores
 closer, outside it is exactly zero, so the gradient never touches grid
 entries for encounters that do not matter.
 
-Everything here works on a whole scene at once: entry [a, b] of an (N, N)
-array is how pedestrian a sees pedestrian b, and row a is a's crowd. A
-leading sample axis, (S, N, N), scores S futures of one scene together.
+Everything here works on a whole batch at once: entry [a, j] of an (N, J)
+array is how pedestrian a sees its j-th neighbour, and row a is a's crowd
+(for one scene, J = N and the neighbours are the scene's pedestrians; a
+batch of scenes uses ``cells.SceneLayout``'s table). A leading sample axis,
+(S, N, J), scores S futures together.
 Scores are normalized with a row-masked softmax so that beyond-domain
 neighbours keep weight exactly 0 (an unmasked softmax would hand them
 exp(0) = 1 and let them leak influence). The textbook unmasked form stays
@@ -39,9 +41,9 @@ class DomainGrid:
 @dataclass
 class SpatialWeights:
     """Raw and normalized scores of every (target, neighbour) pair."""
-    raw: ad.TensorNode          # (..., N, N)
-    normalized: ad.TensorNode   # (..., N, N), zeros where inactive
-    active: np.ndarray          # (..., N, N) bool: entries the softmax covers
+    raw: ad.TensorNode          # (..., N, J)
+    normalized: ad.TensorNode   # (..., N, J), zeros where inactive
+    active: np.ndarray          # (..., N, J) bool: entries the softmax covers
 
 
 def raw_score(grid: DomainGrid, bins: tuple[np.ndarray, np.ndarray],
@@ -62,8 +64,8 @@ def normalize_scores(raw: ad.TensorNode, neighbors: np.ndarray,
                      literal_softmax: bool = False) -> SpatialWeights:
     """Normalize each target's scores across its crowd.
 
-    ``neighbors[a, b]`` says whether b may influence a at all (present and
-    not a itself). Masked mode (default): softmax over the neighbours with
+    ``neighbors[a, j]`` says whether a's neighbour j may influence a at all
+    (present, not a itself and not padding). Masked mode (default): softmax over the neighbours with
     a strictly positive score; a row with none is all zeros. Literal mode:
     plain softmax over every neighbour regardless of score.
     """
@@ -73,15 +75,23 @@ def normalize_scores(raw: ad.TensorNode, neighbors: np.ndarray,
     return SpatialWeights(raw, ad.masked_softmax(raw, active), active)
 
 
-def context_vector(weights: SpatialWeights,
-                   hiddens: ad.TensorNode) -> ad.TensorNode:
+def context_vector(weights: SpatialWeights, hiddens: ad.TensorNode,
+                   blocks=None) -> ad.TensorNode:
     """Neighbour hidden states (..., N, H) weighted by normalized score.
+
+    ``blocks`` are a batch layout's scene blocks (``SceneLayout.blocks``):
+    each scene's rows take the product of their own (n, n) weights with
+    their own n hidden states, exactly as a lone scene would. Without
+    blocks, every weight row covers all hidden rows: ``weights @ hiddens``,
+    one block of all rows.
 
     A neighbour with weight exactly zero adds ``0 * h``, an exact zero
     because hidden states are always finite, so it has no influence, bit
     for bit.
     """
-    return ad.matmul(weights.normalized, hiddens)
+    if blocks is None:
+        blocks = [(1, weights.normalized.shape[-2], hiddens.shape[-2])]
+    return ad.block_matmul(weights.normalized, hiddens, blocks)
 
 
 def fuse_hidden(hidden: ad.TensorNode, context: ad.TensorNode,

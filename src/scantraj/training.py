@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,6 +101,12 @@ def train_deterministic(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
                         state: Optional[TrainState] = None):
     """Minimize the mean squared trajectory error with Adam.
 
+    Each batch runs as one pass: its non-empty scenes are encoded and
+    decoded together, side by side (``cells.SceneLayout``), and split into
+    per-scene views. The batch loss is each scene's own ``trajectory_loss``
+    averaged over the scenes that have one, left to right, so a scene in a
+    batch counts exactly as it would alone.
+
     Returns (state, curve). Pass a restored ``state`` to resume: the loop
     runs from ``state.epoch`` to ``tcfg.epochs`` and, because the shuffle
     stream's position is part of the state, matches the uninterrupted run
@@ -118,14 +123,13 @@ def train_deterministic(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
     for epoch in range(state.epoch, tcfg.epochs):
         total, scenes_counted = 0.0, 0
         for batch in _epoch_batches(windows, state.hub, tcfg.batch_size):
+            live = [scene for scene in batch if scene.n_peds > 0]
+            if not live:
+                continue
             with ad.Tape() as tape:
-                losses = []
-                for scene in batch:
-                    if scene.n_peds == 0:
-                        continue
-                    loss = trajectory_loss(model.forward(scene), scene)
-                    if loss is not None:
-                        losses.append(loss)
+                views = model.forward(live).per_scene(live)
+                losses = [loss for loss in map(trajectory_loss, views, live)
+                          if loss is not None]
                 batch_loss = ad.mean_of(losses)
                 if batch_loss is None:
                     continue
@@ -236,10 +240,8 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
                 result = model.forward(scene)
             first = result.positions()[:, :usable]
             bok_ade = bok_fde = None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # fde fallback is routine here
-            scene_ade = metrics.ade(first, truth, mask)
-            scene_fde = metrics.fde(first, truth, mask)
+        scene_ade = metrics.ade(first, truth, mask)
+        scene_fde, _ = metrics._fde(first, truth, mask)   # fallback is routine here
         ades.append(scene_ade)
         fdes.append(scene_fde)
         bok_ades.append(bok_ade if bok_ade is not None else scene_ade)

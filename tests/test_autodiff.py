@@ -208,6 +208,25 @@ class TestFiniteDifferenceOracle:
             ad.reduce_sum(ad.mul(ad.unstack(n[0])[0], ad.constant(w))),
             ad.reduce_sum(ad.tanh(ad.unstack(n[0])[2]))), [a])
 
+    def test_split(self):
+        rng = np.random.default_rng(52)
+        a = rng.normal(size=(2, 6, 3))
+        w = rng.normal(size=(2, 3, 3))
+        # The middle part is unused and must pass back exact zeros.
+        check_grads(lambda n: ad.add(
+            ad.reduce_sum(ad.mul(ad.split(n[0], [1, 2, 3], axis=1)[2], ad.constant(w))),
+            ad.reduce_sum(ad.tanh(ad.split(n[0], [1, 2, 3], axis=1)[0]))), [a])
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_block_matmul(self, lead):
+        rng = np.random.default_rng(53)
+        a = rng.normal(size=lead + (5, 3))
+        b = rng.normal(size=lead + (5, 4))
+        blocks = [(1, 1, 1), (2, 2, 2)]
+        w = rng.normal(size=lead + (5, 4))
+        check_grads(lambda n: ad.reduce_sum(
+            ad.mul(ad.block_matmul(n[0], n[1], blocks), ad.constant(w))), [a, b])
+
     def test_matrix_entry_slice(self):
         rng = np.random.default_rng(49)
         S = rng.normal(size=(4, 5))
@@ -344,6 +363,54 @@ class TestBatchedOps:
         with ad.Tape() as tape:
             tape.backward(ad.reduce_sum(ad.gather(x, np.array([[0, 2], [2, 2]]))))
         np.testing.assert_array_equal(x.grad, [1.0, 0.0, 3.0])
+
+    def test_masked_entries_appended_to_a_row_change_nothing(self):
+        # Scenes of a batch pad their neighbour rows to the largest scene;
+        # numpy's own row sum regroups rows of 8 or more entries.
+        rng = np.random.default_rng(61)
+        for width in range(1, 10):
+            row = rng.normal(size=width)
+            padded = np.concatenate([row, rng.normal(size=8)])
+            alone = ad.masked_softmax(ad.constant(row), np.ones(width, bool)).values
+            inside = ad.masked_softmax(ad.constant(padded),
+                                       np.arange(width + 8) < width).values
+            assert inside[:width].tobytes() == alone.tobytes(), width
+            assert not inside[width:].any()
+
+    def test_block_products_equal_unbatched_products_bitwise(self):
+        # A scene's context inside a batch must equal a lone scene's.
+        rng = np.random.default_rng(62)
+        a, b = rng.normal(size=(3, 9, 5)), rng.normal(size=(3, 9, 4))
+        out = ad.block_matmul(ad.constant(a), ad.constant(b),
+                              [(1, 1, 1), (1, 2, 2), (2, 3, 3)]).values
+        for rows, width in ((slice(0, 1), 1), (slice(1, 3), 2),
+                            (slice(3, 6), 3), (slice(6, 9), 3)):
+            for s in range(3):
+                one = ad.matmul(ad.constant(a[s][rows, :width]),
+                                ad.constant(b[s][rows])).values
+                assert out[s][rows].tobytes() == one.tobytes()
+
+    def test_a_lone_row_rounds_as_in_a_batch(self):
+        # numpy hands a one-row product to gemv, whose rounding differs from
+        # the gemm that multiplies a row of a larger batch.
+        rng = np.random.default_rng(63)
+        X, W, b = rng.normal(size=(6, 7)), rng.normal(size=(9, 7)), rng.normal(size=9)
+        batch = ad.linear(ad.constant(X), ad.constant(W), ad.constant(b)).values
+        for r in range(6):
+            one = ad.linear(ad.constant(X[r:r + 1]), ad.constant(W), ad.constant(b))
+            assert one.shape == (1, 9)
+            assert one.values.tobytes() == batch[r:r + 1].tobytes()
+
+    def test_split_is_one_record_and_keeps_the_axis(self):
+        x = ad.constant(np.arange(12.0).reshape(2, 6))
+        with ad.Tape() as tape:
+            parts = ad.split(x, [1, 0, 5], axis=-1)
+            assert len(tape) == 1
+            tape.backward(ad.reduce_sum(parts[2]))
+        assert [p.shape for p in parts] == [(2, 1), (2, 0), (2, 5)]
+        np.testing.assert_array_equal(x.grad, np.tile([0.0] + [1.0] * 5, (2, 1)))
+        with pytest.raises(ShapeError, match="split"):
+            ad.split(x, [2, 3], axis=1)
 
     def test_batched_matmul_rows_match_one_row_at_a_time(self):
         rng = np.random.default_rng(59)

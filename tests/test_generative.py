@@ -449,7 +449,7 @@ class TestGanTrainStep:
                                np.random.default_rng(3))
         assert decoded[1] == 2 * decoded[0]
 
-    def test_one_encode_and_one_decode_per_scene(self, monkeypatch):
+    def test_one_encode_and_one_decode_per_step(self, monkeypatch):
         calls = {"encode": 0, "decode": 0}
         for name in calls:
             original = getattr(sm.ScanModel, name)
@@ -463,7 +463,7 @@ class TestGanTrainStep:
         gen.gan_train_step(m, disc, self.make_batch(), gen.GanConfig(k=3),
                            ad.Adam(m.params, lr=0.001), ad.Adam(disc, lr=0.001),
                            np.random.default_rng(3))
-        assert calls == {"encode": 2, "decode": 2}
+        assert calls == {"encode": 1, "decode": 1}
 
     def test_report_equals_one_pass_per_sample_and_trajectory(self):
         # With a frozen critic, the batched step must report exactly what

@@ -10,6 +10,12 @@ The sample-batched passes have their own: a k-sample decode equals k
 one-sample decodes bit for bit, one sample's noise reaches no other sample,
 the batched decode and critic are renumbering-equivariant bit for bit, and
 the tape does not grow with k.
+
+So do the scene-batched passes of a training step: every scene of a batch
+equals a pass over it alone bit for bit, though the scenes overlap in space
+and share pedestrian ids; the batch loss is the mean of the lone losses and
+its gradient their sum; a GAN step reports what lone passes give; and the
+tape grows with the number of scenes, not with its square.
 """
 
 import math
@@ -218,12 +224,12 @@ def test_forward_tape_size_does_not_grow_with_the_crowd():
     assert records[0] == records[1]
 
 
-def generative_model(data, seed):
-    """A micro generative forecaster with drawn variant, attention key and
-    coordinate mode, and a range grid with a different range in every cell,
-    so that each pair's bins matter."""
+def generative_model(data, seed, generative=True):
+    """A micro forecaster (generative by default) with drawn variant,
+    attention key and coordinate mode, and a range grid with a different
+    range in every cell, so that each pair's bins matter."""
     cfg = micro_cfg(
-        generative=True, noise_dim=3, obs_len=3, pred_len=3,
+        generative=generative, noise_dim=3, obs_len=3, pred_len=3,
         variant=data.draw(st.sampled_from(["scan", "vanilla"])),
         attention_key=data.draw(st.sampled_from(["fused", "joint"])),
         coordinate_mode=data.draw(st.sampled_from(["displacement", "absolute"])))
@@ -327,3 +333,157 @@ def test_sampling_tape_size_does_not_grow_with_k(n, seed, data):
             gn.sample_predictions(model, scene, k, np.random.default_rng(seed))
         records.append(len(tape))
     assert records[0] == records[1]
+
+
+def drawn_batch(data, seed):
+    """1 to 4 scenes of 1 to 6 random walkers over the same few square
+    metres, with ids from a small pool (so they repeat across scenes), drawn
+    presence in the predicted steps, and one pedestrian who vanishes."""
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    scenes = []
+    for b, n in enumerate(sizes):
+        ids = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n,
+                                 unique=True))
+        scenes.append(sampled_scene(data, seed + b, n, ped_ids=ids))
+    b = data.draw(st.integers(0, len(scenes) - 1))
+    ped = data.draw(st.integers(0, scenes[b].n_peds - 1))
+    scenes[b].mask[data.draw(st.integers(3, 5)):, ped] = False
+    return scenes
+
+
+def noise_blocks(data, seed, n_scenes):
+    """One (k, 3) noise block per scene, k drawn, or None (zero noise)."""
+    if not data.draw(st.booleans()):
+        return None
+    k = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((k, 3)) for _ in range(n_scenes)]
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_scene_of_a_batch_equals_its_lone_pass_bitwise(seed, data):
+    model = generative_model(data, seed)
+    scenes = drawn_batch(data, seed)
+    noises = noise_blocks(data, seed, len(scenes))
+    with ad.Tape():
+        bank = model.encode(scenes)
+        batch = model.decode(scenes, bank, noise=None if noises is None
+                             else np.stack(noises, axis=1))
+    start = 0
+    for b, (scene, view) in enumerate(zip(scenes, batch.per_scene(scenes))):
+        rows = slice(start, start + scene.n_peds)
+        start += scene.n_peds
+        with ad.Tape():
+            lone_bank = model.encode(scene)
+            lone = model.decode(scene, lone_bank,
+                                noise=None if noises is None else noises[b])
+        assert np.array_equal(bank.hidden.values[rows], lone_bank.hidden.values), b
+        assert np.array_equal(bank.attention.keys.values[rows],
+                              lone_bank.attention.keys.values), b
+        assert np.array_equal(view.pos.values, lone.pos.values), b
+        assert np.array_equal(view.disp.values, lone.disp.values), b
+        assert np.array_equal(view.loss_mask, lone.loss_mask), b
+
+
+def param_grads(model) -> dict:
+    return {name: node.grad.copy() for name, node in model.params.items()}
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_batch_loss_is_the_mean_of_lone_losses_and_its_gradient_their_sum(seed, data):
+    model = generative_model(data, seed, generative=data.draw(st.booleans()))
+    scenes = drawn_batch(data, seed)
+    with ad.Tape() as tape:
+        views = model.forward(scenes).per_scene(scenes)
+        losses = [loss for loss in map(sm.trajectory_loss, views, scenes)
+                  if loss is not None]
+        batch_loss = ad.mean_of(losses)
+        if batch_loss is None:
+            return
+        model.params.zero_grads()
+        tape.backward(batch_loss)
+    batch_grads = param_grads(model)
+
+    lone_losses, lone_sum = [], None
+    for scene in scenes:
+        with ad.Tape() as tape:
+            loss = sm.trajectory_loss(model.forward(scene), scene)
+            if loss is None:
+                continue
+            model.params.zero_grads()
+            tape.backward(loss)
+        lone_losses.append(ad.constant(loss.values))
+        grads = param_grads(model)
+        lone_sum = grads if lone_sum is None else {
+            name: lone_sum[name] + grads[name] for name in grads}
+    assert float(batch_loss.values) == float(ad.mean_of(lone_losses).values)
+    for name, grad in batch_grads.items():
+        np.testing.assert_allclose(grad, lone_sum[name] / len(lone_losses),
+                                   rtol=1e-12, atol=1e-15, err_msg=name)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_gan_step_reports_what_lone_passes_give(seed, data):
+    # With a frozen critic, the batched step must report exactly what lone
+    # passes over each scene give, each scene with its own noise draw.
+    model = generative_model(data, seed)
+    critic = gn.build_discriminator_params(model.cfg, ad.RngHub(seed % 5))
+    grid = critic["disc.domain_grid"].values
+    grid[...] = np.random.default_rng(seed + 2).uniform(0.5, 4.0, size=grid.shape)
+    scenes = drawn_batch(data, seed)
+    scenes[0].mask[:, 0] = True             # someone for the critic to score
+    k = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    noises = [rng.standard_normal((k, 3)) for _ in scenes]
+    with ad.Tape():
+        real, fake, variety, diversity = [], [], [], []
+        for scene, noise in zip(scenes, noises):
+            keep = np.flatnonzero(scene.mask.all(axis=0))
+            results = model.decode(scene, model.encode(scene), noise=noise).samples()
+            real.append(ad.gather(gn.discriminator_logits(
+                model.cfg, critic, scene.ped_ids, gn.real_position_nodes(scene),
+                scene.mask), keep))
+            fake.extend(ad.gather(gn.discriminator_logits(
+                model.cfg, critic, scene.ped_ids,
+                gn.fake_position_nodes(scene, r), scene.mask), keep)
+                for r in results)
+            samples = gn.PredictionSet(scene.ped_ids, results, noise)
+            term = gn.variety_loss(scene, samples)
+            if term is not None:
+                variety.append(term)
+            diversity.append(gn.diversity_loss(samples))
+        want = {"disc": float(ad.add(gn.bce_real(ad.concat(real)),
+                                     gn.bce_fake(ad.concat(fake))).values),
+                "adversarial": float(gn.adversarial_loss(ad.concat(fake)).values),
+                "variety": float(ad.mean_of(variety).values) if variety else 0.0,
+                "diversity": float(ad.mean_of(diversity).values)}
+    report = gn.gan_train_step(
+        model, critic, scenes, gn.GanConfig(k=k, diversity_weight=0.5),
+        ad.Adam(model.params, lr=0.001), ad.Adam(critic, lr=0.0),
+        np.random.default_rng(seed))
+    for term, value in want.items():
+        assert report[term] == value, term
+
+
+def test_tape_values_grow_with_the_scenes_not_their_square(monkeypatch):
+    nbytes = []
+    add = ad.Tape.add
+
+    def counting_add(tape, op, out, *rest):
+        nbytes[-1] += sum(part.values.nbytes
+                          for part in (out if type(out) is tuple else (out,)))
+        return add(tape, op, out, *rest)
+
+    monkeypatch.setattr(ad.Tape, "add", counting_add)
+    model = build(micro_cfg(obs_len=3, pred_len=3), seed=2)
+    scene = make_scene(walkers(np.random.default_rng(9), 5, 6), 3)
+    for count in (1, 4):
+        nbytes.append(0)
+        batch = [scene] * count
+        with ad.Tape():
+            views = model.forward(batch).per_scene(batch)
+            ad.mean_of([sm.trajectory_loss(view, scene) for view in views])
+    assert nbytes[1] <= 4 * nbytes[0] + 256

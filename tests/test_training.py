@@ -2,6 +2,9 @@
 
 import dataclasses
 import struct
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +110,22 @@ class TestDeterministicLoop:
             with pytest.raises(NumericError):
                 tr.train_deterministic(windows, cfg, conf, state=state)
 
+    def test_one_encode_and_one_decode_per_batch(self, monkeypatch):
+        calls = {"encode": 0, "decode": 0}
+        for name in calls:
+            original = getattr(sm.ScanModel, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(sm.ScanModel, name, counted)
+        empty = sd.SceneWindow(ped_ids=[], positions=np.zeros((5, 0, 2)),
+                               mask=np.zeros((5, 0), dtype=bool), obs_len=3)
+        tr.train_deterministic(micro_windows(4) + [empty], micro_cfg(),
+                               tcfg(batch_size=5, epochs=2))
+        assert calls == {"encode": 2, "decode": 2}
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             tr.train_deterministic([], micro_cfg(), tcfg())
@@ -192,6 +211,40 @@ class TestEvaluate:
         for field in dataclasses.fields(free):
             assert repr(getattr(free, field.name)) == \
                 repr(getattr(recorded, field.name)), field.name
+
+    def test_threads_leave_the_warning_filters_alone(self):
+        # Every call meets fde's fallback in evaluate and in best_of_k. Those
+        # must neither swap the process-wide warning filters under other
+        # threads nor let the fallback warning escape.
+        cfg, params, windows = self._fixture(generative=True)
+        for window in windows:
+            window.mask[-1, 0] = False      # the first walker misses the last step
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(15):
+                    tr.evaluate(cfg, params, windows, k=2, seed=1)
+            except Exception as exc:        # reported by the assertion below
+                errors.append(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an escaped warning raises in its thread
+            before = list(warnings.filters)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120.0)
+                    assert not t.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            after = list(warnings.filters)
+        assert errors == []
+        assert after == before
 
     def test_no_scorable_scenes_raises(self):
         cfg, params, _ = self._fixture()
