@@ -24,14 +24,18 @@ record per layer, whatever its size or sample count. Their shape rules:
 * ``linear(x, weight, bias=None)``: ``x @ weight.T + bias`` for ``x`` of
   shape ``(..., in)``, ``weight`` ``(out, in)`` and ``bias`` ``(out,)``,
   broadcast over every leading axis: ``(..., in) -> (..., out)``.
-* ``matmul(a, b)``: ``(m, k) @ (k, n)``, ``(m, k) @ (k,)`` and
-  ``(k,) @ (k,)`` (a scalar), plus three batched forms whose leading batch
-  axes ``...`` (one or more) are equal on both operands:
-  ``(..., m, k) @ (..., k, n) -> (..., m, n)``,
-  ``(..., m, k) @ (..., k) -> (..., m)`` (a matrix times a vector per
-  slice) and ``(..., m) @ (..., m, k) -> (..., k)`` (a vector times a
-  matrix per slice). numpy runs a batched product one slice at a time, so
-  each slice equals the unbatched product of that slice bit for bit.
+* ``lstm_step(gates_in, hidden, cell, w_hh)``: one LSTM update of every
+  row, one record with outputs ``(new_hidden, new_cell)``: ``hidden`` and
+  ``cell`` are ``(..., H)``, ``w_hh`` ``(4H, H)`` and ``gates_in`` the
+  ``(..., 4H)`` input share ``x @ W_ih.T + b`` of the gates (input, forget,
+  candidate, output). Values and gradients equal the composed update bit
+  for bit.
+* ``matmul(a, b)``: ``(m, k) @ (k, n)``, ``(m, k) @ (k,)``, ``(k,) @ (k,)``
+  (a scalar), and per slice of equal leading axes ``...``:
+  ``(..., m, k) @ (..., k) -> (..., m)`` and
+  ``(..., m) @ (..., m, k) -> (..., k)``. numpy runs a batched product one
+  slice at a time, so each slice equals its unbatched product bit for bit.
+  Batched matrix-matrix products go through ``block_matmul``.
 * ``block_matmul(a, b, blocks)``: many small products in one record.
   ``blocks`` lists groups ``(m, p, q)`` that take consecutive rows: m
   blocks of p rows of ``a`` and q rows of ``b`` each, and a block's output
@@ -79,9 +83,9 @@ from .errors import ShapeError
 __all__ = [
     "TensorNode", "Tape", "no_grad", "active_tape", "constant", "zeros",
     "add", "sub", "mul", "div", "neg", "matmul", "block_matmul", "linear",
-    "concat", "stack", "unstack", "split", "gather", "relu", "tanh",
+    "lstm_step", "concat", "stack", "unstack", "split", "gather", "relu", "tanh",
     "sigmoid", "exp", "log", "softplus", "masked_softmax", "reduce_sum", "reduce_mean",
-    "l2norm", "mean_of", "ParamStore", "Adam", "RngHub",
+    "l2norm", "mean_of", "ParamStore", "Adam", "RngHub", "nonfinite_origin",
     "numeric_gradient",
 ]
 
@@ -179,8 +183,8 @@ class Tape:
     """
 
     def __init__(self):
-        # (output, inputs, backward); ``unstack`` records a tuple of outputs
-        # and a backward that takes one adjoint (or None) per output.
+        # (output, inputs, backward); a multi-output op records a tuple of
+        # outputs and a backward that takes one adjoint (or None) per output.
         self._records: list[tuple] = []
 
     def __len__(self) -> int:
@@ -274,6 +278,18 @@ _TAPE_STACK: contextvars.ContextVar[tuple[Tape, ...]] = contextvars.ContextVar(
 
 def active_tape() -> Tape:
     return _TAPE_STACK.get()[-1]
+
+
+def nonfinite_origin(node: TensorNode) -> str:
+    """Where the tape that recorded ``node`` first went non-finite, as text
+    to append to an error message, or "" (it scans the tape: raise paths only)."""
+    tape = node.op_record.tape if node.op_record is not None else None
+    for out, _inputs, _backward in tape._records if tape is not None else ():
+        parts = out if type(out) is tuple else (out,)
+        if not all(np.isfinite(part.values).all() for part in parts):
+            record = parts[0].op_record
+            return f"; first non-finite output: {record.op} at tape record {record.index}"
+    return ""
 
 
 def constant(values) -> TensorNode:
@@ -407,13 +423,6 @@ def matmul(a, b) -> TensorNode:
         def backward(g):
             _add_grad(a, g * bv)
             _add_grad(b, g * av)
-    elif (av.ndim == bv.ndim >= 3 and av.shape[:-2] == bv.shape[:-2]
-          and av.shape[-1] == bv.shape[-2]):
-        outv = np.matmul(av, bv)
-
-        def backward(g):
-            _add_grad(a, np.matmul(g, np.swapaxes(bv, -1, -2)))
-            _add_grad(b, np.matmul(np.swapaxes(av, -1, -2), g))
     elif (av.ndim == bv.ndim + 1 >= 3 and av.shape[:-2] == bv.shape[:-1]
           and av.shape[-1] == bv.shape[-1]):
         outv = np.matmul(av, bv[..., None])[..., 0]
@@ -478,20 +487,23 @@ def block_matmul(a, b, blocks) -> TensorNode:
     return _record("block_matmul", outv, (a, b), backward)
 
 
+def _rows_times(xv: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """``xv @ wv.T`` for rows ``(..., in)``. numpy hands a one-row product to
+    gemv, which rounds differently from the gemm that multiplies a row inside
+    a larger batch; a lone row therefore runs as the first row of two."""
+    if xv.ndim >= 2 and xv.shape[-2] == 1:
+        pair = np.concatenate([xv, np.zeros_like(xv)], axis=-2)
+        return (pair @ wv.T)[..., :1, :]
+    return xv @ wv.T
+
+
 def linear(x, weight, bias=None) -> TensorNode:
     """``x @ weight.T + bias`` for an input ``(..., in)``, row by row."""
     x, weight = _lift(x), _lift(weight)
     xv, wv = x.values, weight.values
     if wv.ndim != 2 or xv.ndim == 0 or xv.shape[-1] != wv.shape[1]:
         raise ShapeError(f"linear: input {xv.shape} and weight {wv.shape} do not conform")
-    if xv.ndim >= 2 and xv.shape[-2] == 1:
-        # numpy hands a one-row product to gemv, which rounds differently
-        # from the gemm that multiplies a row inside a larger batch; a lone
-        # row therefore runs as the first row of a two-row product.
-        pair = np.concatenate([xv, np.zeros_like(xv)], axis=-2)
-        outv = (pair @ wv.T)[..., :1, :]
-    else:
-        outv = xv @ wv.T
+    outv = _rows_times(xv, wv)
     inputs = (x, weight)
     if bias is not None:
         bias = _lift(bias)
@@ -549,6 +561,14 @@ def stack(nodes: Sequence[TensorNode], axis: int = 0) -> TensorNode:
     return _record("stack", outv, tuple(nodes), backward)
 
 
+def _record_parts(op: str, parts: tuple, inputs: tuple, backward: Callable) -> tuple:
+    """Record one op with several output nodes."""
+    record = active_tape().add(op, parts, inputs, backward)
+    for part in parts:
+        part.op_record = record
+    return parts
+
+
 def _parts(op: str, a: TensorNode, keys: list) -> list[TensorNode]:
     """``a.values[key]`` for every key as separate nodes, from one record
     with several outputs; each part gets its own gradient."""
@@ -560,10 +580,7 @@ def _parts(op: str, a: TensorNode, keys: list) -> list[TensorNode]:
             if g is not None:
                 buf[key] += g
 
-    record = active_tape().add(op, parts, (a,), backward)
-    for part in parts:
-        part.op_record = record
-    return list(parts)
+    return list(_record_parts(op, parts, (a,), backward))
 
 
 def unstack(a) -> list[TensorNode]:
@@ -628,6 +645,43 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> TensorNode:
     return _unary("sigmoid", a, _sigmoid_values,
                   lambda g, x, y: g * y * (1.0 - y))
+
+
+def lstm_step(gates_in, hidden, cell, w_hh) -> tuple[TensorNode, TensorNode]:
+    """One LSTM update of every row as one record; see the module docstring.
+    The backward replays the composed update's float operations in order."""
+    gates_in, hidden, cell, w_hh = map(_lift, (gates_in, hidden, cell, w_hh))
+    hv, cv, wv = hidden.values, cell.values, w_hh.values
+    H = cv.shape[-1] if cv.ndim else -1
+    if (hv.shape != cv.shape or wv.shape != (4 * H, H)
+            or gates_in.shape != cv.shape[:-1] + (4 * H,)):
+        raise ShapeError(f"lstm_step: gates {gates_in.shape}, hidden {hv.shape}, "
+                         f"cell {cv.shape} and weight {wv.shape} do not conform")
+    gates = gates_in.values + _rows_times(hv, wv)
+    ifo = _sigmoid_values(np.concatenate([gates[..., :2 * H], gates[..., 3 * H:]], axis=-1))
+    i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
+    g = np.tanh(gates[..., 2 * H:3 * H])
+    new_cell = f * cv + i * g
+    squashed = np.tanh(new_cell)
+
+    def backward(grads):
+        d_hidden, d_cell = grads
+        d_o = np.zeros_like(o) if d_hidden is None else d_hidden * squashed
+        if d_hidden is not None:
+            through = d_hidden * o * (1.0 - squashed * squashed)
+            d_cell = through if d_cell is None else d_cell + through
+        d_gates = np.concatenate([d_cell * g * i * (1.0 - i),
+                                  d_cell * cv * f * (1.0 - f),
+                                  d_cell * i * (1.0 - g * g),
+                                  d_o * o * (1.0 - o)], axis=-1)
+        g2 = d_gates.reshape(-1, 4 * H)
+        _add_grad(gates_in, d_gates)
+        _add_grad(hidden, (g2 @ wv).reshape(hv.shape))
+        _add_grad(w_hh, g2.T @ hv.reshape(-1, H))
+        _add_grad(cell, d_cell * f)
+
+    return _record_parts("lstm_step", (TensorNode(o * squashed), TensorNode(new_cell)),
+                         (gates_in, hidden, cell, w_hh), backward)
 
 
 def exp(a) -> TensorNode:

@@ -9,6 +9,10 @@ together and lets every pedestrian see only the pedestrians of its own
 scene. A leading sample axis ``(S, N, ...)`` runs S futures of the same
 scenes in the same records. Either way each scene (and each sample) equals
 a pass over it alone, bit for bit.
+
+A spatial round is a geometry half (``spatial_weights``), which reads no
+hidden state, then a state half (``spatial_state``). ``observed_pass`` runs
+the first once per known track; the decoder runs both per step.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from . import autodiff as ad
 from . import spatial
 # compute_encounter is the scalar reference for geometry.bin_indices; it
 # stays importable here, where bench/tracer.py binds it.
-from .geometry import CrowdKinematics, bin_indices, compute_encounter  # noqa: F401
+from .geometry import (CrowdKinematics, advance_kinematics, bin_indices,  # noqa: F401
+                       compute_encounter, kinematics_at)
 
 
 def canonical_order(ped_ids: Sequence[int]) -> np.ndarray:
@@ -77,11 +82,11 @@ class SceneLayout:
         return self.order.size
 
     def neighbor_mask(self, present: np.ndarray) -> np.ndarray:
-        """(R, J) bool: which table entries may influence their row, from
-        the (R,) presence of every row. Absent pedestrians, a row's own
-        entry and the padding never do."""
+        """(..., R, J) bool: which table entries may influence their row,
+        from the (..., R) presence of every row. Absent pedestrians, a row's
+        own entry and the padding never do."""
         rows = np.arange(self.n_rows)[:, None]
-        return np.asarray(present, dtype=bool)[self.neighbors] & (self.neighbors != rows)
+        return np.asarray(present, dtype=bool)[..., self.neighbors] & (self.neighbors != rows)
 
 
 def linear(x: ad.TensorNode, weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
@@ -89,21 +94,15 @@ def linear(x: ad.TensorNode, weight: ad.TensorNode, bias: ad.TensorNode) -> ad.T
     return ad.linear(x, weight, bias)
 
 
-def lstm_cell(x: ad.TensorNode, hidden: ad.TensorNode, cell: ad.TensorNode,
-              w_ih: ad.TensorNode, w_hh: ad.TensorNode, bias: ad.TensorNode,
-              hidden_dim: int):
-    """One LSTM update of every row; gate order input, forget, candidate,
-    output."""
-    H = hidden_dim
-    gates = ad.add(ad.linear(x, w_ih, bias), ad.linear(hidden, w_hh))
-    squashed = ad.sigmoid(gates)        # the candidate block is unused here
-    i = squashed[..., 0:H]
-    f = squashed[..., H:2 * H]
-    g = ad.tanh(gates[..., 2 * H:3 * H])
-    o = squashed[..., 3 * H:4 * H]
-    new_cell = ad.add(ad.mul(f, cell), ad.mul(i, g))
-    new_hidden = ad.mul(o, ad.tanh(new_cell))
-    return new_hidden, new_cell
+def lstm_cell(gates_in: ad.TensorNode, hidden: ad.TensorNode, cell: ad.TensorNode,
+              w_hh: ad.TensorNode):
+    """One LSTM update of every row, one record (``ad.lstm_step``).
+
+    ``gates_in`` is the input's share ``x @ W_ih.T + b`` of the (..., 4H)
+    gates, in the order input, forget, candidate, output; the op adds
+    ``hidden @ w_hh.T``. Returns (new_hidden, new_cell).
+    """
+    return ad.lstm_step(gates_in, hidden, cell, w_hh)
 
 
 def noise_conditioned_hidden(hidden: ad.TensorNode, noise: np.ndarray,
@@ -132,49 +131,97 @@ def pairwise_offsets(positions: ad.TensorNode, neighbors: np.ndarray) -> ad.Tens
                   ad.gather(positions, lead + (rows,)))
 
 
-def spatial_round(offsets: ad.TensorNode,
-                  kinematics: CrowdKinematics,
-                  present: np.ndarray,
-                  hiddens: ad.TensorNode,
-                  layout: SceneLayout,
-                  grid: spatial.DomainGrid,
-                  fuse_w: ad.TensorNode, fuse_b: ad.TensorNode,
-                  literal_softmax: bool = False,
-                  force_zero_context: bool = False):
-    """One batch-wide spatial attention pass from a snapshot of hidden states.
+def spatial_weights(offsets: ad.TensorNode, kinematics: CrowdKinematics,
+                    mask: np.ndarray, layout: SceneLayout, grid: spatial.DomainGrid,
+                    literal_softmax: bool = False) -> ad.TensorNode:
+    """(..., R, J) normalized weights from (..., R, J, 2) ``offsets`` to each
+    row's ``layout.neighbors``, the float ``kinematics`` (..., R) that pick
+    each pair's grid cell and the (..., R, J) ``mask`` of entries that may
+    act; leading axes (samples, steps) run in the same records."""
+    distance = ad.l2norm(offsets)
+    scores = spatial.raw_score(
+        grid, bin_indices(kinematics, grid.spec, layout.neighbors), distance)
+    return spatial.normalize_scores(scores, mask, literal_softmax=literal_softmax).normalized
 
-    The rows are ``layout``'s: every scene's pedestrians in ascending id
-    order, the scenes grouped by size. ``offsets`` is the (R, J, 2) node
-    pointing from each row to the entries of its row of
-    ``layout.neighbors``; passing live position nodes here is what lets
-    predicted geometry receive gradient. ``kinematics`` gives the float positions (R, 2) and
-    headings (R,) that pick each pair's grid cell. With a leading sample
-    axis (offsets (S, R, J, 2), kinematics positions (S, R, 2) and headings
-    (S, R), hiddens (S, R, H)) every sample runs its own round in the same
-    records; ``present`` (R,) is shared by all of them.
 
-    Distances, bins, scores and weights cover the (R, J) table, so a
-    pedestrian scores only its own scene; absent pedestrians, its own entry
-    and the padding of smaller scenes never act as neighbours, and a
-    pedestrian with no neighbour gets the zero context exactly, because
-    every weight in its row is 0. Softmax totals run left to right, so the
-    padding adds exact zeros, and the context is one product per scene
-    (``ad.block_matmul``), so every scene's outputs equal a round over that
-    scene alone, bit for bit, and renumbering a scene permutes them
-    bit-identically.
-
-    Returns (fused, joints): (..., R, H) fused states and the (..., R, 2H)
-    pre-projection concatenations.
-    """
-    neighbors = np.broadcast_to(layout.neighbor_mask(present),
-                                hiddens.shape[:-1] + layout.neighbors.shape[-1:])
-    if force_zero_context:
-        ctx = ad.constant(np.zeros(hiddens.shape))
-    else:
-        distance = ad.l2norm(offsets)
-        scores = spatial.raw_score(
-            grid, bin_indices(kinematics, grid.spec, layout.neighbors), distance)
-        weights = spatial.normalize_scores(scores, neighbors,
-                                           literal_softmax=literal_softmax)
-        ctx = spatial.context_vector(weights, hiddens, layout.blocks)
+def spatial_state(weights: ad.TensorNode | None, hiddens: ad.TensorNode,
+                  layout: SceneLayout, fuse_w: ad.TensorNode, fuse_b: ad.TensorNode):
+    """The state half of a spatial round: each scene's (..., R, H) hidden
+    states blended by its (..., R, J) ``weights`` (None: a zero context)
+    and fused into every row. Returns (fused, joints): the (..., R, H)
+    fused states and the (..., R, 2H) pre-projection concatenations."""
+    ctx = (ad.constant(np.zeros(hiddens.shape)) if weights is None
+           else spatial.context_vector(weights, hiddens, layout.blocks))
     return spatial.fuse_hidden(hiddens, ctx, fuse_w, fuse_b)
+
+
+def spatial_round(offsets: ad.TensorNode, kinematics: CrowdKinematics,
+                  present: np.ndarray, hiddens: ad.TensorNode, layout: SceneLayout,
+                  grid: spatial.DomainGrid, fuse_w: ad.TensorNode, fuse_b: ad.TensorNode,
+                  literal_softmax: bool = False, force_zero_context: bool = False):
+    """``spatial_weights`` then ``spatial_state`` over a snapshot of hidden
+    states; returns (fused, joints). ``present`` (R,) is shared by any
+    leading sample axis; live positions in ``offsets`` carry gradient.
+
+    A pedestrian scores only its own scene's (R, J) table entries, never an
+    absent one, itself or padding (a row with no neighbour gets the zero
+    context exactly); totals run left to right and the context is one
+    product per scene, so each scene equals a round over it alone, bit for
+    bit, and renumbering a scene permutes its outputs bit-identically.
+    """
+    weights = None
+    if not force_zero_context:
+        mask = np.broadcast_to(layout.neighbor_mask(present), offsets.shape[:-1])
+        weights = spatial_weights(offsets, kinematics, mask, layout, grid,
+                                  literal_softmax=literal_softmax)
+    return spatial_state(weights, hiddens, layout, fuse_w, fuse_b)
+
+
+def observed_pass(track: ad.TensorNode, presence: np.ndarray, layout: SceneLayout,
+                  grid: spatial.DomainGrid, embed: tuple, lstm: tuple, fuse: tuple,
+                  absolute: bool, key: str = "fused", literal_softmax: bool = False,
+                  force_zero_context: bool = False):
+    """The spatially attentive LSTM over a track whose every step is known.
+
+    ``track`` is the (..., C, T, 2) node of the batch columns' trajectories,
+    ``presence`` the (T, R) presence of ``layout``'s rows; ``embed`` is
+    (W, b), ``lstm`` (W_ih, W_hh, b), ``fuse`` (W, b). Step t embeds the
+    position (``absolute``) or the displacement from t - 1 (zeros at t = 0),
+    fuses the neighbours' context into the hidden state and runs the cell.
+    All but the context, fusion and cell is computed once with a leading
+    time axis (one time-major ``gather``, kinematics, bins, weights, step
+    inputs, embedding, ``x @ W_ih.T + b``) and unstacked, so a step costs
+    five records (four with ``force_zero_context``); stacked products run
+    one step slice at a time, so values equal a step-by-step pass bit for
+    bit. Returns the final (..., R, H) hidden and cell, the per-step fused
+    states (``key="fused"``) or joints, and the last kinematics, in rows.
+    """
+    lead, T = track.shape[:-3], track.shape[-2]
+    index = np.ix_(np.arange(T), *map(np.arange, lead), layout.order)
+    pos = ad.gather(track, index[1:] + index[:1])
+    kins = [kinematics_at(pos.values[0])]
+    for t in range(1, T):
+        kins.append(advance_kinematics(pos.values[t - 1], pos.values[t], kins[-1]))
+
+    if force_zero_context:
+        weights = [None] * T
+    else:
+        offsets = pairwise_offsets(pos, layout.neighbors)
+        mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
+        weights = ad.unstack(spatial_weights(
+            offsets, CrowdKinematics(pos.values, np.stack([k.heading_deg for k in kins]),
+                                     np.stack([k.heading_valid for k in kins])),
+            np.broadcast_to(mask, offsets.shape[:-1]), layout, grid, literal_softmax))
+    step_in = pos if absolute else ad.concat(
+        [ad.constant(np.zeros((1,) + pos.shape[1:])), ad.sub(pos[1:], pos[:-1])])
+    w_ih, w_hh, bias = lstm
+    gates_in = ad.unstack(linear(linear(step_in, *embed), w_ih, bias))
+
+    hidden = ad.constant(np.zeros(pos.shape[1:-1] + (w_hh.shape[1],)))
+    cell = ad.constant(np.zeros(hidden.shape))
+    keys = []
+    for step_weights, step_gates in zip(weights, gates_in):
+        fused, joints = spatial_state(step_weights, hidden, layout, *fuse)
+        keys.append(fused if key == "fused" else joints)
+        hidden, cell = lstm_cell(step_gates, fused, cell, w_hh)
+    return hidden, cell, keys, kins[-1]

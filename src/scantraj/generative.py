@@ -29,7 +29,7 @@ from .data import SceneWindow
 from .errors import NumericError, ShapeError
 # estimate_heading is the scalar reference for advance_kinematics; it stays
 # importable here, where bench/tracer.py binds it.
-from .geometry import advance_kinematics, estimate_heading, kinematics_at  # noqa: F401
+from .geometry import estimate_heading  # noqa: F401
 from .model import (ForwardResult, ModelConfig, ScanModel, trajectory_loss,
                     uniform_param, zeros_param)
 
@@ -147,58 +147,33 @@ def _with_observed(scenes: list, future: ad.TensorNode) -> ad.TensorNode:
 
 def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
                          ped_ids, positions, mask):
-    """Run the critic over full trajectories; one logit per pedestrian.
+    """Run the critic (``cells.observed_pass``) over full trajectories; one
+    logit per pedestrian.
 
     ``ped_ids`` are one scene's ids, or a ``cells.SceneLayout`` of several
-    scenes whose columns sit side by side (their pedestrians then see only
-    their own scene). ``positions`` is the (N, T, 2) trajectory node, giving
-    (N, 1) logits, or an (S, N, T, 2) node holding S trajectories of the
-    same scenes, scored in one pass into (S, N, 1) logits; slice s, and each
-    scene of a layout, equals a pass over it alone, bit for bit. A live node
-    lets generator gradient flow through the critic. ``mask`` is (T, N)
-    presence used to gate neighbour participation, exactly as in the
-    forecaster.
+    scenes side by side. ``positions`` is the (N, T, 2) trajectory node,
+    giving (N, 1) logits, or (S, N, T, 2) for S trajectories of the same
+    scenes, giving (S, N, 1); slice s, and each scene of a layout, equals a
+    pass over it alone, bit for bit. A live node lets generator gradient
+    flow through the critic. ``mask`` is the (T, N) presence that gates
+    neighbour participation, exactly as in the forecaster.
     """
     layout = (ped_ids if isinstance(ped_ids, cells.SceneLayout)
               else cells.SceneLayout([ped_ids]))
-    n = layout.n_rows
-    if n == 0:
+    if layout.n_rows == 0:
         return ad.constant(np.zeros((0, 1)))
-    T = positions.shape[-2]
-    if T < 2:
+    if positions.shape[-2] < 2:
         raise ShapeError("discriminator needs at least two steps")
-    lead = positions.shape[:-3]
-    track = ad.gather(positions, (slice(None),) * len(lead) + (layout.order,))
-    values = track.values
-    presence = np.asarray(mask, dtype=bool)[:, layout.order]
-    grid = spatial.DomainGrid(params["disc.domain_grid"], cfg.bin_spec())
-    H = cfg.hidden_dim
-    hidden = ad.constant(np.zeros(lead + (n, H)))
-    cell = ad.constant(np.zeros(lead + (n, H)))
-    kin = kinematics_at(values[..., 0, :])
-    prev = None
-    for t in range(T):
-        if t > 0:
-            kin = advance_kinematics(values[..., t - 1, :], values[..., t, :], kin)
-        now = track[..., t, :]
-        fused, _ = cells.spatial_round(
-            cells.pairwise_offsets(now, layout.neighbors), kin, presence[t], hidden,
-            layout, grid, params["disc.fuse.W"], params["disc.fuse.b"],
-            literal_softmax=cfg.literal_softmax)
-        if cfg.coordinate_mode == "absolute":
-            step_in = now
-        elif prev is not None:
-            step_in = ad.sub(now, prev)
-        else:
-            step_in = ad.constant(np.zeros(lead + (n, 2)))
-        embedded = cells.linear(step_in, params["disc.embed.W"],
-                                params["disc.embed.b"])
-        hidden, cell = cells.lstm_cell(
-            embedded, fused, cell, params["disc.lstm.W_ih"],
-            params["disc.lstm.W_hh"], params["disc.lstm.b"], H)
-        prev = now
-    logits = cells.linear(hidden, params["disc.score.W"], params["disc.score.b"])
-    return ad.gather(logits, (slice(None),) * len(lead) + (layout.undo,))
+    p = params
+    hidden, _, _, _ = cells.observed_pass(
+        positions, np.asarray(mask, dtype=bool)[:, layout.order], layout,
+        spatial.DomainGrid(p["disc.domain_grid"], cfg.bin_spec()),
+        (p["disc.embed.W"], p["disc.embed.b"]),
+        (p["disc.lstm.W_ih"], p["disc.lstm.W_hh"], p["disc.lstm.b"]),
+        (p["disc.fuse.W"], p["disc.fuse.b"]),
+        absolute=cfg.coordinate_mode == "absolute", literal_softmax=cfg.literal_softmax)
+    logits = cells.linear(hidden, p["disc.score.W"], p["disc.score.b"])
+    return ad.gather(logits, (slice(None),) * (positions.values.ndim - 3) + (layout.undo,))
 
 
 def discriminate(cfg: ModelConfig, params: ad.ParamStore,
@@ -294,7 +269,7 @@ def sample_spread(positions: np.ndarray) -> float:
 
 def _check_finite(name: str, node: ad.TensorNode) -> None:
     if not np.all(np.isfinite(node.values)):
-        raise NumericError(f"non-finite {name} loss")
+        raise NumericError(f"non-finite {name} loss" + ad.nonfinite_origin(node))
 
 
 def _full_presence(scene: SceneWindow) -> np.ndarray:

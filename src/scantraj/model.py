@@ -29,7 +29,7 @@ from .errors import ShapeError
 # estimate_heading is the scalar reference for advance_kinematics; it stays
 # importable here, where bench/tracer.py binds it.
 from .geometry import (BinSpec, CrowdKinematics, advance_kinematics,  # noqa: F401
-                       estimate_heading, kinematics_at)
+                       estimate_heading)
 from .temporal import AttentionBank, attend
 
 VARIANTS = ("vanilla", "scan")
@@ -263,31 +263,22 @@ class ScanModel:
 
     # -- helpers ----------------------------------------------------------
 
-    def _embed(self, side: str, x: ad.TensorNode) -> ad.TensorNode:
-        return cells.linear(x, self.params[f"{side}_embed.W"],
-                            self.params[f"{side}_embed.b"])
+    def _recurrence(self, side: str) -> tuple:
+        """((embed W, b), (LSTM W_ih, W_hh, b)) of the encoder or decoder."""
+        p = self.params
+        return ((p[f"{side}_embed.W"], p[f"{side}_embed.b"]),
+                (p[f"{side}_lstm.W_ih"], p[f"{side}_lstm.W_hh"], p[f"{side}_lstm.b"]))
 
-    def _lstm(self, side: str, x, hidden, cell):
-        return cells.lstm_cell(x, hidden, cell,
-                               self.params[f"{side}_lstm.W_ih"],
-                               self.params[f"{side}_lstm.W_hh"],
-                               self.params[f"{side}_lstm.b"],
-                               self.cfg.hidden_dim)
-
-    def _spatial(self, offsets, kinematics, present, hiddens, layout):
-        return cells.spatial_round(
-            offsets, kinematics, present, hiddens, layout, self.grid,
-            self.params["fuse.W"], self.params["fuse.b"],
-            literal_softmax=self.cfg.literal_softmax,
-            force_zero_context=self.cfg.force_zero_context)
+    def _fuse(self) -> tuple:
+        return self.params["fuse.W"], self.params["fuse.b"]
 
     @staticmethod
-    def _present(scenes: list, t: int) -> np.ndarray:
-        """(N,) presence of every batch column at step t; a scene is
-        everyone-present past its own end."""
-        return np.concatenate([scene.mask[t] if t < scene.total_len
-                               else np.ones(scene.n_peds, dtype=bool)
-                               for scene in scenes])
+    def _present(scenes: list, steps: range) -> np.ndarray:
+        """(T, N) presence of every batch column at each of ``steps``; a
+        scene is everyone-present past its own end."""
+        padded = [np.concatenate([s.mask, np.ones((len(steps), s.n_peds), bool)])
+                  for s in scenes]
+        return np.concatenate([mask[steps.start:steps.stop] for mask in padded], axis=1)
 
     # -- phases -----------------------------------------------------------
 
@@ -308,36 +299,20 @@ class ScanModel:
                 raise ShapeError(f"scene obs_len {scene.obs_len} != config {cfg.obs_len}")
             scene.validate()
         layout = cells.SceneLayout([scene.ped_ids for scene in scenes])
-        order = layout.order
         observed = np.concatenate([scene.positions[:cfg.obs_len] for scene in scenes],
                                   axis=1)
-        X = observed[:, order]
-        n = layout.n_rows
-        H = cfg.hidden_dim
-
-        hidden = ad.constant(np.zeros((n, H)))
-        cell = ad.constant(np.zeros((n, H)))
-        keys = []
-        kin = kinematics_at(X[0])
-
-        for t in range(cfg.obs_len):
-            if t > 0:
-                kin = advance_kinematics(X[t - 1], X[t], kin)
-            offsets = ad.constant(X[t][layout.neighbors] - X[t][:, None])
-            fused, joints = self._spatial(offsets, kin, self._present(scenes, t)[order],
-                                          hidden, layout)
-            keys.append(fused if cfg.attention_key == "fused" else joints)
-            if cfg.coordinate_mode == "absolute":
-                step_in = X[t]
-            else:
-                step_in = X[t] - X[t - 1] if t > 0 else np.zeros((n, 2))
-            hidden, cell = self._lstm("enc", self._embed("enc", ad.constant(step_in)),
-                                      fused, cell)
+        hidden, cell, keys, kin = cells.observed_pass(
+            ad.constant(observed.transpose(1, 0, 2)),
+            self._present(scenes, range(cfg.obs_len))[:, layout.order], layout,
+            self.grid, *self._recurrence("enc"), self._fuse(),
+            absolute=cfg.coordinate_mode == "absolute", key=cfg.attention_key,
+            literal_softmax=cfg.literal_softmax,
+            force_zero_context=cfg.force_zero_context)
 
         undo = layout.undo
         last = cfg.obs_len - 1
         attention = AttentionBank(ad.gather(ad.stack(keys, axis=1), undo),
-                                  np.ones((n, cfg.obs_len), dtype=bool))
+                                  np.ones((layout.n_rows, cfg.obs_len), dtype=bool))
         return HiddenBank(ad.gather(hidden, undo), ad.gather(cell, undo),
                           attention, kin[undo], observed[last].copy(),
                           observed[last] - observed[last - 1], layout)
@@ -402,13 +377,17 @@ class ScanModel:
         cum = None                                  # cumulative displacement node
         pos_values = last_pos                       # float positions, current step
         prev_disp = ad.constant(tiled(bank.last_disp[order]))
-        present = [self._present(scenes, cfg.obs_len + s) for s in range(cfg.pred_len)]
+        present = self._present(scenes, range(cfg.obs_len, cfg.obs_len + cfg.pred_len))
+        embed, (w_ih, w_hh, bias) = self._recurrence("dec")
         disps, positions = [], []
 
         for s in range(cfg.pred_len):
             offsets = (start_offsets if cum is None else ad.add(
                 start_offsets, cells.pairwise_offsets(cum, layout.neighbors)))
-            fused, joints = self._spatial(offsets, kin, present[s][order], hidden, layout)
+            fused, joints = cells.spatial_round(
+                offsets, kin, present[s][order], hidden, layout, self.grid, *self._fuse(),
+                literal_softmax=cfg.literal_softmax,
+                force_zero_context=cfg.force_zero_context)
             if cfg.variant == "scan" and not cfg.disable_temporal:
                 queries = fused if cfg.attention_key == "fused" else joints
                 state = attend(queries, history, self.params["temporal.W"],
@@ -420,7 +399,8 @@ class ScanModel:
                 step_in = base if cum is None else ad.add(base, cum)
             else:
                 step_in = prev_disp
-            hidden, cell = self._lstm("dec", self._embed("dec", step_in), state, cell)
+            gates_in = cells.linear(cells.linear(step_in, *embed), w_ih, bias)
+            hidden, cell = cells.lstm_cell(gates_in, state, cell, w_hh)
             disp = cells.linear(hidden, self.params["out.W"], self.params["out.b"])
             cum = disp if cum is None else ad.add(cum, disp)
             pos = ad.add(ad.constant(last_pos), cum)
@@ -434,7 +414,7 @@ class ScanModel:
         return ForwardResult([pid for scene in scenes for pid in scene.ped_ids],
                              ad.gather(ad.stack(disps, axis=-2), undo),
                              ad.gather(ad.stack(positions, axis=-2), undo),
-                             np.array(present, dtype=bool).T)
+                             present.T)
 
     def forward(self, scenes, noise: Optional[np.ndarray] = None) -> ForwardResult:
         """Encode and decode one scene, or a list of scenes as one batch."""

@@ -75,9 +75,10 @@ def normalize_scores(raw: ad.TensorNode, neighbors: np.ndarray,
     return SpatialWeights(raw, ad.masked_softmax(raw, active), active)
 
 
-def context_vector(weights: SpatialWeights, hiddens: ad.TensorNode,
+def context_vector(weights: ad.TensorNode, hiddens: ad.TensorNode,
                    blocks=None) -> ad.TensorNode:
-    """Neighbour hidden states (..., N, H) weighted by normalized score.
+    """Neighbour hidden states (..., N, H) weighted by the (..., N, J)
+    normalized scores (``SpatialWeights.normalized``).
 
     ``blocks`` are a batch layout's scene blocks (``SceneLayout.blocks``):
     each scene's rows take the product of their own (n, n) weights with
@@ -90,8 +91,8 @@ def context_vector(weights: SpatialWeights, hiddens: ad.TensorNode,
     for bit.
     """
     if blocks is None:
-        blocks = [(1, weights.normalized.shape[-2], hiddens.shape[-2])]
-    return ad.block_matmul(weights.normalized, hiddens, blocks)
+        blocks = [(1, weights.shape[-2], hiddens.shape[-2])]
+    return ad.block_matmul(weights, hiddens, blocks)
 
 
 def fuse_hidden(hidden: ad.TensorNode, context: ad.TensorNode,

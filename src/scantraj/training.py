@@ -2,12 +2,14 @@
 
 A checkpoint freezes everything a run needs to continue as if it had never
 stopped: parameter values, Adam moments and step counts, every named RNG
-stream's state, and the epoch. Loss curves are plain ``epoch,term,value``
-CSV so downstream plotting never parses anything exotic.
+stream's state, and the epoch, under a SHA-256 digest that lets loading
+reject a corrupted or truncated file. Loss curves are plain
+``epoch,term,value`` CSV so downstream plotting never parses anything exotic.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .errors import DataError, NumericError
 from .model import ModelConfig, ScanModel, build_params, trajectory_loss
 
 CHECKPOINT_MAGIC = b"SCANCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 SHUFFLE_STREAM = "train/shuffle"
 GAN_NOISE_STREAM = "train/gan_noise"
@@ -134,7 +136,8 @@ def train_deterministic(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
                 if batch_loss is None:
                     continue
                 if not np.isfinite(batch_loss.values):
-                    raise NumericError(f"train loss is not finite at epoch {epoch}")
+                    raise NumericError(f"train loss is not finite at epoch {epoch}"
+                                       + ad.nonfinite_origin(batch_loss))
                 state.params.zero_grads()
                 tape.backward(batch_loss)
                 state.opt.step()
@@ -332,6 +335,17 @@ def _unjsonable(obj):
     return obj
 
 
+_BODY_START = len(CHECKPOINT_MAGIC) + 4 + 32    # magic, version, SHA-256 digest
+
+
+def _digest_rest(fh) -> bytes:
+    """SHA-256 of a file from its position to its end, read in chunks."""
+    sha = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 16), b""):
+        sha.update(chunk)
+    return sha.digest()
+
+
 def _write_table(fh, entries: dict[str, np.ndarray]) -> None:
     fh.write(struct.pack("<I", len(entries)))
     for name, values in entries.items():
@@ -389,7 +403,7 @@ def _load_adam(store: ad.ParamStore, text: dict[str, str], prefix: str,
 
 
 def save_checkpoint(path, state: TrainState) -> None:
-    """Freeze a training run into the versioned binary container."""
+    """Freeze a training run into the versioned, digest-checked container."""
     lines = [f"epoch={state.epoch}", f"seed={state.hub.seed}"]
     for key, value in state.cfg.to_dict().items():
         lines.append(f"model.{key}={value}")
@@ -416,20 +430,23 @@ def save_checkpoint(path, state: TrainState) -> None:
             moments[f"v/{name}"] = values
 
     try:
-        fh = open(path, "wb")
+        fh = open(path, "w+b")
     except OSError as exc:
         raise DataError(f"cannot write checkpoint {path}: {exc}") from exc
     with fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(text)))
-        fh.write(text)
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + bytes(32))
+        fh.write(struct.pack("<Q", len(text)) + text)
         _write_table(fh, params)
         _write_table(fh, moments)
+        fh.seek(_BODY_START)
+        digest = _digest_rest(fh)
+        fh.seek(_BODY_START - 32)
+        fh.write(digest)
 
 
 def load_checkpoint(path) -> TrainState:
-    """Rebuild a TrainState that continues bit-exactly from the save."""
+    """Rebuild a TrainState that continues bit-exactly from the save; any
+    file whose digest does not match raises DataError before parsing."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -440,7 +457,12 @@ def load_checkpoint(path) -> TrainState:
             raise DataError(f"not a checkpoint: bad magic {magic!r}")
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
+            raise DataError(f"unsupported checkpoint version {version}; this "
+                            f"reader supports version {CHECKPOINT_VERSION} only")
+        digest = _read_exact(fh, 32)
+        if _digest_rest(fh) != digest:
+            raise DataError("checkpoint corrupt or truncated: SHA-256 digest mismatch")
+        fh.seek(_BODY_START)
         (text_len,) = struct.unpack("<Q", _read_exact(fh, 8))
         text_block = _read_exact(fh, text_len).decode("utf-8")
         param_table = _read_table(fh)

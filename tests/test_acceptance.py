@@ -110,6 +110,14 @@ class TestGradientIntegrity:
                          [True, True, False, True]])
         picks = (np.array([0, 2, 0]), np.array([1, 3, 1]))   # one repeat
         a342, m32 = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 2))
+        # lstm_step with H = 2: gates (..., 8), states (..., 2), W_hh (8, 2).
+        g38, h32, c32, w82 = (rng.normal(size=s) for s in ((3, 8), (3, 2), (3, 2), (8, 2)))
+        g238, h232, c232 = (rng.normal(size=(2,) + s) for s in ((3, 8), (3, 2), (3, 2)))
+        w232, v232 = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2))
+
+        def lstm_both(g, h, c, w, wh, wc):
+            new_h, new_c = ad.lstm_step(g, h, c, w)
+            return ad.add(_weighted_sum(new_h, wh), _weighted_sum(new_c, wc))
 
         cases = [
             ("add", lambda x, y: _weighted_sum(ad.add(x, y), w34), [a34, b34]),
@@ -153,6 +161,15 @@ class TestGradientIntegrity:
              lambda x: _weighted_sum(ad.reduce_sum(x, axis=0), w4), [a34]),
             ("stack on an axis",
              lambda x, y: _weighted_sum(ad.stack([x, y], axis=1), w42), [v4a, v4b]),
+            ("lstm_step both outputs",
+             lambda g, h, c, w: lstm_both(g, h, c, w, w232[0], v232[0]),
+             [g38, h32, c32, w82]),
+            ("lstm_step new_hidden only",
+             lambda g, h, c, w: _weighted_sum(ad.lstm_step(g, h, c, w)[0], w232[1]),
+             [g38, h32, c32, w82]),
+            ("lstm_step over a leading axis",
+             lambda g, h, c, w: lstm_both(g, h, c, w, w232, v232),
+             [g238, h232, c232, w82]),
         ]
         for name, fn, inputs in cases:
             worst = _check_gradients(fn, inputs, OP_TOL)
@@ -232,7 +249,7 @@ class TestSpatialOracleAgreement:
                                     ad.l2norm(ad.constant(offsets)))
                 weights = sp.normalize_scores(raws, ~np.eye(n, dtype=bool),
                                               literal_softmax=literal)
-                context = sp.context_vector(weights, ad.constant(hiddens))
+                context = sp.context_vector(weights.normalized, ad.constant(hiddens))
 
             exp_raw, exp_w, exp_ctx = oracle_spatial(
                 grid_vals, b_step, h_step,

@@ -168,10 +168,13 @@ class TestFiniteDifferenceOracle:
         B = rng.normal(size=lead + (4, 2))
         v = rng.normal(size=lead + (4,))
         u = rng.normal(size=lead + (3,))
-        for args in ([A, B], [A, v], [u, A]):
-            w = rng.normal(size=ad.matmul(*map(ad.constant, args)).shape)
-            check_grads(lambda n, w=w: ad.reduce_sum(
-                ad.mul(ad.matmul(n[0], n[1]), ad.constant(w))), args)
+        # Matrix-matrix products with batch axes run as one block_matmul block.
+        forms = ((lambda a, b: ad.block_matmul(a, b, [(1, 3, 4)]), [A, B]),
+                 (ad.matmul, [A, v]), (ad.matmul, [u, A]))
+        for product, args in forms:
+            w = rng.normal(size=product(*map(ad.constant, args)).shape)
+            check_grads(lambda n, w=w, product=product: ad.reduce_sum(
+                ad.mul(product(n[0], n[1]), ad.constant(w))), args)
 
     def test_linear_over_leading_axes(self):
         rng = np.random.default_rng(50)
@@ -429,7 +432,7 @@ class TestBatchedOps:
         A, H = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3, 6))
         K, q = rng.normal(size=(5, 3, 4, 7)), rng.normal(size=(5, 3, 7))
         batch = [ad.linear(ad.constant(X), ad.constant(W), ad.constant(b)),
-                 ad.matmul(ad.constant(A), ad.constant(H)),
+                 ad.block_matmul(ad.constant(A), ad.constant(H), [(1, 3, 3)]),
                  ad.matmul(ad.constant(K), ad.constant(q)),
                  ad.matmul(ad.constant(K[..., 0]), ad.constant(K))]
         for s in range(5):
@@ -461,6 +464,49 @@ class TestBatchedOps:
         batch = ad.linear(ad.constant(X), ad.constant(W), ad.constant(b)).values
         for row, x in zip(batch, X):
             np.testing.assert_allclose(row, W @ x + b, rtol=1e-14)
+
+
+def composed_lstm_step(gates_in, hidden, cell, w_hh):
+    """The LSTM update as the 14 separate records it took before the fused op."""
+    H = cell.shape[-1]
+    gates = ad.add(gates_in, ad.linear(hidden, w_hh))
+    squashed = ad.sigmoid(gates)
+    i, f, o = squashed[..., 0:H], squashed[..., H:2 * H], squashed[..., 3 * H:4 * H]
+    g = ad.tanh(gates[..., 2 * H:3 * H])
+    new_cell = ad.add(ad.mul(f, cell), ad.mul(i, g))
+    return ad.mul(o, ad.tanh(new_cell)), new_cell
+
+
+class TestLstmStep:
+    @pytest.mark.parametrize("lead", [(1,), (3,), (4, 5), (2, 3, 7)])
+    @pytest.mark.parametrize("H", [1, 4, 16])
+    def test_equals_the_composed_update_bitwise(self, lead, H):
+        rng = np.random.default_rng(64)
+        arrays = [rng.normal(size=lead + (4 * H,)), rng.normal(size=lead + (H,)),
+                  rng.normal(size=lead + (H,)), rng.normal(size=(4 * H, H))]
+        probes = rng.normal(size=(2,) + lead + (H,))
+        for used in ((0, 1), (0,), (1,)):     # both outputs, new_hidden, new_cell
+            got = []
+            for step in (composed_lstm_step, ad.lstm_step):
+                nodes = [ad.constant(a.copy()) for a in arrays]
+                with ad.Tape() as tape:
+                    outs = step(*nodes)
+                    tape.backward(ad.mean_of([
+                        ad.reduce_sum(ad.mul(outs[k], ad.constant(probes[k]))) for k in used]))
+                got.append([out.values for out in outs] + [n.grad for n in nodes])
+            for want, have in zip(*got):
+                assert np.array_equal(want, have), used
+
+    def test_is_one_record_with_two_outputs(self):
+        rng = np.random.default_rng(65)
+        args = [ad.constant(rng.normal(size=s)) for s in ((3, 8), (3, 2), (3, 2), (8, 2))]
+        with ad.Tape() as tape:
+            new_hidden, new_cell = ad.lstm_step(*args)
+            assert len(tape) == 1
+            assert new_hidden.op_record is new_cell.op_record
+            assert new_hidden.op_record.op == "lstm_step"
+        with pytest.raises(ShapeError, match="lstm_step"):
+            ad.lstm_step(args[0], args[1], args[2], ad.constant(np.ones((4, 2))))
 
 
 class TestTapeLifecycle:

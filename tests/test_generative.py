@@ -10,7 +10,8 @@ from scantraj import model as sm
 from scantraj.data import SceneWindow
 from scantraj.errors import NumericError, ShapeError
 
-from test_model import dyadic_walkers, make_scene, micro_cfg
+from test_model import dyadic_walkers, make_scene, micro_cfg, records_of
+from test_training import assert_names_the_first_non_finite_record, spy_on_nonfinite_origin
 
 
 def gen_cfg(**overrides):
@@ -193,6 +194,19 @@ class TestDiscriminator:
                 cfg, params, permuted.ped_ids,
                 gen.real_position_nodes(permuted), permuted.mask).values]
         assert swapped == [base[1], base[0]]
+
+    @pytest.mark.parametrize("samples", [(), (3,)])
+    def test_an_observed_step_adds_a_fixed_few_records(self, samples):
+        cfg = gen_cfg()
+        params = gen.build_discriminator_params(cfg, ad.RngHub(5))
+        counts = []
+        for steps in (4, 5, 6):
+            scene = make_scene(dyadic_walkers(steps), obs_len=3)
+            track = np.broadcast_to(scene.positions.transpose(1, 0, 2),
+                                    samples + (scene.n_peds, steps, 2))
+            counts.append(records_of(lambda: gen.discriminator_logits(
+                cfg, params, scene.ped_ids, ad.constant(track), scene.mask)))
+        assert counts[1] - counts[0] == counts[2] - counts[1] <= 6
 
     def test_learns_to_separate_toy_data(self):
         # Real: smooth straight walks. Fake: jittery random walks. A few
@@ -524,6 +538,17 @@ class TestGanTrainStep:
                                    ad.Adam(m.params, lr=0.001),
                                    ad.Adam(disc, lr=0.001),
                                    np.random.default_rng(3))
+
+    def test_nan_guard_names_the_first_non_finite_record(self, monkeypatch):
+        m, disc = self.setup_pair()
+        disc["disc.score.b"].values[:] = np.inf
+        tapes = spy_on_nonfinite_origin(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="discriminator") as info:
+                gen.gan_train_step(m, disc, self.make_batch(), gen.GanConfig(k=2),
+                                   ad.Adam(m.params, lr=0.001), ad.Adam(disc, lr=0.001),
+                                   np.random.default_rng(3))
+        assert_names_the_first_non_finite_record(str(info.value), tapes)
 
     def test_empty_batch_rejected(self):
         m, disc = self.setup_pair()

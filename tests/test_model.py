@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scantraj import autodiff as ad
+from scantraj import cells
 from scantraj import model as sm
 from scantraj.data import SceneWindow
 from scantraj.errors import ShapeError
@@ -140,6 +141,47 @@ class TestShapes:
         assert ops                          # the reference pass did record
         assert pred.positions.tobytes() == result.positions().tobytes()
         assert pred.displacements.tobytes() == result.displacements().tobytes()
+
+
+def records_of(run) -> int:
+    """Tape records ``run()`` makes."""
+    with ad.Tape() as tape:
+        run()
+        return len(tape)
+
+
+class TestRecordBudget:
+    """Only the recurrence of a known-track pass costs records per step."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"force_zero_context": True},
+                                           {"coordinate_mode": "absolute",
+                                            "attention_key": "joint"}])
+    def test_an_observed_step_adds_a_fixed_few_records(self, overrides):
+        counts = []
+        for obs_len in (3, 4, 5):
+            m = build(micro_cfg(obs_len=obs_len, **overrides))
+            scene = make_scene(dyadic_walkers(obs_len + 2), obs_len=obs_len)
+            counts.append(records_of(lambda: m.encode(scene)))
+        assert counts[1] - counts[0] == counts[2] - counts[1] <= 6
+
+    def test_a_decoder_step_spends_two_records_on_the_cell(self, monkeypatch):
+        m = build(micro_cfg(pred_len=4, generative=True, noise_dim=2))
+        scene = make_scene(dyadic_walkers(7), obs_len=3)
+        spent = []
+        lstm_cell = cells.lstm_cell
+
+        def counted(gates_in, *rest):
+            before = len(ad.active_tape())
+            out = lstm_cell(gates_in, *rest)
+            spent.append((gates_in.op_record.op, len(ad.active_tape()) - before))
+            return out
+
+        with ad.Tape():
+            bank = m.encode(scene)
+            monkeypatch.setattr(cells, "lstm_cell", counted)
+            m.decode(scene, bank, noise=np.zeros((3, 2)))
+        # The input share of the gates is one linear record, the update one.
+        assert spent == [("linear", 1)] * 4
 
 
 class TestConfig:

@@ -122,17 +122,18 @@ class TestContextVector:
     def test_even_split_averages_hiddens(self):
         w = weights_row([2.0, 2.0])
         hiddens = ad.constant([[1.0, 3.0], [5.0, 7.0]])
-        ctx = spatial.context_vector(w, hiddens)
+        ctx = spatial.context_vector(w.normalized, hiddens)
         np.testing.assert_array_equal(ctx.values[0], [3.0, 5.0])
 
     def test_single_active_neighbour_passes_hidden_through(self):
         w = weights_row([1.5, 0.0])
         h1 = [0.25, -1.75, 8.0]
-        ctx = spatial.context_vector(w, ad.constant([h1, [9.0, 9.0, 9.0]]))
+        ctx = spatial.context_vector(w.normalized, ad.constant([h1, [9.0, 9.0, 9.0]]))
         np.testing.assert_array_equal(ctx.values[0], h1)
 
     def test_empty_crowd_gives_zero_context(self):
-        ctx = spatial.context_vector(weights_row([]), ad.constant(np.zeros((0, 4))))
+        ctx = spatial.context_vector(weights_row([]).normalized,
+                                     ad.constant(np.zeros((0, 4))))
         np.testing.assert_array_equal(ctx.values[0], np.zeros(4))
 
     def test_inactive_neighbour_hidden_is_never_read(self):
@@ -140,8 +141,8 @@ class TestContextVector:
         w = weights_row([2.0, 0.0])
         h_active = [0.1, 0.2]
 
-        ctx_a = spatial.context_vector(w, ad.constant([h_active, [1.0, 1.0]]))
-        ctx_b = spatial.context_vector(w, ad.constant([h_active, [-99.0, 42.0]]))
+        ctx_a = spatial.context_vector(w.normalized, ad.constant([h_active, [1.0, 1.0]]))
+        ctx_b = spatial.context_vector(w.normalized, ad.constant([h_active, [-99.0, 42.0]]))
         np.testing.assert_array_equal(ctx_a.values, ctx_b.values)
 
 
@@ -202,7 +203,8 @@ class TestStepLevelZeroInfluence:
             scores = score_row(grid, [compute_encounter(target, near),
                                       compute_encounter(target, far)])
             w = spatial.normalize_scores(scores, np.ones((1, 2), dtype=bool))
-            ctx = spatial.context_vector(w, ad.constant([h_near.values, far_hidden]))
+            ctx = spatial.context_vector(w.normalized,
+                                         ad.constant([h_near.values, far_hidden]))
             fused, _ = spatial.fuse_hidden(h_t, ctx[0], W, b)
             return fused.values
 
@@ -234,7 +236,7 @@ class TestOracleEquivalence:
             scores = spatial.raw_score(grid, bin_indices(kins, spec),
                                        ad.l2norm(ad.constant(offsets)))
             w = spatial.normalize_scores(scores, ~np.eye(n, dtype=bool))
-            ctx = spatial.context_vector(w, ad.constant(hiddens))
+            ctx = spatial.context_vector(w.normalized, ad.constant(hiddens))
 
             others = [i for i in range(n) if i != target]
             raw_ref, w_ref, ctx_ref = oracle_spatial(

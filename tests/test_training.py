@@ -1,6 +1,7 @@
 """Training loops, evaluation driver, and checkpoint round-trip tests."""
 
 import dataclasses
+import re
 import struct
 import sys
 import threading
@@ -41,6 +42,32 @@ def params_equal(store_a, store_b):
         return False
     return all(np.array_equal(store_a[n].values, store_b[n].values)
                for n in store_a.names())
+
+
+def spy_on_nonfinite_origin(monkeypatch) -> list:
+    """From now on, every tape ``ad.nonfinite_origin`` scans."""
+    tapes: list = []
+    origin = ad.nonfinite_origin
+
+    def spied(node):
+        tapes.append(node.op_record.tape)
+        return origin(node)
+
+    monkeypatch.setattr(ad, "nonfinite_origin", spied)
+    return tapes
+
+
+def assert_names_the_first_non_finite_record(message: str, tapes: list) -> None:
+    """The message names an op and a tape index; that record of the scanned
+    tape has a non-finite output and no earlier record has one."""
+    found = re.search(r"first non-finite output: (\w+) at tape record (\d+)", message)
+    assert found, message
+    op, index = found.group(1), int(found.group(2))
+    outputs = [out if isinstance(out, tuple) else (out,)
+               for out, _inputs, _backward in tapes[-1]._records]
+    finite = [all(np.isfinite(part.values).all() for part in parts) for parts in outputs]
+    assert not finite[index] and all(finite[:index])
+    assert outputs[index][0].op_record.op == op
 
 
 class TestTrainConfig:
@@ -109,6 +136,16 @@ class TestDeterministicLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
                 tr.train_deterministic(windows, cfg, conf, state=state)
+
+    def test_a_non_finite_loss_names_the_first_non_finite_record(self, monkeypatch):
+        cfg, conf = micro_cfg(), tcfg(epochs=1)
+        state = tr.init_state(cfg, conf)
+        state.params["enc_lstm.W_hh"].values[...] = np.inf
+        tapes = spy_on_nonfinite_origin(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="not finite") as info:
+                tr.train_deterministic(micro_windows(1), cfg, conf, state=state)
+        assert_names_the_first_non_finite_record(str(info.value), tapes)
 
     def test_one_encode_and_one_decode_per_batch(self, monkeypatch):
         calls = {"encode": 0, "decode": 0}
@@ -373,6 +410,35 @@ class TestCheckpoint:
         clipped.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(DataError):
             tr.load_checkpoint(clipped)
+
+    def test_version_one_is_rejected_by_name(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(tr.CHECKPOINT_MAGIC + struct.pack("<I", 1) + struct.pack("<Q", 0))
+        with pytest.raises(DataError, match=r"version 1\b.*supports version 2"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["header text", "table name", "shape field",
+                                        "payload", "cut in the digest",
+                                        "cut in the header", "cut in a table"])
+    def test_any_damaged_byte_is_rejected(self, tmp_path, damage):
+        state, _ = tr.train_deterministic(micro_windows(1), micro_cfg(), tcfg(epochs=1))
+        path = tmp_path / "whole.ckpt"
+        tr.save_checkpoint(path, state)
+        data = bytearray(path.read_bytes())
+        name = data.index(b"domain_grid")        # the first parameter's name
+        header = data.index(b"epoch=")
+        at = {"header text": header, "table name": name,
+              "shape field": name + len(b"domain_grid") + 1,    # past the rank byte
+              "payload": len(data) - 3}.get(damage)
+        if at is None:
+            cut = {"cut in the digest": 20, "cut in the header": header + 3,
+                   "cut in a table": name + 5}[damage]
+            data = data[:cut]
+        else:
+            data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="digest|truncated"):
+            tr.load_checkpoint(path)
 
 
 class TestGanLoop:
