@@ -81,12 +81,11 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
-    "TensorNode", "Tape", "no_grad", "active_tape", "constant", "zeros",
+    "TensorNode", "Tape", "no_grad", "active_tape", "constant",
     "add", "sub", "mul", "div", "neg", "matmul", "block_matmul", "linear",
     "lstm_step", "concat", "stack", "unstack", "split", "gather", "relu", "tanh",
     "sigmoid", "exp", "log", "softplus", "masked_softmax", "reduce_sum", "reduce_mean",
     "l2norm", "mean_of", "ParamStore", "Adam", "RngHub", "nonfinite_origin",
-    "numeric_gradient",
 ]
 
 
@@ -295,10 +294,6 @@ def nonfinite_origin(node: TensorNode) -> str:
 def constant(values) -> TensorNode:
     """A leaf node; gradient may accumulate into it but nothing updates it."""
     return TensorNode(values)
-
-
-def zeros(shape) -> TensorNode:
-    return TensorNode(np.zeros(shape, dtype=np.float64))
 
 
 def _lift(x) -> TensorNode:
@@ -815,13 +810,6 @@ class ParamStore:
         for p in self._params.values():
             p.zero_grad()
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {k: v.values.copy() for k, v in self._params.items()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, values in state.items():
-            self._params[name].values[...] = values
-
 
 class Adam:
     """Bias-corrected Adam over a ParamStore.
@@ -912,23 +900,3 @@ class RngHub:
         for name, st in state.items():
             self.stream(name).bit_generator.state = st
 
-
-def numeric_gradient(f: Callable[[], float], values: np.ndarray,
-                     h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of ``f()`` w.r.t. ``values``.
-
-    ``values`` is perturbed in place and restored; ``f`` must recompute the
-    scalar from the current contents of ``values`` on every call.
-    """
-    grad = np.zeros_like(values)
-    it = np.nditer(values, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        saved = values[idx]
-        values[idx] = saved + h
-        fp = f()
-        values[idx] = saved - h
-        fm = f()
-        values[idx] = saved
-        grad[idx] = (fp - fm) / (2.0 * h)
-    return grad

@@ -15,22 +15,21 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import fields as dataclass_fields
 
 from . import data as sd
 from . import generative as gn
 from . import plots
 from . import training as tr
 from .errors import DataError, EmptyMetricError, NumericError
-from .model import ModelConfig
+from .model import ModelConfig, config_from_dict, config_keys
 
 DATA_ROOT_ENV = "SCANTRAJ_DATA"
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
-TRAIN_KEYS = ("batch_size", "lr", "epochs", "seed", "eval_every")
-GAN_KEYS = ("k", "adversarial_weight", "variety_weight", "diversity_weight")
+TRAIN_KEYS = config_keys(tr.TrainConfig)
+GAN_KEYS = config_keys(gn.GanConfig)
 DATA_KEYS = ("file", "stride")
-MODEL_KEYS = tuple(f.name for f in dataclass_fields(ModelConfig))
+MODEL_KEYS = config_keys(ModelConfig)
 
 
 class _UsageError(Exception):
@@ -85,21 +84,10 @@ def _model_config(cfgmap) -> ModelConfig:
 
 
 def _train_config(cfgmap) -> tr.TrainConfig:
-    section = cfgmap.get("train", {})
-    conf = tr.TrainConfig()
     try:
-        for key in ("batch_size", "epochs", "seed", "eval_every"):
-            if key in section:
-                setattr(conf, key, int(section[key]))
-        if "lr" in section:
-            conf.lr = float(section["lr"])
+        conf = config_from_dict(tr.TrainConfig, cfgmap.get("train", {}))
         if "gan" in cfgmap:
-            gan = cfgmap["gan"]
-            conf.gan = gn.GanConfig(
-                k=int(gan.get("k", 4)),
-                adversarial_weight=float(gan.get("adversarial_weight", 1.0)),
-                variety_weight=float(gan.get("variety_weight", 1.0)),
-                diversity_weight=float(gan.get("diversity_weight", 0.0)))
+            conf.gan = config_from_dict(gn.GanConfig, cfgmap["gan"])
         conf.validate()
     except ValueError as exc:
         raise DataError(f"bad train config: {exc}") from exc
@@ -129,20 +117,21 @@ def _parse_synth(spec: str):
         raise _UsageError(f"--synth expects integer count and seed, got {spec!r}")
 
 
-def _resolve_records(args, cfgmap) -> list:
-    """Raw records from --data or --synth (exactly one must be given)."""
-    if getattr(args, "synth", None) and getattr(args, "data", None):
+def _synth_scenes(args, obs_len: int, pred_len: int):
+    """The --synth scenes, or None without --synth."""
+    if not getattr(args, "synth", None):
+        return None
+    if getattr(args, "data", None):
         raise _UsageError("pass --data or --synth, not both")
-    if getattr(args, "synth", None):
-        kind, count, seed = _parse_synth(args.synth)
-        obs = int(cfgmap.get("model", {}).get("obs_len", 8))
-        pred = int(cfgmap.get("model", {}).get("pred_len", 12))
-        scenes = sd.synth_scenarios(kind, count, seed,
-                                    obs_len=obs, pred_len=pred)
-        records = []
-        for index, win in enumerate(scenes):
-            records.extend(sd.scene_to_records(win, frame_start=index * 1000))
-        return records
+    return sd.synth_scenarios(*_parse_synth(args.synth), obs_len=obs_len,
+                              pred_len=pred_len)
+
+
+def _resolve_records(args, cfgmap, obs_len: int, pred_len: int) -> list:
+    """Raw records from --data or --synth (exactly one must be given)."""
+    scenes = _synth_scenes(args, obs_len, pred_len)
+    if scenes is not None:
+        return sd.scenes_to_records(scenes)
     raw = getattr(args, "data", None) or cfgmap.get("data", {}).get("file")
     if not raw:
         raise _UsageError("no data source: pass --data FILE or --synth "
@@ -151,15 +140,12 @@ def _resolve_records(args, cfgmap) -> list:
 
 
 def _resolve_windows(args, cfgmap, cfg: ModelConfig) -> list:
-    if getattr(args, "synth", None):
-        if getattr(args, "data", None):
-            raise _UsageError("pass --data or --synth, not both")
-        kind, count, seed = _parse_synth(args.synth)
-        windows = sd.synth_scenarios(kind, count, seed, obs_len=cfg.obs_len,
-                                     pred_len=cfg.pred_len)
-    else:
+    """Windows of ``cfg``'s geometry (a checkpoint's, not the config
+    file's, when scoring one) from --data or --synth."""
+    windows = _synth_scenes(args, cfg.obs_len, cfg.pred_len)
+    if windows is None:
         stride = int(cfgmap.get("data", {}).get("stride", 1))
-        records = _resolve_records(args, cfgmap)
+        records = _resolve_records(args, cfgmap, cfg.obs_len, cfg.pred_len)
         windows = sd.make_windows(records, obs_len=cfg.obs_len,
                                   pred_len=cfg.pred_len, stride=stride)
     if not windows:
@@ -167,31 +153,17 @@ def _resolve_windows(args, cfgmap, cfg: ModelConfig) -> list:
     return windows
 
 
-def _cfgmap_for_checkpoint(args, cfg: ModelConfig) -> dict:
-    """Window geometry must follow the checkpoint, not the config file."""
-    cfgmap = load_config(getattr(args, "config", None),
-                         getattr(args, "set", None))
-    model_section = cfgmap.setdefault("model", {})
-    model_section["obs_len"] = str(cfg.obs_len)
-    model_section["pred_len"] = str(cfg.pred_len)
-    return cfgmap
-
-
 # -- subcommands --------------------------------------------------------------
 
-def _ensure_parent_dir(path) -> None:
-    """Create the directory an output file will land in, before the work."""
-    parent = os.path.dirname(str(path))
-    if not parent:
-        return
-    try:
-        os.makedirs(parent, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {parent}: {exc}") from exc
+def _emit(text: str, out) -> None:
+    """Print a report and, when ``out`` is given, also write it there."""
+    sys.stdout.write(text)
+    if out:
+        plots.write_text(out, text)
 
 
 def cmd_train(args) -> int:
-    _ensure_parent_dir(args.out)   # fail before training, not after
+    plots.make_dir(os.path.dirname(str(args.out)) or ".")   # fail before training
     cfgmap = load_config(args.config, args.set)
     conf = _train_config(cfgmap)
     if args.resume:
@@ -219,26 +191,17 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     state = tr.load_checkpoint(args.ckpt)
-    cfgmap = _cfgmap_for_checkpoint(args, state.cfg)
-    windows = _resolve_windows(args, cfgmap, state.cfg)
-    k = args.k if args.k is not None else (20 if state.cfg.generative else 1)
+    windows = _resolve_windows(args, load_config(args.config, args.set), state.cfg)
+    k = args.k if args.k is not None else tr.default_k(state.cfg)
     report = tr.evaluate(state.cfg, state.params, windows, k=k,
                          seed=args.seed)
-    text = report.to_csv()
-    sys.stdout.write(text)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DataError(f"cannot write {args.out}: {exc}") from exc
+    _emit(report.to_csv(), args.out)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     state = tr.load_checkpoint(args.ckpt)      # fail fast on a bad path
-    cfgmap = _cfgmap_for_checkpoint(args, state.cfg)
-    windows = _resolve_windows(args, cfgmap, state.cfg)
+    windows = _resolve_windows(args, load_config(args.config, args.set), state.cfg)
     written = plots.emit_plots(args.ckpt, windows, args.out, k=args.k,
                                lam_label=args.gan_lambda, seed=args.seed,
                                max_scenes=args.scenes)
@@ -253,23 +216,15 @@ def cmd_sweep(args) -> int:
         pred_lens = tuple(int(p) for p in args.pred_lens.split(","))
     except ValueError:
         raise _UsageError(f"--pred-lens expects integers, got {args.pred_lens!r}")
-    cfgmap = _cfgmap_for_checkpoint(args, state.cfg)
-    cfgmap["model"]["pred_len"] = str(max(pred_lens))
-    records = _resolve_records(args, cfgmap)
-    k = args.k if args.k is not None else (20 if state.cfg.generative else 1)
+    records = _resolve_records(args, load_config(args.config, args.set),
+                               state.cfg.obs_len, max(pred_lens))
+    k = args.k if args.k is not None else tr.default_k(state.cfg)
     reports = tr.sweep_horizons(state.cfg, state.params, records,
                                 pred_lens=pred_lens, k=k, seed=args.seed)
     lines = ["pred_len," + "ade,fde,bok_ade,bok_fde,ncr_pct,n_scenes,n_peds"]
     for pred_len in sorted(reports):
         lines.append(f"{pred_len},{reports[pred_len].csv_row()}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DataError(f"cannot write {args.out}: {exc}") from exc
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -281,10 +236,7 @@ def cmd_inspect_domain(args) -> int:
         grid = state.disc_params["disc.domain_grid"].values
     else:
         grid = state.params["domain_grid"].values
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create {args.out}: {exc}") from exc
+    plots.make_dir(args.out)
     base = os.path.join(args.out, "domain_grid" if args.which == "model"
                         else "domain_grid_disc")
     written = plots.domain_heatmap(base, grid)

@@ -24,7 +24,6 @@ from .autodiff import RngHub
 from .errors import DataError
 
 FRAME_RATE_HZ = 2.5           # one kept frame every 0.4 s
-DATASET_NAMES = ("eth", "hotel", "univ", "zara1", "zara2")
 SCENARIO_KINDS = ("straight", "head_on", "crossing", "overtake", "static_mix")
 SYNTH_JITTER_M = 0.02
 
@@ -73,20 +72,6 @@ class SceneWindow:
             raise DataError("non-finite positions in window")
         if not self.mask[:self.obs_len].all():
             raise DataError("every included pedestrian must span the observation")
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Leave-one-out rotation: train on four datasets, test on the fifth."""
-    test: str
-    train: tuple[str, ...]
-
-
-def leave_one_out(test_name: str) -> SplitSpec:
-    if test_name not in DATASET_NAMES:
-        raise DataError(f"unknown dataset {test_name!r}; expected one of {DATASET_NAMES}")
-    return SplitSpec(test=test_name,
-                     train=tuple(n for n in DATASET_NAMES if n != test_name))
 
 
 def load_dataset(path) -> list[RawRecord]:
@@ -208,12 +193,24 @@ def write_records(path, records: list[RawRecord]) -> None:
             fh.write(f"{r.frame} {r.ped} {r.x:.17g} {r.y:.17g}\n")
 
 
-def write_scenes(path, windows: list[SceneWindow], gap: int = 100) -> None:
-    """Export windows into one raw file, scenes separated by frame gaps."""
+def scenes_to_records(windows: list[SceneWindow]) -> list[RawRecord]:
+    """Rows of several windows on one frame axis, kept apart by empty frames.
+
+    Scene k starts at frame k * spacing, where the spacing is the smallest
+    multiple of 100 frames that leaves at least one empty frame after the
+    longest scene. An empty frame ends every pedestrian's window, so
+    ``make_windows`` never joins two scenes, whatever their pedestrian ids.
+    """
+    spacing = 100 * (max((win.total_len for win in windows), default=0) // 100 + 1)
     rows: list[RawRecord] = []
     for k, win in enumerate(windows):
-        rows.extend(scene_to_records(win, frame_start=k * gap))
-    write_records(path, rows)
+        rows.extend(scene_to_records(win, frame_start=k * spacing))
+    return rows
+
+
+def write_scenes(path, windows: list[SceneWindow]) -> None:
+    """Export windows into one raw file, spaced as ``scenes_to_records``."""
+    write_records(path, scenes_to_records(windows))
 
 
 def _rot90(xy: np.ndarray, quarter_turns: int) -> np.ndarray:

@@ -30,8 +30,8 @@ from .errors import NumericError, ShapeError
 # estimate_heading is the scalar reference for advance_kinematics; it stays
 # importable here, where bench/tracer.py binds it.
 from .geometry import estimate_heading  # noqa: F401
-from .model import (ForwardResult, ModelConfig, ScanModel, trajectory_loss,
-                    uniform_param, zeros_param)
+from .model import (ModelConfig, ScanModel, trajectory_loss, uniform_param,
+                    zeros_param)
 
 
 @dataclass
@@ -55,18 +55,13 @@ class GanConfig:
 class PredictionSet:
     """k sampled futures for one scene, with their seeding noise.
 
-    ``futures`` is the (k, N, steps, 2) node the results are slices of;
-    when it is not given, it is stacked from the results.
+    ``futures`` is the (k, N, steps, 2) node the results are slices of.
     """
 
     ped_ids: list[int]
     results: list                    # k ForwardResult objects
     noises: np.ndarray               # (k, noise_dim)
-    futures: ad.TensorNode | None = None
-
-    def __post_init__(self):
-        if self.futures is None:
-            self.futures = ad.stack([r.pos for r in self.results])
+    futures: ad.TensorNode
 
     @property
     def k(self) -> int:
@@ -119,22 +114,6 @@ def build_discriminator_params(cfg: ModelConfig, hub: ad.RngHub,
     return store
 
 
-def real_position_nodes(scene: SceneWindow) -> ad.TensorNode:
-    """Ground-truth trajectory as one constant (N, T, 2) node."""
-    return ad.constant(scene.positions.transpose(1, 0, 2))
-
-
-def fake_position_nodes(scene: SceneWindow, result: ForwardResult,
-                        detach: bool = False) -> ad.TensorNode:
-    """Observed constants followed by the generated future, as one
-    (N, obs_len + steps, 2) node.
-
-    ``detach=True`` freezes the future to constants (for critic updates,
-    which must not propagate into the generator)."""
-    return _with_observed([scene], ad.constant(result.pos.values) if detach
-                          else result.pos)
-
-
 def _with_observed(scenes: list, future: ad.TensorNode) -> ad.TensorNode:
     """(..., N, steps, 2) future of the scenes' columns side by side ->
     (..., N, obs_len + steps, 2) trajectory, the observed steps repeated for
@@ -176,25 +155,15 @@ def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
     return ad.gather(logits, (slice(None),) * (positions.values.ndim - 3) + (layout.undo,))
 
 
-def discriminate(cfg: ModelConfig, params: ad.ParamStore,
-                 ped_ids, positions, mask) -> ad.TensorNode:
-    """Per-pedestrian real probabilities in (0, 1), shaped like the logits."""
-    return ad.sigmoid(discriminator_logits(cfg, params, ped_ids, positions, mask))
-
-
 def bce_real(logits: ad.TensorNode) -> ad.TensorNode:
-    """Mean -log sigma(logit): the cost of calling these trajectories fake."""
+    """Mean -log sigma(logit): the cost of calling these trajectories fake.
+    On fake logits it is the generator's non-saturating adversarial loss."""
     return ad.reduce_mean(ad.softplus(ad.neg(logits)))
 
 
 def bce_fake(logits: ad.TensorNode) -> ad.TensorNode:
     """Mean -log(1 - sigma(logit)): the cost of believing these fakes."""
     return ad.reduce_mean(ad.softplus(logits))
-
-
-def adversarial_loss(fake_logits: ad.TensorNode) -> ad.TensorNode:
-    """Non-saturating generator objective: mean -log sigma(fake logit)."""
-    return bce_real(fake_logits)
 
 
 # -- sample-set losses ------------------------------------------------------
@@ -350,7 +319,7 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
 
         # generator half: the same decode, live fakes through the new critic
         logits = discriminator_logits(cfg, disc_params, bank.layout, fakes, mask)
-        adv = adversarial_loss(_kept(logits, fakes_only - 1, cols))
+        adv = bce_real(_kept(logits, fakes_only - 1, cols))
         variety_terms = []
         diversity_terms = []
         for scene, view, noise in zip(usable, batch.per_scene(usable), noises):

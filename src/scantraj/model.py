@@ -55,7 +55,6 @@ class ModelConfig:
     literal_softmax: bool = False
     attention_key: str = "fused"           # or "joint" (the 2H concat)
     force_zero_context: bool = False       # diagnostic: kill spatial context
-    disable_temporal: bool = False         # diagnostic: kill temporal pass
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -83,38 +82,52 @@ class ModelConfig:
         """Width of temporal-attention keys/queries for this configuration."""
         return self.hidden_dim if self.attention_key == "fused" else 2 * self.hidden_dim
 
-    def to_dict(self) -> dict[str, str]:
-        out = {}
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                out[f.name] = "true" if value else "false"
-            elif isinstance(value, float):
-                out[f.name] = repr(value)
-            else:
-                out[f.name] = str(value)
-        return out
-
     @classmethod
     def from_dict(cls, raw: dict[str, str]) -> "ModelConfig":
-        kwargs = {}
-        for f in dataclass_fields(cls):
-            if f.name not in raw:
-                continue
-            text = raw[f.name]
-            if f.type == "bool" or isinstance(f.default, bool):
-                if text not in ("true", "false"):
-                    raise ValueError(f"{f.name}: expected true/false, got {text!r}")
-                kwargs[f.name] = text == "true"
-            elif isinstance(f.default, int):
-                kwargs[f.name] = int(text)
-            elif isinstance(f.default, float):
-                kwargs[f.name] = float(text)
-            else:
-                kwargs[f.name] = text
-        cfg = cls(**kwargs)
+        """Parse and validate a ``[model]`` section or checkpoint header.
+        The removed ``disable_temporal`` is dropped when ``false``, as older
+        checkpoints carry it, and refused otherwise."""
+        raw = dict(raw)
+        if raw.pop("disable_temporal", "false") != "false":
+            raise ValueError("disable_temporal was removed: set variant = vanilla "
+                             "for a model without temporal attention")
+        cfg = config_from_dict(cls, raw)
         cfg.validate()
         return cfg
+
+
+def config_keys(cls) -> tuple[str, ...]:
+    """The key=value names of config dataclass ``cls``: its fields with a
+    bool, int, float or str default, in declaration order."""
+    return tuple(f.name for f in dataclass_fields(cls)
+                 if isinstance(f.default, (bool, int, float, str)))
+
+
+def config_to_dict(conf) -> dict[str, str]:
+    """A config's key=value fields as strings ``config_from_dict`` reads back
+    exactly (floats by ``repr``, bools as true/false)."""
+    def text(value) -> str:
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    return {name: text(getattr(conf, name)) for name in config_keys(type(conf))}
+
+
+def config_from_dict(cls, raw: dict[str, str]):
+    """Build config dataclass ``cls`` from key=value strings, each cast to
+    its field's default type; absent keys keep their defaults. An unknown
+    key or a malformed value raises ValueError naming it."""
+    keys = config_keys(cls)
+    kinds = {f.name: type(f.default) for f in dataclass_fields(cls)}
+    kwargs = {}
+    for key, text in raw.items():
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}; expected one of {', '.join(keys)}")
+        if kinds[key] is bool and text not in ("true", "false"):
+            raise ValueError(f"{key}: expected true/false, got {text!r}")
+        kwargs[key] = text == "true" if kinds[key] is bool else kinds[key](text)
+    return cls(**kwargs)
 
 
 @dataclass
@@ -388,7 +401,7 @@ class ScanModel:
                 offsets, kin, present[s][order], hidden, layout, self.grid, *self._fuse(),
                 literal_softmax=cfg.literal_softmax,
                 force_zero_context=cfg.force_zero_context)
-            if cfg.variant == "scan" and not cfg.disable_temporal:
+            if cfg.variant == "scan":
                 queries = fused if cfg.attention_key == "fused" else joints
                 state = attend(queries, history, self.params["temporal.W"],
                                self.params["temporal.b"])

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from . import generative as gn
 from .errors import DataError
 from .model import ScanModel
-from .training import load_checkpoint
+from .training import default_k, load_checkpoint
 
 OBSERVED_COLOR = "#222222"
 TRUTH_COLOR = "#2a9d3a"
@@ -40,13 +40,22 @@ def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
-def _write_text(path, text: str) -> str:
+def write_text(path, text: str) -> str:
+    """Write ``text`` to ``path``, a failure as DataError; returns the path."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
     return str(path)
+
+
+def make_dir(path) -> None:
+    """Create directory ``path`` and its parents, a failure as DataError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create {path}: {exc}") from exc
 
 
 class _Svg:
@@ -187,6 +196,28 @@ def _legend(svg, x, y, k: int) -> None:
         svg.text(x + 28, yy, label, size=11, fill="#444444")
 
 
+def _fan_rows(scene, samples, truth: bool):
+    """CSV rows ``series,ped,step,x,y`` of one fan: observed, then truth
+    (when asked), then each sample<i>, then mean. Steps count from the
+    window start, so future series start at step obs_len."""
+    def row(series, p, t, xy):
+        return f"{series},{p},{t},{_fmt(xy[0])},{_fmt(xy[1])}"
+
+    obs, n_peds = scene.obs_len, samples.shape[1]
+    for p in range(n_peds):
+        for t in range(obs):
+            yield row("observed", p, t, scene.positions[t, p])
+    if truth:
+        for p in range(n_peds):
+            for t in range(obs, obs + _valid_future_steps(scene, p)):
+                yield row("truth", p, t, scene.positions[t, p])
+    futures = [(f"sample{i}", paths) for i, paths in enumerate(samples)]
+    for series, paths in futures + [("mean", samples.mean(axis=0))]:
+        for p, path in enumerate(paths):
+            for t, xy in enumerate(path, start=obs):
+                yield row(series, p, t, xy)
+
+
 def plot_trajectories(path_base, scene, samples, title: str = "") -> list[str]:
     """One scene's observed/truth/sample fan; returns [svg_path, csv_path].
 
@@ -201,7 +232,6 @@ def plot_trajectories(path_base, scene, samples, title: str = "") -> list[str]:
     if samples.shape[1] != scene.n_peds:
         raise ValueError("sample pedestrian count does not match the scene")
     k, n_peds, steps = samples.shape[0], samples.shape[1], samples.shape[2]
-    mean = samples.mean(axis=0)
 
     width, height = 560.0, 480.0
     svg = _Svg(width, height)
@@ -215,30 +245,9 @@ def plot_trajectories(path_base, scene, samples, title: str = "") -> list[str]:
              size=10, fill="#666666")
     _legend(svg, width - 150, 26, k)
 
-    rows = [TRAJECTORY_CSV_HEADER]
-    for p in range(n_peds):
-        for t in range(scene.obs_len):
-            xy = scene.positions[t, p]
-            rows.append(f"observed,{p},{t},{_fmt(xy[0])},{_fmt(xy[1])}")
-    for p in range(n_peds):
-        for t in range(_valid_future_steps(scene, p)):
-            xy = scene.positions[scene.obs_len + t, p]
-            rows.append(f"truth,{p},{scene.obs_len + t},"
-                        f"{_fmt(xy[0])},{_fmt(xy[1])}")
-    for i in range(k):
-        for p in range(n_peds):
-            for t in range(steps):
-                xy = samples[i, p, t]
-                rows.append(f"sample{i},{p},{scene.obs_len + t},"
-                            f"{_fmt(xy[0])},{_fmt(xy[1])}")
-    for p in range(n_peds):
-        for t in range(steps):
-            xy = mean[p, t]
-            rows.append(f"mean,{p},{scene.obs_len + t},"
-                        f"{_fmt(xy[0])},{_fmt(xy[1])}")
-
-    svg_path = _write_text(f"{path_base}.svg", svg.finish())
-    csv_path = _write_text(f"{path_base}.csv", "\n".join(rows) + "\n")
+    rows = [TRAJECTORY_CSV_HEADER, *_fan_rows(scene, samples, truth=True)]
+    svg_path = write_text(f"{path_base}.svg", svg.finish())
+    csv_path = write_text(f"{path_base}.csv", "\n".join(rows) + "\n")
     return [svg_path, csv_path]
 
 
@@ -320,8 +329,8 @@ def domain_heatmap(path_base, grid, title: str = "learned domain (m)") -> list[s
              anchor="end")
 
     csv_lines = [",".join(_fmt(grid[i, j]) for j in range(n)) for i in range(m)]
-    svg_path = _write_text(f"{path_base}.svg", svg.finish())
-    csv_path = _write_text(f"{path_base}.csv", "\n".join(csv_lines) + "\n")
+    svg_path = write_text(f"{path_base}.svg", svg.finish())
+    csv_path = write_text(f"{path_base}.csv", "\n".join(csv_lines) + "\n")
     return [svg_path, csv_path]
 
 
@@ -371,28 +380,11 @@ def diversity_grid(path_base, scene, panels) -> list[str]:
         _fan_strokes(svg, frame, scene, samples)
         svg.group_close()
 
-        n_peds, steps = samples.shape[1], samples.shape[2]
-        for p in range(n_peds):
-            for t in range(scene.obs_len):
-                xy = scene.positions[t, p]
-                rows.append(f"{index},{title},observed,{p},{t},"
-                            f"{_fmt(xy[0])},{_fmt(xy[1])}")
-        for i in range(k):
-            for p in range(n_peds):
-                for t in range(steps):
-                    xy = samples[i, p, t]
-                    rows.append(f"{index},{title},sample{i},{p},"
-                                f"{scene.obs_len + t},"
-                                f"{_fmt(xy[0])},{_fmt(xy[1])}")
-        mean = samples.mean(axis=0)
-        for p in range(n_peds):
-            for t in range(steps):
-                xy = mean[p, t]
-                rows.append(f"{index},{title},mean,{p},{scene.obs_len + t},"
-                            f"{_fmt(xy[0])},{_fmt(xy[1])}")
+        rows.extend(f"{index},{title},{row}"
+                    for row in _fan_rows(scene, samples, truth=False))
 
-    svg_path = _write_text(f"{path_base}.svg", svg.finish())
-    csv_path = _write_text(f"{path_base}.csv", "\n".join(rows) + "\n")
+    svg_path = write_text(f"{path_base}.svg", svg.finish())
+    csv_path = write_text(f"{path_base}.csv", "\n".join(rows) + "\n")
     return [svg_path, csv_path]
 
 
@@ -422,11 +414,8 @@ def emit_plots(checkpoint_path, scenes, out_dir, k: int | None = None,
     state = load_checkpoint(checkpoint_path)
     model = ScanModel(state.cfg, state.params)
     if k is None:
-        k = 20 if state.cfg.generative else 1
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create {out_dir}: {exc}") from exc
+        k = default_k(state.cfg)
+    make_dir(out_dir)
 
     hub = ad.RngHub(seed)
     written: list[str] = []

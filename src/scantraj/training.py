@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,8 @@ from . import generative as gn
 from . import metrics
 from .data import make_windows
 from .errors import DataError, NumericError
-from .model import ModelConfig, ScanModel, build_params, trajectory_loss
+from .model import (ModelConfig, ScanModel, build_params, config_to_dict,
+                    trajectory_loss)
 
 CHECKPOINT_MAGIC = b"SCANCKPT"
 CHECKPOINT_VERSION = 2
@@ -84,18 +85,43 @@ def init_state(cfg: ModelConfig, tcfg: TrainConfig) -> TrainState:
     return TrainState(cfg, params, opt, hub, 0, disc_params, disc_opt)
 
 
-def _epoch_batches(windows: list, hub: ad.RngHub, batch_size: int):
-    """Shuffle scene order (one stream draw per epoch) and chunk it."""
-    order = hub.stream(SHUFFLE_STREAM).permutation(len(windows))
-    ordered = [windows[int(i)] for i in order]
-    for start in range(0, len(ordered), batch_size):
-        yield ordered[start:start + batch_size]
+def _run_epochs(windows: list, tcfg: TrainConfig, state: TrainState,
+                eval_windows: Optional[list], step) -> tuple:
+    """The epoch loop of both trainers, from ``state.epoch`` to ``tcfg.epochs``.
 
-
-def _eval_rows(epoch, state, eval_windows, curve):
-    report = evaluate(state.cfg, state.params, eval_windows, k=1)
-    curve.append((epoch, "eval_ade", report.ade))
-    curve.append((epoch, "eval_fde", report.fde))
+    Each epoch shuffles the scenes (one draw from the shuffle stream),
+    chunks them into batches and hands the non-empty scenes of every batch
+    to ``step(scenes, epoch)``. The step trains on them and returns
+    ``(terms, weight)``: the batch's loss terms as floats and its weight in
+    the epoch means, or None when nothing in the batch was trainable. The
+    curve gets each term's weighted mean per epoch, in the order the terms
+    come, then the eval rows when they are due.
+    """
+    curve: list[tuple] = []
+    for epoch in range(state.epoch, tcfg.epochs):
+        sums: dict[str, float] = {}
+        weight = 0
+        order = state.hub.stream(SHUFFLE_STREAM).permutation(len(windows))
+        shuffled = [windows[int(i)] for i in order]
+        for start in range(0, len(shuffled), tcfg.batch_size):
+            live = [scene for scene in shuffled[start:start + tcfg.batch_size]
+                    if scene.n_peds > 0]
+            done = step(live, epoch) if live else None
+            if done is None:
+                continue
+            terms, n = done
+            for term, value in terms.items():
+                sums[term] = sums.get(term, 0.0) + value * n
+            weight += n
+        if weight == 0:
+            raise ValueError("no trainable scenes in the dataset")
+        curve.extend((epoch, term, total / weight) for term, total in sums.items())
+        if eval_windows and tcfg.eval_every and (epoch + 1) % tcfg.eval_every == 0:
+            report = evaluate(state.cfg, state.params, eval_windows, k=1)
+            curve.append((epoch, "eval_ade", report.ade))
+            curve.append((epoch, "eval_fde", report.fde))
+        state.epoch = epoch + 1
+    return state, curve
 
 
 def train_deterministic(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
@@ -107,7 +133,8 @@ def train_deterministic(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
     decoded together, side by side (``cells.SceneLayout``), and split into
     per-scene views. The batch loss is each scene's own ``trajectory_loss``
     averaged over the scenes that have one, left to right, so a scene in a
-    batch counts exactly as it would alone.
+    batch counts exactly as it would alone; the epoch's ``train_loss`` is
+    the mean over every scene that had one.
 
     Returns (state, curve). Pass a restored ``state`` to resume: the loop
     runs from ``state.epoch`` to ``tcfg.epochs`` and, because the shuffle
@@ -121,35 +148,24 @@ def train_deterministic(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
     if state is None:
         state = init_state(cfg, tcfg)
     model = ScanModel(state.cfg, state.params)
-    curve: list[tuple] = []
-    for epoch in range(state.epoch, tcfg.epochs):
-        total, scenes_counted = 0.0, 0
-        for batch in _epoch_batches(windows, state.hub, tcfg.batch_size):
-            live = [scene for scene in batch if scene.n_peds > 0]
-            if not live:
-                continue
-            with ad.Tape() as tape:
-                views = model.forward(live).per_scene(live)
-                losses = [loss for loss in map(trajectory_loss, views, live)
-                          if loss is not None]
-                batch_loss = ad.mean_of(losses)
-                if batch_loss is None:
-                    continue
-                if not np.isfinite(batch_loss.values):
-                    raise NumericError(f"train loss is not finite at epoch {epoch}"
-                                       + ad.nonfinite_origin(batch_loss))
-                state.params.zero_grads()
-                tape.backward(batch_loss)
-                state.opt.step()
-                total += float(batch_loss.values) * len(losses)
-                scenes_counted += len(losses)
-        if scenes_counted == 0:
-            raise ValueError("no trainable scenes in the dataset")
-        curve.append((epoch, "train_loss", total / scenes_counted))
-        if eval_windows and tcfg.eval_every and (epoch + 1) % tcfg.eval_every == 0:
-            _eval_rows(epoch, state, eval_windows, curve)
-        state.epoch = epoch + 1
-    return state, curve
+
+    def step(live: list, epoch: int):
+        with ad.Tape() as tape:
+            views = model.forward(live).per_scene(live)
+            losses = [loss for loss in map(trajectory_loss, views, live)
+                      if loss is not None]
+            batch_loss = ad.mean_of(losses)
+            if batch_loss is None:
+                return None
+            if not np.isfinite(batch_loss.values):
+                raise NumericError(f"train loss is not finite at epoch {epoch}"
+                                   + ad.nonfinite_origin(batch_loss))
+            state.params.zero_grads()
+            tape.backward(batch_loss)
+            state.opt.step()
+        return {"train_loss": float(batch_loss.values)}, len(losses)
+
+    return _run_epochs(windows, tcfg, state, eval_windows, step)
 
 
 def train_gan(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
@@ -172,31 +188,21 @@ def train_gan(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
         raise ValueError("state has no discriminator half")
     model = ScanModel(state.cfg, state.params)
     noise_rng = state.hub.stream(GAN_NOISE_STREAM)
-    curve: list[tuple] = []
-    for epoch in range(state.epoch, tcfg.epochs):
-        sums: dict[str, float] = {}
-        batches = 0
-        for batch in _epoch_batches(windows, state.hub, tcfg.batch_size):
-            usable = [s for s in batch if s.n_peds > 0]
-            if not usable:
-                continue
-            report = gn.gan_train_step(model, state.disc_params, usable,
-                                       tcfg.gan, state.opt, state.disc_opt,
-                                       noise_rng)
-            for term, value in report.items():
-                sums[term] = sums.get(term, 0.0) + value
-            batches += 1
-        if batches == 0:
-            raise ValueError("no trainable scenes in the dataset")
-        for term in ("disc", "adversarial", "variety", "diversity", "total"):
-            curve.append((epoch, term, sums[term] / batches))
-        if eval_windows and tcfg.eval_every and (epoch + 1) % tcfg.eval_every == 0:
-            _eval_rows(epoch, state, eval_windows, curve)
-        state.epoch = epoch + 1
-    return state, curve
+
+    def step(live: list, epoch: int):
+        return gn.gan_train_step(model, state.disc_params, live, tcfg.gan,
+                                 state.opt, state.disc_opt, noise_rng), 1
+
+    return _run_epochs(windows, tcfg, state, eval_windows, step)
 
 
 # -- evaluation -------------------------------------------------------------
+
+def default_k(cfg: ModelConfig) -> int:
+    """Samples per scene when the caller names none: best-of-20 for a
+    generative model, the one forecast of a deterministic model."""
+    return 20 if cfg.generative else 1
+
 
 def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
              k: int = 1, seed: int = 0) -> metrics.MetricReport:
@@ -273,8 +279,7 @@ def sweep_horizons(cfg: ModelConfig, params: ad.ParamStore, records: list,
     """
     out = {}
     for pred_len in pred_lens:
-        horizon_cfg = ModelConfig.from_dict(cfg.to_dict())
-        horizon_cfg.pred_len = int(pred_len)
+        horizon_cfg = replace(cfg, pred_len=int(pred_len))
         windows = make_windows(records, obs_len=cfg.obs_len,
                                pred_len=int(pred_len))
         out[int(pred_len)] = evaluate(horizon_cfg, params, windows,
@@ -381,36 +386,37 @@ def _read_table(fh) -> dict[str, np.ndarray]:
     return out
 
 
-def _adam_text(prefix: str, opt: ad.Adam) -> list[str]:
-    return [f"{prefix}.t={opt.t}",
-            f"{prefix}.lr={opt.lr!r}",
-            f"{prefix}.beta1={opt.beta1!r}",
-            f"{prefix}.beta2={opt.beta2!r}",
-            f"{prefix}.eps={opt.eps!r}"]
+def _adam_header(prefix: str, opt: ad.Adam, moments: dict) -> list[str]:
+    """Header lines for the scalars of ``opt.state()``; its moment tables go
+    into ``moments`` as ``m/<name>`` and ``v/<name>``."""
+    lines = []
+    for key, value in opt.state().items():
+        if isinstance(value, dict):
+            moments.update({f"{key}/{name}": arr for name, arr in value.items()})
+        else:
+            lines.append(f"{prefix}.{key}={value!r}")
+    return lines
 
 
-def _load_adam(store: ad.ParamStore, text: dict[str, str], prefix: str,
+def _adam_from(store: ad.ParamStore, prefix: str, text: dict[str, str],
                moments: dict[str, np.ndarray]) -> ad.Adam:
-    opt = ad.Adam(store, lr=float(text[f"{prefix}.lr"]),
-                  beta1=float(text[f"{prefix}.beta1"]),
-                  beta2=float(text[f"{prefix}.beta2"]),
-                  eps=float(text[f"{prefix}.eps"]))
-    opt.t = int(text[f"{prefix}.t"])
-    for name in store.names():
-        opt.m[name][...] = moments[f"m/{name}"]
-        opt.v[name][...] = moments[f"v/{name}"]
+    """The optimizer ``_adam_header`` saved, rebuilt through ``Adam.load_state``."""
+    opt = ad.Adam(store)
+    opt.load_state({key: ({name: moments[f"{key}/{name}"] for name in value}
+                          if isinstance(value, dict) else text[f"{prefix}.{key}"])
+                    for key, value in opt.state().items()})
     return opt
 
 
 def save_checkpoint(path, state: TrainState) -> None:
     """Freeze a training run into the versioned, digest-checked container."""
     lines = [f"epoch={state.epoch}", f"seed={state.hub.seed}"]
-    for key, value in state.cfg.to_dict().items():
-        lines.append(f"model.{key}={value}")
-    lines.extend(_adam_text("adam", state.opt))
+    lines += [f"model.{key}={value}" for key, value in config_to_dict(state.cfg).items()]
+    moments: dict[str, np.ndarray] = {}
+    lines += _adam_header("adam", state.opt, moments)
     lines.append(f"has_disc={'true' if state.disc_params is not None else 'false'}")
     if state.disc_opt is not None:
-        lines.extend(_adam_text("adam_disc", state.disc_opt))
+        lines += _adam_header("adam_disc", state.disc_opt, moments)
     lines.append("rng=" + json.dumps(_jsonable(state.hub.state()),
                                      sort_keys=True))
     text = "\n".join(lines).encode("utf-8")
@@ -420,14 +426,6 @@ def save_checkpoint(path, state: TrainState) -> None:
     if state.disc_params is not None:
         params.update({name: node.values
                        for name, node in state.disc_params.items()})
-    moments: dict[str, np.ndarray] = {}
-    for prefix_opt in (state.opt, state.disc_opt):
-        if prefix_opt is None:
-            continue
-        for name, values in prefix_opt.m.items():
-            moments[f"m/{name}"] = values
-        for name, values in prefix_opt.v.items():
-            moments[f"v/{name}"] = values
 
     try:
         fh = open(path, "w+b")
@@ -474,9 +472,12 @@ def load_checkpoint(path) -> TrainState:
             continue
         key, _, value = line.partition("=")
         text[key] = value
-    cfg = ModelConfig.from_dict(
-        {key[len("model."):]: value for key, value in text.items()
-         if key.startswith("model.")})
+    try:
+        cfg = ModelConfig.from_dict({key[len("model."):]: value
+                                     for key, value in text.items()
+                                     if key.startswith("model.")})
+    except ValueError as exc:
+        raise DataError(f"checkpoint {path}: bad model config: {exc}") from exc
 
     params = ad.ParamStore()
     disc_params = ad.ParamStore() if text.get("has_disc") == "true" else None
@@ -486,8 +487,8 @@ def load_checkpoint(path) -> TrainState:
         else:
             params.register(name, values)
 
-    opt = _load_adam(params, text, "adam", moment_table)
-    disc_opt = (_load_adam(disc_params, text, "adam_disc", moment_table)
+    opt = _adam_from(params, "adam", text, moment_table)
+    disc_opt = (_adam_from(disc_params, "adam_disc", text, moment_table)
                 if disc_params is not None else None)
 
     hub = ad.RngHub(int(text["seed"]))

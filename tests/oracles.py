@@ -71,3 +71,23 @@ def oracle_ade(pred, truth, mask):
                 total += math.sqrt(dx * dx + dy * dy)
                 count += 1
     return total / count if count else None
+
+
+def numeric_gradient(f, values, h=1e-5):
+    """Central finite differences of ``f()`` w.r.t. ``values``.
+
+    ``values`` is perturbed in place and restored; ``f`` must recompute the
+    scalar from the current contents of ``values`` on every call.
+    """
+    grad = np.zeros_like(values)
+    it = np.nditer(values, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        saved = values[idx]
+        values[idx] = saved + h
+        fp = f()
+        values[idx] = saved - h
+        fm = f()
+        values[idx] = saved
+        grad[idx] = (fp - fm) / (2.0 * h)
+    return grad

@@ -14,6 +14,8 @@ import pytest
 from scantraj import autodiff as ad
 from scantraj.errors import ShapeError
 
+from oracles import numeric_gradient
+
 H = 1e-5
 OP_TOL = 1e-4
 
@@ -43,7 +45,7 @@ def check_grads(build, arrays, tol=OP_TOL):
             with ad.Tape():
                 fresh = [ad.TensorNode(n.values) for n in nodes]
                 return float(build(fresh).values)
-        got = ad.numeric_gradient(f, node.values, h=H)
+        got = numeric_gradient(f, node.values, h=H)
         assert rel_err(want, got) < tol, f"gradient mismatch: {want} vs {got}"
 
 
@@ -677,6 +679,10 @@ class TestTapeScopes:
             assert n == alone[seed][0]
             assert gx.tobytes() == alone[seed][1].tobytes()
             assert gw.tobytes() == alone[seed][2].tobytes()
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in ad.__all__ if not hasattr(ad, name)] == []
 
 
 class TestParamStore:

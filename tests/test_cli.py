@@ -1,5 +1,8 @@
 """End-to-end command-line tests driving run() in process."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,13 @@ class TestUsageErrors:
 
 
 class TestConfigHandling:
+    def test_readme_lists_exactly_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = dict(re.findall(r"^\| `\[(\w+)\]` \| `([^`]*)`", readme, re.MULTILINE))
+        assert {section: tuple(keys.split(", ")) for section, keys in table.items()} == {
+            "model": cli.MODEL_KEYS, "train": cli.TRAIN_KEYS,
+            "gan": cli.GAN_KEYS, "data": cli.DATA_KEYS}
+
     def test_unknown_config_key_is_a_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[model]\nwarp_factor = 9\n")

@@ -144,6 +144,27 @@ class TestRoundTrip:
         for orig, loaded in zip(scenes, back):
             np.testing.assert_array_equal(loaded.positions, orig.positions)
 
+    @pytest.mark.parametrize("pred_len", [92, 112])
+    def test_scenes_of_a_hundred_frames_or_more_stay_apart(self, tmp_path, pred_len):
+        # 100 and 120 frames: scenes must neither touch (a pedestrian
+        # walking on into the next scene) nor overlap (duplicate rows).
+        scenes = data.synth_scenarios("head_on", 3, seed=1, pred_len=pred_len)
+        path = tmp_path / "long.txt"
+        data.write_scenes(path, scenes)
+        back = [w for w in data.make_windows(data.load_dataset(path), 8, pred_len)
+                if w.mask.all()]
+        assert len(back) == 3
+        for orig, loaded in zip(scenes, back):
+            np.testing.assert_array_equal(loaded.positions, orig.positions)
+
+    def test_scenes_under_a_hundred_frames_start_every_hundred(self, tmp_path):
+        scenes = data.synth_scenarios("crossing", 3, seed=1)
+        rows = [row for k, win in enumerate(scenes)
+                for row in data.scene_to_records(win, frame_start=100 * k)]
+        data.write_records(tmp_path / "want.txt", rows)
+        data.write_scenes(tmp_path / "got.txt", scenes)
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
 
 class TestSynthScenarios:
     def test_straight_is_unit_speed_along_x(self):
@@ -216,13 +237,3 @@ class TestSynthScenarios:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.positions, y.positions)
 
-
-class TestSplits:
-    def test_leave_one_out(self):
-        split = data.leave_one_out("hotel")
-        assert split.test == "hotel"
-        assert split.train == ("eth", "univ", "zara1", "zara2")
-
-    def test_unknown_dataset_rejected(self):
-        with pytest.raises(DataError, match="unknown dataset"):
-            data.leave_one_out("mall")

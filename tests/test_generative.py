@@ -10,7 +10,8 @@ from scantraj import model as sm
 from scantraj.data import SceneWindow
 from scantraj.errors import NumericError, ShapeError
 
-from test_model import dyadic_walkers, make_scene, micro_cfg, records_of
+from test_model import (dyadic_walkers, fake_track, make_scene, micro_cfg, real_track,
+                        records_of)
 from test_training import assert_names_the_first_non_finite_record, spy_on_nonfinite_origin
 
 
@@ -39,7 +40,8 @@ def set_from_arrays(*sample_positions):
     results = [result_from_positions(p) for p in sample_positions]
     n = np.asarray(sample_positions[0]).shape[0]
     return gen.PredictionSet(list(range(1, n + 1)), results,
-                             np.zeros((len(results), 4)))
+                             np.zeros((len(results), 4)),
+                             ad.stack([r.pos for r in results]))
 
 
 class TestNoise:
@@ -171,8 +173,8 @@ class TestDiscriminator:
         params = gen.build_discriminator_params(cfg, ad.RngHub(5))
         scene = make_scene(dyadic_walkers(5), obs_len=3)
         with ad.Tape():
-            probs = gen.discriminate(cfg, params, scene.ped_ids,
-                                     gen.real_position_nodes(scene), scene.mask)
+            probs = ad.sigmoid(gen.discriminator_logits(
+                cfg, params, scene.ped_ids, real_track(scene), scene.mask))
             for prob in probs.values:
                 assert 0.0 < float(prob[0]) < 1.0
 
@@ -186,13 +188,12 @@ class TestDiscriminator:
                                positions=scene.positions[:, perm].copy(),
                                mask=scene.mask[:, perm].copy(), obs_len=3)
         with ad.Tape():
-            base = [float(p[0]) for p in gen.discriminate(
-                cfg, params, scene.ped_ids,
-                gen.real_position_nodes(scene), scene.mask).values]
+            base = [float(p[0]) for p in ad.sigmoid(gen.discriminator_logits(
+                cfg, params, scene.ped_ids, real_track(scene), scene.mask)).values]
         with ad.Tape():
-            swapped = [float(p[0]) for p in gen.discriminate(
-                cfg, params, permuted.ped_ids,
-                gen.real_position_nodes(permuted), permuted.mask).values]
+            swapped = [float(p[0]) for p in ad.sigmoid(gen.discriminator_logits(
+                cfg, params, permuted.ped_ids, real_track(permuted),
+                permuted.mask)).values]
         assert swapped == [base[1], base[0]]
 
     @pytest.mark.parametrize("samples", [(), (3,)])
@@ -231,10 +232,10 @@ class TestDiscriminator:
         for _ in range(40):
             with ad.Tape() as tape:
                 real = gen.discriminator_logits(
-                    cfg, params, [1], gen.real_position_nodes(real_scene()),
+                    cfg, params, [1], real_track(real_scene()),
                     np.ones((5, 1), dtype=bool))
                 fake = gen.discriminator_logits(
-                    cfg, params, [1], gen.real_position_nodes(fake_scene()),
+                    cfg, params, [1], real_track(fake_scene()),
                     np.ones((5, 1), dtype=bool))
                 loss = ad.add(gen.bce_real(real), gen.bce_fake(fake))
                 params.zero_grads()
@@ -245,9 +246,9 @@ class TestDiscriminator:
             total = 0.0
             for _ in range(n):
                 with ad.Tape():
-                    prob = gen.discriminate(
-                        cfg, params, [1], gen.real_position_nodes(scene_fn()),
-                        np.ones((5, 1), dtype=bool)).values[0]
+                    prob = ad.sigmoid(gen.discriminator_logits(
+                        cfg, params, [1], real_track(scene_fn()),
+                        np.ones((5, 1), dtype=bool))).values[0]
                     total += float(prob[0])
             return total / n
 
@@ -495,19 +496,20 @@ class TestGanTrainStep:
                 bank = m.encode(scene)
                 results = [m.decode(scene, bank, noise=z) for z in noise]
                 real.append(ad.gather(gen.discriminator_logits(
-                    m.cfg, disc, scene.ped_ids, gen.real_position_nodes(scene),
+                    m.cfg, disc, scene.ped_ids, real_track(scene),
                     scene.mask), keep))
                 fake.extend(ad.gather(gen.discriminator_logits(
                     m.cfg, disc, scene.ped_ids,
-                    gen.fake_position_nodes(scene, r), scene.mask), keep)
+                    fake_track(scene, r), scene.mask), keep)
                     for r in results)
-                samples = gen.PredictionSet(scene.ped_ids, results, noise)
+                samples = gen.PredictionSet(scene.ped_ids, results, noise,
+                                            ad.stack([r.pos for r in results]))
                 variety.append(gen.variety_loss(scene, samples))
                 diversity.append(gen.diversity_loss(samples))
             want = {
                 "disc": float(ad.add(gen.bce_real(ad.concat(real)),
                                      gen.bce_fake(ad.concat(fake))).values),
-                "adversarial": float(gen.adversarial_loss(ad.concat(fake)).values),
+                "adversarial": float(gen.bce_real(ad.concat(fake)).values),
                 "variety": float(ad.mean_of(variety).values),
                 "diversity": float(ad.mean_of(diversity).values)}
         report = gen.gan_train_step(

@@ -5,9 +5,13 @@ import pytest
 
 from scantraj import autodiff as ad
 from scantraj import cells
+from scantraj import generative as gn
 from scantraj import model as sm
+from scantraj import training as tr
 from scantraj.data import SceneWindow
 from scantraj.errors import ShapeError
+
+from oracles import numeric_gradient
 
 
 def micro_cfg(**overrides):
@@ -30,6 +34,21 @@ def make_scene(paths, obs_len, ped_ids=None):
                        positions=paths.transpose(1, 0, 2).copy(),
                        mask=np.ones((t, n), dtype=bool),
                        obs_len=obs_len, source="test")
+
+
+def real_track(scene):
+    """A scene's whole trajectory as one constant (N, T, 2) critic input."""
+    return ad.constant(scene.positions.transpose(1, 0, 2))
+
+
+def fake_track(scene, result):
+    """A scene's observed steps followed by a decoded future, as one constant
+    (..., N, T, 2) critic input; the observed steps repeat for every leading
+    sample of the decode."""
+    future = result.pos.values
+    observed = scene.positions[:scene.obs_len].transpose(1, 0, 2)
+    observed = np.broadcast_to(observed, future.shape[:-3] + observed.shape)
+    return ad.constant(np.concatenate([observed, future], axis=-2))
 
 
 def dyadic_walkers(n_steps, speeds=((0.25, 0.0), (-0.25, 0.125))):
@@ -209,14 +228,28 @@ class TestConfig:
         cfg = sm.ModelConfig(variant="vanilla", generative=True,
                              literal_softmax=True, pred_len=20,
                              domain_init_m=2.5)
-        again = sm.ModelConfig.from_dict(cfg.to_dict())
+        again = sm.ModelConfig.from_dict(sm.config_to_dict(cfg))
         assert again == cfg
 
     def test_from_dict_rejects_mangled_bool(self):
-        raw = sm.ModelConfig().to_dict()
+        raw = sm.config_to_dict(sm.ModelConfig())
         raw["generative"] = "1"
         with pytest.raises(ValueError):
             sm.ModelConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("cls", [sm.ModelConfig, tr.TrainConfig, gn.GanConfig])
+    def test_unknown_key_rejected_by_name(self, cls):
+        with pytest.raises(ValueError, match="warp_factor"):
+            sm.config_from_dict(cls, {"warp_factor": "9"})
+
+    def test_train_and_gan_sections_cast_by_field_type(self):
+        conf = sm.config_from_dict(tr.TrainConfig, {"epochs": "3", "lr": "0.5"})
+        assert conf == tr.TrainConfig(epochs=3, lr=0.5)
+        assert sm.config_keys(tr.TrainConfig) == ("batch_size", "lr", "epochs",
+                                                  "seed", "eval_every")
+        gan = sm.config_from_dict(gn.GanConfig, {"k": "2", "diversity_weight": "1"})
+        assert gan == gn.GanConfig(k=2, diversity_weight=1.0)
+        assert sm.config_from_dict(gn.GanConfig, {}) == gn.GanConfig()
 
 
 class TestParamInit:
@@ -456,7 +489,7 @@ class TestGradients:
             tape.backward(loss)
         worst = 0.0
         for name, p in params.items():
-            numeric = ad.numeric_gradient(run_loss, p.values)
+            numeric = numeric_gradient(run_loss, p.values)
             denom = np.maximum(np.abs(numeric), 1e-6)
             worst = max(worst, float(np.max(np.abs(p.grad - numeric) / denom)))
         assert worst < 1e-3

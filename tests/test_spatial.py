@@ -9,7 +9,7 @@ from scantraj.geometry import (AgentKinematics, BinSpec, CrowdKinematics,
                                EncounterGeometry, bin_index, bin_indices,
                                compute_encounter)
 
-from oracles import oracle_spatial
+from oracles import numeric_gradient, oracle_spatial
 
 
 def make_grid(value=4.0, spec=None):
@@ -179,7 +179,7 @@ class TestFuseHidden:
                     ad.constant(np.zeros(H)))
                 return float(ad.matmul(fused, ad.constant(probe)).values)
 
-        want = ad.numeric_gradient(f, Wv)
+        want = numeric_gradient(f, Wv)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
 
 

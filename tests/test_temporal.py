@@ -7,6 +7,8 @@ from scantraj import autodiff as ad
 from scantraj import temporal
 from scantraj.errors import ShapeError
 
+from oracles import numeric_gradient
+
 
 def make_bank(vectors, valid=None):
     """A one-pedestrian bank: row 0 holds ``vectors`` as its T keys."""
@@ -132,5 +134,5 @@ class TestAttend:
                                       ad.constant(Wv), ad.constant(np.zeros(H)))
                 return float(ad.matmul(out[0], ad.constant(probe)).values)
 
-        np.testing.assert_allclose(got_q, ad.numeric_gradient(f, qv),
+        np.testing.assert_allclose(got_q, numeric_gradient(f, qv),
                                    rtol=1e-4, atol=1e-8)

@@ -1,6 +1,7 @@
 """Training loops, evaluation driver, and checkpoint round-trip tests."""
 
 import dataclasses
+import hashlib
 import re
 import struct
 import sys
@@ -10,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from test_model import dyadic_walkers, make_scene, micro_cfg, recorded_ops
+from test_model import (dyadic_walkers, fake_track, make_scene, micro_cfg, real_track,
+                        recorded_ops)
 
 from scantraj import autodiff as ad
 from scantraj import data as sd
@@ -183,19 +185,20 @@ class TestDeterministicLoop:
         assert (0, "eval_ade") not in tags and (2, "eval_ade") not in tags
 
 
-class TestPlumbingEquivalence:
-    def test_context_free_variants_share_loss(self):
-        # With spatial context forced to zero and temporal attention off,
-        # both variants collapse to the same recurrent path over shared
-        # parameters, so a frozen (lr=0) epoch must report identical loss.
-        windows = micro_windows(3)
-        cfg_a = micro_cfg(variant="vanilla", force_zero_context=True)
-        cfg_b = micro_cfg(variant="scan", force_zero_context=True,
-                          disable_temporal=True)
-        conf = tcfg(epochs=1, lr=0.0, seed=11)
-        _, curve_a = tr.train_deterministic(windows, cfg_a, conf)
-        _, curve_b = tr.train_deterministic(windows, cfg_b, conf)
-        assert curve_a == curve_b
+class TestDisableTemporalRemoved:
+    # variant = "vanilla" is the model without temporal attention; the old
+    # switch that duplicated it is read only to refuse it or to drop "false".
+    def test_true_is_refused_naming_the_vanilla_variant(self):
+        raw = {**sm.config_to_dict(micro_cfg()), "disable_temporal": "true"}
+        with pytest.raises(ValueError, match="variant = vanilla"):
+            sm.ModelConfig.from_dict(raw)
+
+    def test_false_reads_as_if_absent(self):
+        raw = {**sm.config_to_dict(micro_cfg()), "disable_temporal": "false"}
+        assert sm.ModelConfig.from_dict(raw) == micro_cfg()
+
+    def test_is_no_config_key(self):
+        assert "disable_temporal" not in sm.config_keys(sm.ModelConfig)
 
 
 class TestEvaluate:
@@ -441,6 +444,44 @@ class TestCheckpoint:
             tr.load_checkpoint(path)
 
 
+class TestCheckpointHeader:
+    @staticmethod
+    def resealed(path, edit) -> None:
+        """Rewrite a checkpoint's header text through ``edit`` and seal the
+        result with a fresh digest, as a writer of that header would."""
+        data = path.read_bytes()
+        start = len(tr.CHECKPOINT_MAGIC) + 4 + 32
+        (size,) = struct.unpack("<Q", data[start:start + 8])
+        text = edit(data[start + 8:start + 8 + size].decode()).encode()
+        body = struct.pack("<Q", len(text)) + text + data[start + 8 + size:]
+        path.write_bytes(data[:start - 32] + hashlib.sha256(body).digest() + body)
+
+    def saved(self, tmp_path):
+        state, _ = tr.train_deterministic(micro_windows(1), micro_cfg(), tcfg(epochs=1))
+        path = tmp_path / "run.ckpt"
+        tr.save_checkpoint(path, state)
+        return state, path
+
+    def test_a_header_with_disable_temporal_false_still_loads(self, tmp_path):
+        state, path = self.saved(tmp_path)
+        self.resealed(path, lambda text: text + "\nmodel.disable_temporal=false")
+        loaded = tr.load_checkpoint(path)
+        assert loaded.cfg == state.cfg
+        assert params_equal(loaded.params, state.params)
+
+    def test_disable_temporal_true_is_refused_naming_the_vanilla_variant(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        self.resealed(path, lambda text: text + "\nmodel.disable_temporal=true")
+        with pytest.raises(DataError, match="variant = vanilla"):
+            tr.load_checkpoint(path)
+
+    def test_an_unknown_model_key_is_rejected_by_name(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        self.resealed(path, lambda text: text + "\nmodel.warp_factor=9")
+        with pytest.raises(DataError, match="warp_factor"):
+            tr.load_checkpoint(path)
+
+
 class TestGanLoop:
     def test_curve_terms_and_determinism(self):
         windows = micro_windows(3)
@@ -467,16 +508,15 @@ class TestGanLoop:
         verdicts = []
         for scene in held_out:
             with ad.Tape():
-                real = gn.discriminate(cfg, state.disc_params, scene.ped_ids,
-                                       gn.real_position_nodes(scene),
-                                       scene.mask)
+                real = ad.sigmoid(gn.discriminator_logits(
+                    cfg, state.disc_params, scene.ped_ids, real_track(scene),
+                    scene.mask))
                 verdicts.extend(float(p[0]) > 0.5 for p in real.values)
                 for result in gn.sample_predictions(model, scene, 2,
                                                     rng).results:
-                    fake = gn.discriminate(
+                    fake = ad.sigmoid(gn.discriminator_logits(
                         cfg, state.disc_params, scene.ped_ids,
-                        gn.fake_position_nodes(scene, result, detach=True),
-                        scene.mask)
+                        fake_track(scene, result), scene.mask))
                     verdicts.extend(float(p[0]) < 0.5 for p in fake.values)
         accuracy = np.mean(verdicts)
         assert 0.0 < accuracy < 1.0
