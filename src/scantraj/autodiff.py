@@ -44,6 +44,22 @@ record per layer, whatever its size or sample count. Their shape rules:
   ``(..., R, J)`` with J >= q (columns past q are ignored) and ``b``
   ``(..., R_b, n)``; the groups cover all R rows of ``a`` and all R_b rows
   of ``b``.
+* ``recurrence(gates_in, weights, w_hh, fuse_w, fuse_b, blocks, key)``: T
+  steps of the spatially attentive LSTM from zero states, one record with
+  outputs ``(hidden, cell, keys)``. Inputs: the ``(T, ..., R, 4H)`` input
+  share of the gates, the ``(T, ..., R, J)`` spatial weights (None: a zero
+  context), ``w_hh`` ``(4H, H)``, ``fuse_w`` ``(H, 2H)``, ``fuse_b`` ``(H,)``.
+  Step t: ``context = block_matmul(weights[t], hidden, blocks)``,
+  ``joint = [hidden, context]``, ``fused = tanh(linear(joint, fuse_w, fuse_b))``
+  and ``lstm_step`` on ``fused``. Outputs: the final ``(..., R, H)`` states
+  and the time-major ``(T, ..., R, H)`` fused states (``key="fused"``) or
+  ``(T, ..., R, 2H)`` joints (``key="joint"``).
+* ``attention(query, keys, valid, weight, bias)``: each ``(..., N, K)``
+  query row scores its ``(..., N, T, K)`` keys, softmax over the
+  ``(..., N, T)`` valid steps blends them into a context, and
+  ``tanh(linear([context, query], weight, bias))`` with ``weight`` ``(H, 2K)``
+  gives ``(..., N, H)``. Both ops equal their composed records bit for bit,
+  in values and in every gradient.
 * ``l2norm(a)``: Euclidean norm over the last axis, ``(..., k) -> (...)``;
   the subgradient at a zero vector is 0.
 * ``stack(nodes, axis)``, ``concat(nodes, axis)`` and ``reduce_sum(a, axis)``
@@ -83,9 +99,10 @@ from .errors import ShapeError
 __all__ = [
     "TensorNode", "Tape", "no_grad", "active_tape", "constant",
     "add", "sub", "mul", "div", "neg", "matmul", "block_matmul", "linear",
-    "lstm_step", "concat", "stack", "unstack", "split", "gather", "relu", "tanh",
-    "sigmoid", "exp", "log", "softplus", "masked_softmax", "reduce_sum", "reduce_mean",
-    "l2norm", "mean_of", "ParamStore", "Adam", "RngHub", "nonfinite_origin",
+    "lstm_step", "recurrence", "attention", "concat", "stack", "unstack", "split",
+    "gather", "relu", "tanh", "sigmoid", "exp", "log", "softplus", "masked_softmax",
+    "reduce_sum", "reduce_mean", "l2norm", "mean_of", "ParamStore", "Adam", "RngHub",
+    "nonfinite_origin",
 ]
 
 
@@ -436,50 +453,63 @@ def matmul(a, b) -> TensorNode:
     return _record("matmul", outv, (a, b), backward)
 
 
+def _blocks_of(x: np.ndarray, rows: slice, m: int, size: int, cols=slice(None)) -> np.ndarray:
+    """Rows ``rows`` of ``x`` as m blocks of ``size`` rows, ``(..., m, size, cols)``.
+    Contiguous, so that numpy takes the same BLAS route for a block however
+    many blocks share its group."""
+    part = x[..., rows, cols]
+    return np.ascontiguousarray(part).reshape(part.shape[:-2] + (m, size, part.shape[-1]))
+
+
+def _block_layout(op: str, av: np.ndarray, b_shape: tuple, blocks) -> tuple[list, list]:
+    """The ``(m, p, q, rows_a, rows_b)`` of every block group, checked against
+    ``a``'s ``(..., R, J)`` and ``b``'s ``(..., R_b, n)``, and a's blocks."""
+    pieces, row_a, row_b = [], 0, 0
+    for m, p, q in blocks:
+        if q > av.shape[-1]:
+            raise ShapeError(f"{op}: blocks of {q} columns in {av.shape}")
+        pieces.append((m, p, q, slice(row_a, row_a + m * p), slice(row_b, row_b + m * q)))
+        row_a, row_b = row_a + m * p, row_b + m * q
+    if (row_a, row_b) != (av.shape[-2], b_shape[-2]):
+        raise ShapeError(f"{op}: blocks {list(blocks)} do not cover {av.shape} and {b_shape}")
+    return pieces, [_blocks_of(av, rows_a, m, p, slice(0, q)) for m, p, q, rows_a, _ in pieces]
+
+
+def _block_products(a_blocks: list, bv: np.ndarray, pieces: list) -> np.ndarray:
+    """``block_matmul``'s values from the blocks of its ``a`` (``_block_layout``)."""
+    lead, n = bv.shape[:-2], bv.shape[-1]
+    groups = [np.matmul(ab, _blocks_of(bv, rows_b, m, q)).reshape(lead + (m * p, n))
+              for ab, (m, p, q, _, rows_b) in zip(a_blocks, pieces)]
+    return (groups[0] if len(groups) == 1
+            else np.concatenate(groups + [np.zeros(lead + (0, n))], axis=-2))
+
+
+def _block_grads(g, a_blocks: list, bv: np.ndarray, pieces: list, ga, gb) -> None:
+    """``block_matmul``'s backward: adds the shares of ``a`` and ``b`` into
+    the buffers ``ga`` and ``gb`` in place."""
+    lead, n = bv.shape[:-2], bv.shape[-1]
+    for ab, (m, p, q, rows_a, rows_b) in zip(a_blocks, pieces):
+        g_block = _blocks_of(g, rows_a, m, p)
+        ga[..., rows_a, :q] += np.matmul(
+            g_block, np.swapaxes(_blocks_of(bv, rows_b, m, q), -1, -2)
+        ).reshape(lead + (m * p, q))
+        gb[..., rows_b, :] += np.matmul(
+            np.swapaxes(ab, -1, -2), g_block).reshape(lead + (m * q, n))
+
+
 def block_matmul(a, b, blocks) -> TensorNode:
     """Many small row-block products in one record; see the module
     docstring."""
     a, b = _lift(a), _lift(b)
     av, bv = a.values, b.values
-    lead = av.shape[:-2]
-    if av.ndim < 2 or bv.ndim != av.ndim or bv.shape[:-2] != lead:
+    if av.ndim < 2 or bv.ndim != av.ndim or bv.shape[:-2] != av.shape[:-2]:
         raise ShapeError(f"block_matmul: shapes {av.shape} and {bv.shape} do not conform")
-    pieces, row_a, row_b = [], 0, 0
-    for m, p, q in blocks:
-        if q > av.shape[-1]:
-            raise ShapeError(f"block_matmul: blocks of {q} columns in {av.shape}")
-        pieces.append((m, p, q, slice(row_a, row_a + m * p), slice(row_b, row_b + m * q)))
-        row_a, row_b = row_a + m * p, row_b + m * q
-    if (row_a, row_b) != (av.shape[-2], bv.shape[-2]):
-        raise ShapeError(f"block_matmul: blocks {list(blocks)} do not cover "
-                         f"{av.shape} and {bv.shape}")
-
-    n = bv.shape[-1]
-
-    def blocks_of(x, rows, m, size, cols=slice(None)):
-        # Contiguous, so that numpy takes the same BLAS route for a block
-        # however many blocks share its group.
-        part = x[..., rows, cols]
-        return np.ascontiguousarray(part).reshape(lead + (m, size, part.shape[-1]))
-
-    groups = [np.matmul(blocks_of(av, rows_a, m, p, slice(0, q)),
-                        blocks_of(bv, rows_b, m, q)).reshape(lead + (m * p, n))
-              for m, p, q, rows_a, rows_b in pieces]
-    outv = (groups[0] if len(groups) == 1
-            else np.concatenate(groups + [np.zeros(lead + (0, n))], axis=-2))
+    pieces, a_blocks = _block_layout("block_matmul", av, bv.shape, blocks)
 
     def backward(g):
-        ga, gb = _adjoint(a), _adjoint(b)
-        for m, p, q, rows_a, rows_b in pieces:
-            g_block = blocks_of(g, rows_a, m, p)
-            ga[..., rows_a, :q] += np.matmul(
-                g_block, np.swapaxes(blocks_of(bv, rows_b, m, q), -1, -2)
-            ).reshape(lead + (m * p, q))
-            gb[..., rows_b, :] += np.matmul(
-                np.swapaxes(blocks_of(av, rows_a, m, p, slice(0, q)), -1, -2), g_block
-            ).reshape(lead + (m * q, n))
+        _block_grads(g, a_blocks, bv, pieces, _adjoint(a), _adjoint(b))
 
-    return _record("block_matmul", outv, (a, b), backward)
+    return _record("block_matmul", _block_products(a_blocks, bv, pieces), (a, b), backward)
 
 
 def _rows_times(xv: np.ndarray, wv: np.ndarray) -> np.ndarray:
@@ -616,9 +646,9 @@ def gather(a, index) -> TensorNode:
     outv = np.array(a.values[index], dtype=np.float64)
 
     def backward(g):
-        delta = np.zeros_like(a.values)
-        np.add.at(delta, index, g)
-        _add_grad(a, delta)
+        # Each target sums its entries in index order, as np.add.at would.
+        flat = np.arange(a.values.size).reshape(a.shape)[index]
+        _add_grad(a, np.bincount(flat.ravel(), g.ravel(), a.values.size).reshape(a.shape))
 
     return _record("gather", outv, (a,), backward)
 
@@ -642,6 +672,34 @@ def sigmoid(a) -> TensorNode:
                   lambda g, x, y: g * y * (1.0 - y))
 
 
+def _lstm_values(gates_in: np.ndarray, hv: np.ndarray, cv: np.ndarray,
+                 wv: np.ndarray) -> tuple:
+    """The LSTM update's forward: (i, f, o, g, new_cell, tanh(new_cell));
+    the new hidden state is ``o * tanh(new_cell)``."""
+    H = cv.shape[-1]
+    gates = gates_in + _rows_times(hv, wv)
+    ifo = _sigmoid_values(np.concatenate([gates[..., :2 * H], gates[..., 3 * H:]], axis=-1))
+    i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
+    g = np.tanh(gates[..., 2 * H:3 * H])
+    new_cell = f * cv + i * g
+    return i, f, o, g, new_cell, np.tanh(new_cell)
+
+
+def _lstm_grads(d_hidden, d_cell, cv: np.ndarray, state: tuple) -> tuple:
+    """The update's backward from the adjoints of its outputs (either may be
+    None, not both): the adjoints of the gates and of the previous cell."""
+    i, f, o, g, _, squashed = state
+    d_o = np.zeros_like(o) if d_hidden is None else d_hidden * squashed
+    if d_hidden is not None:
+        through = d_hidden * o * (1.0 - squashed * squashed)
+        d_cell = through if d_cell is None else d_cell + through
+    d_gates = np.concatenate([d_cell * g * i * (1.0 - i),
+                              d_cell * cv * f * (1.0 - f),
+                              d_cell * i * (1.0 - g * g),
+                              d_o * o * (1.0 - o)], axis=-1)
+    return d_gates, d_cell * f
+
+
 def lstm_step(gates_in, hidden, cell, w_hh) -> tuple[TensorNode, TensorNode]:
     """One LSTM update of every row as one record; see the module docstring.
     The backward replays the composed update's float operations in order."""
@@ -652,31 +710,99 @@ def lstm_step(gates_in, hidden, cell, w_hh) -> tuple[TensorNode, TensorNode]:
             or gates_in.shape != cv.shape[:-1] + (4 * H,)):
         raise ShapeError(f"lstm_step: gates {gates_in.shape}, hidden {hv.shape}, "
                          f"cell {cv.shape} and weight {wv.shape} do not conform")
-    gates = gates_in.values + _rows_times(hv, wv)
-    ifo = _sigmoid_values(np.concatenate([gates[..., :2 * H], gates[..., 3 * H:]], axis=-1))
-    i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
-    g = np.tanh(gates[..., 2 * H:3 * H])
-    new_cell = f * cv + i * g
-    squashed = np.tanh(new_cell)
+    state = _lstm_values(gates_in.values, hv, cv, wv)
 
     def backward(grads):
-        d_hidden, d_cell = grads
-        d_o = np.zeros_like(o) if d_hidden is None else d_hidden * squashed
-        if d_hidden is not None:
-            through = d_hidden * o * (1.0 - squashed * squashed)
-            d_cell = through if d_cell is None else d_cell + through
-        d_gates = np.concatenate([d_cell * g * i * (1.0 - i),
-                                  d_cell * cv * f * (1.0 - f),
-                                  d_cell * i * (1.0 - g * g),
-                                  d_o * o * (1.0 - o)], axis=-1)
+        d_gates, d_cell = _lstm_grads(*grads, cv, state)
         g2 = d_gates.reshape(-1, 4 * H)
         _add_grad(gates_in, d_gates)
         _add_grad(hidden, (g2 @ wv).reshape(hv.shape))
         _add_grad(w_hh, g2.T @ hv.reshape(-1, H))
-        _add_grad(cell, d_cell * f)
+        _add_grad(cell, d_cell)
 
-    return _record_parts("lstm_step", (TensorNode(o * squashed), TensorNode(new_cell)),
+    return _record_parts("lstm_step", (TensorNode(state[2] * state[5]), TensorNode(state[4])),
                          (gates_in, hidden, cell, w_hh), backward)
+
+
+def _plus(first, second):
+    """Adjoint ``first`` plus ``second``, where None is no adjoint."""
+    return second if first is None else first if second is None else first + second
+
+
+def _step_products(d: np.ndarray, x: np.ndarray, steps: list) -> tuple:
+    """``d[t].T @ x[t]`` for each of ``steps`` (one slice at a time), and d's rows."""
+    g2 = d.reshape(len(d), -1, d.shape[-1])[steps]
+    return np.matmul(np.swapaxes(g2, -1, -2), x.reshape(len(x), -1, x.shape[-1])[steps]), g2
+
+
+def recurrence(gates_in, weights, w_hh, fuse_w, fuse_b, blocks,
+               key: str = "fused") -> tuple[TensorNode, TensorNode, TensorNode]:
+    """T steps of the spatially attentive LSTM as one record; see the module
+    docstring. The backward replays the composed records' float operations
+    in their order, but runs each parameter's gradient products as one
+    stacked product after the loop, added step T - 1 first as they would be."""
+    gates_in, w_hh, fuse_w, fuse_b = map(_lift, (gates_in, w_hh, fuse_w, fuse_b))
+    gv, wv, fw, fb = gates_in.values, w_hh.values, fuse_w.values, fuse_b.values
+    T, H = len(gv) if gv.ndim else 0, wv.shape[-1]
+    shape = gv.shape[1:-1] + (H,)
+    inputs, pieces, w_blocks = (gates_in, w_hh, fuse_w, fuse_b), [], []
+    if weights is not None:     # each group's blocks of all T steps, one copy
+        weights = _lift(weights)
+        pieces, w_blocks = _block_layout("recurrence", weights.values, shape, blocks)
+        inputs += (weights,)
+    if (gv.ndim < 3 or not T or gv.shape[-1] != 4 * H or wv.shape != (4 * H, H)
+            or fw.shape != (H, 2 * H) or fb.shape != (H,) or key not in ("fused", "joint")
+            or weights is not None and weights.shape[:-1] != gv.shape[:-1]):
+        raise ShapeError(f"recurrence: gates {gv.shape}, W_hh {wv.shape}, fuse {fw.shape}, "
+                         f"{fb.shape}, key {key!r} or weights do not conform")
+    hidden, cell, saved, joints, fused = np.zeros(shape), np.zeros(shape), [], [], []
+    for t in range(T):
+        context = (np.zeros(shape) if weights is None
+                   else _block_products([ab[t] for ab in w_blocks], hidden, pieces))
+        joints.append(np.concatenate([hidden, context], axis=-1))
+        fused.append(np.tanh(_rows_times(joints[t], fw) + fb))
+        state = _lstm_values(gv[t], fused[t], cell, wv)
+        saved.append((hidden, cell, state))
+        hidden, cell = state[2] * state[5], state[4]
+    joints, fused = np.stack(joints), np.stack(fused)
+
+    def backward(grads):
+        d_hidden, d_cell, d_keys = grads
+        keys_at = [None] * T if d_keys is None else d_keys
+        d_gates, d_lin = np.zeros(gv.shape), np.zeros(fused.shape)
+        d_weights = None if weights is None else np.zeros(weights.shape)
+        cell_steps, fuse_steps = [], []
+        for t in reversed(range(T)):
+            h_prev, c_prev, state = saved[t]
+            d_fused = None
+            if d_hidden is not None or d_cell is not None:
+                d_gates[t], d_cell = _lstm_grads(d_hidden, d_cell, c_prev, state)
+                d_fused = (d_gates[t].reshape(-1, 4 * H) @ wv).reshape(shape)
+                cell_steps.append(t)
+            d_fused = _plus(keys_at[t] if key == "fused" else None, d_fused)
+            d_joint = None
+            if d_fused is not None:
+                d_lin[t] = d_fused * (1.0 - fused[t] * fused[t])
+                d_joint = (d_lin[t].reshape(-1, H) @ fw).reshape(joints.shape[1:])
+                fuse_steps.append(t)
+            d_joint = _plus(keys_at[t] if key == "joint" else None, d_joint)
+            d_hidden = None if d_joint is None else d_joint[..., :H].copy()
+            if d_joint is not None and weights is not None:
+                _block_grads(d_joint[..., H:], [ab[t] for ab in w_blocks], h_prev, pieces,
+                             d_weights[t], d_hidden)
+        for product in _step_products(d_gates, fused, cell_steps)[0]:
+            _add_grad(w_hh, product)
+        products, g2 = _step_products(d_lin, joints, fuse_steps)
+        for product, total in zip(products, g2.sum(axis=1)):
+            _add_grad(fuse_w, product)
+            _add_grad(fuse_b, total)
+        if cell_steps:
+            _adjoint(gates_in)[...] += d_gates
+        if weights is not None:     # an output adjoint always reaches a joint
+            _adjoint(weights)[...] += d_weights
+
+    return _record_parts("recurrence", (TensorNode(hidden), TensorNode(cell), TensorNode(
+        fused if key == "fused" else joints)), inputs, backward)
 
 
 def exp(a) -> TensorNode:
@@ -693,6 +819,23 @@ def softplus(a) -> TensorNode:
                   lambda g, x, y: g * _sigmoid_values(x))
 
 
+def _softmax_values(xv: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    top = np.max(np.where(mask, xv, -np.inf), axis=-1, keepdims=True,
+                 initial=-np.inf)
+    top = np.where(np.isfinite(top), top, 0.0)      # rows with nothing active
+    e = np.exp(np.where(mask, xv - top, -np.inf))
+    # Left to right, so that masked (zero) entries appended to a row leave
+    # its total unchanged; numpy's own sum regroups rows of 8 or more.
+    total = (np.cumsum(e, axis=-1)[..., -1:] if e.shape[-1]
+             else np.zeros(e.shape[:-1] + (1,)))
+    return e / np.where(total > 0.0, total, 1.0)
+
+
+def _softmax_grad(g: np.ndarray, outv: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    inner = np.sum(g * outv, axis=-1, keepdims=True)  # masked weights are 0
+    return np.where(mask, outv * (g - inner), 0.0)
+
+
 def masked_softmax(a, mask) -> TensorNode:
     """Softmax along the last axis over the entries where ``mask`` is True.
 
@@ -706,21 +849,39 @@ def masked_softmax(a, mask) -> TensorNode:
         raise ShapeError(
             f"masked_softmax: values {xv.shape} and mask {mask.shape} must be "
             f"equal and at least 1-D")
-    top = np.max(np.where(mask, xv, -np.inf), axis=-1, keepdims=True,
-                 initial=-np.inf)
-    top = np.where(np.isfinite(top), top, 0.0)      # rows with nothing active
-    e = np.exp(np.where(mask, xv - top, -np.inf))
-    # Left to right, so that masked (zero) entries appended to a row leave
-    # its total unchanged; numpy's own sum regroups rows of 8 or more.
-    total = (np.cumsum(e, axis=-1)[..., -1:] if e.shape[-1]
-             else np.zeros(e.shape[:-1] + (1,)))
-    outv = e / np.where(total > 0.0, total, 1.0)
+    outv = _softmax_values(xv, mask)
+    return _record("masked_softmax", outv, (a,),
+                   lambda g: _add_grad(a, _softmax_grad(g, outv, mask)))
+
+
+def attention(query, keys, valid, weight, bias) -> TensorNode:
+    """Temporal attention of every query row over its own keys as one record;
+    see the module docstring. The backward replays the composed records'
+    float operations in their order."""
+    query, keys, weight, bias = map(_lift, (query, keys, weight, bias))
+    qv, kv, wv = query.values, keys.values, weight.values
+    mask, K = np.asarray(valid, dtype=bool), kv.shape[-1]
+    if (kv.ndim < 3 or qv.shape != kv.shape[:-2] + (K,) or mask.shape != kv.shape[:-1]
+            or wv.ndim != 2 or wv.shape[1] != 2 * K or bias.shape != wv.shape[:1]):
+        raise ShapeError(f"attention: query {qv.shape}, keys {kv.shape}, valid "
+                         f"{mask.shape} and weight {wv.shape} do not conform")
+    weights = _softmax_values(np.matmul(kv, qv[..., None])[..., 0], mask)
+    joint = np.concatenate([np.matmul(weights[..., None, :], kv)[..., 0, :], qv], axis=-1)
+    outv = np.tanh(_rows_times(joint, wv) + bias.values)
 
     def backward(g):
-        inner = np.sum(g * outv, axis=-1, keepdims=True)  # masked weights are 0
-        _add_grad(a, np.where(mask, outv * (g - inner), 0.0))
+        g2 = (g * (1.0 - outv * outv)).reshape(-1, wv.shape[0])
+        d_joint = (g2 @ wv).reshape(joint.shape)
+        _add_grad(weight, g2.T @ joint.reshape(-1, 2 * K))
+        _add_grad(bias, g2.sum(axis=0))
+        d_context = d_joint[..., :K].copy()
+        _add_grad(query, d_joint[..., K:])
+        _add_grad(keys, weights[..., :, None] * d_context[..., None, :])
+        d_scores = _softmax_grad(np.matmul(kv, d_context[..., :, None])[..., 0], weights, mask)
+        _add_grad(keys, d_scores[..., :, None] * qv[..., None, :])
+        _add_grad(query, np.matmul(d_scores[..., None, :], kv)[..., 0, :])
 
-    return _record("masked_softmax", outv, (a,), backward)
+    return _record("attention", outv, (query, keys, weight, bias), backward)
 
 
 def reduce_sum(a, axis: int | None = None) -> TensorNode:

@@ -11,8 +11,10 @@ scenes in the same records. Either way each scene (and each sample) equals
 a pass over it alone, bit for bit.
 
 A spatial round is a geometry half (``spatial_weights``), which reads no
-hidden state, then a state half (``spatial_state``). ``observed_pass`` runs
-the first once per known track; the decoder runs both per step.
+hidden state, then a state half that blends and fuses the hidden states.
+The decoder runs both per step (``spatial_round``). ``observed_pass`` runs
+the geometry half once over a whole known track and hands the state half,
+with the cell, to ``ad.recurrence``: the whole loop is one record.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from . import autodiff as ad
 from . import spatial
 # compute_encounter is the scalar reference for geometry.bin_indices; it
 # stays importable here, where bench/tracer.py binds it.
-from .geometry import (CrowdKinematics, advance_kinematics, bin_indices,  # noqa: F401
-                       compute_encounter, kinematics_at)
+from .geometry import (CrowdKinematics, bin_indices, compute_encounter,  # noqa: F401
+                       track_kinematics)
 
 
 def canonical_order(ped_ids: Sequence[int]) -> np.ndarray:
@@ -144,24 +146,15 @@ def spatial_weights(offsets: ad.TensorNode, kinematics: CrowdKinematics,
     return spatial.normalize_scores(scores, mask, literal_softmax=literal_softmax).normalized
 
 
-def spatial_state(weights: ad.TensorNode | None, hiddens: ad.TensorNode,
-                  layout: SceneLayout, fuse_w: ad.TensorNode, fuse_b: ad.TensorNode):
-    """The state half of a spatial round: each scene's (..., R, H) hidden
-    states blended by its (..., R, J) ``weights`` (None: a zero context)
-    and fused into every row. Returns (fused, joints): the (..., R, H)
-    fused states and the (..., R, 2H) pre-projection concatenations."""
-    ctx = (ad.constant(np.zeros(hiddens.shape)) if weights is None
-           else spatial.context_vector(weights, hiddens, layout.blocks))
-    return spatial.fuse_hidden(hiddens, ctx, fuse_w, fuse_b)
-
-
 def spatial_round(offsets: ad.TensorNode, kinematics: CrowdKinematics,
                   present: np.ndarray, hiddens: ad.TensorNode, layout: SceneLayout,
                   grid: spatial.DomainGrid, fuse_w: ad.TensorNode, fuse_b: ad.TensorNode,
                   literal_softmax: bool = False, force_zero_context: bool = False):
-    """``spatial_weights`` then ``spatial_state`` over a snapshot of hidden
-    states; returns (fused, joints). ``present`` (R,) is shared by any
-    leading sample axis; live positions in ``offsets`` carry gradient.
+    """``spatial_weights``, then the (..., R, H) hidden states blended by
+    them (a zero context with ``force_zero_context``) and fused into every
+    row; returns (fused, joints), the (..., R, H) fused states and (..., R,
+    2H) concatenations. ``present`` (R,) is shared by any leading sample
+    axis; live positions in ``offsets`` carry gradient.
 
     A pedestrian scores only its own scene's (R, J) table entries, never an
     absent one, itself or padding (a row with no neighbour gets the zero
@@ -169,12 +162,14 @@ def spatial_round(offsets: ad.TensorNode, kinematics: CrowdKinematics,
     product per scene, so each scene equals a round over it alone, bit for
     bit, and renumbering a scene permutes its outputs bit-identically.
     """
-    weights = None
-    if not force_zero_context:
+    if force_zero_context:
+        ctx = ad.constant(np.zeros(hiddens.shape))
+    else:
         mask = np.broadcast_to(layout.neighbor_mask(present), offsets.shape[:-1])
-        weights = spatial_weights(offsets, kinematics, mask, layout, grid,
-                                  literal_softmax=literal_softmax)
-    return spatial_state(weights, hiddens, layout, fuse_w, fuse_b)
+        ctx = spatial.context_vector(
+            spatial_weights(offsets, kinematics, mask, layout, grid, literal_softmax),
+            hiddens, layout.blocks)
+    return spatial.fuse_hidden(hiddens, ctx, fuse_w, fuse_b)
 
 
 def observed_pass(track: ad.TensorNode, presence: np.ndarray, layout: SceneLayout,
@@ -188,40 +183,26 @@ def observed_pass(track: ad.TensorNode, presence: np.ndarray, layout: SceneLayou
     (W, b), ``lstm`` (W_ih, W_hh, b), ``fuse`` (W, b). Step t embeds the
     position (``absolute``) or the displacement from t - 1 (zeros at t = 0),
     fuses the neighbours' context into the hidden state and runs the cell.
-    All but the context, fusion and cell is computed once with a leading
-    time axis (one time-major ``gather``, kinematics, bins, weights, step
-    inputs, embedding, ``x @ W_ih.T + b``) and unstacked, so a step costs
-    five records (four with ``force_zero_context``); stacked products run
-    one step slice at a time, so values equal a step-by-step pass bit for
-    bit. Returns the final (..., R, H) hidden and cell, the per-step fused
-    states (``key="fused"``) or joints, and the last kinematics, in rows.
+    All but the loop is computed once with a leading time axis (one
+    time-major ``gather``, kinematics, bins, weights, step inputs,
+    embedding, ``x @ W_ih.T + b``) and the loop is one ``ad.recurrence``
+    record; values equal a step-by-step pass bit for bit. Returns the final
+    (..., R, H) hidden and cell, the time-major (T, ..., R, K) fused states
+    (``key="fused"``) or joints, and the last kinematics, in rows.
     """
     lead, T = track.shape[:-3], track.shape[-2]
     index = np.ix_(np.arange(T), *map(np.arange, lead), layout.order)
     pos = ad.gather(track, index[1:] + index[:1])
-    kins = [kinematics_at(pos.values[0])]
-    for t in range(1, T):
-        kins.append(advance_kinematics(pos.values[t - 1], pos.values[t], kins[-1]))
-
-    if force_zero_context:
-        weights = [None] * T
-    else:
+    kins = track_kinematics(pos.values)
+    weights = None
+    if not force_zero_context:
         offsets = pairwise_offsets(pos, layout.neighbors)
         mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
-        weights = ad.unstack(spatial_weights(
-            offsets, CrowdKinematics(pos.values, np.stack([k.heading_deg for k in kins]),
-                                     np.stack([k.heading_valid for k in kins])),
-            np.broadcast_to(mask, offsets.shape[:-1]), layout, grid, literal_softmax))
+        weights = spatial_weights(offsets, kins, np.broadcast_to(mask, offsets.shape[:-1]),
+                                  layout, grid, literal_softmax)
     step_in = pos if absolute else ad.concat(
         [ad.constant(np.zeros((1,) + pos.shape[1:])), ad.sub(pos[1:], pos[:-1])])
     w_ih, w_hh, bias = lstm
-    gates_in = ad.unstack(linear(linear(step_in, *embed), w_ih, bias))
-
-    hidden = ad.constant(np.zeros(pos.shape[1:-1] + (w_hh.shape[1],)))
-    cell = ad.constant(np.zeros(hidden.shape))
-    keys = []
-    for step_weights, step_gates in zip(weights, gates_in):
-        fused, joints = spatial_state(step_weights, hidden, layout, *fuse)
-        keys.append(fused if key == "fused" else joints)
-        hidden, cell = lstm_cell(step_gates, fused, cell, w_hh)
+    hidden, cell, keys = ad.recurrence(linear(linear(step_in, *embed), w_ih, bias),
+                                       weights, w_hh, *fuse, layout.blocks, key=key)
     return hidden, cell, keys, kins[-1]

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
+from dataclasses import dataclass
 
 from . import data as sd
 from . import generative as gn
@@ -26,9 +28,17 @@ from .model import ModelConfig, config_from_dict, config_keys
 DATA_ROOT_ENV = "SCANTRAJ_DATA"
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
+
+@dataclass
+class DataSection:
+    """The ``[data]`` section: a records file and the window stride."""
+    file: str = ""
+    stride: int = 1
+
+
 TRAIN_KEYS = config_keys(tr.TrainConfig)
 GAN_KEYS = config_keys(gn.GanConfig)
-DATA_KEYS = ("file", "stride")
+DATA_KEYS = config_keys(DataSection)
 MODEL_KEYS = config_keys(ModelConfig)
 
 
@@ -45,12 +55,15 @@ class _Parser(argparse.ArgumentParser):
 
 # -- configuration ------------------------------------------------------------
 
-_KNOWN_KEYS = {"model": MODEL_KEYS, "train": TRAIN_KEYS, "gan": GAN_KEYS,
-               "data": DATA_KEYS}
+_SECTIONS = {"model": ModelConfig.from_dict,       # as a checkpoint header
+             "train": functools.partial(config_from_dict, tr.TrainConfig),
+             "gan": functools.partial(config_from_dict, gn.GanConfig),
+             "data": functools.partial(config_from_dict, DataSection)}
 
 
-def load_config(path, sets) -> dict[str, dict[str, str]]:
-    """Sectioned key=value file plus --set overrides, rejecting unknowns."""
+def load_config(path, sets) -> dict:
+    """Sectioned key=value file plus --set overrides, each section parsed
+    once by its codec, whatever the command; absent sections are absent."""
     parser = configparser.ConfigParser()
     if path is not None:
         try:
@@ -67,27 +80,21 @@ def load_config(path, sets) -> dict[str, dict[str, str]]:
         if not sep or not dot or not section or not key:
             raise _UsageError(f"--set expects section.key=value, got {item!r}")
         out.setdefault(section, {})[key] = value
+    parsed = {}
     for section, entries in out.items():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise DataError(f"unknown config section [{section}]")
-        for key in entries:
-            if key not in _KNOWN_KEYS[section]:
-                raise DataError(f"unknown key {key!r} in [{section}]")
-    return out
-
-
-def _model_config(cfgmap) -> ModelConfig:
-    try:
-        return ModelConfig.from_dict(cfgmap.get("model", {}))
-    except ValueError as exc:
-        raise DataError(f"bad model config: {exc}") from exc
+        try:
+            parsed[section] = _SECTIONS[section](entries)
+        except ValueError as exc:
+            raise DataError(f"bad [{section}] config: {exc}") from exc
+    return parsed
 
 
 def _train_config(cfgmap) -> tr.TrainConfig:
+    conf = cfgmap.get("train", tr.TrainConfig())
+    conf.gan = cfgmap.get("gan")
     try:
-        conf = config_from_dict(tr.TrainConfig, cfgmap.get("train", {}))
-        if "gan" in cfgmap:
-            conf.gan = config_from_dict(gn.GanConfig, cfgmap["gan"])
         conf.validate()
     except ValueError as exc:
         raise DataError(f"bad train config: {exc}") from exc
@@ -132,7 +139,7 @@ def _resolve_records(args, cfgmap, obs_len: int, pred_len: int) -> list:
     scenes = _synth_scenes(args, obs_len, pred_len)
     if scenes is not None:
         return sd.scenes_to_records(scenes)
-    raw = getattr(args, "data", None) or cfgmap.get("data", {}).get("file")
+    raw = getattr(args, "data", None) or cfgmap.get("data", DataSection()).file
     if not raw:
         raise _UsageError("no data source: pass --data FILE or --synth "
                           "kind:count:seed (or set [data] file in the config)")
@@ -144,7 +151,7 @@ def _resolve_windows(args, cfgmap, cfg: ModelConfig) -> list:
     file's, when scoring one) from --data or --synth."""
     windows = _synth_scenes(args, cfg.obs_len, cfg.pred_len)
     if windows is None:
-        stride = int(cfgmap.get("data", {}).get("stride", 1))
+        stride = cfgmap.get("data", DataSection()).stride
         records = _resolve_records(args, cfgmap, cfg.obs_len, cfg.pred_len)
         windows = sd.make_windows(records, obs_len=cfg.obs_len,
                                   pred_len=cfg.pred_len, stride=stride)
@@ -171,7 +178,7 @@ def cmd_train(args) -> int:
         cfg = state.cfg
     else:
         state = None
-        cfg = _model_config(cfgmap)
+        cfg = cfgmap.get("model", ModelConfig())
     if conf.gan is not None and not cfg.generative:
         raise DataError("a [gan] section requires model.generative = true")
     windows = _resolve_windows(args, cfgmap, cfg)

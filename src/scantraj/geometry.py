@@ -153,33 +153,43 @@ class CrowdKinematics:
                                self.heading_valid[index])
 
 
-def kinematics_at(points: np.ndarray) -> CrowdKinematics:
-    """Heading-less kinematics (0 degrees, invalid) at every point of a
-    ``(..., N, 2)`` array."""
-    points = np.array(points, dtype=np.float64)
-    return CrowdKinematics(points, np.zeros(points.shape[:-1]),
-                           np.zeros(points.shape[:-1], dtype=bool))
+def _moves(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each ``prev -> cur`` displacement moves, and its heading: the
+    stationary test and the angle use ``math.hypot`` and ``math.atan2`` per
+    agent (``numpy.arctan2`` may differ from ``math.atan2`` in the last
+    place), as ``estimate_heading`` does."""
+    dx = (cur[..., 0] - prev[..., 0]).ravel().tolist()
+    dy = (cur[..., 1] - prev[..., 1]).ravel().tolist()
+    shape = cur.shape[:-1]
+    moving = np.array(list(map(math.hypot, dx, dy))).reshape(shape) > STATIONARY_EPS
+    return moving, _normalize_deg_array(np.degrees(
+        np.array(list(map(math.atan2, dy, dx))).reshape(shape)))
 
 
 def advance_kinematics(prev_pos: np.ndarray, cur_pos: np.ndarray,
                        kinematics: CrowdKinematics) -> CrowdKinematics:
     """``estimate_heading`` for every agent at once, from ``(..., N, 2)``
-    previous and current positions, carrying ``kinematics`` as the fallback.
-
-    The stationary test and the angle use ``math.hypot`` and ``math.atan2``
-    per agent (``numpy.arctan2`` may differ from ``math.atan2`` in the last
-    place), so every agent equals its scalar ``estimate_heading`` bit for bit.
-    """
-    prev = np.asarray(prev_pos, dtype=np.float64)
+    previous and current positions, carrying ``kinematics`` as the fallback;
+    every agent equals its scalar ``estimate_heading`` bit for bit."""
     cur = np.array(cur_pos, dtype=np.float64)
-    dx = (cur[..., 0] - prev[..., 0]).ravel().tolist()
-    dy = (cur[..., 1] - prev[..., 1]).ravel().tolist()
-    shape = cur.shape[:-1]
-    moving = np.array(list(map(math.hypot, dx, dy))).reshape(shape) > STATIONARY_EPS
-    angle = _normalize_deg_array(np.degrees(
-        np.array(list(map(math.atan2, dy, dx))).reshape(shape)))
+    moving, angle = _moves(np.asarray(prev_pos, dtype=np.float64), cur)
     return CrowdKinematics(cur, np.where(moving, angle, kinematics.heading_deg),
                            moving | kinematics.heading_valid)
+
+
+def track_kinematics(track: np.ndarray) -> CrowdKinematics:
+    """The kinematics at every step of a ``(T, ..., N, 2)`` track in one sweep,
+    equal bit for bit to heading-less kinematics at step 0 advanced step by
+    step: a step's heading is that of its latest moving displacement, found
+    as a running maximum of the moving steps."""
+    track = np.asarray(track, dtype=np.float64)
+    moving, angle = _moves(track[:-1], track[1:])
+    steps = np.arange(1, len(track)).reshape((-1,) + (1,) * (moving.ndim - 1))
+    latest = np.maximum.accumulate(np.concatenate(
+        [np.zeros((1,) + moving.shape[1:], dtype=np.int64), np.where(moving, steps, 0)]))
+    heading = np.take_along_axis(np.concatenate([np.zeros((1,) + angle.shape[1:]), angle]),
+                                 latest, axis=0)
+    return CrowdKinematics(track, heading, latest > 0)
 
 
 def bin_indices(kinematics: CrowdKinematics, spec: BinSpec,

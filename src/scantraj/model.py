@@ -145,24 +145,6 @@ class HiddenBank:
 
 
 @dataclass
-class JointPrediction:
-    """Decoded future for every pedestrian in a scene, as plain arrays."""
-
-    ped_ids: list[int]
-    displacements: np.ndarray         # (N, pred_len, 2)
-    positions: np.ndarray             # (N, pred_len, 2)
-
-    def validate(self) -> None:
-        n = len(self.ped_ids)
-        if self.displacements.shape != self.positions.shape or \
-                self.displacements.shape[:1] != (n,):
-            raise ShapeError("prediction arrays disagree with pedestrian count")
-        if n and not (np.isfinite(self.displacements).all()
-                      and np.isfinite(self.positions).all()):
-            raise ValueError("non-finite values in prediction")
-
-
-@dataclass
 class ForwardResult:
     """Differentiable decode outputs, one row per scene column.
 
@@ -205,12 +187,6 @@ class ForwardResult:
 
     def positions(self) -> np.ndarray:
         return self.pos.values.copy()
-
-    def to_prediction(self) -> JointPrediction:
-        pred = JointPrediction(list(self.ped_ids), self.displacements(),
-                               self.positions())
-        pred.validate()
-        return pred
 
 
 def uniform_param(store: ad.ParamStore, hub: ad.RngHub, name: str,
@@ -324,7 +300,7 @@ class ScanModel:
 
         undo = layout.undo
         last = cfg.obs_len - 1
-        attention = AttentionBank(ad.gather(ad.stack(keys, axis=1), undo),
+        attention = AttentionBank(ad.gather(keys, (np.arange(cfg.obs_len), undo[:, None])),
                                   np.ones((layout.n_rows, cfg.obs_len), dtype=bool))
         return HiddenBank(ad.gather(hidden, undo), ad.gather(cell, undo),
                           attention, kin[undo], observed[last].copy(),
@@ -457,12 +433,3 @@ def trajectory_loss(result: ForwardResult, scene: SceneWindow):
     err = ad.sub(ad.gather(result.pos, (cols, step)),
                  ad.constant(scene.positions[scene.obs_len + step, cols]))
     return ad.div(ad.reduce_sum(ad.mul(err, err)), ad.constant(float(rows.size)))
-
-
-def predict(scene: SceneWindow, cfg: ModelConfig,
-            params: ad.ParamStore) -> JointPrediction:
-    """One deterministic joint forecast (zero noise for generative configs)."""
-    model = ScanModel(cfg, params)
-    with ad.no_grad():
-        result = model.forward(scene)
-    return result.to_prediction()

@@ -50,17 +50,11 @@ class AttentionBank:
 def attend(query: ad.TensorNode, bank: AttentionBank,
            weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
     """Blend each row of the bank by similarity to its query row and
-    project to hidden size, (..., N, K) -> (..., N, H).
+    project to hidden size, (..., N, K) -> (..., N, H), as one record
+    (``ad.attention``).
 
     ``weight`` has shape (H, 2K) where K is the key/query width.
     """
     if len(bank) == 0:
         raise ShapeError("attend: empty attention bank")
-    if query.shape != bank.keys.shape[:-2] + bank.keys.shape[-1:]:
-        raise ShapeError(
-            f"attend: query shape {query.shape} does not match bank keys "
-            f"{bank.keys.shape}")
-    scores = ad.matmul(bank.keys, query)
-    weights = ad.masked_softmax(scores, bank.valid)
-    context = ad.matmul(weights, bank.keys)
-    return ad.tanh(ad.linear(ad.concat([context, query], axis=-1), weight, bias))
+    return ad.attention(query, bank.keys, bank.valid, weight, bias)

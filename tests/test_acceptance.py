@@ -114,6 +114,17 @@ class TestGradientIntegrity:
         g38, h32, c32, w82 = (rng.normal(size=s) for s in ((3, 8), (3, 2), (3, 2), (8, 2)))
         g238, h232, c232 = (rng.normal(size=(2,) + s) for s in ((3, 8), (3, 2), (3, 2)))
         w232, v232 = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2))
+        # recurrence over T = 3 steps of scenes of 1 and 2 rows, and attention
+        # over 4 keys of width 2 (the middle row attends to nothing).
+        g338, u332, w24b, w334 = (rng.normal(size=s) for s in ((3, 3, 8), (3, 3, 2),
+                                                               (2, 4), (3, 3, 4)))
+        k342 = rng.normal(size=(3, 4, 2))
+
+        def recurrence_all(g, u, w, fw, fb):
+            hidden, cell, keys = ad.recurrence(g, u, w, fw, fb, [(1, 1, 1), (1, 2, 2)],
+                                               key="joint")
+            return ad.add(ad.add(_weighted_sum(hidden, w232[0]), _weighted_sum(cell, v232[0])),
+                          _weighted_sum(keys, w334))
 
         def lstm_both(g, h, c, w, wh, wc):
             new_h, new_c = ad.lstm_step(g, h, c, w)
@@ -170,6 +181,10 @@ class TestGradientIntegrity:
             ("lstm_step over a leading axis",
              lambda g, h, c, w: lstm_both(g, h, c, w, w232, v232),
              [g238, h232, c232, w82]),
+            ("recurrence", recurrence_all, [g338, u332, w82, w24b, b2]),
+            ("attention",
+             lambda q, k, W, b: _weighted_sum(ad.attention(q, k, rows, W, b), w32),
+             [m32, k342, w24b, b2]),
         ]
         for name, fn, inputs in cases:
             worst = _check_gradients(fn, inputs, OP_TOL)

@@ -10,6 +10,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scantraj import autodiff as ad
 from scantraj.errors import ShapeError
@@ -369,6 +371,23 @@ class TestBatchedOps:
             tape.backward(ad.reduce_sum(ad.gather(x, np.array([[0, 2], [2, 2]]))))
         np.testing.assert_array_equal(x.grad, [1.0, 0.0, 3.0])
 
+    @pytest.mark.parametrize("index", [
+        np.array([3, 0, 3, 3, 1, 3, 0]),
+        (np.array([[0, 2, 2], [2, 2, 0]]), np.array([[1, 1, 1], [0, 1, 1]])),
+        (slice(None), np.array([[4, 4, 0], [4, 1, 4]])),
+        (np.arange(3)[:, None], np.array([[2, 2, 2, 2]]))])
+    def test_gather_sums_repeats_in_index_order_like_add_at(self, index):
+        # Sums of three or more repeats depend on their order.
+        rng = np.random.default_rng(67)
+        x = ad.constant(rng.normal(size=(5, 5)))
+        with ad.Tape() as tape:
+            out = ad.gather(x, index)
+            g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 8, size=out.shape)
+            tape.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+        want = np.zeros((5, 5))
+        np.add.at(want, index, g)
+        assert x.grad.tobytes() == want.tobytes()
+
     def test_masked_entries_appended_to_a_row_change_nothing(self):
         # Scenes of a batch pad their neighbour rows to the largest scene;
         # numpy's own row sum regroups rows of 8 or more entries.
@@ -511,6 +530,114 @@ class TestLstmStep:
             ad.lstm_step(args[0], args[1], args[2], ad.constant(np.ones((4, 2))))
 
 
+def composed_recurrence(gates_in, weights, w_hh, fuse_w, fuse_b, blocks, key):
+    """The known-track loop as the records it took before ``ad.recurrence``:
+    five a step, four with a zero context, keys stacked time-major."""
+    steps = ad.unstack(gates_in)
+    contexts = [None] * len(steps) if weights is None else ad.unstack(weights)
+    hidden = ad.constant(np.zeros(gates_in.shape[1:-1] + (w_hh.shape[1],)))
+    cell = ad.constant(np.zeros(hidden.shape))
+    keys = []
+    for step_weights, step_gates in zip(contexts, steps):
+        ctx = (ad.constant(np.zeros(hidden.shape)) if step_weights is None
+               else ad.block_matmul(step_weights, hidden, blocks))
+        joint = ad.concat([hidden, ctx], axis=-1)
+        fused = ad.tanh(ad.linear(joint, fuse_w, fuse_b))
+        keys.append(fused if key == "fused" else joint)
+        hidden, cell = ad.lstm_step(step_gates, fused, cell, w_hh)
+    return hidden, cell, ad.stack(keys)
+
+
+def composed_attention(query, keys, valid, weight, bias):
+    """Temporal attention as the six records it took before ``ad.attention``."""
+    weights = ad.masked_softmax(ad.matmul(keys, query), valid)
+    context = ad.matmul(weights, keys)
+    return ad.tanh(ad.linear(ad.concat([context, query], axis=-1), weight, bias))
+
+
+def run_both(ops, arrays, loss_of):
+    """Values of the outputs and gradients of every input, per op in ``ops``:
+    ``loss_of(nodes, outs)`` builds the scalar from the op's outputs (and may
+    reuse inputs, recorded after the op, so that they reach it with an
+    adjoint already accumulated)."""
+    got = []
+    for op in ops:
+        nodes = [None if a is None else ad.constant(a.copy()) for a in arrays]
+        with ad.Tape() as tape:
+            outs = op(nodes)
+            tape.backward(loss_of(nodes, outs))
+        got.append([out.values.tobytes() for out in outs]
+                   + [n.grad.tobytes() for n in nodes if n is not None])
+    return got
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestFusedKernels:
+    @PROPERTY
+    @given(T=st.integers(1, 5), lead=st.sampled_from([(), (3,)]), H=st.integers(1, 3),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+           key=st.sampled_from(["fused", "joint"]), zero_context=st.booleans(),
+           used=st.sets(st.integers(0, 2), min_size=1), seed=st.integers(0, 2**32 - 1))
+    def test_recurrence_equals_the_composed_records_bitwise(
+            self, T, lead, H, sizes, key, zero_context, used, seed):
+        rng = np.random.default_rng(seed)
+        R, J = sum(sizes), max(sizes)
+        blocks = [(sizes.count(n), n, n) for n in sorted(set(sizes))]
+        arrays = [rng.normal(size=(T,) + lead + (R, 4 * H)),
+                  None if zero_context else rng.uniform(0.0, 1.0, size=(T,) + lead + (R, J)),
+                  rng.normal(size=(4 * H, H)), rng.normal(size=(H, 2 * H)), rng.normal(size=H)]
+        probes = [rng.normal(size=lead + (R, H)), rng.normal(size=lead + (R, H)),
+                  rng.normal(size=(T,) + lead + (R, H if key == "fused" else 2 * H)),
+                  rng.normal(size=(H, 2 * H))]
+
+        def loss_of(nodes, outs):           # fuse W is shared, as with the decoder
+            terms = [ad.reduce_sum(ad.mul(outs[k], ad.constant(probes[k]))) for k in sorted(used)]
+            return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[3], ad.constant(probes[3])))])
+
+        fused, composed = run_both(
+            [lambda n: ad.recurrence(*n, blocks, key=key),
+             lambda n: composed_recurrence(*n, blocks, key=key)], arrays, loss_of)
+        assert fused == composed
+
+    @PROPERTY
+    @given(lead=st.sampled_from([(4,), (3, 4)]), T=st.integers(1, 9), K=st.integers(1, 4),
+           H=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_attention_equals_the_composed_records_bitwise(self, lead, T, K, H, seed):
+        rng = np.random.default_rng(seed)
+        valid = rng.uniform(size=lead + (T,)) < 0.7        # rows may be all masked
+        arrays = [rng.normal(size=lead + (K,)), rng.normal(size=lead + (T, K)),
+                  rng.normal(size=(H, 2 * K)), rng.normal(size=H)]
+        probes = [rng.normal(size=lead + (H,)), rng.normal(size=lead + (K,)),
+                  rng.normal(size=lead + (T, K))]
+
+        def loss_of(nodes, outs):           # query and keys arrive with adjoints
+            return ad.mean_of([ad.reduce_sum(ad.mul(part, ad.constant(probe)))
+                               for part, probe in zip((outs[0], *nodes[:2]), probes)])
+
+        fused, composed = run_both(
+            [lambda n: (ad.attention(n[0], n[1], valid, *n[2:]),),
+             lambda n: (composed_attention(n[0], n[1], valid, *n[2:]),)], arrays, loss_of)
+        assert fused == composed
+
+    def test_each_is_one_record(self):
+        rng = np.random.default_rng(66)
+        gates, weights = rng.normal(size=(4, 5, 8)), rng.uniform(size=(4, 5, 3))
+        params = [ad.constant(rng.normal(size=s)) for s in ((8, 2), (2, 4), (2,))]
+        with ad.Tape() as tape:
+            hidden, cell, keys = ad.recurrence(gates, weights, *params, [(1, 2, 2), (1, 3, 3)])
+            out = ad.attention(hidden, ad.constant(np.swapaxes(keys.values, 0, 1)),
+                               np.ones((5, 4), dtype=bool), params[1], params[2])
+            assert len(tape) == 2
+            assert hidden.op_record is keys.op_record and out.op_record.op == "attention"
+        assert keys.shape == (4, 5, 2) and out.shape == (5, 2)
+        with pytest.raises(ShapeError, match="recurrence"):
+            ad.recurrence(gates, weights, *params, [(1, 2, 2), (1, 2, 2)])
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(hidden, keys, np.ones((4, 5), dtype=bool), params[1], params[2])
+
+
 class TestTapeLifecycle:
     def test_reset_clears_grads_keeps_values(self):
         store = ad.ParamStore()
@@ -582,7 +709,14 @@ class TestTapeLifecycle:
 
 
 def every_op(x, w):
-    """A scalar that runs every op kind once, unstack included."""
+    """A scalar that runs every op kind once, unstack, the recurrence and
+    attention included."""
+    hidden, _, keys = ad.recurrence(
+        ad.stack([x, ad.tanh(x)], axis=1), ad.stack([x[:, :1], x[:, 1:2]], axis=1),
+        ad.stack([w[0]], axis=1), w[0:1, 0:2], w[1, 0:1], [(2, 1, 1)])
+    attended = ad.attention(x, ad.stack([x, ad.tanh(x)], axis=1),
+                            np.array([[True, False], [True, True], [False, False]]),
+                            ad.concat([w, w], axis=-1), w[:, 0])
     rows = ad.unstack(ad.tanh(ad.linear(x, w, ad.constant([0.5, -1.0]))))
     mixed = ad.concat([ad.mul(rows[0], rows[1]), ad.sub(rows[2], rows[1])])
     picked = ad.gather(ad.stack(rows), (np.array([0, 2, 2]), np.array([1, 0, 0])))
@@ -592,7 +726,8 @@ def every_op(x, w):
              ad.reduce_mean(ad.softplus(picked)),
              ad.l2norm(ad.sigmoid(ad.relu(mixed))),
              ad.log(ad.add(ad.reduce_sum(ad.matmul(w, x[0])), ad.constant(10.0))),
-             ad.reduce_sum(ad.reduce_sum(ad.stack(rows), axis=0))]
+             ad.reduce_sum(ad.reduce_sum(ad.stack(rows), axis=0)),
+             ad.reduce_sum(ad.mul(hidden, keys[-1])), ad.reduce_sum(attended)]
     return ad.mean_of(terms)
 
 

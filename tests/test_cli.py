@@ -130,6 +130,25 @@ class TestConfigHandling:
         assert code == 2
         assert "warp_factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, code", [("false", 0), ("true", 2)])
+    def test_removed_key_is_read_as_a_checkpoint_header_reads_it(
+            self, micro_config, tmp_path, capsys, value, code):
+        # The codec drops disable_temporal = false and refuses any other value.
+        assert cli.run(["train", "--config", micro_config, "--synth", "straight:2:1",
+                        "--set", f"model.disable_temporal={value}",
+                        "--out", str(tmp_path / "x.ckpt")]) == code
+        assert ("variant = vanilla" in capsys.readouterr().err) == (code == 2)
+
+    def test_unknown_key_is_named_whatever_the_command(self, tmp_path, trained_ckpt,
+                                                       capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[data]\nstride = 2\n[gan]\nwarp_factor = 9\n")
+        capsys.readouterr()
+        code = cli.run(["evaluate", "--config", str(cfg), "--ckpt", trained_ckpt,
+                        "--synth", "straight:2:1"])
+        assert code == 2
+        assert "warp_factor" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         code = cli.run(["train", "--config", str(tmp_path / "absent.cfg"),
                         "--synth", "straight:2:1",

@@ -6,6 +6,9 @@ geometry agent by agent and pair by pair, renumbering a scene permutes the forec
 beyond every range cannot change anyone else's forecast, and the tape
 grows with the number of steps, not with the crowd.
 
+So do known tracks: the kinematics of a whole track, found in one sweep,
+equal the step-by-step chain bit for bit.
+
 The sample-batched passes have their own: a k-sample decode equals k
 one-sample decodes bit for bit, one sample's noise reaches no other sample,
 the batched decode and critic are renumbering-equivariant bit for bit, and
@@ -31,7 +34,7 @@ from scantraj.data import SceneWindow
 from scantraj.geometry import (AgentKinematics, BinSpec, CrowdKinematics,
                                advance_kinematics, bin_index, bin_indices,
                                compute_encounter, estimate_heading,
-                               normalize_deg)
+                               normalize_deg, track_kinematics)
 
 from test_model import build, fake_track, make_scene, micro_cfg, real_track
 
@@ -154,6 +157,29 @@ def test_vectorised_headings_equal_estimate_heading(samples, n, data):
         assert tuple(got.position[idx]) == want.position, idx
         assert float(got.heading_deg[idx]).hex() == want.heading_deg.hex(), idx
         assert bool(got.heading_valid[idx]) == want.heading_valid, idx
+
+
+@settings(PROPERTY, max_examples=200)
+@given(steps=st.integers(1, 6), samples=st.integers(1, 3), n=st.integers(1, 4),
+       data=st.data())
+def test_track_headings_equal_chained_advance_kinematics(steps, samples, n, data):
+    start = data.draw(st.lists(st.tuples(coordinate, coordinate),
+                               min_size=samples * n, max_size=samples * n))
+    moves = data.draw(st.lists(st.lists(move, min_size=samples * n, max_size=samples * n),
+                               min_size=steps - 1, max_size=steps - 1))
+    track = np.cumsum(np.array([start] + moves, dtype=np.float64), axis=0)
+    track = track.reshape(steps, samples, n, 2)
+    if n > 1 and data.draw(st.booleans()):  # two agents on one spot throughout
+        track[:, :, 1] = track[:, :, 0]
+    got = track_kinematics(track)
+    want = CrowdKinematics(track[0].copy(), np.zeros((samples, n)),
+                           np.zeros((samples, n), dtype=bool))
+    for t in range(steps):
+        if t:
+            want = advance_kinematics(track[t - 1], track[t], want)
+        assert got.position[t].tobytes() == want.position.tobytes()
+        assert got.heading_deg[t].tobytes() == want.heading_deg.tobytes(), t
+        assert np.array_equal(got.heading_valid[t], want.heading_valid), t
 
 
 def walkers(rng, n, steps, spread=1.5, step_sd=0.2):
