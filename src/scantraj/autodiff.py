@@ -58,7 +58,24 @@ record per layer, whatever its size or sample count. Their shape rules:
   query row scores its ``(..., N, T, K)`` keys, softmax over the
   ``(..., N, T)`` valid steps blends them into a context, and
   ``tanh(linear([context, query], weight, bias))`` with ``weight`` ``(H, 2K)``
-  gives ``(..., N, H)``. Both ops equal their composed records bit for bit,
+  gives ``(..., N, H)``.
+* ``pair_weights(cum, grid, start, neighbors, bins, mask, literal=False)``:
+  a decoder step's ``(..., R, J)`` spatial weights: offsets ``start +
+  cum[..., neighbors[r, j]] - cum[..., r]`` (``start`` alone when ``cum``
+  is None), the ``(m, n)`` grid's range at the 1-based ``bins`` minus
+  their length, relu, and softmax over ``mask`` (and, unless ``literal``,
+  over the positive scores only).
+* ``decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse,
+  embed, lstm, out, attention=None, key="fused")``: one decoder step, one
+  record with outputs ``(hidden, cell, disp, cum, pos)``, all ``(..., R,
+  ·)``: the ``block_matmul`` context of ``hidden`` (zero when ``weights``
+  is None), fused by ``fuse`` (W, b); temporal ``attention`` (keys, valid,
+  W, b) queried by the fused state or (``key="joint"``) the joint; the
+  LSTM update (``lstm``: W_ih, W_hh, b) on the ``embed``-ded ``step_in``
+  (None: the position ``last_pos + cum``); ``disp`` by the ``out`` linear,
+  its running sum ``cum`` (``disp`` itself when ``cum`` is None) and
+  ``pos = last_pos + cum``. All four fused ops (``recurrence``,
+  ``attention`` and these two) equal their composed records bit for bit,
   in values and in every gradient.
 * ``l2norm(a)``: Euclidean norm over the last axis, ``(..., k) -> (...)``;
   the subgradient at a zero vector is 0.
@@ -89,6 +106,7 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
+import math
 import weakref
 from typing import Callable, Sequence
 
@@ -99,8 +117,9 @@ from .errors import ShapeError
 __all__ = [
     "TensorNode", "Tape", "no_grad", "active_tape", "constant",
     "add", "sub", "mul", "div", "neg", "matmul", "block_matmul", "linear",
-    "lstm_step", "recurrence", "attention", "concat", "stack", "unstack", "split",
-    "gather", "relu", "tanh", "sigmoid", "exp", "log", "softplus", "masked_softmax",
+    "lstm_step", "recurrence", "attention", "pair_weights", "decoder_step",
+    "concat", "stack", "unstack", "split", "gather", "relu", "tanh", "sigmoid", "exp",
+    "log", "softplus", "masked_softmax",
     "reduce_sum", "reduce_mean", "l2norm", "mean_of", "ParamStore", "Adam", "RngHub",
     "nonfinite_origin",
 ]
@@ -536,16 +555,21 @@ def linear(x, weight, bias=None) -> TensorNode:
             raise ShapeError(f"linear: bias {bias.shape} for weight {wv.shape}")
         outv = outv + bias.values
         inputs = (x, weight, bias)
-    x2 = xv.reshape(-1, wv.shape[1])
 
     def backward(g):
-        g2 = g.reshape(-1, wv.shape[0])
-        _add_grad(x, (g2 @ wv).reshape(xv.shape))
-        _add_grad(weight, g2.T @ x2)
+        dx, dw, db = _linear_grads(g, xv, wv)
+        _add_grad(x, dx)
+        _add_grad(weight, dw)
         if bias is not None:
-            _add_grad(bias, g2.sum(axis=0))
+            _add_grad(bias, db)
 
     return _record("linear", outv, inputs, backward)
+
+
+def _linear_grads(g, xv: np.ndarray, wv: np.ndarray) -> tuple:
+    """``linear``'s backward: the adjoints of its input, weight and bias."""
+    g2 = g.reshape(-1, wv.shape[0])
+    return (g2 @ wv).reshape(xv.shape), g2.T @ xv.reshape(-1, wv.shape[1]), g2.sum(axis=0)
 
 
 def concat(nodes: Sequence[TensorNode], axis: int = 0) -> TensorNode:
@@ -640,17 +664,31 @@ def _getitem(a: TensorNode, key) -> TensorNode:
     return _record("slice", outv, (a,), backward)
 
 
+def _take(x: np.ndarray, index) -> np.ndarray:
+    """``x[index]``. An index of full slices then one integer array takes
+    along one axis with ``np.take``, which copies small trailing blocks far
+    faster than fancy indexing does."""
+    index = (index,) if isinstance(index, np.ndarray) else index
+    if (type(index) is tuple and index and isinstance(index[-1], np.ndarray)
+            and index[-1].dtype.kind in "iu"
+            and all(type(part) is slice and part == slice(None) for part in index[:-1])):
+        return np.take(x, index[-1], axis=len(index) - 1)
+    return x[index]
+
+
 def gather(a, index) -> TensorNode:
     """``a.values[index]`` by integer-array indexing; repeats accumulate."""
     a = _lift(a)
-    outv = np.array(a.values[index], dtype=np.float64)
+    outv = np.array(_take(a.values, index), dtype=np.float64)
+    return _record("gather", outv, (a,), lambda g: _add_grad(a, _scatter(a.shape, index, g)))
 
-    def backward(g):
-        # Each target sums its entries in index order, as np.add.at would.
-        flat = np.arange(a.values.size).reshape(a.shape)[index]
-        _add_grad(a, np.bincount(flat.ravel(), g.ravel(), a.values.size).reshape(a.shape))
 
-    return _record("gather", outv, (a,), backward)
+def _scatter(shape: tuple, index, g: np.ndarray) -> np.ndarray:
+    """``gather``'s backward: ``g`` summed into an array of ``shape`` at
+    ``index``, each target in index order, as np.add.at would."""
+    size = math.prod(shape)
+    flat = _take(np.arange(size).reshape(shape), index)
+    return np.bincount(flat.ravel(), g.ravel(), size).reshape(shape)
 
 
 def relu(a) -> TensorNode:
@@ -714,10 +752,10 @@ def lstm_step(gates_in, hidden, cell, w_hh) -> tuple[TensorNode, TensorNode]:
 
     def backward(grads):
         d_gates, d_cell = _lstm_grads(*grads, cv, state)
-        g2 = d_gates.reshape(-1, 4 * H)
+        d_hidden, d_w, _ = _linear_grads(d_gates, hv, wv)
         _add_grad(gates_in, d_gates)
-        _add_grad(hidden, (g2 @ wv).reshape(hv.shape))
-        _add_grad(w_hh, g2.T @ hv.reshape(-1, H))
+        _add_grad(hidden, d_hidden)
+        _add_grad(w_hh, d_w)
         _add_grad(cell, d_cell)
 
     return _record_parts("lstm_step", (TensorNode(state[2] * state[5]), TensorNode(state[4])),
@@ -865,23 +903,154 @@ def attention(query, keys, valid, weight, bias) -> TensorNode:
             or wv.ndim != 2 or wv.shape[1] != 2 * K or bias.shape != wv.shape[:1]):
         raise ShapeError(f"attention: query {qv.shape}, keys {kv.shape}, valid "
                          f"{mask.shape} and weight {wv.shape} do not conform")
-    weights = _softmax_values(np.matmul(kv, qv[..., None])[..., 0], mask)
-    joint = np.concatenate([np.matmul(weights[..., None, :], kv)[..., 0, :], qv], axis=-1)
-    outv = np.tanh(_rows_times(joint, wv) + bias.values)
+    saved = _attention_values(qv, kv, mask, wv, bias.values)
 
     def backward(g):
-        g2 = (g * (1.0 - outv * outv)).reshape(-1, wv.shape[0])
-        d_joint = (g2 @ wv).reshape(joint.shape)
-        _add_grad(weight, g2.T @ joint.reshape(-1, 2 * K))
-        _add_grad(bias, g2.sum(axis=0))
-        d_context = d_joint[..., :K].copy()
-        _add_grad(query, d_joint[..., K:])
-        _add_grad(keys, weights[..., :, None] * d_context[..., None, :])
-        d_scores = _softmax_grad(np.matmul(kv, d_context[..., :, None])[..., 0], weights, mask)
-        _add_grad(keys, d_scores[..., :, None] * qv[..., None, :])
-        _add_grad(query, np.matmul(d_scores[..., None, :], kv)[..., 0, :])
+        for share in _attention_grads(g, qv, kv, mask, saved, weight, bias, keys):
+            _add_grad(query, share)
 
-    return _record("attention", outv, (query, keys, weight, bias), backward)
+    return _record("attention", saved[2], (query, keys, weight, bias), backward)
+
+
+def _attention_values(qv, kv, mask, wv, bv) -> tuple:
+    """Attention's forward: (softmax weights, [context, query], output)."""
+    weights = _softmax_values(np.matmul(kv, qv[..., None])[..., 0], mask)
+    joint = np.concatenate([np.matmul(weights[..., None, :], kv)[..., 0, :], qv], axis=-1)
+    return weights, joint, np.tanh(_rows_times(joint, wv) + bv)
+
+
+def _attention_grads(g, qv, kv, mask, saved, weight, bias, keys) -> tuple:
+    """Attention's backward: adds the weight, bias and keys shares in the
+    composed records' order and returns the query's two shares, in order."""
+    weights, joint, outv = saved
+    K = kv.shape[-1]
+    d_joint, d_w, d_b = _linear_grads(g * (1.0 - outv * outv), joint, weight.values)
+    _add_grad(weight, d_w)
+    _add_grad(bias, d_b)
+    d_context = d_joint[..., :K].copy()
+    _add_grad(keys, weights[..., :, None] * d_context[..., None, :])
+    d_scores = _softmax_grad(np.matmul(kv, d_context[..., :, None])[..., 0], weights, mask)
+    _add_grad(keys, d_scores[..., :, None] * qv[..., None, :])
+    return d_joint[..., K:], np.matmul(d_scores[..., None, :], kv)[..., 0, :]
+
+
+def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False) -> TensorNode:
+    """A decoder step's spatial weights as one record; see the module
+    docstring. The backward replays the composed records' float operations
+    in their order."""
+    grid, offsets = _lift(grid), np.asarray(start, dtype=np.float64)
+    cum = None if cum is None else _lift(cum)
+    lead = (slice(None),) * (offsets.ndim - 3)
+    rows = np.broadcast_to(np.arange(len(neighbors))[:, None], neighbors.shape)
+    if (grid.values.ndim != 2 or offsets.shape[-3:] != neighbors.shape + (2,)
+            or cum is not None and cum.shape != offsets.shape[:-3] + (len(neighbors), 2)):
+        raise ShapeError(f"pair_weights: offsets {offsets.shape}, neighbours "
+                         f"{neighbors.shape} and grid {grid.shape} do not conform")
+    if cum is not None:
+        offsets = offsets + (_take(cum.values, lead + (neighbors,)) - cum.values[..., None, :])
+    distance = _norm_values(offsets)
+    cell = (bins[0] - 1, bins[1] - 1)
+    reach = grid.values[cell] - distance
+    score = np.maximum(reach, 0.0)
+    active = np.broadcast_to(np.asarray(mask, dtype=bool), score.shape)
+    if not literal:
+        active = active & (score > 0.0)
+    outv = _softmax_values(score, active)
+
+    def backward(g):
+        d_reach = _softmax_grad(g, outv, active) * (reach > 0.0)
+        _add_grad(grid, _scatter(grid.shape, cell, d_reach))
+        if cum is not None:
+            d_offsets = _norm_grad(-d_reach, offsets, distance)
+            _add_grad(cum, _scatter(cum.shape, lead + (rows,), -d_offsets))
+            _add_grad(cum, _scatter(cum.shape, lead + (neighbors,), d_offsets))
+
+    return _record("pair_weights", outv, (grid,) if cum is None else (grid, cum), backward)
+
+
+def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, embed, lstm,
+                 out, attention=None, key: str = "fused") -> tuple:
+    """One decoder step as one record; see the module docstring. The
+    backward replays the composed records' float operations in their order
+    and adds every input's shares through ``_add_grad`` as they did."""
+    hidden, cell, weights, cum, step_in = (
+        None if n is None else _lift(n) for n in (hidden, cell, weights, cum, step_in))
+    params = [_lift(p) for p in (*fuse, *embed, *lstm, *out)]
+    fuse_w, fuse_b, embed_w, embed_b, w_ih, w_hh, bias, out_w, out_b = params
+    keys, valid, att_w, att_b = attention or (None,) * 4
+    inputs = [n for n in (hidden, cell, *params, weights, cum, step_in, keys, att_w, att_b)
+              if n is not None]
+    hv, cv, base = hidden.values, cell.values, np.asarray(last_pos, dtype=np.float64)
+    if (hv.shape != cv.shape or base.shape != hv.shape[:-1] + (2,) or key not in ("fused", "joint")
+            or any(n is not None and n.shape != base.shape for n in (cum, step_in))):
+        raise ShapeError(f"decoder_step: hidden {hv.shape}, cell {cv.shape}, positions "
+                         f"{base.shape}, key {key!r}, running sum or step input do not conform")
+    if weights is None:
+        context = np.zeros(hv.shape)
+    else:
+        pieces, w_blocks = _block_layout("decoder_step", weights.values, hv.shape, blocks)
+        context = _block_products(w_blocks, hv, pieces)
+    joint = np.concatenate([hv, context], axis=-1)
+    fused = None
+    if attention is None or key == "fused":
+        fused = np.tanh(_rows_times(joint, fuse_w.values) + fuse_b.values)
+    state = fused
+    if attention is not None:
+        query = fused if key == "fused" else joint
+        saved = _attention_values(query, keys.values, valid, att_w.values, att_b.values)
+        state = saved[2]
+    xv = step_in.values if step_in is not None else base if cum is None else base + cum.values
+    embedded = _rows_times(xv, embed_w.values) + embed_b.values
+    cell_state = _lstm_values(_rows_times(embedded, w_ih.values) + bias.values, state, cv,
+                              w_hh.values)
+    new_hidden = cell_state[2] * cell_state[5]
+    disp = _rows_times(new_hidden, out_w.values) + out_b.values
+    cum_v = disp if cum is None else cum.values + disp
+
+    def backward(grads):
+        d_hidden, d_cell, d_disp, d_pos = grads[0], grads[1], grads[2], grads[-1]
+        if cum is None:                     # the displacement is the running sum
+            d_disp = _plus(d_disp, d_pos)
+        else:
+            d_cum = _plus(grads[3], d_pos)
+            if d_cum is not None:
+                _add_grad(cum, d_cum)
+            d_disp = _plus(d_disp, d_cum)
+        if d_disp is not None:
+            d_new, d_w, d_b = _linear_grads(d_disp, new_hidden, out_w.values)
+            _add_grad(out_w, d_w)
+            _add_grad(out_b, d_b)
+            d_hidden = _plus(d_hidden, d_new)
+        d_gates, d_cell = _lstm_grads(d_hidden, d_cell, cv, cell_state)
+        d_state, d_w, _ = _linear_grads(d_gates, state, w_hh.values)
+        _add_grad(w_hh, d_w)
+        _add_grad(cell, d_cell)
+        d_embedded, d_w, d_b = _linear_grads(d_gates, embedded, w_ih.values)
+        _add_grad(w_ih, d_w)
+        _add_grad(bias, d_b)
+        d_x, d_w, d_b = _linear_grads(d_embedded, xv, embed_w.values)
+        _add_grad(embed_w, d_w)
+        _add_grad(embed_b, d_b)
+        if step_in is not None or cum is not None:
+            _add_grad(cum if step_in is None else step_in, d_x)
+        if attention is not None:           # the query's adjoint, from its two shares
+            first, second = _attention_grads(d_state, query, keys.values, valid, saved,
+                                             att_w, att_b, keys)
+            d_state = first + second
+        d_joint = d_state
+        if fused is not None:               # the state, or the query, is the fused state
+            d_joint, d_w, d_b = _linear_grads(d_state * (1.0 - fused * fused), joint,
+                                              fuse_w.values)
+            _add_grad(fuse_w, d_w)
+            _add_grad(fuse_b, d_b)
+        _add_grad(hidden, d_joint[..., :hv.shape[-1]])
+        if weights is not None:
+            _block_grads(d_joint[..., hv.shape[-1]:], w_blocks, hv, pieces, _adjoint(weights),
+                         _adjoint(hidden))
+
+    outs = [new_hidden, cell_state[4], disp] + ([] if cum is None else [cum_v]) + [base + cum_v]
+    parts = _record_parts("decoder_step", tuple(map(TensorNode, outs)), tuple(inputs), backward)
+    return parts if cum is not None else parts[:3] + parts[2:]     # the first sum is disp
 
 
 def reduce_sum(a, axis: int | None = None) -> TensorNode:
@@ -916,14 +1085,18 @@ def l2norm(a) -> TensorNode:
     xv = a.values
     if xv.ndim == 0:
         raise ShapeError("l2norm: needs at least one axis")
-    outv = np.sqrt(np.sum(xv * xv, axis=-1))
+    outv = _norm_values(xv)
+    return _record("l2norm", outv, (a,), lambda g: _add_grad(a, _norm_grad(g, xv, outv)))
 
-    def backward(g):
-        moving = (outv > 0.0)[..., None]
-        unit = np.where(moving, xv / np.where(moving, outv[..., None], 1.0), 0.0)
-        _add_grad(a, g[..., None] * unit)
 
-    return _record("l2norm", outv, (a,), backward)
+def _norm_values(xv: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(xv * xv, axis=-1))
+
+
+def _norm_grad(g: np.ndarray, xv: np.ndarray, outv: np.ndarray) -> np.ndarray:
+    moving = (outv > 0.0)[..., None]
+    unit = np.where(moving, xv / np.where(moving, outv[..., None], 1.0), 0.0)
+    return g[..., None] * unit
 
 
 def mean_of(terms: Sequence[TensorNode]) -> TensorNode | None:

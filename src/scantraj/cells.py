@@ -12,9 +12,12 @@ a pass over it alone, bit for bit.
 
 A spatial round is a geometry half (``spatial_weights``), which reads no
 hidden state, then a state half that blends and fuses the hidden states.
-The decoder runs both per step (``spatial_round``). ``observed_pass`` runs
-the geometry half once over a whole known track and hands the state half,
-with the cell, to ``ad.recurrence``: the whole loop is one record.
+``observed_pass`` runs the geometry half once over a whole known track and
+hands the state half, with the cell, to ``ad.recurrence``: the whole loop
+is one record. The decoder's geometry follows its own predictions, so it
+runs both halves per step, as ``ad.pair_weights`` and ``ad.decoder_step``
+(with the cell): two records. ``spatial_round`` and ``lstm_cell`` are the
+composed records those equal bit for bit.
 """
 
 from __future__ import annotations

@@ -63,7 +63,8 @@ _SECTIONS = {"model": ModelConfig.from_dict,       # as a checkpoint header
 
 def load_config(path, sets) -> dict:
     """Sectioned key=value file plus --set overrides, each section parsed
-    once by its codec, whatever the command; absent sections are absent."""
+    once by its codec, whatever the command; absent sections are absent.
+    ``"model keys"`` names the keys the [model] section sets."""
     parser = configparser.ConfigParser()
     if path is not None:
         try:
@@ -80,7 +81,7 @@ def load_config(path, sets) -> dict:
         if not sep or not dot or not section or not key:
             raise _UsageError(f"--set expects section.key=value, got {item!r}")
         out.setdefault(section, {})[key] = value
-    parsed = {}
+    parsed = {"model keys": tuple(out.get("model", ()))}
     for section, entries in out.items():
         if section not in _SECTIONS:
             raise DataError(f"unknown config section [{section}]")
@@ -89,6 +90,19 @@ def load_config(path, sets) -> dict:
         except ValueError as exc:
             raise DataError(f"bad [{section}] config: {exc}") from exc
     return parsed
+
+
+def _checkpoint_state(path, cfgmap) -> tr.TrainState:
+    """The checkpoint at ``path``; a [model] key set to another value than
+    the checkpoint's is a DataError naming the key and both values."""
+    state = tr.load_checkpoint(path)
+    asked = cfgmap.get("model")
+    for key in cfgmap["model keys"]:
+        if key in MODEL_KEYS and getattr(asked, key) != getattr(state.cfg, key):
+            raise DataError(f"[model] {key} = {getattr(asked, key)!r} differs from "
+                            f"{getattr(state.cfg, key)!r} in checkpoint {path}; "
+                            f"a checkpoint keeps its own architecture")
+    return state
 
 
 def _train_config(cfgmap) -> tr.TrainConfig:
@@ -174,7 +188,7 @@ def cmd_train(args) -> int:
     cfgmap = load_config(args.config, args.set)
     conf = _train_config(cfgmap)
     if args.resume:
-        state = tr.load_checkpoint(args.resume)
+        state = _checkpoint_state(args.resume, cfgmap)
         cfg = state.cfg
     else:
         state = None
@@ -197,8 +211,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    state = tr.load_checkpoint(args.ckpt)
-    windows = _resolve_windows(args, load_config(args.config, args.set), state.cfg)
+    cfgmap = load_config(args.config, args.set)
+    state = _checkpoint_state(args.ckpt, cfgmap)
+    windows = _resolve_windows(args, cfgmap, state.cfg)
     k = args.k if args.k is not None else tr.default_k(state.cfg)
     report = tr.evaluate(state.cfg, state.params, windows, k=k,
                          seed=args.seed)
@@ -207,8 +222,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    state = tr.load_checkpoint(args.ckpt)      # fail fast on a bad path
-    windows = _resolve_windows(args, load_config(args.config, args.set), state.cfg)
+    cfgmap = load_config(args.config, args.set)
+    state = _checkpoint_state(args.ckpt, cfgmap)      # fail before reading data
+    windows = _resolve_windows(args, cfgmap, state.cfg)
     written = plots.emit_plots(args.ckpt, windows, args.out, k=args.k,
                                lam_label=args.gan_lambda, seed=args.seed,
                                max_scenes=args.scenes)
@@ -218,13 +234,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    state = tr.load_checkpoint(args.ckpt)
+    cfgmap = load_config(args.config, args.set)
+    state = _checkpoint_state(args.ckpt, cfgmap)
     try:
         pred_lens = tuple(int(p) for p in args.pred_lens.split(","))
     except ValueError:
         raise _UsageError(f"--pred-lens expects integers, got {args.pred_lens!r}")
-    records = _resolve_records(args, load_config(args.config, args.set),
-                               state.cfg.obs_len, max(pred_lens))
+    records = _resolve_records(args, cfgmap, state.cfg.obs_len, max(pred_lens))
     k = args.k if args.k is not None else tr.default_k(state.cfg)
     reports = tr.sweep_horizons(state.cfg, state.params, records,
                                 pred_lens=pred_lens, k=k, seed=args.seed)

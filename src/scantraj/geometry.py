@@ -209,7 +209,7 @@ def bin_indices(kinematics: CrowdKinematics, spec: BinSpec,
     if neighbors is None:
         n = heading.shape[-1]
         neighbors = np.broadcast_to(np.arange(n), (n, n))
-    others = pos[..., neighbors, :]
+    others = np.take(pos, neighbors, axis=-2)      # pos[..., neighbors, :], faster
     dx = others[..., 0] - pos[..., :, None, 0]
     dy = others[..., 1] - pos[..., :, None, 1]
     coincident = (dx == 0.0) & (dy == 0.0)

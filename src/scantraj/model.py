@@ -26,11 +26,12 @@ from . import cells
 from . import spatial
 from .data import SceneWindow
 from .errors import ShapeError
-# estimate_heading is the scalar reference for advance_kinematics; it stays
-# importable here, where bench/tracer.py binds it.
+# estimate_heading is the scalar reference for advance_kinematics, and attend
+# the composed reference for the decoder step's attention; both stay
+# importable here, where bench/tracer.py binds them.
 from .geometry import (BinSpec, CrowdKinematics, advance_kinematics,  # noqa: F401
-                       estimate_heading)
-from .temporal import AttentionBank, attend
+                       bin_indices, estimate_heading)
+from .temporal import AttentionBank, attend  # noqa: F401
 
 VARIANTS = ("vanilla", "scan")
 COORDINATE_MODES = ("displacement", "absolute")
@@ -312,16 +313,19 @@ class ScanModel:
 
         ``scenes`` are the scenes ``bank`` encoded, one or a list.
         Geometry is recomputed every step from the decoder's own predicted
-        positions, carried as live nodes so the range grid sees gradient
-        from the predicted spacing. With ``generative`` configs the decoder
+        positions: headings, bins and neighbour masks from the previous
+        step's float positions, the pair offsets from the live running sum
+        of displacements, so the range grid sees gradient from the
+        predicted spacing. With ``generative`` configs the decoder
         hidden state is re-seeded from the encoder final plus a noise draw
         (zeros when ``noise`` is None, keeping the pass deterministic).
 
         A ``(S, noise_dim)`` noise block decodes S samples in one pass: every
         node gains a leading sample axis, each sample reads the same encoder
-        bank, and ``disp``/``pos`` come out as (S, N, steps, 2). A step then
-        costs one record per layer for all S samples, and sample s equals a
-        decode with noise ``noise[s]`` alone, bit for bit. A
+        bank, and ``disp``/``pos`` come out as (S, N, steps, 2). A step
+        costs two records for all S samples (``ad.pair_weights``, none under
+        ``force_zero_context``, and ``ad.decoder_step``), and sample s equals
+        a decode with noise ``noise[s]`` alone, bit for bit. A
         ``(S, B, noise_dim)`` block gives scene b of a B-scene batch its own
         draw ``noise[s, b]``, shared by that scene's pedestrians.
         """
@@ -356,48 +360,35 @@ class ScanModel:
                 hidden, np.zeros(cfg.noise_dim) if noise is None else noise,
                 self.params["noise_proj.W"], self.params["noise_proj.b"])
         cell = ad.gather(bank.cell, rows)
-        history = AttentionBank(ad.gather(bank.attention.keys, rows),
-                                bank.attention.valid[rows])
+        attention = None
+        if cfg.variant == "scan":
+            attention = (ad.gather(bank.attention.keys, rows), bank.attention.valid[rows],
+                         self.params["temporal.W"], self.params["temporal.b"])
         kin = bank.kinematics[rows]
 
         last_pos = tiled(bank.last_pos[order])
-        start_offsets = ad.constant(last_pos[..., layout.neighbors, :]
-                                    - last_pos[..., :, None, :])
-        cum = None                                  # cumulative displacement node
-        pos_values = last_pos                       # float positions, current step
-        prev_disp = ad.constant(tiled(bank.last_disp[order]))
+        start = last_pos[..., layout.neighbors, :] - last_pos[..., :, None, :]
+        cum, weights = None, None                   # cumulative displacement node
+        step_in = (None if cfg.coordinate_mode == "absolute"     # last_pos + cum
+                   else ad.constant(tiled(bank.last_disp[order])))
         present = self._present(scenes, range(cfg.obs_len, cfg.obs_len + cfg.pred_len))
-        embed, (w_ih, w_hh, bias) = self._recurrence("dec")
+        embed, lstm = self._recurrence("dec")
+        out = self.params["out.W"], self.params["out.b"]
         disps, positions = [], []
 
         for s in range(cfg.pred_len):
-            offsets = (start_offsets if cum is None else ad.add(
-                start_offsets, cells.pairwise_offsets(cum, layout.neighbors)))
-            fused, joints = cells.spatial_round(
-                offsets, kin, present[s][order], hidden, layout, self.grid, *self._fuse(),
-                literal_softmax=cfg.literal_softmax,
-                force_zero_context=cfg.force_zero_context)
-            if cfg.variant == "scan":
-                queries = fused if cfg.attention_key == "fused" else joints
-                state = attend(queries, history, self.params["temporal.W"],
-                               self.params["temporal.b"])
-            else:
-                state = fused
-            if cfg.coordinate_mode == "absolute":
-                base = ad.constant(last_pos)
-                step_in = base if cum is None else ad.add(base, cum)
-            else:
-                step_in = prev_disp
-            gates_in = cells.linear(cells.linear(step_in, *embed), w_ih, bias)
-            hidden, cell = cells.lstm_cell(gates_in, state, cell, w_hh)
-            disp = cells.linear(hidden, self.params["out.W"], self.params["out.b"])
-            cum = disp if cum is None else ad.add(cum, disp)
-            pos = ad.add(ad.constant(last_pos), cum)
-            prev_disp = disp
+            if not cfg.force_zero_context:
+                weights = ad.pair_weights(
+                    cum, self.grid.node, start, layout.neighbors,
+                    bin_indices(kin, self.grid.spec, layout.neighbors),
+                    layout.neighbor_mask(present[s][order]), cfg.literal_softmax)
+            hidden, cell, disp, cum, pos = ad.decoder_step(
+                hidden, cell, weights, layout.blocks, cum, step_in, last_pos, self._fuse(),
+                embed, lstm, out, attention, key=cfg.attention_key)
+            step_in = None if step_in is None else disp
             disps.append(disp)
             positions.append(pos)
-            kin = advance_kinematics(pos_values, pos.values, kin)
-            pos_values = pos.values
+            kin = advance_kinematics(positions[-2].values if s else last_pos, pos.values, kin)
 
         undo = (slice(None),) * len(lead) + (layout.undo,)
         return ForwardResult([pid for scene in scenes for pid in scene.ped_ids],

@@ -1,8 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
-Deliberately written with plain ``math`` loops and no imports from the
+The oracles are written with plain ``math`` loops and no imports from the
 package under test (numpy is used only for array containers), so they
-cannot share bugs with the real code paths.
+cannot share bugs with the real code paths. ``composed_decode`` is the
+other kind of reference: the decoder as the separate tape records it took
+before its steps were fused, which the fused ops must equal bit for bit.
 """
 
 import math
@@ -91,3 +93,84 @@ def numeric_gradient(f, values, h=1e-5):
         values[idx] = saved
         grad[idx] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def composed_decode(model, scenes, bank, noise=None):
+    """``model.decode(scenes, bank, noise)`` as one tape record per layer and
+    step (about 20 a step): the spatial round, temporal attention, the input
+    linears, the cell, the output linear and the position sums."""
+    from scantraj import autodiff as ad
+    from scantraj import cells
+    from scantraj.geometry import advance_kinematics
+    from scantraj.model import ForwardResult, _scene_list
+    from scantraj.temporal import AttentionBank, attend
+
+    cfg = model.cfg
+    scenes = _scene_list(scenes)
+    layout = bank.layout
+    order = layout.order
+    lead = ()
+    if noise is not None:
+        noise = np.asarray(noise, dtype=np.float64)
+        lead = noise.shape[:-1][:1]
+        if noise.ndim == 3:
+            noise = noise[:, layout.scene_of_row]      # one draw per row
+
+    def tiled(values):
+        return np.array(np.broadcast_to(values, lead + values.shape))
+
+    rows = tiled(order)
+    hidden = ad.gather(bank.hidden, rows)
+    if cfg.generative:
+        hidden = cells.noise_conditioned_hidden(
+            hidden, np.zeros(cfg.noise_dim) if noise is None else noise,
+            model.params["noise_proj.W"], model.params["noise_proj.b"])
+    cell = ad.gather(bank.cell, rows)
+    history = AttentionBank(ad.gather(bank.attention.keys, rows),
+                            bank.attention.valid[rows])
+    kin = bank.kinematics[rows]
+
+    last_pos = tiled(bank.last_pos[order])
+    start_offsets = ad.constant(last_pos[..., layout.neighbors, :]
+                                - last_pos[..., :, None, :])
+    cum = None                                  # cumulative displacement node
+    pos_values = last_pos                       # float positions, current step
+    prev_disp = ad.constant(tiled(bank.last_disp[order]))
+    present = model._present(scenes, range(cfg.obs_len, cfg.obs_len + cfg.pred_len))
+    embed, (w_ih, w_hh, bias) = model._recurrence("dec")
+    disps, positions = [], []
+
+    for s in range(cfg.pred_len):
+        offsets = (start_offsets if cum is None else ad.add(
+            start_offsets, cells.pairwise_offsets(cum, layout.neighbors)))
+        fused, joints = cells.spatial_round(
+            offsets, kin, present[s][order], hidden, layout, model.grid, *model._fuse(),
+            literal_softmax=cfg.literal_softmax,
+            force_zero_context=cfg.force_zero_context)
+        if cfg.variant == "scan":
+            queries = fused if cfg.attention_key == "fused" else joints
+            state = attend(queries, history, model.params["temporal.W"],
+                           model.params["temporal.b"])
+        else:
+            state = fused
+        if cfg.coordinate_mode == "absolute":
+            base = ad.constant(last_pos)
+            step_in = base if cum is None else ad.add(base, cum)
+        else:
+            step_in = prev_disp
+        gates_in = cells.linear(cells.linear(step_in, *embed), w_ih, bias)
+        hidden, cell = cells.lstm_cell(gates_in, state, cell, w_hh)
+        disp = cells.linear(hidden, model.params["out.W"], model.params["out.b"])
+        cum = disp if cum is None else ad.add(cum, disp)
+        pos = ad.add(ad.constant(last_pos), cum)
+        prev_disp = disp
+        disps.append(disp)
+        positions.append(pos)
+        kin = advance_kinematics(pos_values, pos.values, kin)
+        pos_values = pos.values
+
+    undo = (slice(None),) * len(lead) + (layout.undo,)
+    return ForwardResult([pid for scene in scenes for pid in scene.ped_ids],
+                         ad.gather(ad.stack(disps, axis=-2), undo),
+                         ad.gather(ad.stack(positions, axis=-2), undo),
+                         present.T)

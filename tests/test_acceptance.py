@@ -119,6 +119,34 @@ class TestGradientIntegrity:
         g338, u332, w24b, w334 = (rng.normal(size=s) for s in ((3, 3, 8), (3, 3, 2),
                                                                (2, 4), (3, 3, 4)))
         k342 = rng.normal(size=(3, 4, 2))
+        # The decoder-step ops over scenes of 1 and 2 rows (the lone row sees
+        # no one): pair weights from a live running sum, and a step with
+        # attention (fused keys with a displacement input, joint keys with an
+        # absolute one and a zero context).
+        table = np.array([[0, 0], [1, 2], [1, 2]])
+        own = table == np.arange(3)[:, None]
+        start322 = np.where(own[..., None], 0.0, rng.uniform(-1.0, 1.0, size=(3, 2, 2)))
+        bins32 = (rng.integers(1, 3, size=(3, 2)), rng.integers(1, 3, size=(3, 2)))
+        cum32, grid22 = rng.normal(0.0, 0.2, size=(3, 2)), rng.uniform(1.0, 3.0, size=(2, 2))
+        step_shapes = [(3, 2), (3, 2), (3, 2), (3, 2), (3, 2), (2, 4), 2, (2, 2), 2, (8, 2),
+                       (8, 2), 8, (2, 2), 2]
+        step_args = [rng.normal(size=s) for s in step_shapes]
+        step_args[2] = rng.uniform(size=(3, 2)) * ~own          # weights
+        probes = [rng.normal(size=(3, 2)) for _ in range(5)]
+
+        def pair_weights(literal):
+            return lambda c, g: _weighted_sum(
+                ad.pair_weights(c, g, start322, table, bins32, ~own, literal), w232[0])
+
+        def step_all(key, *args):
+            h, c, u, cum, x, fw, fb, ew, eb, wih, whh, b, ow, ob, k, aw, ab = args
+            outs = ad.decoder_step(h, c, u, [(1, 1, 1), (1, 2, 2)], cum, x, m32, (fw, fb),
+                                   (ew, eb), (wih, whh, b), (ow, ob),
+                                   (k, rows[:, :2], aw, ab), key=key)
+            return ad.mean_of([_weighted_sum(out, probe) for out, probe in zip(outs, probes)])
+
+        def joint_absolute(h, c, cum, *args):
+            return step_all("joint", h, c, None, cum, None, *args)
 
         def recurrence_all(g, u, w, fw, fb):
             hidden, cell, keys = ad.recurrence(g, u, w, fw, fb, [(1, 1, 1), (1, 2, 2)],
@@ -185,6 +213,13 @@ class TestGradientIntegrity:
             ("attention",
              lambda q, k, W, b: _weighted_sum(ad.attention(q, k, rows, W, b), w32),
              [m32, k342, w24b, b2]),
+            ("pair_weights", pair_weights(False), [cum32, grid22]),
+            ("pair_weights literal", pair_weights(True), [cum32, grid22]),
+            ("decoder_step", lambda *args: step_all("fused", *args),
+             step_args + [rng.normal(size=(3, 2, 2)), w24b, b2]),
+            ("decoder_step joint absolute", joint_absolute,
+             step_args[:2] + step_args[3:4] + step_args[5:]
+             + [rng.normal(size=(3, 2, 4)), rng.normal(size=(2, 8)), b2]),
         ]
         for name, fn, inputs in cases:
             worst = _check_gradients(fn, inputs, OP_TOL)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scantraj import autodiff as ad
+from scantraj import cells, spatial, temporal
 from scantraj.errors import ShapeError
 
 from oracles import numeric_gradient
@@ -555,6 +556,50 @@ def composed_attention(query, keys, valid, weight, bias):
     return ad.tanh(ad.linear(ad.concat([context, query], axis=-1), weight, bias))
 
 
+def composed_pair_weights(cum, grid, start, neighbors, bins, mask, literal):
+    """A decoder step's spatial weights as the records they took before
+    ``ad.pair_weights``: offsets, distance, grid cell, relu and softmax."""
+    offsets = ad.constant(start)
+    if cum is not None:
+        offsets = ad.add(offsets, cells.pairwise_offsets(cum, neighbors))
+    scores = spatial.raw_score(spatial.DomainGrid(grid, None), bins, ad.l2norm(offsets))
+    return spatial.normalize_scores(scores, mask, literal).normalized
+
+
+def composed_decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse,
+                          embed, lstm, out, attention=None, key="fused"):
+    """A decoder step as the records it took before ``ad.decoder_step``."""
+    ctx = (ad.constant(np.zeros(hidden.shape)) if weights is None
+           else spatial.context_vector(weights, hidden, blocks))
+    fused, joint = spatial.fuse_hidden(hidden, ctx, *fuse)
+    state = fused
+    if attention is not None:
+        keys, valid, weight, bias = attention
+        state = temporal.attend(fused if key == "fused" else joint,
+                                temporal.AttentionBank(keys, valid), weight, bias)
+    if step_in is None:
+        base = ad.constant(last_pos)
+        step_in = base if cum is None else ad.add(base, cum)
+    w_ih, w_hh, bias = lstm
+    hidden, cell = cells.lstm_cell(cells.linear(cells.linear(step_in, *embed), w_ih, bias),
+                                   state, cell, w_hh)
+    disp = cells.linear(hidden, *out)
+    cum = disp if cum is None else ad.add(cum, disp)
+    return hidden, cell, disp, cum, ad.add(ad.constant(last_pos), cum)
+
+
+def drawn_layout(rng, lead, sizes):
+    """A batch layout of scenes of ``sizes``, its (..., R, J) neighbour mask
+    from a drawn presence, and start offsets that are exactly zero on every
+    entry naming the row itself (the own entry and the padding)."""
+    layout = cells.SceneLayout([list(range(n)) for n in sizes])
+    shape = lead + layout.neighbors.shape
+    mask = np.broadcast_to(layout.neighbor_mask(rng.uniform(size=layout.n_rows) < 0.8), shape)
+    own = layout.neighbors == np.arange(layout.n_rows)[:, None]
+    start = np.where(own[..., None], 0.0, rng.normal(size=shape + (2,)))
+    return layout, mask, start
+
+
 def run_both(ops, arrays, loss_of):
     """Values of the outputs and gradients of every input, per op in ``ops``:
     ``loss_of(nodes, outs)`` builds the scalar from the op's outputs (and may
@@ -619,6 +664,77 @@ class TestFusedKernels:
         fused, composed = run_both(
             [lambda n: (ad.attention(n[0], n[1], valid, *n[2:]),),
              lambda n: (composed_attention(n[0], n[1], valid, *n[2:]),)], arrays, loss_of)
+        assert fused == composed
+
+    @PROPERTY
+    @given(lead=st.sampled_from([(), (3,)]),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5), first=st.booleans(),
+           literal=st.booleans(), reused=st.sets(st.integers(0, 1)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pair_weights_equal_the_composed_records_bitwise(
+            self, lead, sizes, first, literal, reused, seed):
+        rng = np.random.default_rng(seed)
+        layout, mask, start = drawn_layout(rng, lead, sizes)
+        R, J = layout.neighbors.shape
+        bins = (rng.integers(1, 4, size=lead + (R, J)), rng.integers(1, 3, size=lead + (R, J)))
+        arrays = [None if first else rng.normal(0.0, 0.5, size=lead + (R, 2)),
+                  rng.uniform(0.2, 2.0, size=(3, 2))]
+        probes = [rng.normal(size=lead + (R, J)), rng.normal(size=lead + (R, 2)),
+                  rng.normal(size=(3, 2))]
+
+        def loss_of(nodes, outs):           # the inputs may arrive with adjoints
+            terms = [ad.reduce_sum(ad.mul(outs[0], ad.constant(probes[0])))]
+            return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[k], ad.constant(probes[k + 1])))
+                                       for k in sorted(reused) if nodes[k] is not None])
+
+        args = (start, layout.neighbors, bins, mask, literal)
+        fused, composed = run_both(
+            [lambda n: (ad.pair_weights(*n, *args),),
+             lambda n: (composed_pair_weights(*n, *args),)], arrays, loss_of)
+        assert fused == composed
+
+    @PROPERTY
+    @given(lead=st.sampled_from([(), (2,)]),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           H=st.integers(1, 3), E=st.integers(1, 2), T=st.integers(1, 3),
+           key=st.sampled_from(["fused", "joint"]), attend=st.booleans(),
+           zero_context=st.booleans(), absolute=st.booleans(), first=st.booleans(),
+           alias=st.booleans(), used=st.sets(st.integers(0, 4), min_size=1),
+           reused=st.sets(st.sampled_from([0, 2, 3, 4, 5, 14])), seed=st.integers(0, 2**32 - 1))
+    def test_decoder_step_equals_the_composed_records_bitwise(
+            self, lead, sizes, H, E, T, key, attend, zero_context, absolute, first, alias,
+            used, reused, seed):
+        rng = np.random.default_rng(seed)
+        layout, mask, _ = drawn_layout(rng, lead, sizes)
+        rows, K = lead + (layout.n_rows,), H if key == "fused" else 2 * H
+        # hidden, cell, weights, cum, step input, fuse W b, embed W b, W_ih,
+        # W_hh, b, out W b, attention keys W b
+        arrays = [rng.normal(size=rows + (H,)), rng.normal(size=rows + (H,)),
+                  None if zero_context else rng.uniform(size=mask.shape) * mask,
+                  None if first else rng.normal(size=rows + (2,)),
+                  None if absolute or alias and not first else rng.normal(size=rows + (2,))]
+        arrays += [rng.normal(size=s) for s in ((H, 2 * H), H, (E, 2), E, (4 * H, E),
+                                                (4 * H, H), 4 * H, (2, H), 2)]
+        arrays += ([rng.normal(size=s) for s in (rows + (T, K), (H, 2 * K), H)] if attend
+                   else [None] * 3)
+        valid, last_pos = rng.uniform(size=rows + (T,)) < 0.7, rng.normal(size=rows + (2,))
+        out_probes = [rng.normal(size=rows + (H if k < 2 else 2,)) for k in range(5)]
+        in_probes = {k: rng.normal(size=arrays[k].shape) for k in reused if arrays[k] is not None}
+
+        def call(op, n):
+            step_in = n[3] if not absolute and alias and not first else n[4]
+            return op(n[0], n[1], n[2], layout.blocks, n[3], step_in, last_pos, n[5:7], n[7:9],
+                      n[9:12], n[12:14], (n[14], valid, n[15], n[16]) if attend else None,
+                      key=key)
+
+        def loss_of(nodes, outs):           # the inputs may arrive with adjoints
+            terms = [ad.reduce_sum(ad.mul(outs[k], ad.constant(out_probes[k])))
+                     for k in sorted(used)]
+            return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[k], ad.constant(probe)))
+                                       for k, probe in sorted(in_probes.items())])
+
+        fused, composed = run_both([lambda n: call(ad.decoder_step, n),
+                                    lambda n: call(composed_decoder_step, n)], arrays, loss_of)
         assert fused == composed
 
     def test_each_is_one_record(self):
@@ -709,8 +825,19 @@ class TestTapeLifecycle:
 
 
 def every_op(x, w):
-    """A scalar that runs every op kind once, unstack, the recurrence and
-    attention included."""
+    """A scalar that runs every op kind once, unstack, the recurrence,
+    attention and both decoder-step ops included."""
+    table = np.array([[0, 1, 2]] * 3)
+    weights = ad.pair_weights(x[:, :2], ad.add(ad.exp(w), 1.0),
+                              np.linspace(-1.0, 1.0, 18).reshape(3, 3, 2), table,
+                              (np.array([[1, 2, 1]] * 3), np.array([[4, 1, 2]] * 3)),
+                              table != np.arange(3)[:, None])
+    gates_w = ad.concat([w, w, w, w])[:, :2]
+    step = ad.decoder_step(x[:, :2], x[:, 2:], weights, [(1, 3, 3)], x[:, 1:3], None,
+                           np.ones((3, 2)), (w, w[:, 0]), (w[:, :2], w[0, :2]),
+                           (gates_w, gates_w, ad.concat([w[0], w[1]])), (w[:, :2], w[:, 1]),
+                           (ad.stack([x[:, :2], ad.tanh(x[:, 2:])], axis=1),
+                            np.array([[True, False], [True, True], [False, True]]), w, w[:, 2]))
     hidden, _, keys = ad.recurrence(
         ad.stack([x, ad.tanh(x)], axis=1), ad.stack([x[:, :1], x[:, 1:2]], axis=1),
         ad.stack([w[0]], axis=1), w[0:1, 0:2], w[1, 0:1], [(2, 1, 1)])
@@ -728,7 +855,7 @@ def every_op(x, w):
              ad.log(ad.add(ad.reduce_sum(ad.matmul(w, x[0])), ad.constant(10.0))),
              ad.reduce_sum(ad.reduce_sum(ad.stack(rows), axis=0)),
              ad.reduce_sum(ad.mul(hidden, keys[-1])), ad.reduce_sum(attended)]
-    return ad.mean_of(terms)
+    return ad.mean_of(terms + [ad.reduce_sum(out) for out in step])
 
 
 class TestTapeScopes:

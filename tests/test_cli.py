@@ -1,6 +1,9 @@
 """End-to-end command-line tests driving run() in process."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +70,16 @@ def trained_ckpt(tmp_path, micro_config):
                     "--synth", "straight:4:1", "--out", ckpt])
     assert code == 0
     return ckpt
+
+
+def test_the_package_runs_as_a_module_without_a_warning():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "scantraj", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: scantraj") and proc.stderr == ""
 
 
 class TestUsageErrors:
@@ -363,3 +376,39 @@ class TestInspectDomainCommand:
         code = cli.run(["inspect-domain", "--ckpt", trained_ckpt,
                         "--out", str(tmp_path / "d"), "--which", "disc"])
         assert code == 2
+
+
+class TestCheckpointModelKeys:
+    """A command that reads a checkpoint keeps its architecture: a [model]
+    key that disagrees with the checkpoint is a data error, an equal one
+    passes."""
+
+    @staticmethod
+    def command(name, ckpt, tmp_path):
+        return {"train": ["train", "--resume", ckpt, "--out", str(tmp_path / "again.ckpt"),
+                          "--synth", "straight:2:1"],
+                "evaluate": ["evaluate", "--ckpt", ckpt, "--synth", "straight:2:7"],
+                "predict": ["predict", "--ckpt", ckpt, "--synth", "straight:2:7",
+                            "--out", str(tmp_path / "figs"), "--scenes", "1"],
+                "sweep": ["sweep", "--ckpt", ckpt, "--synth", "straight:2:7",
+                          "--pred-lens", "2"]}[name]
+
+    @pytest.mark.parametrize("name", ["train", "evaluate", "predict", "sweep"])
+    def test_a_differing_model_key_is_a_data_error_naming_both_values(
+            self, tmp_path, trained_ckpt, capsys, name):
+        capsys.readouterr()
+        code = cli.run(self.command(name, trained_ckpt, tmp_path)
+                       + ["--set", "model.hidden_dim=9"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "hidden_dim = 9 differs from 4" in err
+        assert not (tmp_path / "again.ckpt").exists()
+
+    @pytest.mark.parametrize("name", ["train", "evaluate", "predict", "sweep"])
+    def test_model_keys_equal_to_the_checkpoint_pass(self, tmp_path, trained_ckpt,
+                                                     micro_config, name):
+        code = cli.run(self.command(name, trained_ckpt, tmp_path)
+                       + ["--config", micro_config, "--set", "model.hidden_dim=4"])
+        assert code == 0
+        if name == "train":
+            assert tr.load_checkpoint(str(tmp_path / "again.ckpt")).cfg.hidden_dim == 4

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scantraj import autodiff as ad
-from scantraj import cells
 from scantraj import generative as gn
 from scantraj import model as sm
 from scantraj import training as tr
@@ -173,7 +172,7 @@ def records_of(run) -> int:
 
 class TestRecordBudget:
     """A known-track pass costs no records per step: its loop is one
-    ``ad.recurrence`` record."""
+    ``ad.recurrence`` record. A decoder step costs two at most."""
 
     @pytest.mark.parametrize("overrides", [{}, {"force_zero_context": True},
                                            {"coordinate_mode": "absolute",
@@ -186,43 +185,24 @@ class TestRecordBudget:
             counts.append(records_of(lambda: m.encode(scene)))
         assert counts[0] == counts[1] == counts[2]
 
-    def test_a_decoder_step_spends_two_records_on_the_cell(self, monkeypatch):
-        m = build(micro_cfg(pred_len=4, generative=True, noise_dim=2))
-        scene = make_scene(dyadic_walkers(7), obs_len=3)
-        spent = []
-        lstm_cell = cells.lstm_cell
-
-        def counted(gates_in, *rest):
-            before = len(ad.active_tape())
-            out = lstm_cell(gates_in, *rest)
-            spent.append((gates_in.op_record.op, len(ad.active_tape()) - before))
-            return out
-
-        with ad.Tape():
-            bank = m.encode(scene)
-            monkeypatch.setattr(cells, "lstm_cell", counted)
-            m.decode(scene, bank, noise=np.zeros((3, 2)))
-        # The input share of the gates is one linear record, the update one.
-        assert spent == [("linear", 1)] * 4
-
-    @pytest.mark.parametrize("key", ["fused", "joint"])
-    def test_a_decoder_step_spends_one_record_on_attention(self, monkeypatch, key):
-        m = build(micro_cfg(pred_len=3, attention_key=key))
-        scene = make_scene(dyadic_walkers(6), obs_len=3)
-        spent = []
-        attend = sm.attend
-
-        def counted(*args):
-            before = len(ad.active_tape())
-            out = attend(*args)
-            spent.append((out.op_record.op, len(ad.active_tape()) - before))
-            return out
-
-        with ad.Tape():
-            bank = m.encode(scene)
-            monkeypatch.setattr(sm, "attend", counted)
-            m.decode(scene, bank)
-        assert spent == [("attention", 1)] * 3
+    @pytest.mark.parametrize("overrides", [
+        {}, {"generative": True, "noise_dim": 2}, {"variant": "vanilla"},
+        {"attention_key": "joint"}, {"coordinate_mode": "absolute"},
+        {"literal_softmax": True}, {"force_zero_context": True}],
+        ids=["default", "generative", "vanilla", "joint_key", "absolute",
+             "literal_softmax", "zero_context"])
+    def test_a_decoder_step_adds_the_same_two_records_at_most(self, overrides):
+        # Its pair weights are one ad.pair_weights record, the rest of the
+        # step one ad.decoder_step record.
+        counts = []
+        for pred_len in (3, 4, 5):
+            m = build(micro_cfg(pred_len=pred_len, **overrides))
+            scene = make_scene(dyadic_walkers(3 + pred_len), obs_len=3)
+            noise = np.zeros((3, 2)) if overrides.get("generative") else None
+            with ad.Tape():
+                bank = m.encode(scene)
+                counts.append(records_of(lambda: m.decode(scene, bank, noise=noise)))
+        assert counts[2] - counts[1] == counts[1] - counts[0] <= 2
 
 
 class TestConfig:

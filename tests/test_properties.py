@@ -14,6 +14,11 @@ one-sample decodes bit for bit, one sample's noise reaches no other sample,
 the batched decode and critic are renumbering-equivariant bit for bit, and
 the tape does not grow with k.
 
+The fused decoder step equals the separate records it replaced: a whole
+decode, over drawn configurations, batches and samples, gives the same
+positions and the same gradient to every parameter and every encoder
+output as the composed records, bit for bit.
+
 So do the scene-batched passes of a training step: every scene of a batch
 equals a pass over it alone bit for bit, though the scenes overlap in space
 and share pedestrian ids; the batch loss is the mean of the lone losses and
@@ -36,6 +41,7 @@ from scantraj.geometry import (AgentKinematics, BinSpec, CrowdKinematics,
                                compute_encounter, estimate_heading,
                                normalize_deg, track_kinematics)
 
+from oracles import composed_decode
 from test_model import build, fake_track, make_scene, micro_cfg, real_track
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -410,6 +416,33 @@ def test_every_scene_of_a_batch_equals_its_lone_pass_bitwise(seed, data):
         assert np.array_equal(view.pos.values, lone.pos.values), b
         assert np.array_equal(view.disp.values, lone.disp.values), b
         assert np.array_equal(view.loss_mask, lone.loss_mask), b
+
+
+@settings(PROPERTY, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_the_fused_decode_equals_the_composed_records_bitwise(seed, data):
+    generative = data.draw(st.booleans())
+    model = generative_model(data, seed, generative=generative)
+    model.cfg.literal_softmax = data.draw(st.booleans())
+    model.cfg.force_zero_context = data.draw(st.booleans())
+    scenes = drawn_batch(data, seed)
+    noises = noise_blocks(data, seed, len(scenes)) if generative else None
+    noise = None if noises is None else np.stack(noises, axis=1)
+    got = []
+    for decode_with in (sm.ScanModel.decode, composed_decode):
+        model.params.zero_grads()
+        probes = np.random.default_rng(seed)
+        with ad.Tape() as tape:
+            bank = model.encode(scenes)
+            result = decode_with(model, scenes, bank, noise)
+            tape.backward(ad.mean_of([
+                ad.reduce_sum(ad.mul(out, ad.constant(probes.normal(size=out.shape))))
+                for out in (result.pos, result.disp)]))
+        got.append([result.pos.values.tobytes(), result.disp.values.tobytes()]
+                   + [node.grad.tobytes() for node in (bank.hidden, bank.cell,
+                                                       bank.attention.keys)]
+                   + [node.grad.tobytes() for _, node in model.params.items()])
+    assert got[0] == got[1]
 
 
 def param_grads(model) -> dict:

@@ -149,6 +149,17 @@ class TestDeterministicLoop:
                 tr.train_deterministic(micro_windows(1), cfg, conf, state=state)
         assert_names_the_first_non_finite_record(str(info.value), tapes)
 
+    def test_a_non_finite_decoder_step_is_named_as_the_fused_record(self, monkeypatch):
+        cfg, conf = micro_cfg(), tcfg(epochs=1)
+        state = tr.init_state(cfg, conf)
+        state.params["out.W"].values[...] = np.inf
+        tapes = spy_on_nonfinite_origin(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="not finite") as info:
+                tr.train_deterministic(micro_windows(1), cfg, conf, state=state)
+        assert "first non-finite output: decoder_step at" in str(info.value)
+        assert_names_the_first_non_finite_record(str(info.value), tapes)
+
     def test_one_encode_and_one_decode_per_batch(self, monkeypatch):
         calls = {"encode": 0, "decode": 0}
         for name in calls:
