@@ -30,12 +30,6 @@ record per layer, whatever its size or sample count. Their shape rules:
   ``(..., 4H)`` input share ``x @ W_ih.T + b`` of the gates (input, forget,
   candidate, output). Values and gradients equal the composed update bit
   for bit.
-* ``matmul(a, b)``: ``(m, k) @ (k, n)``, ``(m, k) @ (k,)``, ``(k,) @ (k,)``
-  (a scalar), and per slice of equal leading axes ``...``:
-  ``(..., m, k) @ (..., k) -> (..., m)`` and
-  ``(..., m) @ (..., m, k) -> (..., k)``. numpy runs a batched product one
-  slice at a time, so each slice equals its unbatched product bit for bit.
-  Batched matrix-matrix products go through ``block_matmul``.
 * ``block_matmul(a, b, blocks)``: many small products in one record.
   ``blocks`` lists groups ``(m, p, q)`` that take consecutive rows: m
   blocks of p rows of ``a`` and q rows of ``b`` each, and a block's output
@@ -116,7 +110,7 @@ from .errors import ShapeError
 
 __all__ = [
     "TensorNode", "Tape", "no_grad", "active_tape", "constant",
-    "add", "sub", "mul", "div", "neg", "matmul", "block_matmul", "linear",
+    "add", "sub", "mul", "div", "neg", "block_matmul", "linear",
     "lstm_step", "recurrence", "attention", "pair_weights", "decoder_step",
     "concat", "stack", "unstack", "split", "gather", "relu", "tanh", "sigmoid", "exp",
     "log", "softplus", "masked_softmax",
@@ -430,46 +424,6 @@ def div(a, b) -> TensorNode:
 
 def neg(a) -> TensorNode:
     return _unary("neg", a, lambda x: -x, lambda g, x, y: -g)
-
-
-def matmul(a, b) -> TensorNode:
-    """Matrix products; see the module docstring for the accepted shapes."""
-    a, b = _lift(a), _lift(b)
-    av, bv = a.values, b.values
-    if av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-        outv = av @ bv
-
-        def backward(g):
-            _add_grad(a, np.outer(g, bv))
-            _add_grad(b, av.T @ g)
-    elif av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:
-        outv = av @ bv
-
-        def backward(g):
-            _add_grad(a, g @ bv.T)
-            _add_grad(b, av.T @ g)
-    elif av.ndim == 1 and av.shape == bv.shape:
-        outv = np.asarray(av @ bv)
-
-        def backward(g):
-            _add_grad(a, g * bv)
-            _add_grad(b, g * av)
-    elif (av.ndim == bv.ndim + 1 >= 3 and av.shape[:-2] == bv.shape[:-1]
-          and av.shape[-1] == bv.shape[-1]):
-        outv = np.matmul(av, bv[..., None])[..., 0]
-
-        def backward(g):
-            _add_grad(a, g[..., :, None] * bv[..., None, :])
-            _add_grad(b, np.matmul(g[..., None, :], av)[..., 0, :])
-    elif (bv.ndim == av.ndim + 1 >= 3 and av.shape[:-1] == bv.shape[:-2]):
-        outv = np.matmul(av[..., None, :], bv)[..., 0, :]
-
-        def backward(g):
-            _add_grad(a, np.matmul(bv, g[..., :, None])[..., 0])
-            _add_grad(b, av[..., :, None] * g[..., None, :])
-    else:
-        raise ShapeError(f"matmul: shapes {av.shape} and {bv.shape} do not conform")
-    return _record("matmul", outv, (a, b), backward)
 
 
 def _blocks_of(x: np.ndarray, rows: slice, m: int, size: int, cols=slice(None)) -> np.ndarray:

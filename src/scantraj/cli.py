@@ -7,6 +7,7 @@ Configuration is a flat key=value file with one section per module
 repeated ``--set section.key=value`` flags. The SCANTRAJ_DATA environment
 variable supplies the default root for relative ``--data`` paths. All
 output files land under caller-supplied paths, never anywhere else.
+Only the drawing commands (predict, inspect-domain) import ``plots``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 from . import data as sd
 from . import generative as gn
-from . import plots
 from . import training as tr
 from .errors import DataError, EmptyMetricError, NumericError
 from .model import ModelConfig, config_from_dict, config_keys
@@ -180,11 +180,11 @@ def _emit(text: str, out) -> None:
     """Print a report and, when ``out`` is given, also write it there."""
     sys.stdout.write(text)
     if out:
-        plots.write_text(out, text)
+        sd.write_text(out, text)
 
 
 def cmd_train(args) -> int:
-    plots.make_dir(os.path.dirname(str(args.out)) or ".")   # fail before training
+    sd.make_dir(os.path.dirname(str(args.out)) or ".")   # fail before training
     cfgmap = load_config(args.config, args.set)
     conf = _train_config(cfgmap)
     if args.resume:
@@ -225,6 +225,7 @@ def cmd_predict(args) -> int:
     cfgmap = load_config(args.config, args.set)
     state = _checkpoint_state(args.ckpt, cfgmap)      # fail before reading data
     windows = _resolve_windows(args, cfgmap, state.cfg)
+    from . import plots
     written = plots.emit_plots(args.ckpt, windows, args.out, k=args.k,
                                lam_label=args.gan_lambda, seed=args.seed,
                                max_scenes=args.scenes)
@@ -259,9 +260,10 @@ def cmd_inspect_domain(args) -> int:
         grid = state.disc_params["disc.domain_grid"].values
     else:
         grid = state.params["domain_grid"].values
-    plots.make_dir(args.out)
+    sd.make_dir(args.out)
     base = os.path.join(args.out, "domain_grid" if args.which == "model"
                         else "domain_grid_disc")
+    from . import plots
     written = plots.domain_heatmap(base, grid)
     m, n = grid.shape
     print(f"{m} bearing bins x {n} heading bins; "

@@ -1,4 +1,4 @@
-"""Trajectory ingestion, windowing, and synthetic scenario generation.
+"""Trajectory ingestion, windowing, synthetic scenarios and file output.
 
 Raw format: whitespace-delimited text rows ``frame_id ped_id x y``. Frame
 ids advancing by a fixed step (e.g. 10) are re-indexed to consecutive
@@ -14,6 +14,7 @@ first absence onward, even if it reappears.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,6 +192,24 @@ def write_records(path, records: list[RawRecord]) -> None:
     with open(path, "w") as fh:
         for r in records:
             fh.write(f"{r.frame} {r.ped} {r.x:.17g} {r.y:.17g}\n")
+
+
+def write_text(path, text: str) -> str:
+    """Write ``text`` to ``path``, a failure as DataError; returns the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    return str(path)
+
+
+def make_dir(path) -> None:
+    """Create directory ``path`` and its parents, a failure as DataError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create {path}: {exc}") from exc
 
 
 def scenes_to_records(windows: list[SceneWindow]) -> list[RawRecord]:

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 import os
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from . import autodiff as ad
 from . import generative as gn
-from .errors import DataError
+from .data import make_dir, write_text
 from .model import ScanModel
 from .training import default_k, load_checkpoint
 
@@ -40,22 +39,9 @@ def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
-def write_text(path, text: str) -> str:
-    """Write ``text`` to ``path``, a failure as DataError; returns the path."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
-    return str(path)
-
-
-def make_dir(path) -> None:
-    """Create directory ``path`` and its parents, a failure as DataError."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create {path}: {exc}") from exc
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class _Svg:
@@ -111,7 +97,7 @@ class _Svg:
         self.parts.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" '
             f'font-size="{size:g}" fill="{fill}" '
-            f'text-anchor="{anchor}"{weight}>{escape(s)}</text>')
+            f'text-anchor="{anchor}"{weight}>{_escape(s)}</text>')
 
     def group_open(self, dx: float, dy: float) -> None:
         self.parts.append(f'<g transform="translate({dx:.2f},{dy:.2f})">')

@@ -5,6 +5,9 @@ package under test (numpy is used only for array containers), so they
 cannot share bugs with the real code paths. ``composed_decode`` is the
 other kind of reference: the decoder as the separate tape records it took
 before its steps were fused, which the fused ops must equal bit for bit.
+``matmul`` is a test-side op on the package's tape: the plain matrix
+products that reference computations and gradient probes are written with,
+which the package itself no longer uses.
 """
 
 import math
@@ -93,6 +96,57 @@ def numeric_gradient(f, values, h=1e-5):
         values[idx] = saved
         grad[idx] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def matmul(a, b):
+    """Matrix products as one tape record, named ``matmul``.
+
+    Accepted shapes: ``(m, k) @ (k, n)``, ``(m, k) @ (k,)``, ``(k,) @ (k,)``
+    (a scalar), and per slice of equal leading axes ``...``:
+    ``(..., m, k) @ (..., k) -> (..., m)`` and
+    ``(..., m) @ (..., m, k) -> (..., k)``. numpy runs a batched product one
+    slice at a time, so each slice equals its unbatched product bit for bit.
+    Batched matrix-matrix products go through ``ad.block_matmul``.
+    """
+    from scantraj import autodiff as ad
+    from scantraj.errors import ShapeError
+
+    a, b = ad._lift(a), ad._lift(b)
+    av, bv = a.values, b.values
+    if av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
+        outv = av @ bv
+
+        def backward(g):
+            ad._add_grad(a, np.outer(g, bv))
+            ad._add_grad(b, av.T @ g)
+    elif av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:
+        outv = av @ bv
+
+        def backward(g):
+            ad._add_grad(a, g @ bv.T)
+            ad._add_grad(b, av.T @ g)
+    elif av.ndim == 1 and av.shape == bv.shape:
+        outv = np.asarray(av @ bv)
+
+        def backward(g):
+            ad._add_grad(a, g * bv)
+            ad._add_grad(b, g * av)
+    elif (av.ndim == bv.ndim + 1 >= 3 and av.shape[:-2] == bv.shape[:-1]
+          and av.shape[-1] == bv.shape[-1]):
+        outv = np.matmul(av, bv[..., None])[..., 0]
+
+        def backward(g):
+            ad._add_grad(a, g[..., :, None] * bv[..., None, :])
+            ad._add_grad(b, np.matmul(g[..., None, :], av)[..., 0, :])
+    elif (bv.ndim == av.ndim + 1 >= 3 and av.shape[:-1] == bv.shape[:-2]):
+        outv = np.matmul(av[..., None, :], bv)[..., 0, :]
+
+        def backward(g):
+            ad._add_grad(a, np.matmul(bv, g[..., :, None])[..., 0])
+            ad._add_grad(b, av[..., :, None] * g[..., None, :])
+    else:
+        raise ShapeError(f"matmul: shapes {av.shape} and {bv.shape} do not conform")
+    return ad._record("matmul", outv, (a, b), backward)
 
 
 def composed_decode(model, scenes, bank, noise=None):

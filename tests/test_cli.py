@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving run() in process."""
 
+import json
 import os
 import re
 import subprocess
@@ -72,14 +73,68 @@ def trained_ckpt(tmp_path, micro_config):
     return ckpt
 
 
-def test_the_package_runs_as_a_module_without_a_warning():
+def fresh_python(*args):
+    """Run a new interpreter with this checkout's package first on the path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "scantraj", "--help"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["scantraj", "scantraj.cli"])
+def test_the_package_runs_as_a_module_without_a_warning(module):
+    proc = fresh_python("-W", "error", "-m", module, "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: scantraj") and proc.stderr == ""
+
+
+ON_FIRST_USE = ("scantraj.plots", "scantraj.cli", "xml.sax", "urllib.request",
+                "argparse", "configparser")
+
+
+def loaded_after(code):
+    """Which of ``ON_FIRST_USE`` a fresh interpreter holds after ``code``."""
+    proc = fresh_python("-c", f"import json, sys\n{code}\nprint(json.dumps("
+                        f"[m for m in {ON_FIRST_USE!r} if m in sys.modules]))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestColdStart:
+    def test_import_loads_only_the_forecasting_core(self):
+        assert loaded_after("import scantraj") == []
+
+    def test_plots_and_cli_resolve_on_first_use(self):
+        code = ("import scantraj\n"
+                "assert {'plots', 'cli'} <= set(dir(scantraj))\n"
+                "assert scantraj.plots.__name__ == 'scantraj.plots'\n"
+                "from scantraj import cli\n"
+                "assert cli is scantraj.cli and callable(cli.main)")
+        assert loaded_after(code) == ["scantraj.plots", "scantraj.cli",
+                                      "argparse", "configparser"]
+
+    def test_unknown_attributes_still_raise(self):
+        import scantraj
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            scantraj.nope
+
+    def test_commands_that_do_not_draw_leave_plots_unloaded(self, tmp_path,
+                                                            trained_ckpt):
+        rows = str(tmp_path / "rows.txt")
+        code = ("from scantraj import cli\n"
+                f"assert cli.run(['synth', '--kind', 'straight', '--n', '2', "
+                f"'--obs-len', '3', '--pred-len', '2', '--out', {rows!r}]) == 0\n"
+                f"assert cli.run(['evaluate', '--ckpt', {trained_ckpt!r}, "
+                f"'--data', {rows!r}]) == 0")
+        assert "scantraj.plots" not in loaded_after(code)
+
+    def test_predict_loads_plots(self, tmp_path, trained_ckpt):
+        code = ("from scantraj import cli\n"
+                f"assert cli.run(['predict', '--ckpt', {trained_ckpt!r}, "
+                f"'--synth', 'straight:2:7', '--scenes', '1', "
+                f"'--out', {str(tmp_path / 'figs')!r}]) == 0")
+        assert "scantraj.plots" in loaded_after(code)
 
 
 class TestUsageErrors:

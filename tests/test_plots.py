@@ -1,6 +1,7 @@
 """Figure-emission tests. Goldens compare the backing CSVs, never images."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -120,6 +121,22 @@ class TestDomainHeatmap:
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             plots.domain_heatmap(tmp_path / "dom", np.zeros(5))
+
+
+class TestTitleEscaping:
+    TITLE = 'a < b & c > "d" &amp; <<>>'
+
+    @pytest.mark.parametrize("figure", ["fan", "dom"])
+    def test_title_is_escaped_as_saxutils_does(self, tmp_path, figure):
+        if figure == "fan":
+            scene = tiny_scene()
+            plots.plot_trajectories(tmp_path / figure, scene, tiny_samples(scene),
+                                    title=self.TITLE)
+        else:
+            plots.domain_heatmap(tmp_path / figure, np.full((2, 2), 4.0), title=self.TITLE)
+        path = tmp_path / f"{figure}.svg"
+        assert f'font-weight="bold">{escape(self.TITLE)}</text>' in path.read_text()
+        assert next(svg_root(path).iter(SVG_NS + "text")).text == self.TITLE
 
 
 class TestDiversityGrid:
