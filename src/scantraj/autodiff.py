@@ -54,11 +54,19 @@ record per layer, whatever its size or sample count. Their shape rules:
   ``tanh(linear([context, query], weight, bias))`` with ``weight`` ``(H, 2K)``
   gives ``(..., N, H)``.
 * ``pair_weights(cum, grid, start, neighbors, bins, mask, literal=False)``:
-  a decoder step's ``(..., R, J)`` spatial weights: offsets ``start +
-  cum[..., neighbors[r, j]] - cum[..., r]`` (``start`` alone when ``cum``
-  is None), the ``(m, n)`` grid's range at the 1-based ``bins`` minus
-  their length, relu, and softmax over ``mask`` (and, unless ``literal``,
-  over the positive scores only).
+  the ``(..., R, J)`` spatial weights of a decoder step or of a whole
+  known-track pass: offsets ``start + cum[..., neighbors[r, j], :] -
+  cum[..., r, :]``, or ``cum[..., neighbors, :] - cum[..., :, None, :]``
+  alone when ``start`` is None and ``start`` alone when ``cum`` is None;
+  the ``(m, n)`` grid's range at the 1-based ``bins`` minus their length,
+  relu, and softmax over ``mask`` (and, unless ``literal``, over the
+  positive scores only). ``cum`` is ``(..., R, 2)``, ``start`` ``(..., R,
+  J, 2)``; the leading axes (samples, or time then samples) run in the
+  same record, and ``bins`` and ``mask`` broadcast to ``(..., R, J)``. The
+  record keeps only the weights, the softmax mask, a bool mask of the
+  positive reaches and one flat grid-cell index per pair; its backward
+  recomputes the offsets and distances from ``cum`` (and ``start``) with
+  the forward's own operations, so its memory per pair is a few bytes.
 * ``decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse,
   embed, lstm, out, attention=None, key="fused")``: one decoder step, one
   record with outputs ``(hidden, cell, disp, cum, pos)``, all ``(..., R,
@@ -889,33 +897,47 @@ def _attention_grads(g, qv, kv, mask, saved, weight, bias, keys) -> tuple:
 
 
 def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False) -> TensorNode:
-    """A decoder step's spatial weights as one record; see the module
-    docstring. The backward replays the composed records' float operations
-    in their order."""
-    grid, offsets = _lift(grid), np.asarray(start, dtype=np.float64)
+    """The spatial weights of a pass or a decoder step as one record; see
+    the module docstring. The record keeps the weights, the two masks and
+    one flat grid-cell index per pair; the backward recomputes the offsets
+    and distances with the forward's own operations and replays the
+    composed records' float operations in their order."""
+    grid = _lift(grid)
     cum = None if cum is None else _lift(cum)
-    lead = (slice(None),) * (offsets.ndim - 3)
-    rows = np.broadcast_to(np.arange(len(neighbors))[:, None], neighbors.shape)
-    if (grid.values.ndim != 2 or offsets.shape[-3:] != neighbors.shape + (2,)
-            or cum is not None and cum.shape != offsets.shape[:-3] + (len(neighbors), 2)):
-        raise ShapeError(f"pair_weights: offsets {offsets.shape}, neighbours "
+    start = None if start is None else np.asarray(start, dtype=np.float64)
+    R = len(neighbors)
+    if (grid.values.ndim != 2 or start is None and cum is None
+            or start is not None and start.shape[-3:] != neighbors.shape + (2,)
+            or cum is not None and cum.shape[-2:] != (R, 2)
+            or start is not None and cum is not None and cum.shape[:-2] != start.shape[:-3]):
+        raise ShapeError(f"pair_weights: offsets {None if start is None else start.shape}, "
+                         f"running sum {None if cum is None else cum.shape}, neighbours "
                          f"{neighbors.shape} and grid {grid.shape} do not conform")
-    if cum is not None:
-        offsets = offsets + (_take(cum.values, lead + (neighbors,)) - cum.values[..., None, :])
-    distance = _norm_values(offsets)
-    cell = (bins[0] - 1, bins[1] - 1)
-    reach = grid.values[cell] - distance
-    score = np.maximum(reach, 0.0)
-    active = np.broadcast_to(np.asarray(mask, dtype=bool), score.shape)
+    lead = () if cum is None else (slice(None),) * (cum.values.ndim - 2)
+
+    def offsets_of() -> np.ndarray:
+        if cum is None:
+            return start
+        pairs = _take(cum.values, lead + (neighbors,)) - cum.values[..., None, :]
+        return pairs if start is None else start + pairs
+
+    offsets = offsets_of()
+    flat = (bins[0] - 1) * grid.shape[1] + (bins[1] - 1)
+    reach = np.take(grid.values, flat) - _norm_values(offsets)
+    positive = reach > 0.0
+    active = np.broadcast_to(np.asarray(mask, dtype=bool), reach.shape)
     if not literal:
-        active = active & (score > 0.0)
-    outv = _softmax_values(score, active)
+        active = active & positive
+    outv = _softmax_values(np.maximum(reach, 0.0), active)
 
     def backward(g):
-        d_reach = _softmax_grad(g, outv, active) * (reach > 0.0)
-        _add_grad(grid, _scatter(grid.shape, cell, d_reach))
+        d_reach = _softmax_grad(g, outv, active) * positive
+        _add_grad(grid, np.bincount(flat.ravel(), d_reach.ravel(), grid.values.size)
+                  .reshape(grid.shape))
         if cum is not None:
-            d_offsets = _norm_grad(-d_reach, offsets, distance)
+            offsets = offsets_of()
+            d_offsets = _norm_grad(-d_reach, offsets, _norm_values(offsets))
+            rows = np.broadcast_to(np.arange(R)[:, None], neighbors.shape)
             _add_grad(cum, _scatter(cum.shape, lead + (rows,), -d_offsets))
             _add_grad(cum, _scatter(cum.shape, lead + (neighbors,), d_offsets))
 
@@ -1044,6 +1066,9 @@ def l2norm(a) -> TensorNode:
 
 
 def _norm_values(xv: np.ndarray) -> np.ndarray:
+    if xv.shape[-1] == 2:       # np.sum's own two products and add, without its loop
+        x, y = xv[..., 0], xv[..., 1]
+        return np.sqrt(x * x + y * y)
     return np.sqrt(np.sum(xv * xv, axis=-1))
 
 

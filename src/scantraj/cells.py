@@ -10,14 +10,16 @@ scene. A leading sample axis ``(S, N, ...)`` runs S futures of the same
 scenes in the same records. Either way each scene (and each sample) equals
 a pass over it alone, bit for bit.
 
-A spatial round is a geometry half (``spatial_weights``), which reads no
+A spatial round is a geometry half, the pair weights, which reads no
 hidden state, then a state half that blends and fuses the hidden states.
-``observed_pass`` runs the geometry half once over a whole known track and
-hands the state half, with the cell, to ``ad.recurrence``: the whole loop
-is one record. The decoder's geometry follows its own predictions, so it
-runs both halves per step, as ``ad.pair_weights`` and ``ad.decoder_step``
-(with the cell): two records. ``spatial_round`` and ``lstm_cell`` are the
-composed records those equal bit for bit.
+``observed_pass`` computes the weights of a whole known track as one
+``ad.pair_weights`` record and hands the state half, with the cell, to
+``ad.recurrence``: the whole loop is one record. The decoder's geometry
+follows its own predictions, so it runs both halves per step, as
+``ad.pair_weights`` and ``ad.decoder_step`` (with the cell): two records.
+``pairwise_offsets``, ``spatial_weights``, ``spatial_round`` and
+``lstm_cell`` are the composed records those equal bit for bit; no
+production pass calls them.
 """
 
 from __future__ import annotations
@@ -187,9 +189,12 @@ def observed_pass(track: ad.TensorNode, presence: np.ndarray, layout: SceneLayou
     position (``absolute``) or the displacement from t - 1 (zeros at t = 0),
     fuses the neighbours' context into the hidden state and runs the cell.
     All but the loop is computed once with a leading time axis (one
-    time-major ``gather``, kinematics, bins, weights, step inputs,
-    embedding, ``x @ W_ih.T + b``) and the loop is one ``ad.recurrence``
-    record; values equal a step-by-step pass bit for bit. Returns the final
+    time-major ``gather``, kinematics, bins, step inputs, embedding, ``x @
+    W_ih.T + b``), the weights of every step are one ``ad.pair_weights``
+    record and the loop is one ``ad.recurrence`` record; values and
+    gradients equal the composed records (``pairwise_offsets`` and
+    ``spatial_weights`` over all steps, then a block product, fuse and cell
+    per step) bit for bit. Returns the final
     (..., R, H) hidden and cell, the time-major (T, ..., R, K) fused states
     (``key="fused"``) or joints, and the last kinematics, in rows.
     """
@@ -199,10 +204,10 @@ def observed_pass(track: ad.TensorNode, presence: np.ndarray, layout: SceneLayou
     kins = track_kinematics(pos.values)
     weights = None
     if not force_zero_context:
-        offsets = pairwise_offsets(pos, layout.neighbors)
         mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
-        weights = spatial_weights(offsets, kins, np.broadcast_to(mask, offsets.shape[:-1]),
-                                  layout, grid, literal_softmax)
+        weights = ad.pair_weights(pos, grid.node, None, layout.neighbors,
+                                  bin_indices(kins, grid.spec, layout.neighbors),
+                                  mask, literal_softmax)
     step_in = pos if absolute else ad.concat(
         [ad.constant(np.zeros((1,) + pos.shape[1:])), ad.sub(pos[1:], pos[:-1])])
     w_ih, w_hh, bias = lstm

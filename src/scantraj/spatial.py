@@ -15,6 +15,11 @@ Scores are normalized with a row-masked softmax so that beyond-domain
 neighbours keep weight exactly 0 (an unmasked softmax would hand them
 exp(0) = 1 and let them leak influence). The textbook unmasked form stays
 available behind ``literal_softmax`` for comparison runs.
+
+The passes score pairs with ``ad.pair_weights``, one record that keeps a
+few bytes per pair; ``raw_score`` and ``normalize_scores`` are its
+composed reference, which it equals bit for bit, and no production pass
+calls them.
 """
 
 from __future__ import annotations

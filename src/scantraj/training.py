@@ -215,6 +215,12 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
     rate pools frames across scenes. Evaluating twice with one seed gives
     identical reports. Every pass runs under ``ad.no_grad()``: the values
     equal a recorded pass bit for bit, and nothing is recorded.
+
+    A window whose predicted positions are not all finite raises
+    ``NumericError``; its pass is then run once more, with the same noise
+    draw, under a recording tape, so that the message names the first op
+    whose output went non-finite. So does a window whose finite predictions
+    lie too far away to score as a finite error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -237,20 +243,25 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
         mask = scene.mask[scene.obs_len:scene.obs_len + usable].T
         if not mask.any():
             continue
+        with ad.no_grad():
+            positions = _window_positions(model, scene, k, hub, index).values
+        if not np.isfinite(positions).all():
+            with ad.Tape():                 # the same pass, recorded to name the op
+                origin = ad.nonfinite_origin(_window_positions(model, scene, k, hub, index))
+            raise NumericError(f"evaluate: window {index} predicts non-finite "
+                               f"positions{origin}")
+        positions = positions[..., :usable, :]
         if cfg.generative and k > 1:
-            rng = hub.derive(EVAL_NOISE_STREAM, index)
-            with ad.no_grad():
-                sample_set = gn.sample_predictions(model, scene, k, rng)
-                positions = sample_set.positions_array()[:, :, :usable]
             first = positions[0]
             bok_ade, bok_fde = metrics.best_of_k(positions, truth, mask)
         else:
-            with ad.no_grad():
-                result = model.forward(scene)
-            first = result.positions()[:, :usable]
+            first = positions
             bok_ade = bok_fde = None
         scene_ade = metrics.ade(first, truth, mask)
         scene_fde, _ = metrics._fde(first, truth, mask)   # fallback is routine here
+        if not np.isfinite([scene_ade, scene_fde, bok_ade or 0.0, bok_fde or 0.0]).all():
+            raise NumericError(f"evaluate: window {index} scores a non-finite error: its "
+                               f"predicted positions reach {np.abs(positions).max():.3g} m")
         ades.append(scene_ade)
         fdes.append(scene_fde)
         bok_ades.append(bok_ade if bok_ade is not None else scene_ade)
@@ -267,6 +278,17 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
         near_collision_pct=ncr, n_scenes=len(ades), n_peds=n_peds)
     report.validate()
     return report
+
+
+def _window_positions(model: ScanModel, scene, k: int, hub: ad.RngHub,
+                      index: int) -> ad.TensorNode:
+    """The predicted positions of evaluation window ``index``: the (k, N,
+    pred_len, 2) samples drawn from its own noise stream, or the (N,
+    pred_len, 2) forecast when there is one sample."""
+    if model.cfg.generative and k > 1:
+        rng = hub.derive(EVAL_NOISE_STREAM, index)
+        return gn.sample_predictions(model, scene, k, rng).futures
+    return model.forward(scene).pos
 
 
 def sweep_horizons(cfg: ModelConfig, params: ad.ParamStore, records: list,

@@ -228,3 +228,47 @@ def composed_decode(model, scenes, bank, noise=None):
                          ad.gather(ad.stack(disps, axis=-2), undo),
                          ad.gather(ad.stack(positions, axis=-2), undo),
                          present.T)
+
+
+
+def composed_observed_pass(track, presence, layout, grid, embed, lstm, fuse, absolute,
+                           key="fused", literal_softmax=False, force_zero_context=False):
+    """``cells.observed_pass`` as the records it took before its pair
+    weights and its loop were fused: the composed pair chain over all steps
+    (``cells.pairwise_offsets`` and ``cells.spatial_weights``: offsets,
+    distance, grid cell, relu and softmax), the step inputs and their
+    embedding over all steps, then from zero states, step by step, the
+    block product, the fuse and ``cells.lstm_cell``.
+
+    The pair chain runs over all steps at once because the pass sums each
+    grid cell's gradient over the pairs of every step in one scatter; a
+    spatial round per step adds per-step sums instead, last step first,
+    which differs in the last bits."""
+    from scantraj import autodiff as ad
+    from scantraj import cells, spatial
+    from scantraj.geometry import track_kinematics
+
+    lead, T = track.shape[:-3], track.shape[-2]
+    index = np.ix_(np.arange(T), *map(np.arange, lead), layout.order)
+    pos = ad.gather(track, index[1:] + index[:1])
+    kins = track_kinematics(pos.values)
+    weights = [None] * T
+    if not force_zero_context:
+        offsets = cells.pairwise_offsets(pos, layout.neighbors)
+        mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
+        weights = ad.unstack(cells.spatial_weights(
+            offsets, kins, np.broadcast_to(mask, offsets.shape[:-1]), layout, grid,
+            literal_softmax))
+    step_in = pos if absolute else ad.concat(
+        [ad.constant(np.zeros((1,) + pos.shape[1:])), ad.sub(pos[1:], pos[:-1])])
+    w_ih, w_hh, bias = lstm
+    gates_in = ad.unstack(cells.linear(cells.linear(step_in, *embed), w_ih, bias))
+    hidden = cell = ad.constant(np.zeros(pos.shape[1:-1] + w_hh.shape[1:]))
+    keys = []
+    for step_weights, step_gates in zip(weights, gates_in):
+        context = (ad.constant(np.zeros(hidden.shape)) if step_weights is None
+                   else spatial.context_vector(step_weights, hidden, layout.blocks))
+        fused, joint = spatial.fuse_hidden(hidden, context, *fuse)
+        keys.append(fused if key == "fused" else joint)
+        hidden, cell = cells.lstm_cell(step_gates, fused, cell, w_hh)
+    return hidden, cell, ad.stack(keys), kins[-1]

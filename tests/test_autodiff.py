@@ -366,6 +366,23 @@ class TestBatchedOps:
         np.testing.assert_array_equal(out.values, [5.0, 10.0])
         np.testing.assert_array_equal(x.grad, [[0.6, 0.8], [-0.6, 0.8]])
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(*[st.one_of(st.floats(), st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e200, np.inf, -np.inf, np.nan]))] * 2),
+        min_size=1, max_size=12), lead=st.sampled_from([(), (3,)]))
+    def test_l2norm_of_pairs_is_the_summed_squares_bitwise(self, rows, lead):
+        # Width 2 skips np.sum's loop but keeps its two products and one add:
+        # signed zeros, subnormals, overflow to inf and inf come out alike.
+        # A NaN stays a NaN; which operand's sign it carries is up to numpy's
+        # vector loops, so NaNs compare as NaN.
+        x = np.broadcast_to(np.array(rows, dtype=np.float64), lead + (len(rows), 2))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = ad.l2norm(ad.constant(x)).values
+            want = np.sqrt(np.sum(x * x, axis=-1))
+        nan = np.isnan(want)
+        assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
     def test_gather_accumulates_repeated_indices(self):
         x = ad.constant([1.0, 2.0, 3.0])
         with ad.Tape() as tape:
@@ -557,11 +574,15 @@ def composed_attention(query, keys, valid, weight, bias):
 
 
 def composed_pair_weights(cum, grid, start, neighbors, bins, mask, literal):
-    """A decoder step's spatial weights as the records they took before
-    ``ad.pair_weights``: offsets, distance, grid cell, relu and softmax."""
-    offsets = ad.constant(start)
-    if cum is not None:
-        offsets = ad.add(offsets, cells.pairwise_offsets(cum, neighbors))
+    """Spatial weights as the records they took before ``ad.pair_weights``:
+    offsets, distance, grid cell, relu and softmax. Without ``start`` the
+    offsets are the pair offsets of ``cum`` alone, as in a known-track pass."""
+    if start is None:
+        offsets = cells.pairwise_offsets(cum, neighbors)
+    else:
+        offsets = ad.constant(start)
+        if cum is not None:
+            offsets = ad.add(offsets, cells.pairwise_offsets(cum, neighbors))
     scores = spatial.raw_score(spatial.DomainGrid(grid, None), bins, ad.l2norm(offsets))
     return spatial.normalize_scores(scores, mask, literal).normalized
 
@@ -669,12 +690,15 @@ class TestFusedKernels:
     @PROPERTY
     @given(lead=st.sampled_from([(), (3,)]),
            sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5), first=st.booleans(),
-           literal=st.booleans(), reused=st.sets(st.integers(0, 1)),
+           no_start=st.booleans(), literal=st.booleans(), reused=st.sets(st.integers(0, 1)),
            seed=st.integers(0, 2**32 - 1))
     def test_pair_weights_equal_the_composed_records_bitwise(
-            self, lead, sizes, first, literal, reused, seed):
+            self, lead, sizes, first, no_start, literal, reused, seed):
+        # Without start the offsets come from cum alone (a known-track pass).
         rng = np.random.default_rng(seed)
         layout, mask, start = drawn_layout(rng, lead, sizes)
+        if no_start and not first:
+            start = None
         R, J = layout.neighbors.shape
         bins = (rng.integers(1, 4, size=lead + (R, J)), rng.integers(1, 3, size=lead + (R, J)))
         arrays = [None if first else rng.normal(0.0, 0.5, size=lead + (R, 2)),

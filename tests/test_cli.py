@@ -370,6 +370,22 @@ class TestEvaluateCommand:
                         "--data", "rows.txt"])
         assert code == 0
 
+    @pytest.mark.parametrize("weight, message", [
+        (np.inf, "predicts non-finite positions; first non-finite output: decoder_step"),
+        (1e200, "scores a non-finite error: its predicted positions reach")])
+    def test_non_finite_predictions_exit_3(self, tmp_path, trained_ckpt, capsys, weight,
+                                           message):
+        # inf makes the positions non-finite; 1e200 keeps them finite but too
+        # far away for their error to be a finite number.
+        state = tr.load_checkpoint(trained_ckpt)
+        state.params["out.W"].values[...] = weight
+        broken = str(tmp_path / "broken.ckpt")
+        tr.save_checkpoint(broken, state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.run(["evaluate", "--ckpt", broken, "--synth", "straight:2:7"])
+        assert code == 3
+        assert f"numeric failure: evaluate: window 0 {message}" in capsys.readouterr().err
+
 
 class TestPredictCommand:
     def test_emits_figures(self, tmp_path, trained_ckpt, capsys):

@@ -1,5 +1,7 @@
 """Forecaster tests: shapes, equivariances, reductions, gradient fidelity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,18 +173,24 @@ def records_of(run) -> int:
 
 
 class TestRecordBudget:
-    """A known-track pass costs no records per step: its loop is one
-    ``ad.recurrence`` record. A decoder step costs two at most."""
+    """A known-track pass costs no records per step: its pair weights are
+    one ``ad.pair_weights`` record and its loop one ``ad.recurrence``
+    record. A decoder step costs two at most."""
 
     @pytest.mark.parametrize("overrides", [{}, {"force_zero_context": True},
                                            {"coordinate_mode": "absolute",
                                             "attention_key": "joint"}])
-    def test_an_observed_step_adds_a_fixed_few_records(self, overrides):
+    def test_an_observed_step_adds_a_fixed_few_records(self, overrides, monkeypatch):
+        ops = recorded_ops(monkeypatch)
         counts = []
         for obs_len in (3, 4, 5):
             m = build(micro_cfg(obs_len=obs_len, **overrides))
             scene = make_scene(dyadic_walkers(obs_len + 2), obs_len=obs_len)
+            del ops[:]
             counts.append(records_of(lambda: m.encode(scene)))
+            assert ops.count("pair_weights") == (0 if overrides.get("force_zero_context")
+                                                 else 1)
+            assert not {"l2norm", "relu", "masked_softmax"} & set(ops)
         assert counts[0] == counts[1] == counts[2]
 
     @pytest.mark.parametrize("overrides", [
@@ -203,6 +211,43 @@ class TestRecordBudget:
                 bank = m.encode(scene)
                 counts.append(records_of(lambda: m.decode(scene, bank, noise=noise)))
         assert counts[2] - counts[1] == counts[1] - counts[0] <= 2
+
+
+def tape_bytes(model, scene) -> tuple:
+    """tracemalloc bytes of one scene's forward pass and trajectory loss:
+    (held after them, peak over them and the backward pass)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with ad.Tape() as tape:
+            loss = sm.trajectory_loss(model.forward(scene), scene)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tape.backward(loss)
+        return held, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTapeMemory:
+    """The tape keeps few bytes per neighbour pair: a pair record keeps its
+    weights, two masks and one grid-cell index, and its backward recomputes
+    the offsets and distances."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"generative": True}, {"variant": "vanilla", "literal_softmax": True}],
+        ids=["default", "generative", "vanilla_literal"])
+    def test_pair_memory_per_pair_and_step_is_bounded(self, overrides):
+        cfg = sm.ModelConfig(**overrides)
+        model, steps = build(cfg, seed=1), cfg.obs_len + cfg.pred_len
+        rng = np.random.default_rng(4)
+        sizes, measured = (64, 128), []
+        for n in sizes:
+            start = rng.uniform(-0.5 * n ** 0.5, 0.5 * n ** 0.5, size=(n, 1, 2))
+            paths = start + np.cumsum(rng.normal(0.3, 0.1, size=(n, steps, 2)), axis=1)
+            measured.append(tape_bytes(model, make_scene(paths, cfg.obs_len)))
+        pair_steps = (sizes[1] ** 2 - sizes[0] ** 2) * steps
+        held, peak = [(big - small) / pair_steps for small, big in zip(*measured)]
+        assert held <= 48 and peak <= 96, (held, peak)
 
 
 class TestConfig:

@@ -17,7 +17,9 @@ the tape does not grow with k.
 The fused decoder step equals the separate records it replaced: a whole
 decode, over drawn configurations, batches and samples, gives the same
 positions and the same gradient to every parameter and every encoder
-output as the composed records, bit for bit.
+output as the composed records, bit for bit. So does a known-track pass
+(the encoder's and the critic's): its hidden, cell and keys, the gradient
+of every parameter and of the track.
 
 So do the scene-batched passes of a training step: every scene of a batch
 equals a pass over it alone bit for bit, though the scenes overlap in space
@@ -33,15 +35,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scantraj import autodiff as ad
+from scantraj import cells
 from scantraj import generative as gn
 from scantraj import model as sm
+from scantraj import spatial
 from scantraj.data import SceneWindow
 from scantraj.geometry import (AgentKinematics, BinSpec, CrowdKinematics,
                                advance_kinematics, bin_index, bin_indices,
                                compute_encounter, estimate_heading,
                                normalize_deg, track_kinematics)
 
-from oracles import composed_decode
+from oracles import composed_decode, composed_observed_pass
 from test_model import build, fake_track, make_scene, micro_cfg, real_track
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -442,6 +446,43 @@ def test_the_fused_decode_equals_the_composed_records_bitwise(seed, data):
                    + [node.grad.tobytes() for node in (bank.hidden, bank.cell,
                                                        bank.attention.keys)]
                    + [node.grad.tobytes() for _, node in model.params.items()])
+    assert got[0] == got[1]
+
+
+@PROPERTY
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       lead=st.sampled_from([(), (2,)]), T=st.integers(2, 5), absolute=st.booleans(),
+       key=st.sampled_from(["fused", "joint"]), literal=st.booleans(),
+       zero_context=st.booleans(), live=st.booleans(), spec=spec,
+       seed=st.integers(0, 2**32 - 1))
+def test_a_known_track_pass_equals_the_composed_records_bitwise(
+        sizes, lead, T, absolute, key, literal, zero_context, live, spec, seed):
+    # A live track is a recorded node the loss reuses, so it arrives with an
+    # adjoint, as the critic's fake tracks do; a constant one is a leaf.
+    rng = np.random.default_rng(seed)
+    layout = cells.SceneLayout([list(range(n)) for n in sizes])
+    H, E = 3, 2
+    shapes = [(spec.n_bearing, spec.n_heading), (E, 2), E, (4 * H, E), (4 * H, H), 4 * H,
+              (H, 2 * H), H]
+    arrays = [rng.uniform(0.5, 3.0, size=shapes[0])] + [rng.normal(size=s) for s in shapes[1:]]
+    walks = np.cumsum(rng.normal(0.0, 0.5, size=lead + (layout.n_rows, T, 2)), axis=-2)
+    presence = rng.uniform(size=(T, layout.n_rows)) < 0.8
+    got = []
+    for observed_pass in (cells.observed_pass, composed_observed_pass):
+        probes = np.random.default_rng(seed)
+        grid, *params = [ad.constant(a.copy()) for a in arrays]
+        leaf = ad.constant(walks.copy())
+        with ad.Tape() as tape:
+            track = ad.add(leaf, 0.0) if live else leaf
+            outs = observed_pass(track, presence, layout, spatial.DomainGrid(grid, spec),
+                                 tuple(params[:2]), tuple(params[2:5]), tuple(params[5:]),
+                                 absolute, key=key, literal_softmax=literal,
+                                 force_zero_context=zero_context)[:3]
+            tape.backward(ad.mean_of([
+                ad.reduce_sum(ad.mul(out, ad.constant(probes.normal(size=out.shape))))
+                for out in outs + ((track,) if live else ())]))
+        got.append([out.values.tobytes() for out in outs]
+                   + [node.grad.tobytes() for node in (grid, *params, leaf)])
     assert got[0] == got[1]
 
 

@@ -297,6 +297,26 @@ class TestEvaluate:
         assert errors == []
         assert after == before
 
+    @pytest.mark.parametrize("generative, k", [(False, 1), (True, 1), (True, 20)])
+    def test_non_finite_predictions_raise_and_name_the_op(self, monkeypatch, generative, k):
+        cfg, params, windows = self._fixture(generative)
+        params["out.W"].values[...] = np.inf
+        tapes = spy_on_nonfinite_origin(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="window 0 predicts non-finite") as info:
+                tr.evaluate(cfg, params, windows, k=k, seed=2)
+        assert "first non-finite output: decoder_step at" in str(info.value)
+        assert_names_the_first_non_finite_record(str(info.value), tapes)
+
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_predictions_too_far_to_score_raise(self, k):
+        # Finite positions near 1e200 m give an error whose square overflows.
+        cfg, params, windows = self._fixture(generative=True)
+        params["out.W"].values[...] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="window 0 scores a non-finite error"):
+                tr.evaluate(cfg, params, windows, k=k, seed=2)
+
     def test_no_scorable_scenes_raises(self):
         cfg, params, _ = self._fixture()
         empty = sd.SceneWindow(ped_ids=[], positions=np.zeros((5, 0, 2)),
