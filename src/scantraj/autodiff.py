@@ -38,16 +38,19 @@ record per layer, whatever its size or sample count. Their shape rules:
   ``(..., R, J)`` with J >= q (columns past q are ignored) and ``b``
   ``(..., R_b, n)``; the groups cover all R rows of ``a`` and all R_b rows
   of ``b``.
-* ``recurrence(gates_in, weights, w_hh, fuse_w, fuse_b, blocks, key)``: T
-  steps of the spatially attentive LSTM from zero states, one record with
-  outputs ``(hidden, cell, keys)``. Inputs: the ``(T, ..., R, 4H)`` input
-  share of the gates, the ``(T, ..., R, J)`` spatial weights (None: a zero
-  context), ``w_hh`` ``(4H, H)``, ``fuse_w`` ``(H, 2H)``, ``fuse_b`` ``(H,)``.
-  Step t: ``context = block_matmul(weights[t], hidden, blocks)``,
-  ``joint = [hidden, context]``, ``fused = tanh(linear(joint, fuse_w, fuse_b))``
-  and ``lstm_step`` on ``fused``. Outputs: the final ``(..., R, H)`` states
-  and the time-major ``(T, ..., R, H)`` fused states (``key="fused"``) or
-  ``(T, ..., R, 2H)`` joints (``key="joint"``).
+* ``recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key)``: T steps of
+  the spatially attentive LSTM from zero states, one record with outputs
+  ``(hidden, cell, keys)``. Inputs: the ``(T, ..., R, E)`` step inputs, the
+  ``(T, ..., R, J)`` spatial weights (None: a zero context), ``lstm`` =
+  ``(W_ih, W_hh, b)`` of shapes ``(4H, E)``, ``(4H, H)`` and ``(4H,)``,
+  ``fuse_w`` ``(H, 2H)``, ``fuse_b`` ``(H,)``. Step t: ``context =
+  block_matmul(weights[t], hidden, blocks)``, ``joint = [hidden, context]``,
+  ``fused = tanh(linear(joint, fuse_w, fuse_b))`` and ``lstm_step`` on
+  ``fused`` with the input share ``linear(x[t], W_ih, b)`` of the gates,
+  whose rows equal those of ``linear(x, W_ih, b)`` over all steps.
+  Outputs: the final ``(..., R, H)`` states and the time-major ``(T, ...,
+  R, H)`` fused states (``key="fused"``) or ``(T, ..., R, 2H)`` joints
+  (``key="joint"``).
 * ``attention(query, keys, valid, weight, bias)``: each ``(..., N, K)``
   query row scores its ``(..., N, T, K)`` keys, softmax over the
   ``(..., N, T)`` valid steps blends them into a context, and
@@ -79,6 +82,7 @@ record per layer, whatever its size or sample count. Their shape rules:
   ``pos = last_pos + cum``. All four fused ops (``recurrence``,
   ``attention`` and these two) equal their composed records bit for bit,
   in values and in every gradient.
+
 * ``l2norm(a)``: Euclidean norm over the last axis, ``(..., k) -> (...)``;
   the subgradient at a zero vector is 0.
 * ``stack(nodes, axis)``, ``concat(nodes, axis)`` and ``reduce_sum(a, axis)``
@@ -87,6 +91,19 @@ record per layer, whatever its size or sample count. Their shape rules:
   one record with several outputs; each slice gets its own gradient.
   ``split(a, sizes, axis)`` does the same for consecutive runs of ``sizes``
   entries along ``axis``, keeping the axis.
+
+What a fused record keeps: its inputs, its outputs and the intermediates
+whose rebuild would need a matrix product. Everything else its backward
+rebuilds with the forward's own float operations, so values and gradients
+do not change. An LSTM update keeps its gates ``(i, f, o, g)`` and new cell,
+and the backward recomputes ``tanh(new_cell)``. ``recurrence`` keeps each
+step's gates, joint and fused state; the gates' input share of a step lives
+only while that step runs, each step's hidden state is read back from its
+joint, and the weights' row blocks are re-taken from the weights node.
+``decoder_step`` keeps the context and rebuilds ``[hidden, context]``, its
+step input and the weights' blocks; ``attention`` keeps its softmax
+weights and context and rebuilds ``[context, query]``; ``pair_weights``
+rebuilds the offsets and distances (see above).
 
 A record refers to its tape weakly, so nothing points back from a node to
 the tape that holds it: a tape that nobody refers to any more is freed by
@@ -442,9 +459,9 @@ def _blocks_of(x: np.ndarray, rows: slice, m: int, size: int, cols=slice(None)) 
     return np.ascontiguousarray(part).reshape(part.shape[:-2] + (m, size, part.shape[-1]))
 
 
-def _block_layout(op: str, av: np.ndarray, b_shape: tuple, blocks) -> tuple[list, list]:
+def _block_layout(op: str, av: np.ndarray, b_shape: tuple, blocks) -> list:
     """The ``(m, p, q, rows_a, rows_b)`` of every block group, checked against
-    ``a``'s ``(..., R, J)`` and ``b``'s ``(..., R_b, n)``, and a's blocks."""
+    ``a``'s ``(..., R, J)`` and ``b``'s ``(..., R_b, n)``."""
     pieces, row_a, row_b = [], 0, 0
     for m, p, q in blocks:
         if q > av.shape[-1]:
@@ -453,11 +470,16 @@ def _block_layout(op: str, av: np.ndarray, b_shape: tuple, blocks) -> tuple[list
         row_a, row_b = row_a + m * p, row_b + m * q
     if (row_a, row_b) != (av.shape[-2], b_shape[-2]):
         raise ShapeError(f"{op}: blocks {list(blocks)} do not cover {av.shape} and {b_shape}")
-    return pieces, [_blocks_of(av, rows_a, m, p, slice(0, q)) for m, p, q, rows_a, _ in pieces]
+    return pieces
+
+
+def _row_blocks(av: np.ndarray, pieces: list) -> list:
+    """``a``'s blocks of every group of ``pieces`` (``_block_layout``)."""
+    return [_blocks_of(av, rows_a, m, p, slice(0, q)) for m, p, q, rows_a, _ in pieces]
 
 
 def _block_products(a_blocks: list, bv: np.ndarray, pieces: list) -> np.ndarray:
-    """``block_matmul``'s values from the blocks of its ``a`` (``_block_layout``)."""
+    """``block_matmul``'s values from the blocks of its ``a`` (``_row_blocks``)."""
     lead, n = bv.shape[:-2], bv.shape[-1]
     groups = [np.matmul(ab, _blocks_of(bv, rows_b, m, q)).reshape(lead + (m * p, n))
               for ab, (m, p, q, _, rows_b) in zip(a_blocks, pieces)]
@@ -485,7 +507,8 @@ def block_matmul(a, b, blocks) -> TensorNode:
     av, bv = a.values, b.values
     if av.ndim < 2 or bv.ndim != av.ndim or bv.shape[:-2] != av.shape[:-2]:
         raise ShapeError(f"block_matmul: shapes {av.shape} and {bv.shape} do not conform")
-    pieces, a_blocks = _block_layout("block_matmul", av, bv.shape, blocks)
+    pieces = _block_layout("block_matmul", av, bv.shape, blocks)
+    a_blocks = _row_blocks(av, pieces)
 
     def backward(g):
         _block_grads(g, a_blocks, bv, pieces, _adjoint(a), _adjoint(b))
@@ -674,23 +697,27 @@ def sigmoid(a) -> TensorNode:
 
 def _lstm_values(gates_in: np.ndarray, hv: np.ndarray, cv: np.ndarray,
                  wv: np.ndarray) -> tuple:
-    """The LSTM update's forward: (i, f, o, g, new_cell, tanh(new_cell));
-    the new hidden state is ``o * tanh(new_cell)``."""
+    """The LSTM update's forward: the state ``(i, f, o, g, new_cell)`` its
+    backward needs, and the new hidden state ``o * tanh(new_cell)``."""
     H = cv.shape[-1]
     gates = gates_in + _rows_times(hv, wv)
     ifo = _sigmoid_values(np.concatenate([gates[..., :2 * H], gates[..., 3 * H:]], axis=-1))
     i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
     g = np.tanh(gates[..., 2 * H:3 * H])
     new_cell = f * cv + i * g
-    return i, f, o, g, new_cell, np.tanh(new_cell)
+    return (i, f, o, g, new_cell), o * np.tanh(new_cell)
 
 
 def _lstm_grads(d_hidden, d_cell, cv: np.ndarray, state: tuple) -> tuple:
     """The update's backward from the adjoints of its outputs (either may be
-    None, not both): the adjoints of the gates and of the previous cell."""
-    i, f, o, g, _, squashed = state
-    d_o = np.zeros_like(o) if d_hidden is None else d_hidden * squashed
-    if d_hidden is not None:
+    None, not both): the adjoints of the gates and of the previous cell.
+    ``tanh(new_cell)`` is recomputed, as the forward computed it."""
+    i, f, o, g, new_cell = state
+    if d_hidden is None:
+        d_o = np.zeros_like(o)
+    else:
+        squashed = np.tanh(new_cell)
+        d_o = d_hidden * squashed
         through = d_hidden * o * (1.0 - squashed * squashed)
         d_cell = through if d_cell is None else d_cell + through
     d_gates = np.concatenate([d_cell * g * i * (1.0 - i),
@@ -710,7 +737,7 @@ def lstm_step(gates_in, hidden, cell, w_hh) -> tuple[TensorNode, TensorNode]:
             or gates_in.shape != cv.shape[:-1] + (4 * H,)):
         raise ShapeError(f"lstm_step: gates {gates_in.shape}, hidden {hv.shape}, "
                          f"cell {cv.shape} and weight {wv.shape} do not conform")
-    state = _lstm_values(gates_in.values, hv, cv, wv)
+    state, new_hidden = _lstm_values(gates_in.values, hv, cv, wv)
 
     def backward(grads):
         d_gates, d_cell = _lstm_grads(*grads, cv, state)
@@ -720,7 +747,7 @@ def lstm_step(gates_in, hidden, cell, w_hh) -> tuple[TensorNode, TensorNode]:
         _add_grad(w_hh, d_w)
         _add_grad(cell, d_cell)
 
-    return _record_parts("lstm_step", (TensorNode(state[2] * state[5]), TensorNode(state[4])),
+    return _record_parts("lstm_step", (TensorNode(new_hidden), TensorNode(state[4])),
                          (gates_in, hidden, cell, w_hh), backward)
 
 
@@ -735,48 +762,56 @@ def _step_products(d: np.ndarray, x: np.ndarray, steps: list) -> tuple:
     return np.matmul(np.swapaxes(g2, -1, -2), x.reshape(len(x), -1, x.shape[-1])[steps]), g2
 
 
-def recurrence(gates_in, weights, w_hh, fuse_w, fuse_b, blocks,
+def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
                key: str = "fused") -> tuple[TensorNode, TensorNode, TensorNode]:
     """T steps of the spatially attentive LSTM as one record; see the module
     docstring. The backward replays the composed records' float operations
     in their order, but runs each parameter's gradient products as one
     stacked product after the loop, added step T - 1 first as they would be."""
-    gates_in, w_hh, fuse_w, fuse_b = map(_lift, (gates_in, w_hh, fuse_w, fuse_b))
-    gv, wv, fw, fb = gates_in.values, w_hh.values, fuse_w.values, fuse_b.values
-    T, H = len(gv) if gv.ndim else 0, wv.shape[-1]
-    shape = gv.shape[1:-1] + (H,)
-    inputs, pieces, w_blocks = (gates_in, w_hh, fuse_w, fuse_b), [], []
-    if weights is not None:     # each group's blocks of all T steps, one copy
+    x, fuse_w, fuse_b = map(_lift, (x, fuse_w, fuse_b))
+    w_ih, w_hh, bias = map(_lift, lstm)
+    xv, wv, fw, fb = x.values, w_hh.values, fuse_w.values, fuse_b.values
+    T, H = len(xv) if xv.ndim else 0, wv.shape[-1]
+    shape = xv.shape[1:-1] + (H,)
+    inputs, pieces = (x, w_ih, w_hh, bias, fuse_w, fuse_b), []
+    if weights is not None:
         weights = _lift(weights)
-        pieces, w_blocks = _block_layout("recurrence", weights.values, shape, blocks)
+        pieces = _block_layout("recurrence", weights.values, shape, blocks)
         inputs += (weights,)
-    if (gv.ndim < 3 or not T or gv.shape[-1] != 4 * H or wv.shape != (4 * H, H)
-            or fw.shape != (H, 2 * H) or fb.shape != (H,) or key not in ("fused", "joint")
-            or weights is not None and weights.shape[:-1] != gv.shape[:-1]):
-        raise ShapeError(f"recurrence: gates {gv.shape}, W_hh {wv.shape}, fuse {fw.shape}, "
-                         f"{fb.shape}, key {key!r} or weights do not conform")
-    hidden, cell, saved, joints, fused = np.zeros(shape), np.zeros(shape), [], [], []
+    if (xv.ndim < 3 or not T or w_ih.shape != (4 * H, xv.shape[-1]) or wv.shape != (4 * H, H)
+            or bias.shape != (4 * H,) or fw.shape != (H, 2 * H) or fb.shape != (H,)
+            or key not in ("fused", "joint")
+            or weights is not None and weights.shape[:-1] != xv.shape[:-1]):
+        raise ShapeError(f"recurrence: input {xv.shape}, W_ih {w_ih.shape}, W_hh {wv.shape}, "
+                         f"b {bias.shape}, fuse {fw.shape}, {fb.shape}, key {key!r} or "
+                         f"weights do not conform")
+    w_blocks = _row_blocks(weights.values, pieces) if weights is not None else []
+    hidden, cell, states, joints, fused = np.zeros(shape), np.zeros(shape), [], [], []
     for t in range(T):
         context = (np.zeros(shape) if weights is None
                    else _block_products([ab[t] for ab in w_blocks], hidden, pieces))
         joints.append(np.concatenate([hidden, context], axis=-1))
         fused.append(np.tanh(_rows_times(joints[t], fw) + fb))
-        state = _lstm_values(gv[t], fused[t], cell, wv)
-        saved.append((hidden, cell, state))
-        hidden, cell = state[2] * state[5], state[4]
+        gates_in = _rows_times(xv[t], w_ih.values) + bias.values    # ``linear``'s rows of step t
+        state, hidden = _lstm_values(gates_in, fused[t], cell, wv)
+        states.append(state)
+        cell = state[4]
     joints, fused = np.stack(joints), np.stack(fused)
 
     def backward(grads):
         d_hidden, d_cell, d_keys = grads
         keys_at = [None] * T if d_keys is None else d_keys
-        d_gates, d_lin = np.zeros(gv.shape), np.zeros(fused.shape)
-        d_weights = None if weights is None else np.zeros(weights.shape)
+        d_gates, d_lin = np.zeros(xv.shape[:-1] + (4 * H,)), np.zeros(fused.shape)
+        d_weights, w_blocks = None, []
+        if weights is not None:     # each group's blocks of all T steps, one copy
+            d_weights = np.zeros(weights.shape)
+            w_blocks = _row_blocks(weights.values, pieces)
         cell_steps, fuse_steps = [], []
         for t in reversed(range(T)):
-            h_prev, c_prev, state = saved[t]
             d_fused = None
             if d_hidden is not None or d_cell is not None:
-                d_gates[t], d_cell = _lstm_grads(d_hidden, d_cell, c_prev, state)
+                c_prev = states[t - 1][4] if t else np.zeros(shape)
+                d_gates[t], d_cell = _lstm_grads(d_hidden, d_cell, c_prev, states[t])
                 d_fused = (d_gates[t].reshape(-1, 4 * H) @ wv).reshape(shape)
                 cell_steps.append(t)
             d_fused = _plus(keys_at[t] if key == "fused" else None, d_fused)
@@ -788,18 +823,22 @@ def recurrence(gates_in, weights, w_hh, fuse_w, fuse_b, blocks,
             d_joint = _plus(keys_at[t] if key == "joint" else None, d_joint)
             d_hidden = None if d_joint is None else d_joint[..., :H].copy()
             if d_joint is not None and weights is not None:
-                _block_grads(d_joint[..., H:], [ab[t] for ab in w_blocks], h_prev, pieces,
-                             d_weights[t], d_hidden)
+                _block_grads(d_joint[..., H:], [ab[t] for ab in w_blocks], joints[t][..., :H],
+                             pieces, d_weights[t], d_hidden)
         for product in _step_products(d_gates, fused, cell_steps)[0]:
             _add_grad(w_hh, product)
         products, g2 = _step_products(d_lin, joints, fuse_steps)
         for product, total in zip(products, g2.sum(axis=1)):
             _add_grad(fuse_w, product)
             _add_grad(fuse_b, total)
-        if cell_steps:
-            _adjoint(gates_in)[...] += d_gates
         if weights is not None:     # an output adjoint always reaches a joint
             _adjoint(weights)[...] += d_weights
+        if cell_steps:              # ``linear``'s backward, on the adjoint the gates
+            d_gates += 0.0          # node had: a zero buffer plus d_gates (-0.0 -> +0.0)
+            d_x, d_w, d_b = _linear_grads(d_gates, xv, w_ih.values)
+            _add_grad(x, d_x)
+            _add_grad(w_ih, d_w)
+            _add_grad(bias, d_b)
 
     return _record_parts("recurrence", (TensorNode(hidden), TensorNode(cell), TensorNode(
         fused if key == "fused" else joints)), inputs, backward)
@@ -875,18 +914,20 @@ def attention(query, keys, valid, weight, bias) -> TensorNode:
 
 
 def _attention_values(qv, kv, mask, wv, bv) -> tuple:
-    """Attention's forward: (softmax weights, [context, query], output)."""
+    """Attention's forward: (softmax weights, context, output)."""
     weights = _softmax_values(np.matmul(kv, qv[..., None])[..., 0], mask)
-    joint = np.concatenate([np.matmul(weights[..., None, :], kv)[..., 0, :], qv], axis=-1)
-    return weights, joint, np.tanh(_rows_times(joint, wv) + bv)
+    context = np.matmul(weights[..., None, :], kv)[..., 0, :]
+    return weights, context, np.tanh(_rows_times(np.concatenate([context, qv], axis=-1), wv) + bv)
 
 
 def _attention_grads(g, qv, kv, mask, saved, weight, bias, keys) -> tuple:
     """Attention's backward: adds the weight, bias and keys shares in the
-    composed records' order and returns the query's two shares, in order."""
-    weights, joint, outv = saved
+    composed records' order and returns the query's two shares, in order.
+    The ``[context, query]`` rows are rebuilt as the forward built them."""
+    weights, context, outv = saved
     K = kv.shape[-1]
-    d_joint, d_w, d_b = _linear_grads(g * (1.0 - outv * outv), joint, weight.values)
+    d_joint, d_w, d_b = _linear_grads(g * (1.0 - outv * outv),
+                                      np.concatenate([context, qv], axis=-1), weight.values)
     _add_grad(weight, d_w)
     _add_grad(bias, d_b)
     d_context = d_joint[..., :K].copy()
@@ -964,22 +1005,24 @@ def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, em
     if weights is None:
         context = np.zeros(hv.shape)
     else:
-        pieces, w_blocks = _block_layout("decoder_step", weights.values, hv.shape, blocks)
-        context = _block_products(w_blocks, hv, pieces)
+        pieces = _block_layout("decoder_step", weights.values, hv.shape, blocks)
+        context = _block_products(_row_blocks(weights.values, pieces), hv, pieces)
     joint = np.concatenate([hv, context], axis=-1)
     fused = None
     if attention is None or key == "fused":
         fused = np.tanh(_rows_times(joint, fuse_w.values) + fuse_b.values)
     state = fused
     if attention is not None:
-        query = fused if key == "fused" else joint
-        saved = _attention_values(query, keys.values, valid, att_w.values, att_b.values)
+        saved = _attention_values(fused if key == "fused" else joint, keys.values, valid,
+                                  att_w.values, att_b.values)
         state = saved[2]
-    xv = step_in.values if step_in is not None else base if cum is None else base + cum.values
-    embedded = _rows_times(xv, embed_w.values) + embed_b.values
-    cell_state = _lstm_values(_rows_times(embedded, w_ih.values) + bias.values, state, cv,
-                              w_hh.values)
-    new_hidden = cell_state[2] * cell_state[5]
+
+    def step_input() -> np.ndarray:
+        return step_in.values if step_in is not None else base if cum is None else base + cum.values
+
+    embedded = _rows_times(step_input(), embed_w.values) + embed_b.values
+    cell_state, new_hidden = _lstm_values(_rows_times(embedded, w_ih.values) + bias.values,
+                                          state, cv, w_hh.values)
     disp = _rows_times(new_hidden, out_w.values) + out_b.values
     cum_v = disp if cum is None else cum.values + disp
 
@@ -1004,14 +1047,16 @@ def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, em
         d_embedded, d_w, d_b = _linear_grads(d_gates, embedded, w_ih.values)
         _add_grad(w_ih, d_w)
         _add_grad(bias, d_b)
+        xv = step_input()
         d_x, d_w, d_b = _linear_grads(d_embedded, xv, embed_w.values)
         _add_grad(embed_w, d_w)
         _add_grad(embed_b, d_b)
         if step_in is not None or cum is not None:
             _add_grad(cum if step_in is None else step_in, d_x)
+        joint = np.concatenate([hv, context], axis=-1)
         if attention is not None:           # the query's adjoint, from its two shares
-            first, second = _attention_grads(d_state, query, keys.values, valid, saved,
-                                             att_w, att_b, keys)
+            first, second = _attention_grads(d_state, fused if key == "fused" else joint,
+                                             keys.values, valid, saved, att_w, att_b, keys)
             d_state = first + second
         d_joint = d_state
         if fused is not None:               # the state, or the query, is the fused state
@@ -1021,8 +1066,8 @@ def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, em
             _add_grad(fuse_b, d_b)
         _add_grad(hidden, d_joint[..., :hv.shape[-1]])
         if weights is not None:
-            _block_grads(d_joint[..., hv.shape[-1]:], w_blocks, hv, pieces, _adjoint(weights),
-                         _adjoint(hidden))
+            _block_grads(d_joint[..., hv.shape[-1]:], _row_blocks(weights.values, pieces), hv,
+                         pieces, _adjoint(weights), _adjoint(hidden))
 
     outs = [new_hidden, cell_state[4], disp] + ([] if cum is None else [cum_v]) + [base + cum_v]
     parts = _record_parts("decoder_step", tuple(map(TensorNode, outs)), tuple(inputs), backward)

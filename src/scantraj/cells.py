@@ -13,10 +13,11 @@ a pass over it alone, bit for bit.
 A spatial round is a geometry half, the pair weights, which reads no
 hidden state, then a state half that blends and fuses the hidden states.
 ``observed_pass`` computes the weights of a whole known track as one
-``ad.pair_weights`` record and hands the state half, with the cell, to
-``ad.recurrence``: the whole loop is one record. The decoder's geometry
-follows its own predictions, so it runs both halves per step, as
-``ad.pair_weights`` and ``ad.decoder_step`` (with the cell): two records.
+``ad.pair_weights`` record and hands the state half, with the cell and
+its input weights, to ``ad.recurrence``: the whole loop is one record.
+The decoder's geometry follows its own predictions, so it runs both
+halves per step, as ``ad.pair_weights`` and ``ad.decoder_step`` (with the
+cell): two records.
 ``pairwise_offsets``, ``spatial_weights``, ``spatial_round`` and
 ``lstm_cell`` are the composed records those equal bit for bit; no
 production pass calls them.
@@ -189,12 +190,13 @@ def observed_pass(track: ad.TensorNode, presence: np.ndarray, layout: SceneLayou
     position (``absolute``) or the displacement from t - 1 (zeros at t = 0),
     fuses the neighbours' context into the hidden state and runs the cell.
     All but the loop is computed once with a leading time axis (one
-    time-major ``gather``, kinematics, bins, step inputs, embedding, ``x @
-    W_ih.T + b``), the weights of every step are one ``ad.pair_weights``
-    record and the loop is one ``ad.recurrence`` record; values and
+    time-major ``gather``, kinematics, bins, step inputs and the embedding,
+    the pass's one ``linear`` record), the weights of every step are one
+    ``ad.pair_weights`` record and the loop, with its input share ``x @
+    W_ih.T + b`` of the gates, is one ``ad.recurrence`` record; values and
     gradients equal the composed records (``pairwise_offsets`` and
-    ``spatial_weights`` over all steps, then a block product, fuse and cell
-    per step) bit for bit. Returns the final
+    ``spatial_weights`` over all steps, the input linear, then a block
+    product, fuse and cell per step) bit for bit. Returns the final
     (..., R, H) hidden and cell, the time-major (T, ..., R, K) fused states
     (``key="fused"``) or joints, and the last kinematics, in rows.
     """
@@ -210,7 +212,6 @@ def observed_pass(track: ad.TensorNode, presence: np.ndarray, layout: SceneLayou
                                   mask, literal_softmax)
     step_in = pos if absolute else ad.concat(
         [ad.constant(np.zeros((1,) + pos.shape[1:])), ad.sub(pos[1:], pos[:-1])])
-    w_ih, w_hh, bias = lstm
-    hidden, cell, keys = ad.recurrence(linear(linear(step_in, *embed), w_ih, bias),
-                                       weights, w_hh, *fuse, layout.blocks, key=key)
+    hidden, cell, keys = ad.recurrence(linear(step_in, *embed), weights, lstm, *fuse,
+                                       layout.blocks, key=key)
     return hidden, cell, keys, kins[-1]

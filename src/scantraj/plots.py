@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import generative as gn
 from .data import make_dir, write_text
 from .model import ScanModel
-from .training import default_k, load_checkpoint
+from .training import default_k, finite_positions, load_checkpoint
 
 OBSERVED_COLOR = "#222222"
 TRUTH_COLOR = "#2a9d3a"
@@ -376,13 +376,17 @@ def diversity_grid(path_base, scene, panels) -> list[str]:
 
 # -- checkpoint-driven emission ------------------------------------------------
 
-def _scene_samples(model: ScanModel, scene, k: int, rng) -> np.ndarray:
-    if model.cfg.generative:
-        with ad.no_grad():
-            return gn.sample_predictions(model, scene, k, rng).positions_array()
-    with ad.no_grad():
-        result = model.forward(scene)
-    return result.positions()[None]
+def _scene_samples(model: ScanModel, scene, k: int, hub: ad.RngHub, index: int) -> np.ndarray:
+    """(k, N, steps, 2) futures of ``scene`` drawn from noise stream ``index``,
+    or the (1, N, steps, 2) forecast of a deterministic model; non-finite
+    positions raise ``NumericError`` as in ``evaluate``."""
+    def draw() -> ad.TensorNode:
+        if model.cfg.generative:
+            return gn.sample_predictions(model, scene, k, hub.derive("plots/noise", index)).futures
+        return model.forward(scene).pos
+
+    samples = finite_positions(draw, f"predict: scene {index}")
+    return samples if model.cfg.generative else samples[None]
 
 
 def emit_plots(checkpoint_path, scenes, out_dir, k: int | None = None,
@@ -407,7 +411,7 @@ def emit_plots(checkpoint_path, scenes, out_dir, k: int | None = None,
     written: list[str] = []
     kept = [s for s in scenes if s.n_peds > 0][:max_scenes]
     for index, scene in enumerate(kept):
-        samples = _scene_samples(model, scene, k, hub.derive("plots/noise", index))
+        samples = _scene_samples(model, scene, k, hub, index)
         written += plot_trajectories(
             os.path.join(out_dir, f"trajectories_{index:03d}"), scene, samples,
             title=f"scene {index}: {scene.n_peds} pedestrians")
@@ -416,8 +420,7 @@ def emit_plots(checkpoint_path, scenes, out_dir, k: int | None = None,
     if state.cfg.generative and kept:
         scene = kept[0]
         top = max(fan_ks)
-        samples = _scene_samples(model, scene, top,
-                                 hub.derive("plots/noise", 0))
+        samples = _scene_samples(model, scene, top, hub, 0)
         panels = [(kk, lam_label, samples[:kk]) for kk in sorted(fan_ks)]
         written += diversity_grid(os.path.join(out_dir, "diversity_grid"),
                                   scene, panels)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -243,14 +243,8 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
         mask = scene.mask[scene.obs_len:scene.obs_len + usable].T
         if not mask.any():
             continue
-        with ad.no_grad():
-            positions = _window_positions(model, scene, k, hub, index).values
-        if not np.isfinite(positions).all():
-            with ad.Tape():                 # the same pass, recorded to name the op
-                origin = ad.nonfinite_origin(_window_positions(model, scene, k, hub, index))
-            raise NumericError(f"evaluate: window {index} predicts non-finite "
-                               f"positions{origin}")
-        positions = positions[..., :usable, :]
+        positions = finite_positions(lambda: _window_positions(model, scene, k, hub, index),
+                                     f"evaluate: window {index}")[..., :usable, :]
         if cfg.generative and k > 1:
             first = positions[0]
             bok_ade, bok_fde = metrics.best_of_k(positions, truth, mask)
@@ -278,6 +272,20 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
         near_collision_pct=ncr, n_scenes=len(ades), n_peds=n_peds)
     report.validate()
     return report
+
+
+def finite_positions(draw: Callable[[], ad.TensorNode], what: str) -> np.ndarray:
+    """The values of the predicted positions ``draw()`` returns, computed
+    under ``ad.no_grad()``. If they are not all finite, the same draw runs
+    once more under a recording tape and ``NumericError`` names ``what``
+    and the first op whose output went non-finite."""
+    with ad.no_grad():
+        positions = draw().values
+    if not np.isfinite(positions).all():
+        with ad.Tape():
+            origin = ad.nonfinite_origin(draw())
+        raise NumericError(f"{what} predicts non-finite positions{origin}")
+    return positions
 
 
 def _window_positions(model: ScanModel, scene, k: int, hub: ad.RngHub,

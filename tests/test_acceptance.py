@@ -133,6 +133,8 @@ class TestGradientIntegrity:
         step_args = [rng.normal(size=s) for s in step_shapes]
         step_args[2] = rng.uniform(size=(3, 2)) * ~own          # weights
         probes = [rng.normal(size=(3, 2)) for _ in range(5)]
+        # The recurrence's input weights, which take steps of width 8.
+        w88, b8 = rng.normal(size=(8, 8)), rng.normal(size=8)
 
         def pair_weights(literal):
             return lambda c, g: _weighted_sum(
@@ -148,8 +150,8 @@ class TestGradientIntegrity:
         def joint_absolute(h, c, cum, *args):
             return step_all("joint", h, c, None, cum, None, *args)
 
-        def recurrence_all(g, u, w, fw, fb):
-            hidden, cell, keys = ad.recurrence(g, u, w, fw, fb, [(1, 1, 1), (1, 2, 2)],
+        def recurrence_all(x, u, wi, w, b, fw, fb):
+            hidden, cell, keys = ad.recurrence(x, u, (wi, w, b), fw, fb, [(1, 1, 1), (1, 2, 2)],
                                                key="joint")
             return ad.add(ad.add(_weighted_sum(hidden, w232[0]), _weighted_sum(cell, v232[0])),
                           _weighted_sum(keys, w334))
@@ -209,7 +211,7 @@ class TestGradientIntegrity:
             ("lstm_step over a leading axis",
              lambda g, h, c, w: lstm_both(g, h, c, w, w232, v232),
              [g238, h232, c232, w82]),
-            ("recurrence", recurrence_all, [g338, u332, w82, w24b, b2]),
+            ("recurrence", recurrence_all, [g338, u332, w88, w82, b8, w24b, b2]),
             ("attention",
              lambda q, k, W, b: _weighted_sum(ad.attention(q, k, rows, W, b), w32),
              [m32, k342, w24b, b2]),

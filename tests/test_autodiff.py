@@ -548,12 +548,14 @@ class TestLstmStep:
             ad.lstm_step(args[0], args[1], args[2], ad.constant(np.ones((4, 2))))
 
 
-def composed_recurrence(gates_in, weights, w_hh, fuse_w, fuse_b, blocks, key):
+def composed_recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key):
     """The known-track loop as the records it took before ``ad.recurrence``:
-    five a step, four with a zero context, keys stacked time-major."""
-    steps = ad.unstack(gates_in)
+    the input linear ``x @ W_ih.T + b`` of all steps, then five records a
+    step, four with a zero context, keys stacked time-major."""
+    w_ih, w_hh, bias = lstm
+    steps = ad.unstack(ad.linear(x, w_ih, bias))
     contexts = [None] * len(steps) if weights is None else ad.unstack(weights)
-    hidden = ad.constant(np.zeros(gates_in.shape[1:-1] + (w_hh.shape[1],)))
+    hidden = ad.constant(np.zeros(x.shape[1:-1] + (w_hh.shape[1],)))
     cell = ad.constant(np.zeros(hidden.shape))
     keys = []
     for step_weights, step_gates in zip(contexts, steps):
@@ -643,28 +645,36 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 class TestFusedKernels:
     @PROPERTY
     @given(T=st.integers(1, 5), lead=st.sampled_from([(), (3,)]), H=st.integers(1, 3),
-           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+           E=st.integers(1, 3), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
            key=st.sampled_from(["fused", "joint"]), zero_context=st.booleans(),
+           zero_rows=st.booleans(), zero_w_hh=st.booleans(),
            used=st.sets(st.integers(0, 2), min_size=1), seed=st.integers(0, 2**32 - 1))
     def test_recurrence_equals_the_composed_records_bitwise(
-            self, T, lead, H, sizes, key, zero_context, used, seed):
+            self, T, lead, H, E, sizes, key, zero_context, zero_rows, zero_w_hh, used, seed):
+        # Zero input rows and a zero W_hh make exact zeros in the gates'
+        # adjoint, whose sign the composed records' zero buffer settles.
         rng = np.random.default_rng(seed)
         R, J = sum(sizes), max(sizes)
         blocks = [(sizes.count(n), n, n) for n in sorted(set(sizes))]
-        arrays = [rng.normal(size=(T,) + lead + (R, 4 * H)),
-                  None if zero_context else rng.uniform(0.0, 1.0, size=(T,) + lead + (R, J)),
-                  rng.normal(size=(4 * H, H)), rng.normal(size=(H, 2 * H)), rng.normal(size=H)]
+        x = rng.normal(size=(T,) + lead + (R, E))
+        if zero_rows:
+            x[..., rng.uniform(size=R) < 0.5, :] = 0.0
+        arrays = [x, None if zero_context else rng.uniform(0.0, 1.0, size=(T,) + lead + (R, J)),
+                  rng.normal(size=(4 * H, E)),
+                  np.zeros((4 * H, H)) if zero_w_hh else rng.normal(size=(4 * H, H)),
+                  rng.normal(size=4 * H), rng.normal(size=(H, 2 * H)), rng.normal(size=H)]
         probes = [rng.normal(size=lead + (R, H)), rng.normal(size=lead + (R, H)),
                   rng.normal(size=(T,) + lead + (R, H if key == "fused" else 2 * H)),
                   rng.normal(size=(H, 2 * H))]
 
         def loss_of(nodes, outs):           # fuse W is shared, as with the decoder
             terms = [ad.reduce_sum(ad.mul(outs[k], ad.constant(probes[k]))) for k in sorted(used)]
-            return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[3], ad.constant(probes[3])))])
+            return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[5], ad.constant(probes[3])))])
 
         fused, composed = run_both(
-            [lambda n: ad.recurrence(*n, blocks, key=key),
-             lambda n: composed_recurrence(*n, blocks, key=key)], arrays, loss_of)
+            [lambda n: ad.recurrence(n[0], n[1], n[2:5], *n[5:], blocks, key=key),
+             lambda n: composed_recurrence(n[0], n[1], n[2:5], *n[5:], blocks, key=key)],
+            arrays, loss_of)
         assert fused == composed
 
     @PROPERTY
@@ -763,17 +773,22 @@ class TestFusedKernels:
 
     def test_each_is_one_record(self):
         rng = np.random.default_rng(66)
-        gates, weights = rng.normal(size=(4, 5, 8)), rng.uniform(size=(4, 5, 3))
+        x, weights = rng.normal(size=(4, 5, 6)), rng.uniform(size=(4, 5, 3))
         params = [ad.constant(rng.normal(size=s)) for s in ((8, 2), (2, 4), (2,))]
+        lstm = (ad.constant(rng.normal(size=(8, 6))), params[0], ad.constant(np.zeros(8)))
         with ad.Tape() as tape:
-            hidden, cell, keys = ad.recurrence(gates, weights, *params, [(1, 2, 2), (1, 3, 3)])
+            hidden, cell, keys = ad.recurrence(x, weights, lstm, *params[1:],
+                                               [(1, 2, 2), (1, 3, 3)])
             out = ad.attention(hidden, ad.constant(np.swapaxes(keys.values, 0, 1)),
                                np.ones((5, 4), dtype=bool), params[1], params[2])
             assert len(tape) == 2
             assert hidden.op_record is keys.op_record and out.op_record.op == "attention"
         assert keys.shape == (4, 5, 2) and out.shape == (5, 2)
         with pytest.raises(ShapeError, match="recurrence"):
-            ad.recurrence(gates, weights, *params, [(1, 2, 2), (1, 2, 2)])
+            ad.recurrence(x, weights, lstm, *params[1:], [(1, 2, 2), (1, 2, 2)])
+        with pytest.raises(ShapeError, match="recurrence"):   # W_ih of 5 input columns
+            ad.recurrence(x, weights, (ad.constant(np.ones((8, 5))), *lstm[1:]), *params[1:],
+                          [(1, 2, 2), (1, 3, 3)])
         with pytest.raises(ShapeError, match="attention"):
             ad.attention(hidden, keys, np.ones((4, 5), dtype=bool), params[1], params[2])
 
@@ -864,7 +879,8 @@ def every_op(x, w):
                             np.array([[True, False], [True, True], [False, True]]), w, w[:, 2]))
     hidden, _, keys = ad.recurrence(
         ad.stack([x, ad.tanh(x)], axis=1), ad.stack([x[:, :1], x[:, 1:2]], axis=1),
-        ad.stack([w[0]], axis=1), w[0:1, 0:2], w[1, 0:1], [(2, 1, 1)])
+        (ad.concat([w, w]), ad.stack([w[0]], axis=1), w[1]), w[0:1, 0:2], w[1, 0:1],
+        [(2, 1, 1)])
     attended = ad.attention(x, ad.stack([x, ad.tanh(x)], axis=1),
                             np.array([[True, False], [True, True], [False, False]]),
                             ad.concat([w, w], axis=-1), w[:, 0])

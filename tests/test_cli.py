@@ -400,6 +400,21 @@ class TestPredictCommand:
         listed = capsys.readouterr().out.strip().split("\n")
         assert str(out_dir / "domain_grid.csv") in listed
 
+    def test_non_finite_forecasts_exit_3(self, tmp_path, trained_ckpt, capsys):
+        state = tr.load_checkpoint(trained_ckpt)
+        state.params["out.W"].values[...] = np.inf
+        broken = str(tmp_path / "broken.ckpt")
+        tr.save_checkpoint(broken, state)
+        out_dir = tmp_path / "figs"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.run(["predict", "--ckpt", broken, "--synth", "straight:2:7",
+                            "--out", str(out_dir)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("numeric failure: predict: scene 0 predicts non-finite positions; "
+                "first non-finite output: decoder_step") in err
+        assert not list(out_dir.glob("trajectories_*"))
+
     def test_generative_checkpoint_emits_diversity_grid(self, tmp_path):
         cfg = tmp_path / "gan.cfg"
         cfg.write_text(GAN_CONFIG)

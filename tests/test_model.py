@@ -173,9 +173,10 @@ def records_of(run) -> int:
 
 
 class TestRecordBudget:
-    """A known-track pass costs no records per step: its pair weights are
-    one ``ad.pair_weights`` record and its loop one ``ad.recurrence``
-    record. A decoder step costs two at most."""
+    """A known-track pass costs no records per step: its embedding is one
+    ``linear`` record, its pair weights one ``ad.pair_weights`` record and
+    its loop, input weights included, one ``ad.recurrence`` record. A
+    decoder step costs two at most."""
 
     @pytest.mark.parametrize("overrides", [{}, {"force_zero_context": True},
                                            {"coordinate_mode": "absolute",
@@ -190,6 +191,7 @@ class TestRecordBudget:
             counts.append(records_of(lambda: m.encode(scene)))
             assert ops.count("pair_weights") == (0 if overrides.get("force_zero_context")
                                                  else 1)
+            assert ops.count("linear") == ops.count("recurrence") == 1
             assert not {"l2norm", "relu", "masked_softmax"} & set(ops)
         assert counts[0] == counts[1] == counts[2]
 
@@ -213,14 +215,17 @@ class TestRecordBudget:
         assert counts[2] - counts[1] == counts[1] - counts[0] <= 2
 
 
-def tape_bytes(model, scene) -> tuple:
-    """tracemalloc bytes of one scene's forward pass and trajectory loss:
-    (held after them, peak over them and the backward pass)."""
+def tape_bytes(model, scenes: list) -> tuple:
+    """tracemalloc bytes of a batch's forward pass and mean trajectory loss,
+    as a training step builds them: (held after them, peak over them and the
+    backward pass)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         with ad.Tape() as tape:
-            loss = sm.trajectory_loss(model.forward(scene), scene)
+            views = model.forward(scenes).per_scene(scenes)
+            loss = ad.mean_of([sm.trajectory_loss(view, scene)
+                               for view, scene in zip(views, scenes)])
             held = tracemalloc.get_traced_memory()[0] - base
             tape.backward(loss)
         return held, tracemalloc.get_traced_memory()[1] - base
@@ -231,11 +236,15 @@ def tape_bytes(model, scene) -> tuple:
 class TestTapeMemory:
     """The tape keeps few bytes per neighbour pair: a pair record keeps its
     weights, two masks and one grid-cell index, and its backward recomputes
-    the offsets and distances."""
+    the offsets and distances. Per row and step it keeps the fused records'
+    inputs, outputs and the intermediates that need a matrix product to
+    rebuild, and no input-gate node."""
 
-    @pytest.mark.parametrize("overrides", [
+    CONFIGS = pytest.mark.parametrize("overrides", [
         {}, {"generative": True}, {"variant": "vanilla", "literal_softmax": True}],
         ids=["default", "generative", "vanilla_literal"])
+
+    @CONFIGS
     def test_pair_memory_per_pair_and_step_is_bounded(self, overrides):
         cfg = sm.ModelConfig(**overrides)
         model, steps = build(cfg, seed=1), cfg.obs_len + cfg.pred_len
@@ -244,10 +253,26 @@ class TestTapeMemory:
         for n in sizes:
             start = rng.uniform(-0.5 * n ** 0.5, 0.5 * n ** 0.5, size=(n, 1, 2))
             paths = start + np.cumsum(rng.normal(0.3, 0.1, size=(n, steps, 2)), axis=1)
-            measured.append(tape_bytes(model, make_scene(paths, cfg.obs_len)))
+            measured.append(tape_bytes(model, [make_scene(paths, cfg.obs_len)]))
         pair_steps = (sizes[1] ** 2 - sizes[0] ** 2) * steps
         held, peak = [(big - small) / pair_steps for small, big in zip(*measured)]
         assert held <= 48 and peak <= 96, (held, peak)
+
+    @CONFIGS
+    def test_row_memory_per_row_and_step_is_bounded(self, overrides):
+        # Two-person scenes: the growth is per row, with few pairs per row.
+        cfg = sm.ModelConfig(**overrides)
+        model, steps = build(cfg, seed=1), cfg.obs_len + cfg.pred_len
+        rng = np.random.default_rng(4)
+        counts, measured = (16, 32), []
+        for count in counts:
+            scenes = [make_scene(rng.uniform(-1.0, 1.0, size=(2, 1, 2)) + np.cumsum(
+                rng.normal(0.3, 0.1, size=(2, steps, 2)), axis=1), cfg.obs_len)
+                for _ in range(count)]
+            measured.append(tape_bytes(model, scenes))
+        row_steps = 2 * (counts[1] - counts[0]) * steps
+        held, peak = [(big - small) / row_steps for small, big in zip(*measured)]
+        assert held <= 3500 and peak <= 5500, (held, peak)
 
 
 class TestConfig:

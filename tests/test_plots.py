@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from test_model import dyadic_walkers, make_scene, micro_cfg, recorded_ops
-from test_training import micro_windows, tcfg
+from test_training import (assert_names_the_first_non_finite_record, micro_windows,
+                           spy_on_nonfinite_origin, tcfg)
 
 from scantraj import data as sd
 from scantraj import plots
 from scantraj import training as tr
-from scantraj.errors import DataError
+from scantraj.errors import DataError, NumericError
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -214,6 +215,23 @@ class TestEmitPlots:
         ops = recorded_ops(monkeypatch)
         plots.emit_plots(ckpt, micro_windows(1), tmp_path / "figs", k=3)
         assert ops == []
+
+    @pytest.mark.parametrize("generative", [False, True])
+    def test_non_finite_forecasts_raise_and_name_the_op(self, tmp_path, monkeypatch,
+                                                        generative):
+        ckpt = self._checkpoint(tmp_path, generative)
+        state = tr.load_checkpoint(ckpt)
+        state.params["out.W"].values[...] = np.inf
+        tr.save_checkpoint(ckpt, state)
+        tapes = spy_on_nonfinite_origin(monkeypatch)
+        out = tmp_path / "figs"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="predict: scene 0 predicts non-finite") \
+                    as info:
+                plots.emit_plots(ckpt, micro_windows(1), out, k=3)
+        assert "first non-finite output: decoder_step at" in str(info.value)
+        assert_names_the_first_non_finite_record(str(info.value), tapes)
+        assert not list(out.glob("trajectories_*"))
 
     def test_write_failure_reports_path(self, tmp_path):
         ckpt = self._checkpoint(tmp_path)
