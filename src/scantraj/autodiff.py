@@ -100,10 +100,15 @@ and the backward recomputes ``tanh(new_cell)``. ``recurrence`` keeps each
 step's gates, joint and fused state; the gates' input share of a step lives
 only while that step runs, each step's hidden state is read back from its
 joint, and the weights' row blocks are re-taken from the weights node.
-``decoder_step`` keeps the context and rebuilds ``[hidden, context]``, its
-step input and the weights' blocks; ``attention`` keeps its softmax
-weights and context and rebuilds ``[context, query]``; ``pair_weights``
-rebuilds the offsets and distances (see above).
+Its backward adds each step's products to ``W_hh``, ``fuse_w`` and
+``fuse_b`` inside the loop, step T - 1 first, as the composed records
+did, so it copies no time-major array of the gates' adjoint, the fused
+states or the joints; only the input linear's backward runs once, over
+the full ``(T, ..., R, 4H)`` gate adjoint. ``decoder_step`` keeps the
+context and rebuilds ``[hidden, context]``, its step input and the
+weights' blocks; ``attention`` keeps its softmax weights and context and
+rebuilds ``[context, query]``; ``pair_weights`` rebuilds the offsets and
+distances (see above).
 
 A record refers to its tape weakly, so nothing points back from a node to
 the tape that holds it: a tape that nobody refers to any more is freed by
@@ -756,18 +761,13 @@ def _plus(first, second):
     return second if first is None else first if second is None else first + second
 
 
-def _step_products(d: np.ndarray, x: np.ndarray, steps: list) -> tuple:
-    """``d[t].T @ x[t]`` for each of ``steps`` (one slice at a time), and d's rows."""
-    g2 = d.reshape(len(d), -1, d.shape[-1])[steps]
-    return np.matmul(np.swapaxes(g2, -1, -2), x.reshape(len(x), -1, x.shape[-1])[steps]), g2
-
-
 def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
                key: str = "fused") -> tuple[TensorNode, TensorNode, TensorNode]:
     """T steps of the spatially attentive LSTM as one record; see the module
     docstring. The backward replays the composed records' float operations
-    in their order, but runs each parameter's gradient products as one
-    stacked product after the loop, added step T - 1 first as they would be."""
+    in their order: step t adds its products to ``W_hh``, ``fuse_w`` and
+    ``fuse_b`` as it runs, step T - 1 first, and only the input linear's
+    backward runs once over all steps after the loop."""
     x, fuse_w, fuse_b = map(_lift, (x, fuse_w, fuse_b))
     w_ih, w_hh, bias = map(_lift, lstm)
     xv, wv, fw, fb = x.values, w_hh.values, fuse_w.values, fuse_b.values
@@ -801,39 +801,35 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
     def backward(grads):
         d_hidden, d_cell, d_keys = grads
         keys_at = [None] * T if d_keys is None else d_keys
-        d_gates, d_lin = np.zeros(xv.shape[:-1] + (4 * H,)), np.zeros(fused.shape)
-        d_weights, w_blocks = None, []
+        d_gates = np.zeros(xv.shape[:-1] + (4 * H,))
+        d_weights, w_blocks, gated = None, [], False
         if weights is not None:     # each group's blocks of all T steps, one copy
             d_weights = np.zeros(weights.shape)
             w_blocks = _row_blocks(weights.values, pieces)
-        cell_steps, fuse_steps = [], []
         for t in reversed(range(T)):
             d_fused = None
             if d_hidden is not None or d_cell is not None:
                 c_prev = states[t - 1][4] if t else np.zeros(shape)
                 d_gates[t], d_cell = _lstm_grads(d_hidden, d_cell, c_prev, states[t])
-                d_fused = (d_gates[t].reshape(-1, 4 * H) @ wv).reshape(shape)
-                cell_steps.append(t)
+                g2 = d_gates[t].reshape(-1, 4 * H)
+                d_fused = (g2 @ wv).reshape(shape)
+                _add_grad(w_hh, g2.T @ fused[t].reshape(-1, H))
+                gated = True
             d_fused = _plus(keys_at[t] if key == "fused" else None, d_fused)
             d_joint = None
             if d_fused is not None:
-                d_lin[t] = d_fused * (1.0 - fused[t] * fused[t])
-                d_joint = (d_lin[t].reshape(-1, H) @ fw).reshape(joints.shape[1:])
-                fuse_steps.append(t)
+                d_lin = (d_fused * (1.0 - fused[t] * fused[t])).reshape(-1, H)
+                d_joint = (d_lin @ fw).reshape(joints.shape[1:])
+                _add_grad(fuse_w, d_lin.T @ joints[t].reshape(-1, 2 * H))
+                _add_grad(fuse_b, d_lin.sum(axis=0))
             d_joint = _plus(keys_at[t] if key == "joint" else None, d_joint)
             d_hidden = None if d_joint is None else d_joint[..., :H].copy()
             if d_joint is not None and weights is not None:
                 _block_grads(d_joint[..., H:], [ab[t] for ab in w_blocks], joints[t][..., :H],
                              pieces, d_weights[t], d_hidden)
-        for product in _step_products(d_gates, fused, cell_steps)[0]:
-            _add_grad(w_hh, product)
-        products, g2 = _step_products(d_lin, joints, fuse_steps)
-        for product, total in zip(products, g2.sum(axis=1)):
-            _add_grad(fuse_w, product)
-            _add_grad(fuse_b, total)
         if weights is not None:     # an output adjoint always reaches a joint
             _adjoint(weights)[...] += d_weights
-        if cell_steps:              # ``linear``'s backward, on the adjoint the gates
+        if gated:                   # ``linear``'s backward, on the adjoint the gates
             d_gates += 0.0          # node had: a zero buffer plus d_gates (-0.0 -> +0.0)
             d_x, d_w, d_b = _linear_grads(d_gates, xv, w_ih.values)
             _add_grad(x, d_x)

@@ -254,6 +254,27 @@ def _kept(logits: ad.TensorNode, samples, cols: list) -> ad.TensorNode:
         np.concatenate([np.tile(c, len(samples)) for c in cols])))
 
 
+def _critic_step(cfg: ModelConfig, disc_params: ad.ParamStore, layout, real: np.ndarray,
+                 fake_values: np.ndarray, mask: np.ndarray, cols: list,
+                 fakes_only: np.ndarray, disc_opt: ad.Adam) -> float:
+    """The critic half of a GAN step on a tape of its own: one (1 + k)-sample
+    pass scores the (N, T, 2) ground truth and the (k, N, T, 2) detached
+    futures, and ``disc_opt`` steps. Returns the critic loss. The tape, its
+    logits and its loss die with this call, before the generator half
+    records anything."""
+    with ad.Tape() as tape:
+        logits = discriminator_logits(
+            cfg, disc_params, layout, ad.constant(np.concatenate([real[None], fake_values])),
+            mask)
+        loss = ad.add(bce_real(_kept(logits, [0], cols)),
+                      bce_fake(_kept(logits, fakes_only, cols)))
+        _check_finite("discriminator", loss)
+        disc_params.zero_grads()
+        tape.backward(loss)
+        disc_opt.step()
+    return float(loss.values)
+
+
 def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
                    scenes: list, gan_cfg: GanConfig,
                    gen_opt: ad.Adam, disc_opt: ad.Adam,
@@ -264,8 +285,10 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
     and one decode of all k samples of every scene, on the generator's
     tape. Each scene draws its own (k, noise_dim) noise block from ``rng``,
     in batch order, shared by its pedestrians. The critic half runs on a
-    tape of its own: one (1 + k)-sample pass scores the ground truth and the
-    k futures' detached values of every scene, and the critic steps. The
+    tape of its own (``_critic_step``): one (1 + k)-sample pass scores the
+    ground truth and the k futures' detached values of every scene, and the
+    critic steps; that tape and all it holds are freed before the generator
+    half records anything, so the two halves' tapes never coexist. The
     critic step never touches generator parameters, so the same decode
     serves the generator half, which scores the k live futures in one pass
     through the updated critic and descends adversarial + variety + lambda *
@@ -302,20 +325,9 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
         batch = model.decode(usable, bank, noise=np.stack(noises, axis=1))
         fakes = _with_observed(usable, batch.pos)       # live (k, N, T, 2)
 
-        # critic half: real and all-k detached fakes in one pass
-        with ad.Tape() as critic_tape:
-            real = np.concatenate([scene.positions.transpose(1, 0, 2)
-                                   for scene in usable])
-            logits = discriminator_logits(
-                cfg, disc_params, bank.layout,
-                ad.constant(np.concatenate([real[None], fakes.values])), mask)
-            disc_loss = ad.add(bce_real(_kept(logits, [0], cols)),
-                               bce_fake(_kept(logits, fakes_only, cols)))
-            _check_finite("discriminator", disc_loss)
-            disc_params.zero_grads()
-            critic_tape.backward(disc_loss)
-            disc_value = float(disc_loss.values)
-            disc_opt.step()
+        real = np.concatenate([scene.positions.transpose(1, 0, 2) for scene in usable])
+        disc_value = _critic_step(cfg, disc_params, bank.layout, real, fakes.values,
+                                  mask, cols, fakes_only, disc_opt)
 
         # generator half: the same decode, live fakes through the new critic
         logits = discriminator_logits(cfg, disc_params, bank.layout, fakes, mask)

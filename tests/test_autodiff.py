@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scantraj import autodiff as ad
@@ -624,18 +624,19 @@ def drawn_layout(rng, lead, sizes):
 
 
 def run_both(ops, arrays, loss_of):
-    """Values of the outputs and gradients of every input, per op in ``ops``:
-    ``loss_of(nodes, outs)`` builds the scalar from the op's outputs (and may
-    reuse inputs, recorded after the op, so that they reach it with an
-    adjoint already accumulated)."""
+    """Values of the outputs, which inputs got no adjoint and the gradients
+    of every input, per op in ``ops``: ``loss_of(nodes, outs)`` builds the
+    scalar from the op's outputs (and may reuse inputs, recorded after the
+    op, so that they reach it with an adjoint already accumulated)."""
     got = []
     for op in ops:
         nodes = [None if a is None else ad.constant(a.copy()) for a in arrays]
         with ad.Tape() as tape:
             outs = op(nodes)
             tape.backward(loss_of(nodes, outs))
-        got.append([out.values.tobytes() for out in outs]
-                   + [n.grad.tobytes() for n in nodes if n is not None])
+        nodes = [n for n in nodes if n is not None]
+        got.append([out.values.tobytes() for out in outs] + [n._grad is None for n in nodes]
+                   + [n.grad.tobytes() for n in nodes])
     return got
 
 
@@ -648,11 +649,22 @@ class TestFusedKernels:
            E=st.integers(1, 3), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
            key=st.sampled_from(["fused", "joint"]), zero_context=st.booleans(),
            zero_rows=st.booleans(), zero_w_hh=st.booleans(),
-           used=st.sets(st.integers(0, 2), min_size=1), seed=st.integers(0, 2**32 - 1))
+           used=st.sets(st.integers(0, 2), min_size=1), keys_stop=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(T=1, lead=(), H=2, E=2, sizes=[2, 1], key="joint", zero_context=False,
+             zero_rows=False, zero_w_hh=False, used={2}, keys_stop=1, seed=3)
+    @example(T=1, lead=(3,), H=2, E=1, sizes=[2], key="fused", zero_context=False,
+             zero_rows=False, zero_w_hh=False, used={2}, keys_stop=1, seed=4)
+    @example(T=4, lead=(), H=2, E=2, sizes=[3, 1], key="joint", zero_context=False,
+             zero_rows=True, zero_w_hh=False, used={2}, keys_stop=2, seed=5)
     def test_recurrence_equals_the_composed_records_bitwise(
-            self, T, lead, H, E, sizes, key, zero_context, zero_rows, zero_w_hh, used, seed):
+            self, T, lead, H, E, sizes, key, zero_context, zero_rows, zero_w_hh, used,
+            keys_stop, seed):
         # Zero input rows and a zero W_hh make exact zeros in the gates'
-        # adjoint, whose sign the composed records' zero buffer settles.
+        # adjoint, whose sign the composed records' zero buffer settles. The
+        # keys' term covers steps [0, keys_stop) only. With the keys' adjoint
+        # alone and key="joint", step T - 1 adds no product to W_hh or the
+        # fuse weights, and at T = 1 W_ih, W_hh and b get no adjoint at all.
         rng = np.random.default_rng(seed)
         R, J = sum(sizes), max(sizes)
         blocks = [(sizes.count(n), n, n) for n in sorted(set(sizes))]
@@ -666,9 +678,11 @@ class TestFusedKernels:
         probes = [rng.normal(size=lead + (R, H)), rng.normal(size=lead + (R, H)),
                   rng.normal(size=(T,) + lead + (R, H if key == "fused" else 2 * H)),
                   rng.normal(size=(H, 2 * H))]
+        probes[2] = probes[2][:keys_stop]
 
         def loss_of(nodes, outs):           # fuse W is shared, as with the decoder
-            terms = [ad.reduce_sum(ad.mul(outs[k], ad.constant(probes[k]))) for k in sorted(used)]
+            parts = [outs[0], outs[1], outs[2][:keys_stop]]
+            terms = [ad.reduce_sum(ad.mul(parts[k], ad.constant(probes[k]))) for k in sorted(used)]
             return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[5], ad.constant(probes[3])))])
 
         fused, composed = run_both(

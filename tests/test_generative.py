@@ -1,5 +1,8 @@
 """Adversarial-wrapper tests: sampling, critic, variety/diversity losses."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -518,6 +521,30 @@ class TestGanTrainStep:
             np.random.default_rng(3))
         for term, value in want.items():
             assert report[term] == value, term
+
+    def test_critic_tape_is_freed_before_the_generator_backward(self, monkeypatch):
+        # With the cyclic collector off, only reference counting can free
+        # the critic's tape: nothing may hold it once its half is done.
+        tapes, alive = [], []
+        original = ad.Tape.backward
+
+        def spy(tape, loss):
+            alive.append([ref() is not None for ref in tapes])
+            tapes.append(weakref.ref(tape))
+            return original(tape, loss)
+
+        monkeypatch.setattr(ad.Tape, "backward", spy)
+        m, disc = self.setup_pair()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gen.gan_train_step(m, disc, self.make_batch(), gen.GanConfig(k=2),
+                               ad.Adam(m.params, lr=0.001), ad.Adam(disc, lr=0.001),
+                               np.random.default_rng(3))
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == [[], [False]]
 
     def test_scene_longer_than_the_model_horizon_rejected(self):
         # Real and generated trajectories share one critic pass, so they

@@ -233,12 +233,38 @@ def tape_bytes(model, scenes: list) -> tuple:
         tracemalloc.stop()
 
 
+def gan_step_peak(cfg, scenes: list) -> int:
+    """tracemalloc peak bytes of one ``gan_train_step`` at k = 4 over the
+    batch, above what was held before it."""
+    model = build(cfg, seed=1)
+    disc = gn.build_discriminator_params(cfg, ad.RngHub(2))
+    gen_opt, disc_opt = ad.Adam(model.params, lr=0.001), ad.Adam(disc, lr=0.001)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gn.gan_train_step(model, disc, scenes, gn.GanConfig(k=4, diversity_weight=1.0),
+                          gen_opt, disc_opt, np.random.default_rng(3))
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def two_person_batches(cfg, counts: tuple) -> list:
+    """Batches of ``counts`` random two-person scenes spanning the model's
+    obs_len + pred_len steps."""
+    steps, rng = cfg.obs_len + cfg.pred_len, np.random.default_rng(4)
+    return [[make_scene(rng.uniform(-1.0, 1.0, size=(2, 1, 2)) + np.cumsum(
+        rng.normal(0.3, 0.1, size=(2, steps, 2)), axis=1), cfg.obs_len)
+        for _ in range(count)] for count in counts]
+
+
 class TestTapeMemory:
     """The tape keeps few bytes per neighbour pair: a pair record keeps its
     weights, two masks and one grid-cell index, and its backward recomputes
     the offsets and distances. Per row and step it keeps the fused records'
     inputs, outputs and the intermediates that need a matrix product to
-    rebuild, and no input-gate node."""
+    rebuild, and no input-gate node. A GAN step never holds the critic's
+    tape and the generator's at once."""
 
     CONFIGS = pytest.mark.parametrize("overrides", [
         {}, {"generative": True}, {"variant": "vanilla", "literal_softmax": True}],
@@ -263,16 +289,26 @@ class TestTapeMemory:
         # Two-person scenes: the growth is per row, with few pairs per row.
         cfg = sm.ModelConfig(**overrides)
         model, steps = build(cfg, seed=1), cfg.obs_len + cfg.pred_len
-        rng = np.random.default_rng(4)
-        counts, measured = (16, 32), []
-        for count in counts:
-            scenes = [make_scene(rng.uniform(-1.0, 1.0, size=(2, 1, 2)) + np.cumsum(
-                rng.normal(0.3, 0.1, size=(2, steps, 2)), axis=1), cfg.obs_len)
-                for _ in range(count)]
-            measured.append(tape_bytes(model, scenes))
+        counts = (16, 32)
+        measured = [tape_bytes(model, scenes) for scenes in two_person_batches(cfg, counts)]
         row_steps = 2 * (counts[1] - counts[0]) * steps
         held, peak = [(big - small) / row_steps for small, big in zip(*measured)]
         assert held <= 3500 and peak <= 5500, (held, peak)
+
+    @pytest.mark.parametrize("overrides, bound", [
+        ({"generative": True}, 33_000),
+        ({"generative": True, "embed_dim": 8, "hidden_dim": 16, "noise_dim": 4,
+          "bearing_bin_deg": 90.0, "heading_bin_deg": 90.0}, 18_000)],
+        ids=["generative", "gan_synth"])
+    def test_gan_step_peak_per_row_and_step_is_bounded(self, overrides, bound):
+        # The critic half's tape is freed before the generator half records,
+        # and the recurrence backward copies no time-major arrays: about
+        # 27,400 and 14,500 bytes, against 42,700 and 23,200 without both.
+        cfg = sm.ModelConfig(**overrides)
+        counts = (16, 32)
+        small, big = [gan_step_peak(cfg, scenes) for scenes in two_person_batches(cfg, counts)]
+        peak = (big - small) / (2 * (counts[1] - counts[0]) * (cfg.obs_len + cfg.pred_len))
+        assert peak <= bound, peak
 
 
 class TestConfig:
