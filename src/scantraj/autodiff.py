@@ -70,6 +70,8 @@ record per layer, whatever its size or sample count. Their shape rules:
   positive reaches and one flat grid-cell index per pair; its backward
   recomputes the offsets and distances from ``cum`` (and ``start``) with
   the forward's own operations, so its memory per pair is a few bytes.
+  Without ``cum`` nothing gets a position gradient and it keeps no
+  ``start``.
 * ``decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse,
   embed, lstm, out, attention=None, key="fused")``: one decoder step, one
   record with outputs ``(hidden, cell, disp, cum, pos)``, all ``(..., R,
@@ -110,6 +112,17 @@ weights' blocks; ``attention`` keeps its softmax weights and context and
 rebuilds ``[context, query]``; ``pair_weights`` rebuilds the offsets and
 distances (see above).
 
+That saved state lives until a backward sweep has passed the record:
+``Tape.backward`` frees the state of each ``recurrence``, ``decoder_step``
+and ``attention`` record once it has run the record's backward, or has
+skipped it for lack of an adjoint, so a sweep's peak stays close to the
+tape it replays. Afterwards the record keeps its inputs, its outputs and
+the op's arguments; a repeat sweep runs the op again on them under a
+throwaway tape, whose forward (the one float recipe of each op) rebuilds
+the same state bit for bit. ``.grad`` reads as before. ``pair_weights``
+keeps its compact state for every sweep: rebuilding it would need the bins
+and masks it does not keep.
+
 A record refers to its tape weakly, so nothing points back from a node to
 the tape that holds it: a tape that nobody refers to any more is freed by
 reference counting as soon as its scope closes.
@@ -129,6 +142,7 @@ never record onto one another's tapes.
 from __future__ import annotations
 
 import contextvars
+import functools
 import hashlib
 import math
 import weakref
@@ -245,11 +259,17 @@ class Tape:
         # (output, inputs, backward); a multi-output op records a tuple of
         # outputs and a backward that takes one adjoint (or None) per output.
         self._records: list[tuple] = []
+        # Record index -> the backward that a sweep leaves in a fused
+        # record once past it: it runs the op again (``replay``) first.
+        self._replays: dict[int, Callable] = {}
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def add(self, op: str, out: TensorNode, inputs: tuple, backward: Callable) -> OpRecord:
+    def add(self, op: str, out: TensorNode, inputs: tuple, backward: Callable,
+            replay: Callable | None = None) -> OpRecord:
+        if replay is not None:
+            self._replays[len(self._records)] = functools.partial(_replayed, replay)
         self._records.append((out, inputs, backward))
         return OpRecord(self, op, len(self._records) - 1)
 
@@ -259,6 +279,14 @@ class Tape:
         ``loss`` must be scalar-shaped and recorded on this tape (or a leaf).
         Each call propagates its own unit seed, so repeated calls sum
         gradients instead of double-counting earlier passes.
+
+        The sweep frees each fused record's saved state (``recurrence``,
+        ``decoder_step``, ``attention``) as soon as it has passed the
+        record, whether its backward ran or no adjoint reached it; the
+        record keeps its inputs, outputs and arguments. A repeat call
+        rebuilds that state by running the op again on them, so it adds the
+        same gradients bit for bit. ``.grad`` reads as before: each node
+        reached gets its sum after the sweep.
         """
         if loss.values.shape != ():
             raise ValueError(
@@ -270,18 +298,21 @@ class Tape:
         adjoints: dict[int, tuple[TensorNode, np.ndarray]] = {
             id(loss): (loss, np.ones_like(loss.values))}
         token = _ADJOINT_STACK.set(_ADJOINT_STACK.get() + (adjoints,))
+        records, replays = self._records, self._replays
         try:
-            for out, _inputs, backward_fn in reversed(self._records):
+            for index in reversed(range(len(records))):
+                out, inputs, backward_fn = records[index]
                 if type(out) is tuple:
                     grads = [adjoints.get(id(part)) for part in out]
-                    if any(entry is not None for entry in grads):
-                        backward_fn([None if entry is None else entry[1]
-                                     for entry in grads])
-                    continue
-                entry = adjoints.get(id(out))
-                if entry is None:
-                    continue
-                backward_fn(entry[1])
+                    grad = (None if all(entry is None for entry in grads)
+                            else [None if entry is None else entry[1] for entry in grads])
+                else:
+                    entry = adjoints.get(id(out))
+                    grad = None if entry is None else entry[1]
+                if grad is not None:
+                    backward_fn(grad)
+                if index in replays:        # frees the state ``backward_fn`` saved
+                    records[index] = (out, inputs, replays[index])
         finally:
             _ADJOINT_STACK.reset(token)
         for node, buf in adjoints.values():
@@ -299,6 +330,7 @@ class Tape:
             for node in (out if type(out) is tuple else (out,)) + inputs:
                 node.zero_grad()
         self._records.clear()
+        self._replays.clear()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
@@ -315,7 +347,7 @@ class Tape:
 class _RecordFreeTape(Tape):
     """A tape that keeps nothing: ops under it compute their values only."""
 
-    def add(self, op, out, inputs, backward) -> None:
+    def add(self, op, out, inputs, backward, replay=None) -> None:
         return None
 
     def backward(self, loss: TensorNode) -> None:
@@ -349,6 +381,16 @@ def nonfinite_origin(node: TensorNode) -> str:
             record = parts[0].op_record
             return f"; first non-finite output: {record.op} at tape record {record.index}"
     return ""
+
+
+def _replayed(replay: Callable, grad) -> None:
+    """A fused record's backward once a sweep has freed its saved state: it
+    runs the op again (``replay``, on the record's own input nodes and
+    arguments) under a throwaway tape, whose forward float operations
+    rebuild the same state bit for bit, then that record's backward."""
+    with Tape() as scratch:
+        replay()
+    scratch._records[-1][2](grad)
 
 
 def constant(values) -> TensorNode:
@@ -398,9 +440,10 @@ def _adjoint(node: TensorNode) -> np.ndarray:
     return entry[1]
 
 
-def _record(op: str, out_values, inputs: tuple, backward: Callable) -> TensorNode:
+def _record(op: str, out_values, inputs: tuple, backward: Callable,
+            replay: Callable | None = None) -> TensorNode:
     node = TensorNode(out_values)
-    node.op_record = active_tape().add(op, node, inputs, backward)
+    node.op_record = active_tape().add(op, node, inputs, backward, replay)
     return node
 
 
@@ -600,9 +643,10 @@ def stack(nodes: Sequence[TensorNode], axis: int = 0) -> TensorNode:
     return _record("stack", outv, tuple(nodes), backward)
 
 
-def _record_parts(op: str, parts: tuple, inputs: tuple, backward: Callable) -> tuple:
+def _record_parts(op: str, parts: tuple, inputs: tuple, backward: Callable,
+                  replay: Callable | None = None) -> tuple:
     """Record one op with several output nodes."""
-    record = active_tape().add(op, parts, inputs, backward)
+    record = active_tape().add(op, parts, inputs, backward, replay)
     for part in parts:
         part.op_record = record
     return parts
@@ -692,7 +736,7 @@ def tanh(a) -> TensorNode:
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
 
 
 def sigmoid(a) -> TensorNode:
@@ -778,6 +822,8 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
         weights = _lift(weights)
         pieces = _block_layout("recurrence", weights.values, shape, blocks)
         inputs += (weights,)
+    replay = functools.partial(recurrence, x, weights, (w_ih, w_hh, bias), fuse_w, fuse_b,
+                               blocks, key)
     if (xv.ndim < 3 or not T or w_ih.shape != (4 * H, xv.shape[-1]) or wv.shape != (4 * H, H)
             or bias.shape != (4 * H,) or fw.shape != (H, 2 * H) or fb.shape != (H,)
             or key not in ("fused", "joint")
@@ -837,7 +883,7 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
             _add_grad(bias, d_b)
 
     return _record_parts("recurrence", (TensorNode(hidden), TensorNode(cell), TensorNode(
-        fused if key == "fused" else joints)), inputs, backward)
+        fused if key == "fused" else joints)), inputs, backward, replay)
 
 
 def exp(a) -> TensorNode:
@@ -894,6 +940,7 @@ def attention(query, keys, valid, weight, bias) -> TensorNode:
     see the module docstring. The backward replays the composed records'
     float operations in their order."""
     query, keys, weight, bias = map(_lift, (query, keys, weight, bias))
+    replay = functools.partial(attention, query, keys, valid, weight, bias)
     qv, kv, wv = query.values, keys.values, weight.values
     mask, K = np.asarray(valid, dtype=bool), kv.shape[-1]
     if (kv.ndim < 3 or qv.shape != kv.shape[:-2] + (K,) or mask.shape != kv.shape[:-1]
@@ -906,7 +953,7 @@ def attention(query, keys, valid, weight, bias) -> TensorNode:
         for share in _attention_grads(g, qv, kv, mask, saved, weight, bias, keys):
             _add_grad(query, share)
 
-    return _record("attention", saved[2], (query, keys, weight, bias), backward)
+    return _record("attention", saved[2], (query, keys, weight, bias), backward, replay)
 
 
 def _attention_values(qv, kv, mask, wv, bv) -> tuple:
@@ -952,13 +999,14 @@ def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False)
                          f"{neighbors.shape} and grid {grid.shape} do not conform")
     lead = () if cum is None else (slice(None),) * (cum.values.ndim - 2)
 
-    def offsets_of() -> np.ndarray:
+    def offsets_of(start) -> np.ndarray:
         if cum is None:
             return start
         pairs = _take(cum.values, lead + (neighbors,)) - cum.values[..., None, :]
         return pairs if start is None else start + pairs
 
-    offsets = offsets_of()
+    offsets = offsets_of(start)
+    kept = None if cum is None else start       # only a live sum's offsets are rebuilt
     flat = (bins[0] - 1) * grid.shape[1] + (bins[1] - 1)
     reach = np.take(grid.values, flat) - _norm_values(offsets)
     positive = reach > 0.0
@@ -972,7 +1020,7 @@ def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False)
         _add_grad(grid, np.bincount(flat.ravel(), d_reach.ravel(), grid.values.size)
                   .reshape(grid.shape))
         if cum is not None:
-            offsets = offsets_of()
+            offsets = offsets_of(kept)
             d_offsets = _norm_grad(-d_reach, offsets, _norm_values(offsets))
             rows = np.broadcast_to(np.arange(R)[:, None], neighbors.shape)
             _add_grad(cum, _scatter(cum.shape, lead + (rows,), -d_offsets))
@@ -990,6 +1038,9 @@ def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, em
         None if n is None else _lift(n) for n in (hidden, cell, weights, cum, step_in))
     params = [_lift(p) for p in (*fuse, *embed, *lstm, *out)]
     fuse_w, fuse_b, embed_w, embed_b, w_ih, w_hh, bias, out_w, out_b = params
+    replay = functools.partial(decoder_step, hidden, cell, weights, blocks, cum, step_in,
+                               last_pos, params[:2], params[2:4], params[4:7], params[7:],
+                               attention, key)
     keys, valid, att_w, att_b = attention or (None,) * 4
     inputs = [n for n in (hidden, cell, *params, weights, cum, step_in, keys, att_w, att_b)
               if n is not None]
@@ -1066,7 +1117,8 @@ def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, em
                          pieces, _adjoint(weights), _adjoint(hidden))
 
     outs = [new_hidden, cell_state[4], disp] + ([] if cum is None else [cum_v]) + [base + cum_v]
-    parts = _record_parts("decoder_step", tuple(map(TensorNode, outs)), tuple(inputs), backward)
+    parts = _record_parts("decoder_step", tuple(map(TensorNode, outs)), tuple(inputs), backward,
+                          replay)
     return parts if cum is not None else parts[:3] + parts[2:]     # the first sum is disp
 
 

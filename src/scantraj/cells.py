@@ -15,6 +15,9 @@ hidden state, then a state half that blends and fuses the hidden states.
 ``observed_pass`` computes the weights of a whole known track as one
 ``ad.pair_weights`` record and hands the state half, with the cell and
 its input weights, to ``ad.recurrence``: the whole loop is one record.
+A track given as a plain array (the encoder's observed steps, the critic
+step's tracks) wants no gradient, so its offsets and step inputs are
+computed off the tape.
 The decoder's geometry follows its own predictions, so it runs both
 halves per step, as ``ad.pair_weights`` and ``ad.decoder_step`` (with the
 cell): two records.
@@ -83,6 +86,7 @@ class SceneLayout:
         cols = np.arange(max(sizes, default=0))
         own = cols < np.repeat(rank_sizes, rank_sizes)[:, None]
         self.neighbors = np.where(own, first[:, None] + cols, rows[:, None])
+        self._others = self.neighbors != rows[:, None]
         self.blocks = [(sizes.count(n), n, n) for n in sorted(set(sizes) - {0})]
 
     @property
@@ -93,8 +97,7 @@ class SceneLayout:
         """(..., R, J) bool: which table entries may influence their row,
         from the (..., R) presence of every row. Absent pedestrians, a row's
         own entry and the padding never do."""
-        rows = np.arange(self.n_rows)[:, None]
-        return np.asarray(present, dtype=bool)[..., self.neighbors] & (self.neighbors != rows)
+        return np.asarray(present, dtype=bool)[..., self.neighbors] & self._others
 
 
 def linear(x: ad.TensorNode, weight: ad.TensorNode, bias: ad.TensorNode) -> ad.TensorNode:
@@ -178,40 +181,54 @@ def spatial_round(offsets: ad.TensorNode, kinematics: CrowdKinematics,
     return spatial.fuse_hidden(hiddens, ctx, fuse_w, fuse_b)
 
 
-def observed_pass(track: ad.TensorNode, presence: np.ndarray, layout: SceneLayout,
+def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layout: SceneLayout,
                   grid: spatial.DomainGrid, embed: tuple, lstm: tuple, fuse: tuple,
                   absolute: bool, key: str = "fused", literal_softmax: bool = False,
                   force_zero_context: bool = False):
     """The spatially attentive LSTM over a track whose every step is known.
 
-    ``track`` is the (..., C, T, 2) node of the batch columns' trajectories,
-    ``presence`` the (T, R) presence of ``layout``'s rows; ``embed`` is
-    (W, b), ``lstm`` (W_ih, W_hh, b), ``fuse`` (W, b). Step t embeds the
-    position (``absolute``) or the displacement from t - 1 (zeros at t = 0),
-    fuses the neighbours' context into the hidden state and runs the cell.
-    All but the loop is computed once with a leading time axis (one
-    time-major ``gather``, kinematics, bins, step inputs and the embedding,
+    ``track`` holds the (..., C, T, 2) trajectories of the batch columns:
+    a node (live or a leaf) whose positions get gradient through the pair
+    offsets and step inputs, or a plain array when no gradient is wanted,
+    whose offsets and step inputs are computed off the tape with the same
+    float operations, so no position path is recorded. ``presence`` is the
+    (T, R) presence of ``layout``'s rows; ``embed`` is (W, b), ``lstm``
+    (W_ih, W_hh, b), ``fuse`` (W, b). Step t embeds the position
+    (``absolute``) or the displacement from t - 1 (zeros at t = 0), fuses
+    the neighbours' context into the hidden state and runs the cell. All
+    but the loop is computed once with a leading time axis (for a node one
+    time-major ``gather``; kinematics, bins, step inputs and the embedding,
     the pass's one ``linear`` record), the weights of every step are one
     ``ad.pair_weights`` record and the loop, with its input share ``x @
     W_ih.T + b`` of the gates, is one ``ad.recurrence`` record; values and
     gradients equal the composed records (``pairwise_offsets`` and
     ``spatial_weights`` over all steps, the input linear, then a block
-    product, fuse and cell per step) bit for bit. Returns the final
-    (..., R, H) hidden and cell, the time-major (T, ..., R, K) fused states
-    (``key="fused"``) or joints, and the last kinematics, in rows.
+    product, fuse and cell per step) bit for bit, and an array track gives
+    the outputs and parameter gradients of a constant-leaf one bit for bit.
+    Returns the final (..., R, H) hidden and cell, the time-major (T, ...,
+    R, K) fused states (``key="fused"``) or joints, and the last
+    kinematics, in rows.
     """
     lead, T = track.shape[:-3], track.shape[-2]
     index = np.ix_(np.arange(T), *map(np.arange, lead), layout.order)
-    pos = ad.gather(track, index[1:] + index[:1])
-    kins = track_kinematics(pos.values)
+    index = index[1:] + index[:1]
+    live = isinstance(track, ad.TensorNode)
+    pos = ad.gather(track, index) if live else np.asarray(track, dtype=np.float64)[index]
+    xy = pos.values if live else pos
+    kins = track_kinematics(xy)
     weights = None
     if not force_zero_context:
         mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
-        weights = ad.pair_weights(pos, grid.node, None, layout.neighbors,
+        cum, offsets = ((pos, None) if live else
+                        (None, np.take(xy, layout.neighbors, axis=-2) - xy[..., :, None, :]))
+        weights = ad.pair_weights(cum, grid.node, offsets, layout.neighbors,
                                   bin_indices(kins, grid.spec, layout.neighbors),
                                   mask, literal_softmax)
-    step_in = pos if absolute else ad.concat(
-        [ad.constant(np.zeros((1,) + pos.shape[1:])), ad.sub(pos[1:], pos[:-1])])
+    step_in = pos
+    if not absolute:
+        first = np.zeros((1,) + xy.shape[1:])
+        step_in = (ad.concat([ad.constant(first), ad.sub(pos[1:], pos[:-1])]) if live
+                   else np.concatenate([first, xy[1:] - xy[:-1]]))
     hidden, cell, keys = ad.recurrence(linear(step_in, *embed), weights, lstm, *fuse,
                                        layout.blocks, key=key)
     return hidden, cell, keys, kins[-1]

@@ -130,12 +130,15 @@ def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
     logit per pedestrian.
 
     ``ped_ids`` are one scene's ids, or a ``cells.SceneLayout`` of several
-    scenes side by side. ``positions`` is the (N, T, 2) trajectory node,
+    scenes side by side. ``positions`` is the (N, T, 2) trajectories,
     giving (N, 1) logits, or (S, N, T, 2) for S trajectories of the same
     scenes, giving (S, N, 1); slice s, and each scene of a layout, equals a
     pass over it alone, bit for bit. A live node lets generator gradient
-    flow through the critic. ``mask`` is the (T, N) presence that gates
-    neighbour participation, exactly as in the forecaster.
+    flow through the critic; a plain array (the critic step's real and
+    detached tracks) records no position path and gives the logits and
+    critic gradients of a constant leaf bit for bit. ``mask`` is the (T, N)
+    presence that gates neighbour participation, exactly as in the
+    forecaster.
     """
     layout = (ped_ids if isinstance(ped_ids, cells.SceneLayout)
               else cells.SceneLayout([ped_ids]))
@@ -152,7 +155,7 @@ def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
         (p["disc.fuse.W"], p["disc.fuse.b"]),
         absolute=cfg.coordinate_mode == "absolute", literal_softmax=cfg.literal_softmax)
     logits = cells.linear(hidden, p["disc.score.W"], p["disc.score.b"])
-    return ad.gather(logits, (slice(None),) * (positions.values.ndim - 3) + (layout.undo,))
+    return ad.gather(logits, (slice(None),) * (len(positions.shape) - 3) + (layout.undo,))
 
 
 def bce_real(logits: ad.TensorNode) -> ad.TensorNode:
@@ -259,13 +262,12 @@ def _critic_step(cfg: ModelConfig, disc_params: ad.ParamStore, layout, real: np.
                  fakes_only: np.ndarray, disc_opt: ad.Adam) -> float:
     """The critic half of a GAN step on a tape of its own: one (1 + k)-sample
     pass scores the (N, T, 2) ground truth and the (k, N, T, 2) detached
-    futures, and ``disc_opt`` steps. Returns the critic loss. The tape, its
-    logits and its loss die with this call, before the generator half
-    records anything."""
+    futures, as one array that records no position path, and ``disc_opt``
+    steps. Returns the critic loss. The tape, its logits and its loss die
+    with this call, before the generator half records anything."""
     with ad.Tape() as tape:
         logits = discriminator_logits(
-            cfg, disc_params, layout, ad.constant(np.concatenate([real[None], fake_values])),
-            mask)
+            cfg, disc_params, layout, np.concatenate([real[None], fake_values]), mask)
         loss = ad.add(bce_real(_kept(logits, [0], cols)),
                       bce_fake(_kept(logits, fakes_only, cols)))
         _check_finite("discriminator", loss)

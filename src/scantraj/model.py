@@ -292,7 +292,7 @@ class ScanModel:
         observed = np.concatenate([scene.positions[:cfg.obs_len] for scene in scenes],
                                   axis=1)
         hidden, cell, keys, kin = cells.observed_pass(
-            ad.constant(observed.transpose(1, 0, 2)),
+            observed.transpose(1, 0, 2),
             self._present(scenes, range(cfg.obs_len))[:, layout.order], layout,
             self.grid, *self._recurrence("enc"), self._fuse(),
             absolute=cfg.coordinate_mode == "absolute", key=cfg.attention_key,
@@ -377,6 +377,9 @@ class ScanModel:
         disps, positions = [], []
 
         for s in range(cfg.pred_len):
+            if s:       # headings from the step just predicted
+                kin = advance_kinematics(positions[-2].values if s > 1 else last_pos,
+                                         positions[-1].values, kin)
             if not cfg.force_zero_context:
                 weights = ad.pair_weights(
                     cum, self.grid.node, start, layout.neighbors,
@@ -388,7 +391,6 @@ class ScanModel:
             step_in = None if step_in is None else disp
             disps.append(disp)
             positions.append(pos)
-            kin = advance_kinematics(positions[-2].values if s else last_pos, pos.values, kin)
 
         undo = (slice(None),) * len(lead) + (layout.undo,)
         return ForwardResult([pid for scene in scenes for pid in scene.ped_ids],

@@ -827,6 +827,29 @@ class TestTapeLifecycle:
             tape.backward(y)
         assert x.grad == 8.0
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), first=st.sampled_from(["every_op", "leaves_only"]))
+    def test_a_repeat_backward_adds_what_a_second_identical_tape_adds_bitwise(self, seed, first):
+        # The first sweep frees every fused record's saved state, whether it
+        # ran the record's backward ("every_op") or skipped it for lack of an
+        # adjoint ("leaves_only"); the repeat sweep rebuilds it.
+        def losses(x, w):
+            return {"every_op": every_op(x, w), "leaves_only": ad.reduce_sum(ad.mul(x, x))}
+
+        rng = np.random.default_rng(seed)
+        xv, wv = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        one_tape = [ad.constant(xv.copy()), ad.constant(wv.copy())]
+        with ad.Tape() as tape:
+            made = losses(*one_tape)
+            tape.backward(made[first])
+            tape.backward(made["every_op"])
+        two_tapes = [ad.constant(xv.copy()), ad.constant(wv.copy())]
+        for name in (first, "every_op"):
+            with ad.Tape() as tape:
+                tape.backward(losses(*two_tapes)[name])
+        assert ([node.grad.tobytes() for node in one_tape]
+                == [node.grad.tobytes() for node in two_tapes])
+
     def test_loss_from_other_tape_rejected(self):
         with ad.Tape():
             y = ad.mul(ad.constant(1.0), ad.constant(2.0))

@@ -486,6 +486,42 @@ def test_a_known_track_pass_equals_the_composed_records_bitwise(
     assert got[0] == got[1]
 
 
+@PROPERTY
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       lead=st.sampled_from([(), (2,)]), T=st.integers(2, 5), absolute=st.booleans(),
+       key=st.sampled_from(["fused", "joint"]), literal=st.booleans(),
+       zero_context=st.booleans(), spec=spec, seed=st.integers(0, 2**32 - 1))
+def test_an_array_track_equals_a_constant_leaf_bitwise_and_records_no_position_path(
+        sizes, lead, T, absolute, key, literal, zero_context, spec, seed):
+    rng = np.random.default_rng(seed)
+    layout = cells.SceneLayout([list(range(n)) for n in sizes])
+    H, E = 3, 2
+    shapes = [(spec.n_bearing, spec.n_heading), (E, 2), E, (4 * H, E), (4 * H, H), 4 * H,
+              (H, 2 * H), H]
+    arrays = [rng.uniform(0.5, 3.0, size=shapes[0])] + [rng.normal(size=s) for s in shapes[1:]]
+    walks = np.cumsum(rng.normal(0.0, 0.5, size=lead + (layout.n_rows, T, 2)), axis=-2)
+    presence = rng.uniform(size=(T, layout.n_rows)) < 0.8
+    got, ops = [], []
+    for track in (ad.constant(walks.copy()), walks.copy()):
+        probes = np.random.default_rng(seed)
+        grid, *params = [ad.constant(a.copy()) for a in arrays]
+        with ad.Tape() as tape:
+            outs = cells.observed_pass(track, presence, layout, spatial.DomainGrid(grid, spec),
+                                       tuple(params[:2]), tuple(params[2:5]),
+                                       tuple(params[5:]), absolute, key=key,
+                                       literal_softmax=literal,
+                                       force_zero_context=zero_context)[:3]
+            ops.append({(out[0] if type(out) is tuple else out).op_record.op
+                        for out, _, _ in tape._records})
+            tape.backward(ad.mean_of([
+                ad.reduce_sum(ad.mul(out, ad.constant(probes.normal(size=out.shape))))
+                for out in outs]))
+        got.append([out.values.tobytes() for out in outs]
+                   + [node.grad.tobytes() for node in (grid, *params)])
+    assert got[0] == got[1]
+    assert not {"gather", "slice", "sub", "concat"} & ops[1], ops[1]
+
+
 def param_grads(model) -> dict:
     return {name: node.grad.copy() for name, node in model.params.items()}
 
