@@ -7,121 +7,30 @@ node that never receives gradient reads as all zeros.
 
 Broadcasting is deliberately restricted: a binary op accepts two operands of
 identical shape, or one of them may be a scalar (shape ``()``). Anything
-fancier raises :class:`ShapeError` naming the op and both shapes.
+fancier raises :class:`ShapeError` naming the op and both shapes. Each op's
+docstring states its shapes.
 
-A few ops work on whole batches (one row per pedestrian, one entry per
-pedestrian pair, or one slice per sampled future) so that a scene costs one
-record per layer, whatever its size or sample count. Their shape rules:
+Fused ops. ``lstm_step``, ``block_matmul``, ``recurrence``, ``attention``,
+``pair_weights`` and ``decoder_step`` each do in one record, for a whole
+batch of rows, what once took several composed records, which the tests
+keep as references. Each equals its composed records bit for bit, in
+values and in every gradient: the forward runs their float operations, and
+the backward replays theirs in their order and adds every input's shares
+as they did.
 
-* ``gather(a, index)``: ``a.values[index]`` for an integer array or a tuple
-  of integer arrays and slices (numpy advanced indexing); repeated indices
-  accumulate their gradients.
-* ``masked_softmax(a, mask)``: softmax along the last axis over the entries
-  where ``mask`` (same shape) is True; each row normalizes on its own and a
-  row with no True entry is all zeros. A row's total is summed from its
-  first entry to its last, so masked entries appended to a row change
-  nothing, bit for bit.
-* ``linear(x, weight, bias=None)``: ``x @ weight.T + bias`` for ``x`` of
-  shape ``(..., in)``, ``weight`` ``(out, in)`` and ``bias`` ``(out,)``,
-  broadcast over every leading axis: ``(..., in) -> (..., out)``.
-* ``lstm_step(gates_in, hidden, cell, w_hh)``: one LSTM update of every
-  row, one record with outputs ``(new_hidden, new_cell)``: ``hidden`` and
-  ``cell`` are ``(..., H)``, ``w_hh`` ``(4H, H)`` and ``gates_in`` the
-  ``(..., 4H)`` input share ``x @ W_ih.T + b`` of the gates (input, forget,
-  candidate, output). Values and gradients equal the composed update bit
-  for bit.
-* ``block_matmul(a, b, blocks)``: many small products in one record.
-  ``blocks`` lists groups ``(m, p, q)`` that take consecutive rows: m
-  blocks of p rows of ``a`` and q rows of ``b`` each, and a block's output
-  rows are ``a[..., rows, :q] @ b[..., rows_b, :]``, one (p, q) @ (q, n)
-  product per block, equal to the unbatched product bit for bit. ``a`` is
-  ``(..., R, J)`` with J >= q (columns past q are ignored) and ``b``
-  ``(..., R_b, n)``; the groups cover all R rows of ``a`` and all R_b rows
-  of ``b``.
-* ``recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key)``: T steps of
-  the spatially attentive LSTM from zero states, one record with outputs
-  ``(hidden, cell, keys)``. Inputs: the ``(T, ..., R, E)`` step inputs, the
-  ``(T, ..., R, J)`` spatial weights (None: a zero context), ``lstm`` =
-  ``(W_ih, W_hh, b)`` of shapes ``(4H, E)``, ``(4H, H)`` and ``(4H,)``,
-  ``fuse_w`` ``(H, 2H)``, ``fuse_b`` ``(H,)``. Step t: ``context =
-  block_matmul(weights[t], hidden, blocks)``, ``joint = [hidden, context]``,
-  ``fused = tanh(linear(joint, fuse_w, fuse_b))`` and ``lstm_step`` on
-  ``fused`` with the input share ``linear(x[t], W_ih, b)`` of the gates,
-  whose rows equal those of ``linear(x, W_ih, b)`` over all steps.
-  Outputs: the final ``(..., R, H)`` states and the time-major ``(T, ...,
-  R, H)`` fused states (``key="fused"``) or ``(T, ..., R, 2H)`` joints
-  (``key="joint"``).
-* ``attention(query, keys, valid, weight, bias)``: each ``(..., N, K)``
-  query row scores its ``(..., N, T, K)`` keys, softmax over the
-  ``(..., N, T)`` valid steps blends them into a context, and
-  ``tanh(linear([context, query], weight, bias))`` with ``weight`` ``(H, 2K)``
-  gives ``(..., N, H)``.
-* ``pair_weights(cum, grid, start, neighbors, bins, mask, literal=False)``:
-  the ``(..., R, J)`` spatial weights of a decoder step or of a whole
-  known-track pass: offsets ``start + cum[..., neighbors[r, j], :] -
-  cum[..., r, :]``, or ``cum[..., neighbors, :] - cum[..., :, None, :]``
-  alone when ``start`` is None and ``start`` alone when ``cum`` is None;
-  the ``(m, n)`` grid's range at the 1-based ``bins`` minus their length,
-  relu, and softmax over ``mask`` (and, unless ``literal``, over the
-  positive scores only). ``cum`` is ``(..., R, 2)``, ``start`` ``(..., R,
-  J, 2)``; the leading axes (samples, or time then samples) run in the
-  same record, and ``bins`` and ``mask`` broadcast to ``(..., R, J)``. The
-  record keeps only the weights, the softmax mask, a bool mask of the
-  positive reaches and one flat grid-cell index per pair; its backward
-  recomputes the offsets and distances from ``cum`` (and ``start``) with
-  the forward's own operations, so its memory per pair is a few bytes.
-  Without ``cum`` nothing gets a position gradient and it keeps no
-  ``start``.
-* ``decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse,
-  embed, lstm, out, attention=None, key="fused")``: one decoder step, one
-  record with outputs ``(hidden, cell, disp, cum, pos)``, all ``(..., R,
-  ·)``: the ``block_matmul`` context of ``hidden`` (zero when ``weights``
-  is None), fused by ``fuse`` (W, b); temporal ``attention`` (keys, valid,
-  W, b) queried by the fused state or (``key="joint"``) the joint; the
-  LSTM update (``lstm``: W_ih, W_hh, b) on the ``embed``-ded ``step_in``
-  (None: the position ``last_pos + cum``); ``disp`` by the ``out`` linear,
-  its running sum ``cum`` (``disp`` itself when ``cum`` is None) and
-  ``pos = last_pos + cum``. All four fused ops (``recurrence``,
-  ``attention`` and these two) equal their composed records bit for bit,
-  in values and in every gradient.
-
-* ``l2norm(a)``: Euclidean norm over the last axis, ``(..., k) -> (...)``;
-  the subgradient at a zero vector is 0.
-* ``stack(nodes, axis)``, ``concat(nodes, axis)`` and ``reduce_sum(a, axis)``
-  take a numpy axis.
-* ``unstack(a)``: the ``a.shape[0]`` leading slices as separate nodes, from
-  one record with several outputs; each slice gets its own gradient.
-  ``split(a, sizes, axis)`` does the same for consecutive runs of ``sizes``
-  entries along ``axis``, keeping the axis.
-
-What a fused record keeps: its inputs, its outputs and the intermediates
-whose rebuild would need a matrix product. Everything else its backward
-rebuilds with the forward's own float operations, so values and gradients
-do not change. An LSTM update keeps its gates ``(i, f, o, g)`` and new cell,
-and the backward recomputes ``tanh(new_cell)``. ``recurrence`` keeps each
-step's gates, joint and fused state; the gates' input share of a step lives
-only while that step runs, each step's hidden state is read back from its
-joint, and the weights' row blocks are re-taken from the weights node.
-Its backward adds each step's products to ``W_hh``, ``fuse_w`` and
-``fuse_b`` inside the loop, step T - 1 first, as the composed records
-did, so it copies no time-major array of the gates' adjoint, the fused
-states or the joints; only the input linear's backward runs once, over
-the full ``(T, ..., R, 4H)`` gate adjoint. ``decoder_step`` keeps the
-context and rebuilds ``[hidden, context]``, its step input and the
-weights' blocks; ``attention`` keeps its softmax weights and context and
-rebuilds ``[context, query]``; ``pair_weights`` rebuilds the offsets and
-distances (see above).
-
-That saved state lives until a backward sweep has passed the record:
-``Tape.backward`` frees the state of each ``recurrence``, ``decoder_step``
-and ``attention`` record once it has run the record's backward, or has
-skipped it for lack of an adjoint, so a sweep's peak stays close to the
-tape it replays. Afterwards the record keeps its inputs, its outputs and
-the op's arguments; a repeat sweep runs the op again on them under a
-throwaway tape, whose forward (the one float recipe of each op) rebuilds
-the same state bit for bit. ``.grad`` reads as before. ``pair_weights``
-keeps its compact state for every sweep: rebuilding it would need the bins
-and masks it does not keep.
+Saved state and its lifetime. A fused record keeps its inputs, its outputs
+and the intermediates whose rebuild would need a matrix product; its
+backward rebuilds everything else with the forward's own float operations
+(each op's docstring says what it keeps). ``Tape.backward`` frees the saved
+state of each ``recurrence``, ``decoder_step`` and ``attention`` record as
+soon as the sweep has passed the record, whether its backward ran or no
+adjoint reached it, so a sweep's peak stays close to the tape it replays.
+The record keeps its inputs, its outputs and the op's arguments: a repeat
+sweep runs the op again on them under a throwaway tape, whose forward
+rebuilds the same state bit for bit, so it adds the same gradients, and
+``.grad`` reads as before. ``pair_weights`` keeps its few bytes per pair
+for every sweep. A track that wants no gradient is passed to the passes as
+a plain array, so no position path is recorded for it.
 
 A record refers to its tape weakly, so nothing points back from a node to
 the tape that holds it: a tape that nobody refers to any more is freed by
@@ -133,10 +42,9 @@ training builds the graph that ``tape.backward`` replays. Forward-only work
 keeps nothing: every op returns the same values bit for bit, its outputs
 carry ``op_record = None`` and ``backward`` on it raises. Outside any scope
 ops compute without recording, so nothing grows without bound. The stack of
-open tapes and the adjoints of the running backward pass are
-``contextvars.ContextVar`` stacks: each thread (and each asyncio context)
-has its own, so a tape belongs to the context that opened it and threads
-never record onto one another's tapes.
+open tapes and the adjoints of the running sweep are ``contextvars``: each
+thread (and each asyncio context) has its own, so a tape belongs to the
+context that opened it and threads never record onto one another's tapes.
 """
 
 from __future__ import annotations
@@ -151,6 +59,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeError
+from .geometry import pair_offsets
 
 __all__ = [
     "TensorNode", "Tape", "no_grad", "active_tape", "constant",
@@ -221,29 +130,6 @@ class TensorNode:
         tag = self.op_record.op if self.op_record is not None else "leaf"
         return f"TensorNode({tag}, shape={self.shape})"
 
-    # Operator sugar. Python scalars are lifted to constant leaves.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __getitem__(self, key):
         return _getitem(self, key)
 
@@ -278,15 +164,9 @@ class Tape:
 
         ``loss`` must be scalar-shaped and recorded on this tape (or a leaf).
         Each call propagates its own unit seed, so repeated calls sum
-        gradients instead of double-counting earlier passes.
-
-        The sweep frees each fused record's saved state (``recurrence``,
-        ``decoder_step``, ``attention``) as soon as it has passed the
-        record, whether its backward ran or no adjoint reached it; the
-        record keeps its inputs, outputs and arguments. A repeat call
-        rebuilds that state by running the op again on them, so it adds the
-        same gradients bit for bit. ``.grad`` reads as before: each node
-        reached gets its sum after the sweep.
+        gradients instead of double-counting earlier passes. The sweep frees
+        fused records' saved state as it passes them (module docstring,
+        "Saved state and its lifetime").
         """
         if loss.values.shape != ():
             raise ValueError(
@@ -297,7 +177,7 @@ class Tape:
             raise ValueError(f"backward on non-finite loss ({float(loss.values)})")
         adjoints: dict[int, tuple[TensorNode, np.ndarray]] = {
             id(loss): (loss, np.ones_like(loss.values))}
-        token = _ADJOINT_STACK.set(_ADJOINT_STACK.get() + (adjoints,))
+        token = _ADJOINTS.set(adjoints)
         records, replays = self._records, self._replays
         try:
             for index in reversed(range(len(records))):
@@ -314,7 +194,7 @@ class Tape:
                 if index in replays:        # frees the state ``backward_fn`` saved
                     records[index] = (out, inputs, replays[index])
         finally:
-            _ADJOINT_STACK.reset(token)
+            _ADJOINTS.reset(token)
         for node, buf in adjoints.values():
             if node._grad is None:
                 node._grad = buf        # the buffer is owned by this pass
@@ -404,36 +284,29 @@ def _lift(x) -> TensorNode:
     return TensorNode(x)
 
 
-# Adjoint maps of the backward passes running in the current context.
-_ADJOINT_STACK: contextvars.ContextVar[tuple[dict, ...]] = contextvars.ContextVar(
-    "_ADJOINT_STACK", default=())
+# The adjoint map of the backward sweep running in the current context.
+# Backward closures run only inside ``Tape.backward``, which sets it.
+_ADJOINTS: contextvars.ContextVar[dict] = contextvars.ContextVar("_ADJOINTS")
 
 
 def _add_grad(node: TensorNode, delta) -> None:
-    stack = _ADJOINT_STACK.get()
-    if stack:
-        adjoints = stack[-1]
-        entry = adjoints.get(id(node))
-        if entry is None:
-            # An owned copy, broadcast to the node's shape: it is summed
-            # into in place later and may become the node's ``.grad``.
-            buf = np.empty_like(node.values)
-            buf[...] = delta
-            adjoints[id(node)] = (node, buf)
-        else:
-            entry[1].__iadd__(delta)
+    adjoints = _ADJOINTS.get()
+    entry = adjoints.get(id(node))
+    if entry is None:
+        # An owned copy, broadcast to the node's shape: it is summed into in
+        # place later and may become the node's ``.grad``.
+        buf = np.empty_like(node.values)
+        buf[...] = delta
+        adjoints[id(node)] = (node, buf)
     else:
-        node.grad.__iadd__(delta)
+        entry[1].__iadd__(delta)
 
 
 def _adjoint(node: TensorNode) -> np.ndarray:
-    """The buffer this backward pass accumulates ``node``'s adjoint in,
+    """The buffer this backward sweep accumulates ``node``'s adjoint in,
     zeroed on first touch, for backward closures that add into part of it
-    in place; outside a pass, the node's ``.grad``."""
-    stack = _ADJOINT_STACK.get()
-    if not stack:
-        return node.grad
-    adjoints = stack[-1]
+    in place."""
+    adjoints = _ADJOINTS.get()
     entry = adjoints.get(id(node))
     if entry is None:
         entry = adjoints[id(node)] = (node, np.zeros_like(node.values))
@@ -549,8 +422,16 @@ def _block_grads(g, a_blocks: list, bv: np.ndarray, pieces: list, ga, gb) -> Non
 
 
 def block_matmul(a, b, blocks) -> TensorNode:
-    """Many small row-block products in one record; see the module
-    docstring."""
+    """Many small row-block products in one record.
+
+    ``blocks`` lists groups ``(m, p, q)`` that take consecutive rows: m
+    blocks of p rows of ``a`` and q rows of ``b`` each, and a block's output
+    rows are ``a[..., rows, :q] @ b[..., rows_b, :]``, one (p, q) @ (q, n)
+    product per block, equal to the unbatched product bit for bit. ``a`` is
+    ``(..., R, J)`` with J >= q (columns past q are ignored) and ``b``
+    ``(..., R_b, n)``; the groups cover all R rows of ``a`` and all R_b rows
+    of ``b``.
+    """
     a, b = _lift(a), _lift(b)
     av, bv = a.values, b.values
     if av.ndim < 2 or bv.ndim != av.ndim or bv.shape[:-2] != av.shape[:-2]:
@@ -575,7 +456,8 @@ def _rows_times(xv: np.ndarray, wv: np.ndarray) -> np.ndarray:
 
 
 def linear(x, weight, bias=None) -> TensorNode:
-    """``x @ weight.T + bias`` for an input ``(..., in)``, row by row."""
+    """``x @ weight.T + bias`` for an input ``(..., in)``, a weight ``(out,
+    in)`` and a bias ``(out,)``, row by row: ``(..., in) -> (..., out)``."""
     x, weight = _lift(x), _lift(weight)
     xv, wv = x.values, weight.values
     if wv.ndim != 2 or xv.ndim == 0 or xv.shape[-1] != wv.shape[1]:
@@ -777,8 +659,11 @@ def _lstm_grads(d_hidden, d_cell, cv: np.ndarray, state: tuple) -> tuple:
 
 
 def lstm_step(gates_in, hidden, cell, w_hh) -> tuple[TensorNode, TensorNode]:
-    """One LSTM update of every row as one record; see the module docstring.
-    The backward replays the composed update's float operations in order."""
+    """One LSTM update of every row, one record with outputs ``(new_hidden,
+    new_cell)``. ``hidden`` and ``cell`` are ``(..., H)``, ``w_hh`` ``(4H,
+    H)`` and ``gates_in`` the ``(..., 4H)`` input share ``x @ W_ih.T + b`` of
+    the gates (input, forget, candidate, output). Keeps the gates and the new
+    cell; the backward recomputes ``tanh(new_cell)``."""
     gates_in, hidden, cell, w_hh = map(_lift, (gates_in, hidden, cell, w_hh))
     hv, cv, wv = hidden.values, cell.values, w_hh.values
     H = cv.shape[-1] if cv.ndim else -1
@@ -807,11 +692,26 @@ def _plus(first, second):
 
 def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
                key: str = "fused") -> tuple[TensorNode, TensorNode, TensorNode]:
-    """T steps of the spatially attentive LSTM as one record; see the module
-    docstring. The backward replays the composed records' float operations
-    in their order: step t adds its products to ``W_hh``, ``fuse_w`` and
-    ``fuse_b`` as it runs, step T - 1 first, and only the input linear's
-    backward runs once over all steps after the loop."""
+    """T steps of the spatially attentive LSTM from zero states, one record
+    with outputs ``(hidden, cell, keys)``.
+
+    Inputs: the ``(T, ..., R, E)`` step inputs ``x``, the ``(T, ..., R, J)``
+    spatial ``weights`` (None: a zero context), ``lstm`` = ``(W_ih, W_hh,
+    b)`` of shapes ``(4H, E)``, ``(4H, H)`` and ``(4H,)``, ``fuse_w`` ``(H,
+    2H)`` and ``fuse_b`` ``(H,)``. Step t: ``context = block_matmul(
+    weights[t], hidden, blocks)``, ``joint = [hidden, context]``, ``fused =
+    tanh(linear(joint, fuse_w, fuse_b))`` and ``lstm_step`` on ``fused``
+    with the input share ``linear(x[t], W_ih, b)`` of the gates. Outputs:
+    the final ``(..., R, H)`` states and the time-major ``(T, ..., R, H)``
+    fused states (``key="fused"``) or ``(T, ..., R, 2H)`` joints
+    (``key="joint"``).
+
+    Keeps each step's gates, joint and fused state; a step's hidden state is
+    read back from its joint and the weights' blocks are re-taken from the
+    weights node. The backward adds each step's products to ``W_hh``,
+    ``fuse_w`` and ``fuse_b`` as it goes, step T - 1 first, and runs the
+    input linear's backward once over all steps.
+    """
     x, fuse_w, fuse_b = map(_lift, (x, fuse_w, fuse_b))
     w_ih, w_hh, bias = map(_lift, lstm)
     xv, wv, fw, fb = x.values, w_hh.values, fuse_w.values, fuse_b.values
@@ -875,8 +775,7 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
                              pieces, d_weights[t], d_hidden)
         if weights is not None:     # an output adjoint always reaches a joint
             _adjoint(weights)[...] += d_weights
-        if gated:                   # ``linear``'s backward, on the adjoint the gates
-            d_gates += 0.0          # node had: a zero buffer plus d_gates (-0.0 -> +0.0)
+        if gated:                   # ``linear``'s backward, once over all steps
             d_x, d_w, d_b = _linear_grads(d_gates, xv, w_ih.values)
             _add_grad(x, d_x)
             _add_grad(w_ih, d_w)
@@ -922,6 +821,8 @@ def masked_softmax(a, mask) -> TensorNode:
 
     Each row normalizes on its own. Masked-out entries get weight exactly
     0.0 and receive no gradient; a row whose mask is all False is all zeros.
+    A row's total is summed left to right, so masked entries appended to a
+    row change nothing, bit for bit.
     """
     a = _lift(a)
     xv = a.values
@@ -936,9 +837,14 @@ def masked_softmax(a, mask) -> TensorNode:
 
 
 def attention(query, keys, valid, weight, bias) -> TensorNode:
-    """Temporal attention of every query row over its own keys as one record;
-    see the module docstring. The backward replays the composed records'
-    float operations in their order."""
+    """Temporal attention of every query row over its own keys, one record.
+
+    Each ``(..., N, K)`` query row scores its ``(..., N, T, K)`` keys, a
+    softmax over the ``(..., N, T)`` ``valid`` steps blends them into a
+    context, and ``tanh(linear([context, query], weight, bias))`` with
+    ``weight`` ``(H, 2K)`` gives ``(..., N, H)``. Keeps the softmax weights
+    and the context; the backward rebuilds ``[context, query]``.
+    """
     query, keys, weight, bias = map(_lift, (query, keys, weight, bias))
     replay = functools.partial(attention, query, keys, valid, weight, bias)
     qv, kv, wv = query.values, keys.values, weight.values
@@ -981,11 +887,21 @@ def _attention_grads(g, qv, kv, mask, saved, weight, bias, keys) -> tuple:
 
 
 def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False) -> TensorNode:
-    """The spatial weights of a pass or a decoder step as one record; see
-    the module docstring. The record keeps the weights, the two masks and
-    one flat grid-cell index per pair; the backward recomputes the offsets
-    and distances with the forward's own operations and replays the
-    composed records' float operations in their order."""
+    """The ``(..., R, J)`` spatial weights of a decoder step or of a whole
+    known-track pass, one record.
+
+    Offsets: ``start + pair_offsets(cum, neighbors)``, or either term alone
+    when the other is None. Then the ``(m, n)`` grid's range at the 1-based
+    ``bins`` minus the offsets' length, relu, and softmax over ``mask`` (and,
+    unless ``literal``, over the positive scores only). ``cum`` is ``(...,
+    R, 2)`` and ``start`` ``(..., R, J, 2)``; the leading axes (samples, or
+    time then samples) run in the same record, and ``bins`` and ``mask``
+    broadcast to ``(..., R, J)``. Keeps the weights, the softmax mask, the
+    positive reaches and one flat grid-cell index per pair; the backward
+    recomputes the offsets and distances from ``cum`` and ``start``.
+    Without ``cum`` nothing gets a position gradient and it keeps no
+    ``start``.
+    """
     grid = _lift(grid)
     cum = None if cum is None else _lift(cum)
     start = None if start is None else np.asarray(start, dtype=np.float64)
@@ -997,12 +913,10 @@ def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False)
         raise ShapeError(f"pair_weights: offsets {None if start is None else start.shape}, "
                          f"running sum {None if cum is None else cum.shape}, neighbours "
                          f"{neighbors.shape} and grid {grid.shape} do not conform")
-    lead = () if cum is None else (slice(None),) * (cum.values.ndim - 2)
-
     def offsets_of(start) -> np.ndarray:
         if cum is None:
             return start
-        pairs = _take(cum.values, lead + (neighbors,)) - cum.values[..., None, :]
+        pairs = pair_offsets(cum.values, neighbors)
         return pairs if start is None else start + pairs
 
     offsets = offsets_of(start)
@@ -1023,6 +937,7 @@ def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False)
             offsets = offsets_of(kept)
             d_offsets = _norm_grad(-d_reach, offsets, _norm_values(offsets))
             rows = np.broadcast_to(np.arange(R)[:, None], neighbors.shape)
+            lead = (slice(None),) * (cum.values.ndim - 2)
             _add_grad(cum, _scatter(cum.shape, lead + (rows,), -d_offsets))
             _add_grad(cum, _scatter(cum.shape, lead + (neighbors,), d_offsets))
 
@@ -1031,9 +946,19 @@ def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False)
 
 def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, embed, lstm,
                  out, attention=None, key: str = "fused") -> tuple:
-    """One decoder step as one record; see the module docstring. The
-    backward replays the composed records' float operations in their order
-    and adds every input's shares through ``_add_grad`` as they did."""
+    """One decoder step, one record with outputs ``(hidden, cell, disp, cum,
+    pos)``, all ``(..., R, ·)``.
+
+    The ``block_matmul`` context of ``hidden`` (zero when ``weights`` is
+    None) is fused by ``fuse`` (W, b); temporal ``attention`` (keys, valid,
+    W, b) is queried by the fused state or (``key="joint"``) the joint; the
+    LSTM update (``lstm``: W_ih, W_hh, b) runs on the ``embed``-ded
+    ``step_in`` (None: the position ``last_pos + cum``); ``disp`` comes from
+    the ``out`` linear, ``cum`` is its running sum (``disp`` itself when
+    ``cum`` is None) and ``pos = last_pos + cum``. Keeps the context; the
+    backward rebuilds ``[hidden, context]``, the step input and the
+    weights' blocks.
+    """
     hidden, cell, weights, cum, step_in = (
         None if n is None else _lift(n) for n in (hidden, cell, weights, cum, step_in))
     params = [_lift(p) for p in (*fuse, *embed, *lstm, *out)]

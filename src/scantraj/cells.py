@@ -12,18 +12,14 @@ a pass over it alone, bit for bit.
 
 A spatial round is a geometry half, the pair weights, which reads no
 hidden state, then a state half that blends and fuses the hidden states.
-``observed_pass`` computes the weights of a whole known track as one
-``ad.pair_weights`` record and hands the state half, with the cell and
-its input weights, to ``ad.recurrence``: the whole loop is one record.
-A track given as a plain array (the encoder's observed steps, the critic
-step's tracks) wants no gradient, so its offsets and step inputs are
-computed off the tape.
-The decoder's geometry follows its own predictions, so it runs both
-halves per step, as ``ad.pair_weights`` and ``ad.decoder_step`` (with the
-cell): two records.
-``pairwise_offsets``, ``spatial_weights``, ``spatial_round`` and
-``lstm_cell`` are the composed records those equal bit for bit; no
-production pass calls them.
+``observed_pass`` runs a whole known track as two records,
+``ad.pair_weights`` and ``ad.recurrence``. The decoder's geometry follows
+its own predictions, so it runs both halves per step, as
+``ad.pair_weights`` and ``ad.decoder_step`` (with the cell). How long
+their saved state lives is told once, in the ``autodiff`` module
+docstring. ``spatial_weights``, ``spatial_round`` and ``lstm_cell`` are
+the composed records those equal bit for bit; no production pass calls
+them.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from . import spatial
 # compute_encounter is the scalar reference for geometry.bin_indices; it
 # stays importable here, where bench/tracer.py binds it.
 from .geometry import (CrowdKinematics, bin_indices, compute_encounter,  # noqa: F401
-                       track_kinematics)
+                       pair_offsets, track_kinematics)
 
 
 def canonical_order(ped_ids: Sequence[int]) -> np.ndarray:
@@ -133,15 +129,6 @@ def noise_conditioned_hidden(hidden: ad.TensorNode, noise: np.ndarray,
     return linear(ad.concat([hidden, ad.constant(rows)], axis=-1), weight, bias)
 
 
-def pairwise_offsets(positions: ad.TensorNode, neighbors: np.ndarray) -> ad.TensorNode:
-    """(..., R, 2) positions -> (..., R, J, 2) node whose [..., r, j] entry
-    points from row r to row ``neighbors[r, j]``."""
-    lead = (slice(None),) * (positions.values.ndim - 2)
-    rows = np.broadcast_to(np.arange(neighbors.shape[0])[:, None], neighbors.shape)
-    return ad.sub(ad.gather(positions, lead + (neighbors,)),
-                  ad.gather(positions, lead + (rows,)))
-
-
 def spatial_weights(offsets: ad.TensorNode, kinematics: CrowdKinematics,
                     mask: np.ndarray, layout: SceneLayout, grid: spatial.DomainGrid,
                     literal_softmax: bool = False) -> ad.TensorNode:
@@ -191,23 +178,17 @@ def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layou
     a node (live or a leaf) whose positions get gradient through the pair
     offsets and step inputs, or a plain array when no gradient is wanted,
     whose offsets and step inputs are computed off the tape with the same
-    float operations, so no position path is recorded. ``presence`` is the
-    (T, R) presence of ``layout``'s rows; ``embed`` is (W, b), ``lstm``
-    (W_ih, W_hh, b), ``fuse`` (W, b). Step t embeds the position
-    (``absolute``) or the displacement from t - 1 (zeros at t = 0), fuses
-    the neighbours' context into the hidden state and runs the cell. All
-    but the loop is computed once with a leading time axis (for a node one
-    time-major ``gather``; kinematics, bins, step inputs and the embedding,
-    the pass's one ``linear`` record), the weights of every step are one
-    ``ad.pair_weights`` record and the loop, with its input share ``x @
-    W_ih.T + b`` of the gates, is one ``ad.recurrence`` record; values and
-    gradients equal the composed records (``pairwise_offsets`` and
-    ``spatial_weights`` over all steps, the input linear, then a block
-    product, fuse and cell per step) bit for bit, and an array track gives
-    the outputs and parameter gradients of a constant-leaf one bit for bit.
-    Returns the final (..., R, H) hidden and cell, the time-major (T, ...,
-    R, K) fused states (``key="fused"``) or joints, and the last
-    kinematics, in rows.
+    float operations; an array track gives the outputs and parameter
+    gradients of a constant-leaf one bit for bit. ``presence`` is the (T, R)
+    presence of ``layout``'s rows; ``embed`` is (W, b), ``lstm`` (W_ih,
+    W_hh, b), ``fuse`` (W, b). Step t embeds the position (``absolute``) or
+    the displacement from t - 1 (zeros at t = 0), fuses the neighbours'
+    context into the hidden state and runs the cell. Everything but the loop
+    runs once with a leading time axis; the weights of every step are one
+    ``ad.pair_weights`` record and the loop one ``ad.recurrence`` record,
+    equal to the composed records bit for bit. Returns the final (..., R, H)
+    hidden and cell, the time-major (T, ..., R, K) fused states
+    (``key="fused"``) or joints, and the last kinematics, in rows.
     """
     lead, T = track.shape[:-3], track.shape[-2]
     index = np.ix_(np.arange(T), *map(np.arange, lead), layout.order)
@@ -219,8 +200,7 @@ def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layou
     weights = None
     if not force_zero_context:
         mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
-        cum, offsets = ((pos, None) if live else
-                        (None, np.take(xy, layout.neighbors, axis=-2) - xy[..., :, None, :]))
+        cum, offsets = (pos, None) if live else (None, pair_offsets(xy, layout.neighbors))
         weights = ad.pair_weights(cum, grid.node, offsets, layout.neighbors,
                                   bin_indices(kins, grid.spec, layout.neighbors),
                                   mask, literal_softmax)

@@ -23,6 +23,7 @@ from . import data as sd
 from . import generative as gn
 from . import training as tr
 from .errors import DataError, EmptyMetricError, NumericError
+from .metrics import CSV_HEADER
 from .model import ModelConfig, config_from_dict, config_keys
 
 DATA_ROOT_ENV = "SCANTRAJ_DATA"
@@ -112,6 +113,9 @@ def _train_config(cfgmap) -> tr.TrainConfig:
         conf.validate()
     except ValueError as exc:
         raise DataError(f"bad train config: {exc}") from exc
+    if conf.eval_every:
+        raise DataError(f"[train] eval_every = {conf.eval_every}: the train command "
+                        f"takes no held-out data, so it must be 0")
     return conf
 
 
@@ -245,7 +249,7 @@ def cmd_sweep(args) -> int:
     k = args.k if args.k is not None else tr.default_k(state.cfg)
     reports = tr.sweep_horizons(state.cfg, state.params, records,
                                 pred_lens=pred_lens, k=k, seed=args.seed)
-    lines = ["pred_len," + "ade,fde,bok_ade,bok_fde,ncr_pct,n_scenes,n_peds"]
+    lines = ["pred_len," + CSV_HEADER]
     for pred_len in sorted(reports):
         lines.append(f"{pred_len},{reports[pred_len].csv_row()}")
     _emit("\n".join(lines) + "\n", args.out)

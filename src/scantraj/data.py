@@ -130,7 +130,7 @@ def _reindex_frames(records: list[RawRecord]) -> dict[int, int]:
 
 
 def make_windows(records: list[RawRecord], obs_len: int = 8, pred_len: int = 12,
-                 stride: int = 1, source: str = "") -> list[SceneWindow]:
+                 stride: int = 1) -> list[SceneWindow]:
     """Slide fixed-length windows over the re-indexed frame axis."""
     if obs_len < 2 or pred_len < 1 or stride < 1:
         raise ValueError("need obs_len >= 2, pred_len >= 1, stride >= 1")
@@ -167,21 +167,19 @@ def make_windows(records: list[RawRecord], obs_len: int = 8, pred_len: int = 12,
                     last = here
                 else:
                     positions[t, col] = last if last is not None else (0.0, 0.0)
-        win = SceneWindow(ids, positions, mask, obs_len,
-                          source=source or "raw")
+        win = SceneWindow(ids, positions, mask, obs_len, source="raw")
         win.validate()
         windows.append(win)
     return windows
 
 
-def scene_to_records(window: SceneWindow, frame_start: int = 0,
-                     frame_step: int = 1) -> list[RawRecord]:
+def scene_to_records(window: SceneWindow, frame_start: int = 0) -> list[RawRecord]:
     """Rows for every unmasked (step, ped) of a window."""
     out = []
     for t in range(window.total_len):
         for col, ped in enumerate(window.ped_ids):
             if window.mask[t, col]:
-                out.append(RawRecord(frame_start + t * frame_step, ped,
+                out.append(RawRecord(frame_start + t, ped,
                                      float(window.positions[t, col, 0]),
                                      float(window.positions[t, col, 1])))
     return out

@@ -172,7 +172,7 @@ def bce_fake(logits: ad.TensorNode) -> ad.TensorNode:
 # -- sample-set losses ------------------------------------------------------
 
 def variety_loss(scene: SceneWindow, samples: PredictionSet):
-    """Trajectory loss of the minimum-ADE sample only.
+    """Trajectory loss of the sample ``metrics.best_sample`` picks.
 
     Selection runs on detached values (plain float ADE), so gradient flows
     exclusively through the chosen sample's graph. Returns None when no
@@ -184,12 +184,7 @@ def variety_loss(scene: SceneWindow, samples: PredictionSet):
     mask = scene.mask[scene.obs_len:scene.obs_len + usable].T
     if not mask.any():
         return None
-    best, best_ade = 0, None
-    for i in range(samples.k):
-        pos = samples.results[i].positions()[:, :usable]
-        value = metrics.ade(pos, truth, mask)
-        if best_ade is None or value < best_ade:
-            best, best_ade = i, value
+    best, _ = metrics.best_sample(samples.futures.values[..., :usable, :], truth, mask)
     return trajectory_loss(samples.results[best], scene)
 
 

@@ -192,6 +192,12 @@ def track_kinematics(track: np.ndarray) -> CrowdKinematics:
     return CrowdKinematics(track, heading, latest > 0)
 
 
+def pair_offsets(xy: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """``(..., N, J, 2)`` offsets from ``(..., N, 2)`` positions: entry
+    [..., a, j] points from agent a to agent ``neighbors[a, j]``."""
+    return np.take(xy, neighbors, axis=-2) - xy[..., :, None, :]
+
+
 def bin_indices(kinematics: CrowdKinematics, spec: BinSpec,
                 neighbors: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """1-based (bearing, heading) bins of every agent towards its neighbours.
@@ -209,9 +215,8 @@ def bin_indices(kinematics: CrowdKinematics, spec: BinSpec,
     if neighbors is None:
         n = heading.shape[-1]
         neighbors = np.broadcast_to(np.arange(n), (n, n))
-    others = np.take(pos, neighbors, axis=-2)      # pos[..., neighbors, :], faster
-    dx = others[..., 0] - pos[..., :, None, 0]
-    dy = others[..., 1] - pos[..., :, None, 1]
+    offsets = pair_offsets(pos, neighbors)
+    dx, dy = offsets[..., 0], offsets[..., 1]
     coincident = (dx == 0.0) & (dy == 0.0)
     bearing = _normalize_deg_array(np.degrees(np.arctan2(dy, dx))
                                    - heading[..., :, None])

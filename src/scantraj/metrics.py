@@ -123,20 +123,26 @@ def _fde(pred, truth, mask) -> tuple[float, int]:
     return float(np.mean(finals)), fallbacks
 
 
-def best_of_k(samples, truth, mask=None) -> tuple[float, float]:
-    """(ADE, FDE) of the minimum-ADE sample among ``samples``.
-
-    ``samples`` is (k, N, T, 2) for one scene. Selection is keyed on ADE
-    alone; the chosen sample's FDE is reported even when another sample's
-    final error is smaller. Ties go to the lowest sample index. The FDE
-    fallback is routine here and raises no warning.
-    """
+def best_sample(samples, truth, mask=None) -> tuple[int, float]:
+    """(index, ADE) of the minimum-ADE sample among ``samples``, the
+    (k, N, T, 2) futures of one scene; ties go to the lowest index."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 4 or samples.shape[0] < 1:
         raise ValueError(f"samples must be (k, N, T, 2), got {samples.shape}")
     ades = [ade(samples[i], truth, mask) for i in range(samples.shape[0])]
     best = int(np.argmin(ades))
-    return ades[best], _fde(samples[best], truth, mask)[0]
+    return best, ades[best]
+
+
+def best_of_k(samples, truth, mask=None) -> tuple[float, float]:
+    """(ADE, FDE) of the ``best_sample`` among ``samples``.
+
+    Selection is keyed on ADE alone; the chosen sample's FDE is reported
+    even when another sample's final error is smaller. The FDE fallback is
+    routine here and raises no warning.
+    """
+    best, best_ade = best_sample(samples, truth, mask)
+    return best_ade, _fde(np.asarray(samples, dtype=np.float64)[best], truth, mask)[0]
 
 
 def frame_collision_fractions(positions, mask=None,

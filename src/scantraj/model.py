@@ -30,7 +30,7 @@ from .errors import ShapeError
 # the composed reference for the decoder step's attention; both stay
 # importable here, where bench/tracer.py binds them.
 from .geometry import (BinSpec, CrowdKinematics, advance_kinematics,  # noqa: F401
-                       bin_indices, estimate_heading)
+                       bin_indices, estimate_heading, pair_offsets)
 from .temporal import AttentionBank, attend  # noqa: F401
 
 VARIANTS = ("vanilla", "scan")
@@ -367,7 +367,7 @@ class ScanModel:
         kin = bank.kinematics[rows]
 
         last_pos = tiled(bank.last_pos[order])
-        start = last_pos[..., layout.neighbors, :] - last_pos[..., :, None, :]
+        start = pair_offsets(last_pos, layout.neighbors)
         cum, weights = None, None                   # cumulative displacement node
         step_in = (None if cfg.coordinate_mode == "absolute"     # last_pos + cum
                    else ad.constant(tiled(bank.last_disp[order])))

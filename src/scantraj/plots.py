@@ -136,17 +136,15 @@ def _valid_future_steps(scene, ped: int) -> int:
     return int(column.sum())
 
 
-def _fan_strokes(svg, frame, scene, samples, connect: bool = True) -> None:
+def _fan_strokes(svg, frame, scene, samples) -> None:
     """Draw one scene's observed/truth/sample/mean strokes into ``svg``."""
     samples = np.asarray(samples, dtype=np.float64)
-    k, n_peds, steps = samples.shape[0], samples.shape[1], samples.shape[2]
+    k, n_peds = samples.shape[:2]
     mean = samples.mean(axis=0)
     for p in range(n_peds):
         anchor = scene.positions[scene.obs_len - 1, p]
         for i in range(k):
-            path = samples[i, p]
-            if connect:
-                path = np.concatenate([anchor[None], path])
+            path = np.concatenate([anchor[None], samples[i, p]])
             svg.polyline(frame.map_path(path), SAMPLE_COLOR, width=1.0,
                          opacity=0.45)
     for p in range(n_peds):
@@ -155,7 +153,7 @@ def _fan_strokes(svg, frame, scene, samples, connect: bool = True) -> None:
         svg.polyline(frame.map_path(truth), TRUTH_COLOR, width=2.0, dash="6,4")
     for p in range(n_peds):
         anchor = scene.positions[scene.obs_len - 1, p]
-        path = np.concatenate([anchor[None], mean[p]]) if connect else mean[p]
+        path = np.concatenate([anchor[None], mean[p]])
         svg.polyline(frame.map_path(path), MEAN_COLOR, width=2.2)
     for p in range(n_peds):
         observed = scene.positions[:scene.obs_len, p]

@@ -4,7 +4,8 @@ The oracles are written with plain ``math`` loops and no imports from the
 package under test (numpy is used only for array containers), so they
 cannot share bugs with the real code paths. ``composed_decode`` is the
 other kind of reference: the decoder as the separate tape records it took
-before its steps were fused, which the fused ops must equal bit for bit.
+before its steps were fused, which the fused ops must equal bit for bit;
+``pairwise_offsets`` gives the pair offsets of a position node the same way.
 ``matmul`` is a test-side op on the package's tape: the plain matrix
 products that reference computations and gradient probes are written with,
 which the package itself no longer uses.
@@ -149,6 +150,18 @@ def matmul(a, b):
     return ad._record("matmul", outv, (a, b), backward)
 
 
+def pairwise_offsets(positions, neighbors):
+    """(..., R, 2) positions -> (..., R, J, 2) node whose [..., r, j] entry
+    points from row r to row ``neighbors[r, j]``, as two gathers and a
+    subtraction: the composed records ``geometry.pair_offsets`` replaced."""
+    from scantraj import autodiff as ad
+
+    lead = (slice(None),) * (positions.values.ndim - 2)
+    rows = np.broadcast_to(np.arange(neighbors.shape[0])[:, None], neighbors.shape)
+    return ad.sub(ad.gather(positions, lead + (neighbors,)),
+                  ad.gather(positions, lead + (rows,)))
+
+
 def composed_decode(model, scenes, bank, noise=None):
     """``model.decode(scenes, bank, noise)`` as one tape record per layer and
     step (about 20 a step): the spatial round, temporal attention, the input
@@ -196,7 +209,7 @@ def composed_decode(model, scenes, bank, noise=None):
 
     for s in range(cfg.pred_len):
         offsets = (start_offsets if cum is None else ad.add(
-            start_offsets, cells.pairwise_offsets(cum, layout.neighbors)))
+            start_offsets, pairwise_offsets(cum, layout.neighbors)))
         fused, joints = cells.spatial_round(
             offsets, kin, present[s][order], hidden, layout, model.grid, *model._fuse(),
             literal_softmax=cfg.literal_softmax,
@@ -235,7 +248,7 @@ def composed_observed_pass(track, presence, layout, grid, embed, lstm, fuse, abs
                            key="fused", literal_softmax=False, force_zero_context=False):
     """``cells.observed_pass`` as the records it took before its pair
     weights and its loop were fused: the composed pair chain over all steps
-    (``cells.pairwise_offsets`` and ``cells.spatial_weights``: offsets,
+    (``pairwise_offsets`` and ``cells.spatial_weights``: offsets,
     distance, grid cell, relu and softmax), the step inputs and their
     embedding over all steps, then from zero states, step by step, the
     block product, the fuse and ``cells.lstm_cell``.
@@ -254,7 +267,7 @@ def composed_observed_pass(track, presence, layout, grid, embed, lstm, fuse, abs
     kins = track_kinematics(pos.values)
     weights = [None] * T
     if not force_zero_context:
-        offsets = cells.pairwise_offsets(pos, layout.neighbors)
+        offsets = pairwise_offsets(pos, layout.neighbors)
         mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
         weights = ad.unstack(cells.spatial_weights(
             offsets, kins, np.broadcast_to(mask, offsets.shape[:-1]), layout, grid,

@@ -17,7 +17,7 @@ from scantraj import autodiff as ad
 from scantraj import cells, spatial, temporal
 from scantraj.errors import ShapeError
 
-from oracles import matmul, numeric_gradient
+from oracles import matmul, numeric_gradient, pairwise_offsets
 
 H = 1e-5
 OP_TOL = 1e-4
@@ -580,11 +580,11 @@ def composed_pair_weights(cum, grid, start, neighbors, bins, mask, literal):
     offsets, distance, grid cell, relu and softmax. Without ``start`` the
     offsets are the pair offsets of ``cum`` alone, as in a known-track pass."""
     if start is None:
-        offsets = cells.pairwise_offsets(cum, neighbors)
+        offsets = pairwise_offsets(cum, neighbors)
     else:
         offsets = ad.constant(start)
         if cum is not None:
-            offsets = ad.add(offsets, cells.pairwise_offsets(cum, neighbors))
+            offsets = ad.add(offsets, pairwise_offsets(cum, neighbors))
     scores = spatial.raw_score(spatial.DomainGrid(grid, None), bins, ad.l2norm(offsets))
     return spatial.normalize_scores(scores, mask, literal).normalized
 

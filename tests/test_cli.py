@@ -308,6 +308,18 @@ class TestTrainCommand:
         assert code == 2
         assert "generative" in capsys.readouterr().err
 
+    def test_nonzero_eval_every_is_a_data_error_before_training(self, tmp_path,
+                                                               micro_config, capsys):
+        # The command has no held-out data to evaluate, so it refuses the key
+        # instead of ignoring it.
+        ckpt = tmp_path / "x.ckpt"
+        code = cli.run(["train", "--config", micro_config, "--synth", "straight:2:1",
+                        "--set", "train.eval_every=1", "--out", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "eval_every" in err and "held-out" in err
+        assert not ckpt.exists()
+
     def test_resume_continues_to_target_epochs(self, tmp_path, micro_config):
         first = str(tmp_path / "first.ckpt")
         assert cli.run(["train", "--config", micro_config,

@@ -26,6 +26,9 @@ equals a pass over it alone bit for bit, though the scenes overlap in space
 and share pedestrian ids; the batch loss is the mean of the lone losses and
 its gradient their sum; a GAN step reports what lone passes give; and the
 tape grows with the number of scenes, not with its square.
+
+The variety term trains on the very sample that best-of-k scores, the
+lowest index among exact ADE ties.
 """
 
 import math
@@ -37,6 +40,7 @@ from hypothesis import strategies as st
 from scantraj import autodiff as ad
 from scantraj import cells
 from scantraj import generative as gn
+from scantraj import metrics
 from scantraj import model as sm
 from scantraj import spatial
 from scantraj.data import SceneWindow
@@ -624,3 +628,40 @@ def test_tape_values_grow_with_the_scenes_not_their_square(monkeypatch):
             views = model.forward(batch).per_scene(batch)
             ad.mean_of([sm.trajectory_loss(view, scene) for view in views])
     assert nbytes[1] <= 4 * nbytes[0] + 256
+
+
+@settings(PROPERTY, max_examples=100)
+@given(k=st.integers(1, 5), n=st.integers(1, 4), steps=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_variety_trains_on_the_sample_best_of_k_scores_ties_to_the_lowest(
+        k, n, steps, seed, data):
+    rng = np.random.default_rng(seed)
+    obs_len = 2
+    positions = rng.normal(size=(obs_len + steps, n, 2))
+    mask = np.ones((obs_len + steps, n), dtype=bool)
+    mask[obs_len:] = rng.random((steps, n)) < 0.7
+    mask[obs_len, 0] = True
+    scene = SceneWindow(list(range(n)), positions, mask, obs_len)
+    truth, valid = positions[obs_len:].transpose(1, 0, 2), mask[obs_len:].T
+    futures = truth + rng.normal(size=(k, n, steps, 2))
+    for i in range(1, k):       # a copy of an earlier sample ties its ADE exactly
+        source = data.draw(st.one_of(st.none(), st.integers(0, i - 1)))
+        if source is not None:
+            futures[i] = futures[source]
+    ades = [metrics.ade(future, truth, valid) for future in futures]
+    if k > 1 and data.draw(st.booleans()):      # the best ADE, tied at the end
+        futures[-1] = futures[int(np.argmin(ades))]
+        ades[-1] = metrics.ade(futures[-1], truth, valid)
+    expected = ades.index(min(ades))
+    assert metrics.best_of_k(futures, truth, valid)[0] == ades[expected]
+
+    results = [sm.ForwardResult(list(range(n)), ad.constant(np.zeros_like(future)),
+                                ad.constant(future), np.ones((n, steps), dtype=bool))
+               for future in futures]
+    with ad.Tape() as tape:
+        samples = gn.PredictionSet(list(range(n)), results, np.zeros((k, 1)),
+                                   ad.stack([r.pos for r in results]))
+        loss = gn.variety_loss(scene, samples)
+        assert loss.values == sm.trajectory_loss(results[expected], scene).values
+        tape.backward(loss)
+    assert [i for i, r in enumerate(results) if np.any(r.pos.grad != 0.0)] == [expected]
