@@ -690,9 +690,9 @@ def _plus(first, second):
     return second if first is None else first if second is None else first + second
 
 
-def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
-               key: str = "fused") -> tuple[TensorNode, TensorNode, TensorNode]:
-    """T steps of the spatially attentive LSTM from zero states, one record
+def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key: str = "fused",
+               state=None) -> tuple[TensorNode, TensorNode, TensorNode]:
+    """T steps of the spatially attentive LSTM from ``state``, one record
     with outputs ``(hidden, cell, keys)``.
 
     Inputs: the ``(T, ..., R, E)`` step inputs ``x``, the ``(T, ..., R, J)``
@@ -704,7 +704,9 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
     with the input share ``linear(x[t], W_ih, b)`` of the gates. Outputs:
     the final ``(..., R, H)`` states and the time-major ``(T, ..., R, H)``
     fused states (``key="fused"``) or ``(T, ..., R, 2H)`` joints
-    (``key="joint"``).
+    (``key="joint"``). ``state`` is the ``(hidden, cell)`` pair of ``(...,
+    R, H)`` nodes the first step starts from, zeros when None; the backward
+    sends the first step's adjoints into it.
 
     Keeps each step's gates, joint and fused state; a step's hidden state is
     read back from its joint and the weights' blocks are re-taken from the
@@ -722,26 +724,32 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
         weights = _lift(weights)
         pieces = _block_layout("recurrence", weights.values, shape, blocks)
         inputs += (weights,)
+    if state is not None:
+        state = tuple(map(_lift, state))
+        inputs += state
     replay = functools.partial(recurrence, x, weights, (w_ih, w_hh, bias), fuse_w, fuse_b,
-                               blocks, key)
+                               blocks, key, state)
     if (xv.ndim < 3 or not T or w_ih.shape != (4 * H, xv.shape[-1]) or wv.shape != (4 * H, H)
             or bias.shape != (4 * H,) or fw.shape != (H, 2 * H) or fb.shape != (H,)
             or key not in ("fused", "joint")
-            or weights is not None and weights.shape[:-1] != xv.shape[:-1]):
+            or weights is not None and weights.shape[:-1] != xv.shape[:-1]
+            or state is not None and any(part.shape != shape for part in state)):
         raise ShapeError(f"recurrence: input {xv.shape}, W_ih {w_ih.shape}, W_hh {wv.shape}, "
-                         f"b {bias.shape}, fuse {fw.shape}, {fb.shape}, key {key!r} or "
-                         f"weights do not conform")
+                         f"b {bias.shape}, fuse {fw.shape}, {fb.shape}, key {key!r}, "
+                         f"weights or state do not conform")
     w_blocks = _row_blocks(weights.values, pieces) if weights is not None else []
-    hidden, cell, states, joints, fused = np.zeros(shape), np.zeros(shape), [], [], []
+    hidden, cell = ((np.zeros(shape), np.zeros(shape)) if state is None
+                    else (state[0].values, state[1].values))
+    states, joints, fused = [], [], []
     for t in range(T):
         context = (np.zeros(shape) if weights is None
                    else _block_products([ab[t] for ab in w_blocks], hidden, pieces))
         joints.append(np.concatenate([hidden, context], axis=-1))
         fused.append(np.tanh(_rows_times(joints[t], fw) + fb))
         gates_in = _rows_times(xv[t], w_ih.values) + bias.values    # ``linear``'s rows of step t
-        state, hidden = _lstm_values(gates_in, fused[t], cell, wv)
-        states.append(state)
-        cell = state[4]
+        saved, hidden = _lstm_values(gates_in, fused[t], cell, wv)
+        states.append(saved)
+        cell = saved[4]
     joints, fused = np.stack(joints), np.stack(fused)
 
     def backward(grads):
@@ -755,7 +763,8 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
         for t in reversed(range(T)):
             d_fused = None
             if d_hidden is not None or d_cell is not None:
-                c_prev = states[t - 1][4] if t else np.zeros(shape)
+                c_prev = (states[t - 1][4] if t else np.zeros(shape) if state is None
+                          else state[1].values)
                 d_gates[t], d_cell = _lstm_grads(d_hidden, d_cell, c_prev, states[t])
                 g2 = d_gates[t].reshape(-1, 4 * H)
                 d_fused = (g2 @ wv).reshape(shape)
@@ -775,6 +784,10 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
                              pieces, d_weights[t], d_hidden)
         if weights is not None:     # an output adjoint always reaches a joint
             _adjoint(weights)[...] += d_weights
+        if state is not None:       # the first step's hidden and previous cell
+            _add_grad(state[0], d_hidden)
+            if d_cell is not None:
+                _add_grad(state[1], d_cell)
         if gated:                   # ``linear``'s backward, once over all steps
             d_x, d_w, d_b = _linear_grads(d_gates, xv, w_ih.values)
             _add_grad(x, d_x)

@@ -171,7 +171,7 @@ def spatial_round(offsets: ad.TensorNode, kinematics: CrowdKinematics,
 def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layout: SceneLayout,
                   grid: spatial.DomainGrid, embed: tuple, lstm: tuple, fuse: tuple,
                   absolute: bool, key: str = "fused", literal_softmax: bool = False,
-                  force_zero_context: bool = False):
+                  force_zero_context: bool = False, start: tuple | None = None):
     """The spatially attentive LSTM over a track whose every step is known.
 
     ``track`` holds the (..., C, T, 2) trajectories of the batch columns:
@@ -189,6 +189,14 @@ def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layou
     equal to the composed records bit for bit. Returns the final (..., R, H)
     hidden and cell, the time-major (T, ..., R, K) fused states
     (``key="fused"``) or joints, and the last kinematics, in rows.
+
+    ``start`` continues the pass over the steps before the track: the
+    ``(hidden, cell, kinematics)`` such a pass returned, with no leading
+    axes. Every leading slice starts from those (R, H) states, which get
+    the adjoints summed over the slices; step 0's displacement is taken
+    from the kinematics' positions and their headings carry on, so a track
+    split in two gives the values of the pass over the whole, bit for bit.
+    Without it the pass starts from zero states and a zero displacement.
     """
     lead, T = track.shape[:-3], track.shape[-2]
     index = np.ix_(np.arange(T), *map(np.arange, lead), layout.order)
@@ -196,19 +204,27 @@ def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layou
     live = isinstance(track, ad.TensorNode)
     pos = ad.gather(track, index) if live else np.asarray(track, dtype=np.float64)[index]
     xy = pos.values if live else pos
-    kins = track_kinematics(xy)
+    kins = track_kinematics(xy, None if start is None else start[2])
     weights = None
     if not force_zero_context:
         mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
-        cum, offsets = (pos, None) if live else (None, pair_offsets(xy, layout.neighbors))
-        weights = ad.pair_weights(cum, grid.node, offsets, layout.neighbors,
-                                  bin_indices(kins, grid.spec, layout.neighbors),
+        offsets = pair_offsets(xy, layout.neighbors)
+        weights = ad.pair_weights(pos if live else None, grid.node, None if live else offsets,
+                                  layout.neighbors,
+                                  bin_indices(kins, grid.spec, layout.neighbors, offsets),
                                   mask, literal_softmax)
-    step_in = pos
-    if not absolute:
+    step_in, state = pos, None
+    if not absolute and start is None:      # a zero displacement at step 0
         first = np.zeros((1,) + xy.shape[1:])
         step_in = (ad.concat([ad.constant(first), ad.sub(pos[1:], pos[:-1])]) if live
                    else np.concatenate([first, xy[1:] - xy[:-1]]))
+    elif not absolute:                      # step 0 moves on from the start's positions
+        before = np.broadcast_to(start[2].position, (1,) + xy.shape[1:])
+        step_in = (ad.sub(pos, ad.concat([ad.constant(before), pos[:-1]])) if live
+                   else xy - np.concatenate([before, xy[:-1]]))
+    if start is not None:
+        rows = np.broadcast_to(np.arange(layout.n_rows), lead + (layout.n_rows,))
+        state = ad.gather(start[0], rows), ad.gather(start[1], rows)
     hidden, cell, keys = ad.recurrence(linear(step_in, *embed), weights, lstm, *fuse,
-                                       layout.blocks, key=key)
+                                       layout.blocks, key=key, state=state)
     return hidden, cell, keys, kins[-1]

@@ -9,14 +9,16 @@ trajectory, ending in one real/fake logit per pedestrian.
 
 The k samples of a scene travel together: they are decoded in one batched
 pass with a leading sample axis, and the critic scores any number of
-trajectories of one scene in one pass the same way. A training step goes
-one step further and runs all the scenes of its batch side by side
-(``cells.SceneLayout``): one encode, one k-sample decode and two critic
-passes per step, whatever the number of scenes.
+trajectories of one scene in one pass the same way, running the observed
+steps they share once and continuing every future from them. A training
+step goes one step further and runs all the scenes of its batch side by
+side (``cells.SceneLayout``): one encode, one k-sample decode and two
+critic passes per step, whatever the number of scenes.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,18 +116,8 @@ def build_discriminator_params(cfg: ModelConfig, hub: ad.RngHub,
     return store
 
 
-def _with_observed(scenes: list, future: ad.TensorNode) -> ad.TensorNode:
-    """(..., N, steps, 2) future of the scenes' columns side by side ->
-    (..., N, obs_len + steps, 2) trajectory, the observed steps repeated for
-    every leading sample."""
-    observed = np.concatenate([scene.positions[:scene.obs_len].transpose(1, 0, 2)
-                               for scene in scenes])
-    observed = np.broadcast_to(observed, future.shape[:-3] + observed.shape)
-    return ad.concat([ad.constant(observed), future], axis=-2)
-
-
-def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
-                         ped_ids, positions, mask):
+def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore, ped_ids, positions, mask,
+                         history: np.ndarray | None = None, record_history: bool = True):
     """Run the critic (``cells.observed_pass``) over full trajectories; one
     logit per pedestrian.
 
@@ -139,21 +131,41 @@ def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore,
     critic gradients of a constant leaf bit for bit. ``mask`` is the (T, N)
     presence that gates neighbour participation, exactly as in the
     forecaster.
+
+    ``history`` splits the trajectories at the observation: the (N, T_obs,
+    2) array of observed steps they all share, with ``positions`` the
+    (..., N, T_pred, 2) futures that follow it and ``mask`` still spanning
+    both. The history then runs once, with no sample axis, and every
+    future continues from its final state (``observed_pass``'s
+    ``start``): the logits equal those of the full trajectories bit for
+    bit, and the critic's parameter gradients differ only in the order
+    their sums are added in. ``record_history=False`` runs the history
+    under ``ad.no_grad()``, for a caller that reads no critic gradient.
     """
     layout = (ped_ids if isinstance(ped_ids, cells.SceneLayout)
               else cells.SceneLayout([ped_ids]))
     if layout.n_rows == 0:
         return ad.constant(np.zeros((0, 1)))
-    if positions.shape[-2] < 2:
+    split = 0 if history is None else np.shape(history)[-2]
+    if split + positions.shape[-2] < 2:
         raise ShapeError("discriminator needs at least two steps")
     p = params
-    hidden, _, _, _ = cells.observed_pass(
-        positions, np.asarray(mask, dtype=bool)[:, layout.order], layout,
-        spatial.DomainGrid(p["disc.domain_grid"], cfg.bin_spec()),
-        (p["disc.embed.W"], p["disc.embed.b"]),
-        (p["disc.lstm.W_ih"], p["disc.lstm.W_hh"], p["disc.lstm.b"]),
-        (p["disc.fuse.W"], p["disc.fuse.b"]),
-        absolute=cfg.coordinate_mode == "absolute", literal_softmax=cfg.literal_softmax)
+    mask = np.asarray(mask, dtype=bool)[:, layout.order]
+
+    def run(track, presence, start=None):
+        return cells.observed_pass(
+            track, presence, layout, spatial.DomainGrid(p["disc.domain_grid"], cfg.bin_spec()),
+            (p["disc.embed.W"], p["disc.embed.b"]),
+            (p["disc.lstm.W_ih"], p["disc.lstm.W_hh"], p["disc.lstm.b"]),
+            (p["disc.fuse.W"], p["disc.fuse.b"]), absolute=cfg.coordinate_mode == "absolute",
+            literal_softmax=cfg.literal_softmax, start=start)
+
+    start = None
+    if history is not None:
+        with contextlib.nullcontext() if record_history else ad.no_grad():
+            hidden, cell, _, kin = run(np.asarray(history, dtype=np.float64), mask[:split])
+        start = hidden, cell, kin
+    hidden, _, _, _ = run(positions, mask[split:], start)
     logits = cells.linear(hidden, p["disc.score.W"], p["disc.score.b"])
     return ad.gather(logits, (slice(None),) * (len(positions.shape) - 3) + (layout.undo,))
 
@@ -252,17 +264,18 @@ def _kept(logits: ad.TensorNode, samples, cols: list) -> ad.TensorNode:
         np.concatenate([np.tile(c, len(samples)) for c in cols])))
 
 
-def _critic_step(cfg: ModelConfig, disc_params: ad.ParamStore, layout, real: np.ndarray,
-                 fake_values: np.ndarray, mask: np.ndarray, cols: list,
+def _critic_step(cfg: ModelConfig, disc_params: ad.ParamStore, layout, observed: np.ndarray,
+                 futures: np.ndarray, mask: np.ndarray, cols: list,
                  fakes_only: np.ndarray, disc_opt: ad.Adam) -> float:
-    """The critic half of a GAN step on a tape of its own: one (1 + k)-sample
-    pass scores the (N, T, 2) ground truth and the (k, N, T, 2) detached
-    futures, as one array that records no position path, and ``disc_opt``
-    steps. Returns the critic loss. The tape, its logits and its loss die
-    with this call, before the generator half records anything."""
+    """The critic half of a GAN step on a tape of its own: the (N, obs_len,
+    2) observed steps run once, and one (1 + k)-sample pass continues them
+    with the (1 + k, N, pred_len, 2) ``futures``, the ground truth then the
+    detached fakes, as one array that records no position path; then
+    ``disc_opt`` steps. Returns the critic loss. The tape, its logits and
+    its loss die with this call, before the generator half records
+    anything."""
     with ad.Tape() as tape:
-        logits = discriminator_logits(
-            cfg, disc_params, layout, np.concatenate([real[None], fake_values]), mask)
+        logits = discriminator_logits(cfg, disc_params, layout, futures, mask, history=observed)
         loss = ad.add(bce_real(_kept(logits, [0], cols)),
                       bce_fake(_kept(logits, fakes_only, cols)))
         _check_finite("discriminator", loss)
@@ -282,14 +295,18 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
     and one decode of all k samples of every scene, on the generator's
     tape. Each scene draws its own (k, noise_dim) noise block from ``rng``,
     in batch order, shared by its pedestrians. The critic half runs on a
-    tape of its own (``_critic_step``): one (1 + k)-sample pass scores the
-    ground truth and the k futures' detached values of every scene, and the
-    critic steps; that tape and all it holds are freed before the generator
-    half records anything, so the two halves' tapes never coexist. The
-    critic step never touches generator parameters, so the same decode
-    serves the generator half, which scores the k live futures in one pass
-    through the updated critic and descends adversarial + variety + lambda *
-    diversity. Only pedestrians present through the whole window are scored
+    tape of its own (``_critic_step``): one pass over the observed steps,
+    which every trajectory shares, then one (1 + k)-sample pass from its
+    final state scores the true futures and the k decoded futures' detached
+    values of every scene, and the critic steps; that tape and all it holds
+    are freed before the generator half records anything, so the two
+    halves' tapes never coexist. The critic step never touches generator
+    parameters, so the same decode serves the generator half, which scores
+    the k live futures in one pass through the updated critic and descends
+    adversarial + variety + lambda * diversity. Its pass over the observed
+    steps records nothing (``record_history=False``): the generator half
+    reads no critic gradient, and the next critic step zeroes them before
+    its backward. Only pedestrians present through the whole window are scored
     by the critic, scene by scene, then sample by sample; the variety and
     diversity terms are each scene's own, through per-scene views of the
     decode, and the variety term keeps using the per-step mask. Every scene
@@ -320,14 +337,17 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
     with ad.Tape() as tape:
         bank = model.encode(usable)
         batch = model.decode(usable, bank, noise=np.stack(noises, axis=1))
-        fakes = _with_observed(usable, batch.pos)       # live (k, N, T, 2)
 
         real = np.concatenate([scene.positions.transpose(1, 0, 2) for scene in usable])
-        disc_value = _critic_step(cfg, disc_params, bank.layout, real, fakes.values,
+        observed, future = real[:, :cfg.obs_len], real[:, cfg.obs_len:]
+        disc_value = _critic_step(cfg, disc_params, bank.layout, observed,
+                                  np.concatenate([future[None], batch.pos.values]),
                                   mask, cols, fakes_only, disc_opt)
 
-        # generator half: the same decode, live fakes through the new critic
-        logits = discriminator_logits(cfg, disc_params, bank.layout, fakes, mask)
+        # generator half: the same decode, live (k, N, pred_len, 2) fakes
+        # through the new critic
+        logits = discriminator_logits(cfg, disc_params, bank.layout, batch.pos, mask,
+                                      history=observed, record_history=False)
         adv = bce_real(_kept(logits, fakes_only - 1, cols))
         variety_terms = []
         diversity_terms = []

@@ -177,19 +177,31 @@ def advance_kinematics(prev_pos: np.ndarray, cur_pos: np.ndarray,
                            moving | kinematics.heading_valid)
 
 
-def track_kinematics(track: np.ndarray) -> CrowdKinematics:
+def track_kinematics(track: np.ndarray,
+                     before: CrowdKinematics | None = None) -> CrowdKinematics:
     """The kinematics at every step of a ``(T, ..., N, 2)`` track in one sweep,
     equal bit for bit to heading-less kinematics at step 0 advanced step by
     step: a step's heading is that of its latest moving displacement, found
-    as a running maximum of the moving steps."""
+    as a running maximum of the moving steps.
+
+    ``before``, the ``(N,)`` kinematics of the step just before the track,
+    continues an earlier track instead: step 0 advances from it, and its
+    heading is carried until the track moves, so the two halves of a split
+    track give the kinematics of the whole, bit for bit."""
     track = np.asarray(track, dtype=np.float64)
-    moving, angle = _moves(track[:-1], track[1:])
-    steps = np.arange(1, len(track)).reshape((-1,) + (1,) * (moving.ndim - 1))
+    full = track if before is None else np.concatenate(
+        [np.broadcast_to(before.position, (1,) + track.shape[1:]), track])
+    moving, angle = _moves(full[:-1], full[1:])
+    steps = np.arange(1, len(full)).reshape((-1,) + (1,) * (moving.ndim - 1))
     latest = np.maximum.accumulate(np.concatenate(
         [np.zeros((1,) + moving.shape[1:], dtype=np.int64), np.where(moving, steps, 0)]))
     heading = np.take_along_axis(np.concatenate([np.zeros((1,) + angle.shape[1:]), angle]),
                                  latest, axis=0)
-    return CrowdKinematics(track, heading, latest > 0)
+    if before is None:
+        return CrowdKinematics(track, heading, latest > 0)
+    moved = latest[1:] > 0
+    return CrowdKinematics(track, np.where(moved, heading[1:], before.heading_deg),
+                           moved | before.heading_valid)
 
 
 def pair_offsets(xy: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
@@ -198,8 +210,8 @@ def pair_offsets(xy: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     return np.take(xy, neighbors, axis=-2) - xy[..., :, None, :]
 
 
-def bin_indices(kinematics: CrowdKinematics, spec: BinSpec,
-                neighbors: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def bin_indices(kinematics: CrowdKinematics, spec: BinSpec, neighbors: np.ndarray | None = None,
+                offsets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """1-based (bearing, heading) bins of every agent towards its neighbours.
 
     ``neighbors`` is an (N, J) integer table: entry [a, j] names the agent
@@ -208,14 +220,16 @@ def bin_indices(kinematics: CrowdKinematics, spec: BinSpec,
     ``bin_index(compute_encounter(A, B), spec)`` for the
     ``AgentKinematics`` A of agent a and B of agent ``neighbors[a, j]``.
     Without a table every agent sees every agent: the (N, N) table whose
-    row a is 0, 1, ..., N - 1.
+    row a is 0, 1, ..., N - 1. ``offsets``, when the caller has them, are
+    the ``pair_offsets`` of the positions over the table, not recomputed.
     """
     pos = kinematics.position
     heading = kinematics.heading_deg
     if neighbors is None:
         n = heading.shape[-1]
         neighbors = np.broadcast_to(np.arange(n), (n, n))
-    offsets = pair_offsets(pos, neighbors)
+    if offsets is None:
+        offsets = pair_offsets(pos, neighbors)
     dx, dy = offsets[..., 0], offsets[..., 1]
     coincident = (dx == 0.0) & (dy == 0.0)
     bearing = _normalize_deg_array(np.degrees(np.arctan2(dy, dx))

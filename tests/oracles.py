@@ -245,13 +245,15 @@ def composed_decode(model, scenes, bank, noise=None):
 
 
 def composed_observed_pass(track, presence, layout, grid, embed, lstm, fuse, absolute,
-                           key="fused", literal_softmax=False, force_zero_context=False):
+                           key="fused", literal_softmax=False, force_zero_context=False,
+                           start=None):
     """``cells.observed_pass`` as the records it took before its pair
     weights and its loop were fused: the composed pair chain over all steps
     (``pairwise_offsets`` and ``cells.spatial_weights``: offsets,
     distance, grid cell, relu and softmax), the step inputs and their
-    embedding over all steps, then from zero states, step by step, the
-    block product, the fuse and ``cells.lstm_cell``.
+    embedding over all steps, then from zero states, or from ``start``'s
+    states gathered into every leading slice, step by step, the block
+    product, the fuse and ``cells.lstm_cell``.
 
     The pair chain runs over all steps at once because the pass sums each
     grid cell's gradient over the pairs of every step in one scatter; a
@@ -264,7 +266,7 @@ def composed_observed_pass(track, presence, layout, grid, embed, lstm, fuse, abs
     lead, T = track.shape[:-3], track.shape[-2]
     index = np.ix_(np.arange(T), *map(np.arange, lead), layout.order)
     pos = ad.gather(track, index[1:] + index[:1])
-    kins = track_kinematics(pos.values)
+    kins = track_kinematics(pos.values, None if start is None else start[2])
     weights = [None] * T
     if not force_zero_context:
         offsets = pairwise_offsets(pos, layout.neighbors)
@@ -272,11 +274,19 @@ def composed_observed_pass(track, presence, layout, grid, embed, lstm, fuse, abs
         weights = ad.unstack(cells.spatial_weights(
             offsets, kins, np.broadcast_to(mask, offsets.shape[:-1]), layout, grid,
             literal_softmax))
-    step_in = pos if absolute else ad.concat(
-        [ad.constant(np.zeros((1,) + pos.shape[1:])), ad.sub(pos[1:], pos[:-1])])
+    step_in = pos
+    if not absolute and start is None:
+        step_in = ad.concat([ad.constant(np.zeros((1,) + pos.shape[1:])),
+                             ad.sub(pos[1:], pos[:-1])])
+    elif not absolute:
+        before = np.broadcast_to(start[2].position, (1,) + pos.shape[1:])
+        step_in = ad.sub(pos, ad.concat([ad.constant(before), pos[:-1]]))
     w_ih, w_hh, bias = lstm
     gates_in = ad.unstack(cells.linear(cells.linear(step_in, *embed), w_ih, bias))
     hidden = cell = ad.constant(np.zeros(pos.shape[1:-1] + w_hh.shape[1:]))
+    if start is not None:
+        rows = np.broadcast_to(np.arange(layout.n_rows), lead + (layout.n_rows,))
+        hidden, cell = ad.gather(start[0], rows), ad.gather(start[1], rows)
     keys = []
     for step_weights, step_gates in zip(weights, gates_in):
         context = (ad.constant(np.zeros(hidden.shape)) if step_weights is None

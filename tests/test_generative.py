@@ -522,6 +522,31 @@ class TestGanTrainStep:
         for term, value in want.items():
             assert report[term] == value, term
 
+    def test_each_critic_pass_runs_the_observed_steps_once(self, monkeypatch):
+        # The observed steps, which every trajectory shares, run once per
+        # critic pass with no sample axis; the futures continue from them,
+        # the truth and k fakes in the critic half, the k live fakes in the
+        # generator half, whose pass over the observed steps records nothing.
+        m, disc = self.setup_pair()
+        calls, original = [], ad.recurrence
+
+        def spy(x, weights, lstm, *args, **kwargs):
+            outs = original(x, weights, lstm, *args, **kwargs)
+            if lstm[0] is disc["disc.lstm.W_ih"]:
+                calls.append((x.shape, outs[0].op_record is not None))
+            return outs
+
+        monkeypatch.setattr(ad, "recurrence", spy)
+        batch, k = self.make_batch(), 4
+        gen.gan_train_step(m, disc, batch, gen.GanConfig(k=k),
+                           ad.Adam(m.params, lr=0.001), ad.Adam(disc, lr=0.001),
+                           np.random.default_rng(3))
+        cfg = m.cfg
+        rows = sum(scene.n_peds for scene in batch)
+        history = (cfg.obs_len, rows, cfg.embed_dim)
+        assert calls == [(history, True), ((cfg.pred_len, k + 1, rows, cfg.embed_dim), True),
+                         (history, False), ((cfg.pred_len, k, rows, cfg.embed_dim), True)]
+
     def test_critic_tape_is_freed_before_the_generator_backward(self, monkeypatch):
         # With the cyclic collector off, only reference counting can free
         # the critic's tape: nothing may hold it once its half is done.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scantraj import autodiff as ad
+from scantraj import cells
 from scantraj import generative as gn
 from scantraj import model as sm
 from scantraj import training as tr
@@ -249,6 +250,28 @@ def gan_step_peak(cfg, scenes: list) -> int:
         tracemalloc.stop()
 
 
+def critic_pass_peak(cfg, disc, scenes: list, samples: int) -> int:
+    """tracemalloc peak bytes of a critic step's pass over the batch, as
+    ``gan_train_step`` runs it: the observed steps, then ``samples`` futures
+    (the truth, jittered) continued from them, the loss and the backward."""
+    real = np.concatenate([scene.positions.transpose(1, 0, 2) for scene in scenes])
+    mask = np.concatenate([scene.mask for scene in scenes], axis=1)
+    layout = cells.SceneLayout([scene.ped_ids for scene in scenes])
+    truth = real[:, cfg.obs_len:]
+    futures = truth + np.random.default_rng(5).normal(0.0, 0.1, size=(samples,) + truth.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with ad.Tape() as tape:
+            logits = gn.discriminator_logits(cfg, disc, layout, futures, mask,
+                                             history=real[:, :cfg.obs_len])
+            disc.zero_grads()
+            tape.backward(gn.bce_fake(logits))
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def two_person_batches(cfg, counts: tuple) -> list:
     """Batches of ``counts`` random two-person scenes spanning the model's
     obs_len + pred_len steps."""
@@ -345,6 +368,24 @@ class TestTapeMemory:
         counts = (16, 32)
         small, big = [gan_step_peak(cfg, scenes) for scenes in two_person_batches(cfg, counts)]
         peak = (big - small) / (2 * (counts[1] - counts[0]) * (cfg.obs_len + cfg.pred_len))
+        assert peak <= bound, peak
+
+
+    @pytest.mark.parametrize("overrides, bound", [
+        ({"generative": True}, 4700),
+        ({"generative": True, "embed_dim": 8, "hidden_dim": 16, "noise_dim": 4,
+          "bearing_bin_deg": 90.0, "heading_bin_deg": 90.0}, 2450)],
+        ids=["generative", "gan_synth"])
+    def test_critic_pass_peak_grows_with_the_future_steps_only(self, overrides, bound):
+        # The observed steps run once per critic pass, so four more samples
+        # add only their future steps: about 3,800 and 1,950 bytes per future
+        # row-step, against 6,100 and 3,150 when every sample re-ran the
+        # observed steps as the head of its full track.
+        cfg = sm.ModelConfig(**overrides)
+        disc = gn.build_discriminator_params(cfg, ad.RngHub(2))
+        scenes = two_person_batches(cfg, (16,))[0]
+        small, big = [critic_pass_peak(cfg, disc, scenes, samples) for samples in (2, 6)]
+        peak = (big - small) / ((6 - 2) * 2 * len(scenes) * cfg.pred_len)
         assert peak <= bound, peak
 
 

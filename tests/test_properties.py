@@ -19,7 +19,10 @@ decode, over drawn configurations, batches and samples, gives the same
 positions and the same gradient to every parameter and every encoder
 output as the composed records, bit for bit. So does a known-track pass
 (the encoder's and the critic's): its hidden, cell and keys, the gradient
-of every parameter and of the track.
+of every parameter and of the track, also when it continues from the
+state of a pass over earlier steps. A critic pass split at the
+observation, the shared observed steps once and every future from their
+state, gives the full-track logits bit for bit.
 
 So do the scene-batched passes of a training step: every scene of a batch
 equals a pass over it alone bit for bit, though the scenes overlap in space
@@ -363,6 +366,54 @@ def test_batched_decode_and_critic_are_renumbering_equivariant(n, k, seed, data)
 
 
 @PROPERTY
+@given(S=st.integers(1, 5), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       obs_len=st.integers(2, 4), pred_len=st.integers(1, 3), absolute=st.booleans(),
+       literal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_a_critic_pass_split_at_the_observation_equals_the_full_track_pass(
+        S, sizes, obs_len, pred_len, absolute, literal, seed):
+    # The observed steps run once and every future continues from them. The
+    # logits are the full-track pass's bit for bit; the gradients match up
+    # to the order of their sums, the history's adjoints being summed over
+    # the samples. Some walkers stand still in every future, so their
+    # headings come from the observed steps.
+    cfg = micro_cfg(obs_len=obs_len, pred_len=pred_len, literal_softmax=literal,
+                    coordinate_mode="absolute" if absolute else "displacement")
+    critic = gn.build_discriminator_params(cfg, ad.RngHub(seed % 5))
+    rng = np.random.default_rng(seed)
+    grid = critic["disc.domain_grid"].values
+    grid[...] = rng.uniform(0.5, 4.0, size=grid.shape)
+    layout = cells.SceneLayout([list(range(n)) for n in sizes])
+    N = layout.n_rows
+    history = np.cumsum(rng.normal(0.0, 0.5, size=(N, obs_len, 2)), axis=1)
+    futures = history[:, -1:] + np.cumsum(rng.normal(0.0, 0.5, size=(S, N, pred_len, 2)),
+                                          axis=-2)
+    still = rng.uniform(size=N) < 0.3
+    futures[:, still] = history[still, -1:]
+    mask = rng.uniform(size=(obs_len + pred_len, N)) < 0.8
+    probe = rng.normal(size=(S, N, 1))
+    got = []
+    for split in (False, True):
+        critic.zero_grads()
+        leaf = ad.constant(futures.copy())
+        with ad.Tape() as tape:
+            if split:
+                logits = gn.discriminator_logits(cfg, critic, layout, leaf, mask,
+                                                 history=history.copy())
+            else:
+                observed = ad.constant(np.broadcast_to(history, (S,) + history.shape))
+                logits = gn.discriminator_logits(
+                    cfg, critic, layout, ad.concat([observed, leaf], axis=-2), mask)
+            tape.backward(ad.reduce_sum(ad.mul(logits, ad.constant(probe))))
+        got.append((logits.values.tobytes(), leaf.grad.copy(),
+                    {name: node.grad.copy() for name, node in critic.items()}))
+    assert got[0][0] == got[1][0]
+    np.testing.assert_allclose(got[1][1], got[0][1], rtol=1e-12, atol=1e-15)
+    for name, grad in got[0][2].items():
+        np.testing.assert_allclose(got[1][2][name], grad, rtol=1e-12, atol=1e-15,
+                                   err_msg=name)
+
+
+@PROPERTY
 @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_sampling_tape_size_does_not_grow_with_k(n, seed, data):
     model = generative_model(data, seed)
@@ -524,6 +575,49 @@ def test_an_array_track_equals_a_constant_leaf_bitwise_and_records_no_position_p
                    + [node.grad.tobytes() for node in (grid, *params)])
     assert got[0] == got[1]
     assert not {"gather", "slice", "sub", "concat"} & ops[1], ops[1]
+
+
+@PROPERTY
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       lead=st.sampled_from([(), (2,)]), T=st.integers(1, 4), absolute=st.booleans(),
+       key=st.sampled_from(["fused", "joint"]), literal=st.booleans(),
+       zero_context=st.booleans(), live=st.booleans(), spec=spec,
+       seed=st.integers(0, 2**32 - 1))
+def test_a_pass_continued_from_a_start_equals_the_composed_records_bitwise(
+        sizes, lead, T, absolute, key, literal, zero_context, live, spec, seed):
+    # The start's (R, H) states reach every leading slice through a gather,
+    # whose backward sums the slices' adjoints. Some rows stand still, so
+    # their headings carry over from the start's kinematics.
+    rng = np.random.default_rng(seed)
+    layout = cells.SceneLayout([list(range(n)) for n in sizes])
+    R, H, E = layout.n_rows, 3, 2
+    shapes = [(spec.n_bearing, spec.n_heading), (E, 2), E, (4 * H, E), (4 * H, H), 4 * H,
+              (H, 2 * H), H, (R, H), (R, H)]
+    arrays = [rng.uniform(0.5, 3.0, size=shapes[0])] + [rng.normal(size=s) for s in shapes[1:]]
+    kin = track_kinematics(np.cumsum(rng.normal(0.0, 0.5, size=(3, R, 2)), axis=0))[-1]
+    walks = kin.position[layout.undo][:, None] + np.cumsum(
+        rng.normal(0.0, 0.5, size=lead + (R, T, 2)), axis=-2)
+    still = rng.uniform(size=R) < 0.3                  # columns that never move
+    walks[..., still, :, :] = kin.position[layout.undo][still][:, None]
+    presence = rng.uniform(size=(T, R)) < 0.8
+    got = []
+    for observed_pass in (cells.observed_pass, composed_observed_pass):
+        probes = np.random.default_rng(seed)
+        grid, *params = [ad.constant(a.copy()) for a in arrays]
+        leaf = ad.constant(walks.copy())
+        with ad.Tape() as tape:
+            track = ad.add(leaf, 0.0) if live else walks.copy()
+            outs = observed_pass(track, presence, layout, spatial.DomainGrid(grid, spec),
+                                 tuple(params[:2]), tuple(params[2:5]), tuple(params[5:7]),
+                                 absolute, key=key, literal_softmax=literal,
+                                 force_zero_context=zero_context,
+                                 start=(params[7], params[8], kin))[:3]
+            tape.backward(ad.mean_of([
+                ad.reduce_sum(ad.mul(out, ad.constant(probes.normal(size=out.shape))))
+                for out in outs + ((track,) if live else ())]))
+        got.append([out.values.tobytes() for out in outs]
+                   + [node.grad.tobytes() for node in (grid, *params, leaf)])
+    assert got[0] == got[1]
 
 
 def param_grads(model) -> dict:
