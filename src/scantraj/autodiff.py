@@ -32,6 +32,13 @@ rebuilds the same state bit for bit, so it adds the same gradients, and
 for every sweep. A track that wants no gradient is passed to the passes as
 a plain array, so no position path is recorded for it.
 
+Adjoints live no longer than the sweep needs them on a tape made for the
+gradients of some nodes only (``Tape(grads_for=...)``, as every training
+step makes it): the sweep drops a recorded output's adjoint as soon as its
+record has run, keeps none for any other leaf, and installs ``.grad`` on
+those nodes alone. On a default tape every node a sweep reaches keeps its
+adjoint to the end and reads it as ``.grad``.
+
 A record refers to its tape weakly, so nothing points back from a node to
 the tape that holds it: a tape that nobody refers to any more is freed by
 reference counting as soon as its scope closes.
@@ -54,7 +61,7 @@ import functools
 import hashlib
 import math
 import weakref
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -99,8 +106,9 @@ class TensorNode:
     """A float64 array participating in a recorded computation.
 
     ``grad`` is allocated on first access and accumulates d(loss)/d(node)
-    during backward passes. Leaf nodes (constants, parameters) have
-    ``op_record is None``.
+    during the backward passes that reach the node, on a tape made for its
+    gradient (``Tape``'s ``grads_for``). Leaf nodes (constants, parameters)
+    have ``op_record is None``.
     """
 
     __slots__ = ("values", "_grad", "op_record")
@@ -139,15 +147,22 @@ class Tape:
 
     Used as a context manager: ops record onto the innermost tape the
     current context has open. Outside every scope nothing records.
+
+    ``grads_for`` names the nodes whose gradients the tape's backward sweeps
+    are for, say a model's parameters (``ParamStore.nodes``); None, the
+    default, is every node a sweep reaches (``backward``).
     """
 
-    def __init__(self):
+    def __init__(self, grads_for: Iterable[TensorNode] | None = None):
         # (output, inputs, backward); a multi-output op records a tuple of
         # outputs and a backward that takes one adjoint (or None) per output.
         self._records: list[tuple] = []
         # Record index -> the backward that a sweep leaves in a fused
         # record once past it: it runs the op again (``replay``) first.
         self._replays: dict[int, Callable] = {}
+        # id -> node of every node that gets a ``.grad``; None: all of them.
+        self._grads_for = (None if grads_for is None
+                           else {id(node): node for node in grads_for})
 
     def __len__(self) -> int:
         return len(self._records)
@@ -160,13 +175,21 @@ class Tape:
         return OpRecord(self, op, len(self._records) - 1)
 
     def backward(self, loss: TensorNode) -> None:
-        """Accumulate d(loss)/d(node) into every node reachable from loss.
+        """Accumulate d(loss)/d(node) into ``.grad`` of the nodes the sweep
+        reaches, or of those of them the tape's ``grads_for`` names.
 
         ``loss`` must be scalar-shaped and recorded on this tape (or a leaf).
         Each call propagates its own unit seed, so repeated calls sum
         gradients instead of double-counting earlier passes. The sweep frees
         fused records' saved state as it passes them (module docstring,
         "Saved state and its lifetime").
+
+        Without ``grads_for`` every node the sweep reaches, recorded or
+        leaf, reads its gradient as ``.grad`` afterwards. With it, only the
+        nodes it names do: the sweep drops each recorded output's adjoint as
+        soon as its record has run and keeps none for any other leaf, so no
+        other node gets a ``.grad``. The gradients of the nodes it names are
+        the same bit for bit either way.
         """
         if loss.values.shape != ():
             raise ValueError(
@@ -175,27 +198,37 @@ class Tape:
             raise ValueError("loss was not recorded on this tape")
         if not np.isfinite(loss.values):
             raise ValueError(f"backward on non-finite loss ({float(loss.values)})")
+        keep = self._grads_for
         adjoints: dict[int, tuple[TensorNode, np.ndarray]] = {
             id(loss): (loss, np.ones_like(loss.values))}
-        token = _ADJOINTS.set(adjoints)
+
+        def take(node: TensorNode) -> np.ndarray | None:
+            """``node``'s adjoint, dropped from the sweep unless it is kept."""
+            entry = (adjoints.get(id(node)) if keep is None or id(node) in keep
+                     else adjoints.pop(id(node), None))
+            return None if entry is None else entry[1]
+
+        token = _ADJOINTS.set((adjoints, keep))
         records, replays = self._records, self._replays
         try:
             for index in reversed(range(len(records))):
                 out, inputs, backward_fn = records[index]
                 if type(out) is tuple:
-                    grads = [adjoints.get(id(part)) for part in out]
-                    grad = (None if all(entry is None for entry in grads)
-                            else [None if entry is None else entry[1] for entry in grads])
+                    grad = [take(part) for part in out]
+                    if all(part is None for part in grad):
+                        grad = None
                 else:
-                    entry = adjoints.get(id(out))
-                    grad = None if entry is None else entry[1]
+                    grad = take(out)
                 if grad is not None:
                     backward_fn(grad)
-                if index in replays:        # frees the state ``backward_fn`` saved
+                    grad = None                 # an adjoint ``take`` dropped dies here
+                if index in replays:            # frees the state ``backward_fn`` saved
                     records[index] = (out, inputs, replays[index])
         finally:
             _ADJOINTS.reset(token)
         for node, buf in adjoints.values():
+            if keep is not None and id(node) not in keep:
+                continue
             if node._grad is None:
                 node._grad = buf        # the buffer is owned by this pass
             else:
@@ -284,15 +317,24 @@ def _lift(x) -> TensorNode:
     return TensorNode(x)
 
 
-# The adjoint map of the backward sweep running in the current context.
+# The adjoint map of the backward sweep running in the current context, and
+# its tape's ``grads_for`` (None: every node the sweep reaches).
 # Backward closures run only inside ``Tape.backward``, which sets it.
-_ADJOINTS: contextvars.ContextVar[dict] = contextvars.ContextVar("_ADJOINTS")
+_ADJOINTS: contextvars.ContextVar[tuple] = contextvars.ContextVar("_ADJOINTS")
+
+
+def _unwanted(node: TensorNode, keep) -> bool:
+    """Whether ``node`` is a leaf whose gradient a sweep for ``keep`` (a
+    tape's ``grads_for``) does not want."""
+    return keep is not None and node.op_record is None and id(node) not in keep
 
 
 def _add_grad(node: TensorNode, delta) -> None:
-    adjoints = _ADJOINTS.get()
+    adjoints, keep = _ADJOINTS.get()
     entry = adjoints.get(id(node))
     if entry is None:
+        if _unwanted(node, keep):
+            return
         # An owned copy, broadcast to the node's shape: it is summed into in
         # place later and may become the node's ``.grad``.
         buf = np.empty_like(node.values)
@@ -305,11 +347,14 @@ def _add_grad(node: TensorNode, delta) -> None:
 def _adjoint(node: TensorNode) -> np.ndarray:
     """The buffer this backward sweep accumulates ``node``'s adjoint in,
     zeroed on first touch, for backward closures that add into part of it
-    in place."""
-    adjoints = _ADJOINTS.get()
+    in place (a throwaway one for a leaf whose gradient nobody asked for)."""
+    adjoints, keep = _ADJOINTS.get()
     entry = adjoints.get(id(node))
     if entry is None:
-        entry = adjoints[id(node)] = (node, np.zeros_like(node.values))
+        buf = np.zeros_like(node.values)
+        if _unwanted(node, keep):
+            return buf
+        entry = adjoints[id(node)] = (node, buf)
     return entry[1]
 
 
@@ -708,11 +753,14 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key: str = "fused",
     R, H)`` nodes the first step starts from, zeros when None; the backward
     sends the first step's adjoints into it.
 
-    Keeps each step's gates, joint and fused state; a step's hidden state is
-    read back from its joint and the weights' blocks are re-taken from the
-    weights node. The backward adds each step's products to ``W_hh``,
-    ``fuse_w`` and ``fuse_b`` as it goes, step T - 1 first, and runs the
-    input linear's backward once over all steps.
+    Keeps each step's gates, new cell, context (with ``key="fused"``; the
+    joints are the output otherwise) and fused state; the backward rebuilds
+    a step's hidden state as ``o * tanh(new_cell)`` of the step before, as
+    the forward computed it, and re-takes the weights' blocks from the
+    weights node. It adds each step's products to ``W_hh``, ``fuse_w`` and
+    ``fuse_b`` as it goes, step T - 1 first, and the weights' shares
+    straight into their adjoint, and runs the input linear's backward once
+    over all steps.
     """
     x, fuse_w, fuse_b = map(_lift, (x, fuse_w, fuse_b))
     w_ih, w_hh, bias = map(_lift, lstm)
@@ -738,19 +786,34 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key: str = "fused",
                          f"b {bias.shape}, fuse {fw.shape}, {fb.shape}, key {key!r}, "
                          f"weights or state do not conform")
     w_blocks = _row_blocks(weights.values, pieces) if weights is not None else []
-    hidden, cell = ((np.zeros(shape), np.zeros(shape)) if state is None
-                    else (state[0].values, state[1].values))
-    states, joints, fused = [], [], []
+    first = np.zeros(shape) if state is None else state[0].values
+    hidden, cell = first, np.zeros(shape) if state is None else state[1].values
+    zero = np.zeros(shape)      # every step's context when there are no weights
+    states, kept, fused = [], [], []
     for t in range(T):
-        context = (np.zeros(shape) if weights is None
+        context = (zero if weights is None
                    else _block_products([ab[t] for ab in w_blocks], hidden, pieces))
-        joints.append(np.concatenate([hidden, context], axis=-1))
-        fused.append(np.tanh(_rows_times(joints[t], fw) + fb))
+        joint = np.concatenate([hidden, context], axis=-1)
+        kept.append(joint if key == "joint" else context)
+        fused.append(np.tanh(_rows_times(joint, fw) + fb))
         gates_in = _rows_times(xv[t], w_ih.values) + bias.values    # ``linear``'s rows of step t
         saved, hidden = _lstm_values(gates_in, fused[t], cell, wv)
         states.append(saved)
         cell = saved[4]
-    joints, fused = np.stack(joints), np.stack(fused)
+    fused = np.stack(fused)
+    if key == "joint":
+        kept = np.stack(kept)
+
+    def joint_at(t: int) -> np.ndarray:
+        """Step t's ``[hidden, context]``; the hidden state is rebuilt from
+        the step before with ``_lstm_values``' own ``o * tanh(new_cell)``."""
+        if key == "joint":
+            return kept[t]
+        hidden = first
+        if t:
+            _, _, o, _, new_cell = states[t - 1]
+            hidden = o * np.tanh(new_cell)
+        return np.concatenate([hidden, kept[t]], axis=-1)
 
     def backward(grads):
         d_hidden, d_cell, d_keys = grads
@@ -758,7 +821,7 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key: str = "fused",
         d_gates = np.zeros(xv.shape[:-1] + (4 * H,))
         d_weights, w_blocks, gated = None, [], False
         if weights is not None:     # each group's blocks of all T steps, one copy
-            d_weights = np.zeros(weights.shape)
+            d_weights = _adjoint(weights)
             w_blocks = _row_blocks(weights.values, pieces)
         for t in reversed(range(T)):
             d_fused = None
@@ -771,19 +834,19 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key: str = "fused",
                 _add_grad(w_hh, g2.T @ fused[t].reshape(-1, H))
                 gated = True
             d_fused = _plus(keys_at[t] if key == "fused" else None, d_fused)
-            d_joint = None
+            d_joint, joint = None, joint_at(t)
             if d_fused is not None:
                 d_lin = (d_fused * (1.0 - fused[t] * fused[t])).reshape(-1, H)
-                d_joint = (d_lin @ fw).reshape(joints.shape[1:])
-                _add_grad(fuse_w, d_lin.T @ joints[t].reshape(-1, 2 * H))
+                d_joint = (d_lin @ fw).reshape(joint.shape)
+                _add_grad(fuse_w, d_lin.T @ joint.reshape(-1, 2 * H))
                 _add_grad(fuse_b, d_lin.sum(axis=0))
             d_joint = _plus(keys_at[t] if key == "joint" else None, d_joint)
             d_hidden = None if d_joint is None else d_joint[..., :H].copy()
             if d_joint is not None and weights is not None:
-                _block_grads(d_joint[..., H:], [ab[t] for ab in w_blocks], joints[t][..., :H],
+                _block_grads(d_joint[..., H:], [ab[t] for ab in w_blocks], joint[..., :H],
                              pieces, d_weights[t], d_hidden)
-        if weights is not None:     # an output adjoint always reaches a joint
-            _adjoint(weights)[...] += d_weights
+        if weights is not None:     # as the composed records' zero buffers did, turn
+            d_weights += 0.0        # a -0.0 the products did not touch into +0.0
         if state is not None:       # the first step's hidden and previous cell
             _add_grad(state[0], d_hidden)
             if d_cell is not None:
@@ -795,7 +858,7 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key: str = "fused",
             _add_grad(bias, d_b)
 
     return _record_parts("recurrence", (TensorNode(hidden), TensorNode(cell), TensorNode(
-        fused if key == "fused" else joints)), inputs, backward, replay)
+        fused if key == "fused" else kept)), inputs, backward, replay)
 
 
 def exp(a) -> TensorNode:
@@ -910,7 +973,8 @@ def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False)
     R, 2)`` and ``start`` ``(..., R, J, 2)``; the leading axes (samples, or
     time then samples) run in the same record, and ``bins`` and ``mask``
     broadcast to ``(..., R, J)``. Keeps the weights, the softmax mask, the
-    positive reaches and one flat grid-cell index per pair; the backward
+    positive reaches and one flat grid-cell index per pair, in the smallest
+    unsigned integer type that holds the grid's last cell; the backward
     recomputes the offsets and distances from ``cum`` and ``start``.
     Without ``cum`` nothing gets a position gradient and it keeps no
     ``start``.
@@ -934,7 +998,8 @@ def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False)
 
     offsets = offsets_of(start)
     kept = None if cum is None else start       # only a live sum's offsets are rebuilt
-    flat = (bins[0] - 1) * grid.shape[1] + (bins[1] - 1)
+    flat = ((bins[0] - 1) * grid.shape[1] + (bins[1] - 1)).astype(
+        np.min_scalar_type(grid.values.size - 1))
     reach = np.take(grid.values, flat) - _norm_values(offsets)
     positive = reach > 0.0
     active = np.broadcast_to(np.asarray(mask, dtype=bool), reach.shape)
@@ -1149,6 +1214,11 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
+
+    def nodes(self) -> list[TensorNode]:
+        """The parameter nodes in update order, as ``Tape``'s ``grads_for``
+        takes them."""
+        return list(self._params.values())
 
     def zero_grads(self) -> None:
         for p in self._params.values():

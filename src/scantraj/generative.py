@@ -32,8 +32,8 @@ from .errors import NumericError, ShapeError
 # estimate_heading is the scalar reference for advance_kinematics; it stays
 # importable here, where bench/tracer.py binds it.
 from .geometry import estimate_heading  # noqa: F401
-from .model import (ModelConfig, ScanModel, trajectory_loss, uniform_param,
-                    zeros_param)
+from .model import (ModelConfig, ScanModel, finite_positions, trajectory_loss,
+                    uniform_param, zeros_param)
 
 
 @dataclass
@@ -75,20 +75,29 @@ class PredictionSet:
 
 
 def sample_predictions(model: ScanModel, scene: SceneWindow, k: int,
-                       rng: np.random.Generator) -> PredictionSet:
+                       rng: np.random.Generator, *,
+                       what: str = "sample_predictions") -> PredictionSet:
     """Draw k joint futures; one noise vector per sample, shared by every
     pedestrian in the scene so each sample is a coherent joint outcome.
 
     The noise block is one ``(k, noise_dim)`` standard normal draw. The
     scene is encoded once and all k samples are decoded in one batched
-    pass; each result is a live slice of it.
+    pass; each result is a live slice of it. Futures that are not all
+    finite raise ``NumericError`` naming ``what`` and the first op whose
+    output went non-finite, found by decoding the same noise once more
+    under a recording tape (``model.finite_positions``).
     """
     if not model.cfg.generative:
         raise ValueError("sampling requires a generative configuration")
     if k < 1:
         raise ValueError("k must be >= 1")
     noises = rng.standard_normal((k, model.cfg.noise_dim))
-    batch = model.decode(scene, model.encode(scene), noise=noises)
+
+    def decode():
+        return model.decode(scene, model.encode(scene), noise=noises)
+
+    batch = decode()
+    finite_positions(lambda: decode().pos, what, batch.pos)
     return PredictionSet(list(scene.ped_ids), batch.samples(), noises, batch.pos)
 
 
@@ -274,7 +283,7 @@ def _critic_step(cfg: ModelConfig, disc_params: ad.ParamStore, layout, observed:
     ``disc_opt`` steps. Returns the critic loss. The tape, its logits and
     its loss die with this call, before the generator half records
     anything."""
-    with ad.Tape() as tape:
+    with ad.Tape(grads_for=disc_params.nodes()) as tape:
         logits = discriminator_logits(cfg, disc_params, layout, futures, mask, history=observed)
         loss = ad.add(bce_real(_kept(logits, [0], cols)),
                       bce_fake(_kept(logits, fakes_only, cols)))
@@ -334,7 +343,7 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
     if not any(c.size for c in cols):
         raise ValueError("no fully present pedestrians in the batch")
     mask = np.concatenate([scene.mask for scene in usable], axis=1)
-    with ad.Tape() as tape:
+    with ad.Tape(grads_for=model.params.nodes()) as tape:
         bank = model.encode(usable)
         batch = model.decode(usable, bank, noise=np.stack(noises, axis=1))
 

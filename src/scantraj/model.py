@@ -17,7 +17,7 @@ list runs as one batch whose scenes never see one another.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import cells
 from . import spatial
 from .data import SceneWindow
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 # estimate_heading is the scalar reference for advance_kinematics, and attend
 # the composed reference for the decoder step's attention; both stay
 # importable here, where bench/tracer.py binds them.
@@ -406,6 +406,23 @@ class ScanModel:
             return ForwardResult([], empty, empty,
                                  np.zeros((0, self.cfg.pred_len), dtype=bool))
         return self.decode(scenes, self.encode(scenes), noise=noise)
+
+
+def finite_positions(draw: Callable[[], ad.TensorNode], what: str,
+                     positions: ad.TensorNode | None = None) -> np.ndarray:
+    """The values of the predicted positions ``draw()`` returns, computed
+    under ``ad.no_grad()`` unless ``positions``, a draw already made, is
+    given. If they are not all finite, the same draw runs once more under a
+    recording tape and ``NumericError`` names ``what`` and the first op
+    whose output went non-finite."""
+    if positions is None:
+        with ad.no_grad():
+            positions = draw()
+    if not np.isfinite(positions.values).all():
+        with ad.Tape():
+            origin = ad.nonfinite_origin(draw())
+        raise NumericError(f"{what} predicts non-finite positions{origin}")
+    return positions.values
 
 
 def trajectory_loss(result: ForwardResult, scene: SceneWindow):

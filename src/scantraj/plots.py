@@ -24,8 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from . import generative as gn
 from .data import make_dir, write_text
-from .model import ScanModel
-from .training import default_k, finite_positions, load_checkpoint
+from .model import ScanModel, finite_positions
+from .training import default_k, load_checkpoint
 
 OBSERVED_COLOR = "#222222"
 TRUTH_COLOR = "#2a9d3a"
@@ -378,12 +378,15 @@ def _scene_samples(model: ScanModel, scene, k: int, hub: ad.RngHub, index: int) 
     """(k, N, steps, 2) futures of ``scene`` drawn from noise stream ``index``,
     or the (1, N, steps, 2) forecast of a deterministic model; non-finite
     positions raise ``NumericError`` as in ``evaluate``."""
+    what = f"predict: scene {index}"
+
     def draw() -> ad.TensorNode:
         if model.cfg.generative:
-            return gn.sample_predictions(model, scene, k, hub.derive("plots/noise", index)).futures
+            rng = hub.derive("plots/noise", index)
+            return gn.sample_predictions(model, scene, k, rng, what=what).futures
         return model.forward(scene).pos
 
-    samples = finite_positions(draw, f"predict: scene {index}")
+    samples = finite_positions(draw, what)
     return samples if model.cfg.generative else samples[None]
 
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import metrics
 from .data import make_windows
 from .errors import DataError, NumericError
 from .model import (ModelConfig, ScanModel, build_params, config_to_dict,
-                    trajectory_loss)
+                    finite_positions, trajectory_loss)
 
 CHECKPOINT_MAGIC = b"SCANCKPT"
 CHECKPOINT_VERSION = 2
@@ -150,7 +150,7 @@ def train_deterministic(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
     model = ScanModel(state.cfg, state.params)
 
     def step(live: list, epoch: int):
-        with ad.Tape() as tape:
+        with ad.Tape(grads_for=state.params.nodes()) as tape:
             views = model.forward(live).per_scene(live)
             losses = [loss for loss in map(trajectory_loss, views, live)
                       if loss is not None]
@@ -243,8 +243,9 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
         mask = scene.mask[scene.obs_len:scene.obs_len + usable].T
         if not mask.any():
             continue
-        positions = finite_positions(lambda: _window_positions(model, scene, k, hub, index),
-                                     f"evaluate: window {index}")[..., :usable, :]
+        what = f"evaluate: window {index}"
+        positions = finite_positions(lambda: _window_positions(model, scene, k, hub, index, what),
+                                     what)[..., :usable, :]
         if cfg.generative and k > 1:
             first = positions[0]
             bok_ade, bok_fde = metrics.best_of_k(positions, truth, mask)
@@ -274,28 +275,15 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
     return report
 
 
-def finite_positions(draw: Callable[[], ad.TensorNode], what: str) -> np.ndarray:
-    """The values of the predicted positions ``draw()`` returns, computed
-    under ``ad.no_grad()``. If they are not all finite, the same draw runs
-    once more under a recording tape and ``NumericError`` names ``what``
-    and the first op whose output went non-finite."""
-    with ad.no_grad():
-        positions = draw().values
-    if not np.isfinite(positions).all():
-        with ad.Tape():
-            origin = ad.nonfinite_origin(draw())
-        raise NumericError(f"{what} predicts non-finite positions{origin}")
-    return positions
-
-
 def _window_positions(model: ScanModel, scene, k: int, hub: ad.RngHub,
-                      index: int) -> ad.TensorNode:
+                      index: int, what: str) -> ad.TensorNode:
     """The predicted positions of evaluation window ``index``: the (k, N,
     pred_len, 2) samples drawn from its own noise stream, or the (N,
-    pred_len, 2) forecast when there is one sample."""
+    pred_len, 2) forecast when there is one sample. Non-finite samples
+    raise ``NumericError`` naming ``what`` (``sample_predictions``)."""
     if model.cfg.generative and k > 1:
         rng = hub.derive(EVAL_NOISE_STREAM, index)
-        return gn.sample_predictions(model, scene, k, rng).futures
+        return gn.sample_predictions(model, scene, k, rng, what=what).futures
     return model.forward(scene).pos
 
 

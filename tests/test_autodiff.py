@@ -648,23 +648,36 @@ class TestFusedKernels:
     @given(T=st.integers(1, 5), lead=st.sampled_from([(), (3,)]), H=st.integers(1, 3),
            E=st.integers(1, 3), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
            key=st.sampled_from(["fused", "joint"]), zero_context=st.booleans(),
-           zero_rows=st.booleans(), zero_w_hh=st.booleans(),
-           used=st.sets(st.integers(0, 2), min_size=1), keys_stop=st.integers(1, 5),
-           seed=st.integers(0, 2**32 - 1))
+           zero_rows=st.booleans(), zero_w_hh=st.booleans(), zero_fuse_context=st.booleans(),
+           reuse_weights=st.booleans(), used=st.sets(st.integers(0, 2), min_size=1),
+           keys_stop=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     @example(T=1, lead=(), H=2, E=2, sizes=[2, 1], key="joint", zero_context=False,
-             zero_rows=False, zero_w_hh=False, used={2}, keys_stop=1, seed=3)
+             zero_rows=False, zero_w_hh=False, zero_fuse_context=False,
+             reuse_weights=False, used={2}, keys_stop=1,
+             seed=3)
     @example(T=1, lead=(3,), H=2, E=1, sizes=[2], key="fused", zero_context=False,
-             zero_rows=False, zero_w_hh=False, used={2}, keys_stop=1, seed=4)
+             zero_rows=False, zero_w_hh=False, zero_fuse_context=False,
+             reuse_weights=False, used={2}, keys_stop=1,
+             seed=4)
     @example(T=4, lead=(), H=2, E=2, sizes=[3, 1], key="joint", zero_context=False,
-             zero_rows=True, zero_w_hh=False, used={2}, keys_stop=2, seed=5)
+             zero_rows=True, zero_w_hh=False, zero_fuse_context=False,
+             reuse_weights=False, used={2}, keys_stop=2,
+             seed=5)
+    @example(T=3, lead=(), H=2, E=2, sizes=[3, 2], key="fused", zero_context=False,
+             zero_rows=False, zero_w_hh=False, zero_fuse_context=True, reuse_weights=True,
+             used={0, 1}, keys_stop=3, seed=6)
     def test_recurrence_equals_the_composed_records_bitwise(
-            self, T, lead, H, E, sizes, key, zero_context, zero_rows, zero_w_hh, used,
-            keys_stop, seed):
+            self, T, lead, H, E, sizes, key, zero_context, zero_rows, zero_w_hh,
+            zero_fuse_context, reuse_weights, used, keys_stop, seed):
         # Zero input rows and a zero W_hh make exact zeros in the gates'
-        # adjoint, whose sign the composed records' zero buffer settles. The
-        # keys' term covers steps [0, keys_stop) only. With the keys' adjoint
-        # alone and key="joint", step T - 1 adds no product to W_hh or the
-        # fuse weights, and at T = 1 W_ih, W_hh and b get no adjoint at all.
+        # adjoint, whose sign the composed records' zero buffer settles. A
+        # fuse weight with zero context columns makes the weights' shares
+        # exact zeros, which the fused backward adds straight into the
+        # weights' adjoint; reused weights reach it holding an adjoint
+        # already, -0.0 among its entries. The keys' term covers steps
+        # [0, keys_stop) only. With the keys' adjoint alone and key="joint",
+        # step T - 1 adds no product to W_hh or the fuse weights, and at
+        # T = 1 W_ih, W_hh and b get no adjoint at all.
         rng = np.random.default_rng(seed)
         R, J = sum(sizes), max(sizes)
         blocks = [(sizes.count(n), n, n) for n in sorted(set(sizes))]
@@ -675,14 +688,20 @@ class TestFusedKernels:
                   rng.normal(size=(4 * H, E)),
                   np.zeros((4 * H, H)) if zero_w_hh else rng.normal(size=(4 * H, H)),
                   rng.normal(size=4 * H), rng.normal(size=(H, 2 * H)), rng.normal(size=H)]
+        if zero_fuse_context:
+            arrays[5][:, H:] = 0.0
         probes = [rng.normal(size=lead + (R, H)), rng.normal(size=lead + (R, H)),
                   rng.normal(size=(T,) + lead + (R, H if key == "fused" else 2 * H)),
                   rng.normal(size=(H, 2 * H))]
         probes[2] = probes[2][:keys_stop]
+        weights_probe = np.where(rng.uniform(size=(T,) + lead + (R, J)) < 0.5, -0.0,
+                                 rng.normal(size=(T,) + lead + (R, J)))
 
         def loss_of(nodes, outs):           # fuse W is shared, as with the decoder
             parts = [outs[0], outs[1], outs[2][:keys_stop]]
             terms = [ad.reduce_sum(ad.mul(parts[k], ad.constant(probes[k]))) for k in sorted(used)]
+            if reuse_weights and nodes[1] is not None:
+                terms.append(ad.reduce_sum(ad.mul(nodes[1], ad.constant(weights_probe))))
             return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[5], ad.constant(probes[3])))])
 
         fused, composed = run_both(
@@ -715,20 +734,23 @@ class TestFusedKernels:
     @given(lead=st.sampled_from([(), (3,)]),
            sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5), first=st.booleans(),
            no_start=st.booleans(), literal=st.booleans(), reused=st.sets(st.integers(0, 1)),
-           seed=st.integers(0, 2**32 - 1))
+           grid=st.sampled_from([(3, 2), (36, 36), (360, 360)]), seed=st.integers(0, 2**32 - 1))
     def test_pair_weights_equal_the_composed_records_bitwise(
-            self, lead, sizes, first, no_start, literal, reused, seed):
+            self, lead, sizes, first, no_start, literal, reused, grid, seed):
         # Without start the offsets come from cum alone (a known-track pass).
+        # The 10- and 1-degree grids have more cells than 8 and 16 bits
+        # count, so their grid-cell index takes a wider type.
         rng = np.random.default_rng(seed)
         layout, mask, start = drawn_layout(rng, lead, sizes)
         if no_start and not first:
             start = None
         R, J = layout.neighbors.shape
-        bins = (rng.integers(1, 4, size=lead + (R, J)), rng.integers(1, 3, size=lead + (R, J)))
+        bins = (rng.integers(1, grid[0] + 1, size=lead + (R, J)),
+                rng.integers(1, grid[1] + 1, size=lead + (R, J)))
         arrays = [None if first else rng.normal(0.0, 0.5, size=lead + (R, 2)),
-                  rng.uniform(0.2, 2.0, size=(3, 2))]
+                  rng.uniform(0.2, 2.0, size=grid)]
         probes = [rng.normal(size=lead + (R, J)), rng.normal(size=lead + (R, 2)),
-                  rng.normal(size=(3, 2))]
+                  rng.normal(size=grid)]
 
         def loss_of(nodes, outs):           # the inputs may arrive with adjoints
             terms = [ad.reduce_sum(ad.mul(outs[0], ad.constant(probes[0])))]
@@ -828,27 +850,38 @@ class TestTapeLifecycle:
         assert x.grad == 8.0
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**32 - 1), first=st.sampled_from(["every_op", "leaves_only"]))
-    def test_a_repeat_backward_adds_what_a_second_identical_tape_adds_bitwise(self, seed, first):
+    @given(seed=st.integers(0, 2**32 - 1), first=st.sampled_from(["every_op", "leaves_only"]),
+           grads_for=st.sampled_from([None, (1,), (0, 1)]))
+    def test_a_repeat_backward_adds_what_a_second_identical_tape_adds_bitwise(
+            self, seed, first, grads_for):
         # The first sweep frees every fused record's saved state, whether it
         # ran the record's backward ("every_op") or skipped it for lack of an
-        # adjoint ("leaves_only"); the repeat sweep rebuilds it.
+        # adjoint ("leaves_only"); the repeat sweep rebuilds it. A tape for
+        # some of the leaves (``grads_for``) gives them the default sweeps'
+        # gradients, summed over both sweeps, and no other node a ``.grad``.
         def losses(x, w):
             return {"every_op": every_op(x, w), "leaves_only": ad.reduce_sum(ad.mul(x, x))}
 
         rng = np.random.default_rng(seed)
         xv, wv = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
         one_tape = [ad.constant(xv.copy()), ad.constant(wv.copy())]
-        with ad.Tape() as tape:
+        kept = range(2) if grads_for is None else grads_for
+        with ad.Tape(grads_for=None if grads_for is None
+                     else [one_tape[i] for i in grads_for]) as tape:
             made = losses(*one_tape)
             tape.backward(made[first])
             tape.backward(made["every_op"])
         two_tapes = [ad.constant(xv.copy()), ad.constant(wv.copy())]
         for name in (first, "every_op"):
-            with ad.Tape() as tape:
-                tape.backward(losses(*two_tapes)[name])
-        assert ([node.grad.tobytes() for node in one_tape]
-                == [node.grad.tobytes() for node in two_tapes])
+            with ad.Tape() as other:
+                other.backward(losses(*two_tapes)[name])
+        assert ([one_tape[i].grad.tobytes() for i in kept]
+                == [two_tapes[i].grad.tobytes() for i in kept])
+        if grads_for is not None:
+            recorded = [part for out, _, _ in tape._records
+                        for part in (out if type(out) is tuple else (out,))]
+            assert len(recorded) > len(tape) and all(node._grad is None for node in recorded)
+            assert all(one_tape[i]._grad is None for i in range(2) if i not in grads_for)
 
     def test_loss_from_other_tape_rejected(self):
         with ad.Tape():

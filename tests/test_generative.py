@@ -162,6 +162,21 @@ class TestSampling:
                                        rtol=1e-12, atol=1e-15, err_msg=name)
         assert any(np.abs(g).max() > 0.0 for g in batched.values())
 
+    @pytest.mark.parametrize("scope", [ad.Tape, ad.no_grad])
+    def test_non_finite_futures_raise_and_name_the_op(self, monkeypatch, scope):
+        # The same noise is decoded once more under a recording tape, so the
+        # message names the first op whose output went non-finite.
+        scene = make_scene(dyadic_walkers(5), obs_len=3)
+        m = build_generative()
+        m.params["out.W"].values[...] = np.inf
+        tapes = spy_on_nonfinite_origin(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), scope():
+            with pytest.raises(NumericError,
+                               match="sample_predictions predicts non-finite positions") as info:
+                gen.sample_predictions(m, scene, 3, np.random.default_rng(1))
+        assert "first non-finite output: decoder_step at" in str(info.value)
+        assert_names_the_first_non_finite_record(str(info.value), tapes)
+
     def test_requires_generative_config(self):
         scene = make_scene(dyadic_walkers(5), obs_len=3)
         m = sm.ScanModel(micro_cfg(), sm.build_params(micro_cfg(), ad.RngHub(7)))

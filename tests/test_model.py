@@ -218,18 +218,75 @@ class TestRecordBudget:
 
 def tape_bytes(model, scenes: list) -> tuple:
     """tracemalloc bytes of a batch's forward pass and mean trajectory loss,
-    as a training step builds them: (held after them, peak over them and the
-    backward pass)."""
+    as a training step builds them, on a tape for the model's parameters:
+    (held after them, peak over them and the backward pass)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        with ad.Tape() as tape:
+        with ad.Tape(grads_for=model.params.nodes()) as tape:
             views = model.forward(scenes).per_scene(scenes)
             loss = ad.mean_of([sm.trajectory_loss(view, scene)
                                for view, scene in zip(views, scenes)])
             held = tracemalloc.get_traced_memory()[0] - base
             tape.backward(loss)
         return held, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def random_crowd(rng, n: int, cfg):
+    """One scene of ``n`` walkers spanning the model's obs_len + pred_len
+    steps, about one per square metre, drifting the same way."""
+    steps = cfg.obs_len + cfg.pred_len
+    start = rng.uniform(-0.5 * n ** 0.5, 0.5 * n ** 0.5, size=(n, 1, 2))
+    return make_scene(start + np.cumsum(rng.normal(0.3, 0.1, size=(n, steps, 2)), axis=1),
+                      cfg.obs_len)
+
+
+def pair_bytes(cfg, sizes=(64, 128)) -> tuple:
+    """Bytes per neighbour pair and step, held and at the peak, from the
+    growth of ``tape_bytes`` between lone crowds of ``sizes``."""
+    model, rng = build(cfg, seed=1), np.random.default_rng(4)
+    measured = [tape_bytes(model, [random_crowd(rng, n, cfg)]) for n in sizes]
+    pair_steps = (sizes[1] ** 2 - sizes[0] ** 2) * (cfg.obs_len + cfg.pred_len)
+    return tuple((big - small) / pair_steps for small, big in zip(*measured))
+
+
+def row_bytes(cfg, counts=(16, 32)) -> tuple:
+    """Bytes per pedestrian row and step, held and at the peak, from the
+    growth of ``tape_bytes`` between batches of ``counts`` two-person
+    scenes."""
+    model = build(cfg, seed=1)
+    measured = [tape_bytes(model, scenes) for scenes in two_person_batches(cfg, counts)]
+    row_steps = 2 * (counts[1] - counts[0]) * (cfg.obs_len + cfg.pred_len)
+    return tuple((big - small) / row_steps for small, big in zip(*measured))
+
+
+def crowd_step_peak(sizes=(2, 8, 32), warm_up: int = 3) -> int:
+    """tracemalloc peak bytes of one ``train_deterministic`` step on one
+    batch of random-walk crowds of ``sizes`` at 0.25 people per square
+    metre, the mix of the benchmark's ``crowd_train`` workload, after
+    ``warm_up`` steps on it."""
+    cfg, rng, steps = sm.ModelConfig(), np.random.default_rng(1), 20
+    batch = []
+    for n in sizes:
+        heading = rng.uniform(0.0, 2.0 * np.pi, size=n) + np.cumsum(
+            rng.normal(0.0, 0.25, size=(steps - 1, n)), axis=0)
+        stride = rng.uniform(0.3, 0.6, size=n)[:, None, None] * np.stack(
+            [np.cos(heading.T), np.sin(heading.T)], axis=-1)
+        start = rng.uniform(0.0, (n / 0.25) ** 0.5, size=(n, 1, 2))
+        batch.append(make_scene(start + np.concatenate(
+            [np.zeros((n, 1, 2)), np.cumsum(stride, axis=1)], axis=1), cfg.obs_len))
+
+    def tcfg(epochs):
+        return tr.TrainConfig(batch_size=len(sizes), lr=0.01, epochs=epochs, seed=7)
+
+    state, _ = tr.train_deterministic(batch, cfg, tcfg(warm_up))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr.train_deterministic(batch, cfg, tcfg(warm_up + 1), state=state)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
@@ -262,7 +319,7 @@ def critic_pass_peak(cfg, disc, scenes: list, samples: int) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        with ad.Tape() as tape:
+        with ad.Tape(grads_for=disc.nodes()) as tape:
             logits = gn.discriminator_logits(cfg, disc, layout, futures, mask,
                                              history=real[:, :cfg.obs_len])
             disc.zero_grads()
@@ -283,16 +340,18 @@ def two_person_batches(cfg, counts: tuple) -> list:
 
 class TestTapeMemory:
     """The tape keeps few bytes per neighbour pair: a pair record keeps its
-    weights, two masks and one grid-cell index, and its backward recomputes
-    the offsets and distances. Per row and step it keeps the fused records'
-    inputs, outputs and the intermediates that need a matrix product to
-    rebuild, and no input-gate node. The backward sweep frees a fused
-    record's saved state as soon as it has passed the record, so the
-    sweep's peak stays close to the tape it replays; afterwards the record
-    keeps only its inputs, outputs and arguments, and ``.grad`` reads as
-    before. A constant track (the encoder's, the critic step's) records no
-    position path. A GAN step never holds the critic's tape and the
-    generator's at once."""
+    weights, two masks and one grid-cell index in the smallest unsigned type
+    that holds the grid's cells, and its backward recomputes the offsets
+    and distances. Per row and step it keeps the fused records' inputs,
+    outputs and the intermediates that need a matrix product to rebuild,
+    and no input-gate node. The backward sweep frees a fused record's saved
+    state as soon as it has passed the record, and a training step's sweep
+    (a tape for the parameters, ``grads_for``) drops each recorded output's
+    adjoint once its record has run, so the sweep's peak stays close to the
+    tape it replays; afterwards the record keeps only its inputs, outputs
+    and arguments. A constant track (the encoder's, the critic step's)
+    records no position path. A GAN step never holds the critic's tape and
+    the generator's at once."""
 
     CONFIGS = pytest.mark.parametrize("overrides", [
         {}, {"generative": True}, {"variant": "vanilla", "literal_softmax": True}],
@@ -300,93 +359,79 @@ class TestTapeMemory:
 
     @CONFIGS
     def test_pair_memory_per_pair_and_step_is_bounded(self, overrides):
-        cfg = sm.ModelConfig(**overrides)
-        model, steps = build(cfg, seed=1), cfg.obs_len + cfg.pred_len
-        rng = np.random.default_rng(4)
-        sizes, measured = (64, 128), []
-        for n in sizes:
-            start = rng.uniform(-0.5 * n ** 0.5, 0.5 * n ** 0.5, size=(n, 1, 2))
-            paths = start + np.cumsum(rng.normal(0.3, 0.1, size=(n, steps, 2)), axis=1)
-            measured.append(tape_bytes(model, [make_scene(paths, cfg.obs_len)]))
-        pair_steps = (sizes[1] ** 2 - sizes[0] ** 2) * steps
-        held, peak = [(big - small) / pair_steps for small, big in zip(*measured)]
-        assert held <= 48 and peak <= 96, (held, peak)
+        # About 27 bytes held and 31 at the peak, against 34 and 46 with an
+        # int64 grid-cell index and a sweep that kept every adjoint.
+        held, peak = pair_bytes(sm.ModelConfig(**overrides))
+        assert held <= 30 and peak <= 34, (held, peak)
 
     @CONFIGS
     def test_row_memory_per_row_and_step_is_bounded(self, overrides):
         # Two-person scenes: the growth is per row, with few pairs per row.
-        cfg = sm.ModelConfig(**overrides)
-        model, steps = build(cfg, seed=1), cfg.obs_len + cfg.pred_len
-        counts = (16, 32)
-        measured = [tape_bytes(model, scenes) for scenes in two_person_batches(cfg, counts)]
-        row_steps = 2 * (counts[1] - counts[0]) * steps
-        held, peak = [(big - small) / row_steps for small, big in zip(*measured)]
-        assert held <= 3500 and peak <= 5500, (held, peak)
+        held, peak = row_bytes(sm.ModelConfig(**overrides))
+        assert held <= 3250 and peak <= 3700, (held, peak)
 
     @CONFIGS
     def test_a_backward_sweep_peaks_close_to_the_tape_it_replays(self, overrides):
-        # The sweep frees each fused record's saved state once past it, and
-        # the encoder's constant track records no position path, so per pair
-        # and step the peak grows at most 16 bytes more than the tape held.
-        cfg = sm.ModelConfig(**overrides)
-        model, steps = build(cfg, seed=1), cfg.obs_len + cfg.pred_len
-        rng = np.random.default_rng(4)
-        sizes, measured = (64, 128), []
-        for n in sizes:
-            start = rng.uniform(-0.5 * n ** 0.5, 0.5 * n ** 0.5, size=(n, 1, 2))
-            paths = start + np.cumsum(rng.normal(0.3, 0.1, size=(n, steps, 2)), axis=1)
-            measured.append(tape_bytes(model, [make_scene(paths, cfg.obs_len)]))
-        pair_steps = (sizes[1] ** 2 - sizes[0] ** 2) * steps
-        held, peak = [(big - small) / pair_steps for small, big in zip(*measured)]
-        assert peak <= held + 16, (held, peak)
+        # The sweep frees each fused record's saved state and each recorded
+        # output's adjoint once past it, and the encoder's constant track
+        # records no position path, so per pair and step the peak grows
+        # about 4 bytes more than the tape held (11 while the sweep kept
+        # every adjoint).
+        held, peak = pair_bytes(sm.ModelConfig(**overrides))
+        assert peak <= held + 6, (held, peak)
 
     @pytest.mark.parametrize("overrides, bound", [
-        ({}, 4000), ({"generative": True}, 4000),
-        ({"variant": "vanilla", "literal_softmax": True}, 3300)],
+        ({}, 3700), ({"generative": True}, 3700),
+        ({"variant": "vanilla", "literal_softmax": True}, 3000)],
         ids=["default", "generative", "vanilla_literal"])
     def test_row_peak_per_row_and_step_stays_near_what_is_held(self, overrides, bound):
-        # About 3,610, 3,640 and 2,980 bytes, against 4,590, 4,650 and 3,830
-        # when the sweep kept every fused record's state to its end.
-        cfg = sm.ModelConfig(**overrides)
-        model, steps = build(cfg, seed=1), cfg.obs_len + cfg.pred_len
-        counts = (16, 32)
-        small, big = [tape_bytes(model, scenes)[1]
-                      for scenes in two_person_batches(cfg, counts)]
-        peak = (big - small) / (2 * (counts[1] - counts[0]) * steps)
-        assert peak <= bound, peak
+        # About 3,410, 3,430 and 2,780 bytes, against 3,620, 3,640 and 3,030
+        # while the sweep kept every adjoint and the recurrence every joint,
+        # and 4,590, 4,650 and 3,830 when it also kept every fused record's
+        # state to its end.
+        assert row_bytes(sm.ModelConfig(**overrides))[1] <= bound
 
     @pytest.mark.parametrize("overrides, bound", [
-        ({"generative": True}, 33_000),
+        ({"generative": True}, 21_500),
         ({"generative": True, "embed_dim": 8, "hidden_dim": 16, "noise_dim": 4,
-          "bearing_bin_deg": 90.0, "heading_bin_deg": 90.0}, 18_000)],
+          "bearing_bin_deg": 90.0, "heading_bin_deg": 90.0}, 11_200)],
         ids=["generative", "gan_synth"])
     def test_gan_step_peak_per_row_and_step_is_bounded(self, overrides, bound):
         # The critic half's tape is freed before the generator half records,
-        # and the recurrence backward copies no time-major arrays: about
-        # 27,400 and 14,500 bytes, against 42,700 and 23,200 without both.
+        # the recurrence backward copies no time-major arrays, and each half
+        # keeps adjoints for its own parameters only: about 20,100 and 10,400
+        # bytes, against 21,000 and 11,000 while the sweeps kept every
+        # adjoint, and 42,700 and 23,200 before the first two.
         cfg = sm.ModelConfig(**overrides)
         counts = (16, 32)
         small, big = [gan_step_peak(cfg, scenes) for scenes in two_person_batches(cfg, counts)]
         peak = (big - small) / (2 * (counts[1] - counts[0]) * (cfg.obs_len + cfg.pred_len))
         assert peak <= bound, peak
 
-
     @pytest.mark.parametrize("overrides, bound", [
-        ({"generative": True}, 4700),
+        ({"generative": True}, 3900),
         ({"generative": True, "embed_dim": 8, "hidden_dim": 16, "noise_dim": 4,
-          "bearing_bin_deg": 90.0, "heading_bin_deg": 90.0}, 2450)],
+          "bearing_bin_deg": 90.0, "heading_bin_deg": 90.0}, 2000)],
         ids=["generative", "gan_synth"])
     def test_critic_pass_peak_grows_with_the_future_steps_only(self, overrides, bound):
         # The observed steps run once per critic pass, so four more samples
-        # add only their future steps: about 3,800 and 1,950 bytes per future
-        # row-step, against 6,100 and 3,150 when every sample re-ran the
-        # observed steps as the head of its full track.
+        # add only their future steps: about 3,550 and 1,810 bytes per future
+        # row-step, against 3,800 and 1,950 while the sweep kept every
+        # adjoint, and 6,100 and 3,150 when every sample re-ran the observed
+        # steps as the head of its full track.
         cfg = sm.ModelConfig(**overrides)
         disc = gn.build_discriminator_params(cfg, ad.RngHub(2))
         scenes = two_person_batches(cfg, (16,))[0]
         small, big = [critic_pass_peak(cfg, disc, scenes, samples) for samples in (2, 6)]
         peak = (big - small) / ((6 - 2) * 2 * len(scenes) * cfg.pred_len)
         assert peak <= bound, peak
+
+    def test_a_crowd_training_step_peaks_under_a_bound(self):
+        # The benchmark's crowd_train mix, N = 2, 8 and 32 in one batch:
+        # about 3.39 MB, against 3.71 MB with an int64 grid-cell index, kept
+        # joints and a sweep that kept every adjoint.
+        peak = crowd_step_peak()
+        assert peak <= 3_550_000, peak
 
 
 class TestConfig:

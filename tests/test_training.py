@@ -72,6 +72,37 @@ def assert_names_the_first_non_finite_record(message: str, tapes: list) -> None:
     assert outputs[index][0].op_record.op == op
 
 
+def sweep_gradients(monkeypatch, run, leaf_only: bool) -> list:
+    """Every backward sweep of ``run()``, as the bytes of the gradients of
+    the nodes its tape is for (``grads_for``), or None for a tape that
+    names none. With ``leaf_only`` False each tape is made without
+    ``grads_for``, so its sweeps are default sweeps; with it True, each
+    sweep must leave every other node of its tape without a ``.grad``."""
+    swept, init, backward = [], ad.Tape.__init__, ad.Tape.backward
+
+    def made(tape, grads_for=None):
+        tape.asked = None if grads_for is None else list(grads_for)
+        init(tape, grads_for if leaf_only else None)
+
+    def spied(tape, loss):
+        backward(tape, loss)
+        swept.append(None if tape.asked is None else [n.grad.tobytes() for n in tape.asked])
+        if leaf_only and tape.asked is not None:
+            asked = {id(n) for n in tape.asked}
+            others = [node for out, inputs, _ in tape._records
+                      for node in (out if type(out) is tuple else (out,)) + inputs
+                      if id(node) not in asked]
+            assert others and all(node._grad is None for node in others)
+
+    monkeypatch.setattr(ad.Tape, "__init__", made)
+    monkeypatch.setattr(ad.Tape, "backward", spied)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return swept
+
+
 class TestTrainConfig:
     def test_defaults_validate(self):
         tr.TrainConfig().validate()
@@ -175,6 +206,18 @@ class TestDeterministicLoop:
         tr.train_deterministic(micro_windows(4) + [empty], micro_cfg(),
                                tcfg(batch_size=5, epochs=2))
         assert calls == {"encode": 2, "decode": 2}
+
+    def test_each_step_sweeps_for_the_parameters_with_default_sweep_gradients(
+            self, monkeypatch):
+        # The step's tape is for its parameters: they get the gradients of
+        # a default sweep, bit for bit, and no other node gets a .grad.
+        def run():
+            tr.train_deterministic(micro_windows(), micro_cfg(), tcfg(epochs=2))
+
+        leaf_only, default = [sweep_gradients(monkeypatch, run, leaf_only)
+                              for leaf_only in (True, False)]
+        assert len(leaf_only) == 4 and None not in leaf_only
+        assert leaf_only == default
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -551,6 +594,22 @@ class TestGanLoop:
                     verdicts.extend(float(p[0]) < 0.5 for p in fake.values)
         accuracy = np.mean(verdicts)
         assert 0.0 < accuracy < 1.0
+
+    def test_each_half_sweeps_for_its_own_parameters_with_default_sweep_gradients(
+            self, monkeypatch):
+        # The critic half's tape is for the critic's parameters, the
+        # generator half's for the generator's: each gets the gradients of a
+        # default sweep, bit for bit, and no other node gets a .grad.
+        cfg = micro_cfg(generative=True, noise_dim=3)
+
+        def run():
+            tr.train_gan(micro_windows(3), cfg,
+                         tcfg(epochs=2, batch_size=3, gan=gn.GanConfig(k=2, diversity_weight=0.5)))
+
+        leaf_only, default = [sweep_gradients(monkeypatch, run, leaf_only)
+                              for leaf_only in (True, False)]
+        assert len(leaf_only) == 4 and None not in leaf_only
+        assert leaf_only == default
 
     def test_requires_generative_config(self):
         with pytest.raises(ValueError):
