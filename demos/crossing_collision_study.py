@@ -67,9 +67,10 @@ def main():
     print(f"  forecaster       {ncr_model:7.3f}%")
 
     if args.plots:
-        ckpt = os.path.join(tempfile.mkdtemp(), "crossing.ckpt")
-        tr.save_checkpoint(ckpt, state)
-        written = pl.emit_plots(ckpt, held_out[:3], args.plots, max_scenes=3)
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = os.path.join(tmp, "crossing.ckpt")
+            tr.save_checkpoint(ckpt, state)
+            written = pl.emit_plots(ckpt, held_out[:3], args.plots, max_scenes=3)
         print("wrote:")
         for path in written:
             print(f"  {path}")

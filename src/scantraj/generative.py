@@ -101,6 +101,20 @@ def sample_predictions(model: ScanModel, scene: SceneWindow, k: int,
     return PredictionSet(list(scene.ped_ids), batch.samples(), noises, batch.pos)
 
 
+def window_futures(model: ScanModel, scene: SceneWindow, what: str,
+                   rng: np.random.Generator | None = None, k: int = 1) -> np.ndarray:
+    """One window's predicted futures as a (k, N, pred_len, 2) array,
+    computed under ``ad.no_grad()``: the k ``sample_predictions`` drawn
+    from ``rng``, or, given no ``rng``, the zero-noise forecast
+    ``model.forward(scene)`` as (1, N, pred_len, 2). Futures that are not
+    all finite raise ``NumericError`` naming ``what`` and the first op
+    whose output went non-finite, checked once."""
+    if rng is None:
+        return finite_positions(lambda: model.forward(scene).pos, what)[None]
+    with ad.no_grad():
+        return sample_predictions(model, scene, k, rng, what=what).futures.values
+
+
 # -- discriminator ---------------------------------------------------------
 
 def build_discriminator_params(cfg: ModelConfig, hub: ad.RngHub,
@@ -245,12 +259,9 @@ def sample_spread(positions: np.ndarray) -> float:
     k, n = positions.shape[0], positions.shape[1]
     if k < 2 or n == 0:
         return 0.0
-    gaps = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            step_dist = np.linalg.norm(positions[i] - positions[j], axis=-1)
-            gaps.extend(step_dist.mean(axis=1))
-    return float(np.mean(gaps))
+    first, second = np.triu_indices(k, 1)
+    gaps = np.linalg.norm(positions[first] - positions[second], axis=-1).mean(axis=-1)
+    return float(gaps.mean())
 
 
 # -- the alternating step ---------------------------------------------------

@@ -4,6 +4,13 @@ All functions take plain float arrays shaped (N, T, 2) — N pedestrians, T
 predicted steps — with an optional (N, T) boolean validity mask (missing
 mask means everything counts). Angles, tapes, and nodes never appear here;
 callers evaluate first, measure second.
+
+Each metric scores its arrays in one pass: ``ade`` the (N, T) errors,
+``best_sample`` the (k, N, T) errors of all k samples, ``fde`` the errors
+at every pedestrian's last valid step, ``frame_collision_fractions`` the
+(T, N, N) distances of every frame. A sample's ADE stays the 1-D mean of its
+own valid errors: a 2-D mean along the last axis may add them in another
+order, and a change in the last bit can change which sample wins.
 """
 
 from __future__ import annotations
@@ -61,19 +68,23 @@ class MetricReport:
                    float(parts[3]), float(parts[4]), int(parts[5]), int(parts[6]))
 
 
+def _mask(mask, shape: tuple) -> np.ndarray:
+    """``mask`` as a boolean array of ``shape``; None means all valid."""
+    if mask is None:
+        return np.ones(shape, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != shape:
+        raise ValueError(f"mask {mask.shape} must be {shape}")
+    return mask
+
+
 def _prepare(pred, truth, mask):
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape or pred.ndim != 3 or pred.shape[-1] != 2:
         raise ValueError(f"prediction {pred.shape} and truth {truth.shape} "
                          "must both be (N, T, 2)")
-    if mask is None:
-        mask = np.ones(pred.shape[:2], dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != pred.shape[:2]:
-            raise ValueError(f"mask {mask.shape} must be {pred.shape[:2]}")
-    return pred, truth, mask
+    return pred, truth, _mask(mask, pred.shape[:2])
 
 
 def ade(pred, truth, mask=None) -> float:
@@ -107,20 +118,16 @@ def _fde(pred, truth, mask) -> tuple[float, int]:
     the whole process and so is not safe while other threads run.
     """
     pred, truth, mask = _prepare(pred, truth, mask)
-    n, t = mask.shape
-    finals = []
-    fallbacks = 0
-    for p in range(n):
-        valid = np.flatnonzero(mask[p])
-        if valid.size == 0:
-            continue
-        last = int(valid[-1])
-        if last != t - 1:
-            fallbacks += 1
-        finals.append(float(np.linalg.norm(pred[p, last] - truth[p, last])))
-    if not finals:
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
         raise EmptyMetricError("fde: no pedestrian has a valid step")
-    return float(np.mean(finals)), fallbacks
+    t = mask.shape[1]
+    last = t - 1 - np.argmax(mask[rows, ::-1], axis=1)
+    d = pred[rows, last] - truth[rows, last]
+    # Each row's (1, 2) @ (2, 1) product is the dot a 1-D ``np.linalg.norm``
+    # takes; ``norm(axis=-1)`` can differ from it in the last place.
+    finals = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    return float(np.mean(finals)), int(np.count_nonzero(last != t - 1))
 
 
 def best_sample(samples, truth, mask=None) -> tuple[int, float]:
@@ -129,7 +136,11 @@ def best_sample(samples, truth, mask=None) -> tuple[int, float]:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 4 or samples.shape[0] < 1:
         raise ValueError(f"samples must be (k, N, T, 2), got {samples.shape}")
-    ades = [ade(samples[i], truth, mask) for i in range(samples.shape[0])]
+    _, truth, mask = _prepare(samples[0], truth, mask)
+    if not mask.any():
+        raise EmptyMetricError("ade: no valid (pedestrian, step) pairs")
+    errors = np.linalg.norm(samples - truth, axis=-1)[:, mask]
+    ades = [float(row.mean()) for row in errors]
     best = int(np.argmin(ades))
     return best, ades[best]
 
@@ -155,28 +166,17 @@ def frame_collision_fractions(positions, mask=None,
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 3 or positions.shape[-1] != 2:
         raise ValueError(f"positions must be (N, T, 2), got {positions.shape}")
-    n, t = positions.shape[:2]
-    if mask is None:
-        mask = np.ones((n, t), dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n, t):
-            raise ValueError(f"mask {mask.shape} must be {(n, t)}")
-    fractions = []
-    for f in range(t):
-        present = np.flatnonzero(mask[:, f])
-        if present.size == 0:
-            continue
-        if present.size == 1:
-            fractions.append(0.0)
-            continue
-        pts = positions[present, f]
-        deltas = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(deltas, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        colliding = int(np.count_nonzero(dist.min(axis=1) < threshold))
-        fractions.append(colliding / present.size)
-    return fractions
+    present = _mask(mask, positions.shape[:2]).T             # (T, N)
+    # Absent pedestrians' coordinates are never read, as if they were zeros.
+    x, y = np.where(present[..., None], positions.transpose(1, 0, 2), 0.0).transpose(2, 0, 1)
+    # The (T, N, N) distances in place, by the float ops of norm(axis=-1).
+    dist = np.square(x[:, :, None] - x[:, None])
+    dist += np.square(y[:, :, None] - y[:, None])
+    np.sqrt(dist, out=dist)
+    dist[~(present[:, :, None] & present[:, None]) | np.eye(len(positions), dtype=bool)] = np.inf
+    colliding = np.count_nonzero(dist.min(axis=-1, initial=np.inf) < threshold, axis=1)
+    counts = present.sum(axis=1)
+    return (colliding[counts > 0] / counts[counts > 0]).tolist()
 
 
 def near_collision_rate(positions, mask=None,

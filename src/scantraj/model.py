@@ -383,7 +383,8 @@ class ScanModel:
             if not cfg.force_zero_context:
                 weights = ad.pair_weights(
                     cum, self.grid.node, start, layout.neighbors,
-                    bin_indices(kin, self.grid.spec, layout.neighbors),
+                    bin_indices(kin, self.grid.spec, layout.neighbors,
+                                None if s else start),   # step 0's positions: last_pos
                     layout.neighbor_mask(present[s][order]), cfg.literal_softmax)
             hidden, cell, disp, cum, pos = ad.decoder_step(
                 hidden, cell, weights, layout.blocks, cum, step_in, last_pos, self._fuse(),

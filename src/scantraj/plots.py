@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import generative as gn
 from .data import make_dir, write_text
-from .model import ScanModel, finite_positions
+from .model import ScanModel
 from .training import default_k, load_checkpoint
 
 OBSERVED_COLOR = "#222222"
@@ -374,22 +374,6 @@ def diversity_grid(path_base, scene, panels) -> list[str]:
 
 # -- checkpoint-driven emission ------------------------------------------------
 
-def _scene_samples(model: ScanModel, scene, k: int, hub: ad.RngHub, index: int) -> np.ndarray:
-    """(k, N, steps, 2) futures of ``scene`` drawn from noise stream ``index``,
-    or the (1, N, steps, 2) forecast of a deterministic model; non-finite
-    positions raise ``NumericError`` as in ``evaluate``."""
-    what = f"predict: scene {index}"
-
-    def draw() -> ad.TensorNode:
-        if model.cfg.generative:
-            rng = hub.derive("plots/noise", index)
-            return gn.sample_predictions(model, scene, k, rng, what=what).futures
-        return model.forward(scene).pos
-
-    samples = finite_positions(draw, what)
-    return samples if model.cfg.generative else samples[None]
-
-
 def emit_plots(checkpoint_path, scenes, out_dir, k: int | None = None,
                lam_label: float = 0.0, fan_ks=(1, 4, 8), seed: int = 0,
                max_scenes: int = 4) -> list[str]:
@@ -411,18 +395,21 @@ def emit_plots(checkpoint_path, scenes, out_dir, k: int | None = None,
     hub = ad.RngHub(seed)
     written: list[str] = []
     kept = [s for s in scenes if s.n_peds > 0][:max_scenes]
+
+    def futures(index: int, scene, k: int) -> np.ndarray:
+        rng = hub.derive("plots/noise", index) if state.cfg.generative else None
+        return gn.window_futures(model, scene, f"predict: scene {index}", rng, k)
+
     for index, scene in enumerate(kept):
-        samples = _scene_samples(model, scene, k, hub, index)
+        samples = futures(index, scene, k)
         written += plot_trajectories(
             os.path.join(out_dir, f"trajectories_{index:03d}"), scene, samples,
             title=f"scene {index}: {scene.n_peds} pedestrians")
     written += domain_heatmap(os.path.join(out_dir, "domain_grid"),
                               state.params["domain_grid"].values)
     if state.cfg.generative and kept:
-        scene = kept[0]
-        top = max(fan_ks)
-        samples = _scene_samples(model, scene, top, hub, 0)
+        samples = futures(0, kept[0], max(fan_ks))
         panels = [(kk, lam_label, samples[:kk]) for kk in sorted(fan_ks)]
         written += diversity_grid(os.path.join(out_dir, "diversity_grid"),
-                                  scene, panels)
+                                  kept[0], panels)
     return written

@@ -23,7 +23,7 @@ from . import metrics
 from .data import make_windows
 from .errors import DataError, NumericError
 from .model import (ModelConfig, ScanModel, build_params, config_to_dict,
-                    finite_positions, trajectory_loss)
+                    trajectory_loss)
 
 CHECKPOINT_MAGIC = b"SCANCKPT"
 CHECKPOINT_VERSION = 2
@@ -208,19 +208,19 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
              k: int = 1, seed: int = 0) -> metrics.MetricReport:
     """Score a parameter set over held-out windows.
 
-    Deterministic configurations report single-sample metrics (k must be
-    1). Generative ones draw k seeded futures per scene: the ade/fde
+    At k = 1 every configuration scores its zero-noise forecast,
+    ``model.forward(scene)``, as the ``eval_every`` rows do; ``predict`` and
+    the plots draw one noisy sample instead. At k > 1 (generative only) each
+    window draws k seeded futures from its own noise stream: the ade/fde
     columns use the first sample, best-of-k the whole set. All error
     fields are unweighted means of per-scene values; the near-collision
     rate pools frames across scenes. Evaluating twice with one seed gives
-    identical reports. Every pass runs under ``ad.no_grad()``: the values
-    equal a recorded pass bit for bit, and nothing is recorded.
-
-    A window whose predicted positions are not all finite raises
-    ``NumericError``; its pass is then run once more, with the same noise
-    draw, under a recording tape, so that the message names the first op
-    whose output went non-finite. So does a window whose finite predictions
-    lie too far away to score as a finite error.
+    identical reports. Each window's futures come from
+    ``generative.window_futures`` under ``ad.no_grad()``, which records
+    nothing and gives a recorded pass's values bit for bit; futures that
+    are not all finite raise ``NumericError`` naming the first op whose
+    output went non-finite. So does a window whose finite predictions lie
+    too far away to score as a finite error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -243,24 +243,20 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
         mask = scene.mask[scene.obs_len:scene.obs_len + usable].T
         if not mask.any():
             continue
-        what = f"evaluate: window {index}"
-        positions = finite_positions(lambda: _window_positions(model, scene, k, hub, index, what),
-                                     what)[..., :usable, :]
-        if cfg.generative and k > 1:
-            first = positions[0]
-            bok_ade, bok_fde = metrics.best_of_k(positions, truth, mask)
-        else:
-            first = positions
-            bok_ade = bok_fde = None
+        rng = hub.derive(EVAL_NOISE_STREAM, index) if cfg.generative and k > 1 else None
+        positions = gn.window_futures(model, scene, f"evaluate: window {index}",
+                                      rng, k)[..., :usable, :]
+        first = positions[0]
         scene_ade = metrics.ade(first, truth, mask)
         scene_fde, _ = metrics._fde(first, truth, mask)   # fallback is routine here
-        if not np.isfinite([scene_ade, scene_fde, bok_ade or 0.0, bok_fde or 0.0]).all():
+        bok = (scene_ade, scene_fde) if rng is None else metrics.best_of_k(positions, truth, mask)
+        if not np.isfinite([scene_ade, scene_fde, *bok]).all():
             raise NumericError(f"evaluate: window {index} scores a non-finite error: its "
                                f"predicted positions reach {np.abs(positions).max():.3g} m")
         ades.append(scene_ade)
         fdes.append(scene_fde)
-        bok_ades.append(bok_ade if bok_ade is not None else scene_ade)
-        bok_fdes.append(bok_fde if bok_fde is not None else scene_fde)
+        bok_ades.append(bok[0])
+        bok_fdes.append(bok[1])
         fractions.extend(metrics.frame_collision_fractions(first, mask))
         n_peds += scene.n_peds
     if not ades:
@@ -273,18 +269,6 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
         near_collision_pct=ncr, n_scenes=len(ades), n_peds=n_peds)
     report.validate()
     return report
-
-
-def _window_positions(model: ScanModel, scene, k: int, hub: ad.RngHub,
-                      index: int, what: str) -> ad.TensorNode:
-    """The predicted positions of evaluation window ``index``: the (k, N,
-    pred_len, 2) samples drawn from its own noise stream, or the (N,
-    pred_len, 2) forecast when there is one sample. Non-finite samples
-    raise ``NumericError`` naming ``what`` (``sample_predictions``)."""
-    if model.cfg.generative and k > 1:
-        rng = hub.derive(EVAL_NOISE_STREAM, index)
-        return gn.sample_predictions(model, scene, k, rng, what=what).futures
-    return model.forward(scene).pos
 
 
 def sweep_horizons(cfg: ModelConfig, params: ad.ParamStore, records: list,

@@ -79,6 +79,62 @@ def oracle_ade(pred, truth, mask):
     return total / count if count else None
 
 
+# Loop references of the vectorised metrics: the per-sample, per-pedestrian,
+# per-frame and per-pair loops that ``metrics`` and ``sample_spread`` once
+# ran, with the same numpy calls, which the one-pass versions equal bit for bit.
+
+def loop_best_sample(samples, truth, mask):
+    """(index, ADE) of the lowest-ADE sample, one masked 1-D mean per sample."""
+    ades = [float(np.linalg.norm(sample - truth, axis=-1)[mask].mean()) for sample in samples]
+    best = int(np.argmin(ades))
+    return best, ades[best]
+
+
+def loop_fde(pred, truth, mask):
+    """(mean final error or None, fallback count): one 1-D ``np.linalg.norm``
+    per pedestrian at its last valid step; pedestrians with none are skipped."""
+    finals, fallbacks = [], 0
+    for p in range(pred.shape[0]):
+        valid = np.flatnonzero(mask[p])
+        if valid.size == 0:
+            continue
+        last = int(valid[-1])
+        fallbacks += last != pred.shape[1] - 1
+        finals.append(float(np.linalg.norm(pred[p, last] - truth[p, last])))
+    return (float(np.mean(finals)) if finals else None), fallbacks
+
+
+def loop_collision_fractions(positions, mask, threshold):
+    """Per-frame fraction of present pedestrians with another present one
+    strictly closer than ``threshold``; empty frames are skipped."""
+    fractions = []
+    for f in range(positions.shape[1]):
+        present = np.flatnonzero(mask[:, f])
+        if present.size == 0:
+            continue
+        if present.size == 1:
+            fractions.append(0.0)
+            continue
+        pts = positions[present, f]
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        np.fill_diagonal(dist, np.inf)
+        fractions.append(int(np.count_nonzero(dist.min(axis=1) < threshold)) / present.size)
+    return fractions
+
+
+def loop_spread(positions):
+    """Mean over sample pairs (i < j) and pedestrians of the step-averaged
+    distance between samples i and j; 0.0 without a pair or a pedestrian."""
+    k, n = positions.shape[:2]
+    if k < 2 or n == 0:
+        return 0.0
+    gaps = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            gaps.extend(np.linalg.norm(positions[i] - positions[j], axis=-1).mean(axis=1))
+    return float(np.mean(gaps))
+
+
 def numeric_gradient(f, values, h=1e-5):
     """Central finite differences of ``f()`` w.r.t. ``values``.
 

@@ -1,12 +1,21 @@
-"""Metric golden values, invariances, and report serialization."""
+"""Metric golden values, invariances, and report serialization.
+
+The one-pass metrics equal the loops they replaced (``oracles``) bit for
+bit, over drawn sample sets whose masks hold FDE fallbacks, pedestrians
+with no valid step, empty and lone frames, and exact ADE ties.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scantraj import generative as gn
 from scantraj import metrics
 from scantraj.errors import EmptyMetricError
 
-from oracles import oracle_ade
+from oracles import (loop_best_sample, loop_collision_fractions, loop_fde, loop_spread,
+                     oracle_ade)
 
 
 def straight(n, t, speed=1.0):
@@ -246,3 +255,73 @@ class TestMetricReport:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             metrics.MetricReport.from_csv("a,b\n1,2\n")
+
+
+@st.composite
+def sample_sets(draw):
+    """(samples, truth, mask, threshold): k futures of N pedestrians over T steps.
+
+    Each pedestrian's mask is full, empty, a prefix (an FDE fallback) or a
+    random pattern, so frames with nobody and with one person present
+    occur. Coordinates lie on a 5 cm lattice (distances at the collision
+    threshold, repeated errors) or are general floats, and a repeated
+    sample makes an exact ADE tie. The collision threshold is the default
+    or sits on a pair's distance.
+    """
+    k, n, t = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.ones((n, t), dtype=bool)
+    for p, kind in enumerate(draw(st.lists(st.sampled_from(["full", "none", "prefix", "random"]),
+                                           min_size=n, max_size=n))):
+        if kind == "none":
+            mask[p] = False
+        elif kind == "prefix":
+            mask[p, rng.integers(1, t + 1) - 1:] = False
+        elif kind == "random":
+            mask[p] = rng.random(t) < 0.6
+    if draw(st.booleans()):
+        truth = rng.integers(-4, 5, size=(n, t, 2)) * 0.05
+        samples = truth + rng.integers(-4, 5, size=(k, n, t, 2)) * 0.05
+    else:
+        truth = rng.normal(0.0, 3.0, size=(n, t, 2))
+        samples = truth + rng.normal(0.0, draw(st.sampled_from([0.05, 1.0])), size=(k, n, t, 2))
+    if k > 1 and draw(st.booleans()):
+        samples[-1] = samples[0]
+    # A collision threshold at, or one ulp above, the distance of a present
+    # pair of sample 0 tells apart distances that differ in the last bit.
+    threshold = metrics.NEAR_COLLISION_M
+    frames, first, second = np.nonzero(mask.T[:, :, None] & mask.T[:, None] & ~np.eye(n, dtype=bool))
+    if frames.size and draw(st.booleans()):
+        pick = draw(st.integers(0, frames.size - 1))
+        f, a, b = frames[pick], first[pick], second[pick]
+        threshold = float(np.linalg.norm(samples[0, a, f] - samples[0, b, f]))
+        if draw(st.booleans()):
+            threshold = float(np.nextafter(threshold, np.inf))
+    return samples, truth, mask, threshold
+
+
+def hexes(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=sample_sets())
+def test_one_pass_metrics_equal_their_loop_references_bitwise(case):
+    samples, truth, mask, threshold = case
+    final, fallbacks = loop_fde(samples[0], truth, mask)
+    if final is None:
+        with pytest.raises(EmptyMetricError):
+            metrics._fde(samples[0], truth, mask)
+        with pytest.raises(EmptyMetricError):
+            metrics.best_sample(samples, truth, mask)
+    else:
+        value, count = metrics._fde(samples[0], truth, mask)
+        assert (hexes(value), count) == (hexes(final), fallbacks)
+        best, best_ade = loop_best_sample(samples, truth, mask)
+        got, got_ade = metrics.best_sample(samples, truth, mask)
+        assert (got, hexes(got_ade)) == (best, hexes(best_ade))
+        assert hexes(metrics.best_of_k(samples, truth, mask)) == \
+            hexes([best_ade, loop_fde(samples[best], truth, mask)[0]])
+    assert hexes(metrics.frame_collision_fractions(samples[0], mask, threshold)) == \
+        hexes(loop_collision_fractions(samples[0], mask, threshold))
+    assert hexes(gn.sample_spread(samples)) == hexes(loop_spread(samples))

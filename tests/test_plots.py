@@ -10,7 +10,10 @@ from test_model import dyadic_walkers, make_scene, micro_cfg, recorded_ops
 from test_training import (assert_names_the_first_non_finite_record, micro_windows,
                            spy_on_nonfinite_origin, tcfg)
 
+from scantraj import autodiff as ad
 from scantraj import data as sd
+from scantraj import generative as gn
+from scantraj import model as sm
 from scantraj import plots
 from scantraj import training as tr
 from scantraj.errors import DataError, NumericError
@@ -201,6 +204,23 @@ class TestEmitPlots:
         assert {"diversity_grid.svg", "diversity_grid.csv"} <= names
         header, rows = read_rows(out / "diversity_grid.csv")
         assert {row[1] for row in rows} == {"1V-0", "4V-0"}
+
+    def test_a_one_sample_fan_draws_from_the_plot_noise_stream(self, tmp_path):
+        # Unlike evaluate at k = 1, a one-sample fan is one noisy sample,
+        # drawn from the scene's "plots/noise" stream, not the forecast.
+        ckpt = self._checkpoint(tmp_path, generative=True)
+        [scene] = micro_windows(1)
+        plots.emit_plots(ckpt, [scene], tmp_path / "figs", k=1, seed=3)
+        state = tr.load_checkpoint(ckpt)
+        model = sm.ScanModel(state.cfg, state.params)
+        with ad.no_grad():
+            sample = gn.sample_predictions(model, scene, 1, ad.RngHub(3).derive("plots/noise", 0))
+            forecast = model.forward(scene).pos.values[None]
+        plots.plot_trajectories(tmp_path / "sample", scene, sample.positions_array())
+        plots.plot_trajectories(tmp_path / "forecast", scene, forecast)
+        fan = (tmp_path / "figs" / "trajectories_000.csv").read_text()
+        assert fan == (tmp_path / "sample.csv").read_text()
+        assert fan != (tmp_path / "forecast.csv").read_text()
 
     def test_emission_is_deterministic(self, tmp_path):
         ckpt = self._checkpoint(tmp_path, generative=True)

@@ -17,6 +17,7 @@ from test_model import (dyadic_walkers, fake_track, make_scene, micro_cfg, real_
 from scantraj import autodiff as ad
 from scantraj import data as sd
 from scantraj import generative as gn
+from scantraj import metrics
 from scantraj import model as sm
 from scantraj import training as tr
 from scantraj.errors import DataError, NumericError
@@ -275,6 +276,30 @@ class TestEvaluate:
         r1 = tr.evaluate(cfg, params, windows, k=4, seed=2)
         r2 = tr.evaluate(cfg, params, windows, k=4, seed=2)
         assert r1.csv_row() == r2.csv_row()
+
+    def test_generative_k1_scores_the_zero_noise_forecast(self):
+        # k = 1 scores model.forward(scene), not one noisy draw from the
+        # window's eval noise stream.
+        cfg, params, windows = self._fixture(generative=True)
+        model = sm.ScanModel(cfg, params)
+        hub = ad.RngHub(2)
+        ades, fdes, fractions, noisy_ades = [], [], [], []
+        for index, scene in enumerate(windows):
+            truth = scene.positions[scene.obs_len:].transpose(1, 0, 2)
+            mask = scene.mask[scene.obs_len:].T
+            with ad.no_grad():
+                forecast = model.forward(scene).pos.values
+                noisy = gn.sample_predictions(model, scene, 1,
+                                              hub.derive(tr.EVAL_NOISE_STREAM, index))
+            ades.append(metrics.ade(forecast, truth, mask))
+            fdes.append(metrics.fde(forecast, truth, mask))
+            fractions += metrics.frame_collision_fractions(forecast, mask)
+            noisy_ades.append(metrics.ade(noisy.positions_array()[0], truth, mask))
+        ade, fde = float(np.mean(ades)), float(np.mean(fdes))
+        expected = metrics.MetricReport(ade, fde, ade, fde, float(np.mean(fractions) * 100.0),
+                                        len(windows), 6)
+        assert tr.evaluate(cfg, params, windows, k=1, seed=2).to_csv() == expected.to_csv()
+        assert float(np.mean(noisy_ades)) != ade
 
     def test_k_above_one_needs_generative(self):
         cfg, params, windows = self._fixture()
