@@ -735,94 +735,79 @@ def _plus(first, second):
     return second if first is None else first if second is None else first + second
 
 
-def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key: str = "fused",
+def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
                state=None) -> tuple[TensorNode, TensorNode, TensorNode]:
     """T steps of the spatially attentive LSTM from ``state``, one record
     with outputs ``(hidden, cell, keys)``.
 
     Inputs: the ``(T, ..., R, E)`` step inputs ``x``, the ``(T, ..., R, J)``
-    spatial ``weights`` (None: a zero context), ``lstm`` = ``(W_ih, W_hh,
-    b)`` of shapes ``(4H, E)``, ``(4H, H)`` and ``(4H,)``, ``fuse_w`` ``(H,
-    2H)`` and ``fuse_b`` ``(H,)``. Step t: ``context = block_matmul(
-    weights[t], hidden, blocks)``, ``joint = [hidden, context]``, ``fused =
-    tanh(linear(joint, fuse_w, fuse_b))`` and ``lstm_step`` on ``fused``
-    with the input share ``linear(x[t], W_ih, b)`` of the gates. Outputs:
-    the final ``(..., R, H)`` states and the time-major ``(T, ..., R, H)``
-    fused states (``key="fused"``) or ``(T, ..., R, 2H)`` joints
-    (``key="joint"``). ``state`` is the ``(hidden, cell)`` pair of ``(...,
-    R, H)`` nodes the first step starts from, zeros when None; the backward
-    sends the first step's adjoints into it.
+    spatial ``weights``, ``lstm`` = ``(W_ih, W_hh, b)`` of shapes ``(4H,
+    E)``, ``(4H, H)`` and ``(4H,)``, ``fuse_w`` ``(H, 2H)`` and ``fuse_b``
+    ``(H,)``. Step t: ``context = block_matmul(weights[t], hidden,
+    blocks)``, ``joint = [hidden, context]``, ``fused = tanh(linear(joint,
+    fuse_w, fuse_b))`` and ``lstm_step`` on ``fused`` with the input share
+    ``linear(x[t], W_ih, b)`` of the gates. Outputs: the final ``(..., R,
+    H)`` states and the time-major ``(T, ..., R, H)`` fused states.
+    ``state`` is the ``(hidden, cell)`` pair of ``(..., R, H)`` nodes the
+    first step starts from, zeros when None; the backward sends the first
+    step's adjoints into it.
 
-    Keeps each step's gates, new cell, context (with ``key="fused"``; the
-    joints are the output otherwise) and fused state; the backward rebuilds
-    a step's hidden state as ``o * tanh(new_cell)`` of the step before, as
-    the forward computed it, and re-takes the weights' blocks from the
-    weights node. It adds each step's products to ``W_hh``, ``fuse_w`` and
-    ``fuse_b`` as it goes, step T - 1 first, and the weights' shares
-    straight into their adjoint, and runs the input linear's backward once
-    over all steps.
+    Keeps each step's gates, new cell, context and fused state; the
+    backward rebuilds a step's hidden state as ``o * tanh(new_cell)`` of
+    the step before, as the forward computed it, and re-takes the weights'
+    blocks from the weights node. It adds each step's products to ``W_hh``,
+    ``fuse_w`` and ``fuse_b`` as it goes, step T - 1 first, and the
+    weights' shares straight into their adjoint, and runs the input
+    linear's backward once over all steps.
     """
-    x, fuse_w, fuse_b = map(_lift, (x, fuse_w, fuse_b))
+    x, weights, fuse_w, fuse_b = map(_lift, (x, weights, fuse_w, fuse_b))
     w_ih, w_hh, bias = map(_lift, lstm)
     xv, wv, fw, fb = x.values, w_hh.values, fuse_w.values, fuse_b.values
     T, H = len(xv) if xv.ndim else 0, wv.shape[-1]
     shape = xv.shape[1:-1] + (H,)
-    inputs, pieces = (x, w_ih, w_hh, bias, fuse_w, fuse_b), []
-    if weights is not None:
-        weights = _lift(weights)
-        pieces = _block_layout("recurrence", weights.values, shape, blocks)
-        inputs += (weights,)
+    pieces = _block_layout("recurrence", weights.values, shape, blocks)
+    inputs = (x, w_ih, w_hh, bias, fuse_w, fuse_b, weights)
     if state is not None:
         state = tuple(map(_lift, state))
         inputs += state
     replay = functools.partial(recurrence, x, weights, (w_ih, w_hh, bias), fuse_w, fuse_b,
-                               blocks, key, state)
+                               blocks, state)
     if (xv.ndim < 3 or not T or w_ih.shape != (4 * H, xv.shape[-1]) or wv.shape != (4 * H, H)
             or bias.shape != (4 * H,) or fw.shape != (H, 2 * H) or fb.shape != (H,)
-            or key not in ("fused", "joint")
-            or weights is not None and weights.shape[:-1] != xv.shape[:-1]
+            or weights.shape[:-1] != xv.shape[:-1]
             or state is not None and any(part.shape != shape for part in state)):
         raise ShapeError(f"recurrence: input {xv.shape}, W_ih {w_ih.shape}, W_hh {wv.shape}, "
-                         f"b {bias.shape}, fuse {fw.shape}, {fb.shape}, key {key!r}, "
+                         f"b {bias.shape}, fuse {fw.shape}, {fb.shape}, "
                          f"weights or state do not conform")
-    w_blocks = _row_blocks(weights.values, pieces) if weights is not None else []
+    w_blocks = _row_blocks(weights.values, pieces)
     first = np.zeros(shape) if state is None else state[0].values
     hidden, cell = first, np.zeros(shape) if state is None else state[1].values
-    zero = np.zeros(shape)      # every step's context when there are no weights
-    states, kept, fused = [], [], []
+    states, contexts, fused = [], [], []
     for t in range(T):
-        context = (zero if weights is None
-                   else _block_products([ab[t] for ab in w_blocks], hidden, pieces))
-        joint = np.concatenate([hidden, context], axis=-1)
-        kept.append(joint if key == "joint" else context)
+        contexts.append(_block_products([ab[t] for ab in w_blocks], hidden, pieces))
+        joint = np.concatenate([hidden, contexts[t]], axis=-1)
         fused.append(np.tanh(_rows_times(joint, fw) + fb))
         gates_in = _rows_times(xv[t], w_ih.values) + bias.values    # ``linear``'s rows of step t
         saved, hidden = _lstm_values(gates_in, fused[t], cell, wv)
         states.append(saved)
         cell = saved[4]
     fused = np.stack(fused)
-    if key == "joint":
-        kept = np.stack(kept)
 
     def joint_at(t: int) -> np.ndarray:
         """Step t's ``[hidden, context]``; the hidden state is rebuilt from
         the step before with ``_lstm_values``' own ``o * tanh(new_cell)``."""
-        if key == "joint":
-            return kept[t]
         hidden = first
         if t:
             _, _, o, _, new_cell = states[t - 1]
             hidden = o * np.tanh(new_cell)
-        return np.concatenate([hidden, kept[t]], axis=-1)
+        return np.concatenate([hidden, contexts[t]], axis=-1)
 
     def backward(grads):
         d_hidden, d_cell, d_keys = grads
         keys_at = [None] * T if d_keys is None else d_keys
         d_gates = np.zeros(xv.shape[:-1] + (4 * H,))
-        d_weights, w_blocks, gated = None, [], False
-        if weights is not None:     # each group's blocks of all T steps, one copy
-            d_weights = _adjoint(weights)
-            w_blocks = _row_blocks(weights.values, pieces)
+        d_weights, gated = _adjoint(weights), False
+        w_blocks = _row_blocks(weights.values, pieces)  # all T steps' blocks, one copy
         for t in reversed(range(T)):
             d_fused = None
             if d_hidden is not None or d_cell is not None:
@@ -833,20 +818,20 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key: str = "fused",
                 d_fused = (g2 @ wv).reshape(shape)
                 _add_grad(w_hh, g2.T @ fused[t].reshape(-1, H))
                 gated = True
-            d_fused = _plus(keys_at[t] if key == "fused" else None, d_fused)
-            d_joint, joint = None, joint_at(t)
+            d_fused = _plus(keys_at[t], d_fused)
+            d_hidden = None
             if d_fused is not None:
+                joint = joint_at(t)
                 d_lin = (d_fused * (1.0 - fused[t] * fused[t])).reshape(-1, H)
                 d_joint = (d_lin @ fw).reshape(joint.shape)
                 _add_grad(fuse_w, d_lin.T @ joint.reshape(-1, 2 * H))
                 _add_grad(fuse_b, d_lin.sum(axis=0))
-            d_joint = _plus(keys_at[t] if key == "joint" else None, d_joint)
-            d_hidden = None if d_joint is None else d_joint[..., :H].copy()
-            if d_joint is not None and weights is not None:
+                d_hidden = d_joint[..., :H].copy()
                 _block_grads(d_joint[..., H:], [ab[t] for ab in w_blocks], joint[..., :H],
                              pieces, d_weights[t], d_hidden)
-        if weights is not None:     # as the composed records' zero buffers did, turn
-            d_weights += 0.0        # a -0.0 the products did not touch into +0.0
+        # As the composed records' zero buffers did, turn a -0.0 the products
+        # did not touch into +0.0.
+        d_weights += 0.0
         if state is not None:       # the first step's hidden and previous cell
             _add_grad(state[0], d_hidden)
             if d_cell is not None:
@@ -857,8 +842,8 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key: str = "fused",
             _add_grad(w_ih, d_w)
             _add_grad(bias, d_b)
 
-    return _record_parts("recurrence", (TensorNode(hidden), TensorNode(cell), TensorNode(
-        fused if key == "fused" else kept)), inputs, backward, replay)
+    return _record_parts("recurrence", (TensorNode(hidden), TensorNode(cell),
+                                        TensorNode(fused)), inputs, backward, replay)
 
 
 def exp(a) -> TensorNode:
@@ -875,7 +860,7 @@ def softplus(a) -> TensorNode:
                   lambda g, x, y: g * _sigmoid_values(x))
 
 
-def _softmax_values(xv: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _softmax_values(xv: np.ndarray, mask: np.ndarray | bool) -> np.ndarray:
     top = np.max(np.where(mask, xv, -np.inf), axis=-1, keepdims=True,
                  initial=-np.inf)
     top = np.where(np.isfinite(top), top, 0.0)      # rows with nothing active
@@ -887,7 +872,7 @@ def _softmax_values(xv: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return e / np.where(total > 0.0, total, 1.0)
 
 
-def _softmax_grad(g: np.ndarray, outv: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _softmax_grad(g: np.ndarray, outv: np.ndarray, mask: np.ndarray | bool) -> np.ndarray:
     inner = np.sum(g * outv, axis=-1, keepdims=True)  # masked weights are 0
     return np.where(mask, outv * (g - inner), 0.0)
 
@@ -912,40 +897,41 @@ def masked_softmax(a, mask) -> TensorNode:
                    lambda g: _add_grad(a, _softmax_grad(g, outv, mask)))
 
 
-def attention(query, keys, valid, weight, bias) -> TensorNode:
+def attention(query, keys, weight, bias) -> TensorNode:
     """Temporal attention of every query row over its own keys, one record.
 
     Each ``(..., N, K)`` query row scores its ``(..., N, T, K)`` keys, a
-    softmax over the ``(..., N, T)`` ``valid`` steps blends them into a
-    context, and ``tanh(linear([context, query], weight, bias))`` with
-    ``weight`` ``(H, 2K)`` gives ``(..., N, H)``. Keeps the softmax weights
-    and the context; the backward rebuilds ``[context, query]``.
+    softmax over all T steps blends them into a context, and
+    ``tanh(linear([context, query], weight, bias))`` with ``weight`` ``(H,
+    2K)`` gives ``(..., N, H)``. Keeps the softmax weights and the context;
+    the backward rebuilds ``[context, query]``.
     """
     query, keys, weight, bias = map(_lift, (query, keys, weight, bias))
-    replay = functools.partial(attention, query, keys, valid, weight, bias)
+    replay = functools.partial(attention, query, keys, weight, bias)
     qv, kv, wv = query.values, keys.values, weight.values
-    mask, K = np.asarray(valid, dtype=bool), kv.shape[-1]
-    if (kv.ndim < 3 or qv.shape != kv.shape[:-2] + (K,) or mask.shape != kv.shape[:-1]
+    K = kv.shape[-1]
+    if (kv.ndim < 3 or qv.shape != kv.shape[:-2] + (K,)
             or wv.ndim != 2 or wv.shape[1] != 2 * K or bias.shape != wv.shape[:1]):
-        raise ShapeError(f"attention: query {qv.shape}, keys {kv.shape}, valid "
-                         f"{mask.shape} and weight {wv.shape} do not conform")
-    saved = _attention_values(qv, kv, mask, wv, bias.values)
+        raise ShapeError(f"attention: query {qv.shape}, keys {kv.shape} and weight "
+                         f"{wv.shape} do not conform")
+    saved = _attention_values(qv, kv, wv, bias.values)
 
     def backward(g):
-        for share in _attention_grads(g, qv, kv, mask, saved, weight, bias, keys):
+        for share in _attention_grads(g, qv, kv, saved, weight, bias, keys):
             _add_grad(query, share)
 
     return _record("attention", saved[2], (query, keys, weight, bias), backward, replay)
 
 
-def _attention_values(qv, kv, mask, wv, bv) -> tuple:
-    """Attention's forward: (softmax weights, context, output)."""
-    weights = _softmax_values(np.matmul(kv, qv[..., None])[..., 0], mask)
+def _attention_values(qv, kv, wv, bv) -> tuple:
+    """Attention's forward: (softmax weights, context, output). A mask of
+    ``True`` covers every step."""
+    weights = _softmax_values(np.matmul(kv, qv[..., None])[..., 0], True)
     context = np.matmul(weights[..., None, :], kv)[..., 0, :]
     return weights, context, np.tanh(_rows_times(np.concatenate([context, qv], axis=-1), wv) + bv)
 
 
-def _attention_grads(g, qv, kv, mask, saved, weight, bias, keys) -> tuple:
+def _attention_grads(g, qv, kv, saved, weight, bias, keys) -> tuple:
     """Attention's backward: adds the weight, bias and keys shares in the
     composed records' order and returns the query's two shares, in order.
     The ``[context, query]`` rows are rebuilt as the forward built them."""
@@ -957,27 +943,26 @@ def _attention_grads(g, qv, kv, mask, saved, weight, bias, keys) -> tuple:
     _add_grad(bias, d_b)
     d_context = d_joint[..., :K].copy()
     _add_grad(keys, weights[..., :, None] * d_context[..., None, :])
-    d_scores = _softmax_grad(np.matmul(kv, d_context[..., :, None])[..., 0], weights, mask)
+    d_scores = _softmax_grad(np.matmul(kv, d_context[..., :, None])[..., 0], weights, True)
     _add_grad(keys, d_scores[..., :, None] * qv[..., None, :])
     return d_joint[..., K:], np.matmul(d_scores[..., None, :], kv)[..., 0, :]
 
 
-def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False) -> TensorNode:
+def pair_weights(cum, grid, start, neighbors, bins, mask) -> TensorNode:
     """The ``(..., R, J)`` spatial weights of a decoder step or of a whole
     known-track pass, one record.
 
     Offsets: ``start + pair_offsets(cum, neighbors)``, or either term alone
     when the other is None. Then the ``(m, n)`` grid's range at the 1-based
-    ``bins`` minus the offsets' length, relu, and softmax over ``mask`` (and,
-    unless ``literal``, over the positive scores only). ``cum`` is ``(...,
-    R, 2)`` and ``start`` ``(..., R, J, 2)``; the leading axes (samples, or
-    time then samples) run in the same record, and ``bins`` and ``mask``
-    broadcast to ``(..., R, J)``. Keeps the weights, the softmax mask, the
-    positive reaches and one flat grid-cell index per pair, in the smallest
-    unsigned integer type that holds the grid's last cell; the backward
-    recomputes the offsets and distances from ``cum`` and ``start``.
-    Without ``cum`` nothing gets a position gradient and it keeps no
-    ``start``.
+    ``bins`` minus the offsets' length, relu, and softmax over the positive
+    scores ``mask`` admits. ``cum`` is ``(..., R, 2)`` and ``start`` ``(...,
+    R, J, 2)``; the leading axes (samples, or time then samples) run in the
+    same record, and ``bins`` and ``mask`` broadcast to ``(..., R, J)``.
+    Keeps the weights, the softmax mask, the positive reaches and one flat
+    grid-cell index per pair, in the smallest unsigned integer type that
+    holds the grid's last cell; the backward recomputes the offsets and
+    distances from ``cum`` and ``start``. Without ``cum`` nothing gets a
+    position gradient and it keeps no ``start``.
     """
     grid = _lift(grid)
     cum = None if cum is None else _lift(cum)
@@ -1002,9 +987,7 @@ def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False)
         np.min_scalar_type(grid.values.size - 1))
     reach = np.take(grid.values, flat) - _norm_values(offsets)
     positive = reach > 0.0
-    active = np.broadcast_to(np.asarray(mask, dtype=bool), reach.shape)
-    if not literal:
-        active = active & positive
+    active = np.broadcast_to(np.asarray(mask, dtype=bool), reach.shape) & positive
     outv = _softmax_values(np.maximum(reach, 0.0), active)
 
     def backward(g):
@@ -1023,54 +1006,42 @@ def pair_weights(cum, grid, start, neighbors, bins, mask, literal: bool = False)
 
 
 def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, embed, lstm,
-                 out, attention=None, key: str = "fused") -> tuple:
+                 out, attention=None) -> tuple:
     """One decoder step, one record with outputs ``(hidden, cell, disp, cum,
     pos)``, all ``(..., R, ·)``.
 
-    The ``block_matmul`` context of ``hidden`` (zero when ``weights`` is
-    None) is fused by ``fuse`` (W, b); temporal ``attention`` (keys, valid,
-    W, b) is queried by the fused state or (``key="joint"``) the joint; the
-    LSTM update (``lstm``: W_ih, W_hh, b) runs on the ``embed``-ded
-    ``step_in`` (None: the position ``last_pos + cum``); ``disp`` comes from
-    the ``out`` linear, ``cum`` is its running sum (``disp`` itself when
-    ``cum`` is None) and ``pos = last_pos + cum``. Keeps the context; the
-    backward rebuilds ``[hidden, context]``, the step input and the
-    weights' blocks.
+    The ``block_matmul`` context of ``hidden`` under the spatial
+    ``weights`` is fused by ``fuse`` (W, b); temporal ``attention`` (keys,
+    W, b), when given, is queried by the fused state; the LSTM update
+    (``lstm``: W_ih, W_hh, b) runs on the ``embed``-ded ``step_in``, the
+    previous displacement; ``disp`` comes from the ``out`` linear, ``cum``
+    is its running sum (``disp`` itself when ``cum`` is None) and ``pos =
+    last_pos + cum``. Keeps the context; the backward rebuilds ``[hidden,
+    context]`` and the weights' blocks.
     """
-    hidden, cell, weights, cum, step_in = (
-        None if n is None else _lift(n) for n in (hidden, cell, weights, cum, step_in))
+    hidden, cell, weights, step_in = map(_lift, (hidden, cell, weights, step_in))
+    cum = None if cum is None else _lift(cum)
     params = [_lift(p) for p in (*fuse, *embed, *lstm, *out)]
     fuse_w, fuse_b, embed_w, embed_b, w_ih, w_hh, bias, out_w, out_b = params
     replay = functools.partial(decoder_step, hidden, cell, weights, blocks, cum, step_in,
                                last_pos, params[:2], params[2:4], params[4:7], params[7:],
-                               attention, key)
-    keys, valid, att_w, att_b = attention or (None,) * 4
+                               attention)
+    keys, att_w, att_b = attention or (None,) * 3
     inputs = [n for n in (hidden, cell, *params, weights, cum, step_in, keys, att_w, att_b)
               if n is not None]
     hv, cv, base = hidden.values, cell.values, np.asarray(last_pos, dtype=np.float64)
-    if (hv.shape != cv.shape or base.shape != hv.shape[:-1] + (2,) or key not in ("fused", "joint")
+    if (hv.shape != cv.shape or base.shape != hv.shape[:-1] + (2,)
             or any(n is not None and n.shape != base.shape for n in (cum, step_in))):
         raise ShapeError(f"decoder_step: hidden {hv.shape}, cell {cv.shape}, positions "
-                         f"{base.shape}, key {key!r}, running sum or step input do not conform")
-    if weights is None:
-        context = np.zeros(hv.shape)
-    else:
-        pieces = _block_layout("decoder_step", weights.values, hv.shape, blocks)
-        context = _block_products(_row_blocks(weights.values, pieces), hv, pieces)
+                         f"{base.shape}, running sum or step input do not conform")
+    pieces = _block_layout("decoder_step", weights.values, hv.shape, blocks)
+    context = _block_products(_row_blocks(weights.values, pieces), hv, pieces)
     joint = np.concatenate([hv, context], axis=-1)
-    fused = None
-    if attention is None or key == "fused":
-        fused = np.tanh(_rows_times(joint, fuse_w.values) + fuse_b.values)
-    state = fused
+    fused = state = np.tanh(_rows_times(joint, fuse_w.values) + fuse_b.values)
     if attention is not None:
-        saved = _attention_values(fused if key == "fused" else joint, keys.values, valid,
-                                  att_w.values, att_b.values)
+        saved = _attention_values(fused, keys.values, att_w.values, att_b.values)
         state = saved[2]
-
-    def step_input() -> np.ndarray:
-        return step_in.values if step_in is not None else base if cum is None else base + cum.values
-
-    embedded = _rows_times(step_input(), embed_w.values) + embed_b.values
+    embedded = _rows_times(step_in.values, embed_w.values) + embed_b.values
     cell_state, new_hidden = _lstm_values(_rows_times(embedded, w_ih.values) + bias.values,
                                           state, cv, w_hh.values)
     disp = _rows_times(new_hidden, out_w.values) + out_b.values
@@ -1097,27 +1068,22 @@ def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, em
         d_embedded, d_w, d_b = _linear_grads(d_gates, embedded, w_ih.values)
         _add_grad(w_ih, d_w)
         _add_grad(bias, d_b)
-        xv = step_input()
-        d_x, d_w, d_b = _linear_grads(d_embedded, xv, embed_w.values)
+        d_x, d_w, d_b = _linear_grads(d_embedded, step_in.values, embed_w.values)
         _add_grad(embed_w, d_w)
         _add_grad(embed_b, d_b)
-        if step_in is not None or cum is not None:
-            _add_grad(cum if step_in is None else step_in, d_x)
-        joint = np.concatenate([hv, context], axis=-1)
+        _add_grad(step_in, d_x)
         if attention is not None:           # the query's adjoint, from its two shares
-            first, second = _attention_grads(d_state, fused if key == "fused" else joint,
-                                             keys.values, valid, saved, att_w, att_b, keys)
+            first, second = _attention_grads(d_state, fused, keys.values, saved, att_w,
+                                             att_b, keys)
             d_state = first + second
-        d_joint = d_state
-        if fused is not None:               # the state, or the query, is the fused state
-            d_joint, d_w, d_b = _linear_grads(d_state * (1.0 - fused * fused), joint,
-                                              fuse_w.values)
-            _add_grad(fuse_w, d_w)
-            _add_grad(fuse_b, d_b)
+        joint = np.concatenate([hv, context], axis=-1)
+        d_joint, d_w, d_b = _linear_grads(d_state * (1.0 - fused * fused), joint,
+                                          fuse_w.values)
+        _add_grad(fuse_w, d_w)
+        _add_grad(fuse_b, d_b)
         _add_grad(hidden, d_joint[..., :hv.shape[-1]])
-        if weights is not None:
-            _block_grads(d_joint[..., hv.shape[-1]:], _row_blocks(weights.values, pieces), hv,
-                         pieces, _adjoint(weights), _adjoint(hidden))
+        _block_grads(d_joint[..., hv.shape[-1]:], _row_blocks(weights.values, pieces), hv,
+                     pieces, _adjoint(weights), _adjoint(hidden))
 
     outs = [new_hidden, cell_state[4], disp] + ([] if cum is None else [cum_v]) + [base + cum_v]
     parts = _record_parts("decoder_step", tuple(map(TensorNode, outs)), tuple(inputs), backward,

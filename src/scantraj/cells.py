@@ -130,8 +130,8 @@ def noise_conditioned_hidden(hidden: ad.TensorNode, noise: np.ndarray,
 
 
 def spatial_weights(offsets: ad.TensorNode, kinematics: CrowdKinematics,
-                    mask: np.ndarray, layout: SceneLayout, grid: spatial.DomainGrid,
-                    literal_softmax: bool = False) -> ad.TensorNode:
+                    mask: np.ndarray, layout: SceneLayout,
+                    grid: spatial.DomainGrid) -> ad.TensorNode:
     """(..., R, J) normalized weights from (..., R, J, 2) ``offsets`` to each
     row's ``layout.neighbors``, the float ``kinematics`` (..., R) that pick
     each pair's grid cell and the (..., R, J) ``mask`` of entries that may
@@ -139,18 +139,17 @@ def spatial_weights(offsets: ad.TensorNode, kinematics: CrowdKinematics,
     distance = ad.l2norm(offsets)
     scores = spatial.raw_score(
         grid, bin_indices(kinematics, grid.spec, layout.neighbors), distance)
-    return spatial.normalize_scores(scores, mask, literal_softmax=literal_softmax).normalized
+    return spatial.normalize_scores(scores, mask).normalized
 
 
 def spatial_round(offsets: ad.TensorNode, kinematics: CrowdKinematics,
                   present: np.ndarray, hiddens: ad.TensorNode, layout: SceneLayout,
-                  grid: spatial.DomainGrid, fuse_w: ad.TensorNode, fuse_b: ad.TensorNode,
-                  literal_softmax: bool = False, force_zero_context: bool = False):
+                  grid: spatial.DomainGrid, fuse_w: ad.TensorNode, fuse_b: ad.TensorNode):
     """``spatial_weights``, then the (..., R, H) hidden states blended by
-    them (a zero context with ``force_zero_context``) and fused into every
-    row; returns (fused, joints), the (..., R, H) fused states and (..., R,
-    2H) concatenations. ``present`` (R,) is shared by any leading sample
-    axis; live positions in ``offsets`` carry gradient.
+    them and fused into every row; returns (fused, joints), the (..., R, H)
+    fused states and (..., R, 2H) concatenations. ``present`` (R,) is
+    shared by any leading sample axis; live positions in ``offsets`` carry
+    gradient.
 
     A pedestrian scores only its own scene's (R, J) table entries, never an
     absent one, itself or padding (a row with no neighbour gets the zero
@@ -158,20 +157,15 @@ def spatial_round(offsets: ad.TensorNode, kinematics: CrowdKinematics,
     product per scene, so each scene equals a round over it alone, bit for
     bit, and renumbering a scene permutes its outputs bit-identically.
     """
-    if force_zero_context:
-        ctx = ad.constant(np.zeros(hiddens.shape))
-    else:
-        mask = np.broadcast_to(layout.neighbor_mask(present), offsets.shape[:-1])
-        ctx = spatial.context_vector(
-            spatial_weights(offsets, kinematics, mask, layout, grid, literal_softmax),
-            hiddens, layout.blocks)
+    mask = np.broadcast_to(layout.neighbor_mask(present), offsets.shape[:-1])
+    ctx = spatial.context_vector(spatial_weights(offsets, kinematics, mask, layout, grid),
+                                 hiddens, layout.blocks)
     return spatial.fuse_hidden(hiddens, ctx, fuse_w, fuse_b)
 
 
 def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layout: SceneLayout,
                   grid: spatial.DomainGrid, embed: tuple, lstm: tuple, fuse: tuple,
-                  absolute: bool, key: str = "fused", literal_softmax: bool = False,
-                  force_zero_context: bool = False, start: tuple | None = None):
+                  start: tuple | None = None):
     """The spatially attentive LSTM over a track whose every step is known.
 
     ``track`` holds the (..., C, T, 2) trajectories of the batch columns:
@@ -181,14 +175,14 @@ def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layou
     float operations; an array track gives the outputs and parameter
     gradients of a constant-leaf one bit for bit. ``presence`` is the (T, R)
     presence of ``layout``'s rows; ``embed`` is (W, b), ``lstm`` (W_ih,
-    W_hh, b), ``fuse`` (W, b). Step t embeds the position (``absolute``) or
-    the displacement from t - 1 (zeros at t = 0), fuses the neighbours'
-    context into the hidden state and runs the cell. Everything but the loop
-    runs once with a leading time axis; the weights of every step are one
-    ``ad.pair_weights`` record and the loop one ``ad.recurrence`` record,
-    equal to the composed records bit for bit. Returns the final (..., R, H)
-    hidden and cell, the time-major (T, ..., R, K) fused states
-    (``key="fused"``) or joints, and the last kinematics, in rows.
+    W_hh, b), ``fuse`` (W, b). Step t embeds the displacement from t - 1
+    (zeros at t = 0), fuses the neighbours' context into the hidden state
+    and runs the cell. Everything but the loop runs once with a leading
+    time axis; the weights of every step are one ``ad.pair_weights`` record
+    and the loop one ``ad.recurrence`` record, equal to the composed
+    records bit for bit. Returns the final (..., R, H) hidden and cell, the
+    time-major (T, ..., R, H) fused states and the last kinematics, in
+    rows.
 
     ``start`` continues the pass over the steps before the track: the
     ``(hidden, cell, kinematics)`` such a pass returned, with no leading
@@ -205,26 +199,22 @@ def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layou
     pos = ad.gather(track, index) if live else np.asarray(track, dtype=np.float64)[index]
     xy = pos.values if live else pos
     kins = track_kinematics(xy, None if start is None else start[2])
-    weights = None
-    if not force_zero_context:
-        mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
-        offsets = pair_offsets(xy, layout.neighbors)
-        weights = ad.pair_weights(pos if live else None, grid.node, None if live else offsets,
-                                  layout.neighbors,
-                                  bin_indices(kins, grid.spec, layout.neighbors, offsets),
-                                  mask, literal_softmax)
-    step_in, state = pos, None
-    if not absolute and start is None:      # a zero displacement at step 0
+    mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
+    offsets = pair_offsets(xy, layout.neighbors)
+    weights = ad.pair_weights(pos if live else None, grid.node, None if live else offsets,
+                              layout.neighbors,
+                              bin_indices(kins, grid.spec, layout.neighbors, offsets), mask)
+    state = None
+    if start is None:                       # a zero displacement at step 0
         first = np.zeros((1,) + xy.shape[1:])
         step_in = (ad.concat([ad.constant(first), ad.sub(pos[1:], pos[:-1])]) if live
                    else np.concatenate([first, xy[1:] - xy[:-1]]))
-    elif not absolute:                      # step 0 moves on from the start's positions
+    else:                                   # step 0 moves on from the start's positions
         before = np.broadcast_to(start[2].position, (1,) + xy.shape[1:])
         step_in = (ad.sub(pos, ad.concat([ad.constant(before), pos[:-1]])) if live
                    else xy - np.concatenate([before, xy[:-1]]))
-    if start is not None:
         rows = np.broadcast_to(np.arange(layout.n_rows), lead + (layout.n_rows,))
         state = ad.gather(start[0], rows), ad.gather(start[1], rows)
     hidden, cell, keys = ad.recurrence(linear(step_in, *embed), weights, lstm, *fuse,
-                                       layout.blocks, key=key, state=state)
+                                       layout.blocks, state=state)
     return hidden, cell, keys, kins[-1]

@@ -101,15 +101,21 @@ def sample_predictions(model: ScanModel, scene: SceneWindow, k: int,
     return PredictionSet(list(scene.ped_ids), batch.samples(), noises, batch.pos)
 
 
+NEEDS_GENERATIVE = "k > 1 needs a generative configuration (config/checkpoint variant mismatch)"
+
+
 def window_futures(model: ScanModel, scene: SceneWindow, what: str,
                    rng: np.random.Generator | None = None, k: int = 1) -> np.ndarray:
     """One window's predicted futures as a (k, N, pred_len, 2) array,
     computed under ``ad.no_grad()``: the k ``sample_predictions`` drawn
     from ``rng``, or, given no ``rng``, the zero-noise forecast
-    ``model.forward(scene)`` as (1, N, pred_len, 2). Futures that are not
-    all finite raise ``NumericError`` naming ``what`` and the first op
-    whose output went non-finite, checked once."""
+    ``model.forward(scene)`` as (1, N, pred_len, 2), for which ``k > 1`` is
+    a ``ValueError``. Futures that are not all finite raise
+    ``NumericError`` naming ``what`` and the first op whose output went
+    non-finite, checked once."""
     if rng is None:
+        if k > 1:
+            raise ValueError(NEEDS_GENERATIVE)
         return finite_positions(lambda: model.forward(scene).pos, what)[None]
     with ad.no_grad():
         return sample_predictions(model, scene, k, rng, what=what).futures.values
@@ -180,8 +186,7 @@ def discriminator_logits(cfg: ModelConfig, params: ad.ParamStore, ped_ids, posit
             track, presence, layout, spatial.DomainGrid(p["disc.domain_grid"], cfg.bin_spec()),
             (p["disc.embed.W"], p["disc.embed.b"]),
             (p["disc.lstm.W_ih"], p["disc.lstm.W_hh"], p["disc.lstm.b"]),
-            (p["disc.fuse.W"], p["disc.fuse.b"]), absolute=cfg.coordinate_mode == "absolute",
-            literal_softmax=cfg.literal_softmax, start=start)
+            (p["disc.fuse.W"], p["disc.fuse.b"]), start=start)
 
     start = None
     if history is not None:

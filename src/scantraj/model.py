@@ -31,11 +31,21 @@ from .errors import NumericError, ShapeError
 # importable here, where bench/tracer.py binds them.
 from .geometry import (BinSpec, CrowdKinematics, advance_kinematics,  # noqa: F401
                        bin_indices, estimate_heading, pair_offsets)
-from .temporal import AttentionBank, attend  # noqa: F401
+from .temporal import attend  # noqa: F401
 
 VARIANTS = ("vanilla", "scan")
-COORDINATE_MODES = ("displacement", "absolute")
-ATTENTION_KEYS = ("fused", "joint")
+
+# Keys that configurations no longer have: each is dropped when it holds
+# the one value the model still implements, as older checkpoints carry it,
+# and refused otherwise, saying what to use instead.
+RETIRED_KEYS = {
+    "disable_temporal": ("false", "set variant = vanilla for a model without "
+                                  "temporal attention"),
+    "coordinate_mode": ("displacement", "drop it, the model embeds displacements only"),
+    "literal_softmax": ("false", "drop it, the spatial softmax covers positive scores only"),
+    "attention_key": ("fused", "drop it, temporal attention is keyed by fused states"),
+    "force_zero_context": ("false", "drop it, the spatial context is always computed"),
+}
 
 
 @dataclass
@@ -49,23 +59,13 @@ class ModelConfig:
     bearing_bin_deg: float = 30.0
     heading_bin_deg: float = 30.0
     variant: str = "scan"                  # "vanilla": no temporal attention
-    coordinate_mode: str = "displacement"  # or "absolute"
     generative: bool = False
     noise_dim: int = 8
     domain_init_m: float = 4.0
-    literal_softmax: bool = False
-    attention_key: str = "fused"           # or "joint" (the 2H concat)
-    force_zero_context: bool = False       # diagnostic: kill spatial context
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.coordinate_mode not in COORDINATE_MODES:
-            raise ValueError(f"coordinate_mode must be one of {COORDINATE_MODES}, "
-                             f"got {self.coordinate_mode!r}")
-        if self.attention_key not in ATTENTION_KEYS:
-            raise ValueError(f"attention_key must be one of {ATTENTION_KEYS}, "
-                             f"got {self.attention_key!r}")
         if self.obs_len < 2:
             raise ValueError("obs_len must be >= 2 (heading needs two points)")
         if self.pred_len < 1:
@@ -78,20 +78,14 @@ class ModelConfig:
     def bin_spec(self) -> BinSpec:
         return BinSpec(self.bearing_bin_deg, self.heading_bin_deg)
 
-    @property
-    def key_width(self) -> int:
-        """Width of temporal-attention keys/queries for this configuration."""
-        return self.hidden_dim if self.attention_key == "fused" else 2 * self.hidden_dim
-
     @classmethod
     def from_dict(cls, raw: dict[str, str]) -> "ModelConfig":
-        """Parse and validate a ``[model]`` section or checkpoint header.
-        The removed ``disable_temporal`` is dropped when ``false``, as older
-        checkpoints carry it, and refused otherwise."""
+        """Parse and validate a ``[model]`` section or checkpoint header;
+        ``RETIRED_KEYS`` are dropped at their kept value, refused otherwise."""
         raw = dict(raw)
-        if raw.pop("disable_temporal", "false") != "false":
-            raise ValueError("disable_temporal was removed: set variant = vanilla "
-                             "for a model without temporal attention")
+        for key, (kept, instead) in RETIRED_KEYS.items():
+            if raw.pop(key, kept) != kept:
+                raise ValueError(f"{key} was removed: {instead}")
         cfg = config_from_dict(cls, raw)
         cfg.validate()
         return cfg
@@ -138,7 +132,7 @@ class HiddenBank:
 
     hidden: ad.TensorNode             # (N, H) LSTM hidden states
     cell: ad.TensorNode               # (N, H) LSTM cell states
-    attention: AttentionBank          # (N, obs_len, K) fused-state history
+    keys: ad.TensorNode               # (N, obs_len, H) fused-state history
     kinematics: CrowdKinematics       # (N,) agents at the last observed step
     last_pos: np.ndarray              # (N, 2) final observed positions
     last_disp: np.ndarray             # (N, 2) final observed displacements
@@ -225,8 +219,7 @@ def build_params(cfg: ModelConfig, hub: ad.RngHub,
     uniform_param(store, hub, "fuse.W", (H, 2 * H), 2 * H)
     zeros_param(store, "fuse.b", (H,))
     if cfg.variant == "scan":
-        K = cfg.key_width
-        uniform_param(store, hub, "temporal.W", (H, 2 * K), 2 * K)
+        uniform_param(store, hub, "temporal.W", (H, 2 * H), 2 * H)
         zeros_param(store, "temporal.b", (H,))
     uniform_param(store, hub, "out.W", (2, H), H)
     zeros_param(store, "out.b", (2,))
@@ -294,17 +287,13 @@ class ScanModel:
         hidden, cell, keys, kin = cells.observed_pass(
             observed.transpose(1, 0, 2),
             self._present(scenes, range(cfg.obs_len))[:, layout.order], layout,
-            self.grid, *self._recurrence("enc"), self._fuse(),
-            absolute=cfg.coordinate_mode == "absolute", key=cfg.attention_key,
-            literal_softmax=cfg.literal_softmax,
-            force_zero_context=cfg.force_zero_context)
+            self.grid, *self._recurrence("enc"), self._fuse())
 
         undo = layout.undo
         last = cfg.obs_len - 1
-        attention = AttentionBank(ad.gather(keys, (np.arange(cfg.obs_len), undo[:, None])),
-                                  np.ones((layout.n_rows, cfg.obs_len), dtype=bool))
         return HiddenBank(ad.gather(hidden, undo), ad.gather(cell, undo),
-                          attention, kin[undo], observed[last].copy(),
+                          ad.gather(keys, (np.arange(cfg.obs_len), undo[:, None])),
+                          kin[undo], observed[last].copy(),
                           observed[last] - observed[last - 1], layout)
 
     def decode(self, scenes, bank: HiddenBank,
@@ -323,11 +312,11 @@ class ScanModel:
         A ``(S, noise_dim)`` noise block decodes S samples in one pass: every
         node gains a leading sample axis, each sample reads the same encoder
         bank, and ``disp``/``pos`` come out as (S, N, steps, 2). A step
-        costs two records for all S samples (``ad.pair_weights``, none under
-        ``force_zero_context``, and ``ad.decoder_step``), and sample s equals
-        a decode with noise ``noise[s]`` alone, bit for bit. A
-        ``(S, B, noise_dim)`` block gives scene b of a B-scene batch its own
-        draw ``noise[s, b]``, shared by that scene's pedestrians.
+        costs two records for all S samples (``ad.pair_weights`` and
+        ``ad.decoder_step``), and sample s equals a decode with noise
+        ``noise[s]`` alone, bit for bit. A ``(S, B, noise_dim)`` block gives
+        scene b of a B-scene batch its own draw ``noise[s, b]``, shared by
+        that scene's pedestrians.
         """
         cfg = self.cfg
         scenes = _scene_list(scenes)
@@ -362,15 +351,14 @@ class ScanModel:
         cell = ad.gather(bank.cell, rows)
         attention = None
         if cfg.variant == "scan":
-            attention = (ad.gather(bank.attention.keys, rows), bank.attention.valid[rows],
-                         self.params["temporal.W"], self.params["temporal.b"])
+            attention = (ad.gather(bank.keys, rows), self.params["temporal.W"],
+                         self.params["temporal.b"])
         kin = bank.kinematics[rows]
 
         last_pos = tiled(bank.last_pos[order])
         start = pair_offsets(last_pos, layout.neighbors)
-        cum, weights = None, None                   # cumulative displacement node
-        step_in = (None if cfg.coordinate_mode == "absolute"     # last_pos + cum
-                   else ad.constant(tiled(bank.last_disp[order])))
+        cum = None                                  # cumulative displacement node
+        step_in = ad.constant(tiled(bank.last_disp[order]))    # displacement node
         present = self._present(scenes, range(cfg.obs_len, cfg.obs_len + cfg.pred_len))
         embed, lstm = self._recurrence("dec")
         out = self.params["out.W"], self.params["out.b"]
@@ -380,16 +368,15 @@ class ScanModel:
             if s:       # headings from the step just predicted
                 kin = advance_kinematics(positions[-2].values if s > 1 else last_pos,
                                          positions[-1].values, kin)
-            if not cfg.force_zero_context:
-                weights = ad.pair_weights(
-                    cum, self.grid.node, start, layout.neighbors,
-                    bin_indices(kin, self.grid.spec, layout.neighbors,
-                                None if s else start),   # step 0's positions: last_pos
-                    layout.neighbor_mask(present[s][order]), cfg.literal_softmax)
+            weights = ad.pair_weights(
+                cum, self.grid.node, start, layout.neighbors,
+                bin_indices(kin, self.grid.spec, layout.neighbors,
+                            None if s else start),   # step 0's positions: last_pos
+                layout.neighbor_mask(present[s][order]))
             hidden, cell, disp, cum, pos = ad.decoder_step(
                 hidden, cell, weights, layout.blocks, cum, step_in, last_pos, self._fuse(),
-                embed, lstm, out, attention, key=cfg.attention_key)
-            step_in = None if step_in is None else disp
+                embed, lstm, out, attention)
+            step_in = disp                          # the next step embeds it
             disps.append(disp)
             positions.append(pos)
 

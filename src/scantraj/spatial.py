@@ -13,8 +13,7 @@ batch of scenes uses ``cells.SceneLayout``'s table). A leading sample axis,
 (S, N, J), scores S futures together.
 Scores are normalized with a row-masked softmax so that beyond-domain
 neighbours keep weight exactly 0 (an unmasked softmax would hand them
-exp(0) = 1 and let them leak influence). The textbook unmasked form stays
-available behind ``literal_softmax`` for comparison runs.
+exp(0) = 1 and let them leak influence).
 
 The passes score pairs with ``ad.pair_weights``, one record that keeps a
 few bytes per pair; ``raw_score`` and ``normalize_scores`` are its
@@ -65,18 +64,15 @@ def raw_score(grid: DomainGrid, bins: tuple[np.ndarray, np.ndarray],
     return ad.relu(ad.sub(cell, distance))
 
 
-def normalize_scores(raw: ad.TensorNode, neighbors: np.ndarray,
-                     literal_softmax: bool = False) -> SpatialWeights:
+def normalize_scores(raw: ad.TensorNode, neighbors: np.ndarray) -> SpatialWeights:
     """Normalize each target's scores across its crowd.
 
     ``neighbors[a, j]`` says whether a's neighbour j may influence a at all
-    (present, not a itself and not padding). Masked mode (default): softmax over the neighbours with
-    a strictly positive score; a row with none is all zeros. Literal mode:
-    plain softmax over every neighbour regardless of score.
+    (present, not a itself and not padding). The softmax runs over the
+    neighbours with a strictly positive score; a row with none is all
+    zeros.
     """
-    active = np.asarray(neighbors, dtype=bool)
-    if not literal_softmax:
-        active = active & (raw.values > 0.0)
+    active = np.asarray(neighbors, dtype=bool) & (raw.values > 0.0)
     return SpatialWeights(raw, ad.masked_softmax(raw, active), active)
 
 

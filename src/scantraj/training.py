@@ -225,8 +225,7 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > 1 and not cfg.generative:
-        raise ValueError("k > 1 needs a generative configuration "
-                         "(config/checkpoint variant mismatch)")
+        raise ValueError(gn.NEEDS_GENERATIVE)
     model = ScanModel(cfg, params)
     hub = ad.RngHub(seed)
     ades, fdes, bok_ades, bok_fdes = [], [], [], []

@@ -17,8 +17,7 @@ import numpy as np
 
 
 def oracle_spatial(grid_values, bearing_step, heading_step,
-                   positions, headings, hiddens, target,
-                   literal_softmax=False):
+                   positions, headings, hiddens, target):
     """Score -> normalize -> context for one target pedestrian.
 
     positions: list of (x, y); headings: list of degrees; hiddens: list of
@@ -42,17 +41,12 @@ def oracle_spatial(grid_values, bearing_step, heading_step,
 
     raw = np.array(raw, dtype=np.float64)
     weights = np.zeros_like(raw)
-    if literal_softmax:
-        if raw.size:
-            e = np.array([math.exp(v - raw.max()) for v in raw])
-            weights = e / e.sum()
-    else:
-        active = raw > 0.0
-        if active.any():
-            top = raw[active].max()
-            e = np.array([math.exp(v - top) if a else 0.0
-                          for v, a in zip(raw, active)])
-            weights = e / e.sum()
+    active = raw > 0.0
+    if active.any():
+        top = raw[active].max()
+        e = np.array([math.exp(v - top) if a else 0.0
+                      for v, a in zip(raw, active)])
+        weights = e / e.sum()
 
     hidden_dim = len(hiddens[target])
     context = np.zeros(hidden_dim)
@@ -226,7 +220,7 @@ def composed_decode(model, scenes, bank, noise=None):
     from scantraj import cells
     from scantraj.geometry import advance_kinematics
     from scantraj.model import ForwardResult, _scene_list
-    from scantraj.temporal import AttentionBank, attend
+    from scantraj.temporal import attend
 
     cfg = model.cfg
     scenes = _scene_list(scenes)
@@ -249,8 +243,7 @@ def composed_decode(model, scenes, bank, noise=None):
             hidden, np.zeros(cfg.noise_dim) if noise is None else noise,
             model.params["noise_proj.W"], model.params["noise_proj.b"])
     cell = ad.gather(bank.cell, rows)
-    history = AttentionBank(ad.gather(bank.attention.keys, rows),
-                            bank.attention.valid[rows])
+    history = ad.gather(bank.keys, rows)
     kin = bank.kinematics[rows]
 
     last_pos = tiled(bank.last_pos[order])
@@ -266,22 +259,12 @@ def composed_decode(model, scenes, bank, noise=None):
     for s in range(cfg.pred_len):
         offsets = (start_offsets if cum is None else ad.add(
             start_offsets, pairwise_offsets(cum, layout.neighbors)))
-        fused, joints = cells.spatial_round(
-            offsets, kin, present[s][order], hidden, layout, model.grid, *model._fuse(),
-            literal_softmax=cfg.literal_softmax,
-            force_zero_context=cfg.force_zero_context)
+        state, _ = cells.spatial_round(
+            offsets, kin, present[s][order], hidden, layout, model.grid, *model._fuse())
         if cfg.variant == "scan":
-            queries = fused if cfg.attention_key == "fused" else joints
-            state = attend(queries, history, model.params["temporal.W"],
+            state = attend(state, history, model.params["temporal.W"],
                            model.params["temporal.b"])
-        else:
-            state = fused
-        if cfg.coordinate_mode == "absolute":
-            base = ad.constant(last_pos)
-            step_in = base if cum is None else ad.add(base, cum)
-        else:
-            step_in = prev_disp
-        gates_in = cells.linear(cells.linear(step_in, *embed), w_ih, bias)
+        gates_in = cells.linear(cells.linear(prev_disp, *embed), w_ih, bias)
         hidden, cell = cells.lstm_cell(gates_in, state, cell, w_hh)
         disp = cells.linear(hidden, model.params["out.W"], model.params["out.b"])
         cum = disp if cum is None else ad.add(cum, disp)
@@ -300,9 +283,7 @@ def composed_decode(model, scenes, bank, noise=None):
 
 
 
-def composed_observed_pass(track, presence, layout, grid, embed, lstm, fuse, absolute,
-                           key="fused", literal_softmax=False, force_zero_context=False,
-                           start=None):
+def composed_observed_pass(track, presence, layout, grid, embed, lstm, fuse, start=None):
     """``cells.observed_pass`` as the records it took before its pair
     weights and its loop were fused: the composed pair chain over all steps
     (``pairwise_offsets`` and ``cells.spatial_weights``: offsets,
@@ -323,18 +304,14 @@ def composed_observed_pass(track, presence, layout, grid, embed, lstm, fuse, abs
     index = np.ix_(np.arange(T), *map(np.arange, lead), layout.order)
     pos = ad.gather(track, index[1:] + index[:1])
     kins = track_kinematics(pos.values, None if start is None else start[2])
-    weights = [None] * T
-    if not force_zero_context:
-        offsets = pairwise_offsets(pos, layout.neighbors)
-        mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
-        weights = ad.unstack(cells.spatial_weights(
-            offsets, kins, np.broadcast_to(mask, offsets.shape[:-1]), layout, grid,
-            literal_softmax))
-    step_in = pos
-    if not absolute and start is None:
+    offsets = pairwise_offsets(pos, layout.neighbors)
+    mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
+    weights = ad.unstack(cells.spatial_weights(
+        offsets, kins, np.broadcast_to(mask, offsets.shape[:-1]), layout, grid))
+    if start is None:
         step_in = ad.concat([ad.constant(np.zeros((1,) + pos.shape[1:])),
                              ad.sub(pos[1:], pos[:-1])])
-    elif not absolute:
+    else:
         before = np.broadcast_to(start[2].position, (1,) + pos.shape[1:])
         step_in = ad.sub(pos, ad.concat([ad.constant(before), pos[:-1]]))
     w_ih, w_hh, bias = lstm
@@ -345,9 +322,8 @@ def composed_observed_pass(track, presence, layout, grid, embed, lstm, fuse, abs
         hidden, cell = ad.gather(start[0], rows), ad.gather(start[1], rows)
     keys = []
     for step_weights, step_gates in zip(weights, gates_in):
-        context = (ad.constant(np.zeros(hidden.shape)) if step_weights is None
-                   else spatial.context_vector(step_weights, hidden, layout.blocks))
-        fused, joint = spatial.fuse_hidden(hidden, context, *fuse)
-        keys.append(fused if key == "fused" else joint)
+        context = spatial.context_vector(step_weights, hidden, layout.blocks)
+        fused, _ = spatial.fuse_hidden(hidden, context, *fuse)
+        keys.append(fused)
         hidden, cell = cells.lstm_cell(step_gates, fused, cell, w_hh)
     return hidden, cell, ad.stack(keys), kins[-1]

@@ -115,14 +115,13 @@ class TestGradientIntegrity:
         g238, h232, c232 = (rng.normal(size=(2,) + s) for s in ((3, 8), (3, 2), (3, 2)))
         w232, v232 = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2))
         # recurrence over T = 3 steps of scenes of 1 and 2 rows, and attention
-        # over 4 keys of width 2 (the middle row attends to nothing).
+        # over 4 keys of width 2.
         g338, u332, w24b, w334 = (rng.normal(size=s) for s in ((3, 3, 8), (3, 3, 2),
                                                                (2, 4), (3, 3, 4)))
         k342 = rng.normal(size=(3, 4, 2))
         # The decoder-step ops over scenes of 1 and 2 rows (the lone row sees
         # no one): pair weights from a live running sum, and a step with
-        # attention (fused keys with a displacement input, joint keys with an
-        # absolute one and a zero context).
+        # attention.
         table = np.array([[0, 0], [1, 2], [1, 2]])
         own = table == np.arange(3)[:, None]
         start322 = np.where(own[..., None], 0.0, rng.uniform(-1.0, 1.0, size=(3, 2, 2)))
@@ -136,25 +135,18 @@ class TestGradientIntegrity:
         # The recurrence's input weights, which take steps of width 8.
         w88, b8 = rng.normal(size=(8, 8)), rng.normal(size=8)
 
-        def pair_weights(literal):
-            return lambda c, g: _weighted_sum(
-                ad.pair_weights(c, g, start322, table, bins32, ~own, literal), w232[0])
+        def pair_weights(c, g):
+            return _weighted_sum(ad.pair_weights(c, g, start322, table, bins32, ~own), w232[0])
 
-        def step_all(key, *args):
-            h, c, u, cum, x, fw, fb, ew, eb, wih, whh, b, ow, ob, k, aw, ab = args
+        def step_all(h, c, u, cum, x, fw, fb, ew, eb, wih, whh, b, ow, ob, k, aw, ab):
             outs = ad.decoder_step(h, c, u, [(1, 1, 1), (1, 2, 2)], cum, x, m32, (fw, fb),
-                                   (ew, eb), (wih, whh, b), (ow, ob),
-                                   (k, rows[:, :2], aw, ab), key=key)
+                                   (ew, eb), (wih, whh, b), (ow, ob), (k, aw, ab))
             return ad.mean_of([_weighted_sum(out, probe) for out, probe in zip(outs, probes)])
 
-        def joint_absolute(h, c, cum, *args):
-            return step_all("joint", h, c, None, cum, None, *args)
-
         def recurrence_all(x, u, wi, w, b, fw, fb):
-            hidden, cell, keys = ad.recurrence(x, u, (wi, w, b), fw, fb, [(1, 1, 1), (1, 2, 2)],
-                                               key="joint")
+            hidden, cell, keys = ad.recurrence(x, u, (wi, w, b), fw, fb, [(1, 1, 1), (1, 2, 2)])
             return ad.add(ad.add(_weighted_sum(hidden, w232[0]), _weighted_sum(cell, v232[0])),
-                          _weighted_sum(keys, w334))
+                          _weighted_sum(keys, w334[..., :2]))
 
         def lstm_both(g, h, c, w, wh, wc):
             new_h, new_c = ad.lstm_step(g, h, c, w)
@@ -213,15 +205,10 @@ class TestGradientIntegrity:
              [g238, h232, c232, w82]),
             ("recurrence", recurrence_all, [g338, u332, w88, w82, b8, w24b, b2]),
             ("attention",
-             lambda q, k, W, b: _weighted_sum(ad.attention(q, k, rows, W, b), w32),
+             lambda q, k, W, b: _weighted_sum(ad.attention(q, k, W, b), w32),
              [m32, k342, w24b, b2]),
-            ("pair_weights", pair_weights(False), [cum32, grid22]),
-            ("pair_weights literal", pair_weights(True), [cum32, grid22]),
-            ("decoder_step", lambda *args: step_all("fused", *args),
-             step_args + [rng.normal(size=(3, 2, 2)), w24b, b2]),
-            ("decoder_step joint absolute", joint_absolute,
-             step_args[:2] + step_args[3:4] + step_args[5:]
-             + [rng.normal(size=(3, 2, 4)), rng.normal(size=(2, 8)), b2]),
+            ("pair_weights", pair_weights, [cum32, grid22]),
+            ("decoder_step", step_all, step_args + [rng.normal(size=(3, 2, 2)), w24b, b2]),
         ]
         for name, fn, inputs in cases:
             worst = _check_gradients(fn, inputs, OP_TOL)
@@ -289,7 +276,6 @@ class TestSpatialOracleAgreement:
             # Reach between 0.5 m and 6.5 m mixes active, inactive, and
             # fully silent crowds into the sample.
             grid_vals = rng.uniform(0.5, 6.5, size=(spec.n_bearing, spec.n_heading))
-            literal = trial % 3 == 0
             target = int(rng.integers(n))
 
             kin = CrowdKinematics(positions, headings, np.ones(n, dtype=bool))
@@ -299,14 +285,13 @@ class TestSpatialOracleAgreement:
             with ad.Tape():
                 raws = sp.raw_score(grid, bin_indices(kin, spec),
                                     ad.l2norm(ad.constant(offsets)))
-                weights = sp.normalize_scores(raws, ~np.eye(n, dtype=bool),
-                                              literal_softmax=literal)
+                weights = sp.normalize_scores(raws, ~np.eye(n, dtype=bool))
                 context = sp.context_vector(weights.normalized, ad.constant(hiddens))
 
             exp_raw, exp_w, exp_ctx = oracle_spatial(
                 grid_vals, b_step, h_step,
                 [tuple(p) for p in positions], list(headings),
-                [hiddens[i] for i in range(n)], target, literal)
+                [hiddens[i] for i in range(n)], target)
 
             assert np.max(np.abs(weights.raw.values[target, others] - exp_raw)) <= ORACLE_TOL
             assert np.max(np.abs(weights.normalized.values[target, others]

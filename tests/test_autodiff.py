@@ -548,34 +548,33 @@ class TestLstmStep:
             ad.lstm_step(args[0], args[1], args[2], ad.constant(np.ones((4, 2))))
 
 
-def composed_recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, key):
+def composed_recurrence(x, weights, lstm, fuse_w, fuse_b, blocks):
     """The known-track loop as the records it took before ``ad.recurrence``:
     the input linear ``x @ W_ih.T + b`` of all steps, then five records a
-    step, four with a zero context, keys stacked time-major."""
+    step, the fused states stacked time-major as the keys."""
     w_ih, w_hh, bias = lstm
     steps = ad.unstack(ad.linear(x, w_ih, bias))
-    contexts = [None] * len(steps) if weights is None else ad.unstack(weights)
     hidden = ad.constant(np.zeros(x.shape[1:-1] + (w_hh.shape[1],)))
     cell = ad.constant(np.zeros(hidden.shape))
     keys = []
-    for step_weights, step_gates in zip(contexts, steps):
-        ctx = (ad.constant(np.zeros(hidden.shape)) if step_weights is None
-               else ad.block_matmul(step_weights, hidden, blocks))
-        joint = ad.concat([hidden, ctx], axis=-1)
+    for step_weights, step_gates in zip(ad.unstack(weights), steps):
+        joint = ad.concat([hidden, ad.block_matmul(step_weights, hidden, blocks)], axis=-1)
         fused = ad.tanh(ad.linear(joint, fuse_w, fuse_b))
-        keys.append(fused if key == "fused" else joint)
+        keys.append(fused)
         hidden, cell = ad.lstm_step(step_gates, fused, cell, w_hh)
     return hidden, cell, ad.stack(keys)
 
 
-def composed_attention(query, keys, valid, weight, bias):
-    """Temporal attention as the six records it took before ``ad.attention``."""
-    weights = ad.masked_softmax(matmul(keys, query), valid)
+def composed_attention(query, keys, weight, bias):
+    """Temporal attention as the six records it took before ``ad.attention``,
+    the softmax over every step."""
+    scores = matmul(keys, query)
+    weights = ad.masked_softmax(scores, np.ones(scores.shape, dtype=bool))
     context = matmul(weights, keys)
     return ad.tanh(ad.linear(ad.concat([context, query], axis=-1), weight, bias))
 
 
-def composed_pair_weights(cum, grid, start, neighbors, bins, mask, literal):
+def composed_pair_weights(cum, grid, start, neighbors, bins, mask):
     """Spatial weights as the records they took before ``ad.pair_weights``:
     offsets, distance, grid cell, relu and softmax. Without ``start`` the
     offsets are the pair offsets of ``cum`` alone, as in a known-track pass."""
@@ -586,23 +585,16 @@ def composed_pair_weights(cum, grid, start, neighbors, bins, mask, literal):
         if cum is not None:
             offsets = ad.add(offsets, pairwise_offsets(cum, neighbors))
     scores = spatial.raw_score(spatial.DomainGrid(grid, None), bins, ad.l2norm(offsets))
-    return spatial.normalize_scores(scores, mask, literal).normalized
+    return spatial.normalize_scores(scores, mask).normalized
 
 
 def composed_decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse,
-                          embed, lstm, out, attention=None, key="fused"):
+                          embed, lstm, out, attention=None):
     """A decoder step as the records it took before ``ad.decoder_step``."""
-    ctx = (ad.constant(np.zeros(hidden.shape)) if weights is None
-           else spatial.context_vector(weights, hidden, blocks))
-    fused, joint = spatial.fuse_hidden(hidden, ctx, *fuse)
-    state = fused
+    state, _ = spatial.fuse_hidden(hidden, spatial.context_vector(weights, hidden, blocks),
+                                   *fuse)
     if attention is not None:
-        keys, valid, weight, bias = attention
-        state = temporal.attend(fused if key == "fused" else joint,
-                                temporal.AttentionBank(keys, valid), weight, bias)
-    if step_in is None:
-        base = ad.constant(last_pos)
-        step_in = base if cum is None else ad.add(base, cum)
+        state = temporal.attend(state, *attention)
     w_ih, w_hh, bias = lstm
     hidden, cell = cells.lstm_cell(cells.linear(cells.linear(step_in, *embed), w_ih, bias),
                                    state, cell, w_hh)
@@ -647,27 +639,26 @@ class TestFusedKernels:
     @PROPERTY
     @given(T=st.integers(1, 5), lead=st.sampled_from([(), (3,)]), H=st.integers(1, 3),
            E=st.integers(1, 3), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
-           key=st.sampled_from(["fused", "joint"]), zero_context=st.booleans(),
            zero_rows=st.booleans(), zero_w_hh=st.booleans(), zero_fuse_context=st.booleans(),
            reuse_weights=st.booleans(), used=st.sets(st.integers(0, 2), min_size=1),
            keys_stop=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-    @example(T=1, lead=(), H=2, E=2, sizes=[2, 1], key="joint", zero_context=False,
+    @example(T=1, lead=(), H=2, E=2, sizes=[2, 1],
              zero_rows=False, zero_w_hh=False, zero_fuse_context=False,
              reuse_weights=False, used={2}, keys_stop=1,
              seed=3)
-    @example(T=1, lead=(3,), H=2, E=1, sizes=[2], key="fused", zero_context=False,
+    @example(T=1, lead=(3,), H=2, E=1, sizes=[2],
              zero_rows=False, zero_w_hh=False, zero_fuse_context=False,
              reuse_weights=False, used={2}, keys_stop=1,
              seed=4)
-    @example(T=4, lead=(), H=2, E=2, sizes=[3, 1], key="joint", zero_context=False,
+    @example(T=4, lead=(), H=2, E=2, sizes=[3, 1],
              zero_rows=True, zero_w_hh=False, zero_fuse_context=False,
              reuse_weights=False, used={2}, keys_stop=2,
              seed=5)
-    @example(T=3, lead=(), H=2, E=2, sizes=[3, 2], key="fused", zero_context=False,
+    @example(T=3, lead=(), H=2, E=2, sizes=[3, 2],
              zero_rows=False, zero_w_hh=False, zero_fuse_context=True, reuse_weights=True,
              used={0, 1}, keys_stop=3, seed=6)
     def test_recurrence_equals_the_composed_records_bitwise(
-            self, T, lead, H, E, sizes, key, zero_context, zero_rows, zero_w_hh,
+            self, T, lead, H, E, sizes, zero_rows, zero_w_hh,
             zero_fuse_context, reuse_weights, used, keys_stop, seed):
         # Zero input rows and a zero W_hh make exact zeros in the gates'
         # adjoint, whose sign the composed records' zero buffer settles. A
@@ -675,23 +666,23 @@ class TestFusedKernels:
         # exact zeros, which the fused backward adds straight into the
         # weights' adjoint; reused weights reach it holding an adjoint
         # already, -0.0 among its entries. The keys' term covers steps
-        # [0, keys_stop) only. With the keys' adjoint alone and key="joint",
-        # step T - 1 adds no product to W_hh or the fuse weights, and at
-        # T = 1 W_ih, W_hh and b get no adjoint at all.
+        # [0, keys_stop) only. With the keys' adjoint alone, step T - 1 adds
+        # no product to W_hh, and at T = 1 W_ih, W_hh and b get no adjoint at
+        # all.
         rng = np.random.default_rng(seed)
         R, J = sum(sizes), max(sizes)
         blocks = [(sizes.count(n), n, n) for n in sorted(set(sizes))]
         x = rng.normal(size=(T,) + lead + (R, E))
         if zero_rows:
             x[..., rng.uniform(size=R) < 0.5, :] = 0.0
-        arrays = [x, None if zero_context else rng.uniform(0.0, 1.0, size=(T,) + lead + (R, J)),
+        arrays = [x, rng.uniform(0.0, 1.0, size=(T,) + lead + (R, J)),
                   rng.normal(size=(4 * H, E)),
                   np.zeros((4 * H, H)) if zero_w_hh else rng.normal(size=(4 * H, H)),
                   rng.normal(size=4 * H), rng.normal(size=(H, 2 * H)), rng.normal(size=H)]
         if zero_fuse_context:
             arrays[5][:, H:] = 0.0
         probes = [rng.normal(size=lead + (R, H)), rng.normal(size=lead + (R, H)),
-                  rng.normal(size=(T,) + lead + (R, H if key == "fused" else 2 * H)),
+                  rng.normal(size=(T,) + lead + (R, H)),
                   rng.normal(size=(H, 2 * H))]
         probes[2] = probes[2][:keys_stop]
         weights_probe = np.where(rng.uniform(size=(T,) + lead + (R, J)) < 0.5, -0.0,
@@ -700,13 +691,13 @@ class TestFusedKernels:
         def loss_of(nodes, outs):           # fuse W is shared, as with the decoder
             parts = [outs[0], outs[1], outs[2][:keys_stop]]
             terms = [ad.reduce_sum(ad.mul(parts[k], ad.constant(probes[k]))) for k in sorted(used)]
-            if reuse_weights and nodes[1] is not None:
+            if reuse_weights:
                 terms.append(ad.reduce_sum(ad.mul(nodes[1], ad.constant(weights_probe))))
             return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[5], ad.constant(probes[3])))])
 
         fused, composed = run_both(
-            [lambda n: ad.recurrence(n[0], n[1], n[2:5], *n[5:], blocks, key=key),
-             lambda n: composed_recurrence(n[0], n[1], n[2:5], *n[5:], blocks, key=key)],
+            [lambda n: ad.recurrence(n[0], n[1], n[2:5], *n[5:], blocks),
+             lambda n: composed_recurrence(n[0], n[1], n[2:5], *n[5:], blocks)],
             arrays, loss_of)
         assert fused == composed
 
@@ -715,7 +706,6 @@ class TestFusedKernels:
            H=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_attention_equals_the_composed_records_bitwise(self, lead, T, K, H, seed):
         rng = np.random.default_rng(seed)
-        valid = rng.uniform(size=lead + (T,)) < 0.7        # rows may be all masked
         arrays = [rng.normal(size=lead + (K,)), rng.normal(size=lead + (T, K)),
                   rng.normal(size=(H, 2 * K)), rng.normal(size=H)]
         probes = [rng.normal(size=lead + (H,)), rng.normal(size=lead + (K,)),
@@ -726,17 +716,17 @@ class TestFusedKernels:
                                for part, probe in zip((outs[0], *nodes[:2]), probes)])
 
         fused, composed = run_both(
-            [lambda n: (ad.attention(n[0], n[1], valid, *n[2:]),),
-             lambda n: (composed_attention(n[0], n[1], valid, *n[2:]),)], arrays, loss_of)
+            [lambda n: (ad.attention(*n),), lambda n: (composed_attention(*n),)], arrays,
+            loss_of)
         assert fused == composed
 
     @PROPERTY
     @given(lead=st.sampled_from([(), (3,)]),
            sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5), first=st.booleans(),
-           no_start=st.booleans(), literal=st.booleans(), reused=st.sets(st.integers(0, 1)),
+           no_start=st.booleans(), reused=st.sets(st.integers(0, 1)),
            grid=st.sampled_from([(3, 2), (36, 36), (360, 360)]), seed=st.integers(0, 2**32 - 1))
     def test_pair_weights_equal_the_composed_records_bitwise(
-            self, lead, sizes, first, no_start, literal, reused, grid, seed):
+            self, lead, sizes, first, no_start, reused, grid, seed):
         # Without start the offsets come from cum alone (a known-track pass).
         # The 10- and 1-degree grids have more cells than 8 and 16 bits
         # count, so their grid-cell index takes a wider type.
@@ -757,7 +747,7 @@ class TestFusedKernels:
             return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[k], ad.constant(probes[k + 1])))
                                        for k in sorted(reused) if nodes[k] is not None])
 
-        args = (start, layout.neighbors, bins, mask, literal)
+        args = (start, layout.neighbors, bins, mask)
         fused, composed = run_both(
             [lambda n: (ad.pair_weights(*n, *args),),
              lambda n: (composed_pair_weights(*n, *args),)], arrays, loss_of)
@@ -767,35 +757,33 @@ class TestFusedKernels:
     @given(lead=st.sampled_from([(), (2,)]),
            sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
            H=st.integers(1, 3), E=st.integers(1, 2), T=st.integers(1, 3),
-           key=st.sampled_from(["fused", "joint"]), attend=st.booleans(),
-           zero_context=st.booleans(), absolute=st.booleans(), first=st.booleans(),
+           attend=st.booleans(), first=st.booleans(),
            alias=st.booleans(), used=st.sets(st.integers(0, 4), min_size=1),
            reused=st.sets(st.sampled_from([0, 2, 3, 4, 5, 14])), seed=st.integers(0, 2**32 - 1))
     def test_decoder_step_equals_the_composed_records_bitwise(
-            self, lead, sizes, H, E, T, key, attend, zero_context, absolute, first, alias,
+            self, lead, sizes, H, E, T, attend, first, alias,
             used, reused, seed):
         rng = np.random.default_rng(seed)
         layout, mask, _ = drawn_layout(rng, lead, sizes)
-        rows, K = lead + (layout.n_rows,), H if key == "fused" else 2 * H
+        rows = lead + (layout.n_rows,)
         # hidden, cell, weights, cum, step input, fuse W b, embed W b, W_ih,
         # W_hh, b, out W b, attention keys W b
         arrays = [rng.normal(size=rows + (H,)), rng.normal(size=rows + (H,)),
-                  None if zero_context else rng.uniform(size=mask.shape) * mask,
+                  rng.uniform(size=mask.shape) * mask,
                   None if first else rng.normal(size=rows + (2,)),
-                  None if absolute or alias and not first else rng.normal(size=rows + (2,))]
+                  None if alias and not first else rng.normal(size=rows + (2,))]
         arrays += [rng.normal(size=s) for s in ((H, 2 * H), H, (E, 2), E, (4 * H, E),
                                                 (4 * H, H), 4 * H, (2, H), 2)]
-        arrays += ([rng.normal(size=s) for s in (rows + (T, K), (H, 2 * K), H)] if attend
+        arrays += ([rng.normal(size=s) for s in (rows + (T, H), (H, 2 * H), H)] if attend
                    else [None] * 3)
-        valid, last_pos = rng.uniform(size=rows + (T,)) < 0.7, rng.normal(size=rows + (2,))
+        last_pos = rng.normal(size=rows + (2,))
         out_probes = [rng.normal(size=rows + (H if k < 2 else 2,)) for k in range(5)]
         in_probes = {k: rng.normal(size=arrays[k].shape) for k in reused if arrays[k] is not None}
 
         def call(op, n):
-            step_in = n[3] if not absolute and alias and not first else n[4]
+            step_in = n[3] if alias and not first else n[4]
             return op(n[0], n[1], n[2], layout.blocks, n[3], step_in, last_pos, n[5:7], n[7:9],
-                      n[9:12], n[12:14], (n[14], valid, n[15], n[16]) if attend else None,
-                      key=key)
+                      n[9:12], n[12:14], tuple(n[14:]) if attend else None)
 
         def loss_of(nodes, outs):           # the inputs may arrive with adjoints
             terms = [ad.reduce_sum(ad.mul(outs[k], ad.constant(out_probes[k])))
@@ -816,7 +804,7 @@ class TestFusedKernels:
             hidden, cell, keys = ad.recurrence(x, weights, lstm, *params[1:],
                                                [(1, 2, 2), (1, 3, 3)])
             out = ad.attention(hidden, ad.constant(np.swapaxes(keys.values, 0, 1)),
-                               np.ones((5, 4), dtype=bool), params[1], params[2])
+                               params[1], params[2])
             assert len(tape) == 2
             assert hidden.op_record is keys.op_record and out.op_record.op == "attention"
         assert keys.shape == (4, 5, 2) and out.shape == (5, 2)
@@ -826,7 +814,7 @@ class TestFusedKernels:
             ad.recurrence(x, weights, (ad.constant(np.ones((8, 5))), *lstm[1:]), *params[1:],
                           [(1, 2, 2), (1, 3, 3)])
         with pytest.raises(ShapeError, match="attention"):
-            ad.attention(hidden, keys, np.ones((4, 5), dtype=bool), params[1], params[2])
+            ad.attention(hidden, keys, params[1], params[2])
 
 
 class TestTapeLifecycle:
@@ -942,17 +930,15 @@ def every_op(x, w):
                               (np.array([[1, 2, 1]] * 3), np.array([[4, 1, 2]] * 3)),
                               table != np.arange(3)[:, None])
     gates_w = ad.concat([w, w, w, w])[:, :2]
-    step = ad.decoder_step(x[:, :2], x[:, 2:], weights, [(1, 3, 3)], x[:, 1:3], None,
-                           np.ones((3, 2)), (w, w[:, 0]), (w[:, :2], w[0, :2]),
+    step = ad.decoder_step(x[:, :2], x[:, 2:], weights, [(1, 3, 3)], x[:, 1:3],
+                           ad.tanh(x[:, :2]), np.ones((3, 2)), (w, w[:, 0]), (w[:, :2], w[0, :2]),
                            (gates_w, gates_w, ad.concat([w[0], w[1]])), (w[:, :2], w[:, 1]),
-                           (ad.stack([x[:, :2], ad.tanh(x[:, 2:])], axis=1),
-                            np.array([[True, False], [True, True], [False, True]]), w, w[:, 2]))
+                           (ad.stack([x[:, :2], ad.tanh(x[:, 2:])], axis=1), w, w[:, 2]))
     hidden, _, keys = ad.recurrence(
         ad.stack([x, ad.tanh(x)], axis=1), ad.stack([x[:, :1], x[:, 1:2]], axis=1),
         (ad.concat([w, w]), ad.stack([w[0]], axis=1), w[1]), w[0:1, 0:2], w[1, 0:1],
         [(2, 1, 1)])
     attended = ad.attention(x, ad.stack([x, ad.tanh(x)], axis=1),
-                            np.array([[True, False], [True, True], [False, False]]),
                             ad.concat([w, w], axis=-1), w[:, 0])
     rows = ad.unstack(ad.tanh(ad.linear(x, w, ad.constant([0.5, -1.0]))))
     mixed = ad.concat([ad.mul(rows[0], rows[1]), ad.sub(rows[2], rows[1])])

@@ -12,8 +12,11 @@ import pytest
 
 from scantraj import cli
 from scantraj import data as sd
+from scantraj import model as sm
 from scantraj import training as tr
 from scantraj.metrics import MetricReport
+
+from test_model import RETIRED_OTHER
 
 MICRO_CONFIG = """\
 [model]
@@ -198,14 +201,18 @@ class TestConfigHandling:
         assert code == 2
         assert "warp_factor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value, code", [("false", 0), ("true", 2)])
+    @pytest.mark.parametrize("key, value, code", [
+        case for key, (kept, _) in sm.RETIRED_KEYS.items()
+        for case in ((key, kept, 0), (key, RETIRED_OTHER[key], 2))])
     def test_removed_key_is_read_as_a_checkpoint_header_reads_it(
-            self, micro_config, tmp_path, capsys, value, code):
-        # The codec drops disable_temporal = false and refuses any other value.
+            self, micro_config, tmp_path, capsys, key, value, code):
+        # The codec drops a retired key at its kept value and refuses any
+        # other, naming the key and what to use instead.
         assert cli.run(["train", "--config", micro_config, "--synth", "straight:2:1",
-                        "--set", f"model.disable_temporal={value}",
+                        "--set", f"model.{key}={value}",
                         "--out", str(tmp_path / "x.ckpt")]) == code
-        assert ("variant = vanilla" in capsys.readouterr().err) == (code == 2)
+        err = capsys.readouterr().err
+        assert (f"{key} was removed: {sm.RETIRED_KEYS[key][1]}" in err) == (code == 2)
 
     def test_unknown_key_is_named_whatever_the_command(self, tmp_path, trained_ckpt,
                                                        capsys):
@@ -411,6 +418,15 @@ class TestPredictCommand:
         assert (out_dir / "domain_grid.csv").exists()
         listed = capsys.readouterr().out.strip().split("\n")
         assert str(out_dir / "domain_grid.csv") in listed
+
+    def test_k_on_deterministic_checkpoint_exits_1(self, tmp_path, trained_ckpt, capsys):
+        # As with evaluate, sampling needs a generative checkpoint; without
+        # --k the deterministic forecast is drawn.
+        args = ["predict", "--ckpt", trained_ckpt, "--synth", "straight:2:7",
+                "--out", str(tmp_path / "figs"), "--scenes", "1"]
+        assert cli.run(args + ["--k", "4"]) == 1
+        assert "generative" in capsys.readouterr().err
+        assert cli.run(args) == 0
 
     def test_non_finite_forecasts_exit_3(self, tmp_path, trained_ckpt, capsys):
         state = tr.load_checkpoint(trained_ckpt)

@@ -23,6 +23,13 @@ def micro_cfg(**overrides):
     return sm.ModelConfig(**base)
 
 
+# For each retired model key, a value it once took that the model no longer
+# implements: the config codec drops the key's kept value and refuses these.
+RETIRED_OTHER = {"disable_temporal": "true", "coordinate_mode": "absolute",
+                 "literal_softmax": "true", "attention_key": "joint",
+                 "force_zero_context": "true"}
+
+
 def build(cfg, seed=7):
     params = sm.build_params(cfg, ad.RngHub(seed))
     return sm.ScanModel(cfg, params)
@@ -102,8 +109,8 @@ class TestShapes:
         for h, c in zip(bank.hidden.values, bank.cell.values):
             assert h.shape == (32,)
             assert c.shape == (32,)
-        assert len(bank.attention) == 3
-        assert bank.attention.keys.shape[0] == 2
+        assert bank.keys.shape[1] == 3
+        assert bank.keys.shape[0] == 2
 
     @pytest.mark.parametrize("pred_len", [8, 20])
     def test_horizon_sweep(self, pred_len):
@@ -116,16 +123,6 @@ class TestShapes:
         cfg = micro_cfg(variant="vanilla")
         params = sm.build_params(cfg, ad.RngHub(7))
         assert "temporal.W" not in params
-        scene = make_scene(dyadic_walkers(5), obs_len=3)
-        m = sm.ScanModel(cfg, params)
-        with ad.Tape():
-            result = m.forward(scene)
-        assert result.positions().shape == (2, 2, 2)
-
-    def test_joint_attention_key_widths(self):
-        cfg = micro_cfg(attention_key="joint")
-        params = sm.build_params(cfg, ad.RngHub(7))
-        assert params["temporal.W"].shape == (4, 16)
         scene = make_scene(dyadic_walkers(5), obs_len=3)
         m = sm.ScanModel(cfg, params)
         with ad.Tape():
@@ -179,29 +176,22 @@ class TestRecordBudget:
     its loop, input weights included, one ``ad.recurrence`` record. A
     decoder step costs two at most."""
 
-    @pytest.mark.parametrize("overrides", [{}, {"force_zero_context": True},
-                                           {"coordinate_mode": "absolute",
-                                            "attention_key": "joint"}])
-    def test_an_observed_step_adds_a_fixed_few_records(self, overrides, monkeypatch):
+    def test_an_observed_step_adds_a_fixed_few_records(self, monkeypatch):
         ops = recorded_ops(monkeypatch)
         counts = []
         for obs_len in (3, 4, 5):
-            m = build(micro_cfg(obs_len=obs_len, **overrides))
+            m = build(micro_cfg(obs_len=obs_len))
             scene = make_scene(dyadic_walkers(obs_len + 2), obs_len=obs_len)
             del ops[:]
             counts.append(records_of(lambda: m.encode(scene)))
-            assert ops.count("pair_weights") == (0 if overrides.get("force_zero_context")
-                                                 else 1)
+            assert ops.count("pair_weights") == 1
             assert ops.count("linear") == ops.count("recurrence") == 1
             assert not {"l2norm", "relu", "masked_softmax"} & set(ops)
         assert counts[0] == counts[1] == counts[2]
 
     @pytest.mark.parametrize("overrides", [
-        {}, {"generative": True, "noise_dim": 2}, {"variant": "vanilla"},
-        {"attention_key": "joint"}, {"coordinate_mode": "absolute"},
-        {"literal_softmax": True}, {"force_zero_context": True}],
-        ids=["default", "generative", "vanilla", "joint_key", "absolute",
-             "literal_softmax", "zero_context"])
+        {}, {"generative": True, "noise_dim": 2}, {"variant": "vanilla"}],
+        ids=["default", "generative", "vanilla"])
     def test_a_decoder_step_adds_the_same_two_records_at_most(self, overrides):
         # Its pair weights are one ad.pair_weights record, the rest of the
         # step one ad.decoder_step record.
@@ -354,8 +344,8 @@ class TestTapeMemory:
     the generator's at once."""
 
     CONFIGS = pytest.mark.parametrize("overrides", [
-        {}, {"generative": True}, {"variant": "vanilla", "literal_softmax": True}],
-        ids=["default", "generative", "vanilla_literal"])
+        {}, {"generative": True}, {"variant": "vanilla"}],
+        ids=["default", "generative", "vanilla"])
 
     @CONFIGS
     def test_pair_memory_per_pair_and_step_is_bounded(self, overrides):
@@ -382,8 +372,8 @@ class TestTapeMemory:
 
     @pytest.mark.parametrize("overrides, bound", [
         ({}, 3700), ({"generative": True}, 3700),
-        ({"variant": "vanilla", "literal_softmax": True}, 3000)],
-        ids=["default", "generative", "vanilla_literal"])
+        ({"variant": "vanilla"}, 3000)],
+        ids=["default", "generative", "vanilla"])
     def test_row_peak_per_row_and_step_stays_near_what_is_held(self, overrides, bound):
         # About 3,410, 3,430 and 2,780 bytes, against 3,620, 3,640 and 3,030
         # while the sweep kept every adjoint and the recurrence every joint,
@@ -444,20 +434,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [
         dict(variant="social"),
-        dict(coordinate_mode="polar"),
-        dict(attention_key="hidden"),
         dict(obs_len=1),
         dict(pred_len=0),
         dict(hidden_dim=0),
         dict(bearing_bin_deg=45.5),
+        dict(noise_dim=0),
+        dict(heading_bin_deg=7.0),
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ValueError):
             sm.ModelConfig(**bad).validate()
 
     def test_dict_round_trip(self):
-        cfg = sm.ModelConfig(variant="vanilla", generative=True,
-                             literal_softmax=True, pred_len=20,
+        cfg = sm.ModelConfig(variant="vanilla", generative=True, pred_len=20,
                              domain_init_m=2.5)
         again = sm.ModelConfig.from_dict(sm.config_to_dict(cfg))
         assert again == cfg
@@ -513,12 +502,17 @@ class TestParamInit:
 
 class TestReductions:
     def test_single_pedestrian_equals_zeroed_context(self):
-        # With no neighbours the spatial context is exactly zero, so the
-        # model must match the diagnostic mode that forces a zero context.
-        path = dyadic_walkers(5)[:1]
-        scene = make_scene(path, obs_len=3)
-        pos_a, disp_a = forward_positions(micro_cfg(), scene)
-        pos_b, disp_b = forward_positions(micro_cfg(force_zero_context=True), scene)
+        # With no neighbours the spatial context is exactly zero, so a lone
+        # pedestrian's forecast is the same whatever the grid's reaches.
+        scene = make_scene(dyadic_walkers(5)[:1], obs_len=3)
+        forecasts = []
+        for reach in (0.0, 100.0):
+            m = build(micro_cfg())
+            m.params["domain_grid"].values[...] = reach
+            with ad.Tape():
+                result = m.forward(scene)
+            forecasts.append((result.positions(), result.displacements()))
+        (pos_a, disp_a), (pos_b, disp_b) = forecasts
         assert np.array_equal(pos_a, pos_b)
         assert np.array_equal(disp_a, disp_b)
 
@@ -578,12 +572,12 @@ class TestEquivariance:
         with ad.Tape():
             bank = m.encode(scene)
             norms = [float(np.linalg.norm(k))
-                     for row in bank.attention.keys.values for k in row]
+                     for row in bank.keys.values for k in row]
         m2 = build(micro_cfg())
         with ad.Tape():
             bank2 = m2.encode(swapped)
             norms2 = [float(np.linalg.norm(k))
-                      for row in bank2.attention.keys.values for k in row]
+                      for row in bank2.keys.values for k in row]
         # bank order: ped a's keys then ped b's in the first run; swapped in
         # the second. Compare after regrouping.
         third = len(norms) // 2
@@ -591,9 +585,9 @@ class TestEquivariance:
         assert norms[third:] == norms2[:third]
 
     def test_translation_equivariance_on_dyadic_grid(self):
-        # Integer offsets keep dyadic coordinates fp-exact, so displacement
-        # mode must reproduce the same displacements bit for bit and shift
-        # the positions by exactly the offset.
+        # Integer offsets keep dyadic coordinates fp-exact, so the model,
+        # which embeds displacements, must reproduce the same displacements
+        # bit for bit and shift the positions by exactly the offset.
         offset = np.array([16.0, -8.0])
         paths = dyadic_walkers(5)
         scene = make_scene(paths, obs_len=3)

@@ -5,12 +5,16 @@ body, when ``bench/tracer.py`` binds it in ``SPANS``, or when it is one of
 the public helpers below that the tests, the demos or the README's users
 call. Names are matched by identifier, so a name shared with another
 definition counts for both: the guard catches code nothing names at all.
-``bench/tracer.py`` is parsed, not imported, so nothing under ``bench/`` is
-written.
+Likewise every switch of ``ModelConfig`` picks a code path that a demo or a
+benchmark workload runs. ``bench/`` is parsed, not imported, so nothing
+under it is written.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from scantraj.model import ModelConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "scantraj"
@@ -91,3 +95,21 @@ def test_every_definition_has_a_caller_a_tracer_binding_or_a_reason():
 
 def test_every_public_helper_still_exists():
     assert set(PUBLIC_HELPERS) - set(definitions()) == set()
+
+
+def test_every_model_switch_is_set_off_its_default_by_a_demo_or_the_bench():
+    # A bool or str field picks a code path; one that no ModelConfig(...)
+    # call in demos/ or bench/ sets to another literal is a path only the
+    # tests run.
+    defaults = {field.name: field.default for field in dataclasses.fields(ModelConfig)
+                if isinstance(field.default, (bool, str))}
+    moved = set()
+    for path in sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "ModelConfig":
+                continue
+            moved |= {kw.arg for kw in node.keywords if kw.arg in defaults
+                      and isinstance(kw.value, ast.Constant)
+                      and kw.value.value != defaults[kw.arg]}
+    assert set(defaults) - moved == set(), "switches no demo or workload sets"

@@ -268,14 +268,12 @@ def test_forward_tape_size_does_not_grow_with_the_crowd():
 
 
 def generative_model(data, seed, generative=True):
-    """A micro forecaster (generative by default) with drawn variant,
-    attention key and coordinate mode, and a range grid with a different
-    range in every cell, so that each pair's bins matter."""
+    """A micro forecaster (generative by default) with a drawn variant and a
+    range grid with a different range in every cell, so that each pair's
+    bins matter."""
     cfg = micro_cfg(
         generative=generative, noise_dim=3, obs_len=3, pred_len=3,
-        variant=data.draw(st.sampled_from(["scan", "vanilla"])),
-        attention_key=data.draw(st.sampled_from(["fused", "joint"])),
-        coordinate_mode=data.draw(st.sampled_from(["displacement", "absolute"])))
+        variant=data.draw(st.sampled_from(["scan", "vanilla"])))
     params = sm.build_params(cfg, ad.RngHub(seed % 7))
     grid = params["domain_grid"].values
     grid[...] = np.random.default_rng(seed).uniform(0.5, 4.0, size=grid.shape)
@@ -367,17 +365,15 @@ def test_batched_decode_and_critic_are_renumbering_equivariant(n, k, seed, data)
 
 @PROPERTY
 @given(S=st.integers(1, 5), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
-       obs_len=st.integers(2, 4), pred_len=st.integers(1, 3), absolute=st.booleans(),
-       literal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       obs_len=st.integers(2, 4), pred_len=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_a_critic_pass_split_at_the_observation_equals_the_full_track_pass(
-        S, sizes, obs_len, pred_len, absolute, literal, seed):
+        S, sizes, obs_len, pred_len, seed):
     # The observed steps run once and every future continues from them. The
     # logits are the full-track pass's bit for bit; the gradients match up
     # to the order of their sums, the history's adjoints being summed over
     # the samples. Some walkers stand still in every future, so their
     # headings come from the observed steps.
-    cfg = micro_cfg(obs_len=obs_len, pred_len=pred_len, literal_softmax=literal,
-                    coordinate_mode="absolute" if absolute else "displacement")
+    cfg = micro_cfg(obs_len=obs_len, pred_len=pred_len)
     critic = gn.build_discriminator_params(cfg, ad.RngHub(seed % 5))
     rng = np.random.default_rng(seed)
     grid = critic["disc.domain_grid"].values
@@ -470,8 +466,7 @@ def test_every_scene_of_a_batch_equals_its_lone_pass_bitwise(seed, data):
             lone = model.decode(scene, lone_bank,
                                 noise=None if noises is None else noises[b])
         assert np.array_equal(bank.hidden.values[rows], lone_bank.hidden.values), b
-        assert np.array_equal(bank.attention.keys.values[rows],
-                              lone_bank.attention.keys.values), b
+        assert np.array_equal(bank.keys.values[rows], lone_bank.keys.values), b
         assert np.array_equal(view.pos.values, lone.pos.values), b
         assert np.array_equal(view.disp.values, lone.disp.values), b
         assert np.array_equal(view.loss_mask, lone.loss_mask), b
@@ -482,8 +477,6 @@ def test_every_scene_of_a_batch_equals_its_lone_pass_bitwise(seed, data):
 def test_the_fused_decode_equals_the_composed_records_bitwise(seed, data):
     generative = data.draw(st.booleans())
     model = generative_model(data, seed, generative=generative)
-    model.cfg.literal_softmax = data.draw(st.booleans())
-    model.cfg.force_zero_context = data.draw(st.booleans())
     scenes = drawn_batch(data, seed)
     noises = noise_blocks(data, seed, len(scenes)) if generative else None
     noise = None if noises is None else np.stack(noises, axis=1)
@@ -498,20 +491,17 @@ def test_the_fused_decode_equals_the_composed_records_bitwise(seed, data):
                 ad.reduce_sum(ad.mul(out, ad.constant(probes.normal(size=out.shape))))
                 for out in (result.pos, result.disp)]))
         got.append([result.pos.values.tobytes(), result.disp.values.tobytes()]
-                   + [node.grad.tobytes() for node in (bank.hidden, bank.cell,
-                                                       bank.attention.keys)]
+                   + [node.grad.tobytes() for node in (bank.hidden, bank.cell, bank.keys)]
                    + [node.grad.tobytes() for _, node in model.params.items()])
     assert got[0] == got[1]
 
 
 @PROPERTY
 @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
-       lead=st.sampled_from([(), (2,)]), T=st.integers(2, 5), absolute=st.booleans(),
-       key=st.sampled_from(["fused", "joint"]), literal=st.booleans(),
-       zero_context=st.booleans(), live=st.booleans(), spec=spec,
+       lead=st.sampled_from([(), (2,)]), T=st.integers(2, 5), live=st.booleans(), spec=spec,
        seed=st.integers(0, 2**32 - 1))
 def test_a_known_track_pass_equals_the_composed_records_bitwise(
-        sizes, lead, T, absolute, key, literal, zero_context, live, spec, seed):
+        sizes, lead, T, live, spec, seed):
     # A live track is a recorded node the loss reuses, so it arrives with an
     # adjoint, as the critic's fake tracks do; a constant one is a leaf.
     rng = np.random.default_rng(seed)
@@ -530,9 +520,7 @@ def test_a_known_track_pass_equals_the_composed_records_bitwise(
         with ad.Tape() as tape:
             track = ad.add(leaf, 0.0) if live else leaf
             outs = observed_pass(track, presence, layout, spatial.DomainGrid(grid, spec),
-                                 tuple(params[:2]), tuple(params[2:5]), tuple(params[5:]),
-                                 absolute, key=key, literal_softmax=literal,
-                                 force_zero_context=zero_context)[:3]
+                                 tuple(params[:2]), tuple(params[2:5]), tuple(params[5:]))[:3]
             tape.backward(ad.mean_of([
                 ad.reduce_sum(ad.mul(out, ad.constant(probes.normal(size=out.shape))))
                 for out in outs + ((track,) if live else ())]))
@@ -543,11 +531,10 @@ def test_a_known_track_pass_equals_the_composed_records_bitwise(
 
 @PROPERTY
 @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
-       lead=st.sampled_from([(), (2,)]), T=st.integers(2, 5), absolute=st.booleans(),
-       key=st.sampled_from(["fused", "joint"]), literal=st.booleans(),
-       zero_context=st.booleans(), spec=spec, seed=st.integers(0, 2**32 - 1))
+       lead=st.sampled_from([(), (2,)]), T=st.integers(2, 5), spec=spec,
+       seed=st.integers(0, 2**32 - 1))
 def test_an_array_track_equals_a_constant_leaf_bitwise_and_records_no_position_path(
-        sizes, lead, T, absolute, key, literal, zero_context, spec, seed):
+        sizes, lead, T, spec, seed):
     rng = np.random.default_rng(seed)
     layout = cells.SceneLayout([list(range(n)) for n in sizes])
     H, E = 3, 2
@@ -563,9 +550,7 @@ def test_an_array_track_equals_a_constant_leaf_bitwise_and_records_no_position_p
         with ad.Tape() as tape:
             outs = cells.observed_pass(track, presence, layout, spatial.DomainGrid(grid, spec),
                                        tuple(params[:2]), tuple(params[2:5]),
-                                       tuple(params[5:]), absolute, key=key,
-                                       literal_softmax=literal,
-                                       force_zero_context=zero_context)[:3]
+                                       tuple(params[5:]))[:3]
             ops.append({(out[0] if type(out) is tuple else out).op_record.op
                         for out, _, _ in tape._records})
             tape.backward(ad.mean_of([
@@ -579,12 +564,10 @@ def test_an_array_track_equals_a_constant_leaf_bitwise_and_records_no_position_p
 
 @PROPERTY
 @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
-       lead=st.sampled_from([(), (2,)]), T=st.integers(1, 4), absolute=st.booleans(),
-       key=st.sampled_from(["fused", "joint"]), literal=st.booleans(),
-       zero_context=st.booleans(), live=st.booleans(), spec=spec,
+       lead=st.sampled_from([(), (2,)]), T=st.integers(1, 4), live=st.booleans(), spec=spec,
        seed=st.integers(0, 2**32 - 1))
 def test_a_pass_continued_from_a_start_equals_the_composed_records_bitwise(
-        sizes, lead, T, absolute, key, literal, zero_context, live, spec, seed):
+        sizes, lead, T, live, spec, seed):
     # The start's (R, H) states reach every leading slice through a gather,
     # whose backward sums the slices' adjoints. Some rows stand still, so
     # their headings carry over from the start's kinematics.
@@ -609,8 +592,6 @@ def test_a_pass_continued_from_a_start_equals_the_composed_records_bitwise(
             track = ad.add(leaf, 0.0) if live else walks.copy()
             outs = observed_pass(track, presence, layout, spatial.DomainGrid(grid, spec),
                                  tuple(params[:2]), tuple(params[2:5]), tuple(params[5:7]),
-                                 absolute, key=key, literal_softmax=literal,
-                                 force_zero_context=zero_context,
                                  start=(params[7], params[8], kin))[:3]
             tape.backward(ad.mean_of([
                 ad.reduce_sum(ad.mul(out, ad.constant(probes.normal(size=out.shape))))

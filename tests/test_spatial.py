@@ -31,11 +31,10 @@ def score_row(grid, geoms, distance=None):
     return spatial.raw_score(grid, bins, dist if distance is None else distance)
 
 
-def weights_row(values, literal_softmax=False):
+def weights_row(values):
     """normalize_scores over one target whose neighbours score ``values``."""
     raw = ad.constant(np.array(values, dtype=np.float64).reshape(1, -1))
-    return spatial.normalize_scores(raw, np.ones(raw.shape, dtype=bool),
-                                    literal_softmax=literal_softmax)
+    return spatial.normalize_scores(raw, np.ones(raw.shape, dtype=bool))
 
 
 class TestRawScore:
@@ -100,13 +99,6 @@ class TestNormalizeScores:
     def test_no_neighbours_at_all(self):
         w = weights_row([])
         assert w.normalized.values[0].shape == (0,)
-
-    def test_literal_mode_reproduces_textbook_softmax(self):
-        # The unmasked form hands exp(0) weight to a beyond-domain neighbour.
-        w = weights_row([1.0, 0.0], literal_softmax=True)
-        e = np.e
-        np.testing.assert_allclose(w.normalized.values[0],
-                                   [e / (1 + e), 1 / (1 + e)], rtol=1e-15)
 
     def test_weights_sum_to_one_when_anyone_active(self):
         rng = np.random.default_rng(42)

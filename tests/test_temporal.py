@@ -1,4 +1,4 @@
-"""Temporal attention: scores, masking, and the output projection."""
+"""Temporal attention: scores, weights, and the output projection."""
 
 import numpy as np
 import pytest
@@ -10,22 +10,16 @@ from scantraj.errors import ShapeError
 from oracles import matmul, numeric_gradient
 
 
-def make_bank(vectors, valid=None):
-    """A one-pedestrian bank: row 0 holds ``vectors`` as its T keys."""
-    keys = np.asarray(vectors, dtype=np.float64)[None]
-    valid = np.ones(keys.shape[:2], dtype=bool) if valid is None else [valid]
-    return temporal.AttentionBank(ad.constant(keys), valid)
+def make_bank(vectors):
+    """A one-pedestrian key node: row 0 holds ``vectors`` as its T keys."""
+    return ad.constant(np.asarray(vectors, dtype=np.float64)[None])
 
 
 def attention_weights(query, bank):
     """Recompute the internal weights the way attend() defines them."""
-    scores = np.array([float(np.dot(query.values, k)) for k in bank.keys.values[0]])
-    mask = bank.valid[0]
-    w = np.zeros_like(scores)
-    if mask.any():
-        e = np.exp(scores[mask] - scores[mask].max())
-        w[mask] = e / e.sum()
-    return w
+    scores = np.array([float(np.dot(query.values, k)) for k in bank.values[0]])
+    e = np.exp(scores - scores.max())
+    return e / e.sum()
 
 
 class TestWeights:
@@ -60,12 +54,6 @@ class TestWeights:
             w = attention_weights(ad.constant(rng.normal(size=3)), bank)
             assert abs(w.sum() - 1.0) < 1e-12
 
-    def test_masked_steps_get_zero_weight(self):
-        bank = make_bank([[1.0], [9.0], [1.0]], valid=[True, False, True])
-        w = attention_weights(ad.constant([1.0]), bank)
-        assert w[1] == 0.0
-        assert abs(w.sum() - 1.0) < 1e-12
-
 
 class TestAttend:
     def test_output_shape_is_hidden_size(self):
@@ -78,7 +66,7 @@ class TestAttend:
         assert out.shape == (1, H)
 
     def test_permuting_bank_leaves_output_unchanged(self):
-        """Attention is a set operation over (key, validity) pairs."""
+        """Attention is a set operation over its keys."""
         rng = np.random.default_rng(45)
         K, H = 3, 3
         keys = list(rng.normal(size=(5, K)))
@@ -89,17 +77,6 @@ class TestAttend:
         perm = [keys[i] for i in (3, 0, 4, 1, 2)]
         out_p = temporal.attend(q, make_bank(perm), W, b)
         np.testing.assert_allclose(out.values, out_p.values, atol=1e-12)
-
-    def test_all_masked_reduces_to_projected_query(self):
-        rng = np.random.default_rng(46)
-        K, H = 4, 4
-        q = ad.constant(rng.normal(size=(1, K)))
-        W = ad.constant(rng.normal(size=(H, 2 * K)))
-        b = ad.constant(rng.normal(size=H))
-        out = temporal.attend(q, make_bank(list(rng.normal(size=(3, K))),
-                                           valid=[False, False, False]), W, b)
-        want = np.tanh(W.values @ np.concatenate([np.zeros(K), q.values[0]]) + b.values)
-        np.testing.assert_allclose(out.values[0], want, rtol=1e-15)
 
     def test_empty_bank_is_rejected(self):
         with pytest.raises(ShapeError, match="empty"):

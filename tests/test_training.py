@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from test_model import (dyadic_walkers, fake_track, make_scene, micro_cfg, real_track,
-                        recorded_ops)
+from test_model import (RETIRED_OTHER, dyadic_walkers, fake_track, make_scene, micro_cfg,
+                        real_track, recorded_ops)
 
 from scantraj import autodiff as ad
 from scantraj import data as sd
@@ -561,17 +561,26 @@ class TestCheckpointHeader:
         tr.save_checkpoint(path, state)
         return state, path
 
-    def test_a_header_with_disable_temporal_false_still_loads(self, tmp_path):
+    @pytest.mark.parametrize("key", sm.RETIRED_KEYS)
+    def test_a_header_with_a_retired_key_at_its_kept_value_loads_and_resumes(
+            self, tmp_path, key):
         state, path = self.saved(tmp_path)
-        self.resealed(path, lambda text: text + "\nmodel.disable_temporal=false")
+        plain = tr.load_checkpoint(path)
+        self.resealed(path, lambda text: text + f"\nmodel.{key}={sm.RETIRED_KEYS[key][0]}")
         loaded = tr.load_checkpoint(path)
         assert loaded.cfg == state.cfg
         assert params_equal(loaded.params, state.params)
+        resumed = [tr.train_deterministic(micro_windows(1), micro_cfg(), tcfg(epochs=3),
+                                          state=start) for start in (plain, loaded)]
+        assert resumed[0][1] == resumed[1][1]
+        assert params_equal(resumed[0][0].params, resumed[1][0].params)
 
-    def test_disable_temporal_true_is_refused_naming_the_vanilla_variant(self, tmp_path):
+    @pytest.mark.parametrize("key", sm.RETIRED_KEYS)
+    def test_a_retired_key_at_another_value_is_refused_naming_it(self, tmp_path, key):
         _, path = self.saved(tmp_path)
-        self.resealed(path, lambda text: text + "\nmodel.disable_temporal=true")
-        with pytest.raises(DataError, match="variant = vanilla"):
+        self.resealed(path, lambda text: text + f"\nmodel.{key}={RETIRED_OTHER[key]}")
+        with pytest.raises(DataError, match=re.escape(
+                f"{key} was removed: {sm.RETIRED_KEYS[key][1]}")):
             tr.load_checkpoint(path)
 
     def test_an_unknown_model_key_is_rejected_by_name(self, tmp_path):
