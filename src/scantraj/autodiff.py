@@ -963,6 +963,10 @@ def pair_weights(cum, grid, start, neighbors, bins, mask) -> TensorNode:
     holds the grid's last cell; the backward recomputes the offsets and
     distances from ``cum`` and ``start``. Without ``cum`` nothing gets a
     position gradient and it keeps no ``start``.
+
+    A row that admits at most one pair sends the grid exactly zero gradient:
+    a softmax over one score is 1 whatever the score. So two-person scenes
+    never move the grid.
     """
     grid = _lift(grid)
     cum = None if cum is None else _lift(cum)

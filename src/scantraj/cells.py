@@ -30,8 +30,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import spatial
-# compute_encounter is the scalar reference for geometry.bin_indices; it
-# stays importable here, where bench/tracer.py binds it.
+# compute_encounter, numpy's angle recipe on 0-d values, is the scalar
+# reference for geometry.bin_indices. Nothing calls it; it stays importable
+# here only while bench/tracer.py binds it.
 from .geometry import (CrowdKinematics, bin_indices, compute_encounter,  # noqa: F401
                        pair_offsets, track_kinematics)
 

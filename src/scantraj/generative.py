@@ -29,8 +29,9 @@ from . import metrics
 from . import spatial
 from .data import SceneWindow
 from .errors import NumericError, ShapeError
-# estimate_heading is the scalar reference for advance_kinematics; it stays
-# importable here, where bench/tracer.py binds it.
+# estimate_heading, numpy's angle recipe on 0-d values, is the scalar
+# reference for advance_kinematics. Nothing calls it; it stays importable here
+# only while bench/tracer.py binds it.
 from .geometry import estimate_heading  # noqa: F401
 from .model import (ModelConfig, ScanModel, finite_positions, trajectory_loss,
                     uniform_param, zeros_param)

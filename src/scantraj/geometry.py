@@ -15,9 +15,16 @@ All functions here are pure and operate on plain floats or float arrays;
 nothing touches the autodiff tape. A crowd's kinematics travel as one
 ``CrowdKinematics`` of arrays: positions ``(..., N, 2)``, headings and
 heading validity ``(..., N)``, for one row of N agents or one row per
-sampled future of the same scene. ``AgentKinematics`` with
-``estimate_heading`` and ``compute_encounter`` is the scalar reference the
-array functions equal bit for bit.
+sampled future of the same scene.
+
+Every angle and length comes from one recipe, numpy's ``arctan2``,
+``hypot`` and ``degrees``: over arrays in the batched functions, on 0-d
+values in ``estimate_heading`` and ``compute_encounter``. Those two, with
+``AgentKinematics``, are the scalar reference the array functions equal bit
+for bit, since numpy gives a value alone the bits it gives it inside an
+array. Nothing in the package calls them: they stay in ``src/`` only while
+``bench/tracer.py`` binds its spans to them, and move to the tests with the
+benchmark revision that rebinds those spans.
 """
 
 from __future__ import annotations
@@ -87,8 +94,8 @@ def estimate_heading(prev_pos, cur_pos,
     dx = float(cur_pos[0]) - float(prev_pos[0])
     dy = float(cur_pos[1]) - float(prev_pos[1])
     pos = (float(cur_pos[0]), float(cur_pos[1]))
-    if math.hypot(dx, dy) > STATIONARY_EPS:
-        return AgentKinematics(pos, normalize_deg(math.degrees(math.atan2(dy, dx))), True)
+    if np.hypot(dx, dy) > STATIONARY_EPS:
+        return AgentKinematics(pos, normalize_deg(float(np.degrees(np.arctan2(dy, dx)))), True)
     if fallback is not None:
         return AgentKinematics(pos, fallback.heading_deg, fallback.heading_valid)
     return AgentKinematics(pos, 0.0, False)
@@ -102,11 +109,11 @@ def compute_encounter(observer: AgentKinematics,
     """
     dx = other.position[0] - observer.position[0]
     dy = other.position[1] - observer.position[1]
-    distance = math.hypot(dx, dy)
+    distance = float(np.hypot(dx, dy))
     if distance == 0.0:
         bearing = 0.0
     else:
-        world = math.degrees(math.atan2(dy, dx))
+        world = float(np.degrees(np.arctan2(dy, dx)))
         bearing = normalize_deg(world - observer.heading_deg)
     rel_heading = normalize_deg(other.heading_deg - observer.heading_deg)
     return EncounterGeometry(distance, bearing, rel_heading)
@@ -130,12 +137,6 @@ def _normalize_deg_array(angle: np.ndarray) -> np.ndarray:
     return np.where(wrapped < 360.0, wrapped, 0.0)
 
 
-# A bearing this close to a bin edge is recomputed with ``math.atan2``:
-# ``numpy.arctan2`` may differ from it in the last place, which can only
-# matter right at an edge (the gap is ~1e-13 degrees).
-_EDGE_TOL_DEG = 1e-9
-
-
 @dataclass(frozen=True)
 class CrowdKinematics:
     """Positions ``(..., N, 2)`` plus estimated headings ``(..., N)`` (in
@@ -154,16 +155,11 @@ class CrowdKinematics:
 
 
 def _moves(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each ``prev -> cur`` displacement moves, and its heading: the
-    stationary test and the angle use ``math.hypot`` and ``math.atan2`` per
-    agent (``numpy.arctan2`` may differ from ``math.atan2`` in the last
-    place), as ``estimate_heading`` does."""
-    dx = (cur[..., 0] - prev[..., 0]).ravel().tolist()
-    dy = (cur[..., 1] - prev[..., 1]).ravel().tolist()
-    shape = cur.shape[:-1]
-    moving = np.array(list(map(math.hypot, dx, dy))).reshape(shape) > STATIONARY_EPS
-    return moving, _normalize_deg_array(np.degrees(
-        np.array(list(map(math.atan2, dy, dx))).reshape(shape)))
+    """Whether each ``prev -> cur`` displacement moves, and its heading:
+    ``estimate_heading``'s numpy operations over the whole array."""
+    dx, dy = cur[..., 0] - prev[..., 0], cur[..., 1] - prev[..., 1]
+    return (np.hypot(dx, dy) > STATIONARY_EPS,
+            _normalize_deg_array(np.degrees(np.arctan2(dy, dx))))
 
 
 def advance_kinematics(prev_pos: np.ndarray, cur_pos: np.ndarray,
@@ -222,30 +218,18 @@ def bin_indices(kinematics: CrowdKinematics, spec: BinSpec, neighbors: np.ndarra
     Without a table every agent sees every agent: the (N, N) table whose
     row a is 0, 1, ..., N - 1. ``offsets``, when the caller has them, are
     the ``pair_offsets`` of the positions over the table, not recomputed.
+    The bearings take ``compute_encounter``'s float operations over the
+    whole array, so a pair on a bin edge lands where the scalar one does.
     """
-    pos = kinematics.position
     heading = kinematics.heading_deg
     if neighbors is None:
         n = heading.shape[-1]
         neighbors = np.broadcast_to(np.arange(n), (n, n))
     if offsets is None:
-        offsets = pair_offsets(pos, neighbors)
+        offsets = pair_offsets(kinematics.position, neighbors)
     dx, dy = offsets[..., 0], offsets[..., 1]
-    coincident = (dx == 0.0) & (dy == 0.0)
-    bearing = _normalize_deg_array(np.degrees(np.arctan2(dy, dx))
-                                   - heading[..., :, None])
-    steps = bearing / spec.bearing_step_deg
-    near_edge = np.abs(steps - np.round(steps)) * spec.bearing_step_deg < _EDGE_TOL_DEG
-
-    def agent(idx) -> AgentKinematics:
-        return AgentKinematics((float(pos[idx][0]), float(pos[idx][1])),
-                               float(heading[idx]))
-
-    for idx in zip(*np.nonzero(near_edge & ~coincident)):
-        lead, a, j = idx[:-2], idx[-2], idx[-1]
-        bearing[idx] = compute_encounter(agent(lead + (a,)),
-                                         agent(lead + (neighbors[a, j],))).bearing_deg
-    bearing[coincident] = 0.0
+    bearing = _normalize_deg_array(np.degrees(np.arctan2(dy, dx)) - heading[..., :, None])
+    bearing[(dx == 0.0) & (dy == 0.0)] = 0.0
     rel_heading = _normalize_deg_array(heading[..., neighbors] - heading[..., :, None])
     i = np.floor(bearing / spec.bearing_step_deg).astype(np.int64) + 1
     j = np.floor(rel_heading / spec.heading_step_deg).astype(np.int64) + 1

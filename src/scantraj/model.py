@@ -26,9 +26,10 @@ from . import cells
 from . import spatial
 from .data import SceneWindow
 from .errors import NumericError, ShapeError
-# estimate_heading is the scalar reference for advance_kinematics, and attend
-# the composed reference for the decoder step's attention; both stay
-# importable here, where bench/tracer.py binds them.
+# estimate_heading, numpy's angle recipe on 0-d values, is the scalar
+# reference for advance_kinematics, and attend the composed reference for the
+# decoder step's attention. Nothing calls them; they stay importable here only
+# while bench/tracer.py binds them.
 from .geometry import (BinSpec, CrowdKinematics, advance_kinematics,  # noqa: F401
                        bin_indices, estimate_heading, pair_offsets)
 from .temporal import attend  # noqa: F401

@@ -113,3 +113,23 @@ def test_every_model_switch_is_set_off_its_default_by_a_demo_or_the_bench():
                       and isinstance(kw.value, ast.Constant)
                       and kw.value.value != defaults[kw.arg]}
     assert set(defaults) - moved == set(), "switches no demo or workload sets"
+
+
+
+# The batched geometry works on whole arrays: no Python loop over agents or
+# pairs, and no trip through Python floats.
+ARRAY_GEOMETRY = ("_moves", "advance_kinematics", "track_kinematics", "pair_offsets",
+                  "bin_indices", "_normalize_deg_array")
+
+
+def test_the_array_geometry_has_no_python_loop():
+    defs = definitions()
+    found = []
+    for name in ARRAY_GEOMETRY:
+        for node in ast.walk(defs[f"geometry.{name}"][1]):
+            func = getattr(node, "func", None)
+            if (isinstance(node, (ast.For, ast.While, ast.comprehension))
+                    or isinstance(func, ast.Name) and func.id == "map"
+                    or isinstance(func, ast.Attribute) and func.attr == "tolist"):
+                found.append(f"{name}: {ast.unparse(node).splitlines()[0]}")
+    assert found == [], "a Python loop in the array geometry"

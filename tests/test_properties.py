@@ -6,8 +6,13 @@ geometry agent by agent and pair by pair, renumbering a scene permutes the forec
 beyond every range cannot change anyone else's forecast, and the tape
 grows with the number of steps, not with the crowd.
 
-So do known tracks: the kinematics of a whole track, found in one sweep,
-equal the step-by-step chain bit for bit.
+The bins agree too for neighbours on a bearing edge and one ulp to either
+side of it. What makes the scalar reference equal the arrays is that
+numpy's angle functions give a value alone the bits it has in any array;
+a property pins that as well. So do known tracks: the kinematics of a
+whole track, found in one sweep, equal the step-by-step chain bit for
+bit. A row with at most one admitted neighbour sends the domain grid
+exactly zero gradient.
 
 The sample-batched passes have their own: a k-sample decode equals k
 one-sample decodes bit for bit, one sample's noise reaches no other sample,
@@ -89,8 +94,8 @@ def files(draw):
     estimate_heading computes a heading: every pair sits within rounding of
     a bearing edge (0 or 180 degrees), on either side of it.
 
-    Generic directions matter here (numpy's and libm's atan2 agree on the
-    round ones), so the geometry comes from a drawn seed.
+    Generic directions matter here (round ones land exactly on the edge),
+    so the geometry comes from a drawn seed.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dx, dy = rng.normal(size=2)
@@ -136,6 +141,73 @@ def test_sample_batched_bins_equal_the_scalar_geometry(n, samples, spec, data):
             for b in range(n):
                 want = bin_index(compute_encounter(crowd[s, a], crowd[s, b]), spec)
                 assert (bearing[s, a, b], rel_heading[s, a, b]) == want, (s, a, b)
+
+
+def headings_across(world: float, edge: float) -> list[float]:
+    """Consecutive headings, one ulp apart, around the heading from which a
+    neighbour at world angle ``world`` sits at bearing ``edge``: they give
+    the edge itself (where some heading does) and the nearest bearings
+    computed on either side of it. A lower heading sees a larger bearing."""
+    out = [normalize_deg(world - edge)]
+    for way, above in ((-math.inf, True), (math.inf, False)):
+        h = out[0]
+        for _ in range(64):
+            bearing = normalize_deg(world - h)
+            if bearing != edge and ((bearing - edge) % 360.0 < 180.0) == above:
+                break
+            h = math.nextafter(h, way)
+            h = math.nextafter(360.0, 0.0) if h < 0.0 else 0.0 if h >= 360.0 else h
+            out.append(h)
+    return out
+
+
+@settings(PROPERTY, max_examples=100)
+@given(spec=spec, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_bins_of_neighbours_on_a_bearing_edge_equal_the_scalar_geometry(spec, seed, data):
+    # The pairs within rounding of an edge are the ones where the array
+    # bearing and the scalar one could land in different bins.
+    edges = data.draw(st.lists(st.integers(0, spec.n_bearing - 1), min_size=1, max_size=4,
+                               unique=True))
+    rng = np.random.default_rng(seed)
+    qx, qy = (float(v) for v in rng.uniform(-4.0, 4.0, size=2))
+    crowd = [AgentKinematics((qx, qy), data.draw(heading), True)]
+    for k in edges:
+        px, py = (float(v) for v in rng.uniform(-4.0, 4.0, size=2))
+        world = float(np.degrees(np.arctan2(qy - py, qx - px)))
+        crowd += [AgentKinematics((px, py), h, True)
+                  for h in headings_across(world, k * spec.bearing_step_deg)]
+    bearing, rel_heading = bin_indices(arrays_of(crowd), spec)
+    for a, observer in enumerate(crowd):
+        for b, other in enumerate(crowd):
+            want = bin_index(compute_encounter(observer, other), spec)
+            assert (bearing[a, b], rel_heading[a, b]) == want, (a, b)
+
+
+operand = st.one_of(coordinate, st.just(0.0), st.just(-0.0), st.floats(-1e300, 1e300))
+
+
+@settings(PROPERTY, max_examples=20)
+@given(special=st.lists(st.tuples(operand, operand, st.floats(-4.0, 4.0)), max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_numpy_angles_give_a_value_alone_the_bits_it_has_in_any_array(special, seed):
+    # The scalar geometry computes on 0-d values and the batched geometry on
+    # arrays, contiguous or every other entry of an offsets array: the two
+    # agree bit for bit only while numpy's loops give each entry the bits it
+    # gets alone, whatever the array's length and the entry's place in it.
+    # 64 (y, x, radians) rows, the drawn ones first, visit every place.
+    table = np.random.default_rng(seed).normal(0.0, 4.0, size=(64, 3))
+    table[:len(special)] = np.reshape(special, (-1, 3))
+    alone = np.array([[np.arctan2(y, x), np.hypot(x, y), np.degrees(r)]
+                      for y, x, r in table.tolist()])
+    spaced = np.zeros((3, 2 * 64))
+    for shift in range(64):
+        rows = (np.arange(64) + shift) % 64
+        dense = table[rows].T.copy()
+        spaced[:, ::2] = dense
+        for n in range(1, 65):
+            for ys, xs, rs in (dense[:, :n], spaced[:, :2 * n:2]):
+                got = np.stack([np.arctan2(ys, xs), np.hypot(xs, ys), np.degrees(rs)], axis=1)
+                assert got.tobytes() == alone[rows[:n]].tobytes(), (shift, n)
 
 
 # One agent's step: generic, along an axis, at a multiple of 15 degrees,
@@ -251,6 +323,28 @@ def test_far_neighbour_cannot_leak_into_the_crowd(n_near, seed, angle, data):
                                          ped_ids=ids)).positions()
     assert np.array_equal(pos_a[:n_near], pos_b[:n_near])
     assert not np.array_equal(pos_a[-1], pos_b[-1])
+
+
+@PROPERTY
+@given(lead=st.sampled_from([(), (3,)]), sizes=st.lists(st.integers(1, 4), min_size=1,
+                                                         max_size=4),
+       live=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_a_row_with_at_most_one_admitted_neighbour_sends_the_grid_no_gradient(
+        lead, sizes, live, seed):
+    # A softmax over one score is 1 whatever the score: a pedestrian with one
+    # neighbour in range, or none, cannot teach the domain grid anything.
+    rng = np.random.default_rng(seed)
+    layout = cells.SceneLayout([list(range(n)) for n in sizes])
+    R, J = layout.neighbors.shape
+    admitted = np.arange(J) == rng.integers(-1, J, size=lead + (R, 1))  # -1: none
+    bins = (rng.integers(1, 4, size=lead + (R, J)), rng.integers(1, 3, size=lead + (R, J)))
+    grid = ad.constant(rng.uniform(0.5, 3.0, size=(3, 2)))
+    cum = ad.constant(rng.normal(0.0, 0.5, size=lead + (R, 2))) if live else None
+    with ad.Tape() as tape:
+        weights = ad.pair_weights(cum, grid, rng.normal(size=lead + (R, J, 2)),
+                                  layout.neighbors, bins, admitted)
+        tape.backward(ad.reduce_sum(ad.mul(weights, ad.constant(rng.normal(size=weights.shape)))))
+    assert grid.grad.tobytes() == np.zeros(grid.shape).tobytes()
 
 
 def test_forward_tape_size_does_not_grow_with_the_crowd():

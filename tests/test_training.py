@@ -654,3 +654,21 @@ class TestGanLoop:
         cfg = micro_cfg(generative=True, noise_dim=3)
         with pytest.raises(ValueError):
             tr.train_gan(micro_windows(1), cfg, tcfg())
+
+
+
+class TestDomainContract:
+    def test_two_person_scenes_leave_both_domain_grids_bit_identical(self):
+        # Each pedestrian of a two-person scene has at most one neighbour,
+        # and a softmax over one neighbour sends the grid no gradient: the
+        # grids keep domain_init_m while the rest of the model trains.
+        windows = micro_windows(4)
+        cfg = micro_cfg()
+        point, _ = tr.train_deterministic(windows, cfg, tcfg())
+        gan, _ = tr.train_gan(windows, micro_cfg(generative=True, noise_dim=3),
+                              tcfg(gan=gn.GanConfig(k=2, diversity_weight=0.5)))
+        for store, name in ((point.params, "domain_grid"), (gan.params, "domain_grid"),
+                            (gan.disc_params, "disc.domain_grid")):
+            grid = store[name].values
+            assert grid.tobytes() == np.full(grid.shape, cfg.domain_init_m).tobytes(), name
+        assert not params_equal(point.params, tr.init_state(cfg, tcfg()).params)
