@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation on a linear tape.
 
 Everything is float64. Forward values are computed eagerly; each operation
-appends one record to the active tape, and ``Tape.backward`` replays the
-records in reverse. Gradient buffers are dense and allocated lazily, so a
-node that never receives gradient reads as all zeros.
+appends one record to the active tape, and ``Tape.backward`` sweeps the
+records once, in reverse. Gradient buffers are dense and allocated
+lazily, so a node that never receives gradient reads as all zeros.
 
 Broadcasting is deliberately restricted: a binary op accepts two operands of
 identical shape, or one of them may be a scalar (shape ``()``). Anything
@@ -15,22 +15,19 @@ Fused ops. ``lstm_step``, ``block_matmul``, ``recurrence``, ``attention``,
 batch of rows, what once took several composed records, which the tests
 keep as references. Each equals its composed records bit for bit, in
 values and in every gradient: the forward runs their float operations, and
-the backward replays theirs in their order and adds every input's shares
-as they did.
+the backward runs theirs in their order and adds every input's shares as
+they did.
 
 Saved state and its lifetime. A fused record keeps its inputs, its outputs
 and the intermediates whose rebuild would need a matrix product; its
 backward rebuilds everything else with the forward's own float operations
-(each op's docstring says what it keeps). ``Tape.backward`` frees the saved
-state of each ``recurrence``, ``decoder_step`` and ``attention`` record as
-soon as the sweep has passed the record, whether its backward ran or no
-adjoint reached it, so a sweep's peak stays close to the tape it replays.
-The record keeps its inputs, its outputs and the op's arguments: a repeat
-sweep runs the op again on them under a throwaway tape, whose forward
-rebuilds the same state bit for bit, so it adds the same gradients, and
-``.grad`` reads as before. ``pair_weights`` keeps its few bytes per pair
-for every sweep. A track that wants no gradient is passed to the passes as
-a plain array, so no position path is recorded for it.
+(each op's docstring says what it keeps). A tape is swept once:
+``Tape.backward`` drops each record's backward, and with it all the state
+that backward saved, as soon as the sweep has passed the record, whether
+it ran or no adjoint reached it, so a sweep's peak stays close to the tape
+it walks. The record keeps only its inputs and outputs, and a second
+``backward`` on the tape raises. A track that wants no gradient is passed
+to the passes as a plain array, so no position path is recorded for it.
 
 Adjoints live no longer than the sweep needs them on a tape made for the
 gradients of some nodes only (``Tape(grads_for=...)``, as every training
@@ -44,7 +41,7 @@ the tape that holds it: a tape that nobody refers to any more is freed by
 reference counting as soon as its scope closes.
 
 Tape scopes: ops record only inside ``with Tape() as tape:``, which is how
-training builds the graph that ``tape.backward`` replays. Forward-only work
+training builds the graph that ``tape.backward`` sweeps. Forward-only work
 (evaluation, prediction, plots) runs inside ``with no_grad():``, a tape that
 keeps nothing: every op returns the same values bit for bit, its outputs
 carry ``op_record = None`` and ``backward`` on it raises. Outside any scope
@@ -57,7 +54,6 @@ context that opened it and threads never record onto one another's tapes.
 from __future__ import annotations
 
 import contextvars
-import functools
 import hashlib
 import math
 import weakref
@@ -155,11 +151,10 @@ class Tape:
 
     def __init__(self, grads_for: Iterable[TensorNode] | None = None):
         # (output, inputs, backward); a multi-output op records a tuple of
-        # outputs and a backward that takes one adjoint (or None) per output.
+        # outputs and a backward that takes one adjoint (or None) per output;
+        # the sweep sets each backward to None once past it.
         self._records: list[tuple] = []
-        # Record index -> the backward that a sweep leaves in a fused
-        # record once past it: it runs the op again (``replay``) first.
-        self._replays: dict[int, Callable] = {}
+        self._swept = False
         # id -> node of every node that gets a ``.grad``; None: all of them.
         self._grads_for = (None if grads_for is None
                            else {id(node): node for node in grads_for})
@@ -167,10 +162,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def add(self, op: str, out: TensorNode, inputs: tuple, backward: Callable,
-            replay: Callable | None = None) -> OpRecord:
-        if replay is not None:
-            self._replays[len(self._records)] = functools.partial(_replayed, replay)
+    def add(self, op: str, out: TensorNode, inputs: tuple, backward: Callable) -> OpRecord:
         self._records.append((out, inputs, backward))
         return OpRecord(self, op, len(self._records) - 1)
 
@@ -179,10 +171,10 @@ class Tape:
         reaches, or of those of them the tape's ``grads_for`` names.
 
         ``loss`` must be scalar-shaped and recorded on this tape (or a leaf).
-        Each call propagates its own unit seed, so repeated calls sum
-        gradients instead of double-counting earlier passes. The sweep frees
-        fused records' saved state as it passes them (module docstring,
-        "Saved state and its lifetime").
+        A tape is swept once: the sweep frees each record's saved state as
+        it passes the record (module docstring, "Saved state and its
+        lifetime"), so a second call raises, even after a sweep that raised
+        partway; record on a new ``Tape()`` instead.
 
         Without ``grads_for`` every node the sweep reaches, recorded or
         leaf, reads its gradient as ``.grad`` afterwards. With it, only the
@@ -191,6 +183,9 @@ class Tape:
         other node gets a ``.grad``. The gradients of the nodes it names are
         the same bit for bit either way.
         """
+        if self._swept:
+            raise ValueError("backward on a tape that was already swept: its records' "
+                             "saved state is freed; record on a new ad.Tape()")
         if loss.values.shape != ():
             raise ValueError(
                 f"backward requires a scalar loss, got shape {loss.values.shape}")
@@ -198,6 +193,7 @@ class Tape:
             raise ValueError("loss was not recorded on this tape")
         if not np.isfinite(loss.values):
             raise ValueError(f"backward on non-finite loss ({float(loss.values)})")
+        self._swept = True
         keep = self._grads_for
         adjoints: dict[int, tuple[TensorNode, np.ndarray]] = {
             id(loss): (loss, np.ones_like(loss.values))}
@@ -209,7 +205,7 @@ class Tape:
             return None if entry is None else entry[1]
 
         token = _ADJOINTS.set((adjoints, keep))
-        records, replays = self._records, self._replays
+        records = self._records
         try:
             for index in reversed(range(len(records))):
                 out, inputs, backward_fn = records[index]
@@ -222,8 +218,7 @@ class Tape:
                 if grad is not None:
                     backward_fn(grad)
                     grad = None                 # an adjoint ``take`` dropped dies here
-                if index in replays:            # frees the state ``backward_fn`` saved
-                    records[index] = (out, inputs, replays[index])
+                records[index] = (out, inputs, None)    # frees what ``backward_fn`` saved
         finally:
             _ADJOINTS.reset(token)
         for node, buf in adjoints.values():
@@ -233,17 +228,6 @@ class Tape:
                 node._grad = buf        # the buffer is owned by this pass
             else:
                 node._grad += buf
-
-    def reset(self) -> None:
-        """Drop all records and zero every gradient the tape has touched.
-
-        Parameter values are left intact; only gradient buffers are cleared.
-        """
-        for out, inputs, _ in self._records:
-            for node in (out if type(out) is tuple else (out,)) + inputs:
-                node.zero_grad()
-        self._records.clear()
-        self._replays.clear()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
@@ -260,12 +244,12 @@ class Tape:
 class _RecordFreeTape(Tape):
     """A tape that keeps nothing: ops under it compute their values only."""
 
-    def add(self, op, out, inputs, backward, replay=None) -> None:
+    def add(self, op, out, inputs, backward) -> None:
         return None
 
     def backward(self, loss: TensorNode) -> None:
         raise ValueError("backward on a record-free scope (no_grad): it "
-                         "recorded nothing to replay; record under ad.Tape()")
+                         "recorded nothing to sweep; record under ad.Tape()")
 
 
 def no_grad() -> Tape:
@@ -294,16 +278,6 @@ def nonfinite_origin(node: TensorNode) -> str:
             record = parts[0].op_record
             return f"; first non-finite output: {record.op} at tape record {record.index}"
     return ""
-
-
-def _replayed(replay: Callable, grad) -> None:
-    """A fused record's backward once a sweep has freed its saved state: it
-    runs the op again (``replay``, on the record's own input nodes and
-    arguments) under a throwaway tape, whose forward float operations
-    rebuild the same state bit for bit, then that record's backward."""
-    with Tape() as scratch:
-        replay()
-    scratch._records[-1][2](grad)
 
 
 def constant(values) -> TensorNode:
@@ -358,10 +332,9 @@ def _adjoint(node: TensorNode) -> np.ndarray:
     return entry[1]
 
 
-def _record(op: str, out_values, inputs: tuple, backward: Callable,
-            replay: Callable | None = None) -> TensorNode:
+def _record(op: str, out_values, inputs: tuple, backward: Callable) -> TensorNode:
     node = TensorNode(out_values)
-    node.op_record = active_tape().add(op, node, inputs, backward, replay)
+    node.op_record = active_tape().add(op, node, inputs, backward)
     return node
 
 
@@ -570,10 +543,9 @@ def stack(nodes: Sequence[TensorNode], axis: int = 0) -> TensorNode:
     return _record("stack", outv, tuple(nodes), backward)
 
 
-def _record_parts(op: str, parts: tuple, inputs: tuple, backward: Callable,
-                  replay: Callable | None = None) -> tuple:
+def _record_parts(op: str, parts: tuple, inputs: tuple, backward: Callable) -> tuple:
     """Record one op with several output nodes."""
-    record = active_tape().add(op, parts, inputs, backward, replay)
+    record = active_tape().add(op, parts, inputs, backward)
     for part in parts:
         part.op_record = record
     return parts
@@ -770,8 +742,6 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
     if state is not None:
         state = tuple(map(_lift, state))
         inputs += state
-    replay = functools.partial(recurrence, x, weights, (w_ih, w_hh, bias), fuse_w, fuse_b,
-                               blocks, state)
     if (xv.ndim < 3 or not T or w_ih.shape != (4 * H, xv.shape[-1]) or wv.shape != (4 * H, H)
             or bias.shape != (4 * H,) or fw.shape != (H, 2 * H) or fb.shape != (H,)
             or weights.shape[:-1] != xv.shape[:-1]
@@ -814,18 +784,17 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
                 c_prev = (states[t - 1][4] if t else np.zeros(shape) if state is None
                           else state[1].values)
                 d_gates[t], d_cell = _lstm_grads(d_hidden, d_cell, c_prev, states[t])
-                g2 = d_gates[t].reshape(-1, 4 * H)
-                d_fused = (g2 @ wv).reshape(shape)
-                _add_grad(w_hh, g2.T @ fused[t].reshape(-1, H))
+                d_fused, d_w, _ = _linear_grads(d_gates[t], fused[t], wv)
+                _add_grad(w_hh, d_w)
                 gated = True
             d_fused = _plus(keys_at[t], d_fused)
             d_hidden = None
             if d_fused is not None:
                 joint = joint_at(t)
-                d_lin = (d_fused * (1.0 - fused[t] * fused[t])).reshape(-1, H)
-                d_joint = (d_lin @ fw).reshape(joint.shape)
-                _add_grad(fuse_w, d_lin.T @ joint.reshape(-1, 2 * H))
-                _add_grad(fuse_b, d_lin.sum(axis=0))
+                d_joint, d_w, d_b = _linear_grads(d_fused * (1.0 - fused[t] * fused[t]), joint,
+                                                  fw)
+                _add_grad(fuse_w, d_w)
+                _add_grad(fuse_b, d_b)
                 d_hidden = d_joint[..., :H].copy()
                 _block_grads(d_joint[..., H:], [ab[t] for ab in w_blocks], joint[..., :H],
                              pieces, d_weights[t], d_hidden)
@@ -843,7 +812,7 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
             _add_grad(bias, d_b)
 
     return _record_parts("recurrence", (TensorNode(hidden), TensorNode(cell),
-                                        TensorNode(fused)), inputs, backward, replay)
+                                        TensorNode(fused)), inputs, backward)
 
 
 def exp(a) -> TensorNode:
@@ -907,7 +876,6 @@ def attention(query, keys, weight, bias) -> TensorNode:
     the backward rebuilds ``[context, query]``.
     """
     query, keys, weight, bias = map(_lift, (query, keys, weight, bias))
-    replay = functools.partial(attention, query, keys, weight, bias)
     qv, kv, wv = query.values, keys.values, weight.values
     K = kv.shape[-1]
     if (kv.ndim < 3 or qv.shape != kv.shape[:-2] + (K,)
@@ -920,7 +888,7 @@ def attention(query, keys, weight, bias) -> TensorNode:
         for share in _attention_grads(g, qv, kv, saved, weight, bias, keys):
             _add_grad(query, share)
 
-    return _record("attention", saved[2], (query, keys, weight, bias), backward, replay)
+    return _record("attention", saved[2], (query, keys, weight, bias), backward)
 
 
 def _attention_values(qv, kv, wv, bv) -> tuple:
@@ -1027,9 +995,6 @@ def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, em
     cum = None if cum is None else _lift(cum)
     params = [_lift(p) for p in (*fuse, *embed, *lstm, *out)]
     fuse_w, fuse_b, embed_w, embed_b, w_ih, w_hh, bias, out_w, out_b = params
-    replay = functools.partial(decoder_step, hidden, cell, weights, blocks, cum, step_in,
-                               last_pos, params[:2], params[2:4], params[4:7], params[7:],
-                               attention)
     keys, att_w, att_b = attention or (None,) * 3
     inputs = [n for n in (hidden, cell, *params, weights, cum, step_in, keys, att_w, att_b)
               if n is not None]
@@ -1090,8 +1055,7 @@ def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, em
                      pieces, _adjoint(weights), _adjoint(hidden))
 
     outs = [new_hidden, cell_state[4], disp] + ([] if cum is None else [cum_v]) + [base + cum_v]
-    parts = _record_parts("decoder_step", tuple(map(TensorNode, outs)), tuple(inputs), backward,
-                          replay)
+    parts = _record_parts("decoder_step", tuple(map(TensorNode, outs)), tuple(inputs), backward)
     return parts if cum is not None else parts[:3] + parts[2:]     # the first sum is disp
 
 

@@ -818,58 +818,65 @@ class TestFusedKernels:
 
 
 class TestTapeLifecycle:
-    def test_reset_clears_grads_keeps_values(self):
-        store = ad.ParamStore()
-        p = store.register("w", [1.0, 2.0])
-        with ad.Tape() as tape:
-            tape.backward(ad.reduce_sum(ad.mul(p, p)))
-            assert np.any(p.grad != 0.0)
-            tape.reset()
-            assert len(tape) == 0
-            np.testing.assert_array_equal(p.grad, [0.0, 0.0])
-            np.testing.assert_array_equal(p.values, [1.0, 2.0])
-
-    def test_second_backward_accumulates(self):
+    @pytest.mark.parametrize("named", [False, True], ids=["default", "grads_for"])
+    def test_a_second_backward_raises(self, named):
         x = ad.constant(2.0)
-        with ad.Tape() as tape:
+        with ad.Tape(grads_for=[x] if named else None) as tape:
             y = ad.mul(x, x)
             tape.backward(y)
-            tape.backward(y)
-        assert x.grad == 8.0
+            with pytest.raises(ValueError, match="already swept.*new ad.Tape"):
+                tape.backward(y)
+        assert x.grad == 4.0
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), first=st.sampled_from(["every_op", "leaves_only"]),
            grads_for=st.sampled_from([None, (1,), (0, 1)]))
-    def test_a_repeat_backward_adds_what_a_second_identical_tape_adds_bitwise(
+    def test_one_sweep_gives_the_named_leaves_the_default_sweeps_gradients_bitwise(
             self, seed, first, grads_for):
-        # The first sweep frees every fused record's saved state, whether it
-        # ran the record's backward ("every_op") or skipped it for lack of an
-        # adjoint ("leaves_only"); the repeat sweep rebuilds it. A tape for
-        # some of the leaves (``grads_for``) gives them the default sweeps'
-        # gradients, summed over both sweeps, and no other node a ``.grad``.
+        # The sweep frees every record's saved state, whether it ran the
+        # record's backward ("every_op") or skipped it for lack of an
+        # adjoint ("leaves_only"). A tape for some of the leaves
+        # (``grads_for``) gives them the default sweep's gradients and no
+        # other node a ``.grad``.
         def losses(x, w):
             return {"every_op": every_op(x, w), "leaves_only": ad.reduce_sum(ad.mul(x, x))}
 
         rng = np.random.default_rng(seed)
         xv, wv = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
-        one_tape = [ad.constant(xv.copy()), ad.constant(wv.copy())]
+        named = [ad.constant(xv.copy()), ad.constant(wv.copy())]
         kept = range(2) if grads_for is None else grads_for
         with ad.Tape(grads_for=None if grads_for is None
-                     else [one_tape[i] for i in grads_for]) as tape:
-            made = losses(*one_tape)
-            tape.backward(made[first])
-            tape.backward(made["every_op"])
-        two_tapes = [ad.constant(xv.copy()), ad.constant(wv.copy())]
-        for name in (first, "every_op"):
-            with ad.Tape() as other:
-                other.backward(losses(*two_tapes)[name])
-        assert ([one_tape[i].grad.tobytes() for i in kept]
-                == [two_tapes[i].grad.tobytes() for i in kept])
+                     else [named[i] for i in grads_for]) as tape:
+            tape.backward(losses(*named)[first])
+        default = [ad.constant(xv.copy()), ad.constant(wv.copy())]
+        with ad.Tape() as other:
+            other.backward(losses(*default)[first])
+        assert ([named[i].grad.tobytes() for i in kept]
+                == [default[i].grad.tobytes() for i in kept])
+        assert all(backward is None for _, _, backward in tape._records)
         if grads_for is not None:
             recorded = [part for out, _, _ in tape._records
                         for part in (out if type(out) is tuple else (out,))]
             assert len(recorded) > len(tape) and all(node._grad is None for node in recorded)
-            assert all(one_tape[i]._grad is None for i in range(2) if i not in grads_for)
+            assert all(named[i]._grad is None for i in range(2) if i not in grads_for)
+
+    def test_a_sweep_leaves_no_record_a_backward(self):
+        # Each record's backward, and the state it saved, goes as the sweep
+        # passes it: the fused records' and every other record's alike.
+        rng = np.random.default_rng(12)
+        x, w = ad.constant(rng.normal(size=(3, 4))), ad.constant(rng.normal(size=(2, 4)))
+        with ad.Tape() as tape:
+            hidden, cell = ad.lstm_step(ad.concat([x, x], axis=-1), x[:, :2], x[:, 2:],
+                                        ad.concat([w, w, w, w])[:, :2])
+            blocks = ad.block_matmul(ad.tanh(x), ad.stack([w[0], w[1], w[0], w[1]]),
+                                     [(1, 3, 4)])
+            tape.backward(ad.mean_of([every_op(x, w), ad.reduce_sum(ad.mul(hidden, cell)),
+                                      ad.reduce_sum(blocks)]))
+        ops = {(out[0] if type(out) is tuple else out).op_record.op
+               for out, _, _ in tape._records}
+        assert {"lstm_step", "block_matmul", "recurrence", "attention", "pair_weights",
+                "decoder_step"} <= ops
+        assert [backward for _, _, backward in tape._records] == [None] * len(tape)
 
     def test_loss_from_other_tape_rejected(self):
         with ad.Tape():
@@ -1158,12 +1165,11 @@ class TestDeterminism:
             W = store.register("W", hub.stream("init/W").uniform(-0.5, 0.5, (4, 3)))
             x = ad.constant(hub.stream("data").normal(size=3))
             opt = ad.Adam(store, lr=0.01)
-            with ad.Tape() as tape:
-                for _ in range(3):
+            for _ in range(3):
+                with ad.Tape() as tape:
                     loss = ad.l2norm(ad.tanh(matmul(W, x)))
                     tape.backward(loss)
                     opt.step()
-                    tape.reset()
             return W.values.copy()
 
         np.testing.assert_array_equal(run(), run())

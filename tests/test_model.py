@@ -334,14 +334,15 @@ class TestTapeMemory:
     that holds the grid's cells, and its backward recomputes the offsets
     and distances. Per row and step it keeps the fused records' inputs,
     outputs and the intermediates that need a matrix product to rebuild,
-    and no input-gate node. The backward sweep frees a fused record's saved
-    state as soon as it has passed the record, and a training step's sweep
-    (a tape for the parameters, ``grads_for``) drops each recorded output's
-    adjoint once its record has run, so the sweep's peak stays close to the
-    tape it replays; afterwards the record keeps only its inputs, outputs
-    and arguments. A constant track (the encoder's, the critic step's)
-    records no position path. A GAN step never holds the critic's tape and
-    the generator's at once."""
+    and no input-gate node. A tape is swept once: the sweep frees each
+    record's saved state as soon as it has passed the record, and a
+    training step's sweep (a tape for the parameters, ``grads_for``) drops
+    each recorded output's adjoint once its record has run, so the sweep's
+    peak stays close to the tape it walks; afterwards each record keeps only
+    its inputs and outputs, and a second sweep of the tape raises. A
+    constant track (the encoder's, the critic step's) records no position
+    path. A GAN step never holds the critic's tape and the generator's at
+    once."""
 
     CONFIGS = pytest.mark.parametrize("overrides", [
         {}, {"generative": True}, {"variant": "vanilla"}],

@@ -3,8 +3,11 @@
 A definition passes when something in ``src/`` names it outside its own
 body, when ``bench/tracer.py`` binds it in ``SPANS``, or when it is one of
 the public helpers below that the tests, the demos or the README's users
-call. Names are matched by identifier, so a name shared with another
-definition counts for both: the guard catches code nothing names at all.
+call. A method is reached only as an attribute (``obj.name``), so only an
+attribute of its name counts for it; a function or class counts any name,
+attribute or import of its name. Names are matched by identifier, so a
+name shared with another definition counts for both: the guard catches
+code nothing names at all.
 Likewise every switch of ``ModelConfig`` picks a code path that a demo or a
 benchmark workload runs. ``bench/`` is parsed, not imported, so nothing
 under it is written.
@@ -24,6 +27,7 @@ PUBLIC_HELPERS = {
     "autodiff.sigmoid": "reference op the tests compose LSTM and loss references from",
     "autodiff.log": "reference op the tests compose loss references from",
     "autodiff.ParamStore.names": "public accessor: parameter names in update order",
+    "autodiff.TensorNode.item": "public accessor: a scalar node's value as a Python float",
     "cli._Parser.error": "argparse hook: argparse calls it on a usage error",
     "generative.PredictionSet.positions_array": "public accessor, used by the diversity demo",
     "generative.sample_spread": "evaluation metric of sample spread, used by the diversity demo",
@@ -31,6 +35,8 @@ PUBLIC_HELPERS = {
     "metrics.MetricReport.from_csv": "documented reader of the evaluate/sweep CSV",
     "metrics.near_collision_rate": "documented metric: percent of colliding pedestrians",
     "metrics.linear_extrapolation": "constant-velocity baseline of the collision demo",
+    "model.ForwardResult.displacements": "public accessor: a copy of the predicted "
+                                         "displacements, beside positions()",
     "training.read_curve": "documented reader of the loss-curve CSV",
 }
 
@@ -54,7 +60,8 @@ def definitions() -> dict:
 
 
 def references() -> list:
-    """(module, identifier, line) of every name, attribute and import in src/."""
+    """(module, identifier, line, is an attribute) of every name, attribute
+    and import in src/."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -62,7 +69,8 @@ def references() -> list:
                     node.attr if isinstance(node, ast.Attribute) else
                     node.name.rsplit(".", 1)[-1] if isinstance(node, ast.alias) else None)
             if name is not None:
-                out.append((path.stem, name, getattr(node, "lineno", 0)))
+                out.append((path.stem, name, getattr(node, "lineno", 0),
+                            isinstance(node, ast.Attribute)))
     return out
 
 
@@ -85,9 +93,10 @@ def test_every_definition_has_a_caller_a_tracer_binding_or_a_reason():
     uncalled = []
     for key, (module, node) in definitions().items():
         name = key.rsplit(".", 1)[1]
-        called = any(ref == name and not (mod == module
-                                          and node.lineno <= line <= node.end_lineno)
-                     for mod, ref, line in refs)
+        method = key.count(".") == 2
+        called = any(ref == name and (attribute or not method)
+                     and not (mod == module and node.lineno <= line <= node.end_lineno)
+                     for mod, ref, line, attribute in refs)
         if not called and key not in spared:
             uncalled.append(key)
     assert uncalled == [], f"nothing in src/ calls {uncalled}: delete them or say why they stay"
