@@ -109,10 +109,10 @@ class TensorNode:
 
     __slots__ = ("values", "_grad", "op_record")
 
-    def __init__(self, values, op_record: OpRecord | None = None):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
         self._grad = None
-        self.op_record = op_record
+        self.op_record = None
 
     @property
     def shape(self) -> tuple:
@@ -1160,44 +1160,41 @@ class ParamStore:
 
 
 class Adam:
-    """Bias-corrected Adam over a ParamStore.
+    """Bias-corrected Adam over a ParamStore, at the published defaults.
 
     ``step`` consumes the current gradients, updates parameter values in
     place, bumps the step counter, and zeroes the gradients it used.
     """
 
-    def __init__(self, params: ParamStore, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: ParamStore, lr: float = 1e-3):
         if lr < 0.0:
             raise ValueError(f"learning rate must be >= 0, got {lr}")
         self.params = params
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = {name: np.zeros_like(p.values) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.values) for name, p in params.items()}
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
             p.zero_grad()
 
     def state(self) -> dict:
         return {
-            "t": self.t, "lr": self.lr, "beta1": self.beta1,
-            "beta2": self.beta2, "eps": self.eps,
+            "t": self.t, "lr": self.lr,
             "m": {k: v.copy() for k, v in self.m.items()},
             "v": {k: v.copy() for k, v in self.v.items()},
         }
@@ -1205,9 +1202,6 @@ class Adam:
     def load_state(self, state: dict) -> None:
         self.t = int(state["t"])
         self.lr = float(state["lr"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
         for k in self.m:
             self.m[k][...] = state["m"][k]
             self.v[k][...] = state["v"][k]

@@ -65,7 +65,7 @@ _SECTIONS = {"model": ModelConfig.from_dict,       # as a checkpoint header
 def load_config(path, sets) -> dict:
     """Sectioned key=value file plus --set overrides, each section parsed
     once by its codec, whatever the command; absent sections are absent.
-    ``"model keys"`` names the keys the [model] section sets."""
+    ``"keys"`` maps each section to the keys it sets."""
     parser = configparser.ConfigParser()
     if path is not None:
         try:
@@ -82,7 +82,7 @@ def load_config(path, sets) -> dict:
         if not sep or not dot or not section or not key:
             raise _UsageError(f"--set expects section.key=value, got {item!r}")
         out.setdefault(section, {})[key] = value
-    parsed = {"model keys": tuple(out.get("model", ()))}
+    parsed = {"keys": {section: tuple(entries) for section, entries in out.items()}}
     for section, entries in out.items():
         if section not in _SECTIONS:
             raise DataError(f"unknown config section [{section}]")
@@ -93,16 +93,20 @@ def load_config(path, sets) -> dict:
     return parsed
 
 
-def _checkpoint_state(path, cfgmap) -> tr.TrainState:
-    """The checkpoint at ``path``; a [model] key set to another value than
-    the checkpoint's is a DataError naming the key and both values."""
+def _checkpoint_state(path, cfgmap, resume: bool = False) -> tr.TrainState:
+    """The checkpoint at ``path``; a [model] key, or when ``resume`` a [train]
+    lr or seed, set to another value than the checkpoint's is a DataError
+    naming the key and both values."""
     state = tr.load_checkpoint(path)
-    asked = cfgmap.get("model")
-    for key in cfgmap["model keys"]:
-        if key in MODEL_KEYS and getattr(asked, key) != getattr(state.cfg, key):
-            raise DataError(f"[model] {key} = {getattr(asked, key)!r} differs from "
-                            f"{getattr(state.cfg, key)!r} in checkpoint {path}; "
-                            f"a checkpoint keeps its own architecture")
+    kept = {"model": {key: getattr(state.cfg, key) for key in MODEL_KEYS},
+            "train": {"lr": state.opt.lr, "seed": state.hub.seed} if resume else {}}
+    for section, values in kept.items():
+        asked = cfgmap.get(section)
+        for key in cfgmap["keys"].get(section, ()):
+            if key in values and getattr(asked, key) != values[key]:
+                raise DataError(f"[{section}] {key} = {getattr(asked, key)!r} differs from "
+                                f"{values[key]!r} in checkpoint {path}; a checkpoint "
+                                f"keeps its own architecture, learning rate and seed")
     return state
 
 
@@ -113,9 +117,6 @@ def _train_config(cfgmap) -> tr.TrainConfig:
         conf.validate()
     except ValueError as exc:
         raise DataError(f"bad train config: {exc}") from exc
-    if conf.eval_every:
-        raise DataError(f"[train] eval_every = {conf.eval_every}: the train command "
-                        f"takes no held-out data, so it must be 0")
     return conf
 
 
@@ -192,7 +193,7 @@ def cmd_train(args) -> int:
     cfgmap = load_config(args.config, args.set)
     conf = _train_config(cfgmap)
     if args.resume:
-        state = _checkpoint_state(args.resume, cfgmap)
+        state = _checkpoint_state(args.resume, cfgmap, resume=True)
         cfg = state.cfg
     else:
         state = None

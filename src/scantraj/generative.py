@@ -124,12 +124,10 @@ def window_futures(model: ScanModel, scene: SceneWindow, what: str,
 
 # -- discriminator ---------------------------------------------------------
 
-def build_discriminator_params(cfg: ModelConfig, hub: ad.RngHub,
-                               store: ad.ParamStore | None = None) -> ad.ParamStore:
+def build_discriminator_params(cfg: ModelConfig, hub: ad.RngHub) -> ad.ParamStore:
     """Independent parameter set for the trajectory critic ("disc." names)."""
     cfg.validate()
-    if store is None:
-        store = ad.ParamStore()
+    store = ad.ParamStore()
     E, H = cfg.embed_dim, cfg.hidden_dim
     spec = cfg.bin_spec()
     store.register("disc.domain_grid",
@@ -330,9 +328,9 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
     parameters, so the same decode serves the generator half, which scores
     the k live futures in one pass through the updated critic and descends
     adversarial + variety + lambda * diversity. Its pass over the observed
-    steps records nothing (``record_history=False``): the generator half
-    reads no critic gradient, and the next critic step zeroes them before
-    its backward. Only pedestrians present through the whole window are scored
+    steps records nothing (``record_history=False``), and its tape is made
+    for the generator's parameters, so the critic's never get a ``.grad``
+    from it. Only pedestrians present through the whole window are scored
     by the critic, scene by scene, then sample by sample; the variety and
     diversity terms are each scene's own, through per-scene views of the
     decode, and the variety term keeps using the per-step mask. Every scene

@@ -179,14 +179,13 @@ def frame_collision_fractions(positions, mask=None,
     return (colliding[counts > 0] / counts[counts > 0]).tolist()
 
 
-def near_collision_rate(positions, mask=None,
-                        threshold: float = NEAR_COLLISION_M) -> float:
+def near_collision_rate(positions, mask=None) -> float:
     """Average over frames of the colliding-pedestrian percentage.
 
     A pedestrian collides in a frame when any other present pedestrian is
-    strictly closer than ``threshold`` (0.10 m by default).
+    strictly closer than ``NEAR_COLLISION_M`` (0.10 m).
     """
-    fractions = frame_collision_fractions(positions, mask, threshold)
+    fractions = frame_collision_fractions(positions, mask)
     if not fractions:
         return 0.0
     return float(np.mean(fractions) * 100.0)

@@ -142,7 +142,7 @@ class HiddenBank:
 
 @dataclass
 class ForwardResult:
-    """Differentiable decode outputs, one row per scene column.
+    """Decode outputs, one row per scene column.
 
     A batched decode of S samples gives ``disp`` and ``pos`` a leading
     sample axis, (S, N, steps, 2); ``samples`` splits it. A pass over
@@ -151,7 +151,7 @@ class ForwardResult:
     """
 
     ped_ids: list[int]
-    disp: ad.TensorNode              # (N, steps, 2) predicted displacements
+    disp: np.ndarray                 # (N, steps, 2) predicted displacements, as values
     pos: ad.TensorNode               # (N, steps, 2) predicted positions
     loss_mask: np.ndarray            # (N, steps) bool: ground truth present
 
@@ -160,26 +160,27 @@ class ForwardResult:
         return self.pos.shape[-2]
 
     def samples(self) -> list["ForwardResult"]:
-        """One result per sample of a batched decode; each is a live slice
-        with its own gradient, and the split costs two records in all."""
+        """One result per sample of a batched decode; each one's positions
+        are a live slice with its own gradient, and the split costs one
+        record in all."""
         return [ForwardResult(list(self.ped_ids), disp, pos, self.loss_mask)
-                for disp, pos in zip(ad.unstack(self.disp), ad.unstack(self.pos))]
+                for disp, pos in zip(self.disp, ad.unstack(self.pos))]
 
     def per_scene(self, scenes) -> list["ForwardResult"]:
-        """One result per scene of a batched pass, in batch order; each is
-        a live view with its own gradient, and the split costs two records
-        in all."""
+        """One result per scene of a batched pass, in batch order; each
+        one's positions are a live view with its own gradient, and the split
+        costs one record in all."""
         sizes = [scene.n_peds for scene in _scene_list(scenes)]
         axis = self.pos.values.ndim - 3
         bounds = np.cumsum([0, *sizes]).tolist()
         return [ForwardResult(self.ped_ids[start:stop], disp, pos,
                               self.loss_mask[start:stop])
                 for start, stop, disp, pos in zip(
-                    bounds, bounds[1:], ad.split(self.disp, sizes, axis),
+                    bounds, bounds[1:], np.split(self.disp, bounds[1:-1], axis),
                     ad.split(self.pos, sizes, axis))]
 
     def displacements(self) -> np.ndarray:
-        return self.disp.values.copy()
+        return self.disp.copy()
 
     def positions(self) -> np.ndarray:
         return self.pos.values.copy()
@@ -201,12 +202,10 @@ def zeros_param(store: ad.ParamStore, name: str, shape: tuple[int, ...]) -> ad.T
     return store.register(name, np.zeros(shape))
 
 
-def build_params(cfg: ModelConfig, hub: ad.RngHub,
-                 store: Optional[ad.ParamStore] = None) -> ad.ParamStore:
+def build_params(cfg: ModelConfig, hub: ad.RngHub) -> ad.ParamStore:
     """Create and initialize every trainable tensor the forecaster needs."""
     cfg.validate()
-    if store is None:
-        store = ad.ParamStore()
+    store = ad.ParamStore()
     E, H = cfg.embed_dim, cfg.hidden_dim
     spec = cfg.bin_spec()
     store.register("domain_grid",
@@ -378,12 +377,12 @@ class ScanModel:
                 hidden, cell, weights, layout.blocks, cum, step_in, last_pos, self._fuse(),
                 embed, lstm, out, attention)
             step_in = disp                          # the next step embeds it
-            disps.append(disp)
+            disps.append(disp.values)
             positions.append(pos)
 
         undo = (slice(None),) * len(lead) + (layout.undo,)
         return ForwardResult([pid for scene in scenes for pid in scene.ped_ids],
-                             ad.gather(ad.stack(disps, axis=-2), undo),
+                             np.take(np.stack(disps, axis=-2), layout.undo, axis=len(lead)),
                              ad.gather(ad.stack(positions, axis=-2), undo),
                              present.T)
 
@@ -391,8 +390,8 @@ class ScanModel:
         """Encode and decode one scene, or a list of scenes as one batch."""
         scenes = _scene_list(scenes)
         if sum(scene.n_peds for scene in scenes) == 0:
-            empty = ad.constant(np.zeros((0, self.cfg.pred_len, 2)))
-            return ForwardResult([], empty, empty,
+            empty = np.zeros((0, self.cfg.pred_len, 2))
+            return ForwardResult([], empty, ad.constant(empty),
                                  np.zeros((0, self.cfg.pred_len), dtype=bool))
         return self.decode(scenes, self.encode(scenes), noise=noise)
 

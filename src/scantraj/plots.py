@@ -33,6 +33,7 @@ SAMPLE_COLOR = "#4477cc"
 MEAN_COLOR = "#cc2222"
 TRAJECTORY_CSV_HEADER = "series,ped,step,x,y"
 PANEL_CSV_HEADER = "panel,title,series,ped,step,x,y"
+FAN_KS = (1, 4, 8)          # samples per diversity-grid panel, in panel order
 
 
 def _fmt(value: float) -> str:
@@ -85,11 +86,8 @@ class _Svg:
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
             f'fill="{fill}"{extra}/>')
 
-    def path(self, d: str, fill: str, stroke: str = "#666666",
-             stroke_width: float = 0.5) -> None:
-        self.parts.append(
-            f'<path d="{d}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{stroke_width:g}"/>')
+    def path(self, d: str, fill: str) -> None:
+        self.parts.append(f'<path d="{d}" fill="{fill}" stroke="#666666" stroke-width="0.5"/>')
 
     def text(self, x, y, s: str, size: float = 12, fill: str = "#222222",
              anchor: str = "start", bold: bool = False) -> None:
@@ -375,15 +373,14 @@ def diversity_grid(path_base, scene, panels) -> list[str]:
 # -- checkpoint-driven emission ------------------------------------------------
 
 def emit_plots(checkpoint_path, scenes, out_dir, k: int | None = None,
-               lam_label: float = 0.0, fan_ks=(1, 4, 8), seed: int = 0,
-               max_scenes: int = 4) -> list[str]:
+               lam_label: float = 0.0, seed: int = 0, max_scenes: int = 4) -> list[str]:
     """Render a checkpoint's standard figure set under ``out_dir``.
 
     Writes per-scene trajectory fans, the learned-domain heatmap, and —
-    for generative checkpoints — a diversity fan grid whose cells reuse
-    prefixes of one sample draw and are titled kV-lambda (the lambda
-    label is the training-time diversity weight, supplied by the caller;
-    a checkpoint embodies a single lambda). Every SVG gets a CSV with the
+    for generative checkpoints — a diversity fan grid whose ``FAN_KS``
+    cells reuse prefixes of one sample draw and are titled kV-lambda (the
+    lambda label is the training-time diversity weight, supplied by the
+    caller; a checkpoint embodies a single lambda). Every SVG gets a CSV with the
     same numbers. Returns the list of written paths.
     """
     state = load_checkpoint(checkpoint_path)
@@ -408,8 +405,8 @@ def emit_plots(checkpoint_path, scenes, out_dir, k: int | None = None,
     written += domain_heatmap(os.path.join(out_dir, "domain_grid"),
                               state.params["domain_grid"].values)
     if state.cfg.generative and kept:
-        samples = futures(0, kept[0], max(fan_ks))
-        panels = [(kk, lam_label, samples[:kk]) for kk in sorted(fan_ks)]
+        samples = futures(0, kept[0], max(FAN_KS))
+        panels = [(kk, lam_label, samples[:kk]) for kk in FAN_KS]
         written += diversity_grid(os.path.join(out_dir, "diversity_grid"),
                                   kept[0], panels)
     return written

@@ -41,7 +41,6 @@ class TrainConfig:
     lr: float = 0.001
     epochs: int = 200
     seed: int = 0
-    eval_every: int = 0               # epochs between held-out evals; 0 = off
     gan: Optional[gn.GanConfig] = None
 
     def validate(self) -> None:
@@ -53,8 +52,6 @@ class TrainConfig:
             raise ValueError("lr must be >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.eval_every < 0:
-            raise ValueError("eval_every must be >= 0")
         if self.gan is not None:
             self.gan.validate()
 
@@ -85,8 +82,7 @@ def init_state(cfg: ModelConfig, tcfg: TrainConfig) -> TrainState:
     return TrainState(cfg, params, opt, hub, 0, disc_params, disc_opt)
 
 
-def _run_epochs(windows: list, tcfg: TrainConfig, state: TrainState,
-                eval_windows: Optional[list], step) -> tuple:
+def _run_epochs(windows: list, tcfg: TrainConfig, state: TrainState, step) -> tuple:
     """The epoch loop of both trainers, from ``state.epoch`` to ``tcfg.epochs``.
 
     Each epoch shuffles the scenes (one draw from the shuffle stream),
@@ -95,7 +91,7 @@ def _run_epochs(windows: list, tcfg: TrainConfig, state: TrainState,
     ``(terms, weight)``: the batch's loss terms as floats and its weight in
     the epoch means, or None when nothing in the batch was trainable. The
     curve gets each term's weighted mean per epoch, in the order the terms
-    come, then the eval rows when they are due.
+    come; score held-out data with ``evaluate`` once training ends.
     """
     curve: list[tuple] = []
     for epoch in range(state.epoch, tcfg.epochs):
@@ -116,16 +112,11 @@ def _run_epochs(windows: list, tcfg: TrainConfig, state: TrainState,
         if weight == 0:
             raise ValueError("no trainable scenes in the dataset")
         curve.extend((epoch, term, total / weight) for term, total in sums.items())
-        if eval_windows and tcfg.eval_every and (epoch + 1) % tcfg.eval_every == 0:
-            report = evaluate(state.cfg, state.params, eval_windows, k=1)
-            curve.append((epoch, "eval_ade", report.ade))
-            curve.append((epoch, "eval_fde", report.fde))
         state.epoch = epoch + 1
     return state, curve
 
 
 def train_deterministic(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
-                        eval_windows: Optional[list] = None,
                         state: Optional[TrainState] = None):
     """Minimize the mean squared trajectory error with Adam.
 
@@ -165,11 +156,10 @@ def train_deterministic(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
             state.opt.step()
         return {"train_loss": float(batch_loss.values)}, len(losses)
 
-    return _run_epochs(windows, tcfg, state, eval_windows, step)
+    return _run_epochs(windows, tcfg, state, step)
 
 
 def train_gan(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
-              eval_windows: Optional[list] = None,
               state: Optional[TrainState] = None):
     """Alternating critic/generator training; returns (state, curve).
 
@@ -193,7 +183,7 @@ def train_gan(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
         return gn.gan_train_step(model, state.disc_params, live, tcfg.gan,
                                  state.opt, state.disc_opt, noise_rng), 1
 
-    return _run_epochs(windows, tcfg, state, eval_windows, step)
+    return _run_epochs(windows, tcfg, state, step)
 
 
 # -- evaluation -------------------------------------------------------------
@@ -209,18 +199,18 @@ def evaluate(cfg: ModelConfig, params: ad.ParamStore, windows: list,
     """Score a parameter set over held-out windows.
 
     At k = 1 every configuration scores its zero-noise forecast,
-    ``model.forward(scene)``, as the ``eval_every`` rows do; ``predict`` and
-    the plots draw one noisy sample instead. At k > 1 (generative only) each
-    window draws k seeded futures from its own noise stream: the ade/fde
-    columns use the first sample, best-of-k the whole set. All error
-    fields are unweighted means of per-scene values; the near-collision
-    rate pools frames across scenes. Evaluating twice with one seed gives
-    identical reports. Each window's futures come from
-    ``generative.window_futures`` under ``ad.no_grad()``, which records
-    nothing and gives a recorded pass's values bit for bit; futures that
-    are not all finite raise ``NumericError`` naming the first op whose
-    output went non-finite. So does a window whose finite predictions lie
-    too far away to score as a finite error.
+    ``model.forward(scene)``; ``predict`` and the plots draw one noisy
+    sample instead. At k > 1 (generative only) each window draws k seeded
+    futures from its own noise stream: the ade/fde columns use the first
+    sample, best-of-k the whole set. All error fields are unweighted means
+    of per-scene values; the near-collision rate pools frames across
+    scenes. Evaluating twice with one seed gives identical reports. Each
+    window's futures come from ``generative.window_futures`` under
+    ``ad.no_grad()``, which records nothing and gives a recorded pass's
+    values bit for bit; futures that are not all finite raise
+    ``NumericError`` naming the first op whose output went non-finite. So
+    does a window whose finite predictions lie too far away to score as a
+    finite error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -399,12 +389,32 @@ def _adam_header(prefix: str, opt: ad.Adam, moments: dict) -> list[str]:
     return lines
 
 
-def _adam_from(store: ad.ParamStore, prefix: str, text: dict[str, str],
+# Adam's constants as older headers carry them: dropped at that value, refused at any other.
+RETIRED_ADAM_KEYS = {"beta1": ad.Adam.BETA1, "beta2": ad.Adam.BETA2, "eps": ad.Adam.EPS}
+
+
+def _header_value(path, text: dict[str, str], key: str, cast):
+    """``cast`` of header line ``key``; a missing or malformed line is a
+    DataError naming the key."""
+    try:
+        return cast(text[key])
+    except (KeyError, ValueError) as exc:
+        problem = f"bad value {text[key]!r}" if key in text else "no such line"
+        raise DataError(f"checkpoint {path}: header {key}: {problem}") from exc
+
+
+def _adam_from(path, store: ad.ParamStore, prefix: str, text: dict[str, str],
                moments: dict[str, np.ndarray]) -> ad.Adam:
     """The optimizer ``_adam_header`` saved, rebuilt through ``Adam.load_state``."""
+    for key, kept in RETIRED_ADAM_KEYS.items():
+        value = text.get(f"{prefix}.{key}", repr(kept))
+        if value != repr(kept):
+            raise DataError(f"checkpoint {path}: {prefix}.{key} = {value} differs "
+                            f"from {kept!r}, the only value Adam implements")
     opt = ad.Adam(store)
     opt.load_state({key: ({name: moments[f"{key}/{name}"] for name in value}
-                          if isinstance(value, dict) else text[f"{prefix}.{key}"])
+                          if isinstance(value, dict)
+                          else _header_value(path, text, f"{prefix}.{key}", type(value)))
                     for key, value in opt.state().items()})
     return opt
 
@@ -481,18 +491,19 @@ def load_checkpoint(path) -> TrainState:
         raise DataError(f"checkpoint {path}: bad model config: {exc}") from exc
 
     params = ad.ParamStore()
-    disc_params = ad.ParamStore() if text.get("has_disc") == "true" else None
+    has_disc = _header_value(path, text, "has_disc", ("false", "true").index)
+    disc_params = ad.ParamStore() if has_disc else None
     for name, values in param_table.items():
         if name.startswith("disc.") and disc_params is not None:
             disc_params.register(name, values)
         else:
             params.register(name, values)
 
-    opt = _adam_from(params, "adam", text, moment_table)
-    disc_opt = (_adam_from(disc_params, "adam_disc", text, moment_table)
+    opt = _adam_from(path, params, "adam", text, moment_table)
+    disc_opt = (_adam_from(path, disc_params, "adam_disc", text, moment_table)
                 if disc_params is not None else None)
 
-    hub = ad.RngHub(int(text["seed"]))
-    hub.load_state(_unjsonable(json.loads(text["rng"])))
-    return TrainState(cfg, params, opt, hub, int(text["epoch"]),
+    hub = ad.RngHub(_header_value(path, text, "seed", int))
+    hub.load_state(_header_value(path, text, "rng", lambda raw: _unjsonable(json.loads(raw))))
+    return TrainState(cfg, params, opt, hub, _header_value(path, text, "epoch", int),
                       disc_params, disc_opt)

@@ -277,7 +277,8 @@ def composed_decode(model, scenes, bank, noise=None):
 
     undo = (slice(None),) * len(lead) + (layout.undo,)
     return ForwardResult([pid for scene in scenes for pid in scene.ped_ids],
-                         ad.gather(ad.stack(disps, axis=-2), undo),
+                         np.take(np.stack([d.values for d in disps], axis=-2),
+                                 layout.undo, axis=len(lead)),
                          ad.gather(ad.stack(positions, axis=-2), undo),
                          present.T)
 

@@ -315,16 +315,16 @@ class TestTrainCommand:
         assert code == 2
         assert "generative" in capsys.readouterr().err
 
-    def test_nonzero_eval_every_is_a_data_error_before_training(self, tmp_path,
-                                                               micro_config, capsys):
-        # The command has no held-out data to evaluate, so it refuses the key
-        # instead of ignoring it.
+    def test_eval_every_is_an_unknown_key_refused_before_training(self, tmp_path,
+                                                                  micro_config, capsys):
+        # Training scores no held-out data, so the removed key is refused as
+        # any unknown key is.
         ckpt = tmp_path / "x.ckpt"
         code = cli.run(["train", "--config", micro_config, "--synth", "straight:2:1",
-                        "--set", "train.eval_every=1", "--out", str(ckpt)])
+                        "--set", "train.eval_every=0", "--out", str(ckpt)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "eval_every" in err and "held-out" in err
+        assert "unknown key 'eval_every'" in err
         assert not ckpt.exists()
 
     def test_resume_continues_to_target_epochs(self, tmp_path, micro_config):
@@ -490,6 +490,28 @@ class TestInspectDomainCommand:
         code = cli.run(["inspect-domain", "--ckpt", trained_ckpt,
                         "--out", str(tmp_path / "d"), "--which", "disc"])
         assert code == 2
+
+
+class TestResumeKeepsLrAndSeed:
+    """train --resume keeps the checkpoint's learning rate and seed: a [train]
+    lr or seed that differs is a data error naming the key and both values
+    (equal ones resume, as ``TestCheckpointModelKeys`` shows), and other
+    commands ignore both."""
+
+    @pytest.mark.parametrize("key, value, kept", [("lr", "0.5", "0.01"), ("seed", "99", "3")])
+    def test_a_differing_lr_or_seed_is_a_data_error_naming_both_values(
+            self, tmp_path, trained_ckpt, capsys, key, value, kept):
+        capsys.readouterr()
+        again = tmp_path / "again.ckpt"
+        code = cli.run(["train", "--resume", trained_ckpt, "--out", str(again),
+                        "--synth", "straight:2:1", "--set", f"train.{key}={value}"])
+        assert code == 2
+        assert f"[train] {key} = {value} differs from {kept}" in capsys.readouterr().err
+        assert not again.exists()
+
+    def test_evaluate_ignores_the_train_section(self, trained_ckpt):
+        assert cli.run(["evaluate", "--ckpt", trained_ckpt, "--synth", "straight:2:7",
+                        "--set", "train.lr=0.5", "--set", "train.seed=99"]) == 0
 
 
 class TestCheckpointModelKeys:

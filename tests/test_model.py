@@ -466,8 +466,7 @@ class TestConfig:
     def test_train_and_gan_sections_cast_by_field_type(self):
         conf = sm.config_from_dict(tr.TrainConfig, {"epochs": "3", "lr": "0.5"})
         assert conf == tr.TrainConfig(epochs=3, lr=0.5)
-        assert sm.config_keys(tr.TrainConfig) == ("batch_size", "lr", "epochs",
-                                                  "seed", "eval_every")
+        assert sm.config_keys(tr.TrainConfig) == ("batch_size", "lr", "epochs", "seed")
         gan = sm.config_from_dict(gn.GanConfig, {"k": "2", "diversity_weight": "1"})
         assert gan == gn.GanConfig(k=2, diversity_weight=1.0)
         assert sm.config_from_dict(gn.GanConfig, {}) == gn.GanConfig()

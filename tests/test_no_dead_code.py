@@ -9,7 +9,10 @@ attribute or import of its name. Names are matched by identifier, so a
 name shared with another definition counts for both: the guard catches
 code nothing names at all.
 Likewise every switch of ``ModelConfig`` picks a code path that a demo or a
-benchmark workload runs. ``bench/`` is parsed, not imported, so nothing
+benchmark workload runs, every field of ``TrainConfig`` and ``GanConfig`` is
+set by one, and every defaulted parameter is passed by some call in
+``src/``, ``demos/`` or ``bench/`` or has a reason below: an option with one
+value in use is a constant. ``bench/`` is parsed, not imported, so nothing
 under it is written.
 """
 
@@ -17,7 +20,11 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import pytest
+
+from scantraj.generative import GanConfig
 from scantraj.model import ModelConfig
+from scantraj.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "scantraj"
@@ -38,6 +45,15 @@ PUBLIC_HELPERS = {
     "model.ForwardResult.displacements": "public accessor: a copy of the predicted "
                                          "displacements, beside positions()",
     "training.read_curve": "documented reader of the loss-curve CSV",
+}
+
+# "module.function.parameter" (``Class.__init__`` for a constructor's) ->
+# why a defaulted parameter that no call in src/, demos/ or bench/ passes stays.
+PUBLIC_OPTIONS = {
+    "model.ScanModel.forward.noise": "a generative model's noise draw; the tests pass "
+                                     "it to check sampling through the public pass",
+    "plots.domain_heatmap.title": "the figure title; the tests drive the XML escape "
+                                  "through it",
 }
 
 
@@ -100,6 +116,75 @@ def test_every_definition_has_a_caller_a_tracer_binding_or_a_reason():
         if not called and key not in spared:
             uncalled.append(key)
     assert uncalled == [], f"nothing in src/ calls {uncalled}: delete them or say why they stay"
+
+
+def defaulted_parameters() -> dict:
+    """"module.function.parameter" -> (called name, positional index or None)
+    of every parameter with a default, for each definition and constructor;
+    a method's index leaves out ``self`` and a keyword-only one has none."""
+    found = {}
+    functions = {key: node for key, (_, node) in definitions().items()
+                 if isinstance(node, ast.FunctionDef)}
+    for key, (_, node) in definitions().items():
+        for sub in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+                functions[f"{key}.__init__"] = sub
+    for key, node in functions.items():
+        parts = key.split(".")
+        called = parts[-2] if parts[-1] == "__init__" else parts[-1]
+        bound = len(parts) > 2 and not any(getattr(d, "id", None) == "staticmethod"
+                                           for d in node.decorator_list)
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for index, arg in enumerate(positional[first:], start=first - bound):
+            found[f"{key}.{arg.arg}"] = (called, index)
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                found[f"{key}.{arg.arg}"] = (called, None)
+    return found
+
+
+def calls(*folders) -> list:
+    """Every call under ``folders`` as (called identifier, call node)."""
+    out = []
+    for folder in folders:
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if isinstance(node, ast.Call) and name is not None:
+                    out.append((name, node))
+    return out
+
+
+def passes(call: ast.Call, name: str, index) -> bool:
+    """Whether ``call`` passes parameter ``name`` at positional ``index``,
+    by keyword, by position or through ``*args`` or ``**kwargs``."""
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or index is not None and (len(call.args) > index or any(
+                isinstance(arg, ast.Starred) for arg in call.args)))
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller_or_has_a_reason():
+    everything = calls(SRC, ROOT / "demos", ROOT / "bench")
+    spared = tracer_bound() | set(PUBLIC_HELPERS)
+    unpassed = [key for key, (called, index) in defaulted_parameters().items()
+                if key.rsplit(".", 1)[0].removesuffix(".__init__") not in spared
+                and key not in PUBLIC_OPTIONS
+                and not any(name == called and passes(call, key.rsplit(".", 1)[1], index)
+                            for name, call in everything)]
+    assert unpassed == [], f"no caller passes {unpassed}: make them constants or say why"
+
+
+def test_every_public_option_is_still_a_defaulted_parameter():
+    assert set(PUBLIC_OPTIONS) - set(defaulted_parameters()) == set()
+
+
+@pytest.mark.parametrize("config", [TrainConfig, GanConfig])
+def test_every_train_and_gan_field_is_set_by_a_demo_or_the_bench(config):
+    passed = {kw.arg for name, call in calls(ROOT / "demos", ROOT / "bench")
+              if name == config.__name__ for kw in call.keywords}
+    assert {field.name for field in dataclasses.fields(config)} - passed == set()
 
 
 def test_every_public_helper_still_exists():

@@ -198,12 +198,11 @@ class TestEmitPlots:
     def test_generative_checkpoint_adds_diversity_grid(self, tmp_path):
         ckpt = self._checkpoint(tmp_path, generative=True)
         out = tmp_path / "figs"
-        written = plots.emit_plots(ckpt, micro_windows(1), out,
-                                   k=5, fan_ks=(1, 4))
+        written = plots.emit_plots(ckpt, micro_windows(1), out, k=5)
         names = {p.split("/")[-1] for p in written}
         assert {"diversity_grid.svg", "diversity_grid.csv"} <= names
         header, rows = read_rows(out / "diversity_grid.csv")
-        assert {row[1] for row in rows} == {"1V-0", "4V-0"}
+        assert {row[1] for row in rows} == {"1V-0", "4V-0", "8V-0"}
 
     def test_a_one_sample_fan_draws_from_the_plot_noise_stream(self, tmp_path):
         # Unlike evaluate at k = 1, a one-sample fan is one noisy sample,

@@ -112,8 +112,7 @@ class TestTrainConfig:
         tcfg(lr=0.0).validate()
 
     def test_rejections(self):
-        for kw in (dict(batch_size=0), dict(lr=-0.1), dict(epochs=-1),
-                   dict(eval_every=-2)):
+        for kw in (dict(batch_size=0), dict(lr=-0.1), dict(epochs=-1)):
             with pytest.raises(ValueError):
                 tcfg(**kw).validate()
 
@@ -228,16 +227,6 @@ class TestDeterministicLoop:
         with pytest.raises(ValueError):
             tr.train_deterministic(micro_windows(1), micro_cfg(),
                                    tcfg(gan=gn.GanConfig()))
-
-    def test_eval_cadence_rows(self):
-        windows = micro_windows(2)
-        cfg = micro_cfg(variant="vanilla")
-        _, curve = tr.train_deterministic(windows, cfg,
-                                          tcfg(epochs=4, eval_every=2),
-                                          eval_windows=windows)
-        tags = {(e, t) for (e, t, _) in curve}
-        assert (1, "eval_ade") in tags and (3, "eval_fde") in tags
-        assert (0, "eval_ade") not in tags and (2, "eval_ade") not in tags
 
 
 class TestDisableTemporalRemoved:
@@ -587,6 +576,62 @@ class TestCheckpointHeader:
         _, path = self.saved(tmp_path)
         self.resealed(path, lambda text: text + "\nmodel.warp_factor=9")
         with pytest.raises(DataError, match="warp_factor"):
+            tr.load_checkpoint(path)
+
+    @staticmethod
+    def saved_gan(tmp_path):
+        cfg = micro_cfg(generative=True, noise_dim=3)
+        state, _ = tr.train_gan(micro_windows(2), cfg,
+                                tcfg(epochs=1, gan=gn.GanConfig(k=2)))
+        path = tmp_path / "gan.ckpt"
+        tr.save_checkpoint(path, state)
+        return cfg, path
+
+    def test_a_header_with_adams_retired_settings_at_their_constants_resumes_bitwise(
+            self, tmp_path):
+        # Checkpoints written before Adam's betas and eps became constants
+        # carry them as header lines; the writer no longer does.
+        cfg, path = self.saved_gan(tmp_path)
+        assert b"beta1" not in path.read_bytes() and b"eps=" not in path.read_bytes()
+        plain = tr.load_checkpoint(path)
+        self.resealed(path, lambda text: text + "".join(
+            f"\n{prefix}.{key}={kept!r}" for prefix in ("adam", "adam_disc")
+            for key, kept in tr.RETIRED_ADAM_KEYS.items()))
+        loaded = tr.load_checkpoint(path)
+        conf = tcfg(epochs=3, gan=gn.GanConfig(k=2))
+        resumed = [tr.train_gan(micro_windows(2), cfg, conf, state=start)[0]
+                   for start in (plain, loaded)]
+        for store in ("params", "disc_params"):
+            assert params_equal(getattr(resumed[0], store), getattr(resumed[1], store))
+        for opt in ("opt", "disc_opt"):
+            first, second = (getattr(state, opt) for state in resumed)
+            assert first.t == second.t
+            for name in first.m:
+                assert first.m[name].tobytes() == second.m[name].tobytes()
+                assert first.v[name].tobytes() == second.v[name].tobytes()
+
+    @pytest.mark.parametrize("prefix", ["adam", "adam_disc"])
+    @pytest.mark.parametrize("key", sorted(tr.RETIRED_ADAM_KEYS))
+    def test_a_retired_adam_setting_at_another_value_is_refused_naming_it(
+            self, tmp_path, prefix, key):
+        _, path = self.saved_gan(tmp_path)
+        self.resealed(path, lambda text: text + f"\n{prefix}.{key}=0.5")
+        with pytest.raises(DataError, match=re.escape(f"{prefix}.{key} = 0.5")):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["epoch", "seed", "rng", "has_disc", "adam.t", "adam.lr"])
+    @pytest.mark.parametrize("value, problem", [(None, "no such line"),
+                                                ("x{", "bad value 'x{'")])
+    def test_a_missing_or_malformed_header_line_is_a_data_error_naming_it(
+            self, tmp_path, key, value, problem):
+        _, path = self.saved(tmp_path)
+
+        def edit(text):
+            lines = [line for line in text.splitlines() if not line.startswith(f"{key}=")]
+            return "\n".join(lines + ([] if value is None else [f"{key}={value}"]))
+
+        self.resealed(path, edit)
+        with pytest.raises(DataError, match=re.escape(f"header {key}: {problem}")):
             tr.load_checkpoint(path)
 
 
