@@ -11,12 +11,13 @@ fancier raises :class:`ShapeError` naming the op and both shapes. Each op's
 docstring states its shapes.
 
 Fused ops. ``lstm_step``, ``block_matmul``, ``recurrence``, ``attention``,
-``pair_weights`` and ``decoder_step`` each do in one record, for a whole
+``pair_weights`` and ``decoder_rollout`` each do in one record, for a whole
 batch of rows, what once took several composed records, which the tests
-keep as references. Each equals its composed records bit for bit, in
-values and in every gradient: the forward runs their float operations, and
-the backward runs theirs in their order and adds every input's shares as
-they did.
+keep as references; ``recurrence`` and ``decoder_rollout`` run all their
+steps in one record, the decoder's geometry included. Each equals its
+composed records bit for bit, in values and in every gradient: the forward
+runs their float operations, and the backward runs theirs in their order
+and adds every input's shares as they did.
 
 Saved state and its lifetime. A fused record keeps its inputs, its outputs
 and the intermediates whose rebuild would need a matrix product; its
@@ -67,7 +68,7 @@ from .geometry import pair_offsets
 __all__ = [
     "TensorNode", "Tape", "no_grad", "active_tape", "constant",
     "add", "sub", "mul", "div", "neg", "block_matmul", "linear",
-    "lstm_step", "recurrence", "attention", "pair_weights", "decoder_step",
+    "lstm_step", "recurrence", "attention", "pair_weights", "decoder_rollout",
     "concat", "stack", "unstack", "split", "gather", "relu", "tanh", "sigmoid", "exp",
     "log", "softplus", "masked_softmax",
     "reduce_sum", "reduce_mean", "l2norm", "mean_of", "ParamStore", "Adam", "RngHub",
@@ -398,17 +399,17 @@ def _blocks_of(x: np.ndarray, rows: slice, m: int, size: int, cols=slice(None)) 
     return np.ascontiguousarray(part).reshape(part.shape[:-2] + (m, size, part.shape[-1]))
 
 
-def _block_layout(op: str, av: np.ndarray, b_shape: tuple, blocks) -> list:
+def _block_layout(op: str, a_shape: tuple, b_shape: tuple, blocks) -> list:
     """The ``(m, p, q, rows_a, rows_b)`` of every block group, checked against
     ``a``'s ``(..., R, J)`` and ``b``'s ``(..., R_b, n)``."""
     pieces, row_a, row_b = [], 0, 0
     for m, p, q in blocks:
-        if q > av.shape[-1]:
-            raise ShapeError(f"{op}: blocks of {q} columns in {av.shape}")
+        if q > a_shape[-1]:
+            raise ShapeError(f"{op}: blocks of {q} columns in {a_shape}")
         pieces.append((m, p, q, slice(row_a, row_a + m * p), slice(row_b, row_b + m * q)))
         row_a, row_b = row_a + m * p, row_b + m * q
-    if (row_a, row_b) != (av.shape[-2], b_shape[-2]):
-        raise ShapeError(f"{op}: blocks {list(blocks)} do not cover {av.shape} and {b_shape}")
+    if (row_a, row_b) != (a_shape[-2], b_shape[-2]):
+        raise ShapeError(f"{op}: blocks {list(blocks)} do not cover {a_shape} and {b_shape}")
     return pieces
 
 
@@ -454,7 +455,7 @@ def block_matmul(a, b, blocks) -> TensorNode:
     av, bv = a.values, b.values
     if av.ndim < 2 or bv.ndim != av.ndim or bv.shape[:-2] != av.shape[:-2]:
         raise ShapeError(f"block_matmul: shapes {av.shape} and {bv.shape} do not conform")
-    pieces = _block_layout("block_matmul", av, bv.shape, blocks)
+    pieces = _block_layout("block_matmul", av.shape, bv.shape, blocks)
     a_blocks = _row_blocks(av, pieces)
 
     def backward(g):
@@ -503,6 +504,16 @@ def _linear_grads(g, xv: np.ndarray, wv: np.ndarray) -> tuple:
     """``linear``'s backward: the adjoints of its input, weight and bias."""
     g2 = g.reshape(-1, wv.shape[0])
     return (g2 @ wv).reshape(xv.shape), g2.T @ xv.reshape(-1, wv.shape[1]), g2.sum(axis=0)
+
+
+def _linear_back(g, xv: np.ndarray, weight: TensorNode, bias: TensorNode | None = None):
+    """``linear``'s backward inside a fused op: adds the weight's share, then
+    the bias's, and returns the input's adjoint."""
+    d_x, d_w, d_b = _linear_grads(g, xv, weight.values)
+    _add_grad(weight, d_w)
+    if bias is not None:
+        _add_grad(bias, d_b)
+    return d_x
 
 
 def concat(nodes: Sequence[TensorNode], axis: int = 0) -> TensorNode:
@@ -737,7 +748,7 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
     xv, wv, fw, fb = x.values, w_hh.values, fuse_w.values, fuse_b.values
     T, H = len(xv) if xv.ndim else 0, wv.shape[-1]
     shape = xv.shape[1:-1] + (H,)
-    pieces = _block_layout("recurrence", weights.values, shape, blocks)
+    pieces = _block_layout("recurrence", weights.shape, shape, blocks)
     inputs = (x, w_ih, w_hh, bias, fuse_w, fuse_b, weights)
     if state is not None:
         state = tuple(map(_lift, state))
@@ -784,17 +795,14 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
                 c_prev = (states[t - 1][4] if t else np.zeros(shape) if state is None
                           else state[1].values)
                 d_gates[t], d_cell = _lstm_grads(d_hidden, d_cell, c_prev, states[t])
-                d_fused, d_w, _ = _linear_grads(d_gates[t], fused[t], wv)
-                _add_grad(w_hh, d_w)
+                d_fused = _linear_back(d_gates[t], fused[t], w_hh)
                 gated = True
             d_fused = _plus(keys_at[t], d_fused)
             d_hidden = None
             if d_fused is not None:
                 joint = joint_at(t)
-                d_joint, d_w, d_b = _linear_grads(d_fused * (1.0 - fused[t] * fused[t]), joint,
-                                                  fw)
-                _add_grad(fuse_w, d_w)
-                _add_grad(fuse_b, d_b)
+                d_joint = _linear_back(d_fused * (1.0 - fused[t] * fused[t]), joint, fuse_w,
+                                       fuse_b)
                 d_hidden = d_joint[..., :H].copy()
                 _block_grads(d_joint[..., H:], [ab[t] for ab in w_blocks], joint[..., :H],
                              pieces, d_weights[t], d_hidden)
@@ -830,10 +838,12 @@ def softplus(a) -> TensorNode:
 
 
 def _softmax_values(xv: np.ndarray, mask: np.ndarray | bool) -> np.ndarray:
-    top = np.max(np.where(mask, xv, -np.inf), axis=-1, keepdims=True,
-                 initial=-np.inf)
+    masked = xv if mask is True else np.where(mask, xv, -np.inf)
+    top = np.maximum.reduce(masked, axis=-1, keepdims=True, initial=-np.inf)
     top = np.where(np.isfinite(top), top, 0.0)      # rows with nothing active
-    e = np.exp(np.where(mask, xv - top, -np.inf))
+    e = masked - top                                # top is finite: masked entries give 0
+    del masked
+    np.exp(e, out=e)
     # Left to right, so that masked (zero) entries appended to a row leave
     # its total unchanged; numpy's own sum regroups rows of 8 or more.
     total = (np.cumsum(e, axis=-1)[..., -1:] if e.shape[-1]
@@ -905,10 +915,8 @@ def _attention_grads(g, qv, kv, saved, weight, bias, keys) -> tuple:
     The ``[context, query]`` rows are rebuilt as the forward built them."""
     weights, context, outv = saved
     K = kv.shape[-1]
-    d_joint, d_w, d_b = _linear_grads(g * (1.0 - outv * outv),
-                                      np.concatenate([context, qv], axis=-1), weight.values)
-    _add_grad(weight, d_w)
-    _add_grad(bias, d_b)
+    d_joint = _linear_back(g * (1.0 - outv * outv), np.concatenate([context, qv], axis=-1),
+                           weight, bias)
     d_context = d_joint[..., :K].copy()
     _add_grad(keys, weights[..., :, None] * d_context[..., None, :])
     d_scores = _softmax_grad(np.matmul(kv, d_context[..., :, None])[..., 0], weights, True)
@@ -917,15 +925,15 @@ def _attention_grads(g, qv, kv, saved, weight, bias, keys) -> tuple:
 
 
 def pair_weights(cum, grid, start, neighbors, bins, mask) -> TensorNode:
-    """The ``(..., R, J)`` spatial weights of a decoder step or of a whole
-    known-track pass, one record.
+    """The ``(..., R, J)`` spatial weights of a known-track pass, one record.
 
     Offsets: ``start + pair_offsets(cum, neighbors)``, or either term alone
     when the other is None. Then the ``(m, n)`` grid's range at the 1-based
     ``bins`` minus the offsets' length, relu, and softmax over the positive
-    scores ``mask`` admits. ``cum`` is ``(..., R, 2)`` and ``start`` ``(...,
-    R, J, 2)``; the leading axes (samples, or time then samples) run in the
-    same record, and ``bins`` and ``mask`` broadcast to ``(..., R, J)``.
+    scores ``mask`` admits. ``cum``, live positions or a running sum of
+    displacements, is ``(..., R, 2)`` and ``start`` ``(..., R, J, 2)``; the
+    leading axes (samples, or time then samples) run in the same record, and
+    ``bins`` and ``mask`` broadcast to ``(..., R, J)``.
     Keeps the weights, the softmax mask, the positive reaches and one flat
     grid-cell index per pair, in the smallest unsigned integer type that
     holds the grid's last cell; the backward recomputes the offsets and
@@ -947,116 +955,159 @@ def pair_weights(cum, grid, start, neighbors, bins, mask) -> TensorNode:
         raise ShapeError(f"pair_weights: offsets {None if start is None else start.shape}, "
                          f"running sum {None if cum is None else cum.shape}, neighbours "
                          f"{neighbors.shape} and grid {grid.shape} do not conform")
-    def offsets_of(start) -> np.ndarray:
-        if cum is None:
-            return start
-        pairs = pair_offsets(cum.values, neighbors)
-        return pairs if start is None else start + pairs
-
-    offsets = offsets_of(start)
+    pairs = None if cum is None else pair_offsets(cum.values, neighbors)
+    saved = _pair_values(grid.values, (bins, mask), start if pairs is None
+                         else pairs if start is None else start + pairs)
     kept = None if cum is None else start       # only a live sum's offsets are rebuilt
-    flat = ((bins[0] - 1) * grid.shape[1] + (bins[1] - 1)).astype(
-        np.min_scalar_type(grid.values.size - 1))
-    reach = np.take(grid.values, flat) - _norm_values(offsets)
-    positive = reach > 0.0
-    active = np.broadcast_to(np.asarray(mask, dtype=bool), reach.shape) & positive
-    outv = _softmax_values(np.maximum(reach, 0.0), active)
 
     def backward(g):
-        d_reach = _softmax_grad(g, outv, active) * positive
-        _add_grad(grid, np.bincount(flat.ravel(), d_reach.ravel(), grid.values.size)
-                  .reshape(grid.shape))
-        if cum is not None:
-            offsets = offsets_of(kept)
-            d_offsets = _norm_grad(-d_reach, offsets, _norm_values(offsets))
-            rows = np.broadcast_to(np.arange(R)[:, None], neighbors.shape)
-            lead = (slice(None),) * (cum.values.ndim - 2)
-            _add_grad(cum, _scatter(cum.shape, lead + (rows,), -d_offsets))
-            _add_grad(cum, _scatter(cum.shape, lead + (neighbors,), d_offsets))
+        for share in _pair_grads(g, saved, grid, neighbors, None if cum is None else cum.values,
+                                 kept):
+            _add_grad(cum, share)
 
-    return _record("pair_weights", outv, (grid,) if cum is None else (grid, cum), backward)
+    return _record("pair_weights", saved[0], (grid,) if cum is None else (grid, cum), backward)
 
 
-def decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse, embed, lstm,
-                 out, attention=None) -> tuple:
-    """One decoder step, one record with outputs ``(hidden, cell, disp, cum,
-    pos)``, all ``(..., R, ·)``.
+def _pair_values(gv: np.ndarray, geometry: tuple, offsets: np.ndarray) -> tuple:
+    """The pair weights' forward from the 1-based ``(bins, mask)`` and what its
+    backward keeps: ``(weights, active, positive, cells)``, the last one flat
+    grid-cell index per pair."""
+    bins, mask = geometry
+    cells = ((bins[0] - 1) * gv.shape[1] + (bins[1] - 1)).astype(
+        np.min_scalar_type(gv.size - 1))
+    reach = np.take(gv, cells) - _norm_values(offsets)
+    positive = reach > 0.0
+    active = np.asarray(mask, dtype=bool) & positive
+    return _softmax_values(np.maximum(reach, 0.0), active), active, positive, cells
 
-    The ``block_matmul`` context of ``hidden`` under the spatial
-    ``weights`` is fused by ``fuse`` (W, b); temporal ``attention`` (keys,
-    W, b), when given, is queried by the fused state; the LSTM update
-    (``lstm``: W_ih, W_hh, b) runs on the ``embed``-ded ``step_in``, the
-    previous displacement; ``disp`` comes from the ``out`` linear, ``cum``
-    is its running sum (``disp`` itself when ``cum`` is None) and ``pos =
-    last_pos + cum``. Keeps the context; the backward rebuilds ``[hidden,
-    context]`` and the weights' blocks.
+
+def _pair_grads(g, saved: tuple, grid: TensorNode, neighbors: np.ndarray, cum, start) -> tuple:
+    """The pair weights' backward: adds the grid's share and returns the
+    shares of the running sum ``cum``, if live, through the rows and through
+    their ``neighbors``; its offsets (plus ``start``) are rebuilt last."""
+    outv, active, positive, cells = saved
+    d_reach = _softmax_grad(g, outv, active) * positive
+    _add_grad(grid, np.bincount(np.broadcast_to(cells, d_reach.shape).ravel(), d_reach.ravel(),
+                                grid.values.size).reshape(grid.shape))
+    if cum is None:
+        return ()
+    offsets = pair_offsets(cum, neighbors)
+    offsets = offsets if start is None else start + offsets
+    d_offsets = _norm_grad(-d_reach, offsets, _norm_values(offsets))
+    lead, shape = (slice(None),) * (d_offsets.ndim - 3), d_offsets.shape[:-2] + (2,)
+    rows = np.broadcast_to(np.arange(len(neighbors))[:, None], neighbors.shape)
+    return (_scatter(shape, lead + (rows,), -d_offsets),
+            _scatter(shape, lead + (neighbors,), d_offsets))
+
+
+def decoder_rollout(hidden, cell, step_in, last_pos, grid, geometry: Callable, neighbors,
+                    blocks, steps: int, fuse, embed, lstm, out,
+                    attention=None) -> tuple[TensorNode, np.ndarray]:
+    """``steps`` decoder steps in one record: the ``(..., R, steps, 2)``
+    positions as a node and the displacements as values.
+
+    The rows start from ``(..., R, H)`` ``hidden`` and ``cell``, the step
+    input ``step_in`` and the ``(R, 2)`` ``last_pos`` that every leading
+    slice (sample) shares. ``geometry(t, previous, current)`` gives step
+    t's 1-based ``bins`` and admitted ``mask`` over the ``(R, J)``
+    ``neighbors`` from the two latest float positions (None and ``last_pos``
+    at step 0). Its weights are ``pair_weights``' over ``pair_offsets(
+    last_pos) + pair_offsets(cum)``, ``cum`` the displacements' running sum
+    (none at step 0, whose weights are computed once for every sample).
+    Then the ``block_matmul`` context is fused by ``fuse`` (W, b) and
+    queries ``attention`` (keys, W, b) when given, ``lstm`` (W_ih, W_hh, b)
+    runs on the ``embed``-ded step input (then the last displacement),
+    ``out`` (W, b) gives the displacement and the position is ``last_pos +
+    cum``. Keeps each step's pair state, as ``pair_weights`` does, and
+    intermediates, none under ``no_grad``. The backward frees each step's
+    state once past it and adds every input's shares in the order a tape of
+    a ``pair_weights`` and a step record per step did, so values and
+    gradients equal those records' bit for bit.
     """
-    hidden, cell, weights, step_in = map(_lift, (hidden, cell, weights, step_in))
-    cum = None if cum is None else _lift(cum)
+    hidden, cell, step_in, grid = map(_lift, (hidden, cell, step_in, grid))
     params = [_lift(p) for p in (*fuse, *embed, *lstm, *out)]
     fuse_w, fuse_b, embed_w, embed_b, w_ih, w_hh, bias, out_w, out_b = params
-    keys, att_w, att_b = attention or (None,) * 3
-    inputs = [n for n in (hidden, cell, *params, weights, cum, step_in, keys, att_w, att_b)
-              if n is not None]
+    keys, att_w, att_b = map(_lift, attention) if attention else (None,) * 3
     hv, cv, base = hidden.values, cell.values, np.asarray(last_pos, dtype=np.float64)
-    if (hv.shape != cv.shape or base.shape != hv.shape[:-1] + (2,)
-            or any(n is not None and n.shape != base.shape for n in (cum, step_in))):
-        raise ShapeError(f"decoder_step: hidden {hv.shape}, cell {cv.shape}, positions "
-                         f"{base.shape}, running sum or step input do not conform")
-    pieces = _block_layout("decoder_step", weights.values, hv.shape, blocks)
-    context = _block_products(_row_blocks(weights.values, pieces), hv, pieces)
-    joint = np.concatenate([hv, context], axis=-1)
-    fused = state = np.tanh(_rows_times(joint, fuse_w.values) + fuse_b.values)
-    if attention is not None:
-        saved = _attention_values(fused, keys.values, att_w.values, att_b.values)
-        state = saved[2]
-    embedded = _rows_times(step_in.values, embed_w.values) + embed_b.values
-    cell_state, new_hidden = _lstm_values(_rows_times(embedded, w_ih.values) + bias.values,
-                                          state, cv, w_hh.values)
-    disp = _rows_times(new_hidden, out_w.values) + out_b.values
-    cum_v = disp if cum is None else cum.values + disp
+    lead, H = hv.shape[:-2], hv.shape[-1]
+    if (hv.ndim < 2 or cv.shape != hv.shape or step_in.shape != hv.shape[:-1] + (2,)
+            or base.shape != (hv.shape[-2], 2) or grid.values.ndim != 2 or steps < 1):
+        raise ShapeError(f"decoder_rollout: hidden {hv.shape}, cell {cv.shape}, step input "
+                         f"{step_in.shape}, positions {base.shape}, grid {grid.shape} or "
+                         f"{steps} steps do not conform")
+    pieces = _block_layout("decoder_rollout", neighbors.shape, hv.shape, blocks)
+    fw, fb, ew, eb, wih, whh, bv, ow, ob = (p.values for p in params)
+    att = None if keys is None else (keys.values, att_w.values, att_b.values)
+    start = pair_offsets(base, neighbors)
+    recording = not isinstance(active_tape(), _RecordFreeTape)
+    saved, cums, positions, disps = [], [], [], []
+    xv, previous, current = step_in.values, None, base
+    for t in range(steps):
+        pair = _pair_values(grid.values, geometry(t, previous, current),
+                            start + pair_offsets(cums[-1], neighbors) if t else start)
+        wv = pair[0] if t else np.broadcast_to(pair[0], lead + neighbors.shape)
+        context = _block_products(_row_blocks(wv, pieces), hv, pieces)
+        fused = state = np.tanh(_rows_times(np.concatenate([hv, context], axis=-1), fw) + fb)
+        attended = None if att is None else _attention_values(fused, *att)
+        if attended is not None:
+            state = attended[2]
+        embedded = _rows_times(xv, ew) + eb
+        lstm_state, new_hidden = _lstm_values(_rows_times(embedded, wih) + bv, state, cv, whh)
+        if recording:
+            saved.append(((hv, cv, xv, wv, context, fused, attended, state, embedded,
+                           lstm_state, new_hidden), pair))
+        hv, cv, xv = new_hidden, lstm_state[4], _rows_times(new_hidden, ow) + ob
+        cums.append(cums[-1] + xv if t else xv)
+        previous, current = current, base + cums[-1]
+        positions.append(current)
+        disps.append(xv)
 
-    def backward(grads):
-        d_hidden, d_cell, d_disp, d_pos = grads[0], grads[1], grads[2], grads[-1]
-        if cum is None:                     # the displacement is the running sum
-            d_disp = _plus(d_disp, d_pos)
-        else:
-            d_cum = _plus(grads[3], d_pos)
-            if d_cum is not None:
-                _add_grad(cum, d_cum)
-            d_disp = _plus(d_disp, d_cum)
-        if d_disp is not None:
-            d_new, d_w, d_b = _linear_grads(d_disp, new_hidden, out_w.values)
-            _add_grad(out_w, d_w)
-            _add_grad(out_b, d_b)
-            d_hidden = _plus(d_hidden, d_new)
-        d_gates, d_cell = _lstm_grads(d_hidden, d_cell, cv, cell_state)
-        d_state, d_w, _ = _linear_grads(d_gates, state, w_hh.values)
-        _add_grad(w_hh, d_w)
-        _add_grad(cell, d_cell)
-        d_embedded, d_w, d_b = _linear_grads(d_gates, embedded, w_ih.values)
-        _add_grad(w_ih, d_w)
-        _add_grad(bias, d_b)
-        d_x, d_w, d_b = _linear_grads(d_embedded, step_in.values, embed_w.values)
-        _add_grad(embed_w, d_w)
-        _add_grad(embed_b, d_b)
-        _add_grad(step_in, d_x)
-        if attention is not None:           # the query's adjoint, from its two shares
-            first, second = _attention_grads(d_state, fused, keys.values, saved, att_w,
-                                             att_b, keys)
+    def step_back(t: int, d_disp, d_h, d_c, kept: tuple) -> tuple:
+        """Step t's backward but its pair weights': the adjoints of its
+        hidden state, cell, input and weights (step 0's states and input go
+        to their nodes)."""
+        hv, cv, xv, wv, context, fused, attended, state, embedded, lstm_state, new_hidden = kept
+        d_gates, d_c = _lstm_grads(_plus(d_h, _linear_back(d_disp, new_hidden, out_w, out_b)),
+                                   d_c, cv, lstm_state)
+        d_state = _linear_back(d_gates, state, w_hh)
+        if not t:
+            _add_grad(cell, d_c)
+        d_in = _linear_back(_linear_back(d_gates, embedded, w_ih, bias), xv, embed_w, embed_b)
+        if not t:
+            _add_grad(step_in, d_in)
+        if att is not None:                 # the query's adjoint, from its two shares
+            first, second = _attention_grads(d_state, fused, att[0], attended, att_w, att_b,
+                                             keys)
             d_state = first + second
-        joint = np.concatenate([hv, context], axis=-1)
-        d_joint, d_w, d_b = _linear_grads(d_state * (1.0 - fused * fused), joint,
-                                          fuse_w.values)
-        _add_grad(fuse_w, d_w)
-        _add_grad(fuse_b, d_b)
-        _add_grad(hidden, d_joint[..., :hv.shape[-1]])
-        _block_grads(d_joint[..., hv.shape[-1]:], _row_blocks(weights.values, pieces), hv,
-                     pieces, _adjoint(weights), _adjoint(hidden))
+        d_joint = _linear_back(d_state * (1.0 - fused * fused),
+                               np.concatenate([hv, context], axis=-1), fuse_w, fuse_b)
+        if t:
+            d_h = d_joint[..., :H].copy()
+        else:
+            _add_grad(hidden, d_joint[..., :H])
+            d_h = _adjoint(hidden)
+        d_weights = np.zeros(lead + neighbors.shape)
+        _block_grads(d_joint[..., H:], _row_blocks(wv, pieces), hv, pieces, d_weights, d_h)
+        return d_h, d_c, d_in, d_weights
 
-    outs = [new_hidden, cell_state[4], disp] + ([] if cum is None else [cum_v]) + [base + cum_v]
-    parts = _record_parts("decoder_step", tuple(map(TensorNode, outs)), tuple(inputs), backward)
-    return parts if cum is not None else parts[:3] + parts[2:]     # the first sum is disp
+    def backward(g):
+        d_h = d_c = d_x = d_cum = None      # adjoints of step t's outputs, from step t + 1
+        for t in reversed(range(steps)):
+            kept, pair = saved[t]
+            saved[t] = None
+            d_run = _plus(d_cum, np.take(g, t, axis=-2))        # the running sum's
+            d_h, d_c, d_in, d_weights = step_back(t, _plus(d_x, d_run), d_h, d_c, kept)
+            kept = None                     # freed before the pair work
+            shares = _pair_grads(d_weights, pair, grid, neighbors, cums[t - 1] if t else None,
+                                 start)
+            if t > 1:
+                d_x, d_cum = d_in, d_run + shares[0] + shares[1]
+            elif t:                         # step 0's displacement is also its running sum
+                d_x, d_cum = d_run + d_in + shares[0] + shares[1], None
+
+    inputs = (hidden, cell, step_in, grid, *params) + ((keys, att_w, att_b) if att else ())
+    pos = _record("decoder_rollout", np.stack(positions, axis=-2), inputs, backward)
+    return pos, np.stack(disps, axis=-2)
 
 
 def reduce_sum(a, axis: int | None = None) -> TensorNode:

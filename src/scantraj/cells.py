@@ -14,12 +14,11 @@ A spatial round is a geometry half, the pair weights, which reads no
 hidden state, then a state half that blends and fuses the hidden states.
 ``observed_pass`` runs a whole known track as two records,
 ``ad.pair_weights`` and ``ad.recurrence``. The decoder's geometry follows
-its own predictions, so it runs both halves per step, as
-``ad.pair_weights`` and ``ad.decoder_step`` (with the cell). How long
-their saved state lives is told once, in the ``autodiff`` module
-docstring. ``spatial_weights``, ``spatial_round`` and ``lstm_cell`` are
-the composed records those equal bit for bit; no production pass calls
-them.
+its own predictions, so ``ad.decoder_rollout`` runs both halves and the
+cell step by step inside one record. How long their saved state lives is
+told once, in the ``autodiff`` module docstring. ``spatial_weights``,
+``spatial_round`` and ``lstm_cell`` are the composed records those equal
+bit for bit; no production pass calls them.
 """
 
 from __future__ import annotations

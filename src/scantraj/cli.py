@@ -37,9 +37,6 @@ class DataSection:
     stride: int = 1
 
 
-TRAIN_KEYS = config_keys(tr.TrainConfig)
-GAN_KEYS = config_keys(gn.GanConfig)
-DATA_KEYS = config_keys(DataSection)
 MODEL_KEYS = config_keys(ModelConfig)
 
 

@@ -31,7 +31,7 @@ from .errors import NumericError, ShapeError
 # decoder step's attention. Nothing calls them; they stay importable here only
 # while bench/tracer.py binds them.
 from .geometry import (BinSpec, CrowdKinematics, advance_kinematics,  # noqa: F401
-                       bin_indices, estimate_heading, pair_offsets)
+                       bin_indices, estimate_heading)
 from .temporal import attend  # noqa: F401
 
 VARIANTS = ("vanilla", "scan")
@@ -298,25 +298,23 @@ class ScanModel:
 
     def decode(self, scenes, bank: HiddenBank,
                noise: Optional[np.ndarray] = None) -> ForwardResult:
-        """Roll the decoder forward ``pred_len`` steps past the observation.
+        """Roll the decoder forward ``pred_len`` steps past the observation,
+        as one ``ad.decoder_rollout`` record.
 
-        ``scenes`` are the scenes ``bank`` encoded, one or a list.
-        Geometry is recomputed every step from the decoder's own predicted
-        positions: headings, bins and neighbour masks from the previous
-        step's float positions, the pair offsets from the live running sum
-        of displacements, so the range grid sees gradient from the
-        predicted spacing. With ``generative`` configs the decoder
-        hidden state is re-seeded from the encoder final plus a noise draw
-        (zeros when ``noise`` is None, keeping the pass deterministic).
+        ``scenes`` are the scenes ``bank`` encoded, one or a list. Every
+        step recomputes headings, bins and neighbour masks from the previous
+        step's float positions and the pair offsets from the live running
+        sum of displacements, so the range grid sees gradient from the
+        predicted spacing. With ``generative`` configs the decoder hidden
+        state is re-seeded from the encoder final plus a noise draw (zeros
+        when ``noise`` is None, keeping the pass deterministic).
 
         A ``(S, noise_dim)`` noise block decodes S samples in one pass: every
-        node gains a leading sample axis, each sample reads the same encoder
-        bank, and ``disp``/``pos`` come out as (S, N, steps, 2). A step
-        costs two records for all S samples (``ad.pair_weights`` and
-        ``ad.decoder_step``), and sample s equals a decode with noise
-        ``noise[s]`` alone, bit for bit. A ``(S, B, noise_dim)`` block gives
-        scene b of a B-scene batch its own draw ``noise[s, b]``, shared by
-        that scene's pedestrians.
+        node gains a leading sample axis, each sample reads the same bank,
+        ``disp``/``pos`` come out as (S, N, steps, 2), and sample s equals a
+        decode with noise ``noise[s]`` alone, bit for bit. A ``(S, B,
+        noise_dim)`` block gives scene b of a B-scene batch its own draw
+        ``noise[s, b]``, shared by that scene's pedestrians.
         """
         cfg = self.cfg
         scenes = _scene_list(scenes)
@@ -353,38 +351,26 @@ class ScanModel:
         if cfg.variant == "scan":
             attention = (ad.gather(bank.keys, rows), self.params["temporal.W"],
                          self.params["temporal.b"])
-        kin = bank.kinematics[rows]
 
-        last_pos = tiled(bank.last_pos[order])
-        start = pair_offsets(last_pos, layout.neighbors)
-        cum = None                                  # cumulative displacement node
-        step_in = ad.constant(tiled(bank.last_disp[order]))    # displacement node
         present = self._present(scenes, range(cfg.obs_len, cfg.obs_len + cfg.pred_len))
+        masks = layout.neighbor_mask(present[:, order])
+        kin = bank.kinematics[order]            # every sample starts from the bank's
+
+        def geometry(step: int, previous, current) -> tuple:
+            nonlocal kin
+            if previous is not None:            # headings from the step just predicted
+                kin = advance_kinematics(previous, current, kin)
+            return bin_indices(kin, self.grid.spec, layout.neighbors), masks[step]
+
         embed, lstm = self._recurrence("dec")
-        out = self.params["out.W"], self.params["out.b"]
-        disps, positions = [], []
-
-        for s in range(cfg.pred_len):
-            if s:       # headings from the step just predicted
-                kin = advance_kinematics(positions[-2].values if s > 1 else last_pos,
-                                         positions[-1].values, kin)
-            weights = ad.pair_weights(
-                cum, self.grid.node, start, layout.neighbors,
-                bin_indices(kin, self.grid.spec, layout.neighbors,
-                            None if s else start),   # step 0's positions: last_pos
-                layout.neighbor_mask(present[s][order]))
-            hidden, cell, disp, cum, pos = ad.decoder_step(
-                hidden, cell, weights, layout.blocks, cum, step_in, last_pos, self._fuse(),
-                embed, lstm, out, attention)
-            step_in = disp                          # the next step embeds it
-            disps.append(disp.values)
-            positions.append(pos)
-
+        pos, disp = ad.decoder_rollout(
+            hidden, cell, tiled(bank.last_disp[order]), bank.last_pos[order], self.grid.node,
+            geometry, layout.neighbors, layout.blocks, cfg.pred_len, self._fuse(), embed, lstm,
+            (self.params["out.W"], self.params["out.b"]), attention)
         undo = (slice(None),) * len(lead) + (layout.undo,)
         return ForwardResult([pid for scene in scenes for pid in scene.ped_ids],
-                             np.take(np.stack(disps, axis=-2), layout.undo, axis=len(lead)),
-                             ad.gather(ad.stack(positions, axis=-2), undo),
-                             present.T)
+                             np.take(disp, layout.undo, axis=len(lead)),
+                             ad.gather(pos, undo), present.T)
 
     def forward(self, scenes, noise: Optional[np.ndarray] = None) -> ForwardResult:
         """Encode and decode one scene, or a list of scenes as one batch."""

@@ -15,10 +15,11 @@ Scores are normalized with a row-masked softmax so that beyond-domain
 neighbours keep weight exactly 0 (an unmasked softmax would hand them
 exp(0) = 1 and let them leak influence).
 
-The passes score pairs with ``ad.pair_weights``, one record that keeps a
-few bytes per pair; ``raw_score`` and ``normalize_scores`` are its
-composed reference, which it equals bit for bit, and no production pass
-calls them.
+The known-track passes score pairs with ``ad.pair_weights``, one record,
+and the decoder with the same pair maths inside ``ad.decoder_rollout``;
+both keep a few bytes per pair. ``raw_score`` and ``normalize_scores`` are
+their composed reference, which they equal bit for bit, and no production
+pass calls them.
 """
 
 from __future__ import annotations

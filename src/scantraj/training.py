@@ -165,6 +165,11 @@ def train_gan(windows: list, cfg: ModelConfig, tcfg: TrainConfig,
 
     Per-epoch curve rows carry each loss term separately (disc,
     adversarial, variety, diversity, total), averaged over batches.
+
+    Every window must span the model's obs_len + pred_len steps, because
+    real and generated tracks share the critic passes: a shorter one raises
+    ``ShapeError`` naming both lengths (``train_deterministic`` trains it on
+    the steps it has).
     """
     if not windows:
         raise ValueError("train_gan needs at least one scene")
@@ -405,14 +410,22 @@ def _header_value(path, text: dict[str, str], key: str, cast):
 
 def _adam_from(path, store: ad.ParamStore, prefix: str, text: dict[str, str],
                moments: dict[str, np.ndarray]) -> ad.Adam:
-    """The optimizer ``_adam_header`` saved, rebuilt through ``Adam.load_state``."""
+    """The optimizer ``_adam_header`` saved, rebuilt through ``Adam.load_state``;
+    a moment entry missing for one of ``store``'s parameters is a DataError
+    naming it."""
     for key, kept in RETIRED_ADAM_KEYS.items():
         value = text.get(f"{prefix}.{key}", repr(kept))
         if value != repr(kept):
             raise DataError(f"checkpoint {path}: {prefix}.{key} = {value} differs "
                             f"from {kept!r}, the only value Adam implements")
+
+    def moment(entry: str) -> np.ndarray:
+        if entry not in moments:
+            raise DataError(f"checkpoint {path}: the moment table has no {entry} entry")
+        return moments[entry]
+
     opt = ad.Adam(store)
-    opt.load_state({key: ({name: moments[f"{key}/{name}"] for name in value}
+    opt.load_state({key: ({name: moment(f"{key}/{name}") for name in value}
                           if isinstance(value, dict)
                           else _header_value(path, text, f"{prefix}.{key}", type(value)))
                     for key, value in opt.state().items()})

@@ -119,9 +119,9 @@ class TestGradientIntegrity:
         g338, u332, w24b, w334 = (rng.normal(size=s) for s in ((3, 3, 8), (3, 3, 2),
                                                                (2, 4), (3, 3, 4)))
         k342 = rng.normal(size=(3, 4, 2))
-        # The decoder-step ops over scenes of 1 and 2 rows (the lone row sees
-        # no one): pair weights from a live running sum, and a step with
-        # attention.
+        # The decoder's ops over scenes of 1 and 2 rows (the lone row sees
+        # no one): pair weights from a live running sum, and a two-step
+        # rollout with attention, whose second step's weights read the sum.
         table = np.array([[0, 0], [1, 2], [1, 2]])
         own = table == np.arange(3)[:, None]
         start322 = np.where(own[..., None], 0.0, rng.uniform(-1.0, 1.0, size=(3, 2, 2)))
@@ -130,7 +130,9 @@ class TestGradientIntegrity:
         step_shapes = [(3, 2), (3, 2), (3, 2), (3, 2), (3, 2), (2, 4), 2, (2, 2), 2, (8, 2),
                        (8, 2), 8, (2, 2), 2]
         step_args = [rng.normal(size=s) for s in step_shapes]
-        step_args[2] = rng.uniform(size=(3, 2)) * ~own          # weights
+        # Entries 2 and 3, a step's weights and running sum, the rollout
+        # makes itself; they are still drawn, so later draws keep their values.
+        step_args[2] = rng.uniform(size=(3, 2)) * ~own
         probes = [rng.normal(size=(3, 2)) for _ in range(5)]
         # The recurrence's input weights, which take steps of width 8.
         w88, b8 = rng.normal(size=(8, 8)), rng.normal(size=8)
@@ -138,10 +140,11 @@ class TestGradientIntegrity:
         def pair_weights(c, g):
             return _weighted_sum(ad.pair_weights(c, g, start322, table, bins32, ~own), w232[0])
 
-        def step_all(h, c, u, cum, x, fw, fb, ew, eb, wih, whh, b, ow, ob, k, aw, ab):
-            outs = ad.decoder_step(h, c, u, [(1, 1, 1), (1, 2, 2)], cum, x, m32, (fw, fb),
-                                   (ew, eb), (wih, whh, b), (ow, ob), (k, aw, ab))
-            return ad.mean_of([_weighted_sum(out, probe) for out, probe in zip(outs, probes)])
+        def rollout_all(h, c, x, grid, fw, fb, ew, eb, wih, whh, b, ow, ob, k, aw, ab):
+            pos, _ = ad.decoder_rollout(h, c, x, m32, grid, lambda t, *_: (bins32, ~own), table,
+                                        [(1, 1, 1), (1, 2, 2)], 2, (fw, fb), (ew, eb),
+                                        (wih, whh, b), (ow, ob), (k, aw, ab))
+            return _weighted_sum(pos, np.stack(probes[:2], axis=1))
 
         def recurrence_all(x, u, wi, w, b, fw, fb):
             hidden, cell, keys = ad.recurrence(x, u, (wi, w, b), fw, fb, [(1, 1, 1), (1, 2, 2)])
@@ -208,7 +211,8 @@ class TestGradientIntegrity:
              lambda q, k, W, b: _weighted_sum(ad.attention(q, k, W, b), w32),
              [m32, k342, w24b, b2]),
             ("pair_weights", pair_weights, [cum32, grid22]),
-            ("decoder_step", step_all, step_args + [rng.normal(size=(3, 2, 2)), w24b, b2]),
+            ("decoder_rollout", rollout_all, step_args[:2] + [step_args[4], grid22]
+             + step_args[5:] + [rng.normal(size=(3, 2, 2)), w24b, b2]),
         ]
         for name, fn, inputs in cases:
             worst = _check_gradients(fn, inputs, OP_TOL)

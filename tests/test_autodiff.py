@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scantraj import autodiff as ad
 from scantraj import cells, spatial, temporal
 from scantraj.errors import ShapeError
+from scantraj.geometry import BinSpec, CrowdKinematics, advance_kinematics, bin_indices
 
 from oracles import matmul, numeric_gradient, pairwise_offsets
 
@@ -590,7 +591,7 @@ def composed_pair_weights(cum, grid, start, neighbors, bins, mask):
 
 def composed_decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse,
                           embed, lstm, out, attention=None):
-    """A decoder step as the records it took before ``ad.decoder_step``."""
+    """A decoder step as the records it took before ``ad.decoder_rollout``."""
     state, _ = spatial.fuse_hidden(hidden, spatial.context_vector(weights, hidden, blocks),
                                    *fuse)
     if attention is not None:
@@ -601,6 +602,45 @@ def composed_decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos,
     disp = cells.linear(hidden, *out)
     cum = disp if cum is None else ad.add(cum, disp)
     return hidden, cell, disp, cum, ad.add(ad.constant(last_pos), cum)
+
+
+def composed_rollout(hidden, cell, step_in, last_pos, grid, geometry, neighbors, blocks, steps,
+                     fuse, embed, lstm, out, attention=None):
+    """A decoder rollout as the records it took before ``ad.decoder_rollout``:
+    per step, the composed pair weights and step, every sample's geometry
+    computed on its own."""
+    lead = hidden.shape[:-2]
+
+    def tiled(values, trailing=()):
+        return np.array(np.broadcast_to(values, lead + neighbors.shape + trailing))
+
+    start = tiled(last_pos[neighbors] - last_pos[:, None], (2,))
+    cum, previous, current, positions, disps = None, None, last_pos, [], []
+    for t in range(steps):
+        bins, mask = geometry(t, previous, current)
+        weights = composed_pair_weights(cum, grid, start, neighbors, tuple(map(tiled, bins)),
+                                        tiled(mask))
+        hidden, cell, disp, cum, pos = composed_decoder_step(
+            hidden, cell, weights, blocks, cum, step_in,
+            np.array(np.broadcast_to(last_pos, lead + last_pos.shape)), fuse, embed, lstm, out,
+            attention)
+        step_in, previous, current = disp, current, pos.values
+        positions.append(pos)
+        disps.append(disp.values)
+    return ad.stack(positions, axis=-2), np.stack(disps, axis=-2)
+
+
+def decoder_geometry(kinematics, spec, neighbors, masks):
+    """A rollout's ``geometry``, as ``ScanModel.decode`` builds it: headings
+    advanced from the two latest positions, bins from them and the
+    step's mask of ``masks``."""
+    def geometry(step, previous, current):
+        nonlocal kinematics
+        if previous is not None:
+            kinematics = advance_kinematics(previous, current, kinematics)
+        return bin_indices(kinematics, spec, neighbors), masks[step]
+
+    return geometry
 
 
 def drawn_layout(rng, lead, sizes):
@@ -757,42 +797,46 @@ class TestFusedKernels:
     @given(lead=st.sampled_from([(), (2,)]),
            sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
            H=st.integers(1, 3), E=st.integers(1, 2), T=st.integers(1, 3),
-           attend=st.booleans(), first=st.booleans(),
-           alias=st.booleans(), used=st.sets(st.integers(0, 4), min_size=1),
-           reused=st.sets(st.sampled_from([0, 2, 3, 4, 5, 14])), seed=st.integers(0, 2**32 - 1))
-    def test_decoder_step_equals_the_composed_records_bitwise(
-            self, lead, sizes, H, E, T, attend, first, alias,
-            used, reused, seed):
+           steps=st.integers(1, 3), attend=st.booleans(),
+           reused=st.sets(st.sampled_from([0, 1, 2, 3, 4, 13])), seed=st.integers(0, 2**32 - 1))
+    def test_decoder_rollout_equals_the_composed_records_bitwise(
+            self, lead, sizes, H, E, T, steps, attend, reused, seed):
+        # Step 0's weights are computed once for every sample, and the first
+        # displacement is also the first running sum; the geometry follows
+        # the predicted positions, as in a decode.
         rng = np.random.default_rng(seed)
-        layout, mask, _ = drawn_layout(rng, lead, sizes)
-        rows = lead + (layout.n_rows,)
-        # hidden, cell, weights, cum, step input, fuse W b, embed W b, W_ih,
-        # W_hh, b, out W b, attention keys W b
+        layout = cells.SceneLayout([list(range(n)) for n in sizes])
+        spec, R = BinSpec(90.0, 120.0), layout.n_rows
+        rows = lead + (R,)
+        # hidden, cell, step input, grid, fuse W b, embed W b, W_ih, W_hh, b,
+        # out W b, attention keys W b
         arrays = [rng.normal(size=rows + (H,)), rng.normal(size=rows + (H,)),
-                  rng.uniform(size=mask.shape) * mask,
-                  None if first else rng.normal(size=rows + (2,)),
-                  None if alias and not first else rng.normal(size=rows + (2,))]
+                  rng.normal(size=rows + (2,)), rng.uniform(0.5, 3.0, size=(4, 3))]
         arrays += [rng.normal(size=s) for s in ((H, 2 * H), H, (E, 2), E, (4 * H, E),
                                                 (4 * H, H), 4 * H, (2, H), 2)]
         arrays += ([rng.normal(size=s) for s in (rows + (T, H), (H, 2 * H), H)] if attend
                    else [None] * 3)
-        last_pos = rng.normal(size=rows + (2,))
-        out_probes = [rng.normal(size=rows + (H if k < 2 else 2,)) for k in range(5)]
+        last_pos = rng.normal(0.0, 1.5, size=(R, 2))
+        start = CrowdKinematics(last_pos, rng.uniform(0.0, 360.0, size=R),
+                                rng.uniform(size=R) < 0.7)
+        masks = layout.neighbor_mask(rng.uniform(size=(steps, R)) < 0.8)
+        out_probe = rng.normal(size=rows + (steps, 2))
         in_probes = {k: rng.normal(size=arrays[k].shape) for k in reused if arrays[k] is not None}
 
         def call(op, n):
-            step_in = n[3] if alias and not first else n[4]
-            return op(n[0], n[1], n[2], layout.blocks, n[3], step_in, last_pos, n[5:7], n[7:9],
-                      n[9:12], n[12:14], tuple(n[14:]) if attend else None)
+            pos, disp = op(n[0], n[1], n[2], last_pos, n[3],
+                           decoder_geometry(start, spec, layout.neighbors, masks),
+                           layout.neighbors, layout.blocks, steps, n[4:6], n[6:8], n[8:11],
+                           n[11:13], tuple(n[13:]) if attend else None)
+            return pos, ad.constant(disp)
 
         def loss_of(nodes, outs):           # the inputs may arrive with adjoints
-            terms = [ad.reduce_sum(ad.mul(outs[k], ad.constant(out_probes[k])))
-                     for k in sorted(used)]
+            terms = [ad.reduce_sum(ad.mul(outs[0], ad.constant(out_probe)))]
             return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[k], ad.constant(probe)))
                                        for k, probe in sorted(in_probes.items())])
 
-        fused, composed = run_both([lambda n: call(ad.decoder_step, n),
-                                    lambda n: call(composed_decoder_step, n)], arrays, loss_of)
+        fused, composed = run_both([lambda n: call(ad.decoder_rollout, n),
+                                    lambda n: call(composed_rollout, n)], arrays, loss_of)
         assert fused == composed
 
     def test_each_is_one_record(self):
@@ -875,7 +919,7 @@ class TestTapeLifecycle:
         ops = {(out[0] if type(out) is tuple else out).op_record.op
                for out, _, _ in tape._records}
         assert {"lstm_step", "block_matmul", "recurrence", "attention", "pair_weights",
-                "decoder_step"} <= ops
+                "decoder_rollout"} <= ops
         assert [backward for _, _, backward in tape._records] == [None] * len(tape)
 
     def test_loss_from_other_tape_rejected(self):
@@ -930,17 +974,19 @@ class TestTapeLifecycle:
 
 def every_op(x, w):
     """A scalar that runs every op kind once, unstack, the recurrence,
-    attention and both decoder-step ops included."""
+    attention, the pair weights and the decoder rollout included."""
     table = np.array([[0, 1, 2]] * 3)
-    weights = ad.pair_weights(x[:, :2], ad.add(ad.exp(w), 1.0),
-                              np.linspace(-1.0, 1.0, 18).reshape(3, 3, 2), table,
-                              (np.array([[1, 2, 1]] * 3), np.array([[4, 1, 2]] * 3)),
-                              table != np.arange(3)[:, None])
+    grid = ad.add(ad.exp(w), 1.0)
+    bins = (np.array([[1, 2, 1]] * 3), np.array([[4, 1, 2]] * 3))
+    mask = table != np.arange(3)[:, None]
+    weights = ad.pair_weights(x[:, :2], grid, np.linspace(-1.0, 1.0, 18).reshape(3, 3, 2),
+                              table, bins, mask)
     gates_w = ad.concat([w, w, w, w])[:, :2]
-    step = ad.decoder_step(x[:, :2], x[:, 2:], weights, [(1, 3, 3)], x[:, 1:3],
-                           ad.tanh(x[:, :2]), np.ones((3, 2)), (w, w[:, 0]), (w[:, :2], w[0, :2]),
-                           (gates_w, gates_w, ad.concat([w[0], w[1]])), (w[:, :2], w[:, 1]),
-                           (ad.stack([x[:, :2], ad.tanh(x[:, 2:])], axis=1), w, w[:, 2]))
+    positions, _ = ad.decoder_rollout(
+        x[:, :2], x[:, 2:], ad.tanh(x[:, :2]), np.ones((3, 2)), grid, lambda t, *_: (bins, mask),
+        table, [(1, 3, 3)], 2, (w, w[:, 0]), (w[:, :2], w[0, :2]),
+        (gates_w, gates_w, ad.concat([w[0], w[1]])), (w[:, :2], w[:, 1]),
+        (ad.stack([x[:, :2], ad.tanh(x[:, 2:])], axis=1), w, w[:, 2]))
     hidden, _, keys = ad.recurrence(
         ad.stack([x, ad.tanh(x)], axis=1), ad.stack([x[:, :1], x[:, 1:2]], axis=1),
         (ad.concat([w, w]), ad.stack([w[0]], axis=1), w[1]), w[0:1, 0:2], w[1, 0:1],
@@ -958,7 +1004,8 @@ def every_op(x, w):
              ad.log(ad.add(ad.reduce_sum(matmul(w, x[0])), ad.constant(10.0))),
              ad.reduce_sum(ad.reduce_sum(ad.stack(rows), axis=0)),
              ad.reduce_sum(ad.mul(hidden, keys[-1])), ad.reduce_sum(attended)]
-    return ad.mean_of(terms + [ad.reduce_sum(out) for out in step])
+    return ad.mean_of(terms + [ad.reduce_sum(ad.mul(weights, weights)),
+                               ad.reduce_sum(positions)])
 
 
 class TestTapeScopes:

@@ -14,6 +14,7 @@ from scantraj import cli
 from scantraj import data as sd
 from scantraj import model as sm
 from scantraj import training as tr
+from scantraj.generative import GanConfig
 from scantraj.metrics import MetricReport
 
 from test_model import RETIRED_OTHER
@@ -189,8 +190,8 @@ class TestConfigHandling:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = dict(re.findall(r"^\| `\[(\w+)\]` \| `([^`]*)`", readme, re.MULTILINE))
         assert {section: tuple(keys.split(", ")) for section, keys in table.items()} == {
-            "model": cli.MODEL_KEYS, "train": cli.TRAIN_KEYS,
-            "gan": cli.GAN_KEYS, "data": cli.DATA_KEYS}
+            "model": sm.config_keys(sm.ModelConfig), "train": sm.config_keys(tr.TrainConfig),
+            "gan": sm.config_keys(GanConfig), "data": sm.config_keys(cli.DataSection)}
 
     def test_unknown_config_key_is_a_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -390,7 +391,7 @@ class TestEvaluateCommand:
         assert code == 0
 
     @pytest.mark.parametrize("weight, message", [
-        (np.inf, "predicts non-finite positions; first non-finite output: decoder_step"),
+        (np.inf, "predicts non-finite positions; first non-finite output: decoder_rollout"),
         (1e200, "scores a non-finite error: its predicted positions reach")])
     def test_non_finite_predictions_exit_3(self, tmp_path, trained_ckpt, capsys, weight,
                                            message):
@@ -404,6 +405,15 @@ class TestEvaluateCommand:
             code = cli.run(["evaluate", "--ckpt", broken, "--synth", "straight:2:7"])
         assert code == 3
         assert f"numeric failure: evaluate: window 0 {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", ["m", "v"])
+    def test_a_missing_moment_entry_exits_2_naming_it(self, trained_ckpt, capsys, table):
+        state = tr.load_checkpoint(trained_ckpt)
+        del getattr(state.opt, table)["out.b"]
+        tr.save_checkpoint(trained_ckpt, state)
+        code = cli.run(["evaluate", "--ckpt", trained_ckpt, "--synth", "straight:2:7"])
+        assert code == 2
+        assert f"the moment table has no {table}/out.b entry" in capsys.readouterr().err
 
 
 class TestPredictCommand:
@@ -440,7 +450,7 @@ class TestPredictCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert ("numeric failure: predict: scene 0 predicts non-finite positions; "
-                "first non-finite output: decoder_step") in err
+                "first non-finite output: decoder_rollout") in err
         assert not list(out_dir.glob("trajectories_*"))
 
     def test_generative_checkpoint_emits_diversity_grid(self, tmp_path):

@@ -174,7 +174,7 @@ class TestSampling:
             with pytest.raises(NumericError,
                                match="sample_predictions predicts non-finite positions") as info:
                 gen.sample_predictions(m, scene, 3, np.random.default_rng(1))
-        assert "first non-finite output: decoder_step at" in str(info.value)
+        assert "first non-finite output: decoder_rollout at" in str(info.value)
         assert_names_the_first_non_finite_record(str(info.value), tapes)
 
     def test_requires_generative_config(self):

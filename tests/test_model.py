@@ -10,7 +10,7 @@ from scantraj import cells
 from scantraj import generative as gn
 from scantraj import model as sm
 from scantraj import training as tr
-from scantraj.data import SceneWindow
+from scantraj.data import SceneWindow, synth_scenarios
 from scantraj.errors import ShapeError
 
 from oracles import numeric_gradient
@@ -174,7 +174,8 @@ class TestRecordBudget:
     """A known-track pass costs no records per step: its embedding is one
     ``linear`` record, its pair weights one ``ad.pair_weights`` record and
     its loop, input weights included, one ``ad.recurrence`` record. A
-    decoder step costs two at most."""
+    decode costs no records per step either: its whole rollout is one
+    ``ad.decoder_rollout`` record."""
 
     def test_an_observed_step_adds_a_fixed_few_records(self, monkeypatch):
         ops = recorded_ops(monkeypatch)
@@ -189,12 +190,15 @@ class TestRecordBudget:
             assert not {"l2norm", "relu", "masked_softmax"} & set(ops)
         assert counts[0] == counts[1] == counts[2]
 
-    @pytest.mark.parametrize("overrides", [
-        {}, {"generative": True, "noise_dim": 2}, {"variant": "vanilla"}],
+    @pytest.mark.parametrize("overrides, bound", [
+        ({}, 5), ({"generative": True, "noise_dim": 2}, 7), ({"variant": "vanilla"}, 4)],
         ids=["default", "generative", "vanilla"])
-    def test_a_decoder_step_adds_the_same_two_records_at_most(self, overrides):
-        # Its pair weights are one ad.pair_weights record, the rest of the
-        # step one ad.decoder_step record.
+    def test_a_decode_makes_the_same_few_records_whatever_its_length(self, overrides, bound):
+        # The rollout, the gathers of the bank's hidden states, cells and
+        # (scan) fused-state history and of the positions, and for a
+        # generative model the noise projection's concat and linear. The
+        # benchmark's tracer books that linear to ``cells.linear``, so its
+        # ``model.ScanModel.decode.records`` reads at most 6.
         counts = []
         for pred_len in (3, 4, 5):
             m = build(micro_cfg(pred_len=pred_len, **overrides))
@@ -203,7 +207,46 @@ class TestRecordBudget:
             with ad.Tape():
                 bank = m.encode(scene)
                 counts.append(records_of(lambda: m.decode(scene, bank, noise=noise)))
-        assert counts[2] - counts[1] == counts[1] - counts[0] <= 2
+        assert counts[0] == counts[1] == counts[2] <= bound, counts
+
+    @staticmethod
+    def step_records(monkeypatch, run) -> int:
+        """Records made on all the tapes ``run()`` opens and closes."""
+        counts, close = [], ad.Tape.__exit__
+
+        def counted(tape, *exc):
+            counts.append(len(tape))
+            return close(tape, *exc)
+
+        monkeypatch.setattr(ad.Tape, "__exit__", counted)
+        run()
+        return sum(counts)
+
+    def test_a_crowd_training_step_makes_at_most_31_records(self, monkeypatch):
+        # The benchmark's crowd_train mix, N = 2, 8 and 32 in one batch:
+        # 30 records, 54 while each decoder step made two.
+        cfg = sm.ModelConfig()
+        batch = crowd_batch(cfg)
+        conf = tr.TrainConfig(batch_size=len(batch), lr=0.01, epochs=1, seed=7)
+        count = self.step_records(monkeypatch,
+                                  lambda: tr.train_deterministic(batch, cfg, conf))
+        assert count <= 31, count
+
+    def test_a_gan_step_makes_at_most_124_records(self, monkeypatch):
+        # The benchmark's gan_synth model and batch, four synthetic scenes at
+        # k = 4: 124 records in the critic's and the generator's tapes, 148
+        # while each decoder step made two.
+        cfg = sm.ModelConfig(embed_dim=8, hidden_dim=16, bearing_bin_deg=90.0,
+                             heading_bin_deg=90.0, generative=True, noise_dim=4)
+        batch = []
+        for kind in ("crossing", "head_on", "overtake", "static_mix"):
+            scenes = synth_scenarios(kind, 8, seed=1, obs_len=cfg.obs_len, pred_len=cfg.pred_len)
+            batch.append(next(scene for scene in scenes
+                              if scene.n_peds == 3 or kind != "static_mix"))
+        conf = tr.TrainConfig(batch_size=len(batch), lr=0.005, epochs=1, seed=9,
+                              gan=gn.GanConfig(k=4, diversity_weight=1.0))
+        count = self.step_records(monkeypatch, lambda: tr.train_gan(batch, cfg, conf))
+        assert count <= 124, count
 
 
 def tape_bytes(model, scenes: list) -> tuple:
@@ -252,12 +295,10 @@ def row_bytes(cfg, counts=(16, 32)) -> tuple:
     return tuple((big - small) / row_steps for small, big in zip(*measured))
 
 
-def crowd_step_peak(sizes=(2, 8, 32), warm_up: int = 3) -> int:
-    """tracemalloc peak bytes of one ``train_deterministic`` step on one
-    batch of random-walk crowds of ``sizes`` at 0.25 people per square
-    metre, the mix of the benchmark's ``crowd_train`` workload, after
-    ``warm_up`` steps on it."""
-    cfg, rng, steps = sm.ModelConfig(), np.random.default_rng(1), 20
+def crowd_batch(cfg, sizes=(2, 8, 32)) -> list:
+    """One batch of random-walk crowds of ``sizes`` at 0.25 people per
+    square metre, the mix of the benchmark's ``crowd_train`` workload."""
+    rng, steps = np.random.default_rng(1), 20
     batch = []
     for n in sizes:
         heading = rng.uniform(0.0, 2.0 * np.pi, size=n) + np.cumsum(
@@ -267,9 +308,17 @@ def crowd_step_peak(sizes=(2, 8, 32), warm_up: int = 3) -> int:
         start = rng.uniform(0.0, (n / 0.25) ** 0.5, size=(n, 1, 2))
         batch.append(make_scene(start + np.concatenate(
             [np.zeros((n, 1, 2)), np.cumsum(stride, axis=1)], axis=1), cfg.obs_len))
+    return batch
+
+
+def crowd_step_peak(warm_up: int = 3) -> int:
+    """tracemalloc peak bytes of one ``train_deterministic`` step on
+    ``crowd_batch``, after ``warm_up`` steps on it."""
+    cfg = sm.ModelConfig()
+    batch = crowd_batch(cfg)
 
     def tcfg(epochs):
-        return tr.TrainConfig(batch_size=len(sizes), lr=0.01, epochs=epochs, seed=7)
+        return tr.TrainConfig(batch_size=len(batch), lr=0.01, epochs=epochs, seed=7)
 
     state, _ = tr.train_deterministic(batch, cfg, tcfg(warm_up))
     tracemalloc.start()
@@ -419,8 +468,9 @@ class TestTapeMemory:
 
     def test_a_crowd_training_step_peaks_under_a_bound(self):
         # The benchmark's crowd_train mix, N = 2, 8 and 32 in one batch:
-        # about 3.39 MB, against 3.71 MB with an int64 grid-cell index, kept
-        # joints and a sweep that kept every adjoint.
+        # about 3.22 MB (3.32 MB with two records per decoder step), against
+        # 3.71 MB with an int64 grid-cell index, kept joints and a sweep that
+        # kept every adjoint.
         peak = crowd_step_peak()
         assert peak <= 3_550_000, peak
 

@@ -249,7 +249,7 @@ class TestEmitPlots:
                     as info:
                 # Only a generative checkpoint samples k > 1 futures.
                 plots.emit_plots(ckpt, micro_windows(1), out, k=3 if generative else None)
-        assert "first non-finite output: decoder_step at" in str(info.value)
+        assert "first non-finite output: decoder_rollout at" in str(info.value)
         assert_names_the_first_non_finite_record(str(info.value), tapes)
         assert not list(out.glob("trajectories_*"))
 

@@ -403,6 +403,36 @@ def test_batched_decode_equals_one_sample_decodes_bitwise(n, k, seed, data):
         assert np.array_equal(batch.disp[s], one.disp), s
 
 
+@settings(PROPERTY, max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_at_the_evaluation_dims_each_sample_equals_its_lone_and_its_recorded_decode_bitwise(
+        seed, data):
+    # The benchmark's eval_crowd model (embed 16, hidden 32, noise 8) on four
+    # walkers at k = 20, where every sample shares step 0's pair weights.
+    cfg = sm.ModelConfig(generative=True)
+    params = sm.build_params(cfg, ad.RngHub(seed % 7))
+    params["domain_grid"].values[...] = np.random.default_rng(seed).uniform(
+        0.5, 4.0, size=params["domain_grid"].shape)
+    model = sm.ScanModel(cfg, params)
+    scene = make_scene(walkers(np.random.default_rng(seed), 4, 20), cfg.obs_len)
+    scene.mask[cfg.obs_len:] = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=4, max_size=4), min_size=12, max_size=12)))
+    noise = np.random.default_rng(seed + 1).standard_normal((20, cfg.noise_dim))
+
+    def decode(scope, noise):
+        with scope():
+            return model.decode(scene, model.encode(scene), noise=noise)
+
+    batch = decode(ad.no_grad, noise)
+    recorded = decode(ad.Tape, noise)
+    assert batch.pos.values.tobytes() == recorded.pos.values.tobytes()
+    assert batch.disp.tobytes() == recorded.disp.tobytes()
+    for s in range(len(noise)):
+        one = decode(ad.no_grad, noise[s])
+        assert np.array_equal(batch.pos.values[s], one.pos.values), s
+        assert np.array_equal(batch.disp[s], one.disp), s
+
+
 @PROPERTY
 @given(n=st.integers(2, 8), k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
        data=st.data())

@@ -20,7 +20,7 @@ from scantraj import generative as gn
 from scantraj import metrics
 from scantraj import model as sm
 from scantraj import training as tr
-from scantraj.errors import DataError, NumericError
+from scantraj.errors import DataError, NumericError, ShapeError
 from scantraj.metrics import EmptyMetricError
 
 
@@ -188,7 +188,7 @@ class TestDeterministicLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="not finite") as info:
                 tr.train_deterministic(micro_windows(1), cfg, conf, state=state)
-        assert "first non-finite output: decoder_step at" in str(info.value)
+        assert "first non-finite output: decoder_rollout at" in str(info.value)
         assert_names_the_first_non_finite_record(str(info.value), tapes)
 
     def test_one_encode_and_one_decode_per_batch(self, monkeypatch):
@@ -362,7 +362,7 @@ class TestEvaluate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="window 0 predicts non-finite") as info:
                 tr.evaluate(cfg, params, windows, k=k, seed=2)
-        assert "first non-finite output: decoder_step at" in str(info.value)
+        assert "first non-finite output: decoder_rollout at" in str(info.value)
         assert_names_the_first_non_finite_record(str(info.value), tapes)
 
     @pytest.mark.parametrize("k", [1, 20])
@@ -572,6 +572,16 @@ class TestCheckpointHeader:
                 f"{key} was removed: {sm.RETIRED_KEYS[key][1]}")):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize("table", ["m", "v"])
+    def test_a_missing_moment_entry_is_a_data_error_naming_it(self, tmp_path, table):
+        # The digest is valid: the writer itself left the entry out.
+        state, path = self.saved(tmp_path)
+        del getattr(state.opt, table)["out.b"]
+        tr.save_checkpoint(path, state)
+        with pytest.raises(DataError, match=re.escape(
+                f"the moment table has no {table}/out.b entry")):
+            tr.load_checkpoint(path)
+
     def test_an_unknown_model_key_is_rejected_by_name(self, tmp_path):
         _, path = self.saved(tmp_path)
         self.resealed(path, lambda text: text + "\nmodel.warp_factor=9")
@@ -689,6 +699,17 @@ class TestGanLoop:
                               for leaf_only in (True, False)]
         assert len(leaf_only) == 4 and None not in leaf_only
         assert leaf_only == default
+
+    def test_a_window_shorter_than_the_model_trajectory_is_refused_by_name(self):
+        # Real and generated tracks share the critic passes, so a GAN window
+        # must span obs_len + pred_len steps; train_deterministic trains the
+        # same short window on the steps it has.
+        cfg = micro_cfg(generative=True, noise_dim=3)
+        short = micro_windows(1, total=4)
+        with pytest.raises(ShapeError, match=re.escape(
+                "gan_train_step: scene of 4 steps, model trajectories of 5")):
+            tr.train_gan(short, cfg, tcfg(epochs=1, gan=gn.GanConfig(k=2)))
+        assert tr.train_deterministic(short, cfg, tcfg(epochs=1))[0].epoch == 1
 
     def test_requires_generative_config(self):
         with pytest.raises(ValueError):
