@@ -10,11 +10,12 @@ identical shape, or one of them may be a scalar (shape ``()``). Anything
 fancier raises :class:`ShapeError` naming the op and both shapes. Each op's
 docstring states its shapes.
 
-Fused ops. ``lstm_step``, ``block_matmul``, ``recurrence``, ``attention``,
-``pair_weights`` and ``decoder_rollout`` each do in one record, for a whole
-batch of rows, what once took several composed records, which the tests
-keep as references; ``recurrence`` and ``decoder_rollout`` run all their
-steps in one record, the decoder's geometry included. Each equals its
+Fused ops. ``lstm_step``, ``block_matmul``, ``recurrence``, ``attention``
+and ``decoder_rollout`` each do in one record, for a whole batch of rows,
+what once took several composed records, which the tests keep as
+references. ``recurrence`` runs a known track's every step in one record,
+its pair weights, step inputs and their embedding included, and
+``decoder_rollout`` a decode's, its geometry included. Each equals its
 composed records bit for bit, in values and in every gradient: the forward
 runs their float operations, and the backward runs theirs in their order
 and adds every input's shares as they did.
@@ -68,7 +69,7 @@ from .geometry import pair_offsets
 __all__ = [
     "TensorNode", "Tape", "no_grad", "active_tape", "constant",
     "add", "sub", "mul", "div", "neg", "block_matmul", "linear",
-    "lstm_step", "recurrence", "attention", "pair_weights", "decoder_rollout",
+    "lstm_step", "recurrence", "attention", "decoder_rollout",
     "concat", "stack", "unstack", "split", "gather", "relu", "tanh", "sigmoid", "exp",
     "log", "softplus", "masked_softmax",
     "reduce_sum", "reduce_mean", "l2norm", "mean_of", "ParamStore", "Adam", "RngHub",
@@ -718,57 +719,73 @@ def _plus(first, second):
     return second if first is None else first if second is None else first + second
 
 
-def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
-               state=None) -> tuple[TensorNode, TensorNode, TensorNode]:
-    """T steps of the spatially attentive LSTM from ``state``, one record
-    with outputs ``(hidden, cell, keys)``.
+def recurrence(track, offsets, geometry: tuple, grid, neighbors, blocks, embed, lstm, fuse,
+               state=None, before=None) -> tuple[TensorNode, TensorNode, TensorNode]:
+    """The spatially attentive LSTM over a known track, every step in one
+    record with outputs ``(hidden, cell, keys)``.
 
-    Inputs: the ``(T, ..., R, E)`` step inputs ``x``, the ``(T, ..., R, J)``
-    spatial ``weights``, ``lstm`` = ``(W_ih, W_hh, b)`` of shapes ``(4H,
-    E)``, ``(4H, H)`` and ``(4H,)``, ``fuse_w`` ``(H, 2H)`` and ``fuse_b``
-    ``(H,)``. Step t: ``context = block_matmul(weights[t], hidden,
-    blocks)``, ``joint = [hidden, context]``, ``fused = tanh(linear(joint,
-    fuse_w, fuse_b))`` and ``lstm_step`` on ``fused`` with the input share
-    ``linear(x[t], W_ih, b)`` of the gates. Outputs: the final ``(..., R,
-    H)`` states and the time-major ``(T, ..., R, H)`` fused states.
-    ``state`` is the ``(hidden, cell)`` pair of ``(..., R, H)`` nodes the
-    first step starts from, zeros when None; the backward sends the first
-    step's adjoints into it.
+    ``track`` holds the ``(T, ..., R, 2)`` time-major positions: a node,
+    whose positions get gradient through the pair offsets and the step
+    inputs, or a plain array, which the record neither differentiates nor
+    keeps. ``offsets`` are its ``(T, ..., R, J, 2)`` ``pair_offsets`` over
+    the ``(R, J)`` ``neighbors`` and ``geometry`` their 1-based ``(bins,
+    mask)``; every step's weights are ``decoder_rollout``'s pair weights on
+    the ``(m, n)`` ``grid``. Step t's input ``x[t]`` is ``embed`` = (W, b)
+    of the displacement from step t - 1: zeros at step 0, or measured from
+    ``before``, the ``(R, 2)`` positions every leading slice continues
+    from. Then ``context = block_matmul(weights[t], hidden, blocks)``,
+    ``joint = [hidden, context]``, ``fused = tanh(linear(joint, *fuse))``
+    and ``lstm_step`` on ``fused`` with the input share ``linear(x[t],
+    W_ih, b)`` of the gates, ``lstm`` = (W_ih, W_hh, b). Outputs: the final
+    ``(..., R, H)`` states and the time-major ``(T, ..., R, H)`` fused
+    states. ``state`` is the ``(hidden, cell)`` pair of ``(..., R, H)``
+    nodes the first step starts from, zeros when None; the backward sends
+    the first step's adjoints into it.
 
-    Keeps each step's gates, new cell, context and fused state; the
-    backward rebuilds a step's hidden state as ``o * tanh(new_cell)`` of
-    the step before, as the forward computed it, and re-takes the weights'
-    blocks from the weights node. It adds each step's products to ``W_hh``,
-    ``fuse_w`` and ``fuse_b`` as it goes, step T - 1 first, and the
-    weights' shares straight into their adjoint, and runs the input
-    linear's backward once over all steps.
+    Keeps the pair state ``decoder_rollout`` keeps, the step inputs and
+    their embedding, and each step's gates, new cell, context and fused
+    state; the backward rebuilds a step's hidden state as ``o *
+    tanh(new_cell)`` of the step before and a live track's offsets from its
+    positions, as the forward computed them. It adds each step's products
+    to ``W_hh`` and ``fuse`` as it goes, step T - 1 first, runs the input
+    linears' backward once over all steps, then the pair weights', and
+    gives a live track the step inputs' shares before the pair shares.
     """
-    x, weights, fuse_w, fuse_b = map(_lift, (x, weights, fuse_w, fuse_b))
+    tv, track = ((track.values, track) if isinstance(track, TensorNode)
+                 else (np.asarray(track, dtype=np.float64), None))  # an array is not kept
+    grid, embed_w, embed_b, fuse_w, fuse_b = map(_lift, (grid, *embed, *fuse))
     w_ih, w_hh, bias = map(_lift, lstm)
-    xv, wv, fw, fb = x.values, w_hh.values, fuse_w.values, fuse_b.values
-    T, H = len(xv) if xv.ndim else 0, wv.shape[-1]
-    shape = xv.shape[1:-1] + (H,)
-    pieces = _block_layout("recurrence", weights.shape, shape, blocks)
-    inputs = (x, w_ih, w_hh, bias, fuse_w, fuse_b, weights)
+    fw, fb, wv = fuse_w.values, fuse_b.values, w_hh.values
+    T, H, E = len(tv) if tv.ndim else 0, wv.shape[-1], embed_w.shape[:1]
+    shape = tv.shape[1:-1] + (H,)
+    inputs = (grid, embed_w, embed_b, w_ih, w_hh, bias, fuse_w, fuse_b)
     if state is not None:
         state = tuple(map(_lift, state))
         inputs += state
-    if (xv.ndim < 3 or not T or w_ih.shape != (4 * H, xv.shape[-1]) or wv.shape != (4 * H, H)
-            or bias.shape != (4 * H,) or fw.shape != (H, 2 * H) or fb.shape != (H,)
-            or weights.shape[:-1] != xv.shape[:-1]
-            or state is not None and any(part.shape != shape for part in state)):
-        raise ShapeError(f"recurrence: input {xv.shape}, W_ih {w_ih.shape}, W_hh {wv.shape}, "
-                         f"b {bias.shape}, fuse {fw.shape}, {fb.shape}, "
-                         f"weights or state do not conform")
-    w_blocks = _row_blocks(weights.values, pieces)
-    first = np.zeros(shape) if state is None else state[0].values
-    hidden, cell = first, np.zeros(shape) if state is None else state[1].values
+    # embed W and b, W_ih, W_hh, b, fuse W and b, then the state's hidden and cell
+    want = [E + (2,), E, (4 * H,) + E, (4 * H, H), (4 * H,), (H, 2 * H), (H,), shape, shape]
+    shapes = [part.shape for part in inputs[1:]]
+    if (tv.ndim < 3 or not T or tv.shape[-2:] != (len(neighbors), 2) or grid.values.ndim != 2
+            or shapes != want[:len(shapes)]
+            or np.shape(offsets) != tv.shape[:-1] + neighbors.shape[1:] + (2,)):
+        raise ShapeError(f"recurrence: track {tv.shape}, offsets {np.shape(offsets)}, "
+                         f"neighbours {neighbors.shape}, grid {grid.shape} and parameters "
+                         f"and state {shapes} do not conform")
+    pieces = _block_layout("recurrence", neighbors.shape, shape, blocks)
+    pair = _pair_values(grid.values, geometry, offsets)
+    step_in = (np.concatenate([np.zeros((1,) + tv.shape[1:]), tv[1:] - tv[:-1]])
+               if before is None
+               else tv - np.concatenate([np.broadcast_to(before, (1,) + tv.shape[1:]), tv[:-1]]))
+    embedded = _rows_times(step_in, embed_w.values) + embed_b.values
+    w_blocks = _row_blocks(pair[0], pieces)
+    first, first_cell = (np.zeros(shape),) * 2 if state is None else (p.values for p in state)
+    hidden, cell = first, first_cell
     states, contexts, fused = [], [], []
     for t in range(T):
         contexts.append(_block_products([ab[t] for ab in w_blocks], hidden, pieces))
         joint = np.concatenate([hidden, contexts[t]], axis=-1)
         fused.append(np.tanh(_rows_times(joint, fw) + fb))
-        gates_in = _rows_times(xv[t], w_ih.values) + bias.values    # ``linear``'s rows of step t
+        gates_in = _rows_times(embedded[t], w_ih.values) + bias.values  # ``linear``'s rows
         saved, hidden = _lstm_values(gates_in, fused[t], cell, wv)
         states.append(saved)
         cell = saved[4]
@@ -786,14 +803,13 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
     def backward(grads):
         d_hidden, d_cell, d_keys = grads
         keys_at = [None] * T if d_keys is None else d_keys
-        d_gates = np.zeros(xv.shape[:-1] + (4 * H,))
-        d_weights, gated = _adjoint(weights), False
-        w_blocks = _row_blocks(weights.values, pieces)  # all T steps' blocks, one copy
+        d_gates = np.zeros(embedded.shape[:-1] + (4 * H,))
+        d_weights, gated = np.zeros(pair[0].shape), False
+        w_blocks = _row_blocks(pair[0], pieces)     # all T steps' blocks, one copy
         for t in reversed(range(T)):
             d_fused = None
             if d_hidden is not None or d_cell is not None:
-                c_prev = (states[t - 1][4] if t else np.zeros(shape) if state is None
-                          else state[1].values)
+                c_prev = states[t - 1][4] if t else first_cell
                 d_gates[t], d_cell = _lstm_grads(d_hidden, d_cell, c_prev, states[t])
                 d_fused = _linear_back(d_gates[t], fused[t], w_hh)
                 gated = True
@@ -806,21 +822,27 @@ def recurrence(x, weights, lstm, fuse_w, fuse_b, blocks,
                 d_hidden = d_joint[..., :H].copy()
                 _block_grads(d_joint[..., H:], [ab[t] for ab in w_blocks], joint[..., :H],
                              pieces, d_weights[t], d_hidden)
-        # As the composed records' zero buffers did, turn a -0.0 the products
-        # did not touch into +0.0.
-        d_weights += 0.0
         if state is not None:       # the first step's hidden and previous cell
             _add_grad(state[0], d_hidden)
             if d_cell is not None:
                 _add_grad(state[1], d_cell)
-        if gated:                   # ``linear``'s backward, once over all steps
-            d_x, d_w, d_b = _linear_grads(d_gates, xv, w_ih.values)
-            _add_grad(x, d_x)
-            _add_grad(w_ih, d_w)
-            _add_grad(bias, d_b)
+        if gated:                   # the input linears' backward, once over all steps
+            d_steps = _linear_back(_linear_back(d_gates, embedded, w_ih, bias), step_in,
+                                   embed_w, embed_b)
+            if track is not None:   # step t's displacement is position t minus t - 1
+                if before is not None:
+                    _add_grad(track, d_steps)
+                d_track = _adjoint(track)
+                d_track[:-1] -= d_steps[1:]
+                if before is None:
+                    d_track[1:] += d_steps[1:]
+        for share in _pair_grads(d_weights, pair, grid, neighbors,
+                                 None if track is None else track.values, None):
+            _add_grad(track, share)
 
     return _record_parts("recurrence", (TensorNode(hidden), TensorNode(cell),
-                                        TensorNode(fused)), inputs, backward)
+                                        TensorNode(fused)),
+                         inputs if track is None else (track,) + inputs, backward)
 
 
 def exp(a) -> TensorNode:
@@ -924,54 +946,19 @@ def _attention_grads(g, qv, kv, saved, weight, bias, keys) -> tuple:
     return d_joint[..., K:], np.matmul(d_scores[..., None, :], kv)[..., 0, :]
 
 
-def pair_weights(cum, grid, start, neighbors, bins, mask) -> TensorNode:
-    """The ``(..., R, J)`` spatial weights of a known-track pass, one record.
-
-    Offsets: ``start + pair_offsets(cum, neighbors)``, or either term alone
-    when the other is None. Then the ``(m, n)`` grid's range at the 1-based
-    ``bins`` minus the offsets' length, relu, and softmax over the positive
-    scores ``mask`` admits. ``cum``, live positions or a running sum of
-    displacements, is ``(..., R, 2)`` and ``start`` ``(..., R, J, 2)``; the
-    leading axes (samples, or time then samples) run in the same record, and
-    ``bins`` and ``mask`` broadcast to ``(..., R, J)``.
-    Keeps the weights, the softmax mask, the positive reaches and one flat
-    grid-cell index per pair, in the smallest unsigned integer type that
-    holds the grid's last cell; the backward recomputes the offsets and
-    distances from ``cum`` and ``start``. Without ``cum`` nothing gets a
-    position gradient and it keeps no ``start``.
+def _pair_values(gv: np.ndarray, geometry: tuple, offsets: np.ndarray) -> tuple:
+    """The spatial weights of ``(..., R, J, 2)`` pair ``offsets``: the ``(m,
+    n)`` grid's range at the 1-based ``bins`` minus the offsets' length,
+    relu, and softmax over the positive scores ``mask`` admits, ``(bins,
+    mask)`` = ``geometry`` broadcasting to ``(..., R, J)``. Returns them with
+    what their backward keeps: ``(weights, active, positive, cells)``, the
+    last one flat grid-cell index per pair, in the smallest unsigned integer
+    type that holds the grid's last cell.
 
     A row that admits at most one pair sends the grid exactly zero gradient:
     a softmax over one score is 1 whatever the score. So two-person scenes
     never move the grid.
     """
-    grid = _lift(grid)
-    cum = None if cum is None else _lift(cum)
-    start = None if start is None else np.asarray(start, dtype=np.float64)
-    R = len(neighbors)
-    if (grid.values.ndim != 2 or start is None and cum is None
-            or start is not None and start.shape[-3:] != neighbors.shape + (2,)
-            or cum is not None and cum.shape[-2:] != (R, 2)
-            or start is not None and cum is not None and cum.shape[:-2] != start.shape[:-3]):
-        raise ShapeError(f"pair_weights: offsets {None if start is None else start.shape}, "
-                         f"running sum {None if cum is None else cum.shape}, neighbours "
-                         f"{neighbors.shape} and grid {grid.shape} do not conform")
-    pairs = None if cum is None else pair_offsets(cum.values, neighbors)
-    saved = _pair_values(grid.values, (bins, mask), start if pairs is None
-                         else pairs if start is None else start + pairs)
-    kept = None if cum is None else start       # only a live sum's offsets are rebuilt
-
-    def backward(g):
-        for share in _pair_grads(g, saved, grid, neighbors, None if cum is None else cum.values,
-                                 kept):
-            _add_grad(cum, share)
-
-    return _record("pair_weights", saved[0], (grid,) if cum is None else (grid, cum), backward)
-
-
-def _pair_values(gv: np.ndarray, geometry: tuple, offsets: np.ndarray) -> tuple:
-    """The pair weights' forward from the 1-based ``(bins, mask)`` and what its
-    backward keeps: ``(weights, active, positive, cells)``, the last one flat
-    grid-cell index per pair."""
     bins, mask = geometry
     cells = ((bins[0] - 1) * gv.shape[1] + (bins[1] - 1)).astype(
         np.min_scalar_type(gv.size - 1))
@@ -983,7 +970,7 @@ def _pair_values(gv: np.ndarray, geometry: tuple, offsets: np.ndarray) -> tuple:
 
 def _pair_grads(g, saved: tuple, grid: TensorNode, neighbors: np.ndarray, cum, start) -> tuple:
     """The pair weights' backward: adds the grid's share and returns the
-    shares of the running sum ``cum``, if live, through the rows and through
+    shares of the positions ``cum``, if live, through the rows and through
     their ``neighbors``; its offsets (plus ``start``) are rebuilt last."""
     outv, active, positive, cells = saved
     d_reach = _softmax_grad(g, outv, active) * positive
@@ -1011,18 +998,19 @@ def decoder_rollout(hidden, cell, step_in, last_pos, grid, geometry: Callable, n
     slice (sample) shares. ``geometry(t, previous, current)`` gives step
     t's 1-based ``bins`` and admitted ``mask`` over the ``(R, J)``
     ``neighbors`` from the two latest float positions (None and ``last_pos``
-    at step 0). Its weights are ``pair_weights``' over ``pair_offsets(
-    last_pos) + pair_offsets(cum)``, ``cum`` the displacements' running sum
-    (none at step 0, whose weights are computed once for every sample).
+    at step 0). Its weights are the pair weights (``_pair_values``) of
+    ``pair_offsets(last_pos) + pair_offsets(cum)``, ``cum`` the
+    displacements' running sum (none at step 0, whose weights are computed
+    once for every sample).
     Then the ``block_matmul`` context is fused by ``fuse`` (W, b) and
     queries ``attention`` (keys, W, b) when given, ``lstm`` (W_ih, W_hh, b)
     runs on the ``embed``-ded step input (then the last displacement),
     ``out`` (W, b) gives the displacement and the position is ``last_pos +
-    cum``. Keeps each step's pair state, as ``pair_weights`` does, and
-    intermediates, none under ``no_grad``. The backward frees each step's
-    state once past it and adds every input's shares in the order a tape of
-    a ``pair_weights`` and a step record per step did, so values and
-    gradients equal those records' bit for bit.
+    cum``. Keeps each step's pair state and intermediates, none under
+    ``no_grad``; the backward recomputes the offsets and distances. It
+    frees each step's state once past it and adds every input's shares in
+    the order a tape of a pair-weights and a step record per step did, so
+    values and gradients equal those records' bit for bit.
     """
     hidden, cell, step_in, grid = map(_lift, (hidden, cell, step_in, grid))
     params = [_lift(p) for p in (*fuse, *embed, *lstm, *out)]

@@ -12,13 +12,13 @@ a pass over it alone, bit for bit.
 
 A spatial round is a geometry half, the pair weights, which reads no
 hidden state, then a state half that blends and fuses the hidden states.
-``observed_pass`` runs a whole known track as two records,
-``ad.pair_weights`` and ``ad.recurrence``. The decoder's geometry follows
-its own predictions, so ``ad.decoder_rollout`` runs both halves and the
-cell step by step inside one record. How long their saved state lives is
-told once, in the ``autodiff`` module docstring. ``spatial_weights``,
-``spatial_round`` and ``lstm_cell`` are the composed records those equal
-bit for bit; no production pass calls them.
+``observed_pass`` runs a whole known track as one ``ad.recurrence``
+record, which scores every step's pairs before its loop. The decoder's
+geometry follows its own predictions, so ``ad.decoder_rollout`` runs both
+halves and the cell step by step inside one record. How long their saved
+state lives is told once, in the ``autodiff`` module docstring.
+``spatial_weights``, ``spatial_round`` and ``lstm_cell`` are the composed
+records those equal bit for bit; no production pass calls them.
 """
 
 from __future__ import annotations
@@ -171,18 +171,16 @@ def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layou
     ``track`` holds the (..., C, T, 2) trajectories of the batch columns:
     a node (live or a leaf) whose positions get gradient through the pair
     offsets and step inputs, or a plain array when no gradient is wanted,
-    whose offsets and step inputs are computed off the tape with the same
-    float operations; an array track gives the outputs and parameter
-    gradients of a constant-leaf one bit for bit. ``presence`` is the (T, R)
-    presence of ``layout``'s rows; ``embed`` is (W, b), ``lstm`` (W_ih,
-    W_hh, b), ``fuse`` (W, b). Step t embeds the displacement from t - 1
-    (zeros at t = 0), fuses the neighbours' context into the hidden state
-    and runs the cell. Everything but the loop runs once with a leading
-    time axis; the weights of every step are one ``ad.pair_weights`` record
-    and the loop one ``ad.recurrence`` record, equal to the composed
-    records bit for bit. Returns the final (..., R, H) hidden and cell, the
-    time-major (T, ..., R, H) fused states and the last kinematics, in
-    rows.
+    which gives the outputs and parameter gradients of a constant-leaf one
+    bit for bit. ``presence`` is the (T, R) presence of ``layout``'s rows;
+    ``embed`` is (W, b), ``lstm`` (W_ih, W_hh, b), ``fuse`` (W, b). Step t
+    embeds the displacement from t - 1 (zeros at t = 0), fuses the
+    neighbours' context into the hidden state and runs the cell. The pass
+    gathers the track into time-major rows and computes the kinematics,
+    pair offsets, bins and masks of every step at once; everything else is
+    one ``ad.recurrence`` record, equal to the composed records bit for
+    bit. Returns the final (..., R, H) hidden and cell, the time-major (T,
+    ..., R, H) fused states and the last kinematics, in rows.
 
     ``start`` continues the pass over the steps before the track: the
     ``(hidden, cell, kinematics)`` such a pass returned, with no leading
@@ -201,20 +199,12 @@ def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layou
     kins = track_kinematics(xy, None if start is None else start[2])
     mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
     offsets = pair_offsets(xy, layout.neighbors)
-    weights = ad.pair_weights(pos if live else None, grid.node, None if live else offsets,
-                              layout.neighbors,
-                              bin_indices(kins, grid.spec, layout.neighbors, offsets), mask)
-    state = None
-    if start is None:                       # a zero displacement at step 0
-        first = np.zeros((1,) + xy.shape[1:])
-        step_in = (ad.concat([ad.constant(first), ad.sub(pos[1:], pos[:-1])]) if live
-                   else np.concatenate([first, xy[1:] - xy[:-1]]))
-    else:                                   # step 0 moves on from the start's positions
-        before = np.broadcast_to(start[2].position, (1,) + xy.shape[1:])
-        step_in = (ad.sub(pos, ad.concat([ad.constant(before), pos[:-1]])) if live
-                   else xy - np.concatenate([before, xy[:-1]]))
+    state = before = None
+    if start is not None:
         rows = np.broadcast_to(np.arange(layout.n_rows), lead + (layout.n_rows,))
         state = ad.gather(start[0], rows), ad.gather(start[1], rows)
-    hidden, cell, keys = ad.recurrence(linear(step_in, *embed), weights, lstm, *fuse,
-                                       layout.blocks, state=state)
+        before = start[2].position
+    hidden, cell, keys = ad.recurrence(
+        pos, offsets, (bin_indices(kins, grid.spec, layout.neighbors, offsets), mask),
+        grid.node, layout.neighbors, layout.blocks, embed, lstm, fuse, state, before)
     return hidden, cell, keys, kins[-1]

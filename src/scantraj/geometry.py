@@ -206,7 +206,7 @@ def pair_offsets(xy: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     return np.take(xy, neighbors, axis=-2) - xy[..., :, None, :]
 
 
-def bin_indices(kinematics: CrowdKinematics, spec: BinSpec, neighbors: np.ndarray | None = None,
+def bin_indices(kinematics: CrowdKinematics, spec: BinSpec, neighbors: np.ndarray,
                 offsets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """1-based (bearing, heading) bins of every agent towards its neighbours.
 
@@ -214,17 +214,14 @@ def bin_indices(kinematics: CrowdKinematics, spec: BinSpec, neighbors: np.ndarra
     that agent a sees in its column j. The bins are two ``(..., N, J)``
     integer arrays whose entry [..., a, j] equals
     ``bin_index(compute_encounter(A, B), spec)`` for the
-    ``AgentKinematics`` A of agent a and B of agent ``neighbors[a, j]``.
-    Without a table every agent sees every agent: the (N, N) table whose
-    row a is 0, 1, ..., N - 1. ``offsets``, when the caller has them, are
+    ``AgentKinematics`` A of agent a and B of agent ``neighbors[a, j]``;
+    in the (N, N) table whose every row is 0, 1, ..., N - 1 every agent
+    sees every agent. ``offsets``, when the caller has them, are
     the ``pair_offsets`` of the positions over the table, not recomputed.
     The bearings take ``compute_encounter``'s float operations over the
     whole array, so a pair on a bin edge lands where the scalar one does.
     """
     heading = kinematics.heading_deg
-    if neighbors is None:
-        n = heading.shape[-1]
-        neighbors = np.broadcast_to(np.arange(n), (n, n))
     if offsets is None:
         offsets = pair_offsets(kinematics.position, neighbors)
     dx, dy = offsets[..., 0], offsets[..., 1]

@@ -15,9 +15,9 @@ Scores are normalized with a row-masked softmax so that beyond-domain
 neighbours keep weight exactly 0 (an unmasked softmax would hand them
 exp(0) = 1 and let them leak influence).
 
-The known-track passes score pairs with ``ad.pair_weights``, one record,
-and the decoder with the same pair maths inside ``ad.decoder_rollout``;
-both keep a few bytes per pair. ``raw_score`` and ``normalize_scores`` are
+The known-track passes score pairs inside ``ad.recurrence`` and the
+decoder inside ``ad.decoder_rollout``, with the same pair maths; both keep
+a few bytes per pair. ``raw_score`` and ``normalize_scores`` are
 their composed reference, which they equal bit for bit, and no production
 pass calls them.
 """

@@ -408,6 +408,20 @@ def _header_value(path, text: dict[str, str], key: str, cast):
         raise DataError(f"checkpoint {path}: header {key}: {problem}") from exc
 
 
+def _check_table(path, store: ad.ParamStore, built: ad.ParamStore) -> None:
+    """A DataError naming the first entry of the parameter table ``store``
+    that is missing, misshaped or unexpected against ``built``, the store
+    its model config makes."""
+    for name, node in built.items():
+        if name not in store or store[name].shape != node.shape:
+            raise DataError(f"checkpoint {path}: parameter {name}: " + (
+                f"shape {store[name].shape}, its model config makes {node.shape}"
+                if name in store else "missing"))
+    extra = [name for name in store.names() if name not in built]
+    if extra:
+        raise DataError(f"checkpoint {path}: parameter {extra[0]}: not made by its model config")
+
+
 def _adam_from(path, store: ad.ParamStore, prefix: str, text: dict[str, str],
                moments: dict[str, np.ndarray]) -> ad.Adam:
     """The optimizer ``_adam_header`` saved, rebuilt through ``Adam.load_state``;
@@ -511,6 +525,9 @@ def load_checkpoint(path) -> TrainState:
             disc_params.register(name, values)
         else:
             params.register(name, values)
+    _check_table(path, params, build_params(cfg, ad.RngHub(0)))
+    if disc_params is not None:
+        _check_table(path, disc_params, gn.build_discriminator_params(cfg, ad.RngHub(0)))
 
     opt = _adam_from(path, params, "adam", text, moment_table)
     disc_opt = (_adam_from(path, disc_params, "adam_disc", text, moment_table)

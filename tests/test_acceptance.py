@@ -25,7 +25,7 @@ from scantraj import model as sm
 from scantraj import spatial as sp
 from scantraj import training as tr
 from scantraj.geometry import (BinSpec, CrowdKinematics, EncounterGeometry,
-                               bin_index, bin_indices)
+                               bin_index, bin_indices, pair_offsets)
 from scantraj.model import trajectory_loss
 
 from oracles import matmul, oracle_spatial
@@ -114,19 +114,22 @@ class TestGradientIntegrity:
         g38, h32, c32, w82 = (rng.normal(size=s) for s in ((3, 8), (3, 2), (3, 2), (8, 2)))
         g238, h232, c232 = (rng.normal(size=(2,) + s) for s in ((3, 8), (3, 2), (3, 2)))
         w232, v232 = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2))
-        # recurrence over T = 3 steps of scenes of 1 and 2 rows, and attention
-        # over 4 keys of width 2.
-        g338, u332, w24b, w334 = (rng.normal(size=s) for s in ((3, 3, 8), (3, 3, 2),
-                                                               (2, 4), (3, 3, 4)))
+        # recurrence over T = 3 steps of a scene of 3 rows, and attention
+        # over 4 keys of width 2. The first draw, once the recurrence's step
+        # inputs, is still drawn, so later draws keep their values.
+        _, u332, w24b, w334 = (rng.normal(size=s) for s in ((3, 3, 8), (3, 3, 2),
+                                                            (2, 4), (3, 3, 4)))
         k342 = rng.normal(size=(3, 4, 2))
         # The decoder's ops over scenes of 1 and 2 rows (the lone row sees
-        # no one): pair weights from a live running sum, and a two-step
-        # rollout with attention, whose second step's weights read the sum.
+        # no one): a two-step rollout with attention, whose second step's
+        # weights read the running sum. The start offsets and running sum
+        # the pair weights once took are still drawn, so later draws keep
+        # their values.
         table = np.array([[0, 0], [1, 2], [1, 2]])
         own = table == np.arange(3)[:, None]
-        start322 = np.where(own[..., None], 0.0, rng.uniform(-1.0, 1.0, size=(3, 2, 2)))
+        rng.uniform(-1.0, 1.0, size=(3, 2, 2))
         bins32 = (rng.integers(1, 3, size=(3, 2)), rng.integers(1, 3, size=(3, 2)))
-        cum32, grid22 = rng.normal(0.0, 0.2, size=(3, 2)), rng.uniform(1.0, 3.0, size=(2, 2))
+        _, grid22 = rng.normal(0.0, 0.2, size=(3, 2)), rng.uniform(1.0, 3.0, size=(2, 2))
         step_shapes = [(3, 2), (3, 2), (3, 2), (3, 2), (3, 2), (2, 4), 2, (2, 2), 2, (8, 2),
                        (8, 2), 8, (2, 2), 2]
         step_args = [rng.normal(size=s) for s in step_shapes]
@@ -136,9 +139,11 @@ class TestGradientIntegrity:
         probes = [rng.normal(size=(3, 2)) for _ in range(5)]
         # The recurrence's input weights, which take steps of width 8.
         w88, b8 = rng.normal(size=(8, 8)), rng.normal(size=8)
-
-        def pair_weights(c, g):
-            return _weighted_sum(ad.pair_weights(c, g, start322, table, bins32, ~own), w232[0])
+        # The known-track pass's embedding of steps into width 8, and the
+        # bins of its scene of 3 rows, each of which sees the other two.
+        e82, e8 = rng.normal(size=(8, 2)), rng.normal(size=8)
+        bins333 = (rng.integers(1, 3, size=(3, 3, 3)), rng.integers(1, 3, size=(3, 3, 3)))
+        table3 = np.array([[0, 1, 2]] * 3)
 
         def rollout_all(h, c, x, grid, fw, fb, ew, eb, wih, whh, b, ow, ob, k, aw, ab):
             pos, _ = ad.decoder_rollout(h, c, x, m32, grid, lambda t, *_: (bins32, ~own), table,
@@ -146,8 +151,12 @@ class TestGradientIntegrity:
                                         (wih, whh, b), (ow, ob), (k, aw, ab))
             return _weighted_sum(pos, np.stack(probes[:2], axis=1))
 
-        def recurrence_all(x, u, wi, w, b, fw, fb):
-            hidden, cell, keys = ad.recurrence(x, u, (wi, w, b), fw, fb, [(1, 1, 1), (1, 2, 2)])
+        def recurrence_all(track, grid, ew, eb, wi, w, b, fw, fb, *state):
+            # A live track; with a start, step 0 moves on from m32.
+            hidden, cell, keys = ad.recurrence(
+                track, pair_offsets(track.values, table3),
+                (bins333, table3 != np.arange(3)[:, None]), grid, table3, [(1, 3, 3)],
+                (ew, eb), (wi, w, b), (fw, fb), state or None, m32 if state else None)
             return ad.add(ad.add(_weighted_sum(hidden, w232[0]), _weighted_sum(cell, v232[0])),
                           _weighted_sum(keys, w334[..., :2]))
 
@@ -206,11 +215,12 @@ class TestGradientIntegrity:
             ("lstm_step over a leading axis",
              lambda g, h, c, w: lstm_both(g, h, c, w, w232, v232),
              [g238, h232, c232, w82]),
-            ("recurrence", recurrence_all, [g338, u332, w88, w82, b8, w24b, b2]),
+            ("recurrence", recurrence_all, [0.3 * u332, grid22, e82, e8, w88, w82, b8, w24b, b2]),
+            ("recurrence from a start", recurrence_all,
+             [0.3 * u332, grid22, e82, e8, w88, w82, b8, w24b, b2, h32, c32]),
             ("attention",
              lambda q, k, W, b: _weighted_sum(ad.attention(q, k, W, b), w32),
              [m32, k342, w24b, b2]),
-            ("pair_weights", pair_weights, [cum32, grid22]),
             ("decoder_rollout", rollout_all, step_args[:2] + [step_args[4], grid22]
              + step_args[5:] + [rng.normal(size=(3, 2, 2)), w24b, b2]),
         ]
@@ -286,8 +296,9 @@ class TestSpatialOracleAgreement:
             others = [i for i in range(n) if i != target]
             grid = sp.DomainGrid(ad.constant(grid_vals), spec)
             offsets = positions[None, :] - positions[:, None]
+            everyone = np.tile(np.arange(n), (n, 1))        # the (n, n) neighbour table
             with ad.Tape():
-                raws = sp.raw_score(grid, bin_indices(kin, spec),
+                raws = sp.raw_score(grid, bin_indices(kin, spec, everyone),
                                     ad.l2norm(ad.constant(offsets)))
                 weights = sp.normalize_scores(raws, ~np.eye(n, dtype=bool))
                 context = sp.context_vector(weights.normalized, ad.constant(hiddens))

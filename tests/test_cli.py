@@ -18,6 +18,7 @@ from scantraj.generative import GanConfig
 from scantraj.metrics import MetricReport
 
 from test_model import RETIRED_OTHER
+from test_training import retabled
 
 MICRO_CONFIG = """\
 [model]
@@ -414,6 +415,20 @@ class TestEvaluateCommand:
         code = cli.run(["evaluate", "--ckpt", trained_ckpt, "--synth", "straight:2:7"])
         assert code == 2
         assert f"the moment table has no {table}/out.b entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, values, problem", [
+        ("out.b", None, "missing"),
+        ("out.W", np.zeros((3, 4)), "shape (3, 4), its model config makes (2, 4)"),
+        ("temporal.W", np.zeros((4, 8)), "not made by its model config"),
+    ], ids=["missing", "misshaped", "unexpected"])
+    def test_a_parameter_table_unlike_its_configs_exits_2_naming_the_entry(
+            self, trained_ckpt, capsys, entry, values, problem):
+        # The checkpoint is a vanilla model's, which has no temporal.W.
+        tr.save_checkpoint(trained_ckpt,
+                           retabled(tr.load_checkpoint(trained_ckpt), entry, values))
+        code = cli.run(["evaluate", "--ckpt", trained_ckpt, "--synth", "straight:2:7"])
+        assert code == 2
+        assert f"parameter {entry}: {problem}" in capsys.readouterr().err
 
 
 class TestPredictCommand:

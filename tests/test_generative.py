@@ -545,10 +545,11 @@ class TestGanTrainStep:
         m, disc = self.setup_pair()
         calls, original = [], ad.recurrence
 
-        def spy(x, weights, lstm, *args, **kwargs):
-            outs = original(x, weights, lstm, *args, **kwargs)
+        def spy(track, offsets, geometry, grid, neighbors, blocks, embed, lstm, *args):
+            outs = original(track, offsets, geometry, grid, neighbors, blocks, embed, lstm,
+                            *args)
             if lstm[0] is disc["disc.lstm.W_ih"]:
-                calls.append((x.shape, outs[0].op_record is not None))
+                calls.append((np.shape(track), outs[0].op_record is not None))
             return outs
 
         monkeypatch.setattr(ad, "recurrence", spy)
@@ -558,9 +559,9 @@ class TestGanTrainStep:
                            np.random.default_rng(3))
         cfg = m.cfg
         rows = sum(scene.n_peds for scene in batch)
-        history = (cfg.obs_len, rows, cfg.embed_dim)
-        assert calls == [(history, True), ((cfg.pred_len, k + 1, rows, cfg.embed_dim), True),
-                         (history, False), ((cfg.pred_len, k, rows, cfg.embed_dim), True)]
+        history = (cfg.obs_len, rows, 2)
+        assert calls == [(history, True), ((cfg.pred_len, k + 1, rows, 2), True),
+                         (history, False), ((cfg.pred_len, k, rows, 2), True)]
 
     def test_critic_tape_is_freed_before_the_generator_backward(self, monkeypatch):
         # With the cyclic collector off, only reference counting can free

@@ -55,7 +55,7 @@ from scantraj.data import SceneWindow
 from scantraj.geometry import (AgentKinematics, BinSpec, CrowdKinematics,
                                advance_kinematics, bin_index, bin_indices,
                                compute_encounter, estimate_heading,
-                               normalize_deg, track_kinematics)
+                               normalize_deg, pair_offsets, track_kinematics)
 
 from oracles import composed_decode, composed_observed_pass
 from test_model import build, fake_track, make_scene, micro_cfg, real_track
@@ -106,6 +106,11 @@ def files(draw):
             for t in ts]
 
 
+def everyone(n: int) -> np.ndarray:
+    """The (n, n) neighbour table in which every agent sees every agent."""
+    return np.tile(np.arange(n), (n, 1))
+
+
 def arrays_of(agents) -> CrowdKinematics:
     """The kinematics arrays of a list (or an object array) of agents."""
     agents = np.asarray(agents, dtype=object)
@@ -119,7 +124,7 @@ def arrays_of(agents) -> CrowdKinematics:
 @settings(PROPERTY, max_examples=300)
 @given(crowd=st.one_of(crowds(), files()), spec=spec)
 def test_vectorised_bins_equal_the_scalar_geometry(crowd, spec):
-    bearing, rel_heading = bin_indices(arrays_of(crowd), spec)
+    bearing, rel_heading = bin_indices(arrays_of(crowd), spec, everyone(len(crowd)))
     for a, observer in enumerate(crowd):
         for b, other in enumerate(crowd):
             want = bin_index(compute_encounter(observer, other), spec)
@@ -134,7 +139,7 @@ def test_sample_batched_bins_equal_the_scalar_geometry(n, samples, spec, data):
     crowd = np.empty((samples, n), dtype=object)
     crowd[...] = data.draw(st.lists(st.lists(agent, min_size=n, max_size=n),
                                     min_size=samples, max_size=samples))
-    bearing, rel_heading = bin_indices(arrays_of(crowd), spec)
+    bearing, rel_heading = bin_indices(arrays_of(crowd), spec, everyone(n))
     assert bearing.shape == (samples, n, n)
     for s in range(samples):
         for a in range(n):
@@ -176,7 +181,7 @@ def test_bins_of_neighbours_on_a_bearing_edge_equal_the_scalar_geometry(spec, se
         world = float(np.degrees(np.arctan2(qy - py, qx - px)))
         crowd += [AgentKinematics((px, py), h, True)
                   for h in headings_across(world, k * spec.bearing_step_deg)]
-    bearing, rel_heading = bin_indices(arrays_of(crowd), spec)
+    bearing, rel_heading = bin_indices(arrays_of(crowd), spec, everyone(len(crowd)))
     for a, observer in enumerate(crowd):
         for b, other in enumerate(crowd):
             want = bin_index(compute_encounter(observer, other), spec)
@@ -326,24 +331,31 @@ def test_far_neighbour_cannot_leak_into_the_crowd(n_near, seed, angle, data):
 
 
 @PROPERTY
-@given(lead=st.sampled_from([(), (3,)]), sizes=st.lists(st.integers(1, 4), min_size=1,
-                                                         max_size=4),
-       live=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@given(T=st.integers(1, 3), lead=st.sampled_from([(), (3,)]),
+       sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4), live=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 def test_a_row_with_at_most_one_admitted_neighbour_sends_the_grid_no_gradient(
-        lead, sizes, live, seed):
+        T, lead, sizes, live, seed):
     # A softmax over one score is 1 whatever the score: a pedestrian with one
-    # neighbour in range, or none, cannot teach the domain grid anything.
+    # neighbour in range, or none, cannot teach the domain grid anything,
+    # whether the known-track pass runs over a live track or an array.
     rng = np.random.default_rng(seed)
     layout = cells.SceneLayout([list(range(n)) for n in sizes])
     R, J = layout.neighbors.shape
-    admitted = np.arange(J) == rng.integers(-1, J, size=lead + (R, 1))  # -1: none
-    bins = (rng.integers(1, 4, size=lead + (R, J)), rng.integers(1, 3, size=lead + (R, J)))
+    rows = (T,) + lead + (R,)
+    admitted = np.arange(J) == rng.integers(-1, J, size=rows + (1,))  # -1: none
+    bins = (rng.integers(1, 4, size=rows + (J,)), rng.integers(1, 3, size=rows + (J,)))
     grid = ad.constant(rng.uniform(0.5, 3.0, size=(3, 2)))
-    cum = ad.constant(rng.normal(0.0, 0.5, size=lead + (R, 2))) if live else None
+    track = rng.normal(0.0, 0.5, size=rows + (2,))
+    params = [ad.constant(rng.normal(size=shape))
+              for shape in ((2, 2), 2, (8, 2), (8, 2), 8, (2, 4), 2)]
     with ad.Tape() as tape:
-        weights = ad.pair_weights(cum, grid, rng.normal(size=lead + (R, J, 2)),
-                                  layout.neighbors, bins, admitted)
-        tape.backward(ad.reduce_sum(ad.mul(weights, ad.constant(rng.normal(size=weights.shape)))))
+        outs = ad.recurrence(ad.constant(track) if live else track,
+                             pair_offsets(track, layout.neighbors), (bins, admitted), grid,
+                             layout.neighbors, layout.blocks, params[:2], params[2:5], params[5:])
+        probes = [ad.constant(rng.normal(size=out.shape)) for out in outs]
+        tape.backward(ad.mean_of([ad.reduce_sum(ad.mul(out, probe))
+                                  for out, probe in zip(outs, probes)]))
     assert grid.grad.tobytes() == np.zeros(grid.shape).tobytes()
 
 

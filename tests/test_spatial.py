@@ -225,7 +225,8 @@ class TestOracleEquivalence:
             kins = CrowdKinematics(np.array(positions), np.array(headings),
                                    np.ones(n, dtype=bool))
             offsets = np.asarray(positions)[None, :] - np.asarray(positions)[:, None]
-            scores = spatial.raw_score(grid, bin_indices(kins, spec),
+            everyone = np.tile(np.arange(n), (n, 1))    # the (n, n) neighbour table
+            scores = spatial.raw_score(grid, bin_indices(kins, spec, everyone),
                                        ad.l2norm(ad.constant(offsets)))
             w = spatial.normalize_scores(scores, ~np.eye(n, dtype=bool))
             ctx = spatial.context_vector(w.normalized, ad.constant(hiddens))

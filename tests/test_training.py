@@ -47,6 +47,21 @@ def params_equal(store_a, store_b):
                for n in store_a.names())
 
 
+def retabled(state, entry: str, values):
+    """``state`` whose parameter table (the critic's for a "disc." entry)
+    sets ``entry`` to ``values``, or leaves it out for None, with fresh
+    optimizer moments that match the new table."""
+    critic = entry.startswith("disc.")
+    params = ad.ParamStore()
+    for name, node in (state.disc_params if critic else state.params).items():
+        if name != entry:
+            params.register(name, node.values)
+    if values is not None:
+        params.register(entry, values)
+    fields = ("disc_params", "disc_opt") if critic else ("params", "opt")
+    return dataclasses.replace(state, **dict(zip(fields, (params, ad.Adam(params)))))
+
+
 def spy_on_nonfinite_origin(monkeypatch) -> list:
     """From now on, every tape ``ad.nonfinite_origin`` scans."""
     tapes: list = []
@@ -580,6 +595,28 @@ class TestCheckpointHeader:
         tr.save_checkpoint(path, state)
         with pytest.raises(DataError, match=re.escape(
                 f"the moment table has no {table}/out.b entry")):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, entry, values, problem", [
+        ("scan", "out.b", None, "missing"),
+        ("scan", "out.W", np.zeros((3, 4)), "shape (3, 4), its model config makes (2, 4)"),
+        ("vanilla", "temporal.W", np.zeros((4, 8)), "not made by its model config"),
+        ("gan", "disc.score.b", None, "missing"),
+        ("gan", "disc.score.W", np.zeros((1, 5)), "shape (1, 5), its model config makes (1, 4)"),
+    ], ids=["missing", "misshaped", "unexpected", "critic_missing", "critic_misshaped"])
+    def test_a_parameter_table_unlike_its_configs_is_a_data_error_naming_the_entry(
+            self, tmp_path, kind, entry, values, problem):
+        # The digest is valid: the writer itself wrote a table that the
+        # model config does not make, with optimizer moments to match it.
+        if kind == "gan":
+            state, _ = tr.train_gan(micro_windows(2), micro_cfg(generative=True, noise_dim=3),
+                                    tcfg(epochs=1, gan=gn.GanConfig(k=2)))
+        else:
+            state, _ = tr.train_deterministic(micro_windows(1), micro_cfg(variant=kind),
+                                              tcfg(epochs=1))
+        path = tmp_path / "run.ckpt"
+        tr.save_checkpoint(path, retabled(state, entry, values))
+        with pytest.raises(DataError, match=re.escape(f"parameter {entry}: {problem}")):
             tr.load_checkpoint(path)
 
     def test_an_unknown_model_key_is_rejected_by_name(self, tmp_path):
