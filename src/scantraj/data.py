@@ -259,6 +259,8 @@ def synth_scenarios(kind: str, n_scenes: int, seed: int,
     """
     if kind not in SCENARIO_KINDS:
         raise DataError(f"unknown scenario kind {kind!r}; expected one of {SCENARIO_KINDS}")
+    if n_scenes < 0:
+        raise ValueError(f"scene count must be >= 0, got {n_scenes}")
     hub = RngHub(seed)
     T = obs_len + pred_len
     scenes = []

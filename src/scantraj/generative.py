@@ -111,9 +111,11 @@ def window_futures(model: ScanModel, scene: SceneWindow, what: str,
     computed under ``ad.no_grad()``: the k ``sample_predictions`` drawn
     from ``rng``, or, given no ``rng``, the zero-noise forecast
     ``model.forward(scene)`` as (1, N, pred_len, 2), for which ``k > 1`` is
-    a ``ValueError``. Futures that are not all finite raise
-    ``NumericError`` naming ``what`` and the first op whose output went
-    non-finite, checked once."""
+    a ``ValueError``, as is ``k < 1`` either way. Futures that are not all
+    finite raise ``NumericError`` naming ``what`` and the first op whose
+    output went non-finite, checked once."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if rng is None:
         if k > 1:
             raise ValueError(NEEDS_GENERATIVE)
@@ -235,11 +237,8 @@ def diversity_loss(samples: PredictionSet):
     its k(k-1)/2 ceiling, spread-out samples toward 0. Differentiable, so
     its gradient actively repels samples from one another.
     """
-    k = samples.k
-    if k < 2:
-        return ad.constant(0.0)
-    n = len(samples.ped_ids)
-    if n == 0:
+    k, n = samples.k, len(samples.ped_ids)
+    if k < 2 or n == 0:
         return ad.constant(0.0)
     futures = samples.futures                                  # (k, N, steps, 2)
     steps = futures.shape[-2]
@@ -273,10 +272,6 @@ def sample_spread(positions: np.ndarray) -> float:
 def _check_finite(name: str, node: ad.TensorNode) -> None:
     if not np.all(np.isfinite(node.values)):
         raise NumericError(f"non-finite {name} loss" + ad.nonfinite_origin(node))
-
-
-def _full_presence(scene: SceneWindow) -> np.ndarray:
-    return scene.mask.all(axis=0)
 
 
 def _kept(logits: ad.TensorNode, samples, cols: list) -> ad.TensorNode:
@@ -353,7 +348,7 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
     fakes_only = np.arange(1, k + 1)
     noises = [rng.standard_normal((k, cfg.noise_dim)) for _ in usable]
     starts = np.cumsum([0] + [scene.n_peds for scene in usable])
-    cols = [start + np.flatnonzero(_full_presence(scene))
+    cols = [start + np.flatnonzero(scene.mask.all(axis=0))
             for start, scene in zip(starts, usable)]
     if not any(c.size for c in cols):
         raise ValueError("no fully present pedestrians in the batch")
@@ -373,8 +368,7 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
         logits = discriminator_logits(cfg, disc_params, bank.layout, batch.pos, mask,
                                       history=observed, record_history=False)
         adv = bce_real(_kept(logits, fakes_only - 1, cols))
-        variety_terms = []
-        diversity_terms = []
+        variety_terms, diversity_terms = [], []
         for scene, view, noise in zip(usable, batch.per_scene(usable), noises):
             samples = PredictionSet(list(scene.ped_ids), view.samples(), noise,
                                     view.pos)
@@ -385,13 +379,11 @@ def gan_train_step(model: ScanModel, disc_params: ad.ParamStore,
         variety = ad.mean_of(variety_terms)
         diversity = ad.mean_of(diversity_terms)
         _check_finite("adversarial", adv)
-        if variety is not None:
-            _check_finite("variety", variety)
-        _check_finite("diversity", diversity)
         total = ad.mul(ad.constant(gan_cfg.adversarial_weight), adv)
         if variety is not None:
-            total = ad.add(total, ad.mul(ad.constant(gan_cfg.variety_weight),
-                                         variety))
+            _check_finite("variety", variety)
+            total = ad.add(total, ad.mul(ad.constant(gan_cfg.variety_weight), variety))
+        _check_finite("diversity", diversity)
         if gan_cfg.diversity_weight > 0.0:
             total = ad.add(total, ad.mul(ad.constant(gan_cfg.diversity_weight),
                                          diversity))

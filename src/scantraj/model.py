@@ -129,14 +129,13 @@ def config_from_dict(cls, raw: dict[str, str]):
 @dataclass
 class HiddenBank:
     """Recurrent state of every pedestrian at the end of observation, one
-    row per batch column (the encoded scenes' columns side by side)."""
+    row per ``layout`` row (each scene's pedestrians in ascending id order)."""
 
-    hidden: ad.TensorNode             # (N, H) LSTM hidden states
-    cell: ad.TensorNode               # (N, H) LSTM cell states
-    keys: ad.TensorNode               # (N, obs_len, H) fused-state history
-    kinematics: CrowdKinematics       # (N,) agents at the last observed step
-    last_pos: np.ndarray              # (N, 2) final observed positions
-    last_disp: np.ndarray             # (N, 2) final observed displacements
+    hidden: ad.TensorNode             # (R, H) LSTM hidden states
+    cell: ad.TensorNode               # (R, H) LSTM cell states
+    keys: ad.TensorNode               # (R, obs_len, H) fused-state history
+    kinematics: CrowdKinematics       # (R,) agents at the last observed step
+    last_disp: np.ndarray             # (R, 2) final observed displacements
     layout: cells.SceneLayout         # where each scene's pedestrians sit
 
 
@@ -271,7 +270,8 @@ class ScanModel:
         ``scenes`` is one SceneWindow or a list of them. A list runs as one
         batch: its pedestrians are the rows of every node, laid out by a
         ``cells.SceneLayout``, and pairs never cross scenes, so each
-        scene's rows equal an encode of that scene alone.
+        scene's rows equal an encode of that scene alone. The bank keeps
+        those rows; only the keys are gathered, from time-major.
         """
         cfg = self.cfg
         scenes = _scene_list(scenes)
@@ -289,12 +289,9 @@ class ScanModel:
             self._present(scenes, range(cfg.obs_len))[:, layout.order], layout,
             self.grid, *self._recurrence("enc"), self._fuse())
 
-        undo = layout.undo
-        last = cfg.obs_len - 1
-        return HiddenBank(ad.gather(hidden, undo), ad.gather(cell, undo),
-                          ad.gather(keys, (np.arange(cfg.obs_len), undo[:, None])),
-                          kin[undo], observed[last].copy(),
-                          observed[last] - observed[last - 1], layout)
+        rows = (np.arange(cfg.obs_len), np.arange(layout.n_rows)[:, None])  # from time-major
+        return HiddenBank(hidden, cell, ad.gather(keys, rows), kin,
+                          (observed[-1] - observed[-2])[layout.order], layout)
 
     def decode(self, scenes, bank: HiddenBank,
                noise: Optional[np.ndarray] = None) -> ForwardResult:
@@ -314,14 +311,14 @@ class ScanModel:
         ``disp``/``pos`` come out as (S, N, steps, 2), and sample s equals a
         decode with noise ``noise[s]`` alone, bit for bit. A ``(S, B,
         noise_dim)`` block gives scene b of a B-scene batch its own draw
-        ``noise[s, b]``, shared by that scene's pedestrians.
+        ``noise[s, b]``, shared by that scene's pedestrians. The bank is in
+        the rollout's rows: it is gathered only to add the sample axis.
         """
         cfg = self.cfg
         scenes = _scene_list(scenes)
         layout = bank.layout
         if tuple(scene.n_peds for scene in scenes) != layout.sizes:
             raise ShapeError("decode: the scenes are not the ones the bank encoded")
-        order = layout.order
         lead: tuple = ()
         if noise is not None:
             if not cfg.generative:
@@ -339,22 +336,23 @@ class ScanModel:
         def tiled(values: np.ndarray) -> np.ndarray:
             return np.array(np.broadcast_to(values, lead + values.shape))
 
-        # Canonical rows, once per sample.
-        rows = tiled(order)
-        hidden = ad.gather(bank.hidden, rows)
+        def per_sample(node: ad.TensorNode) -> ad.TensorNode:
+            return ad.gather(node, tiled(np.arange(layout.n_rows))) if lead else node
+
+        hidden = per_sample(bank.hidden)
         if cfg.generative:
             hidden = cells.noise_conditioned_hidden(
                 hidden, np.zeros(cfg.noise_dim) if noise is None else noise,
                 self.params["noise_proj.W"], self.params["noise_proj.b"])
-        cell = ad.gather(bank.cell, rows)
+        cell = per_sample(bank.cell)
         attention = None
         if cfg.variant == "scan":
-            attention = (ad.gather(bank.keys, rows), self.params["temporal.W"],
+            attention = (per_sample(bank.keys), self.params["temporal.W"],
                          self.params["temporal.b"])
 
         present = self._present(scenes, range(cfg.obs_len, cfg.obs_len + cfg.pred_len))
-        masks = layout.neighbor_mask(present[:, order])
-        kin = bank.kinematics[order]            # every sample starts from the bank's
+        masks = layout.neighbor_mask(present[:, layout.order])
+        kin = bank.kinematics                   # every sample starts from the bank's
 
         def geometry(step: int, previous, current) -> tuple:
             nonlocal kin
@@ -364,7 +362,7 @@ class ScanModel:
 
         embed, lstm = self._recurrence("dec")
         pos, disp = ad.decoder_rollout(
-            hidden, cell, tiled(bank.last_disp[order]), bank.last_pos[order], self.grid.node,
+            hidden, cell, tiled(bank.last_disp), kin.position, self.grid.node,
             geometry, layout.neighbors, layout.blocks, cfg.pred_len, self._fuse(), embed, lstm,
             (self.params["out.W"], self.params["out.b"]), attention)
         undo = (slice(None),) * len(lead) + (layout.undo,)

@@ -425,21 +425,25 @@ def _check_table(path, store: ad.ParamStore, built: ad.ParamStore) -> None:
 def _adam_from(path, store: ad.ParamStore, prefix: str, text: dict[str, str],
                moments: dict[str, np.ndarray]) -> ad.Adam:
     """The optimizer ``_adam_header`` saved, rebuilt through ``Adam.load_state``;
-    a moment entry missing for one of ``store``'s parameters is a DataError
-    naming it."""
+    a moment entry missing for one of ``store``'s parameters, or shaped
+    unlike it, is a DataError naming it. Each entry used is taken out of
+    ``moments``."""
     for key, kept in RETIRED_ADAM_KEYS.items():
         value = text.get(f"{prefix}.{key}", repr(kept))
         if value != repr(kept):
             raise DataError(f"checkpoint {path}: {prefix}.{key} = {value} differs "
                             f"from {kept!r}, the only value Adam implements")
 
-    def moment(entry: str) -> np.ndarray:
+    def moment(entry: str, shape: tuple) -> np.ndarray:
         if entry not in moments:
             raise DataError(f"checkpoint {path}: the moment table has no {entry} entry")
-        return moments[entry]
+        if moments[entry].shape != shape:
+            raise DataError(f"checkpoint {path}: moment {entry}: shape "
+                            f"{moments[entry].shape}, its parameter has {shape}")
+        return moments.pop(entry)
 
     opt = ad.Adam(store)
-    opt.load_state({key: ({name: moment(f"{key}/{name}") for name in value}
+    opt.load_state({key: ({name: moment(f"{key}/{name}", store[name].shape) for name in value}
                           if isinstance(value, dict)
                           else _header_value(path, text, f"{prefix}.{key}", type(value)))
                     for key, value in opt.state().items()})
@@ -532,6 +536,9 @@ def load_checkpoint(path) -> TrainState:
     opt = _adam_from(path, params, "adam", text, moment_table)
     disc_opt = (_adam_from(path, disc_params, "adam_disc", text, moment_table)
                 if disc_params is not None else None)
+    if moment_table:
+        raise DataError(f"checkpoint {path}: moment {next(iter(moment_table))}: "
+                        "names no parameter of either optimizer")
 
     hub = ad.RngHub(_header_value(path, text, "seed", int))
     hub.load_state(_header_value(path, text, "rng", lambda raw: _unjsonable(json.loads(raw))))

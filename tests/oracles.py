@@ -215,7 +215,8 @@ def pairwise_offsets(positions, neighbors):
 def composed_decode(model, scenes, bank, noise=None):
     """``model.decode(scenes, bank, noise)`` as one tape record per layer and
     step (about 20 a step): the spatial round, temporal attention, the input
-    linears, the cell, the output linear and the position sums."""
+    linears, the cell, the output linear and the position sums. It reads
+    the bank in its layout rows, gathered once per sample."""
     from scantraj import autodiff as ad
     from scantraj import cells
     from scantraj.geometry import advance_kinematics
@@ -236,7 +237,7 @@ def composed_decode(model, scenes, bank, noise=None):
     def tiled(values):
         return np.array(np.broadcast_to(values, lead + values.shape))
 
-    rows = tiled(order)
+    rows = tiled(np.arange(layout.n_rows))
     hidden = ad.gather(bank.hidden, rows)
     if cfg.generative:
         hidden = cells.noise_conditioned_hidden(
@@ -246,12 +247,12 @@ def composed_decode(model, scenes, bank, noise=None):
     history = ad.gather(bank.keys, rows)
     kin = bank.kinematics[rows]
 
-    last_pos = tiled(bank.last_pos[order])
+    last_pos = tiled(bank.kinematics.position)
     start_offsets = ad.constant(last_pos[..., layout.neighbors, :]
                                 - last_pos[..., :, None, :])
     cum = None                                  # cumulative displacement node
     pos_values = last_pos                       # float positions, current step
-    prev_disp = ad.constant(tiled(bank.last_disp[order]))
+    prev_disp = ad.constant(tiled(bank.last_disp))
     present = model._present(scenes, range(cfg.obs_len, cfg.obs_len + cfg.pred_len))
     embed, (w_ih, w_hh, bias) = model._recurrence("dec")
     disps, positions = [], []

@@ -257,6 +257,13 @@ class TestSynthCommand:
         # the fully observed windows are the three original scenes
         assert len([w for w in windows if w.mask.all()]) == 3
 
+    def test_a_negative_count_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = cli.run(["synth", "--kind", "straight", "--n", "-1", "--out", str(out)])
+        assert code == 1
+        assert "scene count must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_kind_rejected(self, tmp_path):
         code = cli.run(["synth", "--kind", "teleport", "--out",
                         str(tmp_path / "x.txt")])
@@ -416,6 +423,14 @@ class TestEvaluateCommand:
         assert code == 2
         assert f"the moment table has no {table}/out.b entry" in capsys.readouterr().err
 
+    def test_a_misshaped_moment_exits_2_naming_it(self, trained_ckpt, capsys):
+        state = tr.load_checkpoint(trained_ckpt)
+        state.opt.m["out.W"] = state.opt.m["out.W"][:1]
+        tr.save_checkpoint(trained_ckpt, state)
+        code = cli.run(["evaluate", "--ckpt", trained_ckpt, "--synth", "straight:2:7"])
+        assert code == 2
+        assert "moment m/out.W: shape (1, 4), its parameter has (2, 4)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry, values, problem", [
         ("out.b", None, "missing"),
         ("out.W", np.zeros((3, 4)), "shape (3, 4), its model config makes (2, 4)"),
@@ -452,6 +467,14 @@ class TestPredictCommand:
         assert cli.run(args + ["--k", "4"]) == 1
         assert "generative" in capsys.readouterr().err
         assert cli.run(args) == 0
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_exits_1(self, tmp_path, trained_ckpt, capsys, k):
+        code = cli.run(["predict", "--ckpt", trained_ckpt, "--synth", "straight:2:7",
+                        "--out", str(tmp_path / "figs"), "--scenes", "1", "--k", k])
+        assert code == 1
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert not list((tmp_path / "figs").glob("trajectories_*"))
 
     def test_non_finite_forecasts_exit_3(self, tmp_path, trained_ckpt, capsys):
         state = tr.load_checkpoint(trained_ckpt)

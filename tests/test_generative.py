@@ -184,6 +184,14 @@ class TestSampling:
             with ad.Tape():
                 gen.sample_predictions(m, scene, 2, np.random.default_rng(1))
 
+    @pytest.mark.parametrize("k", [0, -2])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["zero_noise", "sampled"])
+    def test_window_futures_refuse_k_below_one(self, k, sampled):
+        scene = make_scene(dyadic_walkers(5), obs_len=3)
+        rng = np.random.default_rng(1) if sampled else None
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            gen.window_futures(build_generative(), scene, "scene 0", rng, k)
+
 
 class TestDiscriminator:
     def test_untrained_scores_in_open_interval(self):

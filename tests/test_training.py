@@ -597,6 +597,21 @@ class TestCheckpointHeader:
                 f"the moment table has no {table}/out.b entry")):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize("table, entry, values, problem", [
+        ("m", "out.W", np.zeros((1, 4)), "moment m/out.W: shape (1, 4), its parameter has (2, 4)"),
+        ("v", "out.W", np.zeros((1, 4)), "moment v/out.W: shape (1, 4), its parameter has (2, 4)"),
+        ("v", "spare.W", np.zeros((2, 4)), "moment v/spare.W: names no parameter of either"),
+    ], ids=["misshaped_m", "misshaped_v", "unknown"])
+    def test_a_moment_unlike_its_parameters_is_a_data_error_naming_it(
+            self, tmp_path, table, entry, values, problem):
+        # The digest is valid: the writer itself saved a moment that no
+        # parameter has the shape or the name of.
+        state, path = self.saved(tmp_path)
+        getattr(state.opt, table)[entry] = values
+        tr.save_checkpoint(path, state)
+        with pytest.raises(DataError, match=re.escape(problem)):
+            tr.load_checkpoint(path)
+
     @pytest.mark.parametrize("kind, entry, values, problem", [
         ("scan", "out.b", None, "missing"),
         ("scan", "out.W", np.zeros((3, 4)), "shape (3, 4), its model config makes (2, 4)"),
