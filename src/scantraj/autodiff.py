@@ -15,7 +15,9 @@ and ``decoder_rollout`` each do in one record, for a whole batch of rows,
 what once took several composed records, which the tests keep as
 references. ``recurrence`` runs a known track's every step in one record,
 its pair weights, step inputs and their embedding included, and
-``decoder_rollout`` a decode's, its geometry included. Each equals its
+``decoder_rollout`` a decode's, its geometry included: each computes a
+step's pair offsets once and reads both its bins and its distances from
+them. Each equals its
 composed records bit for bit, in values and in every gradient: the forward
 runs their float operations, and the backward runs theirs in their order
 and adds every input's shares as they did.
@@ -64,7 +66,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .geometry import pair_offsets
+from .geometry import advance_kinematics, bin_indices, pair_offsets
 
 __all__ = [
     "TensorNode", "Tape", "no_grad", "active_tape", "constant",
@@ -719,7 +721,7 @@ def _plus(first, second):
     return second if first is None else first if second is None else first + second
 
 
-def recurrence(track, offsets, geometry: tuple, grid, neighbors, blocks, embed, lstm, fuse,
+def recurrence(track, kinematics, mask, spec, grid, neighbors, blocks, embed, lstm, fuse,
                state=None, before=None) -> tuple[TensorNode, TensorNode, TensorNode]:
     """The spatially attentive LSTM over a known track, every step in one
     record with outputs ``(hidden, cell, keys)``.
@@ -727,13 +729,13 @@ def recurrence(track, offsets, geometry: tuple, grid, neighbors, blocks, embed, 
     ``track`` holds the ``(T, ..., R, 2)`` time-major positions: a node,
     whose positions get gradient through the pair offsets and the step
     inputs, or a plain array, which the record neither differentiates nor
-    keeps. ``offsets`` are its ``(T, ..., R, J, 2)`` ``pair_offsets`` over
-    the ``(R, J)`` ``neighbors`` and ``geometry`` their 1-based ``(bins,
-    mask)``; every step's weights are ``decoder_rollout``'s pair weights on
-    the ``(m, n)`` ``grid``. Step t's input ``x[t]`` is ``embed`` = (W, b)
-    of the displacement from step t - 1: zeros at step 0, or measured from
-    ``before``, the ``(R, 2)`` positions every leading slice continues
-    from. Then ``context = block_matmul(weights[t], hidden, blocks)``,
+    keeps. Every step's weights are ``decoder_rollout``'s pair weights on
+    the ``(m, n)`` ``grid``, of the track's ``pair_offsets`` over the ``(R,
+    J)`` ``neighbors``, binned by the ``(T, ..., R)`` ``kinematics`` under
+    ``spec``, over the pairs ``mask`` admits. Step t's input ``x[t]`` is
+    ``embed`` = (W, b) of the displacement from step t - 1: zeros at step
+    0, or measured from ``before``, the ``(R, 2)`` positions every leading
+    slice continues from. Then ``context = block_matmul(weights[t], hidden, blocks)``,
     ``joint = [hidden, context]``, ``fused = tanh(linear(joint, *fuse))``
     and ``lstm_step`` on ``fused`` with the input share ``linear(x[t],
     W_ih, b)`` of the gates, ``lstm`` = (W_ih, W_hh, b). Outputs: the final
@@ -767,12 +769,12 @@ def recurrence(track, offsets, geometry: tuple, grid, neighbors, blocks, embed, 
     shapes = [part.shape for part in inputs[1:]]
     if (tv.ndim < 3 or not T or tv.shape[-2:] != (len(neighbors), 2) or grid.values.ndim != 2
             or shapes != want[:len(shapes)]
-            or np.shape(offsets) != tv.shape[:-1] + neighbors.shape[1:] + (2,)):
-        raise ShapeError(f"recurrence: track {tv.shape}, offsets {np.shape(offsets)}, "
-                         f"neighbours {neighbors.shape}, grid {grid.shape} and parameters "
-                         f"and state {shapes} do not conform")
+            or kinematics.heading_deg.shape != tv.shape[:-1]):
+        raise ShapeError(f"recurrence: track {tv.shape}, neighbours {neighbors.shape}, grid "
+                         f"{grid.shape}, kinematics, parameters and state do not conform")
     pieces = _block_layout("recurrence", neighbors.shape, shape, blocks)
-    pair = _pair_values(grid.values, geometry, offsets)
+    pair = _pair_values(grid.values, pair_offsets(tv, neighbors), kinematics, spec, neighbors,
+                        mask)
     step_in = (np.concatenate([np.zeros((1,) + tv.shape[1:]), tv[1:] - tv[:-1]])
                if before is None
                else tv - np.concatenate([np.broadcast_to(before, (1,) + tv.shape[1:]), tv[:-1]]))
@@ -946,21 +948,22 @@ def _attention_grads(g, qv, kv, saved, weight, bias, keys) -> tuple:
     return d_joint[..., K:], np.matmul(d_scores[..., None, :], kv)[..., 0, :]
 
 
-def _pair_values(gv: np.ndarray, geometry: tuple, offsets: np.ndarray) -> tuple:
-    """The spatial weights of ``(..., R, J, 2)`` pair ``offsets``: the ``(m,
-    n)`` grid's range at the 1-based ``bins`` minus the offsets' length,
-    relu, and softmax over the positive scores ``mask`` admits, ``(bins,
-    mask)`` = ``geometry`` broadcasting to ``(..., R, J)``. Returns them with
-    what their backward keeps: ``(weights, active, positive, cells)``, the
-    last one flat grid-cell index per pair, in the smallest unsigned integer
-    type that holds the grid's last cell.
+def _pair_values(gv: np.ndarray, offsets: np.ndarray, kinematics, spec, neighbors: np.ndarray,
+                 mask: np.ndarray) -> tuple:
+    """The spatial weights of ``(..., R, J, 2)`` pair ``offsets`` to the
+    ``neighbors``: the ``(m, n)`` grid's range at the ``bin_indices`` the
+    ``kinematics`` and ``spec`` read from the same offsets, minus their
+    length, relu, and softmax over the positive scores ``mask`` admits.
+    Returns them with what their backward keeps: ``(weights, active,
+    positive, cells)``, the last one flat grid-cell index per pair, in the
+    smallest unsigned integer type that holds the grid's last cell.
 
     A row that admits at most one pair sends the grid exactly zero gradient:
     a softmax over one score is 1 whatever the score. So two-person scenes
     never move the grid.
     """
-    bins, mask = geometry
-    cells = ((bins[0] - 1) * gv.shape[1] + (bins[1] - 1)).astype(
+    bearing, heading = bin_indices(kinematics, spec, neighbors, offsets)
+    cells = ((bearing - 1) * gv.shape[1] + (heading - 1)).astype(
         np.min_scalar_type(gv.size - 1))
     reach = np.take(gv, cells) - _norm_values(offsets)
     positive = reach > 0.0
@@ -987,21 +990,20 @@ def _pair_grads(g, saved: tuple, grid: TensorNode, neighbors: np.ndarray, cum, s
             _scatter(shape, lead + (neighbors,), d_offsets))
 
 
-def decoder_rollout(hidden, cell, step_in, last_pos, grid, geometry: Callable, neighbors,
-                    blocks, steps: int, fuse, embed, lstm, out,
-                    attention=None) -> tuple[TensorNode, np.ndarray]:
-    """``steps`` decoder steps in one record: the ``(..., R, steps, 2)``
-    positions as a node and the displacements as values.
+def decoder_rollout(hidden, cell, step_in, kinematics, masks, spec, grid, neighbors, blocks,
+                    fuse, embed, lstm, out, attention=None) -> tuple[TensorNode, np.ndarray]:
+    """One decoder step per entry of ``masks`` in one record: the ``(...,
+    R, steps, 2)`` positions as a node and the displacements as values.
 
     The rows start from ``(..., R, H)`` ``hidden`` and ``cell``, the step
-    input ``step_in`` and the ``(R, 2)`` ``last_pos`` that every leading
-    slice (sample) shares. ``geometry(t, previous, current)`` gives step
-    t's 1-based ``bins`` and admitted ``mask`` over the ``(R, J)``
-    ``neighbors`` from the two latest float positions (None and ``last_pos``
-    at step 0). Its weights are the pair weights (``_pair_values``) of
-    ``pair_offsets(last_pos) + pair_offsets(cum)``, ``cum`` the
-    displacements' running sum (none at step 0, whose weights are computed
-    once for every sample).
+    input ``step_in`` and the ``(R,)`` ``kinematics`` at ``last_pos`` that
+    every leading slice (sample) shares. Step t's pair weights
+    (``_pair_values``, admitting ``masks[t]`` over the ``(R, J)``
+    ``neighbors``) bin and weigh the offsets ``start =
+    pair_offsets(last_pos)`` at step 0, once for every sample, and ``start +
+    pair_offsets(cum)`` after it, ``cum`` the displacements' running sum,
+    with the headings ``advance_kinematics`` carries from the two latest
+    positions.
     Then the ``block_matmul`` context is fused by ``fuse`` (W, b) and
     queries ``attention`` (keys, W, b) when given, ``lstm`` (W_ih, W_hh, b)
     runs on the ``embed``-ded step input (then the last displacement),
@@ -1016,23 +1018,27 @@ def decoder_rollout(hidden, cell, step_in, last_pos, grid, geometry: Callable, n
     params = [_lift(p) for p in (*fuse, *embed, *lstm, *out)]
     fuse_w, fuse_b, embed_w, embed_b, w_ih, w_hh, bias, out_w, out_b = params
     keys, att_w, att_b = map(_lift, attention) if attention else (None,) * 3
-    hv, cv, base = hidden.values, cell.values, np.asarray(last_pos, dtype=np.float64)
-    lead, H = hv.shape[:-2], hv.shape[-1]
+    hv, cv, base = hidden.values, cell.values, np.asarray(kinematics.position, dtype=np.float64)
+    lead, H, steps = hv.shape[:-2], hv.shape[-1], len(masks)
     if (hv.ndim < 2 or cv.shape != hv.shape or step_in.shape != hv.shape[:-1] + (2,)
-            or base.shape != (hv.shape[-2], 2) or grid.values.ndim != 2 or steps < 1):
+            or base.shape != (hv.shape[-2], 2) or grid.values.ndim != 2 or steps < 1
+            or np.shape(masks)[1:] != neighbors.shape):
         raise ShapeError(f"decoder_rollout: hidden {hv.shape}, cell {cv.shape}, step input "
                          f"{step_in.shape}, positions {base.shape}, grid {grid.shape} or "
-                         f"{steps} steps do not conform")
+                         f"masks {np.shape(masks)} do not conform")
     pieces = _block_layout("decoder_rollout", neighbors.shape, hv.shape, blocks)
     fw, fb, ew, eb, wih, whh, bv, ow, ob = (p.values for p in params)
     att = None if keys is None else (keys.values, att_w.values, att_b.values)
     start = pair_offsets(base, neighbors)
     recording = not isinstance(active_tape(), _RecordFreeTape)
-    saved, cums, positions, disps = [], [], [], []
-    xv, previous, current = step_in.values, None, base
+    saved, cums, positions, disps = [], [], [base], []
+    xv, kin = step_in.values, kinematics
     for t in range(steps):
-        pair = _pair_values(grid.values, geometry(t, previous, current),
-                            start + pair_offsets(cums[-1], neighbors) if t else start)
+        offsets = start
+        if t:                               # headings from the step just predicted
+            kin = advance_kinematics(positions[-2], positions[-1], kin)
+            offsets = start + pair_offsets(cums[-1], neighbors)
+        pair = _pair_values(grid.values, offsets, kin, spec, neighbors, masks[t])
         wv = pair[0] if t else np.broadcast_to(pair[0], lead + neighbors.shape)
         context = _block_products(_row_blocks(wv, pieces), hv, pieces)
         fused = state = np.tanh(_rows_times(np.concatenate([hv, context], axis=-1), fw) + fb)
@@ -1046,8 +1052,7 @@ def decoder_rollout(hidden, cell, step_in, last_pos, grid, geometry: Callable, n
                            lstm_state, new_hidden), pair))
         hv, cv, xv = new_hidden, lstm_state[4], _rows_times(new_hidden, ow) + ob
         cums.append(cums[-1] + xv if t else xv)
-        previous, current = current, base + cums[-1]
-        positions.append(current)
+        positions.append(base + cums[-1])
         disps.append(xv)
 
     def step_back(t: int, d_disp, d_h, d_c, kept: tuple) -> tuple:
@@ -1094,7 +1099,7 @@ def decoder_rollout(hidden, cell, step_in, last_pos, grid, geometry: Callable, n
                 d_x, d_cum = d_run + d_in + shares[0] + shares[1], None
 
     inputs = (hidden, cell, step_in, grid, *params) + ((keys, att_w, att_b) if att else ())
-    pos = _record("decoder_rollout", np.stack(positions, axis=-2), inputs, backward)
+    pos = _record("decoder_rollout", np.stack(positions[1:], axis=-2), inputs, backward)
     return pos, np.stack(disps, axis=-2)
 
 

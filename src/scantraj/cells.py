@@ -13,12 +13,13 @@ a pass over it alone, bit for bit.
 A spatial round is a geometry half, the pair weights, which reads no
 hidden state, then a state half that blends and fuses the hidden states.
 ``observed_pass`` runs a whole known track as one ``ad.recurrence``
-record, which scores every step's pairs before its loop. The decoder's
-geometry follows its own predictions, so ``ad.decoder_rollout`` runs both
-halves and the cell step by step inside one record. How long their saved
-state lives is told once, in the ``autodiff`` module docstring.
-``spatial_weights``, ``spatial_round`` and ``lstm_cell`` are the composed
-records those equal bit for bit; no production pass calls them.
+record, which bins and scores every step's pair offsets before its loop.
+The decoder's geometry follows its own predictions, so
+``ad.decoder_rollout`` runs both halves and the cell step by step inside
+one record. How long their saved state lives is told once, in the
+``autodiff`` module docstring. ``spatial_weights``, ``spatial_round`` and
+``lstm_cell`` are the composed records those equal bit for bit; no
+production pass calls them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import spatial
 # reference for geometry.bin_indices. Nothing calls it; it stays importable
 # here only while bench/tracer.py binds it.
 from .geometry import (CrowdKinematics, bin_indices, compute_encounter,  # noqa: F401
-                       pair_offsets, track_kinematics)
+                       track_kinematics)
 
 
 def canonical_order(ped_ids: Sequence[int]) -> np.ndarray:
@@ -133,12 +134,12 @@ def spatial_weights(offsets: ad.TensorNode, kinematics: CrowdKinematics,
                     mask: np.ndarray, layout: SceneLayout,
                     grid: spatial.DomainGrid) -> ad.TensorNode:
     """(..., R, J) normalized weights from (..., R, J, 2) ``offsets`` to each
-    row's ``layout.neighbors``, the float ``kinematics`` (..., R) that pick
-    each pair's grid cell and the (..., R, J) ``mask`` of entries that may
-    act; leading axes (samples, steps) run in the same records."""
+    row's ``layout.neighbors``, binned from their values and the float
+    ``kinematics`` (..., R), and the (..., R, J) ``mask`` of entries that
+    may act; leading axes (samples, steps) run in the same records."""
     distance = ad.l2norm(offsets)
     scores = spatial.raw_score(
-        grid, bin_indices(kinematics, grid.spec, layout.neighbors), distance)
+        grid, bin_indices(kinematics, grid.spec, layout.neighbors, offsets.values), distance)
     return spatial.normalize_scores(scores, mask).normalized
 
 
@@ -176,9 +177,9 @@ def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layou
     ``embed`` is (W, b), ``lstm`` (W_ih, W_hh, b), ``fuse`` (W, b). Step t
     embeds the displacement from t - 1 (zeros at t = 0), fuses the
     neighbours' context into the hidden state and runs the cell. The pass
-    gathers the track into time-major rows and computes the kinematics,
-    pair offsets, bins and masks of every step at once; everything else is
-    one ``ad.recurrence`` record, equal to the composed records bit for
+    gathers the track into time-major rows and computes the kinematics and
+    masks of every step at once; all else, pair offsets and bins included,
+    is one ``ad.recurrence`` record, equal to the composed records bit for
     bit. Returns the final (..., R, H) hidden and cell, the time-major (T,
     ..., R, H) fused states and the last kinematics, in rows.
 
@@ -195,16 +196,14 @@ def observed_pass(track: ad.TensorNode | np.ndarray, presence: np.ndarray, layou
     index = index[1:] + index[:1]
     live = isinstance(track, ad.TensorNode)
     pos = ad.gather(track, index) if live else np.asarray(track, dtype=np.float64)[index]
-    xy = pos.values if live else pos
-    kins = track_kinematics(xy, None if start is None else start[2])
+    kins = track_kinematics(pos.values if live else pos, None if start is None else start[2])
     mask = layout.neighbor_mask(presence)[(slice(None),) + (None,) * len(lead)]
-    offsets = pair_offsets(xy, layout.neighbors)
     state = before = None
     if start is not None:
         rows = np.broadcast_to(np.arange(layout.n_rows), lead + (layout.n_rows,))
         state = ad.gather(start[0], rows), ad.gather(start[1], rows)
         before = start[2].position
     hidden, cell, keys = ad.recurrence(
-        pos, offsets, (bin_indices(kins, grid.spec, layout.neighbors, offsets), mask),
-        grid.node, layout.neighbors, layout.blocks, embed, lstm, fuse, state, before)
+        pos, kins, mask, grid.spec, grid.node, layout.neighbors, layout.blocks, embed, lstm,
+        fuse, state, before)
     return hidden, cell, keys, kins[-1]

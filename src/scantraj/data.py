@@ -129,11 +129,19 @@ def _reindex_frames(records: list[RawRecord]) -> dict[int, int]:
     return {f: (f - frames[0]) // step for f in frames}
 
 
+def _check_lengths(obs_len: int, pred_len: int) -> None:
+    """Refuse a window too short to forecast from: a heading needs two
+    observed points, and a forecast at least one step."""
+    if obs_len < 2 or pred_len < 1:
+        raise ValueError(f"need obs_len >= 2 and pred_len >= 1, got {obs_len} and {pred_len}")
+
+
 def make_windows(records: list[RawRecord], obs_len: int = 8, pred_len: int = 12,
                  stride: int = 1) -> list[SceneWindow]:
     """Slide fixed-length windows over the re-indexed frame axis."""
-    if obs_len < 2 or pred_len < 1 or stride < 1:
-        raise ValueError("need obs_len >= 2, pred_len >= 1, stride >= 1")
+    _check_lengths(obs_len, pred_len)
+    if stride < 1:
+        raise ValueError(f"need stride >= 1, got {stride}")
     if not records:
         return []
     index_of = _reindex_frames(records)
@@ -261,6 +269,7 @@ def synth_scenarios(kind: str, n_scenes: int, seed: int,
         raise DataError(f"unknown scenario kind {kind!r}; expected one of {SCENARIO_KINDS}")
     if n_scenes < 0:
         raise ValueError(f"scene count must be >= 0, got {n_scenes}")
+    _check_lengths(obs_len, pred_len)
     hub = RngHub(seed)
     T = obs_len + pred_len
     scenes = []

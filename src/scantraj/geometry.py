@@ -216,10 +216,11 @@ def bin_indices(kinematics: CrowdKinematics, spec: BinSpec, neighbors: np.ndarra
     ``bin_index(compute_encounter(A, B), spec)`` for the
     ``AgentKinematics`` A of agent a and B of agent ``neighbors[a, j]``;
     in the (N, N) table whose every row is 0, 1, ..., N - 1 every agent
-    sees every agent. ``offsets``, when the caller has them, are
-    the ``pair_offsets`` of the positions over the table, not recomputed.
-    The bearings take ``compute_encounter``'s float operations over the
-    whole array, so a pair on a bin edge lands where the scalar one does.
+    sees every agent. The bearings are read from the (..., N, J, 2)
+    ``offsets``, by default the ``pair_offsets`` of the positions; the fused
+    kernels pass the offsets they weight. They take ``compute_encounter``'s
+    float operations over the whole array, so a pair on a bin edge lands
+    where the scalar one does.
     """
     heading = kinematics.heading_deg
     if offsets is None:

@@ -42,8 +42,11 @@ class MetricReport:
     def validate(self) -> None:
         for name in ("ade", "fde", "best_of_k_ade", "best_of_k_fde",
                      "near_collision_pct"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.near_collision_pct > 100:
+            raise ValueError(f"near_collision_pct must be <= 100, got {self.near_collision_pct}")
         if self.n_scenes < 0 or self.n_peds < 0:
             raise ValueError("counts must be >= 0")
 
@@ -58,14 +61,19 @@ class MetricReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "MetricReport":
+        """The report ``to_csv`` wrote: the header and exactly one valid row."""
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError("unrecognized metric CSV header")
+        if len(lines) != 2:
+            raise ValueError(f"metric CSV must hold one data row, got {len(lines) - 1}")
         parts = lines[1].split(",")
         if len(parts) != 7:
             raise ValueError("metric CSV row must have 7 fields")
-        return cls(float(parts[0]), float(parts[1]), float(parts[2]),
-                   float(parts[3]), float(parts[4]), int(parts[5]), int(parts[6]))
+        report = cls(float(parts[0]), float(parts[1]), float(parts[2]),
+                     float(parts[3]), float(parts[4]), int(parts[5]), int(parts[6]))
+        report.validate()
+        return report
 
 
 def _mask(mask, shape: tuple) -> np.ndarray:

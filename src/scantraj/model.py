@@ -30,8 +30,7 @@ from .errors import NumericError, ShapeError
 # reference for advance_kinematics, and attend the composed reference for the
 # decoder step's attention. Nothing calls them; they stay importable here only
 # while bench/tracer.py binds them.
-from .geometry import (BinSpec, CrowdKinematics, advance_kinematics,  # noqa: F401
-                       bin_indices, estimate_heading)
+from .geometry import BinSpec, CrowdKinematics, estimate_heading  # noqa: F401
 from .temporal import attend  # noqa: F401
 
 VARIANTS = ("vanilla", "scan")
@@ -298,13 +297,15 @@ class ScanModel:
         """Roll the decoder forward ``pred_len`` steps past the observation,
         as one ``ad.decoder_rollout`` record.
 
-        ``scenes`` are the scenes ``bank`` encoded, one or a list. Every
-        step recomputes headings, bins and neighbour masks from the previous
-        step's float positions and the pair offsets from the live running
-        sum of displacements, so the range grid sees gradient from the
-        predicted spacing. With ``generative`` configs the decoder hidden
-        state is re-seeded from the encoder final plus a noise draw (zeros
-        when ``noise`` is None, keeping the pass deterministic).
+        ``scenes`` are the scenes ``bank`` encoded, one or a list. The
+        rollout starts from the bank's kinematics, takes every step's
+        neighbour mask from the scenes' presence and carries the headings
+        from its own predictions. Each step's pair offsets come from the
+        live running sum of displacements, so the range grid sees gradient
+        from the predicted spacing, and give the bins too. With
+        ``generative`` configs the decoder hidden state is re-seeded from
+        the encoder final plus a noise draw (zeros when ``noise`` is None,
+        keeping the pass deterministic).
 
         A ``(S, noise_dim)`` noise block decodes S samples in one pass: every
         node gains a leading sample axis, each sample reads the same bank,
@@ -351,19 +352,11 @@ class ScanModel:
                          self.params["temporal.b"])
 
         present = self._present(scenes, range(cfg.obs_len, cfg.obs_len + cfg.pred_len))
-        masks = layout.neighbor_mask(present[:, layout.order])
-        kin = bank.kinematics                   # every sample starts from the bank's
-
-        def geometry(step: int, previous, current) -> tuple:
-            nonlocal kin
-            if previous is not None:            # headings from the step just predicted
-                kin = advance_kinematics(previous, current, kin)
-            return bin_indices(kin, self.grid.spec, layout.neighbors), masks[step]
-
         embed, lstm = self._recurrence("dec")
         pos, disp = ad.decoder_rollout(
-            hidden, cell, tiled(bank.last_disp), kin.position, self.grid.node,
-            geometry, layout.neighbors, layout.blocks, cfg.pred_len, self._fuse(), embed, lstm,
+            hidden, cell, tiled(bank.last_disp), bank.kinematics,
+            layout.neighbor_mask(present[:, layout.order]), self.grid.spec, self.grid.node,
+            layout.neighbors, layout.blocks, self._fuse(), embed, lstm,
             (self.params["out.W"], self.params["out.b"]), attention)
         undo = (slice(None),) * len(lead) + (layout.undo,)
         return ForwardResult([pid for scene in scenes for pid in scene.ped_ids],

@@ -381,8 +381,11 @@ def emit_plots(checkpoint_path, scenes, out_dir, k: int | None = None,
     cells reuse prefixes of one sample draw and are titled kV-lambda (the
     lambda label is the training-time diversity weight, supplied by the
     caller; a checkpoint embodies a single lambda). Every SVG gets a CSV with the
-    same numbers. Returns the list of written paths.
+    same numbers. Returns the list of written paths. ``max_scenes`` below
+    1 raises ValueError before anything is written.
     """
+    if max_scenes < 1:
+        raise ValueError(f"the number of scenes to render must be >= 1, got {max_scenes}")
     state = load_checkpoint(checkpoint_path)
     model = ScanModel(state.cfg, state.params)
     if k is None:

@@ -25,7 +25,7 @@ from scantraj import model as sm
 from scantraj import spatial as sp
 from scantraj import training as tr
 from scantraj.geometry import (BinSpec, CrowdKinematics, EncounterGeometry,
-                               bin_index, bin_indices, pair_offsets)
+                               bin_index, bin_indices, track_kinematics)
 from scantraj.model import trajectory_loss
 
 from oracles import matmul, oracle_spatial
@@ -122,13 +122,15 @@ class TestGradientIntegrity:
         k342 = rng.normal(size=(3, 4, 2))
         # The decoder's ops over scenes of 1 and 2 rows (the lone row sees
         # no one): a two-step rollout with attention, whose second step's
-        # weights read the running sum. The start offsets and running sum
-        # the pair weights once took are still drawn, so later draws keep
-        # their values.
+        # weights read the running sum. Both ops bin their pairs on the 2 x 2
+        # grid from the offsets they weight. The start offsets, running sum
+        # and bins the pair weights once took are still drawn, so later
+        # draws keep their values.
         table = np.array([[0, 0], [1, 2], [1, 2]])
         own = table == np.arange(3)[:, None]
         rng.uniform(-1.0, 1.0, size=(3, 2, 2))
-        bins32 = (rng.integers(1, 3, size=(3, 2)), rng.integers(1, 3, size=(3, 2)))
+        rng.integers(1, 3, size=(3, 2)), rng.integers(1, 3, size=(3, 2))
+        spec22 = BinSpec(180.0, 180.0)
         _, grid22 = rng.normal(0.0, 0.2, size=(3, 2)), rng.uniform(1.0, 3.0, size=(2, 2))
         step_shapes = [(3, 2), (3, 2), (3, 2), (3, 2), (3, 2), (2, 4), 2, (2, 2), 2, (8, 2),
                        (8, 2), 8, (2, 2), 2]
@@ -139,24 +141,26 @@ class TestGradientIntegrity:
         probes = [rng.normal(size=(3, 2)) for _ in range(5)]
         # The recurrence's input weights, which take steps of width 8.
         w88, b8 = rng.normal(size=(8, 8)), rng.normal(size=8)
-        # The known-track pass's embedding of steps into width 8, and the
-        # bins of its scene of 3 rows, each of which sees the other two.
+        # The known-track pass's embedding of steps into width 8, and its
+        # scene of 3 rows, each of which sees the other two. The bins it
+        # once took are still drawn, so later draws keep their values.
         e82, e8 = rng.normal(size=(8, 2)), rng.normal(size=8)
-        bins333 = (rng.integers(1, 3, size=(3, 3, 3)), rng.integers(1, 3, size=(3, 3, 3)))
+        rng.integers(1, 3, size=(3, 3, 3)), rng.integers(1, 3, size=(3, 3, 3))
         table3 = np.array([[0, 1, 2]] * 3)
+        start32 = CrowdKinematics(m32, np.array([30.0, 150.0, 270.0]), np.ones(3, bool))
 
         def rollout_all(h, c, x, grid, fw, fb, ew, eb, wih, whh, b, ow, ob, k, aw, ab):
-            pos, _ = ad.decoder_rollout(h, c, x, m32, grid, lambda t, *_: (bins32, ~own), table,
-                                        [(1, 1, 1), (1, 2, 2)], 2, (fw, fb), (ew, eb),
+            pos, _ = ad.decoder_rollout(h, c, x, start32, np.stack([~own, ~own]), spec22, grid,
+                                        table, [(1, 1, 1), (1, 2, 2)], (fw, fb), (ew, eb),
                                         (wih, whh, b), (ow, ob), (k, aw, ab))
             return _weighted_sum(pos, np.stack(probes[:2], axis=1))
 
         def recurrence_all(track, grid, ew, eb, wi, w, b, fw, fb, *state):
             # A live track; with a start, step 0 moves on from m32.
             hidden, cell, keys = ad.recurrence(
-                track, pair_offsets(track.values, table3),
-                (bins333, table3 != np.arange(3)[:, None]), grid, table3, [(1, 3, 3)],
-                (ew, eb), (wi, w, b), (fw, fb), state or None, m32 if state else None)
+                track, track_kinematics(track.values), table3 != np.arange(3)[:, None], spec22,
+                grid, table3, [(1, 3, 3)], (ew, eb), (wi, w, b), (fw, fb), state or None,
+                m32 if state else None)
             return ad.add(ad.add(_weighted_sum(hidden, w232[0]), _weighted_sum(cell, v232[0])),
                           _weighted_sum(keys, w334[..., :2]))
 

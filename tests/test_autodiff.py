@@ -17,7 +17,7 @@ from scantraj import autodiff as ad
 from scantraj import cells, spatial, temporal
 from scantraj.errors import ShapeError
 from scantraj.geometry import (BinSpec, CrowdKinematics, advance_kinematics, bin_indices,
-                               pair_offsets)
+                               pair_offsets, track_kinematics)
 
 from oracles import matmul, numeric_gradient, pairwise_offsets
 
@@ -570,16 +570,17 @@ def composed_recurrence(x, weights, lstm, fuse_w, fuse_b, blocks, state=None):
     return hidden, cell, ad.stack(keys)
 
 
-def composed_known_track(track, offsets, geometry, grid, neighbors, blocks, embed, lstm, fuse,
-                         state=None, before=None):
+def composed_known_track(track, kinematics, mask, spec, grid, neighbors, blocks, embed, lstm,
+                         fuse, state=None, before=None):
     """``ad.recurrence`` as the records it took before it scored its pairs
     and built its step inputs itself: ``composed_pair_weights`` of a live
-    track (of an array track's ``offsets``), the step inputs, their
+    track (of an array track's ``pair_offsets``), the step inputs, their
     embedding ``linear`` and ``composed_recurrence``."""
     live = isinstance(track, ad.TensorNode)
-    weights = composed_pair_weights(track if live else None, grid, None if live else offsets,
-                                    neighbors, *geometry)
     xy = track.values if live else track
+    weights = composed_pair_weights(track if live else None, grid,
+                                    None if live else pair_offsets(xy, neighbors), neighbors,
+                                    kinematics, spec, mask)
     if before is None:                      # a zero displacement at step 0
         first = np.zeros((1,) + xy.shape[1:])
         step_in = (ad.concat([ad.constant(first), ad.sub(track[1:], track[:-1])]) if live
@@ -600,19 +601,24 @@ def composed_attention(query, keys, weight, bias):
     return ad.tanh(ad.linear(ad.concat([context, query], axis=-1), weight, bias))
 
 
-def composed_pair_weights(cum, grid, start, neighbors, bins, mask):
+def composed_pair_weights(cum, grid, start, neighbors, kinematics, spec, mask):
     """Spatial weights as the records they took before the fused ops scored
     pairs themselves: offsets, distance, grid cell, relu and softmax. The
     offsets are ``start`` plus the pair offsets of the live ``cum``, or
-    either term alone when the other is None (a known-track pass)."""
+    either term alone when the other is None (a known-track pass); the
+    cells are the ``bin_indices`` of the ``kinematics`` read from those
+    offsets' values, and ``mask`` admits pairs."""
     if start is None:
         offsets = pairwise_offsets(cum, neighbors)
     else:
         offsets = ad.constant(start)
         if cum is not None:
             offsets = ad.add(offsets, pairwise_offsets(cum, neighbors))
-    scores = spatial.raw_score(spatial.DomainGrid(grid, None), bins, ad.l2norm(offsets))
-    return spatial.normalize_scores(scores, mask).normalized
+    shape = offsets.shape[:-1]
+    bins = tuple(np.broadcast_to(b, shape)
+                 for b in bin_indices(kinematics, spec, neighbors, offsets.values))
+    scores = spatial.raw_score(spatial.DomainGrid(grid, spec), bins, ad.l2norm(offsets))
+    return spatial.normalize_scores(scores, np.broadcast_to(mask, shape)).normalized
 
 
 def composed_decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos, fuse,
@@ -630,43 +636,29 @@ def composed_decoder_step(hidden, cell, weights, blocks, cum, step_in, last_pos,
     return hidden, cell, disp, cum, ad.add(ad.constant(last_pos), cum)
 
 
-def composed_rollout(hidden, cell, step_in, last_pos, grid, geometry, neighbors, blocks, steps,
+def composed_rollout(hidden, cell, step_in, kinematics, masks, spec, grid, neighbors, blocks,
                      fuse, embed, lstm, out, attention=None):
     """A decoder rollout as the records it took before ``ad.decoder_rollout``:
-    per step, the composed pair weights and step, every sample's geometry
-    computed on its own."""
-    lead = hidden.shape[:-2]
-
-    def tiled(values, trailing=()):
-        return np.array(np.broadcast_to(values, lead + neighbors.shape + trailing))
-
-    start = tiled(last_pos[neighbors] - last_pos[:, None], (2,))
-    cum, previous, current, positions, disps = None, None, last_pos, [], []
-    for t in range(steps):
-        bins, mask = geometry(t, previous, current)
-        weights = composed_pair_weights(cum, grid, start, neighbors, tuple(map(tiled, bins)),
-                                        tiled(mask))
+    per step, the headings advanced from the two latest positions, then the
+    composed pair weights, every sample's offsets computed on its own, and
+    the composed step."""
+    lead, last_pos = hidden.shape[:-2], kinematics.position
+    start = np.array(np.broadcast_to(last_pos[neighbors] - last_pos[:, None],
+                                     lead + neighbors.shape + (2,)))
+    cum, track, positions, disps = None, [last_pos], [], []
+    for mask in masks:
+        if cum is not None:
+            kinematics = advance_kinematics(track[-2], track[-1], kinematics)
+        weights = composed_pair_weights(cum, grid, start, neighbors, kinematics, spec, mask)
         hidden, cell, disp, cum, pos = composed_decoder_step(
             hidden, cell, weights, blocks, cum, step_in,
             np.array(np.broadcast_to(last_pos, lead + last_pos.shape)), fuse, embed, lstm, out,
             attention)
-        step_in, previous, current = disp, current, pos.values
+        step_in = disp
+        track.append(pos.values)
         positions.append(pos)
         disps.append(disp.values)
     return ad.stack(positions, axis=-2), np.stack(disps, axis=-2)
-
-
-def decoder_geometry(kinematics, spec, neighbors, masks):
-    """A rollout's ``geometry``, as ``ScanModel.decode`` builds it: headings
-    advanced from the two latest positions, bins from them and the
-    step's mask of ``masks``."""
-    def geometry(step, previous, current):
-        nonlocal kinematics
-        if previous is not None:
-            kinematics = advance_kinematics(previous, current, kinematics)
-        return bin_indices(kinematics, spec, neighbors), masks[step]
-
-    return geometry
 
 
 def run_both(ops, arrays, loss_of):
@@ -746,13 +738,14 @@ class TestFusedKernels:
         if zero_fuse_context:
             arrays[7][:, H:] = 0.0
         mask = layout.neighbor_mask(rng.uniform(size=(T, R)) < 0.8)
-        geometry = (tuple(rng.integers(1, n + 1, size=rows + (J,)) for n in grid),
-                    np.broadcast_to(mask[(slice(None),) + (None,) * len(lead)], rows + (J,)))
+        mask = np.broadcast_to(mask[(slice(None),) + (None,) * len(lead)], rows + (J,))
+        kinematics = CrowdKinematics(track, rng.uniform(0.0, 360.0, size=rows),
+                                     rng.uniform(size=rows) < 0.7)
+        spec = BinSpec(360.0 / grid[0], 360.0 / grid[1])
         probes = [rng.normal(size=lead + (R, H)), rng.normal(size=lead + (R, H)),
                   rng.normal(size=rows + (H,))[:keys_stop], rng.normal(size=(H, 2 * H))]
         in_probes = {k: rng.normal(size=arrays[k].shape) for k in reused
                      if arrays[k] is not None}
-        offsets = pair_offsets(track, layout.neighbors)
 
         def loss_of(nodes, outs):           # fuse W is shared, as with the decoder
             parts = [outs[0], outs[1], outs[2][:keys_stop]]
@@ -762,7 +755,7 @@ class TestFusedKernels:
             return ad.mean_of(terms + [ad.reduce_sum(ad.mul(nodes[7], ad.constant(probes[3])))])
 
         def call(op, n):
-            return op(n[0] if live else track, offsets, geometry, n[1], layout.neighbors,
+            return op(n[0] if live else track, kinematics, mask, spec, n[1], layout.neighbors,
                       layout.blocks, n[2:4], n[4:7], n[7:9], tuple(n[9:]) if start else None,
                       before)
 
@@ -820,10 +813,9 @@ class TestFusedKernels:
         in_probes = {k: rng.normal(size=arrays[k].shape) for k in reused if arrays[k] is not None}
 
         def call(op, n):
-            pos, disp = op(n[0], n[1], n[2], last_pos, n[3],
-                           decoder_geometry(start, spec, layout.neighbors, masks),
-                           layout.neighbors, layout.blocks, steps, n[4:6], n[6:8], n[8:11],
-                           n[11:13], tuple(n[13:]) if attend else None)
+            pos, disp = op(n[0], n[1], n[2], start, masks, spec, n[3], layout.neighbors,
+                           layout.blocks, n[4:6], n[6:8], n[8:11], n[11:13],
+                           tuple(n[13:]) if attend else None)
             return pos, ad.constant(disp)
 
         def loss_of(nodes, outs):           # the inputs may arrive with adjoints
@@ -839,9 +831,8 @@ class TestFusedKernels:
         rng = np.random.default_rng(66)
         layout = cells.SceneLayout([range(2), range(3)])
         track = rng.normal(size=(4, 5, 2))
-        args = (pair_offsets(track, layout.neighbors),
-                ((np.ones((5, 3), dtype=np.int64),) * 2, layout.neighbor_mask(np.ones(5, bool))),
-                ad.constant(np.ones((1, 1))), layout.neighbors)
+        args = (track_kinematics(track), layout.neighbor_mask(np.ones(5, bool)),
+                BinSpec(360.0, 360.0), ad.constant(np.ones((1, 1))), layout.neighbors)
         params = [ad.constant(rng.normal(size=s)) for s in ((8, 2), (2, 4), (2,))]
         embed = (ad.constant(rng.normal(size=(6, 2))), ad.constant(np.zeros(6)))
         lstm = (ad.constant(rng.normal(size=(8, 6))), params[0], ad.constant(np.zeros(8)))
@@ -977,18 +968,19 @@ def every_op(x, w):
     """A scalar that runs every op kind once, unstack, the recurrence over a
     live track, attention and the decoder rollout included."""
     table = np.array([[0, 1, 2]] * 3)
-    grid = ad.add(ad.exp(w), 1.0)
-    bins = (np.array([[1, 2, 1]] * 3), np.array([[4, 1, 2]] * 3))
+    grid, spec = ad.add(ad.exp(w), 1.0), BinSpec(180.0, 90.0)
     mask = table != np.arange(3)[:, None]
     gates_w = ad.concat([w, w, w, w])[:, :2]
+    start = CrowdKinematics(np.array([[1.0, 1.0], [2.0, 0.5], [0.0, -1.0]]),
+                            np.array([0.0, 100.0, 250.0]), np.array([True, True, False]))
     positions, _ = ad.decoder_rollout(
-        x[:, :2], x[:, 2:], ad.tanh(x[:, :2]), np.ones((3, 2)), grid, lambda t, *_: (bins, mask),
-        table, [(1, 3, 3)], 2, (w, w[:, 0]), (w[:, :2], w[0, :2]),
+        x[:, :2], x[:, 2:], ad.tanh(x[:, :2]), start, np.stack([mask, mask]), spec, grid,
+        table, [(1, 3, 3)], (w, w[:, 0]), (w[:, :2], w[0, :2]),
         (gates_w, gates_w, ad.concat([w[0], w[1]])), (w[:, :2], w[:, 1]),
         (ad.stack([x[:, :2], ad.tanh(x[:, 2:])], axis=1), w, w[:, 2]))
     track = ad.stack([x[:, :2], ad.tanh(x[:, 2:])])
     hidden, _, keys = ad.recurrence(
-        track, pair_offsets(track.values, table), (bins, mask), grid, table, [(1, 3, 3)],
+        track, track_kinematics(track.values), mask, spec, grid, table, [(1, 3, 3)],
         (ad.concat([w[:, :2], w[:, 2:]]), w[0]),
         (ad.concat([w, w]), ad.stack([w[0]], axis=1), w[1]), (w[0:1, 0:2], w[1, 0:1]),
         (ad.tanh(x[:, :1]), x[:, 1:2]), np.linspace(-1.0, 1.0, 6).reshape(3, 2))

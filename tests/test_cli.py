@@ -269,6 +269,16 @@ class TestSynthCommand:
                         str(tmp_path / "x.txt")])
         assert code == 1
 
+    @pytest.mark.parametrize("obs_len, pred_len", [("-2", "30"), ("8", "-3"), ("1", "12")])
+    def test_impossible_lengths_exit_1_and_write_nothing(self, tmp_path, capsys, obs_len,
+                                                         pred_len):
+        out = tmp_path / "x.txt"
+        code = cli.run(["synth", "--kind", "straight", "--n", "2", "--obs-len", obs_len,
+                        "--pred-len", pred_len, "--out", str(out)])
+        assert code == 1
+        assert "need obs_len >= 2 and pred_len >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_happy_path_writes_checkpoint_and_curve(self, tmp_path,
@@ -467,6 +477,16 @@ class TestPredictCommand:
         assert cli.run(args + ["--k", "4"]) == 1
         assert "generative" in capsys.readouterr().err
         assert cli.run(args) == 0
+
+    @pytest.mark.parametrize("scenes", ["0", "-1"])
+    def test_scenes_below_one_exit_1_and_write_nothing(self, tmp_path, trained_ckpt, capsys,
+                                                        scenes):
+        out_dir = tmp_path / "figs"
+        code = cli.run(["predict", "--ckpt", trained_ckpt, "--synth", "straight:3:7",
+                        "--out", str(out_dir), "--scenes", scenes])
+        assert code == 1
+        assert f"scenes to render must be >= 1, got {scenes}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_k_below_one_exits_1(self, tmp_path, trained_ckpt, capsys, k):

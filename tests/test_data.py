@@ -230,6 +230,18 @@ class TestSynthScenarios:
         with pytest.raises(DataError, match="zigzag"):
             data.synth_scenarios("zigzag", 1, seed=0)
 
+    @pytest.mark.parametrize("obs_len, pred_len", [(-2, 30), (1, 12), (8, 0), (8, -3)])
+    @pytest.mark.parametrize("kind", ["straight", "crossing"])
+    def test_lengths_too_short_to_forecast_are_refused_as_by_make_windows(self, kind, obs_len,
+                                                                          pred_len):
+        # A heading needs two observed points and a forecast one step, as
+        # for windows cut from a recording.
+        for make in (lambda: data.make_windows([], obs_len=obs_len, pred_len=pred_len),
+                     lambda: data.synth_scenarios(kind, 2, seed=0, obs_len=obs_len,
+                                                  pred_len=pred_len)):
+            with pytest.raises(ValueError, match="need obs_len >= 2 and pred_len >= 1"):
+                make()
+
     def test_scenes_differ_but_reruns_match(self):
         a = data.synth_scenarios("crossing", 3, seed=9)
         b = data.synth_scenarios("crossing", 3, seed=9)

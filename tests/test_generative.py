@@ -553,8 +553,8 @@ class TestGanTrainStep:
         m, disc = self.setup_pair()
         calls, original = [], ad.recurrence
 
-        def spy(track, offsets, geometry, grid, neighbors, blocks, embed, lstm, *args):
-            outs = original(track, offsets, geometry, grid, neighbors, blocks, embed, lstm,
+        def spy(track, kinematics, mask, spec, grid, neighbors, blocks, embed, lstm, *args):
+            outs = original(track, kinematics, mask, spec, grid, neighbors, blocks, embed, lstm,
                             *args)
             if lstm[0] is disc["disc.lstm.W_ih"]:
                 calls.append((np.shape(track), outs[0].op_record is not None))

@@ -256,6 +256,26 @@ class TestMetricReport:
         with pytest.raises(ValueError):
             metrics.MetricReport.from_csv("a,b\n1,2\n")
 
+    @pytest.mark.parametrize("field, value", [
+        ("ade", float("nan")), ("fde", float("inf")), ("best_of_k_ade", -float("inf")),
+        ("best_of_k_fde", float("nan")), ("near_collision_pct", float("nan")),
+        ("near_collision_pct", 100.5), ("near_collision_pct", 250.0)])
+    def test_values_no_evaluation_gives_are_rejected(self, field, value):
+        report = metrics.MetricReport(0.5, 0.5, 0.5, 0.5, 100.0, 1, 2)
+        report.validate()                   # a percentage may reach 100
+        setattr(report, field, value)
+        with pytest.raises(ValueError, match=field):
+            report.validate()
+
+    @pytest.mark.parametrize("rows", [
+        ["-1,0,0,0,0,1,1"], ["0,0,0,0,0,-1,1"], ["0,0,0,0,250,1,1"], ["0,0,0,0,nan,1,1"],
+        ["inf,0,0,0,0,1,1"], [], ["0,0,0,0,0,1,1", "1,1,1,1,0,1,1"]],
+        ids=["negative-ade", "negative-count", "pct-over-100", "nan-pct", "inf-ade",
+             "no-row", "two-rows"])
+    def test_from_csv_refuses_a_report_that_cannot_exist(self, rows):
+        with pytest.raises(ValueError):
+            metrics.MetricReport.from_csv("\n".join([metrics.CSV_HEADER, *rows]) + "\n")
+
 
 @st.composite
 def sample_sets(draw):

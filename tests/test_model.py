@@ -8,6 +8,7 @@ import pytest
 from scantraj import autodiff as ad
 from scantraj import cells
 from scantraj import generative as gn
+from scantraj import geometry
 from scantraj import model as sm
 from scantraj import training as tr
 from scantraj.data import SceneWindow, synth_scenarios
@@ -216,6 +217,31 @@ class TestRecordBudget:
                 bank = m.encode(scene)
                 counts.append(records_of(lambda: m.decode(scene, bank, noise=noise)))
         assert counts[0] == counts[1] == counts[2] <= bound, counts
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"generative": True, "noise_dim": 2}, {"variant": "vanilla"}],
+        ids=["default", "generative", "vanilla"])
+    def test_a_decode_computes_each_steps_pair_offsets_once(self, monkeypatch, overrides):
+        # Each step bins and weighs the same offsets: step 0's from the
+        # bank's positions, once for every sample, each later step's from
+        # the running sum. A generative model decodes a 3-sample block.
+        calls, original = [], geometry.pair_offsets
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (ad, geometry):
+            monkeypatch.setattr(module, "pair_offsets", counted)
+        for pred_len in (1, 4):
+            m = build(micro_cfg(pred_len=pred_len, **overrides))
+            scene = make_scene(dyadic_walkers(3 + pred_len), obs_len=3)
+            noise = np.zeros((3, 2)) if overrides.get("generative") else None
+            with ad.no_grad():
+                bank = m.encode(scene)
+                del calls[:]
+                m.decode(scene, bank, noise=noise)
+            assert len(calls) == pred_len
 
     @staticmethod
     def step_records(monkeypatch, run) -> int:

@@ -56,7 +56,7 @@ from scantraj.data import SceneWindow
 from scantraj.geometry import (AgentKinematics, BinSpec, CrowdKinematics,
                                advance_kinematics, bin_index, bin_indices,
                                compute_encounter, estimate_heading,
-                               normalize_deg, pair_offsets, track_kinematics)
+                               normalize_deg, track_kinematics)
 
 from oracles import composed_decode, composed_observed_pass
 from test_model import build, fake_track, make_scene, micro_cfg, real_track
@@ -369,15 +369,15 @@ def test_a_row_with_at_most_one_admitted_neighbour_sends_the_grid_no_gradient(
     R, J = layout.neighbors.shape
     rows = (T,) + lead + (R,)
     admitted = np.arange(J) == rng.integers(-1, J, size=rows + (1,))  # -1: none
-    bins = (rng.integers(1, 4, size=rows + (J,)), rng.integers(1, 3, size=rows + (J,)))
     grid = ad.constant(rng.uniform(0.5, 3.0, size=(3, 2)))
     track = rng.normal(0.0, 0.5, size=rows + (2,))
+    kins = CrowdKinematics(track, rng.uniform(0.0, 360.0, size=rows), np.ones(rows, dtype=bool))
     params = [ad.constant(rng.normal(size=shape))
               for shape in ((2, 2), 2, (8, 2), (8, 2), 8, (2, 4), 2)]
     with ad.Tape() as tape:
-        outs = ad.recurrence(ad.constant(track) if live else track,
-                             pair_offsets(track, layout.neighbors), (bins, admitted), grid,
-                             layout.neighbors, layout.blocks, params[:2], params[2:5], params[5:])
+        outs = ad.recurrence(ad.constant(track) if live else track, kins, admitted,
+                             BinSpec(120.0, 180.0), grid, layout.neighbors, layout.blocks,
+                             params[:2], params[2:5], params[5:])
         probes = [ad.constant(rng.normal(size=out.shape)) for out in outs]
         tape.backward(ad.mean_of([ad.reduce_sum(ad.mul(out, probe))
                                   for out, probe in zip(outs, probes)]))
