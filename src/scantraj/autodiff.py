@@ -22,6 +22,17 @@ composed records bit for bit, in values and in every gradient: the forward
 runs their float operations, and the backward runs theirs in their order
 and adds every input's shares as they did.
 
+Weight layout. A fused op multiplies rows by an ``(out, in)`` weight as
+``rows @ wt`` with ``wt`` the weight's C-contiguous ``(in, out)`` copy
+(``_laid_out``), made once per record before any step loop (``linear``,
+``lstm_step`` and ``attention`` make theirs per call, so the composed
+records round as the fused ones do). With numpy 2.4.6 and OpenBLAS 0.3.31
+a ``(S, R, in)`` stack times a C-contiguous weight runs as one gemm, while
+the transposed view ``W.T`` runs one gemm per leading slice. Each row still
+gets the bits it gets in a lone pass (``tests/test_autodiff.py`` and
+``tests/test_properties.py`` pin this); a one-row product runs as the
+first row of two, since gemv rounds differently (``_rows_times``).
+
 Saved state and its lifetime. A fused record keeps its inputs, its outputs
 and the intermediates whose rebuild would need a matrix product; its
 backward rebuilds everything else with the forward's own float operations
@@ -467,14 +478,22 @@ def block_matmul(a, b, blocks) -> TensorNode:
     return _record("block_matmul", _block_products(a_blocks, bv, pieces), (a, b), backward)
 
 
-def _rows_times(xv: np.ndarray, wv: np.ndarray) -> np.ndarray:
-    """``xv @ wv.T`` for rows ``(..., in)``. numpy hands a one-row product to
-    gemv, which rounds differently from the gemm that multiplies a row inside
-    a larger batch; a lone row therefore runs as the first row of two."""
+def _rows_times(xv: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """``xv @ wt`` for rows ``(..., in)`` and a weight laid out ``(in, out)``,
+    C-contiguous (``_laid_out``), so that numpy runs a stack of rows as one
+    gemm (module docstring, "Weight layout"). numpy hands a one-row product
+    to gemv, which rounds differently from the gemm that multiplies a row
+    inside a larger batch; a lone row therefore runs as the first row of two."""
     if xv.ndim >= 2 and xv.shape[-2] == 1:
         pair = np.concatenate([xv, np.zeros_like(xv)], axis=-2)
-        return (pair @ wv.T)[..., :1, :]
-    return xv @ wv.T
+        return (pair @ wt)[..., :1, :]
+    return xv @ wt
+
+
+def _laid_out(weight: TensorNode) -> np.ndarray:
+    """An ``(out, in)`` weight's values as the C-contiguous ``(in, out)``
+    copy ``_rows_times`` takes."""
+    return np.ascontiguousarray(weight.values.T)
 
 
 def linear(x, weight, bias=None) -> TensorNode:
@@ -484,7 +503,7 @@ def linear(x, weight, bias=None) -> TensorNode:
     xv, wv = x.values, weight.values
     if wv.ndim != 2 or xv.ndim == 0 or xv.shape[-1] != wv.shape[1]:
         raise ShapeError(f"linear: input {xv.shape} and weight {wv.shape} do not conform")
-    outv = _rows_times(xv, wv)
+    outv = _rows_times(xv, _laid_out(weight))
     inputs = (x, weight)
     if bias is not None:
         bias = _lift(bias)
@@ -648,8 +667,16 @@ def tanh(a) -> TensorNode:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
+    """``1 / (1 + exp(-x))`` without overflow: ``exp(-|x|)``, which lies in
+    [0, 1], over one plus itself, or 1 over that where ``x >= 0``; the
+    maximum picks them as a ``where`` would, on +-0, +-inf and NaN too."""
+    z = np.abs(x, out=np.empty_like(x))
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    out = np.maximum(z, x >= 0.0)
+    z += 1.0
+    out /= z
+    return out
 
 
 def sigmoid(a) -> TensorNode:
@@ -658,11 +685,12 @@ def sigmoid(a) -> TensorNode:
 
 
 def _lstm_values(gates_in: np.ndarray, hv: np.ndarray, cv: np.ndarray,
-                 wv: np.ndarray) -> tuple:
-    """The LSTM update's forward: the state ``(i, f, o, g, new_cell)`` its
-    backward needs, and the new hidden state ``o * tanh(new_cell)``."""
+                 w_hh_t: np.ndarray) -> tuple:
+    """The LSTM update's forward, with ``W_hh`` laid out ``(H, 4H)``
+    (``_laid_out``): the state ``(i, f, o, g, new_cell)`` its backward
+    needs, and the new hidden state ``o * tanh(new_cell)``."""
     H = cv.shape[-1]
-    gates = gates_in + _rows_times(hv, wv)
+    gates = gates_in + _rows_times(hv, w_hh_t)
     ifo = _sigmoid_values(np.concatenate([gates[..., :2 * H], gates[..., 3 * H:]], axis=-1))
     i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
     g = np.tanh(gates[..., 2 * H:3 * H])
@@ -702,7 +730,7 @@ def lstm_step(gates_in, hidden, cell, w_hh) -> tuple[TensorNode, TensorNode]:
             or gates_in.shape != cv.shape[:-1] + (4 * H,)):
         raise ShapeError(f"lstm_step: gates {gates_in.shape}, hidden {hv.shape}, "
                          f"cell {cv.shape} and weight {wv.shape} do not conform")
-    state, new_hidden = _lstm_values(gates_in.values, hv, cv, wv)
+    state, new_hidden = _lstm_values(gates_in.values, hv, cv, _laid_out(w_hh))
 
     def backward(grads):
         d_gates, d_cell = _lstm_grads(*grads, cv, state)
@@ -757,8 +785,7 @@ def recurrence(track, kinematics, mask, spec, grid, neighbors, blocks, embed, ls
                  else (np.asarray(track, dtype=np.float64), None))  # an array is not kept
     grid, embed_w, embed_b, fuse_w, fuse_b = map(_lift, (grid, *embed, *fuse))
     w_ih, w_hh, bias = map(_lift, lstm)
-    fw, fb, wv = fuse_w.values, fuse_b.values, w_hh.values
-    T, H, E = len(tv) if tv.ndim else 0, wv.shape[-1], embed_w.shape[:1]
+    T, H, E = len(tv) if tv.ndim else 0, w_hh.shape[-1], embed_w.shape[:1]
     shape = tv.shape[1:-1] + (H,)
     inputs = (grid, embed_w, embed_b, w_ih, w_hh, bias, fuse_w, fuse_b)
     if state is not None:
@@ -778,7 +805,9 @@ def recurrence(track, kinematics, mask, spec, grid, neighbors, blocks, embed, ls
     step_in = (np.concatenate([np.zeros((1,) + tv.shape[1:]), tv[1:] - tv[:-1]])
                if before is None
                else tv - np.concatenate([np.broadcast_to(before, (1,) + tv.shape[1:]), tv[:-1]]))
-    embedded = _rows_times(step_in, embed_w.values) + embed_b.values
+    embedded = _rows_times(step_in, _laid_out(embed_w)) + embed_b.values
+    gates_in = _rows_times(embedded, _laid_out(w_ih)) + bias.values     # ``linear``'s rows
+    fuse_t, w_hh_t, fb = _laid_out(fuse_w), _laid_out(w_hh), fuse_b.values
     w_blocks = _row_blocks(pair[0], pieces)
     first, first_cell = (np.zeros(shape),) * 2 if state is None else (p.values for p in state)
     hidden, cell = first, first_cell
@@ -786,9 +815,8 @@ def recurrence(track, kinematics, mask, spec, grid, neighbors, blocks, embed, ls
     for t in range(T):
         contexts.append(_block_products([ab[t] for ab in w_blocks], hidden, pieces))
         joint = np.concatenate([hidden, contexts[t]], axis=-1)
-        fused.append(np.tanh(_rows_times(joint, fw) + fb))
-        gates_in = _rows_times(embedded[t], w_ih.values) + bias.values  # ``linear``'s rows
-        saved, hidden = _lstm_values(gates_in, fused[t], cell, wv)
+        fused.append(np.tanh(_rows_times(joint, fuse_t) + fb))
+        saved, hidden = _lstm_values(gates_in[t], fused[t], cell, w_hh_t)
         states.append(saved)
         cell = saved[4]
     fused = np.stack(fused)
@@ -916,7 +944,7 @@ def attention(query, keys, weight, bias) -> TensorNode:
             or wv.ndim != 2 or wv.shape[1] != 2 * K or bias.shape != wv.shape[:1]):
         raise ShapeError(f"attention: query {qv.shape}, keys {kv.shape} and weight "
                          f"{wv.shape} do not conform")
-    saved = _attention_values(qv, kv, wv, bias.values)
+    saved = _attention_values(qv, kv, _laid_out(weight), bias.values)
 
     def backward(g):
         for share in _attention_grads(g, qv, kv, saved, weight, bias, keys):
@@ -925,12 +953,12 @@ def attention(query, keys, weight, bias) -> TensorNode:
     return _record("attention", saved[2], (query, keys, weight, bias), backward)
 
 
-def _attention_values(qv, kv, wv, bv) -> tuple:
-    """Attention's forward: (softmax weights, context, output). A mask of
-    ``True`` covers every step."""
+def _attention_values(qv, kv, wt, bv) -> tuple:
+    """Attention's forward, its weight laid out ``(2K, H)`` (``_laid_out``):
+    (softmax weights, context, output). A mask of ``True`` covers every step."""
     weights = _softmax_values(np.matmul(kv, qv[..., None])[..., 0], True)
     context = np.matmul(weights[..., None, :], kv)[..., 0, :]
-    return weights, context, np.tanh(_rows_times(np.concatenate([context, qv], axis=-1), wv) + bv)
+    return weights, context, np.tanh(_rows_times(np.concatenate([context, qv], axis=-1), wt) + bv)
 
 
 def _attention_grads(g, qv, kv, saved, weight, bias, keys) -> tuple:
@@ -951,20 +979,18 @@ def _attention_grads(g, qv, kv, saved, weight, bias, keys) -> tuple:
 def _pair_values(gv: np.ndarray, offsets: np.ndarray, kinematics, spec, neighbors: np.ndarray,
                  mask: np.ndarray) -> tuple:
     """The spatial weights of ``(..., R, J, 2)`` pair ``offsets`` to the
-    ``neighbors``: the ``(m, n)`` grid's range at the ``bin_indices`` the
-    ``kinematics`` and ``spec`` read from the same offsets, minus their
-    length, relu, and softmax over the positive scores ``mask`` admits.
-    Returns them with what their backward keeps: ``(weights, active,
-    positive, cells)``, the last one flat grid-cell index per pair, in the
-    smallest unsigned integer type that holds the grid's last cell.
+    ``neighbors``: the ``(m, n)`` grid's range at the flat cells
+    ``bin_indices`` reads from the same offsets with the ``kinematics`` and
+    ``spec``, minus their length, relu, and softmax over the positive
+    scores ``mask`` admits. Returns them with what their backward keeps:
+    ``(weights, active, positive, cells)``, the last one those cells, one
+    small unsigned integer per pair.
 
     A row that admits at most one pair sends the grid exactly zero gradient:
     a softmax over one score is 1 whatever the score. So two-person scenes
     never move the grid.
     """
-    bearing, heading = bin_indices(kinematics, spec, neighbors, offsets)
-    cells = ((bearing - 1) * gv.shape[1] + (heading - 1)).astype(
-        np.min_scalar_type(gv.size - 1))
+    cells = bin_indices(kinematics, spec, neighbors, offsets)
     reach = np.take(gv, cells) - _norm_values(offsets)
     positive = reach > 0.0
     active = np.asarray(mask, dtype=bool) & positive
@@ -1027,8 +1053,9 @@ def decoder_rollout(hidden, cell, step_in, kinematics, masks, spec, grid, neighb
                          f"{step_in.shape}, positions {base.shape}, grid {grid.shape} or "
                          f"masks {np.shape(masks)} do not conform")
     pieces = _block_layout("decoder_rollout", neighbors.shape, hv.shape, blocks)
-    fw, fb, ew, eb, wih, whh, bv, ow, ob = (p.values for p in params)
-    att = None if keys is None else (keys.values, att_w.values, att_b.values)
+    fuse_t, embed_t, w_ih_t, w_hh_t, out_t = map(_laid_out, (fuse_w, embed_w, w_ih, w_hh, out_w))
+    fb, eb, bv, ob = fuse_b.values, embed_b.values, bias.values, out_b.values
+    att = None if keys is None else (keys.values, _laid_out(att_w), att_b.values)
     start = pair_offsets(base, neighbors)
     recording = not isinstance(active_tape(), _RecordFreeTape)
     saved, cums, positions, disps = [], [], [base], []
@@ -1041,16 +1068,17 @@ def decoder_rollout(hidden, cell, step_in, kinematics, masks, spec, grid, neighb
         pair = _pair_values(grid.values, offsets, kin, spec, neighbors, masks[t])
         wv = pair[0] if t else np.broadcast_to(pair[0], lead + neighbors.shape)
         context = _block_products(_row_blocks(wv, pieces), hv, pieces)
-        fused = state = np.tanh(_rows_times(np.concatenate([hv, context], axis=-1), fw) + fb)
+        fused = state = np.tanh(_rows_times(np.concatenate([hv, context], axis=-1), fuse_t) + fb)
         attended = None if att is None else _attention_values(fused, *att)
         if attended is not None:
             state = attended[2]
-        embedded = _rows_times(xv, ew) + eb
-        lstm_state, new_hidden = _lstm_values(_rows_times(embedded, wih) + bv, state, cv, whh)
+        embedded = _rows_times(xv, embed_t) + eb
+        lstm_state, new_hidden = _lstm_values(_rows_times(embedded, w_ih_t) + bv, state, cv,
+                                              w_hh_t)
         if recording:
             saved.append(((hv, cv, xv, wv, context, fused, attended, state, embedded,
                            lstm_state, new_hidden), pair))
-        hv, cv, xv = new_hidden, lstm_state[4], _rows_times(new_hidden, ow) + ob
+        hv, cv, xv = new_hidden, lstm_state[4], _rows_times(new_hidden, out_t) + ob
         cums.append(cums[-1] + xv if t else xv)
         positions.append(base + cums[-1])
         disps.append(xv)
@@ -1068,8 +1096,8 @@ def decoder_rollout(hidden, cell, step_in, kinematics, masks, spec, grid, neighb
         d_in = _linear_back(_linear_back(d_gates, embedded, w_ih, bias), xv, embed_w, embed_b)
         if not t:
             _add_grad(step_in, d_in)
-        if att is not None:                 # the query's adjoint, from its two shares
-            first, second = _attention_grads(d_state, fused, att[0], attended, att_w, att_b,
+        if keys is not None:                # the query's adjoint, from its two shares
+            first, second = _attention_grads(d_state, fused, keys.values, attended, att_w, att_b,
                                              keys)
             d_state = first + second
         d_joint = _linear_back(d_state * (1.0 - fused * fused),

@@ -69,6 +69,9 @@ class SceneWindow:
             raise DataError(f"positions {self.positions.shape} vs mask {self.mask.shape}")
         if len(self.ped_ids) != N:
             raise DataError("ped_ids length does not match arrays")
+        if not 2 <= self.obs_len <= T:
+            raise DataError(f"obs_len {self.obs_len} must lie in [2, total_len] "
+                            f"for a window of total_len {T}")
         if not np.all(np.isfinite(self.positions)):
             raise DataError("non-finite positions in window")
         if not self.mask[:self.obs_len].all():

@@ -131,10 +131,12 @@ def bin_index(geom: EncounterGeometry, spec: BinSpec) -> tuple[int, int]:
 
 
 def _normalize_deg_array(angle: np.ndarray) -> np.ndarray:
-    """``normalize_deg`` applied entrywise, with the same float operations."""
-    wrapped = np.fmod(angle, 360.0)
-    wrapped = np.where(wrapped < 0.0, wrapped + 360.0, wrapped)
-    return np.where(wrapped < 360.0, wrapped, 0.0)
+    """``normalize_deg`` applied entrywise, with the same float operations,
+    to a float array that it wraps in place and returns."""
+    np.fmod(angle, 360.0, out=angle)
+    np.add(angle, 360.0, out=angle, where=angle < 0.0)
+    np.copyto(angle, 0.0, where=~(angle < 360.0))
+    return angle
 
 
 @dataclass(frozen=True)
@@ -207,28 +209,40 @@ def pair_offsets(xy: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
 
 
 def bin_indices(kinematics: CrowdKinematics, spec: BinSpec, neighbors: np.ndarray,
-                offsets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """1-based (bearing, heading) bins of every agent towards its neighbours.
+                offsets: np.ndarray) -> np.ndarray:
+    """The flat, 0-based grid cell of every agent towards its neighbours,
+    ``(bearing - 1) * spec.n_heading + (heading - 1)`` of the 1-based
+    ``bin_index`` pair, as an ``(..., N, J)`` array of the smallest unsigned
+    integer type that holds the grid's last cell.
 
     ``neighbors`` is an (N, J) integer table: entry [a, j] names the agent
-    that agent a sees in its column j. The bins are two ``(..., N, J)``
-    integer arrays whose entry [..., a, j] equals
+    that agent a sees in its column j, and ``offsets`` the (..., N, J, 2)
+    pair offsets from a to it (``pair_offsets`` of the positions, or the
+    offsets a fused kernel weights), with the leading axes of
+    ``kinematics``. Entry [..., a, j] is the cell of
     ``bin_index(compute_encounter(A, B), spec)`` for the
     ``AgentKinematics`` A of agent a and B of agent ``neighbors[a, j]``;
     in the (N, N) table whose every row is 0, 1, ..., N - 1 every agent
-    sees every agent. The bearings are read from the (..., N, J, 2)
-    ``offsets``, by default the ``pair_offsets`` of the positions; the fused
-    kernels pass the offsets they weight. They take ``compute_encounter``'s
-    float operations over the whole array, so a pair on a bin edge lands
-    where the scalar one does.
+    sees every agent. The bearing and the relative heading take
+    ``compute_encounter``'s float operations, wrapped together as one
+    ``(2, ..., N, J)`` angle array, so a pair on a bin edge lands where the
+    scalar one does; one floor and one clip give both bins.
     """
-    heading = kinematics.heading_deg
-    if offsets is None:
-        offsets = pair_offsets(kinematics.position, neighbors)
-    dx, dy = offsets[..., 0], offsets[..., 1]
-    bearing = _normalize_deg_array(np.degrees(np.arctan2(dy, dx)) - heading[..., :, None])
-    bearing[(dx == 0.0) & (dy == 0.0)] = 0.0
-    rel_heading = _normalize_deg_array(heading[..., neighbors] - heading[..., :, None])
-    i = np.floor(bearing / spec.bearing_step_deg).astype(np.int64) + 1
-    j = np.floor(rel_heading / spec.heading_step_deg).astype(np.int64) + 1
-    return np.minimum(i, spec.n_bearing), np.minimum(j, spec.n_heading)
+    heading, dx, dy = kinematics.heading_deg, offsets[..., 0], offsets[..., 1]
+    own = heading[..., :, None]
+    angles = np.empty((2,) + dx.shape)
+    bearing, rel_heading = angles
+    np.degrees(np.arctan2(dy, dx, out=bearing), out=bearing)
+    bearing -= own
+    np.subtract(heading[..., neighbors], own, out=rel_heading)
+    _normalize_deg_array(angles)
+    np.copyto(bearing, 0.0, where=(dx == 0.0) & (dy == 0.0))   # coincident: bearing 0
+    bearing /= spec.bearing_step_deg
+    rel_heading /= spec.heading_step_deg
+    np.floor(angles, out=angles)
+    # Guard against bearing == 360 - ulp rounding up under division.
+    np.minimum(angles, np.reshape([spec.n_bearing - 1, spec.n_heading - 1],
+                                  (2,) + (1,) * dx.ndim), out=angles)
+    bearing *= spec.n_heading
+    bearing += rel_heading
+    return bearing.astype(np.min_scalar_type(spec.n_bearing * spec.n_heading - 1))

@@ -51,18 +51,16 @@ class SpatialWeights:
     active: np.ndarray          # (..., N, J) bool: entries the softmax covers
 
 
-def raw_score(grid: DomainGrid, bins: tuple[np.ndarray, np.ndarray],
-              distance: ad.TensorNode) -> ad.TensorNode:
-    """relu(range[bin] - distance) for every pair, shaped like ``distance``.
+def raw_score(grid: DomainGrid, cells: np.ndarray, distance: ad.TensorNode) -> ad.TensorNode:
+    """relu(range[cell] - distance) for every pair, shaped like ``distance``.
 
-    ``bins`` holds the 1-based (bearing, heading) bin of each pair, from
-    the float geometry (piecewise constant, so it carries no gradient). The
-    distance is a live node so that predicted positions receive gradient
-    through the score.
+    ``cells`` holds the flat, 0-based grid cell of each pair
+    (``geometry.bin_indices``), from the float geometry (piecewise constant,
+    so it carries no gradient). The distance is a live node so that
+    predicted positions receive gradient through the score.
     """
-    i, j = bins
-    cell = ad.gather(grid.node, (i - 1, j - 1))
-    return ad.relu(ad.sub(cell, distance))
+    reach = ad.gather(grid.node, np.unravel_index(cells, grid.values.shape))
+    return ad.relu(ad.sub(reach, distance))
 
 
 def normalize_scores(raw: ad.TensorNode, neighbors: np.ndarray) -> SpatialWeights:

@@ -25,7 +25,7 @@ from scantraj import model as sm
 from scantraj import spatial as sp
 from scantraj import training as tr
 from scantraj.geometry import (BinSpec, CrowdKinematics, EncounterGeometry,
-                               bin_index, bin_indices, track_kinematics)
+                               bin_index, bin_indices, pair_offsets, track_kinematics)
 from scantraj.model import trajectory_loss
 
 from oracles import matmul, oracle_spatial
@@ -302,7 +302,8 @@ class TestSpatialOracleAgreement:
             offsets = positions[None, :] - positions[:, None]
             everyone = np.tile(np.arange(n), (n, 1))        # the (n, n) neighbour table
             with ad.Tape():
-                raws = sp.raw_score(grid, bin_indices(kin, spec, everyone),
+                raws = sp.raw_score(grid, bin_indices(kin, spec, everyone,
+                                                      pair_offsets(kin.position, everyone)),
                                     ad.l2norm(ad.constant(offsets)))
                 weights = sp.normalize_scores(raws, ~np.eye(n, dtype=bool))
                 context = sp.context_vector(weights.normalized, ad.constant(hiddens))

@@ -91,6 +91,13 @@ class TestForwardExamples:
         assert ad.sigmoid(ad.constant(800.0)).item() == 1.0
         assert ad.sigmoid(ad.constant(-800.0)).item() == 0.0
 
+    def test_sigmoid_picks_as_the_where_recipe_does_on_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 5e-324, -5e-324,
+                      1.5, -1.5])
+        z = np.exp(-np.abs(x))
+        want = np.where(x >= 0.0, 1.0, z) / (1.0 + z)
+        assert ad.sigmoid(ad.constant(x)).values.tobytes() == want.tobytes()
+
     def test_softplus_matches_log1p_exp(self):
         x = np.array([-3.0, 0.0, 2.5])
         np.testing.assert_allclose(ad.softplus(ad.constant(x)).values,
@@ -445,6 +452,27 @@ class TestBatchedOps:
             assert one.shape == (1, 9)
             assert one.values.tobytes() == batch[r:r + 1].tobytes()
 
+    # (leading axes, in, out) of every product that the fused kernels of the
+    # benchmark's workloads run over stacked rows: steps, samples or both.
+    @pytest.mark.parametrize("lead, n_in, n_out", [
+        ((8, 42), 2, 16), ((8, 42), 16, 128),                           # crowd_train
+        ((4, 9), 2, 8), ((4, 9), 8, 64), ((4, 9), 16, 1), ((4, 9), 16, 2),  # gan_synth
+        ((4, 9), 16, 64), ((4, 9), 20, 16), ((4, 9), 32, 16), ((5, 9), 16, 64),
+        ((8, 9), 8, 64), ((12, 4, 9), 2, 8), ((12, 5, 9), 8, 64),
+        ((8, 4), 2, 16), ((8, 4), 16, 128), ((20, 4), 2, 16),           # eval_crowd
+        ((20, 4), 16, 128), ((20, 4), 32, 2), ((20, 4), 32, 128), ((20, 4), 40, 32),
+        ((20, 4), 64, 32)], ids=lambda v: "x".join(map(str, v)) if type(v) is tuple else str(v))
+    def test_a_stacked_product_equals_its_per_slice_products_bitwise(self, lead, n_in, n_out):
+        # numpy runs the stacked rows through one gemm when the weight is
+        # laid out (in, out); a sample's rows must round as in a lone pass.
+        rng = np.random.default_rng([n_in, n_out, *lead])
+        x = rng.normal(size=lead + (n_in,))
+        wt = ad._laid_out(ad.constant(rng.normal(size=(n_out, n_in))))
+        stacked = ad._rows_times(x, wt)
+        slices = x.reshape((-1,) + x.shape[-2:])
+        per_slice = np.stack([ad._rows_times(part, wt) for part in slices])
+        assert stacked.tobytes() == per_slice.tobytes()
+
     def test_split_is_one_record_and_keeps_the_axis(self):
         x = ad.constant(np.arange(12.0).reshape(2, 6))
         with ad.Tape() as tape:
@@ -615,9 +643,8 @@ def composed_pair_weights(cum, grid, start, neighbors, kinematics, spec, mask):
         if cum is not None:
             offsets = ad.add(offsets, pairwise_offsets(cum, neighbors))
     shape = offsets.shape[:-1]
-    bins = tuple(np.broadcast_to(b, shape)
-                 for b in bin_indices(kinematics, spec, neighbors, offsets.values))
-    scores = spatial.raw_score(spatial.DomainGrid(grid, spec), bins, ad.l2norm(offsets))
+    cells = np.broadcast_to(bin_indices(kinematics, spec, neighbors, offsets.values), shape)
+    scores = spatial.raw_score(spatial.DomainGrid(grid, spec), cells, ad.l2norm(offsets))
     return spatial.normalize_scores(scores, np.broadcast_to(mask, shape)).normalized
 
 

@@ -166,6 +166,22 @@ class TestRoundTrip:
         assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 
 
+class TestValidate:
+    @pytest.mark.parametrize("obs_len", [-2, 1, 6, 9])
+    def test_an_obs_len_no_forecast_can_have_is_refused(self, obs_len):
+        # A heading needs two observed points, and a window of five steps
+        # holds at most five.
+        win = data.SceneWindow(ped_ids=[1], positions=np.zeros((5, 1, 2)),
+                               mask=np.ones((5, 1), dtype=bool), obs_len=obs_len)
+        with pytest.raises(DataError, match=rf"obs_len {obs_len}.*total_len 5"):
+            win.validate()
+
+    @pytest.mark.parametrize("obs_len", [2, 5])
+    def test_obs_len_from_two_to_total_len_validates(self, obs_len):
+        data.SceneWindow(ped_ids=[1], positions=np.zeros((5, 1, 2)),
+                         mask=np.ones((5, 1), dtype=bool), obs_len=obs_len).validate()
+
+
 class TestSynthScenarios:
     def test_straight_is_unit_speed_along_x(self):
         win = data.synth_scenarios("straight", 1, seed=0, jitter=0.0)[0]

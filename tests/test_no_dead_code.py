@@ -227,3 +227,31 @@ def test_the_array_geometry_has_no_python_loop():
                     or isinstance(func, ast.Attribute) and func.attr == "tolist"):
                 found.append(f"{name}: {ast.unparse(node).splitlines()[0]}")
     assert found == [], "a Python loop in the array geometry"
+
+
+# The fused kernels lay every weight out once per record, before their step
+# loops (``autodiff._laid_out``), and the float recipes their loops call take
+# the laid-out copies: a transpose or a contiguous copy there would make
+# one again every step, and numpy would run stacked rows as one gemm each.
+LAID_OUT_BEFORE_THE_LOOPS = ("decoder_rollout", "recurrence")
+TAKE_LAID_OUT_WEIGHTS = ("_rows_times", "_lstm_values", "_attention_values")
+
+
+def layout_work(node: ast.AST) -> list:
+    """Every ``.T``, ``ascontiguousarray`` or ``_laid_out`` under ``node``."""
+    return [ast.unparse(sub) for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr == "T"
+            or isinstance(sub, ast.Call) and getattr(sub.func, "attr", getattr(
+                sub.func, "id", None)) in ("ascontiguousarray", "_laid_out")]
+
+
+def test_no_weight_is_laid_out_inside_a_step_loop():
+    defs = definitions()
+    found = [f"{name}: {work}" for name in TAKE_LAID_OUT_WEIGHTS
+             for work in layout_work(defs[f"autodiff.{name}"][1])]
+    for name in LAID_OUT_BEFORE_THE_LOOPS:
+        loops = [node for node in ast.walk(defs[f"autodiff.{name}"][1])
+                 if isinstance(node, (ast.For, ast.While))]
+        assert loops, name
+        found += [f"{name}: {work}" for loop in loops for work in layout_work(loop)]
+    assert found == [], "a weight laid out inside a step loop"

@@ -52,11 +52,11 @@ from scantraj import generative as gn
 from scantraj import metrics
 from scantraj import model as sm
 from scantraj import spatial
-from scantraj.data import SceneWindow
+from scantraj.data import RawRecord, SceneWindow, make_windows
 from scantraj.geometry import (AgentKinematics, BinSpec, CrowdKinematics,
                                advance_kinematics, bin_index, bin_indices,
                                compute_encounter, estimate_heading,
-                               normalize_deg, track_kinematics)
+                               normalize_deg, pair_offsets, track_kinematics)
 
 from oracles import composed_decode, composed_observed_pass
 from test_model import build, fake_track, make_scene, micro_cfg, real_track
@@ -122,10 +122,19 @@ def arrays_of(agents) -> CrowdKinematics:
         np.array([k.heading_valid for k in flat]).reshape(agents.shape))
 
 
+def bins_of(kinematics: CrowdKinematics, spec: BinSpec, neighbors: np.ndarray) -> tuple:
+    """The 1-based (bearing, heading) bins of the flat grid cells that
+    ``bin_indices`` reads from the kinematics' own pair offsets."""
+    cells = bin_indices(kinematics, spec, neighbors,
+                        pair_offsets(kinematics.position, neighbors))
+    bearing, rel_heading = np.divmod(cells, spec.n_heading)
+    return bearing + 1, rel_heading + 1
+
+
 @settings(PROPERTY, max_examples=300)
 @given(crowd=st.one_of(crowds(), files()), spec=spec)
 def test_vectorised_bins_equal_the_scalar_geometry(crowd, spec):
-    bearing, rel_heading = bin_indices(arrays_of(crowd), spec, everyone(len(crowd)))
+    bearing, rel_heading = bins_of(arrays_of(crowd), spec, everyone(len(crowd)))
     for a, observer in enumerate(crowd):
         for b, other in enumerate(crowd):
             want = bin_index(compute_encounter(observer, other), spec)
@@ -140,7 +149,7 @@ def test_sample_batched_bins_equal_the_scalar_geometry(n, samples, spec, data):
     crowd = np.empty((samples, n), dtype=object)
     crowd[...] = data.draw(st.lists(st.lists(agent, min_size=n, max_size=n),
                                     min_size=samples, max_size=samples))
-    bearing, rel_heading = bin_indices(arrays_of(crowd), spec, everyone(n))
+    bearing, rel_heading = bins_of(arrays_of(crowd), spec, everyone(n))
     assert bearing.shape == (samples, n, n)
     for s in range(samples):
         for a in range(n):
@@ -182,7 +191,7 @@ def test_bins_of_neighbours_on_a_bearing_edge_equal_the_scalar_geometry(spec, se
         world = float(np.degrees(np.arctan2(qy - py, qx - px)))
         crowd += [AgentKinematics((px, py), h, True)
                   for h in headings_across(world, k * spec.bearing_step_deg)]
-    bearing, rel_heading = bin_indices(arrays_of(crowd), spec, everyone(len(crowd)))
+    bearing, rel_heading = bins_of(arrays_of(crowd), spec, everyone(len(crowd)))
     for a, observer in enumerate(crowd):
         for b, other in enumerate(crowd):
             want = bin_index(compute_encounter(observer, other), spec)
@@ -468,6 +477,56 @@ def test_at_the_evaluation_dims_each_sample_equals_its_lone_and_its_recorded_dec
         one = decode(ad.no_grad, noise[s])
         assert np.array_equal(batch.pos.values[s], one.pos.values), s
         assert np.array_equal(batch.disp[s], one.disp), s
+
+
+# Who is present in a recording like the benchmark's eval_crowd one: (ped
+# id, first frame, last frame, frames absent). Every 8 + 12 step window holds
+# four people, who drop out, leave and enter during the forecast.
+EVAL_PRESENCE = ((1, 0, 24, ()), (2, 0, 24, (14,)), (3, 0, 9, ()), (4, 0, 17, ()),
+                 (5, 3, 24, ()))
+
+
+def eval_windows(seed: int) -> list:
+    """The windows ``make_windows`` cuts from random walkers present as
+    ``EVAL_PRESENCE`` says, one frame per 10 frame ids."""
+    paths = walkers(np.random.default_rng(seed), len(EVAL_PRESENCE), 25)
+    records = [RawRecord(frame * 10, ped, *map(float, paths[col, frame]))
+               for frame in range(25)
+               for col, (ped, first, last, absent) in enumerate(EVAL_PRESENCE)
+               if first <= frame <= last and frame not in absent]
+    return make_windows(records, obs_len=8, pred_len=12)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(k=st.integers(1, 20), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_at_the_default_dims_a_k_sample_decode_equals_its_one_sample_decodes_bitwise(
+        k, seed, data):
+    # Each product of a k-sample decode runs its k * R rows as one gemm; a
+    # lone sample runs R rows. At the default dims (embed 16, hidden 32)
+    # every row must get the same bits either way, on eval_crowd-like
+    # windows and on crowds of one (a lone row runs as the first of two) up
+    # to eight.
+    cfg = sm.ModelConfig(generative=True)
+    params = sm.build_params(cfg, ad.RngHub(seed % 7))
+    params["domain_grid"].values[...] = np.random.default_rng(seed).uniform(
+        0.5, 4.0, size=params["domain_grid"].shape)
+    model = sm.ScanModel(cfg, params)
+    scene = data.draw(st.one_of(
+        st.sampled_from(eval_windows(seed)),
+        st.integers(1, 8).map(lambda n: make_scene(
+            walkers(np.random.default_rng(seed), n, 20), cfg.obs_len))))
+    noise = np.random.default_rng(seed + 1).standard_normal((k, cfg.noise_dim))
+
+    def decode(noise):
+        with ad.no_grad():
+            return model.decode(scene, model.encode(scene), noise=noise)
+
+    batch = decode(noise)
+    assert batch.pos.shape == (k, scene.n_peds, cfg.pred_len, 2)
+    for s in range(k):
+        one = decode(noise[s])
+        assert batch.pos.values[s].tobytes() == one.pos.values.tobytes(), s
+        assert batch.disp[s].tobytes() == one.disp.tobytes(), s
 
 
 @PROPERTY

@@ -7,7 +7,7 @@ from scantraj import autodiff as ad
 from scantraj import spatial
 from scantraj.geometry import (AgentKinematics, BinSpec, CrowdKinematics,
                                EncounterGeometry, bin_index, bin_indices,
-                               compute_encounter)
+                               compute_encounter, pair_offsets)
 
 from oracles import matmul, numeric_gradient, oracle_spatial
 
@@ -21,9 +21,12 @@ def make_grid(value=4.0, spec=None):
 
 
 def pair_row(geoms, spec):
-    """One target's encounters as a (1, k) row: bins and a distance node."""
+    """One target's encounters as a (1, k) row: flat grid cells and a
+    distance node."""
     idx = np.array([bin_index(g, spec) for g in geoms]).reshape(1, -1, 2)
-    return (idx[..., 0], idx[..., 1]), ad.constant([[g.distance for g in geoms]])
+    cells = np.ravel_multi_index((idx[..., 0] - 1, idx[..., 1] - 1),
+                                 (spec.n_bearing, spec.n_heading))
+    return cells, ad.constant([[g.distance for g in geoms]])
 
 
 def score_row(grid, geoms, distance=None):
@@ -226,7 +229,8 @@ class TestOracleEquivalence:
                                    np.ones(n, dtype=bool))
             offsets = np.asarray(positions)[None, :] - np.asarray(positions)[:, None]
             everyone = np.tile(np.arange(n), (n, 1))    # the (n, n) neighbour table
-            scores = spatial.raw_score(grid, bin_indices(kins, spec, everyone),
+            scores = spatial.raw_score(grid, bin_indices(kins, spec, everyone,
+                                                         pair_offsets(kins.position, everyone)),
                                        ad.l2norm(ad.constant(offsets)))
             w = spatial.normalize_scores(scores, ~np.eye(n, dtype=bool))
             ctx = spatial.context_vector(w.normalized, ad.constant(hiddens))
